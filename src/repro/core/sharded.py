@@ -31,7 +31,7 @@ the routing-balance number the sharded throughput floor gates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from time import perf_counter, time as wall_clock
 from typing import Any, Iterable
 
 from ..cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
@@ -72,6 +72,7 @@ from .config import (
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
+from .frames import decode_reply, decode_request, encode_reply, encode_request
 from .realtime import RealtimeLayer, RealtimeReport
 
 _ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
@@ -104,13 +105,18 @@ class _RealtimeShardSpec:
     """Picklable recipe for a pooled :class:`RealtimeLayer` shard replica.
 
     Hosted by :class:`repro.streams.workers.WorkerHost`: only the
-    :class:`SystemConfig` crosses the process boundary — the replica and
-    everything stateful is built inside the worker, once, and served
-    repeated ``("run", fixes)`` requests. Each response ships the
-    shard's cumulative report, that run's new topic records (drained
-    through worker-local merge consumers, exactly like the in-process
-    path's long-lived consumer groups) and the per-run delta
-    :class:`~repro.obs.ObsHarvest`.
+    :class:`SystemConfig` crosses the process boundary at spawn — the
+    replica and everything stateful is built inside the worker, once,
+    and served one request per poll. Requests and replies are the
+    compact ``bytes`` frames of :mod:`repro.core.frames`: the request is
+    that poll's fixes as columns; the reply carries the shard's
+    cumulative report, the per-run delta :class:`~repro.obs.ObsHarvest`
+    and that run's new topic records (drained through worker-local merge
+    consumers, exactly like the in-process path's long-lived consumer
+    groups) — the derived topics by value, the raw and clean topics by
+    reference to the request's rows, which ``encode_reply`` refuses
+    (``ValueError`` → ``ShardWorkerError``) unless the raw topic holds
+    exactly one record per request fix.
     """
 
     config: SystemConfig
@@ -125,10 +131,8 @@ class _RealtimeShardSpec:
             layer=layer, consumers=consumers, setup_s=perf_counter() - t0
         )
 
-    def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> dict[str, Any]:
-        kind, fixes = request
-        if kind != "run":
-            raise ValueError(f"unknown realtime shard request {kind!r}")
+    def handle(self, shard: int, replica: _RealtimeReplica, request: bytes) -> bytes:
+        fixes = decode_request(request)
         layer = replica.layer
         layer.run(fixes)
         wall_s = layer.metrics.gauge("realtime.wall_s").value()
@@ -140,14 +144,14 @@ class _RealtimeShardSpec:
             wall_seconds=wall_s,
             setup_seconds=replica.setup_s,
         )
-        delta = current.delta(replica.prev_harvest)
+        topics = {t: _drain_all(replica.consumers[t]) for t in _ALL_TOPICS}
+        reply = encode_reply(
+            fixes, layer.report, topics, wall_s, current.delta(replica.prev_harvest)
+        )
+        # Committed only once the reply exists: a refused frame's obs
+        # delta rides the next successful reply instead of vanishing.
         replica.prev_harvest = current
-        return {
-            "report": layer.report,
-            "topics": {t: _drain_all(replica.consumers[t]) for t in _ALL_TOPICS},
-            "wall_s": wall_s,
-            "harvest": delta,
-        }
+        return reply
 
 
 class ShardedRealtimeLayer:
@@ -250,6 +254,11 @@ class ShardedRealtimeLayer:
             self._register_shard_gauges(i)
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
         self.metrics.gauge("shard.balance", fn=self.balance)
+        # Cumulative totals of the global stages, so the merged report
+        # accumulates across runs exactly like the replicas' reports do.
+        self._proximity_links = 0
+        self._cep_detections = 0
+        self._cep_forecasts = 0
         self.report = RealtimeReport()
 
     def _register_shard_gauges(self, i: int) -> None:
@@ -295,12 +304,15 @@ class ShardedRealtimeLayer:
 
     def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
         """Route, run every replica, then merge and run the global stages."""
-        from time import perf_counter, time as wall_clock
-
         self.events.emit("info", "realtime", "sharded_run_started", shards=self.n_shards)
         routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
+        shard_of: dict[str, int] = {}  # each distinct entity is hashed once per run
         for fix in fixes:
-            routed[self.shard_for(fix.entity_id)].append(fix)
+            entity_id = fix.entity_id
+            shard = shard_of.get(entity_id)
+            if shard is None:
+                shard = shard_of[entity_id] = self.shard_for(entity_id)
+            routed[shard].append(fix)
         if self._hosts is not None:
             merged = self._run_pooled(routed)
         else:
@@ -308,7 +320,6 @@ class ShardedRealtimeLayer:
                 shard.run(sub_stream)
             self._fold_shard_obs()
             merged = self._merge_topics()
-        report = self._merged_report()
         # The merged-stream consumer is where the paper's headline number
         # lives on the sharded path: ingest wall stamp (record provenance,
         # written by the shard replica) to merged consumption.
@@ -326,8 +337,7 @@ class ShardedRealtimeLayer:
             t0 = perf_counter()
             links = self.proximity.process(rec.value.fix)
             prox_probe.observe(len(links), perf_counter() - t0)
-            report.proximity_links += len(links)
-            report.links += len(links)
+            self._proximity_links += len(links)
             for link in links:
                 merged[TOPIC_LINKS].append(
                     Record(link.t, link, key=link.source_id, ingest_wall_s=rec.ingest_wall_s)
@@ -345,8 +355,8 @@ class ShardedRealtimeLayer:
                     perf_counter() - t0,
                     n_in=len(cep_events),
                 )
-                report.cep_detections += len(run.detections)
-                report.cep_forecasts += len(run.forecasts)
+                self._cep_detections += len(run.detections)
+                self._cep_forecasts += len(run.forecasts)
                 for det in run.detections:
                     merged[TOPIC_EVENTS].append(Record(det.t, det))
                     self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")
@@ -357,7 +367,7 @@ class ShardedRealtimeLayer:
         for topic, records in merged.items():
             if records:
                 self.broker.publish_many(topic, records)
-        self.report = report
+        self.report = report = self._merged_report()
         self.health.evaluate()
         self.events.emit(
             "info", "realtime", "sharded_run_finished",
@@ -367,27 +377,43 @@ class ShardedRealtimeLayer:
         return report
 
     def _run_pooled(self, routed: list[list[PositionFix]]) -> dict[str, list[Record]]:
-        """Scatter one batched frame per shard worker, gather, fold, merge.
+        """Scatter one compact frame per shard worker, gather, fold, merge.
 
-        Each response carries the shard's new topic records and a per-run
-        delta harvest — folded here exactly as :meth:`_fold_shard_obs`
+        Frames are :mod:`repro.core.frames` bytes: each reply carries the
+        shard's new topic records (raw and clean by reference to the
+        request, rebuilt here around this process's own fixes) and a
+        per-run delta harvest — folded exactly as :meth:`_fold_shard_obs`
         folds the in-process replicas' deltas, so the merged counters
-        match the oracle's byte for byte.
+        match the oracle's byte for byte. What the boundary cost is
+        recorded per shard and per run under ``shard.<i>.ipc_*``.
         """
         assert self._hosts is not None
-        for host, sub_stream in zip(self._hosts, routed):
-            host.send(("run", sub_stream))
-        responses = [host.receive() for host in self._hosts]
+        for i, (host, sub_stream) in enumerate(zip(self._hosts, routed)):
+            t0 = perf_counter()
+            frame = encode_request(sub_stream)
+            self._observe_ipc(i, "encode_s", perf_counter() - t0)
+            self._observe_ipc(i, "req_bytes", len(frame))
+            host.send(frame)
         deltas: list[ObsHarvest] = []
-        for i, resp in enumerate(responses):
-            self._pool_reports[i] = resp["report"]
-            self._pool_walls[i] = resp["wall_s"]
-            deltas.append(resp["harvest"])
+        per_shard: list[dict[str, list[Record]]] = []
+        for i, (host, sub_stream) in enumerate(zip(self._hosts, routed)):
+            frame = host.receive()
+            t0 = perf_counter()
+            reply, topics = decode_reply(frame, sub_stream)
+            self._observe_ipc(i, "decode_s", perf_counter() - t0)
+            self._observe_ipc(i, "reply_bytes", len(frame))
+            self._pool_reports[i] = reply.report
+            self._pool_walls[i] = reply.wall_s
+            deltas.append(reply.harvest)
+            per_shard.append(topics)
         fold_harvests(self.metrics, deltas, events=self.events, tracer=self.tracer)
         return {
-            topic: merge_shard_outputs([resp["topics"][topic] for resp in responses])
+            topic: merge_shard_outputs([topics[topic] for topics in per_shard])
             for topic in _ALL_TOPICS
         }
+
+    def _observe_ipc(self, shard: int, leaf: str, value: float) -> None:
+        self.metrics.histogram(f"shard.{shard}.ipc_{leaf}").observe(value)
 
     def close(self) -> None:
         """Shut pooled shard workers down cleanly (no-op in-process)."""
@@ -447,8 +473,14 @@ class ShardedRealtimeLayer:
         return merged
 
     def _merged_report(self) -> RealtimeReport:
-        """Layer-wide counters: per-entity stages summed across shards."""
-        report = RealtimeReport()
+        """Layer-wide cumulative counters: the per-entity stages summed
+        across shards, plus the global stages' own totals."""
+        report = RealtimeReport(
+            proximity_links=self._proximity_links,
+            links=self._proximity_links,
+            cep_detections=self._cep_detections,
+            cep_forecasts=self._cep_forecasts,
+        )
         quality = QualityReport()
         for r in self.shard_reports():
             report.raw_fixes += r.raw_fixes

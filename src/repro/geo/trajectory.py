@@ -44,6 +44,16 @@ class PositionFix:
     source: str = ""
     annotations: dict = field(default_factory=dict, compare=False)
 
+    def __reduce__(self):
+        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        return (
+            type(self),
+            (
+                self.entity_id, self.t, self.lon, self.lat, self.alt,
+                self.speed, self.heading, self.vrate, self.source, self.annotations,
+            ),
+        )
+
     @property
     def point(self) -> GeoPoint:
         return GeoPoint(self.lon, self.lat, self.alt)

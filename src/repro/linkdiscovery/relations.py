@@ -31,6 +31,13 @@ class Link:
     t: float
     distance_m: float = 0.0
 
+    def __reduce__(self):
+        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        return (
+            type(self),
+            (self.source_id, self.target_id, self.relation, self.t, self.distance_m),
+        )
+
 
 def point_within_region(fix: PositionFix, region: Region) -> bool:
     """The ``dul:within`` refinement: the exact point-in-polygon predicate.

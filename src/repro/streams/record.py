@@ -34,6 +34,12 @@ class Record(Generic[T]):
     key: str | None = None
     ingest_wall_s: float | None = field(default=None, compare=False)
 
+    def __reduce__(self):
+        # Positional pickle: the generated __getstate__/__setstate__ of a
+        # frozen+slots dataclass walks fields() in pure Python per object,
+        # which dominated every IPC frame that ships records by value.
+        return (type(self), (self.t, self.value, self.key, self.ingest_wall_s))
+
     def with_value(self, value: Any) -> "Record":
         """A copy carrying a different payload (same time, key, provenance)."""
         return Record(self.t, value, self.key, self.ingest_wall_s)

@@ -33,6 +33,14 @@ This table is cross-checked against ``tools/ipc_protocol.toml`` by the
 truth, this table the human-readable one, and drift in either is a
 lint error.
 
+Payloads (``p`` / ``response``) are opaque to the protocol — a
+:class:`WorkerSpec` owns their shape. The pipeline pool of this module
+ships ``list[Record]`` by value (``Record`` and the domain values it
+carries pickle positionally, not through the per-object ``fields()``
+walk frozen+slots dataclasses default to); the pooled Figure-2 layer
+ships pre-serialised ``bytes`` in both directions — columnar fix
+batches out, reply-by-reference topics back (``repro.core.frames``).
+
 Liveness: a dead worker is detected at the next interaction with it and
 surfaced as :class:`ShardWorkerDied` carrying the shard id; a *hung*
 worker (alive but not replying — ``Connection.recv`` only raises for

@@ -54,6 +54,10 @@ class CriticalPoint:
     kind: str
     detail: dict = field(default_factory=dict, compare=False)
 
+    def __reduce__(self):
+        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        return (type(self), (self.fix, self.kind, self.detail))
+
     @property
     def entity_id(self) -> str:
         return self.fix.entity_id

@@ -6,6 +6,8 @@ byte-identical merged topic streams — the canonical ``(t, key)`` merge makes
 that hold by construction, and these tests make it load-bearing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -18,7 +20,10 @@ from repro.core import (
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
+from repro.core.frames import decode_reply, encode_request
+from repro.core.sharded import _RealtimeShardSpec
 from repro.datasources import AISSimulator
+from repro.streams import ShardWorkerError, WorkerHost
 
 ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
@@ -28,18 +33,51 @@ def fixes():
     return list(AISSimulator(n_vessels=10, seed=5).fixes(900.0))
 
 
-def topic_streams(layer):
+def dump_consumers(layer):
+    return {name: layer.broker.consumer(name, "test-dump") for name in ALL_TOPICS}
+
+
+def drain(consumers):
+    """What each topic's consumer has not seen yet, in delivery order."""
     out = {}
-    for name in ALL_TOPICS:
-        consumer = layer.broker.consumer(name, "test-dump")
+    for name, consumer in consumers.items():
         records = []
         while True:
             batch = consumer.poll()
             if not batch:
                 break
             records.extend(batch)
-        out[name] = [(r.t, r.key, type(r.value).__name__) for r in records]
+        out[name] = records
     return out
+
+
+def topic_records(layer):
+    """Every topic's full record stream."""
+    return drain(dump_consumers(layer))
+
+
+def topic_streams(layer):
+    return {
+        name: [(r.t, r.key, type(r.value).__name__) for r in records]
+        for name, records in topic_records(layer).items()
+    }
+
+
+def assert_same_records(got, want):
+    """Full ``Record`` equality per topic, plus what ``==`` skips on
+    purpose: the ``compare=False`` payload must match and every record
+    derived from a fix must carry its ingest stamp."""
+    for name in ALL_TOPICS:
+        assert got[name] == want[name], name
+        for attr in ("annotations", "detail"):
+            assert [getattr(r.value, attr, None) for r in got[name]] == [
+                getattr(r.value, attr, None) for r in want[name]
+            ], (name, attr)
+        assert [r.ingest_wall_s is None for r in got[name]] == [
+            r.ingest_wall_s is None for r in want[name]
+        ], name
+    for name in (TOPIC_RAW, TOPIC_CLEAN):
+        assert all(r.ingest_wall_s is not None for r in got[name]), name
 
 
 class TestShardEquivalence:
@@ -236,20 +274,52 @@ class TestWorkerPoolLayer:
         return [list(fixes[i: i + size]) for i in range(0, len(fixes), size)]
 
     def test_pooled_matches_in_process_oracle_across_runs(self, fixes):
-        """>= 3 consecutive incremental runs: reports, merged topic
-        streams and folded counters byte-identical to the oracle."""
-        cfg = SystemConfig(n_shards=3)
+        """>= 3 consecutive incremental runs: reports, full merged topic
+        records and folded counters byte-identical to the oracle."""
+        cfg = SystemConfig(n_shards=3, proximity_space_m=500_000.0, proximity_time_s=3600.0)
         oracle = ShardedRealtimeLayer(cfg, worker_pool=False)
         with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
             for chunk in self.chunks(fixes, 3):
                 assert pooled.run(chunk) == oracle.run(chunk)
-            assert topic_streams(pooled) == topic_streams(oracle)
+            got, want = topic_records(pooled), topic_records(oracle)
+            assert_same_records(got, want)
+            assert got[TOPIC_SYNOPSES] and got[TOPIC_LINKS]
             assert pooled.metrics.counters() == oracle.metrics.counters()
             assert pooled.balance() == oracle.balance()
             assert (
                 pooled.system_metrics()["shards"]
                 == oracle.system_metrics()["shards"]
             )
+
+    @pytest.mark.parametrize("worker_pool", [False, True])
+    def test_report_links_equal_links_topic_after_every_run(self, fixes, worker_pool):
+        """The merged report is cumulative in every field: region/port
+        links come summed from the replicas' cumulative reports, so the
+        global stages' totals must accumulate across runs too."""
+        cfg = SystemConfig(n_shards=2, proximity_space_m=500_000.0, proximity_time_s=3600.0)
+        with ShardedRealtimeLayer(cfg, worker_pool=worker_pool) as layer:
+            proximity_before = 0
+            for chunk in self.chunks(fixes, 4):
+                report = layer.run(chunk)
+                assert report.links == layer.broker.topic(TOPIC_LINKS).size()
+                assert report.proximity_links > proximity_before
+                proximity_before = report.proximity_links
+            assert report.links > report.proximity_links > 0
+
+    def test_pool_records_ipc_cost_per_shard_and_run(self, fixes):
+        from repro.obs import parse_openmetrics, render_openmetrics
+
+        with ShardedRealtimeLayer(SystemConfig(n_shards=2), worker_pool=True) as pooled:
+            for chunk in self.chunks(fixes, 3):
+                pooled.run(chunk)
+            snapshot = pooled.metrics.snapshot()
+        for i in range(2):
+            for leaf in ("req_bytes", "reply_bytes", "encode_s", "decode_s"):
+                hist = snapshot["histograms"][f"shard.{i}.ipc_{leaf}"]
+                assert hist["count"] == 3 and hist["min"] > 0
+        families = parse_openmetrics(render_openmetrics(snapshot))
+        samples = families["shard_ipc_req_bytes"]["samples"]
+        assert samples['shard_ipc_req_bytes_count{shard="1"}'] == 3
 
     def test_config_knob_selects_the_pool(self, fixes):
         with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as layer:
@@ -279,3 +349,82 @@ class TestWorkerPoolLayer:
                 # 200-fix run: folding it into walls would be visible.
                 assert layer.metrics.gauge("shard.0.setup_s").value() > 0.0
                 assert layer.critical_path_speedup() > 0.0
+
+
+class TestShardFrames:
+    """The pooled wire format at the replica boundary: one request frame
+    in, one reply frame out, decoded against the caller's own fixes — and
+    compared, record for record, with a plain replica fed the same polls."""
+
+    CFG = SystemConfig()
+
+    def serve(self, polls):
+        """Per poll: (topics decoded from the reply, topics of the twin)."""
+        spec = _RealtimeShardSpec(self.CFG)
+        replica = spec.setup(0)
+        twin = RealtimeLayer(self.CFG, enable_proximity=False)
+        twin_consumers = dump_consumers(twin)
+        out = []
+        for poll in polls:
+            reply, topics = decode_reply(spec.handle(0, replica, encode_request(poll)), poll)
+            twin.run(poll)
+            assert reply.report == twin.report
+            out.append((topics, drain(twin_consumers)))
+        return out
+
+    def test_replies_equal_the_twin_and_reference_the_callers_fixes(self, fixes):
+        polls = [fixes[:700], fixes[700:1500], fixes[1500:]]
+        for poll, (got, want) in zip(polls, self.serve(polls)):
+            assert_same_records(got, want)
+            for name in (TOPIC_RAW, TOPIC_CLEAN):
+                mine = {id(fix) for fix in poll}
+                assert all(id(r.value) in mine for r in got[name])
+            assert got[TOPIC_SYNOPSES]
+
+    def test_empty_request(self):
+        [(got, want)] = self.serve([[]])
+        assert_same_records(got, want)
+        assert not got[TOPIC_RAW]
+
+    def test_single_entity_shard(self, fixes):
+        one = [f for f in fixes if f.entity_id == fixes[0].entity_id]
+        [(got, want)] = self.serve([one])
+        assert_same_records(got, want)
+        assert len(got[TOPIC_RAW]) == len(one) and got[TOPIC_CLEAN]
+
+    def test_poll_entirely_dropped_by_cleaning(self, fixes):
+        junk = [replace(f, lat=95.0) for f in fixes[:50]]
+        for got, want in self.serve([fixes[:300], junk]):
+            assert_same_records(got, want)
+        assert len(got[TOPIC_RAW]) == 50 and not got[TOPIC_CLEAN]
+
+    def test_flush_end_point_of_a_fix_from_an_earlier_request(self, fixes):
+        """Every run() closes the stream, so entity A gets an `end` point
+        in a request that carries none of its fixes — a derived record
+        around a fix the parent cannot name by row: it travels by value."""
+        a = fixes[0].entity_id
+        first = [f for f in fixes[:600] if f.entity_id == a]
+        second = [f for f in fixes[600:1200] if f.entity_id != a]
+        (_, _), (got, want) = self.serve([first, second])
+        assert_same_records(got, want)
+        ends = [r.value for r in got[TOPIC_SYNOPSES] if r.key == a]
+        assert ends and all(cp.fix in first for cp in ends)
+
+    def test_worker_rejects_a_raw_count_mismatch_and_stays_alive(self, fixes):
+        """Reply-by-reference assumes one raw record per request fix; the
+        worker checks it on every request. A request that blows up mid-run
+        strands its published raw records in the replica's topic, so the
+        next request drains more than it carried."""
+        host = WorkerHost(_RealtimeShardSpec(self.CFG), 0)
+        try:
+            poison = replace(fixes[300], lon=None)
+            with pytest.raises(ShardWorkerError, match="TypeError"):
+                host.request(encode_request([*fixes[:300], poison]))
+            with pytest.raises(ShardWorkerError, match="raw topic yielded 356 records for a 100-fix"):
+                host.request(encode_request(fixes[300:400]))
+            assert host.alive()
+            poll = fixes[400:500]
+            _, topics = decode_reply(host.request(encode_request(poll)), poll)
+            assert [r.value for r in topics[TOPIC_RAW]] == poll
+        finally:
+            host.close()

@@ -10,19 +10,26 @@ oracle, across repeated incremental runs.
 
 import math
 import pickle
+import struct
 import time
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import TOPIC_CLEAN, TOPIC_LINKS, TOPIC_RAW, TOPIC_SYNOPSES
+from repro.core.frames import decode_reply, decode_request, encode_reply, encode_request
+from repro.core.realtime import RealtimeReport
+from repro.geo import PositionFix
+from repro.linkdiscovery import Link
 from repro.obs import ShardedObsPlane
 from repro.obs.harvest import HistogramSnapshot, MetricsSnapshot, ObsHarvest, ShardObsWorker
 from repro.streams.workers import (
     DEFAULT_REQUEST_TIMEOUT_S,
     _PipelineWorkerSpec,
 )
+from repro.synopses import CriticalPoint
 from repro.streams import (
     Map,
     Pipeline,
@@ -489,3 +496,148 @@ class TestPickleBoundaryRoundTrip:
         assert _bit_equal_roundtrip(cur)
         delta = cur.delta(prev)
         assert _bit_equal_roundtrip(delta)
+
+
+def _exact(value):
+    """A value that compares equal only bit for bit: floats by their
+    IEEE-754 bytes (NaN payloads, signed zeros), everything else with its type."""
+    if isinstance(value, float):
+        return (type(value), struct.pack(">d", value))
+    return (type(value), value)
+
+
+def _exact_fix(fix):
+    return tuple(
+        _exact(getattr(fix, name)) for name in PositionFix.__dataclass_fields__
+    )
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_kinematic = st.one_of(st.none(), _any_float, st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_annotations = st.one_of(
+    st.just({}), st.dictionaries(st.sampled_from(["regime", "gap_s"]), st.integers(0, 9), min_size=1)
+)
+_position_fixes = st.builds(
+    PositionFix,
+    entity_id=st.sampled_from(["vessel-a", "vessel-b", "vessel-\u00e7"]),
+    # Declared float, but nothing stops a feed handing over an int epoch.
+    t=st.one_of(_any_float, st.integers(0, 10**9)),
+    lon=_any_float,
+    lat=_any_float,
+    alt=_any_float,
+    speed=_kinematic,
+    heading=_kinematic,
+    vrate=_kinematic,
+    source=st.sampled_from(["", "ais", "adsb"]),
+    annotations=_annotations,
+)
+_stamps = st.floats(1.0e9, 2.0e9, allow_nan=False)
+
+
+class TestShardFrameRoundTrip:
+    """The compact frames of the pooled Figure-2 layer (repro.core.frames)
+    and the positional pickles of the records that still travel by value."""
+
+    @given(fixes=st.lists(_position_fixes, max_size=12))
+    @example(fixes=[])
+    @example(fixes=[PositionFix("solo", 0.0, -0.0, math.nan, math.inf, None, -0.0, None)])
+    @settings(max_examples=100, deadline=None)
+    def test_request_batches_round_trip_bit_equal(self, fixes):
+        decoded = decode_request(encode_request(fixes))
+        assert [_exact_fix(f) for f in decoded] == [_exact_fix(f) for f in fixes]
+        # Every decoded fix owns its annotations dict, as constructed ones do.
+        assert len({id(f.annotations) for f in decoded}) == len(decoded)
+
+    @given(data=st.data(), fixes=st.lists(_position_fixes, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_replies_by_reference_round_trip(self, data, fixes):
+        """Raw and clean records come back as the caller's own fix objects,
+        in the worker's drained order, with the worker's stamps; derived
+        records come back equal, `compare=False` payload included."""
+        n = len(fixes)
+        stamps = data.draw(st.lists(_stamps, min_size=n, max_size=n))
+        raw_rows = data.draw(st.permutations(range(n)))
+        clean_rows = [i for i in data.draw(st.permutations(range(n))) if data.draw(st.booleans())]
+        worker_fixes = decode_request(encode_request(fixes))
+
+        def records(rows, of):
+            return [Record(of[i].t, of[i], of[i].entity_id, stamps[i]) for i in rows]
+
+        derived = {
+            TOPIC_SYNOPSES: [
+                Record(f.t, CriticalPoint(f, "turn", {"weather": {"wave_m": 1.5}}), f.entity_id, 7.0)
+                for f in worker_fixes[:3]
+            ],
+            TOPIC_LINKS: [Record(1.0, Link("vessel-a", "port-1", "geosparql:nearTo", 1.0, 12.5), "vessel-a")],
+        }
+        frame = encode_reply(
+            worker_fixes,
+            RealtimeReport(raw_fixes=n),
+            {
+                TOPIC_RAW: records(raw_rows, worker_fixes),
+                TOPIC_CLEAN: records(clean_rows, worker_fixes),
+                **derived,
+            },
+            wall_s=0.5,
+            harvest=data.draw(_harvests()),
+        )
+        reply, topics = decode_reply(frame, fixes)
+        assert reply.report.raw_fixes == n and reply.wall_s == 0.5
+        for name, rows in ((TOPIC_RAW, raw_rows), (TOPIC_CLEAN, clean_rows)):
+            assert [id(r.value) for r in topics[name]] == [id(fixes[i]) for i in rows]
+            assert [r.ingest_wall_s for r in topics[name]] == [stamps[i] for i in rows]
+            assert [(_exact(r.t), r.key) for r in topics[name]] == [
+                (_exact(fixes[i].t), fixes[i].entity_id) for i in rows
+            ]
+        for name, sent in derived.items():
+            assert [r.ingest_wall_s for r in topics[name]] == [r.ingest_wall_s for r in sent]
+            assert [getattr(r.value, "detail", None) for r in topics[name]] == [
+                getattr(r.value, "detail", None) for r in sent
+            ]
+            assert [
+                _exact_fix(r.value.fix) for r in topics[name] if isinstance(r.value, CriticalPoint)
+            ] == [_exact_fix(r.value.fix) for r in sent if isinstance(r.value, CriticalPoint)]
+        assert topics[TOPIC_LINKS] == derived[TOPIC_LINKS]
+
+    def test_reply_refuses_what_it_cannot_reference(self):
+        fixes = [PositionFix("vessel-a", float(i), 1.0, 2.0) for i in range(4)]
+        stray = PositionFix("vessel-a", 9.0, 1.0, 2.0)
+
+        def reply(raw, clean):
+            topics = {
+                TOPIC_RAW: [Record(f.t, f, f.entity_id, 5.0) for f in raw],
+                TOPIC_CLEAN: [Record(f.t, f, f.entity_id, stamp) for f, stamp in clean],
+            }
+            return encode_reply(fixes, RealtimeReport(), topics, wall_s=0.0, harvest=None)
+
+        assert reply(fixes, [(fixes[1], 5.0)])
+        for raw in (fixes[:3], [*fixes, stray], [*fixes[:3], fixes[0]], [*fixes[:3], stray]):
+            with pytest.raises(ValueError, match="raw topic"):
+                reply(raw, [])
+        for clean in ([(stray, 5.0)], [(fixes[1], 6.0)]):
+            with pytest.raises(ValueError, match="clean topic"):
+                reply(fixes, clean)
+
+    @given(
+        fix=st.builds(
+            PositionFix,
+            entity_id=st.sampled_from(["vessel-a", "vessel-b"]),
+            t=_finite, lon=_finite, lat=_finite,
+            speed=st.one_of(st.none(), _finite),
+            annotations=_annotations,
+        ),
+        stamp=st.one_of(st.none(), _stamps),
+        distance=_finite,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_positional_reduce_round_trips(self, fix, stamp, distance):
+        point = CriticalPoint(fix, "stop_start", {"weather": {"wind_u_ms": distance}})
+        link = Link(fix.entity_id, "region-7", "dul:within", 3.0, distance)
+        record = Record(3.0, point, fix.entity_id, stamp)
+        for obj in (fix, point, link, record):
+            assert _bit_equal_roundtrip(obj), type(obj).__name__
+        # What == does not look at must survive too.
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone.ingest_wall_s == stamp
+        assert clone.value.detail == point.detail
+        assert clone.value.fix.annotations == fix.annotations
