@@ -24,6 +24,10 @@ inputs and asserting the outputs match:
   walls)`` — the factor an N-core schedule of these shards gains, which
   is runner-independent (it measures routing balance, not how many
   cores the CI box happens to have).
+* **pool** — the same pipeline with its replicas in warm worker
+  processes (``worker_pool=True``), round by round against the
+  in-process oracle: measured and persisted, deliberately not gated
+  (see ``test_pool_steadystate_throughput``).
 * **sharded observability** — the distributed obs plane over a full
   ``ShardedRealtimeLayer`` run: the folded parent registry's aggregate
   counters must equal the single-shard oracle's exactly, every merged
@@ -65,12 +69,10 @@ from repro.streams import (
     Pipeline,
     Record,
     ShardedPipeline,
-    ShardWorkerPool,
     TumblingWindow,
     WatermarkAssigner,
     mean_aggregate,
     merge_shard_outputs,
-    run_sharded,
 )
 from repro.synopses import SynopsesGenerator
 
@@ -509,7 +511,7 @@ def test_sharded_pipeline_throughput(console, benchmark, emit_metrics):
     emit_metrics(registry, benchmark, title="sharded substrate (critical-path balance)")
 
 
-# -- worker pool: steady-state repeated runs vs fork-per-run -----------------------
+# -- worker pool: steady-state repeated runs against warm replicas ------------------
 
 POOL_ROUNDS = 8
 POOL_ROUND_RECORDS = 2_000
@@ -527,93 +529,87 @@ def _pool_round_records(round_idx: int) -> list[Record]:
 
 
 def test_pool_steadystate_throughput(console, benchmark, emit_metrics):
-    """N repeated incremental requests: the persistent pool keeps the
-    replica state alive between rounds, so serving round ``i`` is one
-    batched IPC exchange over the new chunk only. The stateless
-    fork-per-run twin must spawn fresh workers, rebuild the replicas,
-    and reprocess the whole prefix to answer the same request. Both
-    paths get POOL_WARMUP_ROUNDS untimed rounds; the pool rounds are
-    byte-identical to an in-process sequential oracle fed the same
-    chunks, and the final cumulative streams of the two timed paths
-    must agree."""
+    """N repeated incremental requests against warm worker replicas: the
+    pool keeps the replica state alive between rounds, so serving round
+    ``i`` is one batched IPC exchange over the new chunk only. After
+    POOL_WARMUP_ROUNDS untimed rounds every pooled round is timed and
+    must be byte-identical to the in-process ``worker_pool=False`` oracle
+    fed the same chunk, whose round wall is recorded beside the pool's.
+
+    The two walls are measured, **not gated against each other**: on a
+    2-core box these 8 x 2 000-record rounds take about 18.6 ms
+    in-process and 31.4 ms pooled (0.59x) — a two-operator micro-stage
+    cannot amortise IPC, and a ratio against it would gate the host, not
+    the code. The pooled path's real figure is ``ais_pool`` against
+    ``ais_bulk`` in ``benchmarks/e2e``, the whole Figure-2 chain per
+    shard, which the pipeline already gates."""
     rounds = [_pool_round_records(i) for i in range(POOL_WARMUP_ROUNDS + POOL_ROUNDS)]
-    fork_times: list[float] = []
-    fork_out: list[Record] = []
-    prefix: list[Record] = []
-    for i, chunk in enumerate(rounds):
-        prefix = prefix + chunk
-        start = perf_counter()
-        fork_out = run_sharded(
-            _shard_stage_pipeline, prefix, N_SHARDS,
-            watermark_factory=_shard_assigner, parallel=True,
-        )
-        elapsed = perf_counter() - start
-        if i >= POOL_WARMUP_ROUNDS:
-            fork_times.append(elapsed)
     pool_times: list[float] = []
-    pool_out: list[Record] = []
+    sequential_times: list[float] = []
     oracle = ShardedPipeline(
         _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
     )
-    with ShardWorkerPool(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
+    with ShardedPipeline(
+        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner,
+        worker_pool=True,
     ) as pool:
         for i, chunk in enumerate(rounds):
             start = perf_counter()
             out = pool.run(chunk)
-            elapsed = perf_counter() - start
+            pooled_s = perf_counter() - start
+            start = perf_counter()
+            expected = oracle.run(chunk)
+            sequential_s = perf_counter() - start
             # Determinism: every pooled round matches the in-process oracle.
-            assert _canonical(out) == _canonical(oracle.run(chunk))
-            pool_out.extend(out)
+            assert _canonical(out) == _canonical(expected)
             if i >= POOL_WARMUP_ROUNDS:
-                pool_times.append(elapsed)
-        tail = pool.finish()
-        assert _canonical(tail) == _canonical(oracle.finish())
-        pool_out.extend(tail)
+                pool_times.append(pooled_s)
+                sequential_times.append(sequential_s)
+        assert _canonical(pool.finish()) == _canonical(oracle.finish())
         setup_s = sum(pool.setup_seconds())
-    # Both timed paths describe the same cumulative stream.
-    assert sorted(_canonical(pool_out)) == sorted(_canonical(fork_out))
-    fork_s = statistics.median(fork_times)
     pool_s = statistics.median(pool_times)
-    speedup = fork_s / pool_s
+    sequential_s = statistics.median(sequential_times)
     _RESULTS["pool"] = {
         "shards": N_SHARDS,
         "rounds": POOL_ROUNDS,
         "round_records": POOL_ROUND_RECORDS,
         "warmup_rounds": POOL_WARMUP_ROUNDS,
-        "fork_per_run": {"round_s": fork_s, "final_prefix_records": len(prefix)},
         "steadystate": {
             "round_s": pool_s,
             "records_s": POOL_ROUND_RECORDS / pool_s,
-            "speedup": speedup,
+            "setup_s": setup_s,
         },
-        "setup_s": setup_s,
+        "sequential": {
+            "round_s": sequential_s,
+            "records_s": POOL_ROUND_RECORDS / sequential_s,
+        },
     }
     path = _persist()
     registry = MetricsRegistry()
-    registry.gauge("throughput.pool.fork_per_run_round_s").set(fork_s)
     registry.gauge("throughput.pool.steadystate.round_s").set(pool_s)
-    registry.gauge("throughput.pool.steadystate.speedup").set(speedup)
+    registry.gauge("throughput.pool.steadystate.setup_s").set(setup_s)
+    registry.gauge("throughput.pool.sequential.round_s").set(sequential_s)
     with console():
         print(format_table(
             f"Worker pool steady state, {POOL_ROUNDS} rounds x "
             f"{POOL_ROUND_RECORDS:,} new records over {N_SHARDS} shards",
             ["path", "round wall", "per-request rate"],
             [
-                ["fork per request", f"{fork_s * 1e3:.1f} ms", f"{POOL_ROUND_RECORDS / fork_s:,.0f}"],
+                ["in-process (oracle)", f"{sequential_s * 1e3:.1f} ms", f"{POOL_ROUND_RECORDS / sequential_s:,.0f}"],
                 ["persistent pool", f"{pool_s * 1e3:.1f} ms", f"{POOL_ROUND_RECORDS / pool_s:,.0f}"],
             ],
             width=22,
         ))
-        print(f"steady-state speedup: {speedup:.2f}x  -> {path.name}")
-    assert speedup > 2.0, f"pool steady state only {speedup:.2f}x fork-per-run"
-    with ShardWorkerPool(
-        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner
+        print(f"replica setup {setup_s * 1e3:.1f} ms, paid once  -> {path.name}")
+    with ShardedPipeline(
+        _shard_stage_pipeline, N_SHARDS, watermark_factory=_shard_assigner,
+        worker_pool=True,
     ) as bench_pool:
-        benchmark(lambda: run_sharded(
-            _shard_stage_pipeline, rounds[-1], N_SHARDS,
-            watermark_factory=_shard_assigner, pool=bench_pool,
-        ))
+        def one_stream():
+            bench_pool.run_to_end(rounds[-1])
+            bench_pool.reset()
+
+        benchmark(one_stream)
         emit_metrics(registry, benchmark, title="worker pool (steady-state runs)")
 
 

@@ -14,18 +14,14 @@ convention load-bearing:
 * an ``Operator`` subclass overriding ``on_batch`` must keep a scalar
   ``on_record`` in the same class and be named by at least one test
   that drives the batched path (``process_batch`` / ``on_batch``);
-* the same discipline for the sharded substrate's twins: a function
-  with a ``parallel=`` parameter must branch on it (the sequential
-  in-process twin still exists) and be named by a test exercising
-  ``parallel=False``, and anything taking ``n_shards`` must be named
-  by a test that also constructs the ``n_shards=1`` single-shard
-  oracle — the equivalence baseline sharded runs are checked against;
-* the same again for the persistent worker pool: a function with a
-  ``pool=`` parameter must branch on it (the poolless twin still
-  exists) and be named by a test exercising ``pool=None``, and one
-  with ``worker_pool=`` must branch on it and be named by a test
+* the same discipline for the sharded substrate: a function with a
+  ``worker_pool=`` parameter (the one selector between in-process
+  replicas and worker processes) must use it and be named by a test
   exercising ``worker_pool=False`` — the in-process replicas are the
-  determinism oracle the pool-backed path is checked against;
+  determinism oracle the pool-backed path is checked against — and
+  anything taking ``n_shards`` must be named by a test that also
+  constructs the ``n_shards=1`` single-shard oracle, the equivalence
+  baseline sharded runs are checked against;
 * in subpackages that opt in via ``[dual_path]
   batch_suffix_packages`` in ``tools/layering.toml`` (the geo and
   link-discovery kernel layers), every public ``*_batch``
@@ -44,6 +40,24 @@ from ..model import Finding, Project, SourceFile
 from ..registry import Checker, register
 from ._util import base_names, walk_classes
 
+#: Parameters that select between twin implementations -> (the call-site
+#: text that selects the oracle side, the oracle side, the fast side,
+#: what goes unverified without a test of the oracle side).
+_TWIN_FLAGS = {
+    "vectorized": (
+        "vectorized=False",
+        "the scalar twin (the equivalence oracle)",
+        "a vectorized fast path",
+        "the scalar/vectorized equivalence",
+    ),
+    "worker_pool": (
+        "worker_pool=False",
+        "the in-process replica twin (the determinism oracle)",
+        "a worker-pool fast path",
+        "the equivalence of the pool-backed path and the in-process oracle",
+    ),
+}
+
 
 @register
 class DualPathChecker(Checker):
@@ -61,10 +75,8 @@ class DualPathChecker(Checker):
         for source in project.realm("src"):
             if source.tree is None:
                 continue
-            findings.extend(self._vectorized_functions(source, tests))
+            findings.extend(self._twin_parameters(source, tests))
             findings.extend(self._batched_operators(source, tests, parents))
-            findings.extend(self._sharded_symbols(source, tests))
-            findings.extend(self._pool_symbols(source, tests))
             findings.extend(self._batch_suffix_functions(source, tests, all_defs, config))
         return findings
 
@@ -90,42 +102,45 @@ class DualPathChecker(Checker):
                 parents[cls.name] = base_names(cls)
         return parents
 
-    # -- vectorized= fast paths --------------------------------------------------
+    # -- twin-selecting parameters (vectorized=, worker_pool=, n_shards) -----------
 
-    def _vectorized_functions(self, source: SourceFile, tests: list[SourceFile]):
+    def _twin_parameters(self, source: SourceFile, tests: list[SourceFile]):
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
-            all_args = args.posonlyargs + args.args + args.kwonlyargs
-            if not any(a.arg == "vectorized" for a in all_args):
-                continue
+            arg_names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
             owner = self._enclosing_class(source, node)
             symbol = f"{owner}.{node.name}" if owner else node.name
             anchor = owner or node.name
-            if not self._branches_on(node, "vectorized"):
+            for flag, (oracle_call, oracle, fast, unverified) in _TWIN_FLAGS.items():
+                if flag not in arg_names:
+                    continue
+                if not self._branches_on(node, flag):
+                    message = (
+                        f"{symbol}() takes {flag}= but never branches on it — "
+                        f"{oracle} is gone"
+                    )
+                elif not self._tested_with(tests, anchor, oracle_call):
+                    message = (
+                        f"{symbol}() has {fast} but no test references {anchor} "
+                        f"with {oracle_call} — {unverified} is unverified"
+                    )
+                else:
+                    continue
                 yield self.finding(
-                    "error",
-                    source.relpath,
-                    node.lineno,
-                    node.col_offset,
-                    f"{symbol}() takes vectorized= but never branches on it — "
-                    f"the scalar twin (the equivalence oracle) is gone",
+                    "error", source.relpath, node.lineno, node.col_offset, message,
                     symbol=f"{source.module}.{symbol}",
                 )
-                continue
-            exercised = any(
-                anchor in t.text and "vectorized=False" in t.text for t in tests
-            )
-            if not exercised:
+            if "n_shards" in arg_names and not self._tested_with(tests, anchor, "n_shards=1"):
                 yield self.finding(
                     "error",
                     source.relpath,
                     node.lineno,
                     node.col_offset,
-                    f"{symbol}() has a vectorized fast path but no test "
-                    f"references {anchor} with vectorized=False — the "
-                    f"scalar/vectorized equivalence is unverified",
+                    f"{symbol}() takes n_shards but no test references "
+                    f"{anchor} alongside the n_shards=1 single-shard "
+                    f"oracle — the shard-merge equivalence is unverified",
                     symbol=f"{source.module}.{symbol}",
                 )
 
@@ -186,122 +201,10 @@ class DualPathChecker(Checker):
                     symbol=f"{source.module}.{symbol}",
                 )
 
-    # -- sharded twins (parallel= runners, n_shards oracles) -----------------------
-
-    def _sharded_symbols(self, source: SourceFile, tests: list[SourceFile]):
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            arg_names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-            owner = self._enclosing_class(source, node)
-            symbol = f"{owner}.{node.name}" if owner else node.name
-            anchor = owner or node.name
-            if "parallel" in arg_names:
-                if not self._branches_on(node, "parallel"):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes parallel= but never branches on it — "
-                        f"the sequential in-process twin (the determinism "
-                        f"oracle) is gone",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-                elif not any(
-                    anchor in t.text and "parallel=False" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() has a process-parallel fast path but no "
-                        f"test references {anchor} with parallel=False — the "
-                        f"sequential/parallel equivalence is unverified",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-            if "n_shards" in arg_names:
-                if not any(
-                    anchor in t.text and "n_shards=1" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes n_shards but no test references "
-                        f"{anchor} alongside the n_shards=1 single-shard "
-                        f"oracle — the shard-merge equivalence is unverified",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-
-    # -- worker-pool twins -------------------------------------------------------
-
-    def _pool_symbols(self, source: SourceFile, tests: list[SourceFile]):
-        """``pool=`` / ``worker_pool=`` call sites must keep their in-process
-        twin (the determinism oracle) and a named equivalence test — the
-        worker-pool analogue of the ``parallel=``/``n_shards`` rules."""
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            arg_names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-            owner = self._enclosing_class(source, node)
-            symbol = f"{owner}.{node.name}" if owner else node.name
-            anchor = owner or node.name
-            if "pool" in arg_names:
-                if not self._branches_on(node, "pool"):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes pool= but never branches on it — "
-                        f"the poolless in-process twin (the determinism "
-                        f"oracle) is gone",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-                elif not any(
-                    anchor in t.text and "pool=None" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() has a worker-pool fast path but no test "
-                        f"references {anchor} with pool=None — the "
-                        f"pool/sequential equivalence is unverified",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-            if "worker_pool" in arg_names:
-                if not self._branches_on(node, "worker_pool"):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() takes worker_pool= but never branches on "
-                        f"it — the in-process replica twin (the determinism "
-                        f"oracle) is gone",
-                        symbol=f"{source.module}.{symbol}",
-                    )
-                elif not any(
-                    anchor in t.text and "worker_pool=False" in t.text for t in tests
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"{symbol}() has a worker-pool fast path but no test "
-                        f"references {anchor} with worker_pool=False — the "
-                        f"pool-backed layer is never checked against the "
-                        f"in-process oracle",
-                        symbol=f"{source.module}.{symbol}",
-                    )
+    @staticmethod
+    def _tested_with(tests: list[SourceFile], anchor: str, call_text: str) -> bool:
+        """Does some test file name ``anchor`` and contain ``call_text``?"""
+        return any(anchor in t.text and call_text in t.text for t in tests)
 
     @staticmethod
     def _enclosing_class(source: SourceFile, fn: ast.AST) -> str:

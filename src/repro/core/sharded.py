@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter, time as wall_clock
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ..cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
 from ..geo import PositionFix
@@ -57,9 +57,10 @@ from ..streams import (
     Broker,
     Consumer,
     Record,
-    WorkerHost,
     critical_path_speedup,
     merge_shard_outputs,
+    scatter_gather,
+    shard_hosts,
     shard_index,
 )
 from ..va import Dashboard
@@ -91,32 +92,58 @@ def _drain_all(consumer: Consumer) -> list[Record]:
 
 @dataclass(slots=True)
 class _RealtimeReplica:
-    """Worker-side state of one pooled shard: the live replica layer, its
-    merge consumers, and the delta-harvest bookkeeping."""
+    """One shard's live state: the replica layer, its merge consumers,
+    and the delta-harvest bookkeeping."""
 
     layer: RealtimeLayer
+    # Group offsets live on the Consumer object, not in the broker, so
+    # these are as long-lived as the layer: each run drains only what
+    # the previous one has not.
     consumers: dict[str, Consumer]
     setup_s: float
     prev_harvest: ObsHarvest | None = None
 
+    def serve(
+        self, shard: int, fixes: list[PositionFix]
+    ) -> tuple[RealtimeReport, dict[str, list[Record]], float, ObsHarvest]:
+        """Run one poll's fixes through the replica: its cumulative
+        report, the records this run added per topic, its cumulative run
+        wall, and its cumulative harvest."""
+        layer = self.layer
+        layer.run(fixes)
+        wall_s = layer.metrics.gauge("realtime.wall_s").value()
+        current = harvest_obs(
+            shard,
+            layer.metrics,
+            layer.events,
+            layer.tracer,
+            wall_seconds=wall_s,
+            setup_seconds=self.setup_s,
+        )
+        topics = {t: _drain_all(self.consumers[t]) for t in _ALL_TOPICS}
+        return layer.report, topics, wall_s, current
+
 
 @dataclass(frozen=True, slots=True)
 class _RealtimeShardSpec:
-    """Picklable recipe for a pooled :class:`RealtimeLayer` shard replica.
+    """Picklable recipe for a :class:`RealtimeLayer` shard replica.
 
-    Hosted by :class:`repro.streams.workers.WorkerHost`: only the
-    :class:`SystemConfig` crosses the process boundary at spawn — the
-    replica and everything stateful is built inside the worker, once,
-    and served one request per poll. Requests and replies are the
-    compact ``bytes`` frames of :mod:`repro.core.frames`: the request is
-    that poll's fixes as columns; the reply carries the shard's
-    cumulative report, the per-run delta :class:`~repro.obs.ObsHarvest`
-    and that run's new topic records (drained through worker-local merge
-    consumers, exactly like the in-process path's long-lived consumer
-    groups) — the derived topics by value, the raw and clean topics by
-    reference to the request's rows, which ``encode_reply`` refuses
+    Hosted by either host of ``repro.streams.workers``: only the
+    :class:`SystemConfig` crosses a process boundary, at spawn — the
+    replica and everything stateful is built by the host, once, and
+    served one request per poll through :meth:`_RealtimeReplica.serve`.
+
+    A reply is ``(cumulative report, this run's new topic records,
+    cumulative run wall, this run's delta harvest)``, and it travels the
+    way its request came. Over the pipe both are the compact ``bytes``
+    frames of :mod:`repro.core.frames`: that poll's fixes as columns
+    out; back, the derived topics by value and the raw and clean topics
+    by reference to the request's rows, which ``encode_reply`` refuses
     (``ValueError`` → ``ShardWorkerError``) unless the raw topic holds
-    exactly one record per request fix.
+    exactly one record per request fix. An in-process caller hands over
+    the fixes themselves and gets the tuple itself — no codec runs,
+    which keeps the in-process layer an independent oracle for the
+    frames.
     """
 
     config: SystemConfig
@@ -131,23 +158,13 @@ class _RealtimeShardSpec:
             layer=layer, consumers=consumers, setup_s=perf_counter() - t0
         )
 
-    def handle(self, shard: int, replica: _RealtimeReplica, request: bytes) -> bytes:
-        fixes = decode_request(request)
-        layer = replica.layer
-        layer.run(fixes)
-        wall_s = layer.metrics.gauge("realtime.wall_s").value()
-        current = harvest_obs(
-            shard,
-            layer.metrics,
-            layer.events,
-            layer.tracer,
-            wall_seconds=wall_s,
-            setup_seconds=replica.setup_s,
-        )
-        topics = {t: _drain_all(replica.consumers[t]) for t in _ALL_TOPICS}
-        reply = encode_reply(
-            fixes, layer.report, topics, wall_s, current.delta(replica.prev_harvest)
-        )
+    def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> Any:
+        framed = isinstance(request, bytes)
+        fixes = decode_request(request) if framed else request
+        report, topics, wall_s, current = replica.serve(shard, fixes)
+        reply: Any = (report, topics, wall_s, current.delta(replica.prev_harvest))
+        if framed:
+            reply = encode_reply(fixes, *reply)
         # Committed only once the reply exists: a refused frame's obs
         # delta rides the next successful reply instead of vanishing.
         replica.prev_harvest = current
@@ -181,10 +198,6 @@ class ShardedRealtimeLayer:
         self.metrics = MetricsRegistry(seed=cfg.seed)
         self.events = EventLog(capacity=cfg.event_log_capacity)
         self.tracer = Tracer()
-        # Last full (cumulative) harvest per shard: shard replicas live
-        # in-process across runs, so each run folds only the *delta*.
-        # (Pooled replicas track this worker-side and ship deltas back.)
-        self._prev_harvests: list[ObsHarvest | None] = [None] * self.n_shards
         # The merged broker: what the batch layer and the dashboard read.
         self.broker = Broker()
         for topic in _ALL_TOPICS:
@@ -192,36 +205,19 @@ class ShardedRealtimeLayer:
         instrument_broker(self.broker, self.metrics)
         watch_broker(self.broker, self.events)
         # Replicas own every per-entity stage; proximity is global (below).
-        self.shards: list[RealtimeLayer] = []
-        self._hosts: list[WorkerHost] | None = None
-        self._setup_s = [0.0] * self.n_shards
-        # Parent-side mirror of the pooled shards' cumulative accounting
-        # (reports and walls live inside the workers); unused in-process.
-        self._pool_reports = [RealtimeReport() for _ in range(self.n_shards)]
-        self._pool_walls = [0.0] * self.n_shards
-        if self.use_worker_pool:
-            spec = _RealtimeShardSpec(cfg)
-            self._hosts = [
-                WorkerHost(
-                    spec, i, request_timeout_s=cfg.worker_request_timeout_s
-                )
-                for i in range(self.n_shards)
-            ]
-            self._setup_s = [host.setup_s for host in self._hosts]
-        else:
-            for _ in range(self.n_shards):
-                t0 = perf_counter()
-                self.shards.append(RealtimeLayer(cfg, enable_proximity=False))
-                self._setup_s[len(self.shards) - 1] = perf_counter() - t0
-        # Group offsets live on the Consumer object, not in the broker, so
-        # the merge consumers must be long-lived for repeated runs to only
-        # merge (and re-publish, and dashboard-ingest) new records. Pooled
-        # replicas keep the equivalent consumers inside their workers.
-        self._merge_consumers = {
-            (i, topic): shard.broker.consumer(topic, "merge")
-            for i, shard in enumerate(self.shards)
-            for topic in _ALL_TOPICS
-        }
+        self._hosts = shard_hosts(
+            _RealtimeShardSpec(cfg),
+            self.n_shards,
+            self.use_worker_pool,
+            request_timeout_s=cfg.worker_request_timeout_s,
+        )
+        #: The live replica layers when they are in-process; empty pooled.
+        self.shards: list[RealtimeLayer] = (
+            [] if self.use_worker_pool else [host.state.layer for host in self._hosts]
+        )
+        # Each shard's cumulative report and run wall, as of its last reply.
+        self._shard_reports = [RealtimeReport() for _ in range(self.n_shards)]
+        self._shard_walls = [0.0] * self.n_shards
         self.proximity = MovingProximityDiscoverer(
             cfg.bbox, cfg.proximity_space_m, cfg.proximity_time_s,
             cell_deg=cfg.grid_cell_deg, registry=self.metrics,
@@ -271,20 +267,16 @@ class ShardedRealtimeLayer:
 
     def shard_reports(self) -> list[RealtimeReport]:
         """Per-shard cumulative reports, wherever the replicas live."""
-        if self._hosts is not None:
-            return list(self._pool_reports)
-        return [s.report for s in self.shards]
+        return list(self._shard_reports)
 
     def shard_walls(self) -> list[float]:
         """Per-shard cumulative run walls (replica setup excluded)."""
-        if self._hosts is not None:
-            return list(self._pool_walls)
-        return [s.metrics.gauge("realtime.wall_s").value() for s in self.shards]
+        return list(self._shard_walls)
 
     def shard_setups(self) -> list[float]:
         """Per-shard replica build seconds — the one-off cost the worker
         pool amortizes, reported apart from run walls on both paths."""
-        return list(self._setup_s)
+        return [host.setup_s for host in self._hosts]
 
     def balance(self) -> float:
         """Aggregate-over-slowest shard work ratio (ideal: ``n_shards``).
@@ -313,13 +305,32 @@ class ShardedRealtimeLayer:
             if shard is None:
                 shard = shard_of[entity_id] = self.shard_for(entity_id)
             routed[shard].append(fix)
-        if self._hosts is not None:
-            merged = self._run_pooled(routed)
+        # One request per shard through the shared scatter/gather; the
+        # hosts differ only in what travels: compact frames to worker
+        # processes, the fixes themselves to in-process replicas.
+        if self.use_worker_pool:
+            replies = scatter_gather(
+                self._hosts,
+                self._request_frames(routed),
+                decode=lambda i, frame: self._decode_reply(i, frame, routed[i]),
+            )
         else:
-            for shard, sub_stream in zip(self.shards, routed):
-                shard.run(sub_stream)
-            self._fold_shard_obs()
-            merged = self._merge_topics()
+            replies = scatter_gather(self._hosts, routed)
+        reports, topics, walls, deltas = zip(*replies)
+        self._shard_reports, self._shard_walls = list(reports), list(walls)
+        # Counters land under ``shard.<i>.*`` and as merged aggregate
+        # families (exactly equal to the ``n_shards=1`` oracle's); shard
+        # events merge into :attr:`events` by wall timestamp, shard-tagged;
+        # shard traces are re-parented under one synthetic ``sharded.run``
+        # root. Replicas are long-lived, so what each run folds is the
+        # delta against the shard's previous harvest — repeated runs
+        # accumulate instead of double-counting.
+        fold_harvests(self.metrics, list(deltas), events=self.events, tracer=self.tracer)
+        # The canonical ``(t, key)`` stable merge of every shard topic.
+        merged = {
+            topic: merge_shard_outputs([shard_topics[topic] for shard_topics in topics])
+            for topic in _ALL_TOPICS
+        }
         # The merged-stream consumer is where the paper's headline number
         # lives on the sharded path: ingest wall stamp (record provenance,
         # written by the shard replica) to merged consumption.
@@ -376,50 +387,34 @@ class ShardedRealtimeLayer:
         )
         return report
 
-    def _run_pooled(self, routed: list[list[PositionFix]]) -> dict[str, list[Record]]:
-        """Scatter one compact frame per shard worker, gather, fold, merge.
-
-        Frames are :mod:`repro.core.frames` bytes: each reply carries the
-        shard's new topic records (raw and clean by reference to the
-        request, rebuilt here around this process's own fixes) and a
-        per-run delta harvest — folded exactly as :meth:`_fold_shard_obs`
-        folds the in-process replicas' deltas, so the merged counters
-        match the oracle's byte for byte. What the boundary cost is
-        recorded per shard and per run under ``shard.<i>.ipc_*``.
-        """
-        assert self._hosts is not None
-        for i, (host, sub_stream) in enumerate(zip(self._hosts, routed)):
+    def _request_frames(self, routed: list[list[PositionFix]]) -> Iterator[bytes]:
+        """Each shard's request as a :mod:`repro.core.frames` frame, built
+        as the scatter asks for it. What the boundary costs is recorded
+        per shard and per run under ``shard.<i>.ipc_*``."""
+        for i, sub_stream in enumerate(routed):
             t0 = perf_counter()
             frame = encode_request(sub_stream)
             self._observe_ipc(i, "encode_s", perf_counter() - t0)
             self._observe_ipc(i, "req_bytes", len(frame))
-            host.send(frame)
-        deltas: list[ObsHarvest] = []
-        per_shard: list[dict[str, list[Record]]] = []
-        for i, (host, sub_stream) in enumerate(zip(self._hosts, routed)):
-            frame = host.receive()
-            t0 = perf_counter()
-            reply, topics = decode_reply(frame, sub_stream)
-            self._observe_ipc(i, "decode_s", perf_counter() - t0)
-            self._observe_ipc(i, "reply_bytes", len(frame))
-            self._pool_reports[i] = reply.report
-            self._pool_walls[i] = reply.wall_s
-            deltas.append(reply.harvest)
-            per_shard.append(topics)
-        fold_harvests(self.metrics, deltas, events=self.events, tracer=self.tracer)
-        return {
-            topic: merge_shard_outputs([topics[topic] for topics in per_shard])
-            for topic in _ALL_TOPICS
-        }
+            yield frame
+
+    def _decode_reply(self, shard: int, frame: bytes, sub_stream: list[PositionFix]):
+        """A worker's reply frame as the tuple an in-process replica hands
+        over: raw and clean records come back by reference to the request
+        and are rebuilt around this process's own fixes."""
+        t0 = perf_counter()
+        reply, topics = decode_reply(frame, sub_stream)
+        self._observe_ipc(shard, "decode_s", perf_counter() - t0)
+        self._observe_ipc(shard, "reply_bytes", len(frame))
+        return reply.report, topics, reply.wall_s, reply.harvest
 
     def _observe_ipc(self, shard: int, leaf: str, value: float) -> None:
         self.metrics.histogram(f"shard.{shard}.ipc_{leaf}").observe(value)
 
     def close(self) -> None:
         """Shut pooled shard workers down cleanly (no-op in-process)."""
-        if self._hosts is not None:
-            for host in self._hosts:
-                host.close()
+        for host in self._hosts:
+            host.close()
 
     def __enter__(self) -> "ShardedRealtimeLayer":
         return self
@@ -427,50 +422,10 @@ class ShardedRealtimeLayer:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _fold_shard_obs(self) -> None:
-        """Harvest every replica's obs state and fold it into the layer.
-
-        Counters land under ``shard.<i>.*`` and as merged aggregate
-        families (exactly equal to the ``n_shards=1`` oracle's); shard
-        events merge into :attr:`events` by wall timestamp, shard-tagged;
-        shard traces are re-parented under one synthetic ``sharded.run``
-        root in :attr:`tracer`. Replicas are long-lived, so each run
-        folds the delta against the previous harvest — repeated runs
-        accumulate instead of double-counting.
-        """
-        deltas: list[ObsHarvest] = []
-        for i, shard in enumerate(self.shards):
-            current = harvest_obs(
-                i,
-                shard.metrics,
-                shard.events,
-                shard.tracer,
-                wall_seconds=shard.metrics.gauge("realtime.wall_s").value(),
-                setup_seconds=self._setup_s[i],
-            )
-            deltas.append(current.delta(self._prev_harvests[i]))
-            self._prev_harvests[i] = current
-        fold_harvests(self.metrics, deltas, events=self.events, tracer=self.tracer)
-
     def critical_path_speedup(self) -> float:
         """Aggregate shard compute over the slowest shard (cumulative run
         walls; replica setup is tracked apart, see :meth:`shard_setups`)."""
         return critical_path_speedup(self.shard_walls())
-
-    def _merge_topics(self) -> dict[str, list[Record]]:
-        """Canonically merge every shard topic: the ``(t, key)`` stable merge.
-
-        Reads through a dedicated consumer group, so repeated runs only
-        merge what the previous merge has not consumed.
-        """
-        merged: dict[str, list[Record]] = {}
-        for topic in _ALL_TOPICS:
-            per_shard = [
-                _drain_all(self._merge_consumers[i, topic])
-                for i in range(self.n_shards)
-            ]
-            merged[topic] = merge_shard_outputs(per_shard)
-        return merged
 
     def _merged_report(self) -> RealtimeReport:
         """Layer-wide cumulative counters: the per-entity stages summed

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .batch import BatchLayer, BatchReport
 from .config import SystemConfig
 from .realtime import RealtimeLayer, RealtimeReport
+from .sharded import ShardedRealtimeLayer
 
 
 @dataclass
@@ -19,7 +20,14 @@ class SystemRun:
 
 
 class DatacronSystem:
-    """End-to-end orchestration: feed surveillance in, get analytics out."""
+    """End-to-end orchestration: feed surveillance in, get analytics out.
+
+    ``config.n_shards > 1`` or ``config.worker_pool`` deploys the
+    real-time layer entity-sharded (:class:`ShardedRealtimeLayer`; the
+    batch layer reads its merged broker unchanged); otherwise it is the
+    plain :class:`RealtimeLayer`. Use as a context manager (or call
+    :meth:`close`) so pooled shard workers never outlive the system.
+    """
 
     def __init__(
         self,
@@ -29,10 +37,25 @@ class DatacronSystem:
         cep_training_symbols: list[str] | None = None,
     ):
         self.config = config or SystemConfig()
-        self.realtime = RealtimeLayer(self.config, cep_training_symbols=cep_training_symbols)
+        sharded = self.config.n_shards > 1 or self.config.worker_pool
+        layer = ShardedRealtimeLayer if sharded else RealtimeLayer
+        self.realtime: RealtimeLayer | ShardedRealtimeLayer = layer(
+            self.config, cep_training_symbols=cep_training_symbols
+        )
         self.batch = BatchLayer(
             self.config, self.realtime.broker, t_origin, t_extent_s, registry=self.realtime.metrics
         )
+
+    def close(self) -> None:
+        """Shut pooled shard workers down (nothing to do otherwise)."""
+        if isinstance(self.realtime, ShardedRealtimeLayer):
+            self.realtime.close()
+
+    def __enter__(self) -> "DatacronSystem":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self, fixes) -> SystemRun:
         """Process a bounded surveillance stream through both layers."""

@@ -1,10 +1,10 @@
 """Cross-process observability harvest for the sharded substrate.
 
-``run_sharded(parallel=True)`` and :class:`~repro.core.sharded.
-ShardedRealtimeLayer` execute Figure 2 as N shard replicas — and until
-this module existed, each replica's metrics, events and traces died with
-its worker process, leaving the fastest execution path an observability
-black box. This mirrors the central problem of distributed
+``ShardedPipeline`` and :class:`~repro.core.sharded.
+ShardedRealtimeLayer` execute Figure 2 as N shard replicas, in-process
+or one per worker process — and until this module existed, a replica's
+metrics, events and traces stayed behind in its worker process, leaving
+the fastest execution path an observability black box. This mirrors the central problem of distributed
 mobility-analytics deployments (edge nodes must ship compact local
 summaries to a central analytics point): the worker side serializes its
 observability state into a small picklable :class:`ObsHarvest`, and the
@@ -80,7 +80,7 @@ class MetricsSnapshot:
 
     Callback-backed gauges are materialized to floats here — the live
     closures they hold (operators, consumers, pipelines) must not cross
-    the fork boundary.
+    the process boundary.
     """
 
     counters: dict[str, int]
@@ -137,9 +137,8 @@ class ObsHarvest:
     """One shard's observability state, serialized for the parent.
 
     Everything inside is plain data (dicts, tuples, :class:`Span`
-    dataclasses), so a harvest survives pickling across the
-    ``multiprocessing`` fork boundary that kills the worker's live
-    registry.
+    dataclasses), so a harvest survives pickling across the process
+    boundary the worker's live registry cannot cross.
     """
 
     shard: int
@@ -153,8 +152,9 @@ class ObsHarvest:
     setup_seconds: float = 0.0
 
     def delta(self, prev: "ObsHarvest | None") -> "ObsHarvest":
-        """What happened since ``prev`` (for in-process shards re-harvested
-        across repeated runs; fresh fork-per-run workers pass ``prev=None``).
+        """What happened since ``prev`` (replicas are long-lived and
+        re-harvested every run; a replica's first harvest passes
+        ``prev=None``).
 
         Counters subtract exactly. Gauges are levels and stay current.
         Histograms subtract count/sum exactly; min/max stay cumulative and
@@ -314,9 +314,9 @@ class ShardObsWorker:
     """The picklable worker-side recipe of the obs plane.
 
     This is the *only* part of :class:`ShardedObsPlane` that crosses the
-    fork boundary: it holds no live objects, just how to build a shard's
+    process boundary: it holds no live objects, just how to build a shard's
     registry/event-log/tracer (``setup``) and how to freeze them into a
-    picklable :class:`ObsHarvest` when the shard finishes (``harvest``).
+    picklable :class:`ObsHarvest` after a run (``harvest``).
     """
 
     seed: int = 0
@@ -368,7 +368,7 @@ class ShardedObsPlane:
 
     ``run_sharded``/``ShardedPipeline`` treat this duck-typed: they call
     ``plane.worker.setup(...)``/``.harvest(...)`` inside each shard
-    (worker process or not) and ``plane.fold(harvests)`` once per run in
+    (worker process or not) and ``plane.fold(deltas)`` once per run in
     the parent. The folded state lives in :attr:`registry`,
     :attr:`events` and :attr:`tracer` — ready for ``render_openmetrics``
     or a :class:`~repro.obs.export.MetricsServer`.
@@ -428,7 +428,7 @@ class ShardedObsPlane:
         return [setups.get(i, 0.0) for i in range(n)]
 
     def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard — the parallel
+        """Aggregate shard compute over the slowest shard — the sharded
         path's headline number (same definition as
         ``repro.streams.sharding.critical_path_speedup``, recomputed here
         because obs never imports streams). Walls exclude replica setup

@@ -11,17 +11,21 @@ from .operators import Filter, FlatMap, KeyBy, KeyedProcess, LatencyProbe, Map, 
 from .pipeline import Pipeline, WatermarkAssigner, drain_consumer, merge_by_time, publish_all, records_from_values
 from .record import Record, StreamElement, StreamStats, Watermark
 from .sharding import (
-    ShardedBroker,
     ShardedPipeline,
     ShardRouter,
     critical_path_speedup,
-    drain_sharded,
     merge_shard_outputs,
     run_sharded,
     shard_index,
 )
 from .windows import SlidingWindow, TumblingWindow, WindowResult, count_aggregate, mean_aggregate
-from .workers import ShardWorkerDied, ShardWorkerError, ShardWorkerPool, WorkerHost
+from .workers import (
+    ShardWorkerDied,
+    ShardWorkerError,
+    WorkerHost,
+    scatter_gather,
+    shard_hosts,
+)
 
 __all__ = [
     "Broker",
@@ -41,8 +45,6 @@ __all__ = [
     "ShardRouter",
     "ShardWorkerDied",
     "ShardWorkerError",
-    "ShardWorkerPool",
-    "ShardedBroker",
     "ShardedPipeline",
     "SlidingWindow",
     "WorkerHost",
@@ -60,12 +62,13 @@ __all__ = [
     "count_aggregate",
     "critical_path_speedup",
     "drain_consumer",
-    "drain_sharded",
     "mean_aggregate",
     "merge_by_time",
     "merge_shard_outputs",
     "publish_all",
     "records_from_values",
     "run_sharded",
+    "scatter_gather",
+    "shard_hosts",
     "shard_index",
 ]

@@ -20,7 +20,9 @@ Correctness story (the same twin discipline as ``vectorized=False``):
   watermark is emitted once per shard, at :meth:`ShardedPipeline.finish`.
   A shard merge is exactly a sequence of incremental runs, which is why
   the poll-boundary watermark semantics fixed in ``drain_consumer`` are
-  the prerequisite for this module.
+  the prerequisite for this module. Each run also folds the shards'
+  per-run **delta** obs harvests, which accumulate to exactly the
+  counters one harvest at the end would report.
 * **min-watermark merge** — the merged stream's event-time progress is
   ``min`` over the shards' assigner watermarks
   (:meth:`ShardedPipeline.min_watermark`), the standard multi-input
@@ -31,24 +33,29 @@ Correctness story (the same twin discipline as ``vectorized=False``):
   order, so the single-shard path *is* the unsharded pipeline; the
   equivalence tests drive both and assert identical output.
 
-Execution is either in-process (sequential, the deterministic oracle)
-or process-parallel (:func:`run_sharded`'s ``parallel=True``), which
-forks one worker per shard via ``multiprocessing`` — shards share
-nothing, so the outputs are identical, only the wall clock changes.
+There is one executor: every run is one request per shard through
+:func:`~repro.streams.workers.scatter_gather`, served by the same
+:class:`_PipelineWorkerSpec` wherever the replica lives. ``worker_pool``
+only picks the host — inline in this process (the default, and the
+deterministic oracle) or one long-lived worker process per shard
+(``repro.streams.workers``) — shards share nothing, so the outputs are
+identical, only the wall clock changes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
-from .broker import Broker, Consumer, Topic, _stable_hash
+from .broker import _stable_hash
 from .pipeline import Pipeline, WatermarkAssigner
 from .record import Record, StreamElement, Watermark
+from .workers import DEFAULT_REQUEST_TIMEOUT_S, scatter_gather, shard_hosts
 
 #: Builds one fresh pipeline replica; must be a module-level callable for
-#: the process-parallel path (workers rebuild their replica, nothing with
+#: ``worker_pool=True`` (workers build their own replica, nothing with
 #: operator state ever crosses the process boundary).
 PipelineFactory = Callable[[], Pipeline]
 
@@ -63,12 +70,13 @@ AssignerFactory = Callable[[], WatermarkAssigner]
 #   obs.worker                      picklable per-shard recipe, with
 #     .setup(shard, pipeline) -> s    shard-local obs state (parent or worker
 #                                     process; instruments the replica)
-#     .harvest(shard, s, wall,        picklable harvest of that state;
-#              setup_seconds=...)       replica build cost rides beside the
-#                                       wall, never inside it
+#     .harvest(shard, s, wall,        picklable cumulative harvest of that
+#              setup_seconds=...)       state, with .delta(previous); replica
+#                                       build cost rides beside the wall,
+#                                       never inside it
 #   obs.fold(harvests)              parent-side merge, called once per run
 #
-# Only ``obs.worker`` ever crosses the fork boundary.
+# Only ``obs.worker`` ever crosses the process boundary.
 
 
 def critical_path_speedup(walls: Sequence[float]) -> float:
@@ -136,60 +144,92 @@ def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
     return merged
 
 
-class ShardedBroker:
-    """N independent brokers with key-routed topics.
+@dataclass(slots=True)
+class _PipelineReplica:
+    """One pipeline shard's live state: built once by its host, reused per run."""
 
-    Topics exist on every shard; publishing routes each record to the
-    shard its key hashes to (keyless records round-robin per topic).
-    Consumers are per shard — a group drains shard-local logs with
-    shard-local offsets, which is what gives operators state locality.
+    pipeline: Pipeline
+    assigner: WatermarkAssigner | None
+    obs_state: Any
+    setup_s: float
+    prev_harvest: Any = None
+
+
+@dataclass(frozen=True, slots=True)
+class _PipelineWorkerSpec:
+    """Picklable recipe for a pipeline shard replica (a
+    :class:`~repro.streams.workers.WorkerSpec`).
+
+    Holds only module-level factories and the obs plane's picklable
+    ``worker`` recipe — the live pipeline, assigner and registries exist
+    solely where the host builds them.
     """
 
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise ValueError("a sharded broker needs at least one shard")
-        self.n_shards = n_shards
-        self.shards = [Broker() for _ in range(n_shards)]
-        self._keyless: dict[str, int] = {}
+    factory: PipelineFactory
+    watermark_factory: AssignerFactory | None = None
+    obs_worker: Any = None
 
-    def create_topic(self, name: str, partitions: int = 1, retention: int | None = None) -> list[Topic]:
-        """Create the topic on every shard; returns the per-shard topics."""
-        return [b.create_topic(name, partitions=partitions, retention=retention) for b in self.shards]
+    def setup(self, shard: int) -> _PipelineReplica:
+        t0 = perf_counter()
+        pipeline = self.factory()
+        obs_state = (
+            self.obs_worker.setup(shard, pipeline) if self.obs_worker is not None else None
+        )
+        assigner = (
+            self.watermark_factory() if self.watermark_factory is not None else None
+        )
+        return _PipelineReplica(
+            pipeline=pipeline,
+            assigner=assigner,
+            obs_state=obs_state,
+            setup_s=perf_counter() - t0,
+        )
 
-    def topics_named(self, name: str) -> list[Topic]:
-        """The per-shard replicas of one topic."""
-        return [b.topic(name) for b in self.shards]
+    def handle(self, shard: int, replica: _PipelineReplica, request: Any) -> dict[str, Any]:
+        kind = request[0]
+        if kind == "run":
+            _, elements, batch_size = request
+            out = replica.pipeline.run(
+                elements, watermarks=replica.assigner, flush=False, batch_size=batch_size
+            )
+        elif kind == "finish":
+            out = []
+            if replica.assigner is not None:
+                wm = replica.assigner.final_watermark()
+                out.extend(r for r in replica.pipeline.push(wm) if isinstance(r, Record))
+            out.extend(replica.pipeline.flush())
+        else:
+            raise ValueError(f"unknown pipeline request {kind!r}")
+        harvest = None
+        if self.obs_worker is not None:
+            current = self.obs_worker.harvest(
+                shard,
+                replica.obs_state,
+                replica.pipeline.wall_seconds,
+                setup_seconds=replica.setup_s,
+            )
+            harvest = current.delta(replica.prev_harvest)
+            replica.prev_harvest = current
+        return {
+            "records": out,
+            "wall_s": replica.pipeline.wall_seconds,
+            "records_processed": replica.pipeline.records_processed,
+            "watermark": (
+                replica.assigner.current_watermark()
+                if replica.assigner is not None
+                else -math.inf
+            ),
+            "harvest": harvest,
+        }
 
-    def publish(self, topic_name: str, record: Record) -> int:
-        """Publish one record to the shard its key routes to; returns the shard."""
-        shard = self._route(topic_name, record)
-        self.shards[shard].topic(topic_name).publish(record)
-        return shard
 
-    def publish_many(self, topic_name: str, records: Iterable[Record]) -> list[int]:
-        """Batch publish with one routing pass; returns per-shard counts."""
-        per_shard: list[list[Record]] = [[] for _ in range(self.n_shards)]
-        for record in records:
-            per_shard[self._route(topic_name, record)].append(record)
-        for shard, batch in enumerate(per_shard):
-            if batch:
-                self.shards[shard].topic(topic_name).publish_many(batch)
-        return [len(batch) for batch in per_shard]
+@dataclass(slots=True)
+class _ShardAccount:
+    """Parent-side view of one shard's cumulative accounting."""
 
-    def consumers(self, topic_name: str, group: str) -> list[Consumer]:
-        """One consumer per shard for ``group`` on the named topic."""
-        return [b.consumer(topic_name, group) for b in self.shards]
-
-    def size(self, topic_name: str) -> int:
-        """Total retained messages of a topic across all shards."""
-        return sum(t.size() for t in self.topics_named(topic_name))
-
-    def _route(self, topic_name: str, record: Record) -> int:
-        if record.key is not None:
-            return shard_index(record.key, self.n_shards)
-        cursor = self._keyless.get(topic_name, 0)
-        self._keyless[topic_name] = cursor + 1
-        return cursor % self.n_shards
+    wall_s: float = 0.0
+    records: int = 0
+    watermark: float = -math.inf
 
 
 class ShardedPipeline:
@@ -200,7 +240,25 @@ class ShardedPipeline:
     run per shard (the poll-boundary semantics), and :meth:`finish`
     closes every shard — final watermark, then operator flush — and
     returns the merged tail. :meth:`run_to_end` is the one-shot
-    convenience combining both.
+    convenience combining both; :meth:`reset` re-arms for a new stream.
+
+    ``worker_pool`` picks where the replicas live, nothing else: inline
+    in this process (``False``, the default and the byte-identical
+    determinism oracle) or one long-lived worker process each
+    (``True``). Pooled replicas persist across runs, so repeated small
+    runs (the realtime serving pattern) pay IPC only, never fork or
+    rebuild; the factories must then be module-level callables and the
+    record values picklable. Use as a context manager (or call
+    :meth:`close`) so worker processes never outlive the stream.
+
+    ``obs`` takes the duck-typed plane of the module comment: each run
+    folds the shards' per-run **delta** harvests.
+
+    ``request_timeout_s`` bounds every wait for a worker's reply: a
+    hung-but-alive worker surfaces as
+    :class:`~repro.streams.workers.ShardWorkerDied` instead of wedging
+    the parent, and :meth:`restart_shard` recovers it. ``None`` waits
+    without bound.
     """
 
     def __init__(
@@ -209,177 +267,133 @@ class ShardedPipeline:
         n_shards: int,
         watermark_factory: AssignerFactory | None = None,
         obs: Any = None,
+        worker_pool: bool = False,
+        request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
     ):
         if n_shards < 1:
             raise ValueError("a sharded pipeline needs at least one shard")
         self.n_shards = n_shards
         self.router = ShardRouter(n_shards)
         self.obs = obs  # duck-typed observability plane, see module comment
-        self.pipelines: list[Pipeline] = []
-        self.assigners: list[WatermarkAssigner] | None = (
-            [] if watermark_factory is not None else None
+        spec = _PipelineWorkerSpec(
+            factory, watermark_factory, obs.worker if obs is not None else None
         )
-        self._shard_obs: list[Any] | None = [] if obs is not None else None
-        self._setup_s: list[float] = []
-        for shard in range(n_shards):
-            t0 = perf_counter()
-            pipeline = factory()
-            self.pipelines.append(pipeline)
-            if self.assigners is not None:
-                self.assigners.append(watermark_factory())
-            if self._shard_obs is not None:
-                self._shard_obs.append(obs.worker.setup(shard, pipeline))
-            self._setup_s.append(perf_counter() - t0)
+        self.hosts = shard_hosts(spec, n_shards, worker_pool, request_timeout_s)
+        self._accounts = [_ShardAccount() for _ in range(n_shards)]
         self._finished = False
+        self._closed = False
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Shut every worker down cleanly (nothing to do inline). Idempotent."""
+        self._closed = True
+        for host in self.hosts:
+            host.close()
+
+    def __enter__(self) -> "ShardedPipeline":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def restart_shard(self, shard: int) -> None:
+        """Give one shard a fresh replica (after ``ShardWorkerDied``: in a
+        fresh process).
+
+        The replica's operator state is rebuilt from the factory, so the
+        restarted shard starts a *new* stream — mid-stream restarts
+        trade the determinism oracle for availability, which is why the
+        restart is explicit, never automatic.
+        """
+        self.hosts[shard].restart()
+        self._accounts[shard] = _ShardAccount()
+
+    def reset(self) -> None:
+        """Rebuild every replica in place and re-arm for a new stream —
+        the amortization point of the pool: processes persist, only the
+        (cheap) factory state is rebuilt."""
+        for host in self.hosts:
+            host.reset()
+        self.router = ShardRouter(self.n_shards)
+        self._accounts = [_ShardAccount() for _ in range(self.n_shards)]
+        self._finished = False
+
+    # -- execution ---------------------------------------------------------------
 
     def run(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
         """One incremental increment: route, run each shard ``flush=False``, merge."""
-        if self._finished:
-            raise RuntimeError("sharded pipeline already finished")
-        per_shard: list[list[Record]] = []
-        for shard, shard_elements in enumerate(self.router.route(elements)):
-            assigner = self.assigners[shard] if self.assigners is not None else None
-            per_shard.append(
-                self.pipelines[shard].run(
-                    shard_elements, watermarks=assigner, flush=False, batch_size=batch_size
-                )
-            )
-        return merge_shard_outputs(per_shard)
+        self._ensure_serving()
+        routed = self.router.route(elements)
+        return self._dispatch([("run", shard_elements, batch_size) for shard_elements in routed])
 
     def finish(self) -> list[Record]:
-        """Close every shard: final watermark, operator flush, merged tail."""
-        if self._finished:
-            raise RuntimeError("sharded pipeline already finished")
+        """Close every shard: final watermark, operator flush, merged tail.
+
+        Single-use — :meth:`reset` re-arms for the next stream."""
+        self._ensure_serving()
         self._finished = True
-        per_shard: list[list[Record]] = []
-        for shard, pipeline in enumerate(self.pipelines):
-            out: list[Record] = []
-            if self.assigners is not None:
-                wm = self.assigners[shard].final_watermark()
-                out.extend(r for r in pipeline.push(wm) if isinstance(r, Record))
-            out.extend(pipeline.flush())
-            per_shard.append(out)
-        if self.obs is not None and self._shard_obs is not None:
-            self.obs.fold(
-                [
-                    self.obs.worker.harvest(
-                        shard,
-                        state,
-                        self.pipelines[shard].wall_seconds,
-                        setup_seconds=self._setup_s[shard],
-                    )
-                    for shard, state in enumerate(self._shard_obs)
-                ]
-            )
-        return merge_shard_outputs(per_shard)
+        return self._dispatch([("finish",)] * self.n_shards)
 
     def run_to_end(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
         """One-shot: route + run + finish, merged into one output stream."""
         body = self.run(elements, batch_size=batch_size)
         return merge_shard_outputs([body, self.finish()])
 
+    def _dispatch(self, requests: list[Any]) -> list[Record]:
+        replies = scatter_gather(self.hosts, requests)
+        per_shard: list[list[Record]] = []
+        for account, reply in zip(self._accounts, replies):
+            per_shard.append(reply["records"])
+            account.wall_s = reply["wall_s"]
+            account.records = reply["records_processed"]
+            account.watermark = reply["watermark"]
+        if self.obs is not None:
+            self.obs.fold([reply["harvest"] for reply in replies])
+        return merge_shard_outputs(per_shard)
+
+    def _ensure_serving(self) -> None:
+        if self._closed:
+            raise RuntimeError("sharded pipeline is closed")
+        if self._finished:
+            raise RuntimeError(
+                "sharded pipeline already finished this stream; reset() to start a new one"
+            )
+
+    # -- accounting --------------------------------------------------------------
+
     def min_watermark(self) -> float:
         """The merged stream's event-time progress: min over shard watermarks.
 
-        ``-inf`` until every shard has seen a record — a straggling shard
-        holds the merged watermark back, exactly like a lagging input
-        channel in a multi-input operator.
+        ``-inf`` without assigners or until every shard has seen a
+        record — a straggling shard holds the merged watermark back,
+        exactly like a lagging input channel in a multi-input operator.
         """
-        if self.assigners is None:
-            return -math.inf
-        return min(a.current_watermark() for a in self.assigners)
+        return min(account.watermark for account in self._accounts)
 
     def wall_seconds(self) -> list[float]:
         """Per-shard wall seconds spent inside pipeline runs (setup excluded)."""
-        return [p.wall_seconds for p in self.pipelines]
+        return [account.wall_s for account in self._accounts]
 
     def setup_seconds(self) -> list[float]:
-        """Per-shard replica build seconds (factory + instrumentation).
+        """Per-shard replica build seconds (factory + instrumentation),
+        accumulated across construction / reset / restart.
 
         Reported apart from :meth:`wall_seconds` so
         :meth:`critical_path_speedup` compares steady-state compute —
-        startup is a one-off cost the worker-pool path amortizes away.
+        startup is the one-off cost the worker pool amortizes away.
         """
-        return list(self._setup_s)
+        return [host.setup_s for host in self.hosts]
 
     def records_processed(self) -> list[int]:
         """Per-shard record counts (the routing balance)."""
-        return [p.records_processed for p in self.pipelines]
+        return [account.records for account in self._accounts]
 
     def critical_path_speedup(self) -> float:
         """Aggregate shard compute over the slowest shard: the speedup an
-        N-core schedule of these shards achieves (runner-independent —
+        N-core schedule of these shards achieves (host-independent —
         it measures routing balance, not machine parallelism)."""
         return critical_path_speedup(self.wall_seconds())
-
-
-def drain_sharded(
-    consumers: Sequence[Consumer],
-    sharded: ShardedPipeline,
-    batch_size: int | None = None,
-    max_messages: int | None = None,
-) -> list[Record]:
-    """Poll one consumer per shard to exhaustion through a sharded pipeline.
-
-    Each round polls every shard once and runs the batches as one
-    incremental increment — a shard merge is exactly a sequence of
-    ``flush=False`` runs, closed once by :meth:`ShardedPipeline.finish`.
-    Records are assumed already shard-routed (the consumers come from a
-    :class:`ShardedBroker`), so batches bypass the router.
-    """
-    if len(consumers) != sharded.n_shards:
-        raise ValueError(
-            f"got {len(consumers)} consumers for {sharded.n_shards} shards"
-        )
-    out: list[Record] = []
-    while True:
-        per_shard: list[list[Record]] = []
-        drained = True
-        for shard, consumer in enumerate(consumers):
-            batch = consumer.poll(max_messages)
-            if batch:
-                drained = False
-            assigner = sharded.assigners[shard] if sharded.assigners is not None else None
-            per_shard.append(
-                sharded.pipelines[shard].run(
-                    batch, watermarks=assigner, flush=False, batch_size=batch_size
-                )
-            )
-        if drained:
-            break
-        out.extend(merge_shard_outputs(per_shard))
-    out.extend(sharded.finish())
-    return out
-
-
-def _run_one_shard(
-    payload: tuple[
-        PipelineFactory, list[StreamElement], AssignerFactory | None, int | None, int, Any
-    ],
-) -> tuple[list[Record], float, Any]:
-    """Worker body of the process-parallel path: build, run, harvest.
-
-    Returns the shard's output records, its wall seconds, and — when an
-    obs worker rode along — a picklable :class:`~repro.obs.harvest.
-    ObsHarvest` of everything the shard measured, so the parent can fold
-    it instead of losing it with the process. Replica build cost is
-    timed separately and travels as the harvest's ``setup_seconds`` —
-    it must never inflate the run wall the critical-path speedup is
-    computed from.
-    """
-    factory, elements, watermark_factory, batch_size, shard, obs_worker = payload
-    t0 = perf_counter()
-    pipeline = factory()
-    shard_obs = obs_worker.setup(shard, pipeline) if obs_worker is not None else None
-    assigner = watermark_factory() if watermark_factory is not None else None
-    setup_s = perf_counter() - t0
-    out = pipeline.run(elements, watermarks=assigner, flush=True, batch_size=batch_size)
-    harvest = (
-        obs_worker.harvest(shard, shard_obs, pipeline.wall_seconds, setup_seconds=setup_s)
-        if obs_worker is not None
-        else None
-    )
-    return out, pipeline.wall_seconds, harvest
 
 
 def run_sharded(
@@ -388,65 +402,22 @@ def run_sharded(
     n_shards: int,
     watermark_factory: AssignerFactory | None = None,
     batch_size: int | None = None,
-    parallel: bool = False,
-    processes: int | None = None,
     obs: Any = None,
-    pool: Any = None,
 ) -> list[Record]:
-    """One-shot sharded execution of a bounded stream; returns merged output.
+    """One-shot in-process sharded execution of a bounded stream; returns
+    the merged output.
 
-    ``parallel=False`` with ``pool=None`` (the default, and the
-    determinism oracle) runs the shards sequentially in-process via
-    :class:`ShardedPipeline`. ``parallel=True`` forks one worker per
-    shard with ``multiprocessing`` — shards share nothing, so the merged
-    output is identical; ``factory`` and ``watermark_factory`` must then
-    be module-level callables and the record values picklable. With
-    ``n_shards=1`` both paths reduce to the plain unsharded
-    :meth:`Pipeline.run`.
-
-    ``pool`` takes a persistent :class:`~repro.streams.workers.
-    ShardWorkerPool` whose long-lived worker processes already hold the
-    shard replicas: the one-shot run becomes run + finish + reset, so
-    repeated calls amortize fork and replica-build cost. The pool must
-    have been built from the same factories and shard count — the merged
-    output is byte-identical to the sequential oracle either way.
+    The convenience for ``ShardedPipeline(...).run_to_end(elements)``;
+    with ``n_shards=1`` it reduces to the plain unsharded
+    :meth:`Pipeline.run`. A warm worker pool is driven through the class
+    itself (``worker_pool=True``, then :meth:`~ShardedPipeline.run_to_end`
+    + :meth:`~ShardedPipeline.reset` per stream).
 
     ``obs`` takes a duck-typed observability plane (see module comment;
-    concretely :class:`repro.obs.harvest.ShardedObsPlane`): both paths
-    instrument each shard replica, harvest its metrics/events/traces and
-    fold them into the plane's parent-side registry — including each
-    shard's wall seconds as ``shard.<i>.wall_s``, so the critical-path
-    speedup is computable on the parallel path too. A pool folds into
-    its *own* plane, so ``obs`` and ``pool`` are mutually exclusive.
+    concretely :class:`repro.obs.harvest.ShardedObsPlane`): each shard
+    replica is instrumented, and its metrics/events/traces are folded
+    into the plane's parent-side registry — including each shard's wall
+    seconds as ``shard.<i>.wall_s``.
     """
-    if pool is not None:
-        if pool.n_shards != n_shards:
-            raise ValueError(
-                f"pool has {pool.n_shards} shards, run_sharded asked for {n_shards}"
-            )
-        if obs is not None:
-            raise ValueError(
-                "pass the obs plane to ShardWorkerPool(obs=...), not alongside pool="
-            )
-        body = pool.run(elements, batch_size=batch_size)
-        tail = pool.finish()
-        pool.reset()
-        return merge_shard_outputs([body, tail])
-    if not parallel:
-        sharded = ShardedPipeline(
-            factory, n_shards, watermark_factory=watermark_factory, obs=obs
-        )
-        return sharded.run_to_end(elements, batch_size=batch_size)
-    import multiprocessing
-
-    routed = ShardRouter(n_shards).route(elements)
-    obs_worker = obs.worker if obs is not None else None
-    payloads = [
-        (factory, shard_elements, watermark_factory, batch_size, shard, obs_worker)
-        for shard, shard_elements in enumerate(routed)
-    ]
-    with multiprocessing.Pool(processes=processes or n_shards) as pool:
-        results = pool.map(_run_one_shard, payloads)
-    if obs is not None:
-        obs.fold([harvest for _, _, harvest in results if harvest is not None])
-    return merge_shard_outputs([out for out, _, _ in results])
+    sharded = ShardedPipeline(factory, n_shards, watermark_factory=watermark_factory, obs=obs)
+    return sharded.run_to_end(elements, batch_size=batch_size)

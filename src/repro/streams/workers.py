@@ -1,23 +1,29 @@
-"""Persistent shard worker pool: long-lived replicas, batched IPC.
+"""Shard hosts: where a replica lives, and the one scatter/gather over them.
 
-``run_sharded(parallel=True)`` forks a fresh ``multiprocessing.Pool``
-per call: every run re-pickles the factory and every worker rebuilds its
-shard replica from scratch, so operator state, mask caches and warmed
-buffers die between runs. That is the wrong shape for the realtime
-serving pattern — many small incremental runs against replicas that
-should stay hot. This module keeps one **long-lived process per shard**:
-the replica pipeline is built once (inside the worker, nothing with
-operator state ever crosses the process boundary), and each
-:meth:`ShardWorkerPool.run` ships that poll's records as **one batched
-pickled frame per shard** over a private duplex pipe, then gathers one
-response frame per shard — merged output records, cumulative wall/record
-accounting, the shard watermark, and a per-run delta
-:class:`~repro.obs.harvest.ObsHarvest` the parent folds exactly as the
-fork path folds its one-shot harvests.
+A sharded stream is N replicas fed one request per poll each. *What* a
+replica is belongs to a :class:`WorkerSpec` (``setup`` builds it once,
+``handle`` serves one request); *where* it lives belongs to a host, and
+there are exactly two, with one surface (``send`` / ``receive`` /
+``reset`` / ``restart`` / ``close`` / ``setup_s``):
 
-Protocol (strict lockstep — at most one outstanding request per worker,
-so the pipe can never deadlock; the parent scatters to all shards before
-gathering, so shards compute concurrently):
+* :class:`InlineHost` calls ``spec.setup`` / ``spec.handle`` directly in
+  the parent process — the deterministic oracle, no serialisation;
+* :class:`WorkerHost` keeps one **long-lived process per shard**: the
+  replica is built once inside the worker (nothing with operator state
+  ever crosses the process boundary) and every request is **one pickled
+  frame per shard** over a private duplex pipe, so operator state, mask
+  caches and warmed buffers stay hot across the many small incremental
+  runs of the realtime serving pattern.
+
+:func:`scatter_gather` is the only place that ships a request to every
+shard and collects a reply from every shard; the pipeline facade
+(:class:`~repro.streams.sharding.ShardedPipeline`) and the Figure-2 layer
+(``repro.core.sharded``) both run through it, so the two transports
+execute the same code and differ only in the host.
+
+Protocol of the process host (strict lockstep — at most one outstanding
+request per worker, so the pipe can never deadlock; the parent scatters
+to all shards before gathering, so shards compute concurrently):
 
 ==================  ==================================================
 parent → worker     worker → parent
@@ -34,12 +40,12 @@ truth, this table the human-readable one, and drift in either is a
 lint error.
 
 Payloads (``p`` / ``response``) are opaque to the protocol — a
-:class:`WorkerSpec` owns their shape. The pipeline pool of this module
-ships ``list[Record]`` by value (``Record`` and the domain values it
-carries pickle positionally, not through the per-object ``fields()``
-walk frozen+slots dataclasses default to); the pooled Figure-2 layer
-ships pre-serialised ``bytes`` in both directions — columnar fix
-batches out, reply-by-reference topics back (``repro.core.frames``).
+:class:`WorkerSpec` owns their shape. The pipeline facade ships
+``list[Record]`` by value (``Record`` and the domain values it carries
+pickle positionally, not through the per-object ``fields()`` walk
+frozen+slots dataclasses default to); the pooled Figure-2 layer ships
+pre-serialised ``bytes`` in both directions — columnar fix batches out,
+reply-by-reference topics back (``repro.core.frames``).
 
 Liveness: a dead worker is detected at the next interaction with it and
 surfaced as :class:`ShardWorkerDied` carrying the shard id; a *hung*
@@ -47,38 +53,20 @@ worker (alive but not replying — ``Connection.recv`` only raises for
 dead peers) is bounded by ``request_timeout_s``: every wait for a reply
 polls a deadline, and on expiry the host kills the worker and raises
 :class:`ShardWorkerDied` too. An exception *inside* the replica comes
-back as :class:`ShardWorkerError` and leaves the process alive. :meth:`ShardWorkerPool.restart_shard` respawns one
-worker with a fresh replica; :meth:`ShardWorkerPool.close` (or the
-context manager) shuts everything down cleanly.
-
-The sequential :class:`~repro.streams.sharding.ShardedPipeline` stays
-the byte-identical determinism oracle: routing, ``flush=False``
-increments, ``finish`` and the ``(t, key)`` merge are the same code, so
-N pool runs produce the same topic streams — and the per-run delta
-harvests fold to the same counters — as the in-process twin.
+back as :class:`ShardWorkerError` — from either host — and leaves the
+replica serving. :meth:`WorkerHost.restart` respawns one worker with a
+fresh replica; ``close`` shuts it down cleanly.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import multiprocessing.connection
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterable, Protocol
-
-from .pipeline import WatermarkAssigner
-from .record import Record, StreamElement
-from .sharding import (
-    AssignerFactory,
-    PipelineFactory,
-    ShardRouter,
-    critical_path_speedup,
-    merge_shard_outputs,
-)
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 
-#: Default reply deadline for :class:`ShardWorkerPool` — generous (a batched
+#: Default reply deadline of the process hosts — generous (a batched
 #: frame plus a full replica rebuild fit comfortably) but finite, so a hung
 #: worker surfaces as :class:`ShardWorkerDied` instead of wedging the parent.
 DEFAULT_REQUEST_TIMEOUT_S = 300.0
@@ -92,7 +80,7 @@ class ShardWorkerDied(RuntimeError):
 
     Raised at the next interaction with the dead worker — the pool does
     not monitor workers between requests. ``shard`` names the replica so
-    callers can :meth:`ShardWorkerPool.restart_shard` it.
+    callers can restart it.
     """
 
     def __init__(self, shard: int, detail: str = ""):
@@ -102,10 +90,11 @@ class ShardWorkerDied(RuntimeError):
 
 
 class ShardWorkerError(RuntimeError):
-    """The replica raised inside its worker; the process is still alive.
+    """The replica raised while serving a request; it is still alive.
 
-    The traceback text travels as ``detail`` — the exception object
-    itself stays in the worker (it may hold unpicklable operator state).
+    From a worker process the exception travels as its ``repr`` in
+    ``detail`` — the object itself stays in the worker (it may hold
+    unpicklable operator state); an inline host chains the original.
     """
 
     def __init__(self, shard: int, detail: str):
@@ -114,10 +103,10 @@ class ShardWorkerError(RuntimeError):
 
 
 class WorkerSpec(Protocol):
-    """What a :class:`WorkerHost` hosts: a picklable replica recipe.
+    """What a host hosts: a picklable replica recipe.
 
-    ``setup`` builds the long-lived shard state once, inside the worker
-    process; ``handle`` serves one request against it. The spec crosses
+    ``setup`` builds the long-lived shard state once, wherever the host
+    puts it; ``handle`` serves one request against it. The spec crosses
     the process boundary exactly once, at spawn — it must be picklable
     and hold no live state.
     """
@@ -347,267 +336,107 @@ class WorkerHost:
             raise ShardWorkerDied(self.shard, repr(exc)) from exc
 
 
-@dataclass(slots=True)
-class _PipelineReplica:
-    """Worker-side state of one pipeline shard: built once, reused per run."""
+class InlineHost:
+    """The in-process twin of :class:`WorkerHost`: same surface, no process.
 
-    pipeline: Any
-    assigner: WatermarkAssigner | None
-    obs_state: Any
-    setup_s: float
-    prev_harvest: Any = None
-
-
-@dataclass(frozen=True, slots=True)
-class _PipelineWorkerSpec:
-    """Picklable recipe for a pipeline shard replica (see :class:`WorkerSpec`).
-
-    Holds only module-level factories and the obs plane's picklable
-    ``worker`` recipe — the live pipeline, assigner and registries exist
-    solely inside the worker process.
+    ``spec.setup`` / ``spec.handle`` run in the caller, on the objects
+    the caller handed over — nothing is serialised, which is what makes
+    the inline path the oracle for the frames of the process path.
+    ``send`` only parks the request; ``receive`` serves it, so a failing
+    shard cannot keep the shards after it from running (a worker process
+    cannot either). ``state`` is the live replica ``setup`` returned.
     """
 
-    factory: PipelineFactory
-    watermark_factory: AssignerFactory | None = None
-    obs_worker: Any = None
-    batch_size: int | None = None
+    def __init__(self, spec: Any, shard: int):
+        self.spec = spec
+        self.shard = shard
+        self.setup_s = 0.0
+        self._request: Any = None
+        self.reset()
 
-    def setup(self, shard: int) -> _PipelineReplica:
-        t0 = perf_counter()
-        pipeline = self.factory()
-        obs_state = (
-            self.obs_worker.setup(shard, pipeline) if self.obs_worker is not None else None
-        )
-        assigner = (
-            self.watermark_factory() if self.watermark_factory is not None else None
-        )
-        return _PipelineReplica(
-            pipeline=pipeline,
-            assigner=assigner,
-            obs_state=obs_state,
-            setup_s=perf_counter() - t0,
-        )
+    def send(self, payload: Any) -> None:
+        self._request = payload
 
-    def handle(self, shard: int, replica: _PipelineReplica, request: Any) -> dict[str, Any]:
-        kind = request[0]
-        if kind == "run":
-            _, elements, batch_size = request
-            out = replica.pipeline.run(
-                elements,
-                watermarks=replica.assigner,
-                flush=False,
-                batch_size=batch_size if batch_size is not None else self.batch_size,
-            )
-        elif kind == "finish":
-            out = []
-            if replica.assigner is not None:
-                wm = replica.assigner.final_watermark()
-                out.extend(r for r in replica.pipeline.push(wm) if isinstance(r, Record))
-            out.extend(replica.pipeline.flush())
-        else:
-            raise ValueError(f"unknown pipeline request {kind!r}")
-        harvest = None
-        if self.obs_worker is not None:
-            current = self.obs_worker.harvest(
-                shard,
-                replica.obs_state,
-                replica.pipeline.wall_seconds,
-                setup_seconds=replica.setup_s,
-            )
-            harvest = current.delta(replica.prev_harvest)
-            replica.prev_harvest = current
-        return {
-            "records": out,
-            "wall_s": replica.pipeline.wall_seconds,
-            "records_processed": replica.pipeline.records_processed,
-            "watermark": (
-                replica.assigner.current_watermark()
-                if replica.assigner is not None
-                else -math.inf
-            ),
-            "harvest": harvest,
-        }
-
-
-@dataclass(slots=True)
-class _ShardAccount:
-    """Parent-side view of one worker's cumulative accounting."""
-
-    wall_s: float = 0.0
-    records: int = 0
-    watermark: float = field(default=-math.inf)
-
-
-class ShardWorkerPool:
-    """N long-lived worker processes, one pre-built pipeline replica each.
-
-    The process-backed twin of :class:`~repro.streams.sharding.
-    ShardedPipeline`, with the same facade — :meth:`run` increments,
-    single-use :meth:`finish`, :meth:`run_to_end`, min-watermark merge,
-    per-shard wall/records and :meth:`critical_path_speedup` — but the
-    replicas persist across runs, so repeated small runs (the realtime
-    serving pattern) pay IPC only, never fork or rebuild. The sequential
-    ``ShardedPipeline`` is the byte-identical determinism oracle.
-
-    ``obs`` takes the same duck-typed plane as the rest of the substrate
-    (see the ``repro.streams.sharding`` module comment): each run folds
-    the workers' per-run **delta** harvests, which accumulate to exactly
-    the counters the oracle's one-shot fold reports.
-
-    Use as a context manager (or call :meth:`close`) so worker processes
-    never outlive the stream.
-
-    ``request_timeout_s`` (default :data:`DEFAULT_REQUEST_TIMEOUT_S`)
-    bounds every wait for a shard's reply: a hung-but-alive worker
-    surfaces as :class:`ShardWorkerDied` instead of wedging the parent,
-    and :meth:`restart_shard` recovers it. ``None`` restores the old
-    unbounded behavior.
-    """
-
-    def __init__(
-        self,
-        factory: PipelineFactory,
-        n_shards: int,
-        watermark_factory: AssignerFactory | None = None,
-        obs: Any = None,
-        batch_size: int | None = None,
-        context: Any = None,
-        request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
-    ):
-        if n_shards < 1:
-            raise ValueError("a worker pool needs at least one shard")
-        self.n_shards = n_shards
-        self.router = ShardRouter(n_shards)
-        self.obs = obs
-        self._has_assigners = watermark_factory is not None
-        spec = _PipelineWorkerSpec(
-            factory=factory,
-            watermark_factory=watermark_factory,
-            obs_worker=obs.worker if obs is not None else None,
-            batch_size=batch_size,
-        )
-        self.hosts = [
-            WorkerHost(
-                spec, shard, context=context, request_timeout_s=request_timeout_s
-            )
-            for shard in range(n_shards)
-        ]
-        self._accounts = [_ShardAccount() for _ in range(n_shards)]
-        self._finished = False
-        self._closed = False
-        self.runs = 0
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut every worker down cleanly. Idempotent."""
-        self._closed = True
-        for host in self.hosts:
-            host.close()
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def restart_shard(self, shard: int) -> None:
-        """Respawn one worker with a fresh replica (after ShardWorkerDied).
-
-        The replica's operator state is rebuilt from the factory, so the
-        restarted shard starts a *new* stream — mid-stream restarts
-        trade the determinism oracle for availability, which is why the
-        restart is explicit, never automatic.
-        """
-        self.hosts[shard].restart()
-        self._accounts[shard] = _ShardAccount()
+    def receive(self) -> Any:
+        request, self._request = self._request, None
+        try:
+            return self.spec.handle(self.shard, self.state, request)
+        # reprolint: disable=hygiene — the host contract: whatever the replica
+        # raises surfaces as ShardWorkerError naming the shard, as it does
+        # from a worker process; the original stays chained.
+        except Exception as exc:
+            raise ShardWorkerError(self.shard, repr(exc)) from exc
 
     def reset(self) -> None:
-        """Rebuild every replica in place and re-arm the pool for a new
-        stream — the amortization point: processes persist, only the
-        (cheap) factory state is rebuilt."""
-        for host in self.hosts:
-            host.reset()
-        self.router = ShardRouter(self.n_shards)
-        self._accounts = [_ShardAccount() for _ in range(self.n_shards)]
-        self._finished = False
+        """Rebuild the replica from the spec (fresh state)."""
+        t0 = perf_counter()
+        self.state = self.spec.setup(self.shard)
+        self.setup_s += perf_counter() - t0
 
-    # -- execution ---------------------------------------------------------------
+    restart = reset
 
-    def run(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
-        """One incremental increment: route, scatter one frame per shard,
-        gather, fold obs deltas, merge — same semantics as
-        :meth:`ShardedPipeline.run`."""
-        self._ensure_serving()
-        routed = self.router.route(elements)
-        return self._dispatch([("run", shard_elements, batch_size) for shard_elements in routed])
+    def close(self) -> None:
+        """Nothing to release in-process."""
 
-    def finish(self) -> list[Record]:
-        """Close every shard: final watermark, operator flush, merged tail.
 
-        Single-use like the oracle's — :meth:`reset` re-arms the pool
-        for the next stream without respawning processes.
-        """
-        self._ensure_serving()
-        self._finished = True
-        return self._dispatch([("finish",)] * self.n_shards)
+def shard_hosts(
+    spec: Any,
+    n_shards: int,
+    worker_pool: bool,
+    request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
+) -> list[Any]:
+    """One host per shard for ``spec``: worker processes with
+    ``worker_pool``, inline otherwise. The caller owns them and must
+    ``close`` each."""
+    if worker_pool:
+        return [
+            WorkerHost(spec, shard, request_timeout_s=request_timeout_s)
+            for shard in range(n_shards)
+        ]
+    return [InlineHost(spec, shard) for shard in range(n_shards)]
 
-    def run_to_end(self, elements: Iterable[StreamElement], batch_size: int | None = None) -> list[Record]:
-        """One-shot: run + finish, merged into one output stream."""
-        body = self.run(elements, batch_size=batch_size)
-        return merge_shard_outputs([body, self.finish()])
 
-    def _dispatch(self, payloads: list[Any]) -> list[Record]:
-        # Scatter everything before gathering anything: all shards
-        # compute concurrently, the parent blocks on the slowest.
-        for host, payload in zip(self.hosts, payloads):
-            host.send(payload)
-        responses = [host.receive() for host in self.hosts]
-        harvests = []
-        per_shard: list[list[Record]] = []
-        for account, resp in zip(self._accounts, responses):
-            per_shard.append(resp["records"])
-            account.wall_s = resp["wall_s"]
-            account.records = resp["records_processed"]
-            account.watermark = resp["watermark"]
-            if resp["harvest"] is not None:
-                harvests.append(resp["harvest"])
-        if self.obs is not None and harvests:
-            self.obs.fold(harvests)
-        self.runs += 1
-        return merge_shard_outputs(per_shard)
+def scatter_gather(
+    hosts: Sequence[Any],
+    requests: Iterable[Any],
+    decode: Callable[[int, Any], Any] | None = None,
+) -> list[Any]:
+    """Ship one request to every shard, then collect one reply from every shard.
 
-    def _ensure_serving(self) -> None:
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if self._finished:
-            raise RuntimeError("worker pool already finished this stream; reset() to start a new one")
+    Everything is scattered before anything is gathered, so worker
+    processes compute concurrently and the parent blocks on the slowest.
+    Both ends overlap the parent's own work with the shards': ``requests``
+    is consumed lazily, so shard *i*'s request is on the wire before
+    shard *i+1*'s is built (encoded), and ``decode(shard, reply)``, when
+    given, is applied to each reply as it is collected — while the later
+    shards are still working — and its result returned in the reply's
+    place.
 
-    # -- accounting --------------------------------------------------------------
-
-    def min_watermark(self) -> float:
-        """Merged event-time progress: min over shard watermarks (``-inf``
-        without assigners or before every shard has seen a record)."""
-        if not self._has_assigners:
-            return -math.inf
-        return min(account.watermark for account in self._accounts)
-
-    def wall_seconds(self) -> list[float]:
-        """Per-shard wall seconds spent inside pipeline runs (setup excluded)."""
-        return [account.wall_s for account in self._accounts]
-
-    def setup_seconds(self) -> list[float]:
-        """Per-shard replica build seconds, accumulated across spawn /
-        reset / restart — the cost the pool amortizes, reported apart
-        from run walls."""
-        return [host.setup_s for host in self.hosts]
-
-    def records_processed(self) -> list[int]:
-        """Per-shard record counts (the routing balance)."""
-        return [account.records for account in self._accounts]
-
-    def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard, from steady-state
-        run walls only — replica/process startup is excluded by
-        construction (see :meth:`setup_seconds`)."""
-        return critical_path_speedup(self.wall_seconds())
+    Every shard that was sent a request owes exactly one reply, and all
+    of them are collected before the first error is raised: a reply left
+    unread in a pipe would pair with the *next* request and put that
+    shard one reply behind for good. So a :class:`ShardWorkerError`
+    leaves every worker alive and in step; a :class:`ShardWorkerDied`
+    still names its shard.
+    """
+    sent: list[Any] = []
+    replies: list[Any] = []
+    first_error: Exception | None = None
+    try:
+        for host, request in zip(hosts, requests):
+            host.send(request)
+            sent.append(host)
+    finally:
+        # Also when the scatter itself failed (a dead worker, a request
+        # that could not be built): what is on the wire still comes back.
+        for shard, host in enumerate(sent):
+            try:
+                reply = host.receive()
+                replies.append(reply if decode is None else decode(shard, reply))
+            # reprolint: disable=hygiene — whatever goes wrong with one
+            # shard's reply, the other shards' must still be read.
+            except Exception as exc:
+                first_error = first_error or exc
+    if first_error is not None:
+        raise first_error
+    return replies

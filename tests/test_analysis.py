@@ -537,46 +537,6 @@ class TestDualPathChecker:
         result = run_analysis(root, checks=["dual-path"])
         assert new_findings_of(result, "dual-path") == []
 
-    def test_parallel_without_branch_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/runner.py": (
-                    "def run_it(items, parallel=False):\n"
-                    "    return list(items)\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert any("sequential in-process twin" in m for m in messages)
-
-    def test_parallel_without_equivalence_test_fires(self, tmp_path):
-        runner = (
-            "def run_it(items, parallel=False):\n"
-            "    if parallel:\n"
-            "        return list(items)\n"
-            "    return [i for i in items]\n"
-        )
-        root = write_project(tmp_path, {"src/repro/streams/runner.py": runner})
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "parallel=False" in f.message for f in new_findings_of(result, "dual-path")
-        )
-        # A test driving the sequential oracle satisfies it.
-        root2 = write_project(
-            tmp_path / "ok",
-            {
-                "src/repro/streams/runner.py": runner,
-                "tests/test_runner.py": (
-                    "def test_twins():\n"
-                    "    assert run_it([1], parallel=True) == run_it([1], parallel=False)\n"
-                ),
-            },
-        )
-        result2 = run_analysis(root2, checks=["dual-path"])
-        assert new_findings_of(result2, "dual-path") == []
-
     def test_n_shards_without_oracle_test_fires(self, tmp_path):
         sharder = (
             "def split(items, n_shards):\n"
@@ -595,46 +555,6 @@ class TestDualPathChecker:
                 "tests/test_sharder.py": (
                     "def test_oracle():\n"
                     "    assert split([1, 2], n_shards=2) != split([1, 2], n_shards=1)\n"
-                ),
-            },
-        )
-        result2 = run_analysis(root2, checks=["dual-path"])
-        assert new_findings_of(result2, "dual-path") == []
-
-    def test_pool_without_branch_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/runner.py": (
-                    "def run_it(items, pool=None):\n"
-                    "    return list(items)\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert any("poolless in-process twin" in m for m in messages)
-
-    def test_pool_without_equivalence_test_fires(self, tmp_path):
-        runner = (
-            "def run_it(items, pool=None):\n"
-            "    if pool is not None:\n"
-            "        return pool.run(items)\n"
-            "    return list(items)\n"
-        )
-        root = write_project(tmp_path, {"src/repro/streams/runner.py": runner})
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "pool=None" in f.message for f in new_findings_of(result, "dual-path")
-        )
-        # A test driving the poolless oracle satisfies it.
-        root2 = write_project(
-            tmp_path / "ok",
-            {
-                "src/repro/streams/runner.py": runner,
-                "tests/test_runner.py": (
-                    "def test_twins(pool):\n"
-                    "    assert run_it([1], pool=pool) == run_it([1], pool=None)\n"
                 ),
             },
         )

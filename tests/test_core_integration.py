@@ -2,10 +2,23 @@
 
 import pytest
 
-from repro.core import DatacronSystem, SystemConfig, TOPIC_LINKS, TOPIC_SYNOPSES
+from repro.core import (
+    BatchLayer,
+    DatacronSystem,
+    RealtimeLayer,
+    ShardedRealtimeLayer,
+    SystemConfig,
+    TOPIC_CLEAN,
+    TOPIC_EVENTS,
+    TOPIC_LINKS,
+    TOPIC_RAW,
+    TOPIC_SYNOPSES,
+)
 from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.synopses import SynopsesGenerator
+
+ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +131,44 @@ class TestCEPIntegration:
         run = system.run(iter(test_fixes))
         assert run.realtime.cep_detections > 0
         assert run.realtime.cep_forecasts > 0
+
+
+class TestShardedDeployment:
+    """``SystemConfig.n_shards`` / ``worker_pool`` are real switches of
+    :class:`DatacronSystem`, not only of the layer underneath."""
+
+    def config(self, **switches) -> SystemConfig:
+        return SystemConfig(n_regions=20, n_ports=8, seed=11, **switches)
+
+    def fixes(self):
+        return list(AISSimulator(n_vessels=8, seed=2).fixes(0.0, 1800.0))
+
+    def test_n_shards_switch_equals_the_hand_wired_single_shard_oracle(self):
+        oracle_rt = ShardedRealtimeLayer(self.config(n_shards=1))
+        oracle_batch = BatchLayer(
+            oracle_rt.config, oracle_rt.broker, 0.0, 24 * 3600.0, registry=oracle_rt.metrics
+        )
+        oracle_report = oracle_rt.run(self.fixes())
+        with DatacronSystem(self.config(n_shards=2)) as system:
+            assert isinstance(system.realtime, ShardedRealtimeLayer)
+            assert system.realtime.n_shards == 2
+            run = system.run(self.fixes())
+        assert run.realtime == oracle_report
+        assert run.batch == oracle_batch.ingest_from_broker()
+        assert run.batch.synopsis_points == run.realtime.critical_points > 0
+        for topic in ALL_TOPICS:
+            got = system.realtime.broker.consumer(topic, "test").poll()
+            want = oracle_rt.broker.consumer(topic, "test").poll()
+            assert got == want, topic
+
+    def test_worker_pool_switch_hosts_replicas_in_workers_until_close(self):
+        with DatacronSystem(self.config(worker_pool=True)) as system:
+            hosts = system.realtime._hosts
+            assert system.realtime.use_worker_pool and all(h.alive() for h in hosts)
+            assert system.run(self.fixes()).realtime.raw_fixes == len(self.fixes())
+        assert not any(h.alive() for h in hosts)
+
+    def test_default_config_stays_the_plain_layer(self):
+        system = DatacronSystem(self.config())
+        assert type(system.realtime) is RealtimeLayer
+        system.close()  # nothing to shut down

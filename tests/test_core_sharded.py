@@ -321,10 +321,39 @@ class TestWorkerPoolLayer:
         samples = families["shard_ipc_req_bytes"]["samples"]
         assert samples['shard_ipc_req_bytes_count{shard="1"}'] == 3
 
+    def test_failed_request_leaves_every_other_shard_in_step(self, fixes):
+        """Regression: gather used to raise at the first failing shard and
+        leave the later shards' replies unread in their pipes, so every
+        following run decoded the *previous* run's frame for those shards.
+        Shard 0 fails twice here (a fix that blows up mid-run, then the
+        raw-count refusal its stranded records cause); the run after that
+        must equal the in-process twin's, which went through the same
+        scatter/gather — minus the frames, so it serves the second poll."""
+        cfg = SystemConfig(n_shards=2, proximity_space_m=1.0)  # no cross-run links
+        twin = ShardedRealtimeLayer(cfg, worker_pool=False)
+        victim = next(f for f in fixes[700:] if twin.shard_for(f.entity_id) == 0)
+        polls = [[*fixes[:700], replace(victim, lon=None)], fixes[700:1200], fixes[1200:1800]]
+        with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
+            for layer in (pooled, twin):
+                with pytest.raises(ShardWorkerError, match="TypeError") as err:
+                    layer.run(polls[0])
+                assert err.value.shard == 0
+            with pytest.raises(ShardWorkerError, match="raw topic yielded") as err:
+                pooled.run(polls[1])
+            assert err.value.shard == 0
+            twin.run(polls[1])
+            pooled_new, twin_new = dump_consumers(pooled), dump_consumers(twin)
+            drain(twin_new)
+            assert pooled.run(polls[2]) == twin.run(polls[2])
+            got = drain(pooled_new)
+            assert_same_records(got, drain(twin_new))
+            assert len(got[TOPIC_RAW]) == len(polls[2]) and got[TOPIC_SYNOPSES]
+
     def test_config_knob_selects_the_pool(self, fixes):
         with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as layer:
             assert layer.use_worker_pool
-            assert layer._hosts is not None and len(layer._hosts) == 2
+            assert len(layer._hosts) == 2 and all(host.alive() for host in layer._hosts)
+            assert layer.shards == []  # the replicas live in the workers
             report = layer.run(list(fixes))
             assert report.raw_fixes == len(fixes)
         assert all(not host.alive() for host in layer._hosts)
@@ -332,8 +361,21 @@ class TestWorkerPoolLayer:
     def test_default_stays_in_process(self):
         layer = ShardedRealtimeLayer(SystemConfig(n_shards=2))
         assert not layer.use_worker_pool
-        assert layer._hosts is None
+        assert [type(shard) for shard in layer.shards] == [RealtimeLayer] * 2
         layer.close()  # no-op in-process
+
+    def test_in_process_layer_runs_no_frame_codec(self, fixes, monkeypatch):
+        """worker_pool=False is an oracle *for* the frames only while it
+        stays independent of them."""
+        import repro.core.sharded as sharded
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("frame codec ran on the in-process path")
+
+        for name in ("encode_request", "decode_request", "encode_reply", "decode_reply"):
+            monkeypatch.setattr(sharded, name, forbidden)
+        layer = ShardedRealtimeLayer(SystemConfig(n_shards=2), worker_pool=False)
+        assert layer.run(list(fixes)[:300]).raw_fixes == 300
 
     def test_setup_reported_apart_from_walls_on_both_paths(self, fixes):
         cfg = SystemConfig(n_shards=2)

@@ -1,10 +1,10 @@
 """Tests for the distributed observability plane (repro.obs.harvest).
 
-The correctness story mirrors the substrate's: the sequential
-``parallel=False`` path is the merge oracle — aggregated counters of an
-N-shard fold must equal a single-shard run's registry exactly — and the
-process-parallel path must produce the same fold even though every
-harvest crossed a pickle/fork boundary.
+The correctness story mirrors the substrate's: the in-process
+``worker_pool=False`` path is the merge oracle — aggregated counters of
+an N-shard fold must equal a single-shard run's registry exactly — and
+the worker-process path must produce the same fold even though every
+harvest crossed a pickle/process boundary.
 """
 
 import math
@@ -20,7 +20,6 @@ from repro.obs import (
     HistogramSnapshot,
     MetricsRegistry,
     ObsHarvest,
-    ShardObsWorker,
     ShardedObsPlane,
     Tracer,
     fold_harvests,
@@ -35,10 +34,10 @@ from repro.streams import (
     Map,
     Pipeline,
     Record,
+    ShardedPipeline,
     TumblingWindow,
     WatermarkAssigner,
     count_aggregate,
-    run_sharded,
 )
 
 N_SHARDS = 3
@@ -400,44 +399,39 @@ def test_shard_labeled_openmetrics_round_trip(per_shard):
     assert latency["samples"][key] == pytest.approx(0.1)
 
 
-# -- the sharded substrate, sequential oracle vs process-parallel --------------------
+# -- the sharded substrate, in-process oracle vs worker processes ---------------------
 
 
-def run_with_plane(parallel: bool, n_shards: int = N_SHARDS):
+def run_with_plane(worker_pool: bool, n_shards: int = N_SHARDS):
+    """One run() of the facade: one fold of one delta harvest per shard."""
     plane = ShardedObsPlane()
-    out = run_sharded(
-        window_pipeline,
-        keyed_records(200),
-        n_shards,
-        watermark_factory=assigner,
-        parallel=parallel,
-        processes=2,
-        obs=plane,
-    )
+    with ShardedPipeline(
+        window_pipeline, n_shards, watermark_factory=assigner, obs=plane,
+        worker_pool=worker_pool,
+    ) as sharded:
+        out = sharded.run(keyed_records(200))
     return out, plane
 
 
 def test_sequential_fold_counters_equal_single_shard_oracle():
-    _, oracle = run_with_plane(parallel=False, n_shards=1)
-    _, plane = run_with_plane(parallel=False)
+    _, oracle = run_with_plane(worker_pool=False, n_shards=1)
+    _, plane = run_with_plane(worker_pool=False)
     assert nonshard_counters(plane.registry) == nonshard_counters(oracle.registry)
 
 
 def test_parallel_fold_equals_sequential_oracle():
-    out_seq, oracle = run_with_plane(parallel=False)
-    out_par, plane = run_with_plane(parallel=True)
+    out_seq, oracle = run_with_plane(worker_pool=False)
+    out_par, plane = run_with_plane(worker_pool=True)
     assert [(r.t, r.key, r.value) for r in out_par] == [(r.t, r.key, r.value) for r in out_seq]
     # The merge-correctness oracle: aggregated counters must be *exactly*
-    # what the in-process run measured, even across the fork boundary.
-    assert nonshard_counters(plane.registry) == nonshard_counters(oracle.registry)
-    for name, value in oracle.registry.counters().items():
-        assert plane.registry.counters()[name] == value
+    # what the in-process run measured, even across the process boundary.
+    assert plane.registry.counters() == oracle.registry.counters()
 
 
 def test_parallel_path_surfaces_shard_walls():
-    # Regression: parallel=True used to discard per-shard wall seconds,
-    # so the critical-path speedup was only computable sequentially.
-    _, plane = run_with_plane(parallel=True)
+    # Regression: worker processes used to take their wall seconds with
+    # them, so the critical-path speedup was only computable in-process.
+    _, plane = run_with_plane(worker_pool=True)
     walls = plane.shard_walls()
     assert len(walls) == N_SHARDS
     assert all(w > 0.0 for w in walls)
@@ -449,7 +443,7 @@ def test_callback_gauges_survive_fork_boundary():
     # instrument_pipeline registers callback-backed gauges on the worker
     # side (queue depths, pipeline rates); the harvest must materialize
     # them to plain floats or pickling the harvest would fail.
-    _, plane = run_with_plane(parallel=True)
+    _, plane = run_with_plane(worker_pool=True)
     gauges = plane.registry.gauges()
     depth_keys = [k for k in gauges if k.startswith("shard.0.op.") and k.endswith(".queue_depth")]
     assert depth_keys, f"no materialized worker callback gauges in {sorted(gauges)[:10]}"
@@ -458,7 +452,7 @@ def test_callback_gauges_survive_fork_boundary():
 
 
 def test_parallel_traces_rehomed_under_one_root():
-    _, plane = run_with_plane(parallel=True)
+    _, plane = run_with_plane(worker_pool=True)
     roots = [sp for sp in plane.tracer.spans() if sp.name == "sharded.run"]
     assert len(roots) == 1
     shard_runs = [sp for sp in plane.tracer.spans() if sp.name == "shard.run"]
@@ -468,7 +462,7 @@ def test_parallel_traces_rehomed_under_one_root():
 
 
 def test_sharded_pipeline_export_parses():
-    _, plane = run_with_plane(parallel=False)
+    _, plane = run_with_plane(worker_pool=False)
     families = parse_openmetrics(render_openmetrics(plane.registry.snapshot()))
     assert "op_harvest_bench_map_records_in" in families
     assert "shard_op_harvest_bench_map_records_in" in families

@@ -1,11 +1,13 @@
-"""Tests for the persistent shard worker pool (repro.streams.workers).
+"""Tests for the shard hosts and the one scatter/gather (repro.streams.workers).
 
-The correctness story is the substrate's twin discipline: the sequential
-in-process ``ShardedPipeline`` (and ``run_sharded(..., pool=None,
-parallel=False)``) is the byte-identical determinism oracle — N pool
-runs against long-lived worker replicas must produce the same merged
-streams, the same watermarks, and fold the same obs counters as the
-oracle, across repeated incremental runs.
+The correctness story is the substrate's twin discipline: the in-process
+``ShardedPipeline(worker_pool=False)`` is the byte-identical determinism
+oracle — N runs against long-lived worker replicas (``worker_pool=True``)
+must produce the same merged streams, the same watermarks, and fold the
+same obs counters as the oracle, across repeated incremental runs. What
+the facade promises on both hosts alike lives in
+``test_streams_sharding.py``; here are the equivalence of the two hosts
+and everything only a process can do (die, hang, restart, be closed).
 """
 
 import math
@@ -23,26 +25,25 @@ from repro.core.frames import decode_reply, decode_request, encode_reply, encode
 from repro.core.realtime import RealtimeReport
 from repro.geo import PositionFix
 from repro.linkdiscovery import Link
-from repro.obs import ShardedObsPlane
+from repro.obs import MetricsRegistry, ShardedObsPlane, fold_harvests, harvest_obs
 from repro.obs.harvest import HistogramSnapshot, MetricsSnapshot, ObsHarvest, ShardObsWorker
-from repro.streams.workers import (
-    DEFAULT_REQUEST_TIMEOUT_S,
-    _PipelineWorkerSpec,
-)
+from repro.streams.sharding import _PipelineWorkerSpec
+from repro.streams.workers import DEFAULT_REQUEST_TIMEOUT_S
 from repro.synopses import CriticalPoint
 from repro.streams import (
     Map,
+    Peek,
     Pipeline,
     Record,
     ShardedPipeline,
     ShardWorkerDied,
     ShardWorkerError,
-    ShardWorkerPool,
     TumblingWindow,
     WatermarkAssigner,
     WorkerHost,
     mean_aggregate,
-    run_sharded,
+    scatter_gather,
+    shard_hosts,
 )
 
 N_SHARDS = 3
@@ -157,16 +158,94 @@ class TestWorkerHost:
         assert not host.alive()
 
 
-class TestShardWorkerPool:
+class TestScatterGather:
+    """The one send-to-all / receive-from-all step, on both hosts."""
+
+    @pytest.fixture(params=[False, True], ids=["inline", "workers"])
+    def hosts(self, request):
+        hosts = shard_hosts(EchoSpec(), 3, worker_pool=request.param)
+        yield hosts
+        for host in hosts:
+            host.close()
+
+    def test_hosts_serve_the_same_spec_the_same(self, hosts):
+        assert scatter_gather(hosts, ["a", "b", "c"]) == [(0, "a"), (1, "b"), (2, "c")]
+        assert all(host.setup_s > 0.0 for host in hosts)
+
+    def test_requests_are_built_as_each_shard_is_reached(self, hosts):
+        """Shard i's request is sent before shard i+1's is built, and no
+        request is built for a shard that does not exist."""
+        built = []
+
+        def requests():
+            for i in range(10):
+                built.append(i)
+                yield i
+
+        assert scatter_gather(hosts, requests()) == [(0, 0), (1, 1), (2, 2)]
+        assert built == [0, 1, 2]
+
+    def test_every_reply_is_collected_before_the_first_error_is_raised(self, hosts):
+        for _ in range(2):  # in step after one error, and after the next
+            with pytest.raises(ShardWorkerError, match="requested failure") as err:
+                scatter_gather(hosts, ["boom", "x", "boom"])
+            assert err.value.shard == 0
+            assert scatter_gather(hosts, [1, 2, 3]) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_a_request_that_cannot_be_built_strands_no_reply(self, hosts):
+        def requests():
+            yield "first"
+            raise KeyError("no request for shard 1")
+
+        with pytest.raises(KeyError):
+            scatter_gather(hosts, requests())
+        assert scatter_gather(hosts, [1, 2, 3]) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_decode_sees_each_reply_and_its_failure_strands_none(self, hosts):
+        shout = scatter_gather(hosts, "abc", decode=lambda shard, reply: (shard, reply[1].upper()))
+        assert shout == [(0, "A"), (1, "B"), (2, "C")]
+
+        def refuse_first(shard, reply):
+            if shard == 0:
+                raise ValueError("bad frame")
+            return reply
+
+        with pytest.raises(ValueError, match="bad frame"):
+            scatter_gather(hosts, "abc", decode=refuse_first)
+        assert scatter_gather(hosts, [1, 2, 3]) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_dead_worker_names_its_shard_and_the_rest_stay_in_step(self):
+        hosts = shard_hosts(EchoSpec(), 3, worker_pool=True)
+        try:
+            hosts[1]._proc.terminate()
+            hosts[1]._proc.join(timeout=5.0)
+            with pytest.raises(ShardWorkerDied) as err:
+                scatter_gather(hosts, ["a", "b", "c"])
+            assert err.value.shard == 1
+            hosts[1].restart()
+            assert scatter_gather(hosts, [1, 2, 3]) == [(0, 1), (1, 2), (2, 3)]
+        finally:
+            for host in hosts:
+                host.close()
+
+
+def pooled(factory, n_shards, **kwargs) -> ShardedPipeline:
+    return ShardedPipeline(factory, n_shards, worker_pool=True, **kwargs)
+
+
+class TestPooledPipeline:
+    """``ShardedPipeline(worker_pool=True)`` against its in-process twin,
+    and what only worker processes can do."""
+
     def test_three_incremental_runs_match_sequential_oracle(self):
         """The acceptance contract: >= 3 consecutive incremental runs,
         each byte-identical to the in-process oracle, plus the tail."""
         records = keyed_records(600)
         chunks = chunked(records, 3)
-        oracle = ShardedPipeline(window_pipeline, N_SHARDS, watermark_factory=assigner)
-        with ShardWorkerPool(
-            window_pipeline, N_SHARDS, watermark_factory=assigner
-        ) as pool:
+        oracle = ShardedPipeline(
+            window_pipeline, N_SHARDS, watermark_factory=assigner, worker_pool=False
+        )
+        with pooled(window_pipeline, N_SHARDS, watermark_factory=assigner) as pool:
             for chunk in chunks:
                 assert canonical(pool.run(chunk)) == canonical(oracle.run(chunk))
                 assert pool.min_watermark() == oracle.min_watermark()
@@ -176,16 +255,14 @@ class TestShardWorkerPool:
     def test_single_shard_pool_matches_unsharded_oracle(self):
         records = keyed_records(200)
         oracle = ShardedPipeline(window_pipeline, n_shards=1, watermark_factory=assigner)
-        with ShardWorkerPool(
-            window_pipeline, n_shards=1, watermark_factory=assigner
-        ) as pool:
+        with pooled(window_pipeline, n_shards=1, watermark_factory=assigner) as pool:
             assert canonical(pool.run_to_end(records)) == canonical(
                 oracle.run_to_end(records)
             )
 
     def test_obs_deltas_fold_to_oracle_counters(self):
-        """Per-run delta harvests, folded run by run, must accumulate to
-        exactly the counters the oracle's one-shot fold reports."""
+        """The same per-run delta harvests, folded run by run, whether
+        they crossed a pipe or not."""
         records = keyed_records(600)
         chunks = chunked(records, 3)
         oracle_plane = ShardedObsPlane()
@@ -193,7 +270,7 @@ class TestShardWorkerPool:
         oracle = ShardedPipeline(
             window_pipeline, N_SHARDS, watermark_factory=assigner, obs=oracle_plane
         )
-        with ShardWorkerPool(
+        with pooled(
             window_pipeline, N_SHARDS, watermark_factory=assigner, obs=pool_plane
         ) as pool:
             for chunk in chunks:
@@ -205,62 +282,29 @@ class TestShardWorkerPool:
         # Histogram *counts* are deterministic (one observation per hop);
         # the observed values are wall timings, so only the counts can be
         # compared across two executions. Exact count/sum/min/max delta
-        # semantics are covered by the hypothesis suite in
-        # test_obs_harvest.py over controlled observations.
+        # semantics are covered over controlled observations by
+        # test_per_run_delta_folds_equal_the_one_shot_harvest below.
         oracle_hists = oracle_plane.registry._histograms
         assert set(pool_plane.registry._histograms) == set(oracle_hists)
         for name, h in pool_plane.registry._histograms.items():
             assert h.count == oracle_hists[name].count, name
 
-    def test_run_sharded_pool_equals_poolless_oracle(self):
-        """run_sharded(pool=...) against run_sharded(pool=None) — the
-        dual-path rule's named equivalence test."""
+    def test_reset_rearms_a_warm_pool_for_repeated_streams(self):
+        """The amortisation point: stream after stream through the same
+        processes, each equal to a fresh in-process one-shot."""
         records = keyed_records(400)
-        oracle_out = run_sharded(
-            window_pipeline, records, N_SHARDS,
-            watermark_factory=assigner, parallel=False, pool=None,
-        )
-        with ShardWorkerPool(
+        oracle_out = ShardedPipeline(
             window_pipeline, N_SHARDS, watermark_factory=assigner
-        ) as pool:
-            # The pool re-arms after each one-shot, so repeated calls work.
+        ).run_to_end(records)
+        with pooled(window_pipeline, N_SHARDS, watermark_factory=assigner) as pool:
+            pids = [host._proc.pid for host in pool.hosts]
             for _ in range(3):
-                pooled_out = run_sharded(
-                    window_pipeline, records, N_SHARDS,
-                    watermark_factory=assigner, pool=pool,
-                )
-                assert canonical(pooled_out) == canonical(oracle_out)
-
-    def test_run_sharded_rejects_mismatched_pool(self):
-        with ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner) as pool:
-            with pytest.raises(ValueError, match="shards"):
-                run_sharded(
-                    window_pipeline, keyed_records(10), 4,
-                    watermark_factory=assigner, pool=pool,
-                )
-
-    def test_run_sharded_rejects_obs_alongside_pool(self):
-        with ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner) as pool:
-            with pytest.raises(ValueError, match="obs"):
-                run_sharded(
-                    window_pipeline, keyed_records(10), 2,
-                    watermark_factory=assigner, pool=pool, obs=ShardedObsPlane(),
-                )
-
-    def test_finish_is_single_use_until_reset(self):
-        with ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner) as pool:
-            pool.run_to_end(keyed_records(50))
-            with pytest.raises(RuntimeError, match="finished"):
-                pool.run(keyed_records(10))
-            with pytest.raises(RuntimeError, match="finished"):
-                pool.finish()
-            pool.reset()
-            out = pool.run_to_end(keyed_records(50))
-            oracle = ShardedPipeline(window_pipeline, 2, watermark_factory=assigner)
-            assert canonical(out) == canonical(oracle.run_to_end(keyed_records(50)))
+                assert canonical(pool.run_to_end(records)) == canonical(oracle_out)
+                pool.reset()
+            assert [host._proc.pid for host in pool.hosts] == pids
 
     def test_dead_worker_detected_at_next_request(self):
-        with ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner) as pool:
+        with pooled(window_pipeline, 2, watermark_factory=assigner) as pool:
             pool.run(keyed_records(20))
             pool.hosts[1]._proc.terminate()
             pool.hosts[1]._proc.join(timeout=5.0)
@@ -269,7 +313,7 @@ class TestShardWorkerPool:
             assert err.value.shard == 1
 
     def test_restart_shard_respawns_fresh_replica(self):
-        with ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner) as pool:
+        with pooled(window_pipeline, 2, watermark_factory=assigner) as pool:
             pool.hosts[0]._proc.terminate()
             pool.hosts[0]._proc.join(timeout=5.0)
             pool.restart_shard(0)
@@ -284,26 +328,82 @@ class TestShardWorkerPool:
             )
 
     def test_closed_pool_refuses_requests(self):
-        pool = ShardWorkerPool(window_pipeline, 2, watermark_factory=assigner)
+        pool = pooled(window_pipeline, 2, watermark_factory=assigner)
         pool.close()
         assert all(not host.alive() for host in pool.hosts)
         with pytest.raises(RuntimeError, match="closed"):
             pool.run(keyed_records(10))
 
-    def test_needs_at_least_one_shard(self):
-        with pytest.raises(ValueError):
-            ShardWorkerPool(window_pipeline, 0)
+
+@dataclass(frozen=True)
+class ValueObsWorker:
+    """An obs recipe (the ``obs.worker`` protocol of ``streams.sharding``)
+    whose one histogram observes the record values themselves — quarters
+    here, so float sums are exact and folds can be compared bit for bit."""
+
+    def setup(self, shard, pipeline):
+        registry = MetricsRegistry()
+        seen = registry.counter("op.peek.records_in")
+        values = registry.histogram("op.peek.value")
+
+        def observe(record):
+            seen.inc()
+            values.observe(record.value)
+
+        pipeline.operators.insert(0, Peek(observe))
+        return registry
+
+    def harvest(self, shard, registry, wall_seconds, setup_seconds=0.0):
+        return harvest_obs(
+            shard, registry, wall_seconds=wall_seconds, setup_seconds=setup_seconds
+        )
+
+
+@pytest.mark.parametrize("worker_pool", [False, True])
+def test_per_run_delta_folds_equal_the_one_shot_harvest(worker_pool):
+    """The facade folds one delta harvest per run (the in-process one used
+    to fold a single harvest at finish); over >= 3 runs plus the finish,
+    what accumulates must be exactly what one harvest of the finished
+    replicas reports: counters, and histogram count/sum/min/max."""
+    records = [Record(float(i), (i % 37) / 4.0, key=f"vessel-{i % 7}") for i in range(600)]
+
+    def run_chunked(worker_pool):
+        plane = ShardedObsPlane()
+        plane.worker = ValueObsWorker()
+        sharded = ShardedPipeline(
+            window_pipeline, N_SHARDS, watermark_factory=assigner, obs=plane,
+            worker_pool=worker_pool,
+        )
+        with sharded:
+            for chunk in chunked(records, 4):
+                sharded.run(chunk)
+            sharded.finish()
+        return plane.registry, sharded.hosts
+
+    folded, _ = run_chunked(worker_pool)
+    _, finished = run_chunked(worker_pool=False)  # live replicas to harvest once
+    one_shot = MetricsRegistry()
+    fold_harvests(one_shot, [
+        ValueObsWorker().harvest(shard, host.state.obs_state, host.state.pipeline.wall_seconds)
+        for shard, host in enumerate(finished)
+    ])
+    assert folded.counters() == one_shot.counters()
+    assert folded.counters()["op.peek.records_in"] == len(records)
+    assert set(folded._histograms) == set(one_shot._histograms)
+    for name, expected in one_shot._histograms.items():
+        got = folded._histograms[name]
+        assert (got.count, got.sum, got.min, got.max) == (
+            expected.count, expected.sum, expected.min, expected.max
+        ), name
 
 
 class TestSetupExcludedFromWalls:
     """Satellite regression: replica build cost must be reported as
     setup_s, never folded into the run walls the critical-path speedup
-    is computed from — on the pool, sequential, and fork paths alike."""
+    is computed from — with the replicas in workers and in-process alike."""
 
     def test_pool_reports_setup_apart_from_run_walls(self):
-        with ShardWorkerPool(
-            slow_setup_pipeline, 2, watermark_factory=assigner
-        ) as pool:
+        with pooled(slow_setup_pipeline, 2, watermark_factory=assigner) as pool:
             pool.run_to_end(keyed_records(40))
             assert all(s >= 0.05 for s in pool.setup_seconds())
             assert all(w < 0.05 for w in pool.wall_seconds())
@@ -313,26 +413,6 @@ class TestSetupExcludedFromWalls:
         sharded.run_to_end(keyed_records(40))
         assert all(s >= 0.05 for s in sharded.setup_seconds())
         assert all(w < 0.05 for w in sharded.wall_seconds())
-
-    def test_fork_path_reports_setup_apart_from_run_walls(self):
-        """The fixed defect: parallel workers used to fold factory/build
-        cost into nothing at all — now it ships as the harvest's
-        setup_seconds and surfaces as shard.<i>.setup_s, leaving the
-        walls (and critical_path_speedup) pure steady-state numbers."""
-        plane = ShardedObsPlane(instrument=False)
-        run_sharded(
-            slow_setup_pipeline, keyed_records(40), 2,
-            watermark_factory=assigner, parallel=True, obs=plane,
-        )
-        setups = plane.shard_setups()
-        walls = plane.shard_walls()
-        assert len(setups) == 2
-        assert all(s >= 0.05 for s in setups)
-        assert all(w < 0.05 for w in walls)
-        # A tiny workload behind a slow factory: were setup folded into
-        # the walls, both shards would report >= 50ms and the gauges
-        # would be indistinguishable from real compute.
-        assert plane.registry.gauge("shard.0.setup_s").value() >= 0.05
 
 
 class TestRequestTimeout:
@@ -377,16 +457,14 @@ class TestRequestTimeout:
             host.close()
 
     def test_pool_default_is_generous_but_finite(self):
-        with ShardWorkerPool(window_pipeline, 1, watermark_factory=assigner) as pool:
+        with pooled(window_pipeline, 1, watermark_factory=assigner) as pool:
             assert all(
                 host.request_timeout_s == DEFAULT_REQUEST_TIMEOUT_S
                 for host in pool.hosts
             )
 
     def test_pool_recovers_from_hung_worker_via_restart(self):
-        with ShardWorkerPool(
-            hanging_pipeline, 1, request_timeout_s=0.4
-        ) as pool:
+        with pooled(hanging_pipeline, 1, request_timeout_s=0.4) as pool:
             with pytest.raises(ShardWorkerDied) as err:
                 pool.run(keyed_records(4))
             assert err.value.shard == 0
@@ -449,14 +527,13 @@ class TestPickleBoundaryRoundTrip:
     checker declares (or observes) crossing the worker IPC boundary must
     survive `pickle.dumps`/`loads` round-trips bit-equal."""
 
-    @given(batch_size=st.one_of(st.none(), st.integers(1, 4096)))
+    @given(seed=st.integers(0, 2**31), instrument=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_pipeline_worker_spec_round_trips(self, batch_size):
+    def test_pipeline_worker_spec_round_trips(self, seed, instrument):
         spec = _PipelineWorkerSpec(
             factory=window_pipeline,
             watermark_factory=assigner,
-            obs_worker=ShardObsWorker(seed=3, instrument=False),
-            batch_size=batch_size,
+            obs_worker=ShardObsWorker(seed=seed, instrument=instrument),
         )
         assert _bit_equal_roundtrip(spec)
 
