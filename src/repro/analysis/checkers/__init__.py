@@ -3,7 +3,6 @@
 from .determinism import DeterminismChecker
 from .dual_path import DualPathChecker
 from .hygiene import HygieneChecker
-from .ipc_protocol import IpcProtocolChecker
 from .layering import LayeringChecker
 from .metrics_contract import MetricContractChecker
 from .pickle_safety import PickleSafetyChecker
@@ -13,7 +12,6 @@ __all__ = [
     "DeterminismChecker",
     "DualPathChecker",
     "HygieneChecker",
-    "IpcProtocolChecker",
     "LayeringChecker",
     "MetricContractChecker",
     "PickleSafetyChecker",

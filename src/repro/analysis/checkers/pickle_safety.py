@@ -41,7 +41,7 @@ import ast
 from ..config import AnalysisConfig
 from ..model import Finding, Project, SourceFile
 from ..registry import Checker, register
-from ._util import dotted_name
+from ._util import connection_receiver
 
 #: Simple type names that never pickle (or hold OS state that must not
 #: cross a process boundary even where a custom reducer exists).
@@ -65,13 +65,6 @@ _UNPICKLABLE_TYPES = {
     "BufferedWriter",
     "Generator",
 }
-
-_CONN_MARKER = "conn"
-
-
-def _is_conn_receiver(expr: ast.expr) -> bool:
-    name = dotted_name(expr)
-    return bool(name) and _CONN_MARKER in name.split(".")[-1]
 
 
 def _annotation_names(expr: ast.expr) -> set[str]:
@@ -159,7 +152,7 @@ class PickleSafetyChecker(Checker):
             if fn_name == "Process":
                 yield from self._check_process_call(source, node, index, seeds, nested_fns)
             elif fn_name == "send" and isinstance(node.func, ast.Attribute):
-                if _is_conn_receiver(node.func.value) and node.args:
+                if connection_receiver(node.func.value) and node.args:
                     yield from self._check_boundary_expr(
                         source, node.args[0], index, seeds, "Connection.send payload"
                     )

@@ -46,7 +46,7 @@ import ast
 from ..config import AnalysisConfig
 from ..model import Finding, Project, SourceFile
 from ..registry import Checker, register
-from ._util import dotted_name
+from ._util import connection_receiver
 
 #: Acquisition constructors -> the methods that count as release.
 _RESOURCE_KINDS: dict[str, frozenset[str]] = {
@@ -57,8 +57,6 @@ _RESOURCE_KINDS: dict[str, frozenset[str]] = {
     "socket": frozenset({"close"}),
     "create_connection": frozenset({"close"}),
 }
-
-_CONN_MARKER = "conn"
 
 _OWNER_ENTRYPOINTS = ("close", "__exit__", "__del__")
 
@@ -301,8 +299,8 @@ class ResourceLifecycleChecker(Checker):
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
-            receiver = dotted_name(node.func.value)
-            if not receiver or _CONN_MARKER not in receiver.split(".")[-1]:
+            receiver = connection_receiver(node.func.value)
+            if not receiver:
                 continue
             if node.func.attr == "poll" and (node.args or node.keywords):
                 polled.add(receiver)

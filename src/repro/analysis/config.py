@@ -130,65 +130,6 @@ class LayeringConfig:
 
 
 @dataclass
-class IpcProtocolConfig:
-    """The declared IPC request/reply state machine (``tools/ipc_protocol.toml``).
-
-    ``requests`` maps each parent→worker request tag to the reply tags
-    the worker may answer it with; ``spawn_replies`` are the tags a
-    freshly spawned worker may open the conversation with (there is no
-    request for them — the spawn itself is the request). Every reply tag
-    is additionally classified as ``parent_matched`` (the parent must
-    compare against the literal tag) or ``parent_default`` (handled by a
-    catch-all branch, e.g. the best-effort shutdown ack) — the
-    ``ipc-protocol`` checker verifies the code on both sides against
-    this table and against the protocol table in the module docstring.
-    """
-
-    module: str
-    worker_functions: list[str] = field(default_factory=list)
-    requests: dict[str, list[str]] = field(default_factory=dict)
-    spawn_replies: list[str] = field(default_factory=list)
-    parent_matched: list[str] = field(default_factory=list)
-    parent_default: list[str] = field(default_factory=list)
-
-    def reply_tags(self) -> set[str]:
-        out = set(self.spawn_replies)
-        for replies in self.requests.values():
-            out.update(replies)
-        return out
-
-    def validate(self) -> None:
-        if not self.module:
-            raise ConfigError("ipc_protocol: `module` is required")
-        if not self.worker_functions:
-            raise ConfigError("ipc_protocol: `worker_functions` is required")
-        if not self.requests:
-            raise ConfigError("ipc_protocol: at least one [requests.<tag>] is required")
-        overlap = set(self.requests) & self.reply_tags()
-        if overlap:
-            raise ConfigError(
-                f"ipc_protocol: tags {sorted(overlap)} are both request and reply"
-            )
-        cases = set(self.parent_matched) | set(self.parent_default)
-        uncovered = self.reply_tags() - cases
-        if uncovered:
-            raise ConfigError(
-                f"ipc_protocol: reply tags {sorted(uncovered)} have no declared "
-                f"parent-side case (add to parent_cases.matched or .default)"
-            )
-        unknown = cases - self.reply_tags()
-        if unknown:
-            raise ConfigError(
-                f"ipc_protocol: parent_cases name undeclared reply tags {sorted(unknown)}"
-            )
-        both = set(self.parent_matched) & set(self.parent_default)
-        if both:
-            raise ConfigError(
-                f"ipc_protocol: tags {sorted(both)} are both matched and default"
-            )
-
-
-@dataclass
 class PickleSafetyConfig:
     """Roots of the fork/IPC pickle boundary (``[pickle_safety]``).
 
@@ -234,7 +175,6 @@ class AnalysisConfig:
     root: Path
     layering: LayeringConfig | None = None
     dual_path: DualPathConfig | None = None
-    ipc_protocol: IpcProtocolConfig | None = None
     pickle_safety: PickleSafetyConfig | None = None
     resource_lifecycle: ResourceLifecycleConfig | None = None
 
@@ -274,41 +214,10 @@ class AnalysisConfig:
                 if not isinstance(pkgs, list):
                     raise ConfigError("resource_lifecycle.packages must be an array")
                 resource_lifecycle = ResourceLifecycleConfig(packages=[str(p) for p in pkgs])
-        ipc_protocol = cls._load_ipc(root / "tools" / "ipc_protocol.toml")
         return cls(
             root=root,
             layering=layering,
             dual_path=dual_path,
-            ipc_protocol=ipc_protocol,
             pickle_safety=pickle_safety,
             resource_lifecycle=resource_lifecycle,
         )
-
-    @staticmethod
-    def _load_ipc(path: Path) -> IpcProtocolConfig | None:
-        if not path.is_file():
-            return None
-        doc = load_toml(path)
-        requests_doc = doc.get("requests", {})
-        if not isinstance(requests_doc, dict):
-            raise ConfigError("ipc_protocol: [requests.<tag>] tables expected")
-        requests: dict[str, list[str]] = {}
-        for tag, entry in requests_doc.items():
-            replies = entry.get("replies", []) if isinstance(entry, dict) else []
-            if not isinstance(replies, list) or not replies:
-                raise ConfigError(
-                    f"ipc_protocol: [requests.{tag}] needs a non-empty `replies` array"
-                )
-            requests[str(tag)] = [str(r) for r in replies]
-        spawn = doc.get("spawn", {})
-        cases = doc.get("parent_cases", {})
-        ipc = IpcProtocolConfig(
-            module=str(doc.get("module", "")),
-            worker_functions=[str(f) for f in doc.get("worker_functions", [])],
-            requests=requests,
-            spawn_replies=[str(r) for r in spawn.get("replies", [])],
-            parent_matched=[str(t) for t in cases.get("matched", [])],
-            parent_default=[str(t) for t in cases.get("default", [])],
-        )
-        ipc.validate()
-        return ipc

@@ -2,6 +2,7 @@
 
 from .batch import BatchLayer, BatchReport
 from .config import (
+    ALL_TOPICS,
     SystemConfig,
     TOPIC_CLEAN,
     TOPIC_EVENTS,
@@ -14,6 +15,7 @@ from .sharded import ShardedRealtimeLayer
 from .system import DatacronSystem, SystemRun
 
 __all__ = [
+    "ALL_TOPICS",
     "BatchLayer",
     "BatchReport",
     "DatacronSystem",

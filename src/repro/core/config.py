@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from ..datasources.regions import DEFAULT_BBOX
 from ..geo import BBox
 from ..insitu.quality import QualityConfig
+from ..streams.workers import DEFAULT_REQUEST_TIMEOUT_S
 from ..synopses import SynopsesConfig
 
 #: Topic names of the Kafka-surrogate wiring.
@@ -15,6 +16,8 @@ TOPIC_CLEAN = "surveillance.clean"
 TOPIC_SYNOPSES = "trajectories.synopses"
 TOPIC_LINKS = "enrichment.links"
 TOPIC_EVENTS = "events.detected"
+#: Every topic of the Figure-2 wiring, in dataflow order.
+ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
 
 @dataclass
@@ -45,11 +48,8 @@ class SystemConfig:
     #: Reply deadline (seconds) for worker-pool IPC: a hung-but-alive
     #: worker surfaces as ShardWorkerDied after this long instead of
     #: blocking the parent forever. None = unbounded waits.
-    worker_request_timeout_s: float | None = 300.0
+    worker_request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S
     #: Trace every Nth clean fix end to end (0 disables lineage tracing).
     trace_sample_every: int = 256
-    #: Broker publishes coalesce into batches of this size (the columnar
-    #: fast path through the Figure-2 loop); 1 restores per-fix publishing.
-    publish_batch_size: int = 256
     #: Ring size of the structured event log (oldest events overwritten).
     event_log_capacity: int = 1024

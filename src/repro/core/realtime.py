@@ -53,6 +53,7 @@ from ..synopses import CriticalPoint, SynopsesGenerator
 from ..va import Dashboard
 
 from .config import (
+    ALL_TOPICS,
     SystemConfig,
     TOPIC_CLEAN,
     TOPIC_EVENTS,
@@ -60,6 +61,11 @@ from .config import (
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
+
+
+#: Broker publishes coalesce into batches of this size (the columnar fast
+#: path through the Figure-2 loop).
+PUBLISH_BATCH_SIZE = 256
 
 
 @dataclass
@@ -98,7 +104,7 @@ class RealtimeLayer:
         self.tracer = Tracer()
         self.events = EventLog(capacity=cfg.event_log_capacity)
         self.broker = Broker()
-        for topic in (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS):
+        for topic in ALL_TOPICS:
             self.broker.create_topic(topic, partitions=2)
         instrument_broker(self.broker, self.metrics)
         watch_broker(self.broker, self.events)
@@ -179,11 +185,10 @@ class RealtimeLayer:
         # Publish per batch, not per fix: each Figure-2 hop buffers into a
         # TopicBatcher that flushes through the broker's publish_many fast
         # path (identical topic contents/offsets/stats to per-fix publishes).
-        batch_size = max(1, self.config.publish_batch_size)
-        raw_topic = TopicBatcher(self.broker.topic(TOPIC_RAW), batch_size)
-        clean_topic = TopicBatcher(self.broker.topic(TOPIC_CLEAN), batch_size)
-        syn_topic = TopicBatcher(self.broker.topic(TOPIC_SYNOPSES), batch_size)
-        link_topic = TopicBatcher(self.broker.topic(TOPIC_LINKS), batch_size)
+        raw_topic = TopicBatcher(self.broker.topic(TOPIC_RAW), PUBLISH_BATCH_SIZE)
+        clean_topic = TopicBatcher(self.broker.topic(TOPIC_CLEAN), PUBLISH_BATCH_SIZE)
+        syn_topic = TopicBatcher(self.broker.topic(TOPIC_SYNOPSES), PUBLISH_BATCH_SIZE)
+        link_topic = TopicBatcher(self.broker.topic(TOPIC_LINKS), PUBLISH_BATCH_SIZE)
         raw_counter = self.metrics.counter("stage.raw.records")
         self.events.emit("info", "realtime", "run_started")
 
@@ -263,7 +268,7 @@ class RealtimeLayer:
             probes["cep"].observe(
                 len(run.detections) + len(run.forecasts), perf_counter() - t0, n_in=len(cep_events)
             )
-            events_topic = TopicBatcher(self.broker.topic(TOPIC_EVENTS), batch_size)
+            events_topic = TopicBatcher(self.broker.topic(TOPIC_EVENTS), PUBLISH_BATCH_SIZE)
             for det in run.detections:
                 events_topic.add(Record(det.t, det))
                 self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")

@@ -66,17 +66,15 @@ from ..streams import (
 from ..va import Dashboard
 
 from .config import (
+    ALL_TOPICS,
     SystemConfig,
     TOPIC_CLEAN,
     TOPIC_EVENTS,
     TOPIC_LINKS,
-    TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
 from .frames import decode_reply, decode_request, encode_reply, encode_request
 from .realtime import RealtimeLayer, RealtimeReport
-
-_ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
 
 def _drain_all(consumer: Consumer) -> list[Record]:
@@ -120,7 +118,7 @@ class _RealtimeReplica:
             wall_seconds=wall_s,
             setup_seconds=self.setup_s,
         )
-        topics = {t: _drain_all(self.consumers[t]) for t in _ALL_TOPICS}
+        topics = {t: _drain_all(self.consumers[t]) for t in ALL_TOPICS}
         return layer.report, topics, wall_s, current
 
 
@@ -152,7 +150,7 @@ class _RealtimeShardSpec:
         t0 = perf_counter()
         layer = RealtimeLayer(self.config, enable_proximity=False)
         consumers = {
-            topic: layer.broker.consumer(topic, "merge") for topic in _ALL_TOPICS
+            topic: layer.broker.consumer(topic, "merge") for topic in ALL_TOPICS
         }
         return _RealtimeReplica(
             layer=layer, consumers=consumers, setup_s=perf_counter() - t0
@@ -200,7 +198,7 @@ class ShardedRealtimeLayer:
         self.tracer = Tracer()
         # The merged broker: what the batch layer and the dashboard read.
         self.broker = Broker()
-        for topic in _ALL_TOPICS:
+        for topic in ALL_TOPICS:
             self.broker.create_topic(topic, partitions=2)
         instrument_broker(self.broker, self.metrics)
         watch_broker(self.broker, self.events)
@@ -329,7 +327,7 @@ class ShardedRealtimeLayer:
         # The canonical ``(t, key)`` stable merge of every shard topic.
         merged = {
             topic: merge_shard_outputs([shard_topics[topic] for shard_topics in topics])
-            for topic in _ALL_TOPICS
+            for topic in ALL_TOPICS
         }
         # The merged-stream consumer is where the paper's headline number
         # lives on the sharded path: ingest wall stamp (record provenance,

@@ -21,23 +21,15 @@ shard and collects a reply from every shard; the pipeline facade
 (``repro.core.sharded``) both run through it, so the two transports
 execute the same code and differ only in the host.
 
-Protocol of the process host (strict lockstep — at most one outstanding
+Protocol of the process host: strict lockstep — at most one outstanding
 request per worker, so the pipe can never deadlock; the parent scatters
-to all shards before gathering, so shards compute concurrently):
-
-==================  ==================================================
-parent → worker     worker → parent
-==================  ==================================================
-(spawn)             ``("ready", setup_s)`` or ``("fatal", repr(exc))``
-``("req", p)``      ``("ok", response)`` or ``("err", repr(exc))``
-``("reset",)``      ``("ready", setup_s)`` or ``("err", repr(exc))``
-``("close",)``      ``("closed",)``, then the process exits
-==================  ==================================================
-
-This table is cross-checked against ``tools/ipc_protocol.toml`` by the
-``ipc-protocol`` checker: the spec is the machine-readable source of
-truth, this table the human-readable one, and drift in either is a
-lint error.
+to all shards before gathering, so shards compute concurrently. The
+protocol is declared once, as data both ends run on: :data:`PROTOCOL`
+below maps each request tag to the reply tags that may answer it. The
+parent writes frames only through :meth:`WorkerHost._send` and reads
+them only through :meth:`WorkerHost._expect`, which refuses a reply
+:data:`PROTOCOL` does not list for the request; the worker dispatches
+through one handler table keyed by the same request tags.
 
 Payloads (``p`` / ``response``) are opaque to the protocol — a
 :class:`WorkerSpec` owns their shape. The pipeline facade ships
@@ -73,6 +65,25 @@ DEFAULT_REQUEST_TIMEOUT_S = 300.0
 
 #: Bounded wait for the ``("closed",)`` shutdown ack before reaping anyway.
 _CLOSE_ACK_TIMEOUT_S = 5.0
+
+# Frame tags. A frame is the tuple ``(tag, *payload)``.
+REQ, RESET, CLOSE = "req", "reset", "close"  # parent → worker
+READY, FATAL, OK, ERR, CLOSED = "ready", "fatal", "ok", "err", "closed"  # worker → parent
+
+#: The whole protocol: request tag → the reply tags that may answer it.
+#: ``None`` is the spawn itself — a new worker speaks first.
+PROTOCOL: dict[str | None, tuple[str, ...]] = {
+    None: (READY, FATAL),  # (spawn)    → ("ready", setup_s) | ("fatal", repr(exc)), then exits
+    REQ: (OK, ERR),        # ("req", p) → ("ok", response)   | ("err", repr(exc))
+    RESET: (READY, ERR),   # ("reset",) → ("ready", setup_s) | ("err", repr(exc))
+    CLOSE: (CLOSED,),      # ("close",) → ("closed",), then exits
+}
+
+#: Replies that mean the request failed inside the replica: the parent
+#: raises :class:`ShardWorkerError` with their payload.
+_FAILED = (ERR, FATAL)
+#: Replies after which the worker process exits.
+_LAST_WORDS = (FATAL, CLOSED)
 
 
 class ShardWorkerDied(RuntimeError):
@@ -116,51 +127,70 @@ class WorkerSpec(Protocol):
     def handle(self, shard: int, state: Any, request: Any) -> Any: ...
 
 
-def _worker_main(conn: multiprocessing.connection.Connection, spec: Any, shard: int) -> None:
-    """Long-lived worker loop: build the replica once, serve lockstep requests."""
-    try:
+class _Replica:
+    """Worker-side state, and the handler of each request tag."""
+
+    def __init__(self, spec: Any, shard: int):
+        self.spec = spec
+        self.shard = shard
+        self.state: Any = None
+
+    def build(self) -> tuple:
         t0 = perf_counter()
-        state = spec.setup(shard)
-        conn.send(("ready", perf_counter() - t0))
-    # reprolint: disable=hygiene — IPC boundary: any setup failure must travel
-    # to the parent as a ("fatal", repr) frame, never crash the worker silently.
-    except Exception as exc:
-        # Setup is fatal: report and exit, the parent raises ShardWorkerError.
-        conn.send(("fatal", repr(exc)))
-        conn.close()
-        return
+        self.state = self.spec.setup(self.shard)
+        return READY, perf_counter() - t0
+
+    def serve(self, payload: Any) -> tuple:
+        return OK, self.spec.handle(self.shard, self.state, payload)
+
+
+#: Worker-side dispatch, keyed by the request tags of :data:`PROTOCOL`.
+_HANDLERS: dict[str | None, Callable[..., tuple]] = {
+    None: _Replica.build,
+    REQ: _Replica.serve,
+    RESET: _Replica.build,
+    CLOSE: lambda replica: (CLOSED,),
+}
+
+
+def _worker_main(
+    conn: multiprocessing.connection.Connection,
+    parent_conn: multiprocessing.connection.Connection,
+    spec: Any,
+    shard: int,
+) -> None:
+    """Long-lived worker loop: build the replica once, serve lockstep requests."""
+    # Our copy of the parent's end of the pipe (inherited under fork, shipped
+    # under spawn). While anyone holds that end open a dead parent never
+    # reads as EOF below and this worker outlives it forever. (Workers forked
+    # later inherit a copy too; theirs closes when they exit on their own EOF.)
+    parent_conn.close()
+    replica = _Replica(spec, shard)
+    frame: tuple = (None,)  # the spawn is the first request
     while True:
+        request, *payload = frame
+        try:
+            if request not in _HANDLERS:
+                raise ValueError(f"unknown message kind {request!r}")
+            reply = _HANDLERS[request](replica, *payload)
+            conn.send(reply)
+        # reprolint: disable=hygiene — IPC boundary: whatever a handler raises
+        # (or a response that will not pickle) must travel to the parent as an
+        # ("err", repr) frame and leave the worker serving — ("fatal", repr) for
+        # the first build; the exception object itself may hold unpicklable
+        # operator state, so only its repr crosses.
+        except Exception as exc:
+            reply = (FATAL if request is None else ERR, repr(exc))
+            conn.send(reply)
+        if reply[0] in _LAST_WORDS:
+            break
         try:
             # reprolint: disable=resource-lifecycle — the worker idles here by
-            # design between lockstep requests; liveness is owned by the parent
-            # (its request deadline), and a dead parent surfaces as EOF below.
-            msg = conn.recv()
+            # design between lockstep requests; the parent owns liveness (its
+            # request deadline), and a dead parent reads as EOF.
+            frame = conn.recv()
         except (EOFError, OSError):
             break  # parent is gone; nothing left to serve
-        kind = msg[0]
-        if kind == "close":
-            conn.send(("closed",))
-            break
-        if kind == "reset":
-            try:
-                t0 = perf_counter()
-                state = spec.setup(shard)
-                conn.send(("ready", perf_counter() - t0))
-            # reprolint: disable=hygiene — IPC boundary: rebuild failures must
-            # travel as ("err", repr) frames and leave the worker serving.
-            except Exception as exc:
-                conn.send(("err", repr(exc)))
-            continue
-        if kind == "req":
-            try:
-                conn.send(("ok", spec.handle(shard, state, msg[1])))
-            # reprolint: disable=hygiene — IPC boundary: replica exceptions must
-            # travel as ("err", repr) frames (the exception object itself may
-            # hold unpicklable operator state) and leave the worker serving.
-            except Exception as exc:
-                conn.send(("err", repr(exc)))
-            continue
-        conn.send(("err", f"unknown message kind {kind!r}"))
     conn.close()
 
 
@@ -212,25 +242,14 @@ class WorkerHost:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.spec, self.shard),
+            args=(child_conn, parent_conn, self.spec, self.shard),
             name=f"shard-worker-{self.shard}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
         self._proc, self._conn = proc, parent_conn
-        kind, payload = self._recv()
-        if kind == "ready":
-            self.setup_s += payload
-        elif kind == "fatal":
-            # The worker reported a setup failure and is exiting; reap it.
-            self._terminate()
-            raise ShardWorkerError(self.shard, str(payload))
-        else:
-            self._terminate()
-            raise ShardWorkerDied(
-                self.shard, f"protocol violation: unexpected spawn reply {kind!r}"
-            )
+        self.setup_s += self._expect(None)
 
     def alive(self) -> bool:
         """Whether the worker process is currently running."""
@@ -238,24 +257,11 @@ class WorkerHost:
 
     def send(self, payload: Any) -> None:
         """Ship one request frame (batched records pickle as one message)."""
-        self._ensure_alive()
-        assert self._conn is not None
-        try:
-            self._conn.send(("req", payload))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerDied(self.shard, repr(exc)) from exc
+        self._send(REQ, payload)
 
     def receive(self) -> Any:
         """Block for the matching response frame of the last :meth:`send`."""
-        kind, payload = self._recv()
-        if kind == "ok":
-            return payload
-        if kind == "err":
-            raise ShardWorkerError(self.shard, str(payload))
-        self._terminate()
-        raise ShardWorkerDied(
-            self.shard, f"protocol violation: unexpected request reply {kind!r}"
-        )
+        return self._expect(REQ)
 
     def request(self, payload: Any) -> Any:
         """Lockstep convenience: :meth:`send` then :meth:`receive`."""
@@ -264,22 +270,8 @@ class WorkerHost:
 
     def reset(self) -> None:
         """Rebuild the replica in place (same process, fresh state)."""
-        self._ensure_alive()
-        assert self._conn is not None
-        try:
-            self._conn.send(("reset",))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerDied(self.shard, repr(exc)) from exc
-        kind, payload = self._recv()
-        if kind == "ready":
-            self.setup_s += payload
-        elif kind == "err":
-            raise ShardWorkerError(self.shard, str(payload))
-        else:
-            self._terminate()
-            raise ShardWorkerDied(
-                self.shard, f"protocol violation: unexpected reset reply {kind!r}"
-            )
+        self._send(RESET)
+        self.setup_s += self._expect(RESET)
 
     def restart(self) -> None:
         """Kill the process (alive or not) and spawn a fresh replica."""
@@ -288,17 +280,11 @@ class WorkerHost:
 
     def close(self) -> None:
         """Clean shutdown: ask the worker to exit, then reap it. Idempotent."""
-        if self._proc is None:
-            return
-        if self._proc.is_alive() and self._conn is not None:
+        if self.alive():
             try:
-                self._conn.send(("close",))
-                # Bounded wait for the ("closed",) ack (or EOF if it raced
-                # exit) — shutdown must not hang on a wedged worker; the
-                # _terminate() below reaps it regardless of what arrived.
-                if self._conn.poll(_CLOSE_ACK_TIMEOUT_S):
-                    self._conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
+                self._send(CLOSE)
+                self._expect(CLOSE)
+            except ShardWorkerDied:
                 pass  # reprolint: disable=hygiene — best-effort shutdown: the worker may already be gone
         self._terminate()
 
@@ -312,28 +298,51 @@ class WorkerHost:
             self._proc.join(timeout=5.0)
             self._proc = None
 
-    def _ensure_alive(self) -> None:
+    def _send(self, tag: str, *payload: Any) -> None:
+        """Write the frame ``(tag, *payload)`` — the parent's only write."""
         if not self.alive():
             raise ShardWorkerDied(self.shard)
-
-    def _recv(self) -> tuple[str, Any]:
         assert self._conn is not None
         try:
-            if self.request_timeout_s is not None and not self._conn.poll(
-                self.request_timeout_s
-            ):
-                # The worker is alive but did not reply in time. The
-                # lockstep is now desynchronised — a late reply could pair
-                # with the wrong request — so the only safe recovery is to
-                # kill the worker and report it dead.
-                self._terminate()
-                raise ShardWorkerDied(
-                    self.shard,
-                    f"no reply within {self.request_timeout_s}s (worker hung)",
-                )
-            return self._conn.recv()
-        except (EOFError, OSError) as exc:
+            self._conn.send((tag, *payload))
+        except (BrokenPipeError, OSError) as exc:
             raise ShardWorkerDied(self.shard, repr(exc)) from exc
+
+    def _expect(self, request: str | None) -> Any:
+        """Read the one reply to ``request`` — the parent's only read.
+
+        Returns the reply's payload; a reply in :data:`_FAILED` raises
+        :class:`ShardWorkerError` instead. No frame before the deadline,
+        EOF, or a tag :data:`PROTOCOL` does not list for ``request`` all
+        mean the lockstep is lost (a late or stray reply could pair with
+        the wrong request), so the worker is killed and reported dead.
+        """
+        if self._conn is None:
+            raise ShardWorkerDied(self.shard)
+        # The shutdown ack is bounded even when requests are not:
+        # close() must not hang on a wedged worker.
+        timeout_s = _CLOSE_ACK_TIMEOUT_S if request == CLOSE else self.request_timeout_s
+        detail: str | None = None
+        cause: Exception | None = None
+        try:
+            if timeout_s is not None and not self._conn.poll(timeout_s):
+                detail = f"no reply within {timeout_s}s (worker hung)"
+            else:
+                tag, *payload = self._conn.recv()
+                if tag not in PROTOCOL[request]:
+                    detail = (
+                        f"protocol violation: unexpected {request or 'spawn'} reply {tag!r}"
+                    )
+        except (EOFError, OSError) as exc:
+            detail, cause = repr(exc), exc
+        if detail is not None:
+            self._terminate()
+            raise ShardWorkerDied(self.shard, detail) from cause
+        if tag in _LAST_WORDS:
+            self._terminate()  # the worker is exiting by itself; reap it
+        if tag in _FAILED:
+            raise ShardWorkerError(self.shard, str(payload[0]))
+        return payload[0] if payload else None
 
 
 class InlineHost:
@@ -388,12 +397,19 @@ def shard_hosts(
     """One host per shard for ``spec``: worker processes with
     ``worker_pool``, inline otherwise. The caller owns them and must
     ``close`` each."""
-    if worker_pool:
-        return [
-            WorkerHost(spec, shard, request_timeout_s=request_timeout_s)
-            for shard in range(n_shards)
-        ]
-    return [InlineHost(spec, shard) for shard in range(n_shards)]
+    if not worker_pool:
+        return [InlineHost(spec, shard) for shard in range(n_shards)]
+    hosts: list[Any] = []
+    try:
+        for shard in range(n_shards):
+            hosts.append(WorkerHost(spec, shard, request_timeout_s=request_timeout_s))
+    # reprolint: disable=hygiene — not a handler: whatever stops a later shard
+    # from starting, the workers already running are closed, then it re-raises.
+    except BaseException:
+        for host in hosts:
+            host.close()
+        raise
+    return hosts
 
 
 def scatter_gather(

@@ -697,163 +697,6 @@ class TestHygieneChecker:
         assert any(r.suppressed for r in result.rows)
 
 
-IPC_PROTOCOL_TOML = """
-module = "repro.streams.link"
-worker_functions = ["serve"]
-
-[spawn]
-replies = ["ready"]
-
-[requests.req]
-replies = ["ok", "err"]
-
-[parent_cases]
-matched = ["ready", "ok", "err"]
-"""
-
-IPC_CLEAN_MODULE = '''\
-"""A toy lockstep protocol.
-
-========== ======================
-("req")    ("ok") or ("err")
-========== ======================
-
-Spawn-time the worker sends ("ready").
-"""
-
-
-def serve(conn):
-    conn.send(("ready",))
-    while True:
-        msg = conn.recv()
-        kind = msg[0]
-        if kind == "req":
-            conn.send(("ok", 1))
-        else:
-            conn.send(("err", "boom"))
-
-
-class Host:
-    def __init__(self, conn):
-        self._conn = conn
-
-    def call(self):
-        self._conn.send(("req", 1))
-        if not self._conn.poll(5.0):
-            raise TimeoutError
-        tag, payload = self._conn.recv()
-        if tag == "ready":
-            return None
-        if tag == "ok":
-            return payload
-        if tag == "err":
-            raise RuntimeError(payload)
-        raise RuntimeError(tag)
-'''
-
-
-class TestIpcProtocolChecker:
-    def _project(self, tmp_path, module_text, protocol_toml=IPC_PROTOCOL_TOML):
-        return write_project(
-            tmp_path,
-            {
-                "tools/ipc_protocol.toml": protocol_toml,
-                "src/repro/streams/link.py": module_text,
-            },
-        )
-
-    def test_conforming_module_is_clean(self, tmp_path):
-        root = self._project(tmp_path, IPC_CLEAN_MODULE)
-        result = run_analysis(root, checks=["ipc-protocol"])
-        assert new_findings_of(result, "ipc-protocol") == []
-
-    def test_undeclared_reply_tag_fires_both_directions(self, tmp_path):
-        # Worker misspells "ok" as "done": the sent tag is undeclared AND
-        # the declared "ok" becomes a reply the worker never produces.
-        root = self._project(
-            tmp_path, IPC_CLEAN_MODULE.replace('conn.send(("ok", 1))', 'conn.send(("done", 1))')
-        )
-        messages = [
-            f.message
-            for f in new_findings_of(run_analysis(root, checks=["ipc-protocol"]), "ipc-protocol")
-        ]
-        assert any("undeclared reply tag 'done'" in m for m in messages)
-        assert any("'ok'" in m and "worker never sends" in m for m in messages)
-
-    def test_request_without_worker_handler_fires(self, tmp_path):
-        root = self._project(
-            tmp_path, IPC_CLEAN_MODULE.replace('if kind == "req":', "if False:")
-        )
-        messages = [
-            f.message
-            for f in new_findings_of(run_analysis(root, checks=["ipc-protocol"]), "ipc-protocol")
-        ]
-        assert any("'req' has no worker-side handler" in m for m in messages)
-
-    def test_docstring_drift_fires(self, tmp_path):
-        root = self._project(
-            tmp_path, IPC_CLEAN_MODULE.replace('("ok") or ("err")', '("ok")')
-        )
-        messages = [
-            f.message
-            for f in new_findings_of(run_analysis(root, checks=["ipc-protocol"]), "ipc-protocol")
-        ]
-        assert any("'err' is not documented" in m for m in messages)
-
-    def test_opaque_send_fires_and_pragma_suppresses(self, tmp_path):
-        bad = IPC_CLEAN_MODULE.replace(
-            'conn.send(("ready",))',
-            'conn.send(("ready",))\n    conn.send(make_frame())',
-        )
-        root = self._project(tmp_path, bad)
-        result = run_analysis(root, checks=["ipc-protocol"])
-        assert any(
-            "without a literal tag" in f.message
-            for f in new_findings_of(result, "ipc-protocol")
-        )
-        ok = bad.replace(
-            "conn.send(make_frame())",
-            "conn.send(make_frame())  # reprolint: disable=ipc-protocol — framed upstream",
-        )
-        result = run_analysis(self._project(tmp_path, ok), checks=["ipc-protocol"])
-        assert new_findings_of(result, "ipc-protocol") == []
-
-    def test_missing_module_is_an_error(self, tmp_path):
-        root = write_project(
-            tmp_path, {"tools/ipc_protocol.toml": IPC_PROTOCOL_TOML}
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["ipc-protocol"]), "ipc-protocol"
-        )
-        assert len(findings) == 1
-        assert findings[0].path == "tools/ipc_protocol.toml"
-        assert "no such" in findings[0].message
-
-    def test_inert_without_spec_file(self, tmp_path):
-        root = write_project(
-            tmp_path, {"src/repro/streams/link.py": IPC_CLEAN_MODULE}
-        )
-        result = run_analysis(root, checks=["ipc-protocol"])
-        assert findings_of(result, "ipc-protocol") == []
-
-    def test_payload_tags_stay_out_of_the_protocol_surface(self, tmp_path):
-        # "run" is an application-level tag inside a ("req", payload)
-        # frame: host.send(payload) is not a connection send, and the
-        # worker compares against payload content, not a recv result.
-        extended = IPC_CLEAN_MODULE + (
-            "\n"
-            "def submit(host, records):\n"
-            '    host.send(("run", records))\n'
-        )
-        root = self._project(tmp_path, extended)
-        result = run_analysis(root, checks=["ipc-protocol"])
-        assert new_findings_of(result, "ipc-protocol") == []
-
-    def test_real_worker_module_conforms_at_head(self):
-        result = run_analysis(REPO_ROOT, checks=["ipc-protocol"])
-        assert new_findings_of(result, "ipc-protocol") == []
-
-
 PICKLE_TOML = LAYERING_TOML + """
 [pickle_safety]
 boundary_roots = ["repro.streams.spec.WorkerSpec"]
@@ -1205,18 +1048,16 @@ class TestBaselineAndReporting:
         }
         assert finding["path"] == "src/repro/streams/bad.py"
 
-    def test_checker_registry_has_the_eight_checkers(self):
-        names = set(all_checkers())
-        assert {
+    def test_checker_registry_has_the_seven_checkers(self):
+        assert set(all_checkers()) == {
             "layering",
             "determinism",
             "metric-contract",
             "dual-path",
             "hygiene",
-            "ipc-protocol",
             "pickle-safety",
             "resource-lifecycle",
-        } <= names
+        }
 
 
 class TestCliContract:
@@ -1269,7 +1110,6 @@ class TestCliContract:
             "metric-contract",
             "dual-path",
             "hygiene",
-            "ipc-protocol",
             "pickle-safety",
             "resource-lifecycle",
         ):

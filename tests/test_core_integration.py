@@ -3,22 +3,18 @@
 import pytest
 
 from repro.core import (
+    ALL_TOPICS,
     BatchLayer,
     DatacronSystem,
     RealtimeLayer,
     ShardedRealtimeLayer,
     SystemConfig,
-    TOPIC_CLEAN,
-    TOPIC_EVENTS,
     TOPIC_LINKS,
-    TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
 from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.synopses import SynopsesGenerator
-
-ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
 
 
 @pytest.fixture(scope="module")

@@ -8,14 +8,16 @@ that hold by construction, and these tests make it load-bearing.
 
 from dataclasses import replace
 
+import multiprocessing
+
 import pytest
 
 from repro.core import (
+    ALL_TOPICS,
     RealtimeLayer,
     ShardedRealtimeLayer,
     SystemConfig,
     TOPIC_CLEAN,
-    TOPIC_EVENTS,
     TOPIC_LINKS,
     TOPIC_RAW,
     TOPIC_SYNOPSES,
@@ -24,8 +26,7 @@ from repro.core.frames import decode_reply, encode_request
 from repro.core.sharded import _RealtimeShardSpec
 from repro.datasources import AISSimulator
 from repro.streams import ShardWorkerError, WorkerHost
-
-ALL_TOPICS = (TOPIC_RAW, TOPIC_CLEAN, TOPIC_SYNOPSES, TOPIC_LINKS, TOPIC_EVENTS)
+from repro.streams.workers import InlineHost
 
 
 @pytest.fixture(scope="module")
@@ -470,3 +471,18 @@ class TestShardFrames:
             assert [r.value for r in topics[TOPIC_RAW]] == poll
         finally:
             host.close()
+
+    def test_spawn_context_worker_replies_like_the_inline_host(self, fixes):
+        """Every other test forks, which copies the spec; only ``spawn``
+        pickles it (and ships the parent's pipe end the worker closes)."""
+        spec, poll = _RealtimeShardSpec(self.CFG), fixes[:400]
+        inline = InlineHost(spec, 0)
+        inline.send(poll)
+        report, want, _, _ = inline.receive()
+        host = WorkerHost(spec, 0, context=multiprocessing.get_context("spawn"))
+        try:
+            reply, got = decode_reply(host.request(encode_request(poll)), poll)
+        finally:
+            host.close()
+        assert reply.report == report
+        assert_same_records(got, want)

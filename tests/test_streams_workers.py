@@ -11,8 +11,13 @@ and everything only a process can do (die, hang, restart, be closed).
 """
 
 import math
+import multiprocessing
+import os
 import pickle
+import signal
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -28,7 +33,8 @@ from repro.linkdiscovery import Link
 from repro.obs import MetricsRegistry, ShardedObsPlane, fold_harvests, harvest_obs
 from repro.obs.harvest import HistogramSnapshot, MetricsSnapshot, ObsHarvest, ShardObsWorker
 from repro.streams.sharding import _PipelineWorkerSpec
-from repro.streams.workers import DEFAULT_REQUEST_TIMEOUT_S
+from repro.streams import workers
+from repro.streams.workers import CLOSE, DEFAULT_REQUEST_TIMEOUT_S, PROTOCOL, REQ, RESET
 from repro.synopses import CriticalPoint
 from repro.streams import (
     Map,
@@ -471,6 +477,191 @@ class TestRequestTimeout:
             assert not pool.hosts[0].alive()
             pool.restart_shard(0)
             assert pool.hosts[0].alive()
+
+
+@dataclass(frozen=True)
+class FragileSpec:
+    """WorkerSpec whose every failure can be provoked: a replica that
+    cannot be built at spawn (``unbuildable`` for all shards, ``bad_shard``
+    for one), a request that raises, and a rebuild that fails once
+    ``handle("break")`` has poisoned the worker process."""
+
+    unbuildable: bool = False
+    bad_shard: int = -1
+
+    def setup(self, shard):
+        if self.unbuildable or shard == self.bad_shard or os.environ.get("FRAGILE_BROKEN"):
+            raise RuntimeError("no replica")
+        return None
+
+    def handle(self, shard, state, request):
+        if request == "break":
+            os.environ["FRAGILE_BROKEN"] = "1"  # this worker process only
+        if request == "boom":
+            raise ValueError("requested failure")
+        return request
+
+
+def _drive_reset(host, fail):
+    if fail:
+        host.request("break")
+    host.reset()
+
+
+def _drive_close(host, fail):
+    host._send(CLOSE)  # close() itself swallows what _expect raises
+    host._expect(CLOSE)
+
+
+#: How the parent issues each request of the protocol — keyed like
+#: ``PROTOCOL``, so a request added there without a way to drive it here
+#: fails the conformance tests with a ``KeyError``.
+DRIVE = {
+    None: lambda host, fail: host.start(),
+    REQ: lambda host, fail: host.request("boom" if fail else "fine"),
+    RESET: _drive_reset,
+    CLOSE: _drive_close,
+}
+
+ALL_REPLIES = sorted({reply for replies in PROTOCOL.values() for reply in replies})
+
+
+def _scripted_peer(conn, parent_conn, script, shard):
+    """Stands in for ``_worker_main``: answers the spawn and then each
+    request with the next scripted frame, whatever was asked."""
+    parent_conn.close()
+    try:
+        for frame in script:
+            conn.send(frame)
+            conn.recv()
+    except EOFError:
+        pass
+
+
+def _shard_workers():
+    return [p for p in multiprocessing.active_children() if p.name.startswith("shard-worker-")]
+
+
+class TestProtocolConformance:
+    """``workers.PROTOCOL`` is the spec; these run it against both ends."""
+
+    def test_worker_handles_exactly_the_declared_requests(self):
+        assert set(workers._HANDLERS) == set(PROTOCOL)
+
+    @pytest.mark.parametrize(
+        "request_tag, reply",
+        [(request, reply) for request, replies in PROTOCOL.items() for reply in replies],
+    )
+    def test_a_real_worker_reaches_every_declared_reply(self, request_tag, reply):
+        """``_expect`` returns only for a declared success reply and raises
+        ``ShardWorkerError`` only for a declared failure reply, and no row
+        declares two of either — so the outcome names the tag that came."""
+        fail = reply in workers._FAILED
+        spec = FragileSpec(unbuildable=fail and request_tag is None)
+        host = WorkerHost(spec, 6, start=request_tag is not None)
+        try:
+            if fail:
+                with pytest.raises(ShardWorkerError) as err:
+                    DRIVE[request_tag](host, fail)
+                assert err.value.shard == 6
+            else:
+                DRIVE[request_tag](host, fail)
+            assert host.alive() == (reply not in workers._LAST_WORDS)
+        finally:
+            host.close()
+
+    @pytest.mark.parametrize(
+        "request_tag, stray",
+        [
+            (request, stray)
+            for request, replies in PROTOCOL.items()
+            for stray in ("bogus", *ALL_REPLIES)
+            if stray not in replies
+        ],
+    )
+    def test_undeclared_reply_kills_the_worker_and_names_the_shard(
+        self, monkeypatch, request_tag, stray
+    ):
+        monkeypatch.setattr(workers, "_worker_main", _scripted_peer)
+        script = [(stray, "x")] if request_tag is None else [("ready", 0.0), (stray, "x")]
+        host = WorkerHost(script, 7, start=False, request_timeout_s=10.0)
+        try:
+            if request_tag is not None:
+                host.start()
+            with pytest.raises(ShardWorkerDied, match="protocol violation") as err:
+                DRIVE[request_tag](host, False)
+            assert err.value.shard == 7 and repr(stray) in str(err.value)
+            assert not host.alive() and not _shard_workers()
+        finally:
+            host.close()
+
+    def test_unknown_request_is_answered_err_and_the_worker_keeps_serving(self):
+        host = WorkerHost(EchoSpec(), 2)
+        try:
+            host._send("bogus", 1)
+            with pytest.raises(ShardWorkerError, match="unknown message kind 'bogus'"):
+                host.receive()
+            assert host.request("after") == (2, "after")
+        finally:
+            host.close()
+
+
+class TestNoStrandedWorkers:
+    """A worker must not outlive what owns it."""
+
+    def test_failed_start_of_a_later_shard_closes_the_earlier_ones(self):
+        with pytest.raises(ShardWorkerError) as err:
+            shard_hosts(FragileSpec(bad_shard=1), 3, True)
+        assert err.value.shard == 1
+        assert not _shard_workers()
+
+    def test_spawn_that_ends_in_eof_leaves_nothing_behind(self, monkeypatch):
+        monkeypatch.setattr(workers, "_worker_main", _scripted_peer)
+        host = WorkerHost([], 0, start=False)  # the peer exits without a word
+        with pytest.raises(ShardWorkerDied):
+            host.start()
+        assert host._proc is None and host._conn is None
+
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """SIGKILL runs no cleanup in the parent: the workers must notice
+        by themselves, as EOF on their pipe."""
+        script = (
+            "import time\n"
+            "from repro.core import SystemConfig\n"
+            "from repro.core.sharded import _RealtimeShardSpec\n"
+            "from repro.streams import shard_hosts\n"
+            "cfg = SystemConfig(n_regions=10, n_ports=4)\n"
+            "hosts = shard_hosts(_RealtimeShardSpec(cfg), 2, True)\n"
+            "print(*(host._proc.pid for host in hosts), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+        )
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        try:
+            assert len(pids) == 2
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 5.0
+            while not all(map(_exited, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            parent.kill()
+            parent.stdout.close()
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _exited(pid) -> bool:
+    """Gone, or a zombie nobody has reaped yet (its parent was killed)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _bit_equal_roundtrip(obj) -> bool:
