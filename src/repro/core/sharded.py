@@ -3,17 +3,12 @@
 The multi-core deployment of :class:`~repro.core.realtime.RealtimeLayer`
 on the sharded execution substrate (``repro.streams.sharding``): the
 surveillance stream is partitioned by ``entity_id`` across
-``SystemConfig.n_shards`` full replicas, each owning partition-local
-state for every per-entity stage (cleaning, in-situ area events,
-synopses, region/port link discovery, weather enrichment). Stages whose
-state spans entities cannot be partitioned that way and run once, on the
-*merged* stream:
-
-* **proximity discovery** — pairs of entities may land on different
-  shards; per-shard discovery would silently miss every cross-shard pair;
-* **complex event recognition** — the Wayeb engine consumes one global
-  symbol sequence;
-* **the dashboard** — one situational picture over all entities.
+``SystemConfig.n_shards`` replicas of the per-entity half of Figure 2
+(:class:`~repro.core.realtime.EntityStages`), each owning partition-local
+state. The cross-entity half (:class:`~repro.core.realtime.GlobalStages`:
+proximity, complex event recognition, the dashboard) cannot be
+partitioned that way — per-shard proximity would silently miss every
+cross-shard pair — and runs once, here, on the *merged* stream.
 
 The merge is canonical: per-shard topic streams are combined with the
 substrate's ``(t, key)`` stable merge, so the merged stream — and
@@ -31,30 +26,12 @@ the routing-balance number the sharded throughput floor gates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter, time as wall_clock
+from time import perf_counter
 from typing import Any, Iterable, Iterator
 
-from ..cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
 from ..geo import PositionFix
-from ..insitu import QualityReport
-from ..linkdiscovery import MovingProximityDiscoverer
-from ..obs import (
-    EventLog,
-    HealthMonitor,
-    MetricsRegistry,
-    ObsHarvest,
-    OperatorProbe,
-    Tracer,
-    consumer_lags,
-    default_realtime_rules,
-    fold_harvests,
-    harvest_obs,
-    instrument_broker,
-    operator_rates,
-    watch_broker,
-)
+from ..obs import ObsHarvest, fold_harvests, harvest_obs
 from ..streams import (
-    Broker,
     Consumer,
     Record,
     critical_path_speedup,
@@ -63,7 +40,6 @@ from ..streams import (
     shard_hosts,
     shard_index,
 )
-from ..va import Dashboard
 
 from .config import (
     ALL_TOPICS,
@@ -74,7 +50,7 @@ from .config import (
     TOPIC_SYNOPSES,
 )
 from .frames import decode_reply, decode_request, encode_reply, encode_request
-from .realtime import RealtimeLayer, RealtimeReport
+from .realtime import EntityStages, Figure2Plane, GlobalStages, RealtimeReport
 
 
 def _drain_all(consumer: Consumer) -> list[Record]:
@@ -93,7 +69,7 @@ class _RealtimeReplica:
     """One shard's live state: the replica layer, its merge consumers,
     and the delta-harvest bookkeeping."""
 
-    layer: RealtimeLayer
+    layer: EntityStages
     # Group offsets live on the Consumer object, not in the broker, so
     # these are as long-lived as the layer: each run drains only what
     # the previous one has not.
@@ -124,7 +100,7 @@ class _RealtimeReplica:
 
 @dataclass(frozen=True, slots=True)
 class _RealtimeShardSpec:
-    """Picklable recipe for a :class:`RealtimeLayer` shard replica.
+    """Picklable recipe for an :class:`EntityStages` shard replica.
 
     Hosted by either host of ``repro.streams.workers``: only the
     :class:`SystemConfig` crosses a process boundary, at spawn — the
@@ -148,7 +124,7 @@ class _RealtimeShardSpec:
 
     def setup(self, shard: int) -> _RealtimeReplica:
         t0 = perf_counter()
-        layer = RealtimeLayer(self.config, enable_proximity=False)
+        layer = EntityStages(self.config)
         consumers = {
             topic: layer.broker.consumer(topic, "merge") for topic in ALL_TOPICS
         }
@@ -169,7 +145,7 @@ class _RealtimeShardSpec:
         return reply
 
 
-class ShardedRealtimeLayer:
+class ShardedRealtimeLayer(Figure2Plane):
     """Entity-sharded real-time layer with a merged global stage.
 
     Drop-in for :class:`RealtimeLayer` where it matters downstream: after
@@ -179,30 +155,15 @@ class ShardedRealtimeLayer:
     :meth:`system_metrics` expose the shard-annotated observability view.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig | None = None,
-        cep_training_symbols: list[str] | None = None,
-        worker_pool: bool | None = None,
-    ):
-        self.config = config or SystemConfig()
+    def __init__(self, config: SystemConfig | None = None, cep_training_symbols: list[str] | None = None):
+        # Its broker is the merged one: what the batch layer reads.
+        super().__init__(config)
         cfg = self.config
         self.n_shards = max(1, cfg.n_shards)
-        # Where the replicas live: worker_pool=False (the default, and
-        # the determinism oracle) keeps them in-process; worker_pool=True
-        # hosts each in a long-lived worker process that builds it once
-        # and serves batched run requests (repro.streams.workers).
-        self.use_worker_pool = cfg.worker_pool if worker_pool is None else worker_pool
-        self.metrics = MetricsRegistry(seed=cfg.seed)
-        self.events = EventLog(capacity=cfg.event_log_capacity)
-        self.tracer = Tracer()
-        # The merged broker: what the batch layer and the dashboard read.
-        self.broker = Broker()
-        for topic in ALL_TOPICS:
-            self.broker.create_topic(topic, partitions=2)
-        instrument_broker(self.broker, self.metrics)
-        watch_broker(self.broker, self.events)
-        # Replicas own every per-entity stage; proximity is global (below).
+        #: Whether the replicas live in worker processes or in this one.
+        self.use_worker_pool = cfg.worker_pool
+        # Replicas own every per-entity stage; the cross-entity ones run
+        # here, once, over the merged stream.
         self._hosts = shard_hosts(
             _RealtimeShardSpec(cfg),
             self.n_shards,
@@ -210,49 +171,20 @@ class ShardedRealtimeLayer:
             request_timeout_s=cfg.worker_request_timeout_s,
         )
         #: The live replica layers when they are in-process; empty pooled.
-        self.shards: list[RealtimeLayer] = (
+        self.shards: list[EntityStages] = (
             [] if self.use_worker_pool else [host.state.layer for host in self._hosts]
         )
         # Each shard's cumulative report and run wall, as of its last reply.
         self._shard_reports = [RealtimeReport() for _ in range(self.n_shards)]
         self._shard_walls = [0.0] * self.n_shards
-        self.proximity = MovingProximityDiscoverer(
-            cfg.bbox, cfg.proximity_space_m, cfg.proximity_time_s,
-            cell_deg=cfg.grid_cell_deg, registry=self.metrics,
-        )
-        self.cep: WayebEngine | None = None
-        if cep_training_symbols:
-            self.cep = WayebEngine(
-                north_to_south_reversal(), TURN_ALPHABET, order=1, threshold=0.5, horizon=60,
-                registry=self.metrics,
-            )
-            self.cep.train(cep_training_symbols)
-        self.metrics.gauge(
-            "realtime.error_rate",
-            fn=lambda: (
-                self.report.quality.dropped / self.report.raw_fixes
-                if self.report.raw_fixes
-                else 0.0
-            ),
-        )
-        self.health = default_realtime_rules(
-            HealthMonitor(self.metrics, event_log=self.events)
-        )
-        self.dashboard = Dashboard(cfg.bbox, registry=self.metrics, health=self.health)
-        # Global-stage probes report under op.* like every other hop.
-        self._probes = {
-            name: OperatorProbe(self.metrics, name)
-            for name in ("proximity", "cep")
-        }
+        # Its totals accumulate across runs like the replicas' reports do.
+        self.globals = GlobalStages(cfg, self.metrics, self.events, RealtimeReport(), cep_training_symbols)
+        self.proximity, self.cep = self.globals.proximity, self.globals.cep
+        self.dashboard, self.health = self.globals.dashboard, self.globals.health
         for i in range(self.n_shards):
             self._register_shard_gauges(i)
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
         self.metrics.gauge("shard.balance", fn=self.balance)
-        # Cumulative totals of the global stages, so the merged report
-        # accumulates across runs exactly like the replicas' reports do.
-        self._proximity_links = 0
-        self._cep_detections = 0
-        self._cep_forecasts = 0
         self.report = RealtimeReport()
 
     def _register_shard_gauges(self, i: int) -> None:
@@ -329,54 +261,20 @@ class ShardedRealtimeLayer:
             topic: merge_shard_outputs([shard_topics[topic] for shard_topics in topics])
             for topic in ALL_TOPICS
         }
-        # The merged-stream consumer is where the paper's headline number
-        # lives on the sharded path: ingest wall stamp (record provenance,
-        # written by the shard replica) to merged consumption.
-        e2e_latency = self.metrics.histogram("e2e.record_latency_s")
-        # Dashboard over the merged picture.
+        # The global stages, fed the merged stream: e2e latency here runs
+        # from the ingest stamp the shard replica wrote (record provenance)
+        # to merged consumption.
         for rec in merged[TOPIC_CLEAN]:
             self.dashboard.ingest_fix(rec.value)
         for rec in merged[TOPIC_SYNOPSES]:
-            self.dashboard.ingest_critical_point(rec.value)
-            if rec.ingest_wall_s is not None:
-                e2e_latency.observe(wall_clock() - rec.ingest_wall_s)
-        # Global stage 1: cross-entity proximity over the merged synopses.
-        prox_probe = self._probes["proximity"]
-        for rec in merged[TOPIC_SYNOPSES]:
-            t0 = perf_counter()
-            links = self.proximity.process(rec.value.fix)
-            prox_probe.observe(len(links), perf_counter() - t0)
-            self._proximity_links += len(links)
-            for link in links:
-                merged[TOPIC_LINKS].append(
-                    Record(link.t, link, key=link.source_id, ingest_wall_s=rec.ingest_wall_s)
-                )
-        # Global stage 2: complex event recognition over the merged synopses.
-        if self.cep is not None:
-            cep_events = list(
-                turn_event_stream(rec.value for rec in merged[TOPIC_SYNOPSES])
-            )
-            if cep_events:
-                t0 = perf_counter()
-                run = self.cep.run(cep_events)
-                self._probes["cep"].observe(
-                    len(run.detections) + len(run.forecasts),
-                    perf_counter() - t0,
-                    n_in=len(cep_events),
-                )
-                self._cep_detections += len(run.detections)
-                self._cep_forecasts += len(run.forecasts)
-                for det in run.detections:
-                    merged[TOPIC_EVENTS].append(Record(det.t, det))
-                    self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")
-                    self.events.emit(
-                        "warn", "cep", "detection", "NorthToSouthReversal",
-                        t=det.t, position=det.position,
-                    )
+            merged[TOPIC_LINKS] += self.globals.critical_point(rec.value, rec.ingest_wall_s)
+        merged[TOPIC_EVENTS] += self.globals.recognise()
         for topic, records in merged.items():
             if records:
                 self.broker.publish_many(topic, records)
-        self.report = report = self._merged_report()
+        # Layer-wide cumulative counters: the per-entity stages summed
+        # across shards, plus the global stages' own totals.
+        self.report = report = sum(reports, self.globals.totals)
         self.health.evaluate()
         self.events.emit(
             "info", "realtime", "sharded_run_finished",
@@ -414,48 +312,14 @@ class ShardedRealtimeLayer:
         for host in self._hosts:
             host.close()
 
-    def __enter__(self) -> "ShardedRealtimeLayer":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     def critical_path_speedup(self) -> float:
         """Aggregate shard compute over the slowest shard (cumulative run
         walls; replica setup is tracked apart, see :meth:`shard_setups`)."""
         return critical_path_speedup(self.shard_walls())
 
-    def _merged_report(self) -> RealtimeReport:
-        """Layer-wide cumulative counters: the per-entity stages summed
-        across shards, plus the global stages' own totals."""
-        report = RealtimeReport(
-            proximity_links=self._proximity_links,
-            links=self._proximity_links,
-            cep_detections=self._cep_detections,
-            cep_forecasts=self._cep_forecasts,
-        )
-        quality = QualityReport()
-        for r in self.shard_reports():
-            report.raw_fixes += r.raw_fixes
-            report.clean_fixes += r.clean_fixes
-            report.critical_points += r.critical_points
-            report.area_events += r.area_events
-            report.links += r.links
-            quality.seen += r.quality.seen
-            quality.passed += r.quality.passed
-            for issue, count in r.quality.flagged.items():
-                quality.flagged[issue] = quality.flagged.get(issue, 0) + count
-        report.quality = quality
-        return report
-
     def system_metrics(self) -> dict[str, Any]:
-        """The observability view: layer registry plus per-shard reports."""
-        self.health.evaluate()
-        snap = self.metrics.snapshot()
-        snap["operators"] = operator_rates(self.metrics)
-        snap["consumer_lag"] = consumer_lags(self.metrics)
-        snap["health"] = self.health.snapshot()
-        snap["events"] = self.events.snapshot()
+        """The :class:`GlobalStages` view plus per-shard reports."""
+        snap = self.globals.system_metrics()
         snap["shards"] = [
             {
                 "raw_fixes": r.raw_fixes,

@@ -1,9 +1,10 @@
-"""The integrated datAcron system: real-time plus batch layers (Figure 2)."""
+"""The integrated datAcron system (Figure 2): a real-time layer — both
+halves of the figure in one loop, or entity-sharded replicas under one
+merged global half — plus the batch layer on its broker."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 
 from .batch import BatchLayer, BatchReport
 from .config import SystemConfig
@@ -39,17 +40,14 @@ class DatacronSystem:
         self.config = config or SystemConfig()
         sharded = self.config.n_shards > 1 or self.config.worker_pool
         layer = ShardedRealtimeLayer if sharded else RealtimeLayer
-        self.realtime: RealtimeLayer | ShardedRealtimeLayer = layer(
-            self.config, cep_training_symbols=cep_training_symbols
-        )
+        self.realtime = layer(self.config, cep_training_symbols=cep_training_symbols)
         self.batch = BatchLayer(
             self.config, self.realtime.broker, t_origin, t_extent_s, registry=self.realtime.metrics
         )
 
     def close(self) -> None:
         """Shut pooled shard workers down (nothing to do otherwise)."""
-        if isinstance(self.realtime, ShardedRealtimeLayer):
-            self.realtime.close()
+        self.realtime.close()
 
     def __enter__(self) -> "DatacronSystem":
         return self

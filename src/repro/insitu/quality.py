@@ -18,6 +18,7 @@ drops flagged fixes and counts them, so quality metrics stay observable
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -76,6 +77,10 @@ class QualityReport:
 
     def flag(self, issue: str) -> None:
         self.flagged[issue] = self.flagged.get(issue, 0) + 1
+
+    def __add__(self, other: "QualityReport") -> "QualityReport":
+        flagged = Counter(self.flagged) + Counter(other.flagged)
+        return QualityReport(self.seen + other.seen, self.passed + other.passed, dict(flagged))
 
     @property
     def dropped(self) -> int:

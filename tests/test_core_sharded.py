@@ -18,15 +18,19 @@ from repro.core import (
     ShardedRealtimeLayer,
     SystemConfig,
     TOPIC_CLEAN,
+    TOPIC_EVENTS,
     TOPIC_LINKS,
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
 from repro.core.frames import decode_reply, encode_request
+from repro.core.realtime import EntityStages
 from repro.core.sharded import _RealtimeShardSpec
-from repro.datasources import AISSimulator
+from repro.cep import symbol_sequence, turn_event_stream
+from repro.datasources import AISSimulator, fishing_vessel_stream
 from repro.streams import ShardWorkerError, WorkerHost
 from repro.streams.workers import InlineHost
+from repro.synopses import SynopsesConfig, SynopsesGenerator
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,68 @@ class TestShardEquivalence:
         assert r1.proximity_links > 0  # the loose threshold must actually fire
         assert r4.proximity_links == r1.proximity_links
         assert r4.links == r1.links
+
+
+class TestThreeCompositions:
+    """The plain layer, the sharded layer and the pooled sharded layer are
+    three compositions of one ``EntityStages`` and one ``GlobalStages``."""
+
+    @pytest.fixture(scope="class")
+    def layers(self, fixes):
+        """Each composition after two runs of a fleet plus a trawler, CEP
+        trained as in ``test_core_integration``."""
+        cfg = SystemConfig(
+            synopses=SynopsesConfig(min_reemit_s=30.0), proximity_space_m=500_000.0, proximity_time_s=3600.0
+        )
+        gen = SynopsesGenerator(cfg.synopses)
+        train = fishing_vessel_stream(seed=9, duration_s=8 * 3600.0, report_period_s=20.0)
+        symbols = symbol_sequence(turn_event_stream([*gen.process_stream(train), *gen.flush()]))
+        trawler = fishing_vessel_stream(seed=21, duration_s=6 * 3600.0, report_period_s=20.0)
+        stream = sorted([*fixes, *trawler], key=lambda fix: fix.t)
+        sharded = replace(cfg, n_shards=3)
+        built = {
+            "plain": RealtimeLayer(cfg, symbols),
+            "n_shards=1": ShardedRealtimeLayer(cfg, symbols),
+            "n_shards=3": ShardedRealtimeLayer(sharded, symbols),
+            "pooled": ShardedRealtimeLayer(replace(sharded, worker_pool=True), symbols),
+        }
+        for layer in built.values():
+            with layer:
+                layer.run(stream[:2000])
+                layer.run(stream[2000:])
+        return built
+
+    @pytest.mark.parametrize("name", ["plain", "n_shards=1", "n_shards=3", "pooled"])
+    def test_composition_agrees_with_the_plain_layer(self, layers, name):
+        layer, plain = layers[name], layers["plain"]
+        report = layer.report
+        for counter in ("raw_fixes", "clean_fixes", "critical_points", "area_events", "quality"):
+            assert getattr(report, counter) == getattr(plain.report, counter), counter
+        assert layer.metrics.histogram("e2e.record_latency_s").count == report.critical_points
+        assert layer.broker.topic(TOPIC_EVENTS).size() == report.cep_detections > 0
+        assert set(layer.metrics.counters("op.")) == set(plain.metrics.counters("op."))
+        # Regression: replicas used to feed dashboards of their own, folded
+        # on top of the merged-stream one (2x), and the plain layer never
+        # showed its dashboard the trailing `end` points.
+        dashboard = layer.metrics.counters("dashboard.")
+        assert dashboard == plain.metrics.counters("dashboard.")
+        assert dashboard["dashboard.positions"] == report.clean_fixes
+        assert dashboard["dashboard.synopses"] == report.critical_points
+        assert not [n for n in layer.metrics.counters("shard.") if ".dashboard." in n]
+
+    def test_sharded_compositions_agree_on_the_order_dependent_outputs(self, layers):
+        """The plain layer feeds the global stages in arrival order, the
+        sharded ones in canonical ``(t, key)`` order."""
+        oracle = layers["n_shards=1"]
+        for name in ("n_shards=3", "pooled"):
+            assert layers[name].report == oracle.report, name
+            assert topic_streams(layers[name]) == topic_streams(oracle), name
+
+    def test_entity_stages_alone_have_no_global_half(self, fixes):
+        stages = EntityStages(SystemConfig())
+        assert stages.run(fixes[:500]).critical_points > 0
+        assert not {"dashboard", "health", "proximity", "cep"} & set(vars(stages))
+        assert stages.broker.topic(TOPIC_EVENTS).size() == 0
 
 
 class TestShardObservability:
@@ -254,17 +320,6 @@ class TestHarvestFold:
         assert sharded.critical_path_speedup() > 1.0
 
 
-class TestPlainLayerProximityKnob:
-    def test_disabled_proximity_reports_no_proximity_links(self, fixes):
-        layer = RealtimeLayer(
-            SystemConfig(proximity_space_m=500_000.0, proximity_time_s=3600.0),
-            enable_proximity=False,
-        )
-        report = layer.run(list(fixes))
-        assert layer.proximity is None
-        assert report.proximity_links == 0
-
-
 class TestWorkerPoolLayer:
     """The pool-backed deployment: shard replicas hosted in long-lived
     worker processes (SystemConfig.worker_pool). The in-process layer
@@ -278,8 +333,8 @@ class TestWorkerPoolLayer:
         """>= 3 consecutive incremental runs: reports, full merged topic
         records and folded counters byte-identical to the oracle."""
         cfg = SystemConfig(n_shards=3, proximity_space_m=500_000.0, proximity_time_s=3600.0)
-        oracle = ShardedRealtimeLayer(cfg, worker_pool=False)
-        with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
+        oracle = ShardedRealtimeLayer(cfg)
+        with ShardedRealtimeLayer(replace(cfg, worker_pool=True)) as pooled:
             for chunk in self.chunks(fixes, 3):
                 assert pooled.run(chunk) == oracle.run(chunk)
             got, want = topic_records(pooled), topic_records(oracle)
@@ -298,7 +353,7 @@ class TestWorkerPoolLayer:
         links come summed from the replicas' cumulative reports, so the
         global stages' totals must accumulate across runs too."""
         cfg = SystemConfig(n_shards=2, proximity_space_m=500_000.0, proximity_time_s=3600.0)
-        with ShardedRealtimeLayer(cfg, worker_pool=worker_pool) as layer:
+        with ShardedRealtimeLayer(replace(cfg, worker_pool=worker_pool)) as layer:
             proximity_before = 0
             for chunk in self.chunks(fixes, 4):
                 report = layer.run(chunk)
@@ -310,7 +365,7 @@ class TestWorkerPoolLayer:
     def test_pool_records_ipc_cost_per_shard_and_run(self, fixes):
         from repro.obs import parse_openmetrics, render_openmetrics
 
-        with ShardedRealtimeLayer(SystemConfig(n_shards=2), worker_pool=True) as pooled:
+        with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as pooled:
             for chunk in self.chunks(fixes, 3):
                 pooled.run(chunk)
             snapshot = pooled.metrics.snapshot()
@@ -331,10 +386,10 @@ class TestWorkerPoolLayer:
         must equal the in-process twin's, which went through the same
         scatter/gather — minus the frames, so it serves the second poll."""
         cfg = SystemConfig(n_shards=2, proximity_space_m=1.0)  # no cross-run links
-        twin = ShardedRealtimeLayer(cfg, worker_pool=False)
+        twin = ShardedRealtimeLayer(cfg)
         victim = next(f for f in fixes[700:] if twin.shard_for(f.entity_id) == 0)
         polls = [[*fixes[:700], replace(victim, lon=None)], fixes[700:1200], fixes[1200:1800]]
-        with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
+        with ShardedRealtimeLayer(replace(cfg, worker_pool=True)) as pooled:
             for layer in (pooled, twin):
                 with pytest.raises(ShardWorkerError, match="TypeError") as err:
                     layer.run(polls[0])
@@ -362,7 +417,7 @@ class TestWorkerPoolLayer:
     def test_default_stays_in_process(self):
         layer = ShardedRealtimeLayer(SystemConfig(n_shards=2))
         assert not layer.use_worker_pool
-        assert [type(shard) for shard in layer.shards] == [RealtimeLayer] * 2
+        assert [type(shard) for shard in layer.shards] == [EntityStages] * 2
         layer.close()  # no-op in-process
 
     def test_in_process_layer_runs_no_frame_codec(self, fixes, monkeypatch):
@@ -375,13 +430,13 @@ class TestWorkerPoolLayer:
 
         for name in ("encode_request", "decode_request", "encode_reply", "decode_reply"):
             monkeypatch.setattr(sharded, name, forbidden)
-        layer = ShardedRealtimeLayer(SystemConfig(n_shards=2), worker_pool=False)
+        layer = ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=False))
         assert layer.run(list(fixes)[:300]).raw_fixes == 300
 
     def test_setup_reported_apart_from_walls_on_both_paths(self, fixes):
         cfg = SystemConfig(n_shards=2)
-        oracle = ShardedRealtimeLayer(cfg, worker_pool=False)
-        with ShardedRealtimeLayer(cfg, worker_pool=True) as pooled:
+        oracle = ShardedRealtimeLayer(cfg)
+        with ShardedRealtimeLayer(replace(cfg, worker_pool=True)) as pooled:
             chunk = list(fixes)[:200]
             oracle.run(chunk)
             pooled.run(chunk)
@@ -405,7 +460,7 @@ class TestShardFrames:
         """Per poll: (topics decoded from the reply, topics of the twin)."""
         spec = _RealtimeShardSpec(self.CFG)
         replica = spec.setup(0)
-        twin = RealtimeLayer(self.CFG, enable_proximity=False)
+        twin = EntityStages(self.CFG)
         twin_consumers = dump_consumers(twin)
         out = []
         for poll in polls:
