@@ -6,27 +6,16 @@ path under pytest-benchmark for the timing numbers. Benches that carry
 a ``repro.obs.MetricsRegistry`` also emit its snapshot — throughput
 counters and latency-histogram quantiles — both as printed output and
 into the pytest-benchmark JSON (``extra_info["metrics"]``), so bench
-runs archive the same numbers the paper reports.
-
-A bench session additionally persists every emitted snapshot:
-
-* ``BENCH_obs.json`` (repo root) — one registry snapshot per bench
-  nodeid, the input ``tools/perf_gate.py`` compares against its budget;
-* ``BENCH_obs.openmetrics/<bench>.om`` — the same snapshots in
-  OpenMetrics text exposition, scrape-equivalent artifacts for CI.
+runs archive the same numbers the paper reports. Nothing is written to
+disk and nothing is gated here: a performance claim is a
+``BENCHMARK.json`` metric measured by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
-
-#: nodeid -> registry snapshot, accumulated across the session.
-_SNAPSHOTS: dict[str, dict] = {}
 
 
 @pytest.fixture
@@ -46,7 +35,7 @@ def console(pytestconfig):
 
 
 @pytest.fixture
-def emit_metrics(console, request):
+def emit_metrics(console):
     """Emit a MetricsRegistry snapshot: print it and attach it to bench JSON.
 
     Usage::
@@ -62,7 +51,6 @@ def emit_metrics(console, request):
         snapshot = registry.snapshot()
         if benchmark is not None:
             benchmark.extra_info["metrics"] = snapshot
-        _SNAPSHOTS[request.node.nodeid] = snapshot
         with console():
             print()
             print(format_snapshot(snapshot, title=title))
@@ -70,37 +58,3 @@ def emit_metrics(console, request):
 
     return _emit
 
-
-def _slug(nodeid: str) -> str:
-    """A filesystem-safe name for one bench nodeid."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", nodeid.replace(".py::", "__"))
-
-
-def pytest_sessionfinish(session):
-    """Persist the session's emitted snapshots for the CI perf gate.
-
-    Snapshots merge into an existing ``BENCH_obs.json`` (per-nodeid,
-    latest run wins), so CI can split the bench suite over several
-    pytest invocations without each one clobbering the previous file.
-    """
-    if not _SNAPSHOTS:
-        return
-    root = Path(session.config.rootpath)
-    out = root / "BENCH_obs.json"
-    benches: dict[str, dict] = {}
-    if out.exists():
-        try:
-            benches = json.loads(out.read_text()).get("benches", {})
-        except (json.JSONDecodeError, AttributeError):
-            benches = {}
-    benches.update(_SNAPSHOTS)
-    payload = {"benches": dict(sorted(benches.items()))}
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    try:
-        from repro.obs import write_openmetrics
-    except ImportError:
-        return
-    om_dir = root / "BENCH_obs.openmetrics"
-    om_dir.mkdir(exist_ok=True)
-    for nodeid, snapshot in _SNAPSHOTS.items():
-        write_openmetrics(snapshot, om_dir / f"{_slug(nodeid)}.om")

@@ -4,13 +4,13 @@ The datAcron reproduction encodes several load-bearing invariants that
 exist only by convention: the layering DAG of Figure 2 (streams must
 stay importable without obs), event-time purity of operator code, and
 the ``op.*`` / ``kg.*`` / ``batch.*`` metric grammar that the health
-monitor's glob rules and the perf gate's budget keys bind to. A typo'd
-metric name or a stray ``time.time()`` inside an operator breaks those
-contracts silently at runtime — exactly the defect class a compiler
-would have caught. This package is that compiler pass: an AST-based
-framework with a pluggable checker registry, inline pragma and
-committed-baseline suppression, and text/JSON reporters, driven by
-``tools/reprolint.py`` with a CI-friendly exit-code contract.
+monitor's glob rules bind to. A typo'd metric name or a stray
+``time.time()`` inside an operator breaks those contracts silently at
+runtime — exactly the defect class a compiler would have caught. This
+package is that compiler pass: an AST-based framework with a pluggable
+checker registry, inline pragma and committed-baseline suppression, and
+text/JSON reporters, driven by ``tools/reprolint.py`` with a CI-friendly
+exit-code contract.
 
 Layout:
 

@@ -23,7 +23,7 @@ def fingerprint(finding: Finding, context: str, occurrence: int = 0) -> str:
     """Stable identity of one finding.
 
     ``context`` is the stripped text of the flagged source line (or the
-    finding message for non-python targets such as budget files);
+    finding message for non-python targets such as ``tools/layering.toml``);
     ``occurrence`` disambiguates identical lines in one file.
     """
     payload = "|".join(

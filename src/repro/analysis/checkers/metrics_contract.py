@@ -1,11 +1,9 @@
 """Metric-contract linting: names, grammar, and dead-rule detection.
 
 Everything observability-shaped in this repo keys on *metric names*:
-the ``HealthMonitor`` default rules glob over gauges, the CI perf gate
-resolves ``tools/perf_budget.json`` paths into registry snapshots, and
-the dashboard parses the ``op.<name>.*`` family. None of that is
-checked anywhere — a typo'd name means a rule that never fires or a
-budget that silently stops gating. This checker closes the loop
+the ``HealthMonitor`` default rules glob over gauges and the dashboard
+parses the ``op.<name>.*`` family. None of that is checked anywhere — a
+typo'd name means a rule that never fires. This checker closes the loop
 statically:
 
 * **extraction** — every ``counter("...")`` / ``gauge("...")`` /
@@ -17,21 +15,12 @@ statically:
   least two segments whose root is a known namespace (``op``, ``kg``,
   ``cep``, ``batch``, ...);
 * **dead health rules** — every glob passed to ``add_rule`` in src must
-  match at least one statically-registerable *gauge*;
-* **dead budgets** — every ``budgets[].metric`` key in
-  ``tools/perf_budget.json`` must resolve to an emitted metric of the
-  right kind with a valid histogram field, every ``consistency[]``
-  merged/parts key must name a live counter or gauge family
-  (``shard.<i>.*`` references are validated by their inner family, the
-  one the harvest fold re-registers per shard), and every
-  ``throughput[]`` path component must appear in
-  ``bench_throughput.py``.
+  match at least one statically-registerable *gauge*.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -49,9 +38,6 @@ KNOWN_ROOTS = frozenset(
         "dashboard", "throughput", "e2e",
     }
 )
-
-#: Valid trailing fields of a histogram snapshot (mirrors tools/perf_gate.py).
-HISTOGRAM_FIELDS = ("count", "sum", "mean", "min", "max", "p50", "p95", "p99")
 
 _NAME_RE = re.compile(r"[a-z0-9_*]+(\.[a-z0-9_*]+)+")
 
@@ -87,19 +73,6 @@ class Emission:
     col: int
 
 
-def _shard_inner(name: str) -> str | None:
-    """The inner family of a ``shard.<seg>.<family>`` reference, if any.
-
-    ``shard.*.op.clean.records_in`` -> ``op.clean.records_in``;
-    non-shard names and two-segment ones (``shard.count``) -> ``None``.
-    """
-    head, _, rest = name.partition(".")
-    if head != "shard" or not rest:
-        return None
-    _, _, inner = rest.partition(".")
-    return inner or None
-
-
 def could_match(reference: str, emitted: str) -> bool:
     """Can the glob/name ``reference`` match the emitted name/pattern?
 
@@ -120,8 +93,7 @@ class MetricContractChecker(Checker):
     name = "metric-contract"
     description = (
         "validate emitted metric names against the dotted-namespace "
-        "grammar and cross-check HealthMonitor rules and perf-budget "
-        "keys against them"
+        "grammar and cross-check HealthMonitor rules against them"
     )
 
     def run(self, project: Project, config: AnalysisConfig) -> list[Finding]:
@@ -133,7 +105,6 @@ class MetricContractChecker(Checker):
             emissions.extend(self._extract(source))
         findings.extend(self._check_grammar(emissions))
         findings.extend(self._check_health_rules(project, emissions))
-        findings.extend(self._check_budget(project, config, emissions))
         return findings
 
     # -- extraction --------------------------------------------------------------
@@ -258,145 +229,4 @@ class MetricContractChecker(Checker):
                                 symbol=source.module,
                             )
                         )
-        return findings
-
-    # -- perf budget -------------------------------------------------------------
-
-    def _check_budget(
-        self, project: Project, config: AnalysisConfig, emissions: list[Emission]
-    ) -> list[Finding]:
-        budget_path = config.root / "tools" / "perf_budget.json"
-        if not budget_path.is_file():
-            return []
-        relpath = budget_path.relative_to(config.root).as_posix()
-        text = budget_path.read_text(encoding="utf-8")
-        try:
-            budget = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return [
-                self.finding("error", relpath, exc.lineno, 0, f"budget file is not valid JSON: {exc.msg}")
-            ]
-        by_kind: dict[str, list[str]] = {"counters": [], "gauges": [], "histograms": []}
-        for em in emissions:
-            by_kind[em.kind].append(em.name)
-
-        def line_of(needle: str) -> int:
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if needle in line:
-                    return lineno
-            return 1
-
-        findings = []
-        for entry in budget.get("budgets", []):
-            metric = str(entry.get("metric", ""))
-            section, _, rest = metric.partition(".")
-            line = line_of(metric)
-            if section not in by_kind or not rest:
-                findings.append(
-                    self.finding(
-                        "error", relpath, line, 0,
-                        f"budget metric {metric!r} must start with one of "
-                        f"counters/gauges/histograms",
-                    )
-                )
-                continue
-            name = rest
-            if section == "histograms":
-                name, _, field = rest.rpartition(".")
-                if not name or field not in HISTOGRAM_FIELDS:
-                    findings.append(
-                        self.finding(
-                            "error", relpath, line, 0,
-                            f"budget metric {metric!r} must end in a histogram "
-                            f"field ({', '.join(HISTOGRAM_FIELDS)})",
-                        )
-                    )
-                    continue
-            if not self._matches_emitted(name, by_kind[section]):
-                findings.append(
-                    self.finding(
-                        "error", relpath, line, 0,
-                        f"stale budget key: {metric!r} matches no metric "
-                        f"statically emitted anywhere in src/benchmarks — "
-                        f"renamed or removed?",
-                    )
-                )
-        for entry in budget.get("consistency", []):
-            for key in ("merged", "parts"):
-                metric = str(entry.get(key, ""))
-                section, _, name = metric.partition(".")
-                line = line_of(metric)
-                if section not in ("counters", "gauges") or not name:
-                    findings.append(
-                        self.finding(
-                            "error", relpath, line, 0,
-                            f"consistency {key} key {metric!r} must start with "
-                            f"counters/ or gauges/ (harvest completeness is "
-                            f"checked over exact-merge kinds)",
-                        )
-                    )
-                    continue
-                if not self._matches_emitted(name, by_kind[section]):
-                    findings.append(
-                        self.finding(
-                            "error", relpath, line, 0,
-                            f"stale consistency key: {metric!r} matches no "
-                            f"metric statically emitted anywhere in "
-                            f"src/benchmarks — renamed or removed?",
-                        )
-                    )
-        findings.extend(self._check_throughput_budget(project, budget, relpath, line_of))
-        return findings
-
-    @staticmethod
-    def _matches_emitted(name: str, emitted: list[str]) -> bool:
-        """Does a budget reference match a statically-emitted name?
-
-        References under the harvest fold's ``shard.<i>.*`` root are
-        validated by their *inner* family: the fold re-registers every
-        harvested family under the shard prefix, so what must stay alive
-        is the underlying metric — matching the fold's dynamic
-        ``shard.*.*`` emission itself would accept anything and hide
-        staleness.
-        """
-        inner = _shard_inner(name)
-        if inner is not None and "." in inner:
-            candidates = [em for em in emitted if not em.startswith("shard.")]
-            return any(could_match(inner, em) for em in candidates)
-        return any(could_match(name, em) for em in emitted)
-
-    def _check_throughput_budget(self, project, budget, relpath, line_of) -> list[Finding]:
-        entries = budget.get("throughput", [])
-        if not entries:
-            return []
-        bench = next(
-            (f for f in project.realm("benchmarks") if f.path.name == "bench_throughput.py"),
-            None,
-        )
-        if bench is None or bench.tree is None:
-            return [
-                self.finding(
-                    "warning", relpath, line_of("throughput"), 0,
-                    "budget has throughput floors but benchmarks/bench_throughput.py "
-                    "is missing — floors can never be satisfied",
-                )
-            ]
-        literals = {
-            node.value
-            for node in ast.walk(bench.tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-        findings = []
-        for entry in entries:
-            metric = str(entry.get("metric", ""))
-            missing = [part for part in metric.split(".") if part not in literals]
-            if missing:
-                findings.append(
-                    self.finding(
-                        "error", relpath, line_of(metric), 0,
-                        f"stale throughput key: path component(s) "
-                        f"{', '.join(repr(m) for m in missing)} of {metric!r} do not "
-                        f"appear in bench_throughput.py",
-                    )
-                )
         return findings

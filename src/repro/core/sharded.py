@@ -34,7 +34,6 @@ from ..obs import ObsHarvest, fold_harvests, harvest_obs
 from ..streams import (
     Consumer,
     Record,
-    critical_path_speedup,
     merge_shard_outputs,
     scatter_gather,
     shard_hosts,
@@ -209,11 +208,8 @@ class ShardedRealtimeLayer(Figure2Plane):
         return [host.setup_s for host in self._hosts]
 
     def balance(self) -> float:
-        """Aggregate-over-slowest shard work ratio (ideal: ``n_shards``).
-
-        Work is measured in clean fixes routed to each shard — the
-        routing-balance counterpart of the bench's critical-path speedup.
-        """
+        """Aggregate-over-slowest shard work ratio (ideal: ``n_shards``),
+        with work measured in clean fixes routed to each shard."""
         counts = [r.clean_fixes for r in self.shard_reports()]
         slowest = max(counts, default=0)
         if slowest <= 0:
@@ -311,11 +307,6 @@ class ShardedRealtimeLayer(Figure2Plane):
         """Shut pooled shard workers down cleanly (no-op in-process)."""
         for host in self._hosts:
             host.close()
-
-    def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard (cumulative run
-        walls; replica setup is tracked apart, see :meth:`shard_setups`)."""
-        return critical_path_speedup(self.shard_walls())
 
     def system_metrics(self) -> dict[str, Any]:
         """The :class:`GlobalStages` view plus per-shard reports."""

@@ -1,6 +1,6 @@
 """In-situ stream processing (S4): statistics, low-level events, cleaning."""
 
-from .area_events import AreaEvent, AreaEventDetector, RegionIndex, make_area_operator
+from .area_events import AreaEvent, AreaEventDetector, RegionIndex
 from .quality import (
     ALL_ISSUES,
     ISSUE_COORD_RANGE,
@@ -13,7 +13,6 @@ from .quality import (
     QualityState,
     check_fix,
     clean_stream,
-    make_cleaning_operator,
 )
 from .stats import (
     OnlineStats,
@@ -40,8 +39,6 @@ __all__ = [
     "TrajectoryStatsState",
     "check_fix",
     "clean_stream",
-    "make_area_operator",
-    "make_cleaning_operator",
     "make_stats_operator",
     "stats_for_fixes",
     "update_trajectory_stats",

@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, Sequence
 
 from ..datasources.regions import Region
 from ..geo import BBox, EquiGrid, PositionFix
-from ..streams import KeyedProcess
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +102,3 @@ class AreaEventDetector:
         """The regions an entity is currently known to be inside."""
         state = self._states.get(entity_id)
         return state.inside if state else frozenset()
-
-
-def make_area_operator(index: RegionIndex) -> KeyedProcess:
-    """A keyed dataflow operator emitting AreaEvents for a fix stream."""
-    detector = AreaEventDetector(index)
-    return KeyedProcess(lambda: detector, lambda det, rec: det.process(rec.value))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..geo import PositionFix
-from ..streams import KeyedProcess
 
 #: Issue labels attached to fixes.
 ISSUE_COORD_RANGE = "coord_out_of_range"
@@ -137,27 +136,3 @@ def clean_stream(
         state.last_fix = fix
         rep.passed += 1
         yield fix
-
-
-def make_cleaning_operator(config: QualityConfig | None = None) -> tuple[KeyedProcess, QualityReport]:
-    """A keyed cleaning operator plus its live report.
-
-    Input records must be keyed by entity id with PositionFix values; flagged
-    fixes are dropped from the output stream.
-    """
-    cfg = config or QualityConfig()
-    report = QualityReport()
-
-    def step(state: QualityState, rec) -> list[PositionFix]:
-        fix = rec.value
-        report.seen += 1
-        issues = check_fix(fix, state, cfg)
-        if issues:
-            for issue in issues:
-                report.flag(issue)
-            return []
-        state.last_fix = fix
-        report.passed += 1
-        return [fix]
-
-    return KeyedProcess(QualityState, step), report

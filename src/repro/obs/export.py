@@ -5,14 +5,12 @@ tooling can read them. This module renders any
 :class:`~repro.obs.metrics.MetricsRegistry` (or a plain snapshot dict)
 as OpenMetrics/Prometheus text exposition — counters as ``_total``
 samples, gauges as gauges, reservoir histograms as summaries with
-``quantile`` labels — writes JSON snapshots for the bench trajectory
-(``BENCH_obs.json``), and serves both live over a stdlib
-``http.server`` endpoint (``/metrics`` + ``/healthz``) so ``curl`` or a
-Prometheus scraper can watch a run without any dependency.
+``quantile`` labels — writes JSON snapshots, and serves both live over
+a stdlib ``http.server`` endpoint (``/metrics`` + ``/healthz``) so
+``curl`` or a Prometheus scraper can watch a run without any dependency.
 
 A matching line-format parser (:func:`parse_openmetrics`) round-trips
-the exposition; tests and ``tools/perf_gate.py`` use it so the format
-stays honest.
+the exposition; tests use it so the format stays honest.
 """
 
 from __future__ import annotations
@@ -103,9 +101,8 @@ def render_openmetrics(
     """The full registry as OpenMetrics text exposition (ends with ``# EOF``).
 
     Accepts a live registry or a :meth:`MetricsRegistry.snapshot` dict,
-    so archived bench snapshots render identically to live state.
-    ``prefix`` is prepended to every metric name before sanitization
-    (used to namespace per-bench sections in ``BENCH_obs.om``).
+    so archived snapshots render identically to live state.
+    ``prefix`` is prepended to every metric name before sanitization.
 
     Harvested per-shard families (``shard.<i>.<rest>`` registry names,
     see :mod:`repro.obs.harvest`) render as one shard-labeled family —

@@ -412,30 +412,3 @@ class ShardedObsPlane:
             if tail == "wall_s" and head.isdigit():
                 walls[int(head)] = value
         return [walls[i] for i in sorted(walls)]
-
-    def shard_setups(self) -> list[float]:
-        """Per-shard replica build seconds (``shard.<i>.setup_s``), in
-        shard order. Missing shards read 0.0 — a shard that never
-        reported setup cost (e.g. a pre-built in-process replica) is
-        indistinguishable from a free one, which is the right default
-        for speedup math."""
-        setups: dict[int, float] = {}
-        for name, value in self.registry.gauges("shard.").items():
-            head, _, tail = name[len("shard."):].partition(".")
-            if tail == "setup_s" and head.isdigit():
-                setups[int(head)] = value
-        n = max(setups, default=-1) + 1
-        return [setups.get(i, 0.0) for i in range(n)]
-
-    def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard — the sharded
-        path's headline number (same definition as
-        ``repro.streams.sharding.critical_path_speedup``, recomputed here
-        because obs never imports streams). Walls exclude replica setup
-        (``shard.<i>.setup_s``) by construction — this is a steady-state
-        number."""
-        walls = self.shard_walls()
-        slowest = max(walls, default=0.0)
-        if slowest <= 0.0:
-            return 0.0
-        return sum(walls) / slowest

@@ -13,7 +13,6 @@ from .record import Record, StreamElement, StreamStats, Watermark
 from .sharding import (
     ShardedPipeline,
     ShardRouter,
-    critical_path_speedup,
     merge_shard_outputs,
     run_sharded,
     shard_index,
@@ -60,7 +59,6 @@ __all__ = [
     "WatermarkAssigner",
     "WindowResult",
     "count_aggregate",
-    "critical_path_speedup",
     "drain_consumer",
     "mean_aggregate",
     "merge_by_time",

@@ -79,19 +79,6 @@ AssignerFactory = Callable[[], WatermarkAssigner]
 # Only ``obs.worker`` ever crosses the process boundary.
 
 
-def critical_path_speedup(walls: Sequence[float]) -> float:
-    """Aggregate shard compute over the slowest shard.
-
-    The speedup an N-core schedule of these shard walls achieves —
-    runner-independent: it measures routing balance, not machine
-    parallelism. ``0.0`` when no shard reported a positive wall.
-    """
-    slowest = max(walls, default=0.0)
-    if slowest <= 0.0:
-        return 0.0
-    return sum(walls) / slowest
-
-
 def shard_index(key: str, n_shards: int) -> int:
     """Deterministic shard assignment of a key (FNV-1a, like partitions)."""
     return _stable_hash(key) % n_shards
@@ -379,21 +366,15 @@ class ShardedPipeline:
         """Per-shard replica build seconds (factory + instrumentation),
         accumulated across construction / reset / restart.
 
-        Reported apart from :meth:`wall_seconds` so
-        :meth:`critical_path_speedup` compares steady-state compute —
-        startup is the one-off cost the worker pool amortizes away.
+        Reported apart from :meth:`wall_seconds`, which is steady-state
+        compute — startup is the one-off cost the worker pool amortizes
+        away.
         """
         return [host.setup_s for host in self.hosts]
 
     def records_processed(self) -> list[int]:
         """Per-shard record counts (the routing balance)."""
         return [account.records for account in self._accounts]
-
-    def critical_path_speedup(self) -> float:
-        """Aggregate shard compute over the slowest shard: the speedup an
-        N-core schedule of these shards achieves (host-independent —
-        it measures routing balance, not machine parallelism)."""
-        return critical_path_speedup(self.wall_seconds())
 
 
 def run_sharded(

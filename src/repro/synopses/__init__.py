@@ -2,7 +2,7 @@
 
 from .config import AVIATION_CONFIG, MARITIME_CONFIG, SynopsesConfig
 from .crossstream import CrossStreamFuser, FusionStats, SourceSpec, degrade_stream
-from .detector import CRITICAL_TYPES, CriticalPoint, SynopsesGenerator, make_synopses_operator
+from .detector import CRITICAL_TYPES, CriticalPoint, SynopsesGenerator
 from .metrics import SynopsesRunResult, run_synopses
 from .reconstruct import ReconstructionError, reconstruction_error, synopsis_trajectory
 
@@ -19,7 +19,6 @@ __all__ = [
     "SourceSpec",
     "SynopsesRunResult",
     "degrade_stream",
-    "make_synopses_operator",
     "reconstruction_error",
     "run_synopses",
     "synopsis_trajectory",

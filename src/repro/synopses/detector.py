@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 
 from ..geo import PositionFix, heading_difference
 from ..geo.geometry import initial_bearing_deg
-from ..streams import KeyedProcess
 
 from .config import SynopsesConfig
 
@@ -296,14 +295,3 @@ class SynopsesGenerator:
         if vrate is not None and abs(vrate) > cfg.altitude_rate_ms and self._armed(state, "altitude_change", fix.t):
             out.append(self._emit(state, fix, "altitude_change", vrate=vrate))
         return out
-
-
-def make_synopses_operator(config: SynopsesConfig | None = None) -> tuple[KeyedProcess, SynopsesGenerator]:
-    """A keyed dataflow operator wrapping a shared SynopsesGenerator.
-
-    Returns the operator plus the generator so callers can read compression
-    statistics and call flush at end-of-stream.
-    """
-    generator = SynopsesGenerator(config)
-    op = KeyedProcess(lambda: generator, lambda gen, rec: gen.process(rec.value))
-    return op, generator

@@ -295,55 +295,36 @@ class TestMetricContractChecker:
         assert len(messages) == 1
         assert "dead health rule" in messages[0] and "no_such_gauge" in messages[0]
 
-    def test_budget_cross_check(self, tmp_path):
-        budget = {
-            "budgets": [
-                {"bench": "b", "metric": "counters.op.clean.records_in"},
-                {"bench": "b", "metric": "counters.kg.never_emitted"},
-                {"bench": "b", "metric": "histograms.op.clean.latency_s.p42"},
-                {"bench": "b", "metric": "bogus.op.clean.records_in"},
-            ]
-        }
+    def test_fstring_and_probe_expansion(self, tmp_path):
+        """F-string holes become wildcards; loop-bound operator names stay
+        concrete (a rule on an operator outside the loop is dead) and an
+        ``OperatorProbe`` expands to its whole ``op.<name>.*`` family."""
         root = write_project(
             tmp_path,
             {
                 "src/repro/streams/emit.py": (
-                    "def wire(registry):\n"
-                    "    registry.counter('op.clean.records_in')\n"
-                    "    registry.time('op.clean.latency_s')\n"
+                    "def wire(registry, monitor, op, plan):\n"
+                    "    registry.gauge(f'kg.cache_rows.{plan}')\n"
+                    "    for name in ('clean', 'synopses'):\n"
+                    "        instrument_operator(op, registry, name=name)\n"
+                    "    for probed in ('clean', 'BadOp'):\n"
+                    "        OperatorProbe(registry, probed)\n"
+                    "    monitor.add_rule('kg', 'kg.cache_rows.pushdown', 1.0, 2.0)\n"
+                    "    monitor.add_rule('streams', 'op.synopses.queue_depth', 1.0, 2.0)\n"
+                    "    monitor.add_rule('streams', 'op.rdf.queue_depth', 1.0, 2.0)\n"
                 ),
-                "tools/perf_budget.json": json.dumps(budget, indent=2),
             },
         )
         result = run_analysis(root, checks=["metric-contract"])
         messages = [f.message for f in new_findings_of(result, "metric-contract")]
-        assert len(messages) == 3
-        assert any("stale budget key" in m and "kg.never_emitted" in m for m in messages)
-        assert any("histogram field" in m for m in messages)
-        assert any("counters/gauges/histograms" in m for m in messages)
-
-    def test_fstring_and_probe_expansion(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/emit.py": (
-                    "def wire(registry, plan):\n"
-                    "    registry.histogram(f'kg.query_latency_s.{plan}')\n"
-                    "    for name in ('clean', 'synopses'):\n"
-                    "        OperatorProbe(registry, name)\n"
-                ),
-                "tools/perf_budget.json": json.dumps(
-                    {
-                        "budgets": [
-                            {"bench": "b", "metric": "histograms.kg.query_latency_s.pushdown.p95"},
-                            {"bench": "b", "metric": "counters.op.synopses.records_in"},
-                        ]
-                    }
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["metric-contract"])
-        assert new_findings_of(result, "metric-contract") == []
+        dead = [m for m in messages if "dead health rule" in m]
+        assert len(dead) == 1 and "op.rdf.queue_depth" in dead[0]
+        grammar = sorted(m.split("'")[1] for m in messages if "grammar" in m)
+        assert grammar == [
+            f"op.BadOp.{field}"
+            for field in ("batches", "latency_s", "records_in", "records_out")
+        ]
+        assert len(messages) == 5
 
     def test_could_match_wildcards_both_sides(self):
         assert could_match("broker.lag.*", "broker.lag.*.*")
@@ -353,7 +334,7 @@ class TestMetricContractChecker:
         assert not could_match("kg.query_latency", "kg.query_latency_s")
 
     def test_real_repo_contract_holds(self):
-        """The committed budget and default health rules must stay live."""
+        """The default health rules and every emitted name must stay live."""
         result = run_analysis(REPO_ROOT, checks=["metric-contract"])
         assert new_findings_of(result, "metric-contract") == []
 

@@ -251,14 +251,24 @@ class TestHarvestFold:
         assert self.nonshard_counters(sharded) == self.nonshard_counters(oracle)
 
     def test_per_shard_counter_families_sum_to_merged(self, fixes):
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        sharded.run(list(fixes))
-        counters = sharded.metrics.counters()
-        for family in ("op.clean.records_in", "stage.raw.records"):
-            parts = sum(
-                counters.get(f"shard.{i}.{family}", 0) for i in range(3)
-            )
-            assert parts == counters[family] > 0
+        """Harvest completeness: every counter family a shard reports is
+        folded whole — merged = Σ ``shard.<i>.<family>`` — across chunked
+        runs and on both hosts (looped, not parametrised, so the test id
+        stays stable)."""
+        half = len(fixes) // 2
+        for worker_pool in (False, True):
+            with ShardedRealtimeLayer(SystemConfig(n_shards=3, worker_pool=worker_pool)) as sharded:
+                sharded.run(fixes[:half])
+                sharded.run(fixes[half:])
+                counters = sharded.metrics.counters()
+            parts: dict[str, int] = {}
+            for name, value in counters.items():
+                head, _, rest = name.partition(".")
+                shard, _, family = rest.partition(".")
+                if head == "shard" and shard.isdigit():
+                    parts[family] = parts.get(family, 0) + value
+            assert {"op.clean.records_in", "stage.raw.records"} <= parts.keys()
+            assert parts == {family: counters[family] for family in parts}, f"{worker_pool=}"
 
     def test_e2e_record_latency_on_merged_stream(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
@@ -313,11 +323,6 @@ class TestHarvestFold:
         assert sum(clean.values()) == merged
         assert 'shard_op_clean_records_in_total{shard="0"}' in clean
         assert "e2e_record_latency_s" in families
-
-    def test_critical_path_speedup_positive(self, fixes):
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        sharded.run(list(fixes))
-        assert sharded.critical_path_speedup() > 1.0
 
 
 class TestWorkerPoolLayer:
@@ -446,7 +451,6 @@ class TestWorkerPoolLayer:
                 # Replica construction (regions, ports, masks) dwarfs a
                 # 200-fix run: folding it into walls would be visible.
                 assert layer.metrics.gauge("shard.0.setup_s").value() > 0.0
-                assert layer.critical_path_speedup() > 0.0
 
 
 class TestShardFrames:

@@ -430,12 +430,11 @@ def test_parallel_fold_equals_sequential_oracle():
 
 def test_parallel_path_surfaces_shard_walls():
     # Regression: worker processes used to take their wall seconds with
-    # them, so the critical-path speedup was only computable in-process.
+    # them, so per-shard walls were only readable in-process.
     _, plane = run_with_plane(worker_pool=True)
     walls = plane.shard_walls()
     assert len(walls) == N_SHARDS
     assert all(w > 0.0 for w in walls)
-    assert plane.critical_path_speedup() > 1.0
     assert plane.registry.gauges()[f"shard.{N_SHARDS - 1}.wall_s"] == walls[-1]
 
 

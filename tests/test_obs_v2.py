@@ -1,11 +1,9 @@
 """Tests for observability v2: event log, health monitor, OpenMetrics
-export, scrape endpoint, batch-layer instrumentation and the perf gate."""
+export, scrape endpoint and batch-layer instrumentation."""
 
-import importlib.util
 import json
 import math
 import urllib.request
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,19 +33,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import Histogram
 from repro.streams import Broker, Record, TumblingWindow, Watermark, count_aggregate
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_perf_gate():
-    """Import tools/perf_gate.py (a script, not a package module)."""
-    spec = importlib.util.spec_from_file_location(
-        "perf_gate", REPO_ROOT / "tools" / "perf_gate.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestEventLog:
     def test_emit_and_filter(self):
@@ -484,67 +469,3 @@ class TestBatchInstrumentation:
         assert snap["counters"]["cep.events"] == 5
         assert snap["counters"]["cep.automaton.transitions"] == 5
         assert snap["histograms"]["cep.match_latency_s"]["count"] == 5
-
-
-class TestPerfGate:
-    def make_results(self):
-        return {
-            "benches": {
-                "benchmarks/bench_x.py::test_fast": {
-                    "counters": {"op.x.records_in": 1000},
-                    "gauges": {"ratio": 0.9},
-                    "histograms": {
-                        "op.x.latency_s": {
-                            "count": 1000, "sum": 1.0, "mean": 0.001,
-                            "min": 0.0005, "max": 0.01,
-                            "p50": 0.001, "p95": 0.002, "p99": 0.005,
-                        }
-                    },
-                }
-            }
-        }
-
-    def test_resolve_metric_paths(self):
-        gate = _load_perf_gate()
-        snap = self.make_results()["benches"]["benchmarks/bench_x.py::test_fast"]
-        assert gate.resolve_metric(snap, "counters.op.x.records_in") == 1000
-        assert gate.resolve_metric(snap, "gauges.ratio") == 0.9
-        assert gate.resolve_metric(snap, "histograms.op.x.latency_s.p95") == 0.002
-        assert gate.resolve_metric(snap, "counters.missing") is None
-        with pytest.raises(ValueError):
-            gate.resolve_metric(snap, "histograms.op.x.latency_s")   # no field
-        with pytest.raises(ValueError):
-            gate.resolve_metric(snap, "bogus.section")
-
-    def test_check_violations_and_warnings(self):
-        gate = _load_perf_gate()
-        budget = {"budgets": [
-            {"bench": "bench_x", "metric": "histograms.op.x.latency_s.p95", "max": 0.001},
-            {"bench": "bench_x", "metric": "gauges.ratio", "min": 0.5},
-            {"bench": "bench_x", "metric": "counters.not_recorded", "max": 1},
-            {"bench": "bench_absent", "metric": "gauges.ratio", "max": 1},
-        ]}
-        violations, warnings = gate.check(self.make_results(), budget)
-        assert len(violations) == 1 and "p95" in violations[0]
-        assert len(warnings) == 2
-
-    def test_exit_codes_on_synthetic_violation(self, tmp_path, capsys):
-        gate = _load_perf_gate()
-        results = tmp_path / "BENCH_obs.json"
-        results.write_text(json.dumps(self.make_results()))
-        budget = tmp_path / "budget.json"
-        budget.write_text(json.dumps({"budgets": [
-            {"bench": "bench_x", "metric": "histograms.op.x.latency_s.p95", "max": 1e-9},
-        ]}))
-        argv = ["--results", str(results), "--budget", str(budget)]
-        assert gate.main(argv) == 1
-        assert gate.main(argv + ["--warn-only"]) == 0
-        budget.write_text(json.dumps({"budgets": [
-            {"bench": "bench_x", "metric": "histograms.op.x.latency_s.p95", "max": 1.0},
-        ]}))
-        assert gate.main(argv) == 0
-        capsys.readouterr()
-
-    def test_missing_results_is_not_a_failure(self, tmp_path):
-        gate = _load_perf_gate()
-        assert gate.main(["--results", str(tmp_path / "nope.json")]) == 0

@@ -168,7 +168,6 @@ class TestShardedPipeline:
         with self.sharded(map_pipeline, 2) as sharded:
             sharded.run_to_end(records)
             assert sum(sharded.records_processed()) == len(records)
-            assert sharded.critical_path_speedup() >= 1.0
             assert all(s > 0.0 for s in sharded.setup_seconds())
 
     def test_rejects_zero_shards(self):
