@@ -1,7 +1,7 @@
 """Dual-path parity: every fast path keeps — and tests — its scalar twin.
 
 PR 3 introduced columnar fast paths (``vectorized=`` star scans,
-``on_batch`` comprehension kernels) whose correctness story is an
+``*_batch`` numpy kernels) whose correctness story is an
 *equivalence oracle*: the scalar implementation is kept alive and a
 test drives both paths over the same input. That story quietly dies if
 someone deletes the scalar branch or the equivalence test; nothing else
@@ -11,9 +11,6 @@ convention load-bearing:
 * a function with a ``vectorized=`` parameter must actually branch on
   it (the scalar twin still exists) and must be named by at least one
   test that exercises ``vectorized=False``;
-* an ``Operator`` subclass overriding ``on_batch`` must keep a scalar
-  ``on_record`` in the same class and be named by at least one test
-  that drives the batched path (``process_batch`` / ``on_batch``);
 * the same discipline for the sharded substrate: a function with a
   ``worker_pool=`` parameter (the one selector between in-process
   replicas and worker processes) must use it and be named by a test
@@ -38,7 +35,7 @@ import ast
 from ..config import AnalysisConfig
 from ..model import Finding, Project, SourceFile
 from ..registry import Checker, register
-from ._util import base_names, walk_classes
+from ._util import walk_classes
 
 #: Parameters that select between twin implementations -> (the call-site
 #: text that selects the oracle side, the oracle side, the fast side,
@@ -70,13 +67,11 @@ class DualPathChecker(Checker):
     def run(self, project: Project, config: AnalysisConfig) -> list[Finding]:
         findings: list[Finding] = []
         tests = project.realm("tests")
-        parents = self._class_parents(project)
         all_defs = self._all_function_names(project)
         for source in project.realm("src"):
             if source.tree is None:
                 continue
             findings.extend(self._twin_parameters(source, tests))
-            findings.extend(self._batched_operators(source, tests, parents))
             findings.extend(self._batch_suffix_functions(source, tests, all_defs, config))
         return findings
 
@@ -91,16 +86,6 @@ class DualPathChecker(Checker):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     names.add(node.name)
         return names
-
-    @staticmethod
-    def _class_parents(project: Project) -> dict[str, list[str]]:
-        parents: dict[str, list[str]] = {}
-        for src in project.realm("src"):
-            if src.tree is None:
-                continue
-            for cls in walk_classes(src.tree):
-                parents[cls.name] = base_names(cls)
-        return parents
 
     # -- twin-selecting parameters (vectorized=, worker_pool=, n_shards) -----------
 
@@ -220,63 +205,3 @@ class DualPathChecker(Checker):
             isinstance(node, ast.Name) and node.id == param and isinstance(node.ctx, ast.Load)
             for node in ast.walk(fn)
         )
-
-    # -- batched operator kernels ------------------------------------------------
-
-    def _batched_operators(
-        self, source: SourceFile, tests: list[SourceFile], parents: dict[str, list[str]]
-    ):
-        for cls in walk_classes(source.tree):
-            if not self._is_operator(cls.name, base_names(cls), parents):
-                continue
-            methods = {
-                stmt.name
-                for stmt in cls.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "on_batch" not in methods or cls.name == "Operator":
-                continue
-            if "on_record" not in methods:
-                yield self.finding(
-                    "error",
-                    source.relpath,
-                    cls.lineno,
-                    cls.col_offset,
-                    f"{cls.name} overrides on_batch without a scalar "
-                    f"on_record in the same class — the batched kernel has "
-                    f"no per-record twin to be checked against",
-                    symbol=f"{source.module}.{cls.name}",
-                )
-                continue
-            exercised = any(
-                cls.name in t.text
-                and ("process_batch" in t.text or "on_batch" in t.text)
-                for t in tests
-            )
-            if not exercised:
-                yield self.finding(
-                    "error",
-                    source.relpath,
-                    cls.lineno,
-                    cls.col_offset,
-                    f"{cls.name} has an on_batch kernel but no test drives "
-                    f"{cls.name} through process_batch — batched/scalar "
-                    f"equivalence is unverified",
-                    symbol=f"{source.module}.{cls.name}",
-                )
-
-    @staticmethod
-    def _is_operator(name: str, bases: list[str], parents: dict[str, list[str]]) -> bool:
-        if "Operator" in bases or name == "Operator":
-            return True
-        seen: set[str] = set()
-        frontier = list(bases)
-        while frontier:
-            base = frontier.pop()
-            if base == "Operator":
-                return True
-            if base in seen:
-                continue
-            seen.add(base)
-            frontier.extend(parents.get(base, ()))
-        return False

@@ -14,10 +14,9 @@ exposed to:
   pragma;
 * **Operator contract overrides** — subclasses of
   :class:`repro.streams.operators.Operator` must override ``on_record`` /
-  ``on_batch`` / ``on_watermark``, never ``process`` / ``process_batch``
-  themselves: the base methods carry the probe accounting, stream stats
-  and watermark-run splitting that the exactly-once and batched/scalar
-  equivalence oracles assume. An override that skips them is invisible
+  ``on_watermark``, never ``process`` / ``process_many`` themselves: the
+  base methods carry the probe accounting and stream stats that the
+  exactly-once oracles assume. An override that skips them is invisible
   to observability and unverifiable by the oracles.
 """
 
@@ -31,10 +30,10 @@ from ..registry import Checker, register
 from ._util import base_names, walk_classes
 
 #: Operator entry points that subclasses must not re-implement.
-PROTECTED_OPERATOR_METHODS = ("process", "process_batch", "process_many", "_process_run")
+PROTECTED_OPERATOR_METHODS = ("process", "process_many")
 
 #: The extension points subclasses are supposed to use instead.
-OPERATOR_EXTENSION_POINTS = "on_record / on_batch / on_watermark / flush"
+OPERATOR_EXTENSION_POINTS = "on_record / on_watermark / flush"
 
 _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
 

@@ -33,7 +33,7 @@ from ._util import WILDCARD, call_keyword, dotted_name, loop_string_bindings, re
 #: Namespace roots the dotted grammar admits (see DESIGN.md §observability).
 KNOWN_ROOTS = frozenset(
     {
-        "op", "kg", "cep", "batch", "broker", "pipeline", "realtime",
+        "op", "kg", "cep", "batch", "broker", "realtime",
         "shard", "stage", "synopses", "linkdiscovery", "prediction",
         "dashboard", "throughput", "e2e",
     }
@@ -140,17 +140,6 @@ class MetricContractChecker(Checker):
                     self._emit_probe_family(emit, op_name, node)
                     for gauge in _OPERATOR_GAUGES:
                         emit("gauges", [f"op.{op_name}.{gauge}"], node)
-            elif attr == "instrument_pipeline":
-                prefix_arg = call_keyword(node, "prefix")
-                prefixes = (
-                    resolve_strings(prefix_arg, bindings) if prefix_arg is not None else [WILDCARD]
-                )
-                for prefix in prefixes:
-                    emit("gauges", [f"pipeline.{prefix}.records_s"], node)
-                    emit("gauges", [f"pipeline.{prefix}.records_processed"], node)
-                    self._emit_probe_family(emit, f"{prefix}.{WILDCARD}", node)
-                    for gauge in _OPERATOR_GAUGES:
-                        emit("gauges", [f"op.{prefix}.{WILDCARD}.{gauge}"], node)
             elif attr == "instrument_broker":
                 for field in ("size", "published", "dropped"):
                     emit("gauges", [f"broker.topic.{WILDCARD}.{field}"], node)

@@ -34,10 +34,10 @@ class SystemConfig:
     proximity_time_s: float = 300.0
     grid_cell_deg: float = 0.5
     seed: int = 7
-    #: Shards of the sharded execution substrate: >= 2 partitions the fix
-    #: stream by entity across independent real-time replicas with
-    #: partition-local state (see repro.streams.sharding); 1 keeps the
-    #: single-shard path — the determinism/equivalence oracle.
+    #: Shards of the sharded real-time layer (repro.core.sharded): >= 2
+    #: partitions the fix stream by entity across independent replicas
+    #: with partition-local state; 1 keeps the single-shard path — the
+    #: determinism/equivalence oracle. Must be >= 1.
     n_shards: int = 1
     #: Host shard replicas in long-lived worker processes
     #: (repro.streams.workers) instead of in-process: replicas are built

@@ -1,26 +1,29 @@
 """Sharded real-time layer: N entity-partitioned Figure-2 replicas.
 
 The multi-core deployment of :class:`~repro.core.realtime.RealtimeLayer`
-on the sharded execution substrate (``repro.streams.sharding``): the
-surveillance stream is partitioned by ``entity_id`` across
-``SystemConfig.n_shards`` replicas of the per-entity half of Figure 2
-(:class:`~repro.core.realtime.EntityStages`), each owning partition-local
-state. The cross-entity half (:class:`~repro.core.realtime.GlobalStages`:
-proximity, complex event recognition, the dashboard) cannot be
-partitioned that way — per-shard proximity would silently miss every
-cross-shard pair — and runs once, here, on the *merged* stream.
+and the one sharded executor of the repo — shard routing and merge from
+``repro.streams.sharding``, the shard hosts and their scatter/gather
+from ``repro.streams.workers``: the surveillance stream is partitioned
+by ``entity_id`` across ``SystemConfig.n_shards`` replicas of the
+per-entity half of Figure 2 (:class:`~repro.core.realtime.EntityStages`),
+each owning partition-local state. The cross-entity half
+(:class:`~repro.core.realtime.GlobalStages`: proximity, complex event
+recognition, the dashboard) cannot be partitioned that way — per-shard
+proximity would silently miss every cross-shard pair — and runs once,
+here, on the *merged* stream.
 
 The merge is canonical: per-shard topic streams are combined with the
-substrate's ``(t, key)`` stable merge, so the merged stream — and
-therefore every global stage and the merged broker topics — is
-*identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard run
-is the equivalence oracle, exactly as ``vectorized=False`` is for the
-columnar fast path; the shard-equivalence tests drive both.
+``(t, key)`` stable merge (``merge_shard_outputs``), so the merged
+stream — and therefore every global stage and the merged broker topics
+— is *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard
+run is the equivalence oracle, exactly as ``vectorized=False`` is for
+the columnar fast path; the shard-equivalence tests drive both.
 
 Observability: each shard's counters surface as ``shard.<i>.*`` gauges
 on the layer-wide registry, next to a ``shard.count`` and a
-``shard.balance`` gauge (slowest-shard share of the aggregate work —
-the routing-balance number the sharded throughput floor gates).
+``shard.balance`` gauge (aggregate work over the slowest shard's — the
+routing-balance number ``benchmarks/e2e`` reports as
+``streams.shard_balance``).
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ class ShardedRealtimeLayer(Figure2Plane):
         # Its broker is the merged one: what the batch layer reads.
         super().__init__(config)
         cfg = self.config
-        self.n_shards = max(1, cfg.n_shards)
+        if cfg.n_shards < 1:
+            raise ValueError("a sharded layer needs at least one shard")
+        self.n_shards = cfg.n_shards
         #: Whether the replicas live in worker processes or in this one.
         self.use_worker_pool = cfg.worker_pool
         # Replicas own every per-entity stage; the cross-entity ones run

@@ -3,8 +3,8 @@
 The paper judges every datAcron component by throughput and latency
 numbers (Sections 4-5); this package is where the reproduction measures
 them. One :class:`MetricsRegistry` per system instance holds counters,
-gauges and deterministic reservoir histograms; operators, pipelines and
-the broker are wired in through :mod:`repro.obs.instrument`; and a
+gauges and deterministic reservoir histograms; operators and the broker
+are wired in through :mod:`repro.obs.instrument`; and a
 :class:`Tracer` follows sampled records end to end through the
 Figure-2 real-time layer.
 """
@@ -23,11 +23,8 @@ from .harvest import (
     HistogramSnapshot,
     MetricsSnapshot,
     ObsHarvest,
-    ShardObsWorker,
-    ShardedObsPlane,
     fold_harvests,
     harvest_obs,
-    merge_histogram_snapshots,
     snapshot_registry,
 )
 from .health import DEGRADED, FAILING, OK, HealthMonitor, HealthRule, default_realtime_rules
@@ -37,7 +34,6 @@ from .instrument import (
     instrument_broker,
     instrument_consumer,
     instrument_operator,
-    instrument_pipeline,
     operator_rates,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, format_snapshot
@@ -63,8 +59,6 @@ __all__ = [
     "ObsHarvest",
     "OperatorProbe",
     "SEVERITIES",
-    "ShardObsWorker",
-    "ShardedObsPlane",
     "Span",
     "Tracer",
     "consumer_lags",
@@ -72,12 +66,10 @@ __all__ = [
     "fold_harvests",
     "format_snapshot",
     "harvest_obs",
-    "merge_histogram_snapshots",
     "snapshot_registry",
     "instrument_broker",
     "instrument_consumer",
     "instrument_operator",
-    "instrument_pipeline",
     "operator_rates",
     "parse_openmetrics",
     "render_openmetrics",

@@ -1,14 +1,15 @@
-"""Cross-process observability harvest for the sharded substrate.
+"""Cross-process observability harvest for the sharded Figure-2 layer.
 
-``ShardedPipeline`` and :class:`~repro.core.sharded.
-ShardedRealtimeLayer` execute Figure 2 as N shard replicas, in-process
-or one per worker process — and until this module existed, a replica's
-metrics, events and traces stayed behind in its worker process, leaving
-the fastest execution path an observability black box. This mirrors the central problem of distributed
-mobility-analytics deployments (edge nodes must ship compact local
-summaries to a central analytics point): the worker side serializes its
-observability state into a small picklable :class:`ObsHarvest`, and the
-parent folds harvests into one merged registry / event log / tracer.
+:class:`~repro.core.sharded.ShardedRealtimeLayer` executes Figure 2 as N
+shard replicas, in-process or one per worker process — and a replica's
+metrics, events and traces would otherwise stay behind in its worker
+process, leaving the fastest execution path an observability black box.
+This mirrors the central problem of distributed mobility-analytics
+deployments (edge nodes must ship compact local summaries to a central
+analytics point): the replica side freezes its observability state into
+a small picklable :class:`ObsHarvest` (:func:`harvest_obs`, shipped as a
+per-run :meth:`ObsHarvest.delta`), and the parent folds harvests into
+one merged registry / event log / tracer (:func:`fold_harvests`).
 
 Merge semantics, by metric kind:
 
@@ -26,22 +27,18 @@ Merge semantics, by metric kind:
   re-parented under one synthetic ``sharded.run`` root span.
 
 The streams layer never imports obs (layering: obs instruments streams
-from the outside), so :class:`ShardedObsPlane` is handed to
-``run_sharded``/``ShardedPipeline`` as an opaque ``obs=`` object: the
-substrate only touches ``obs.worker`` (a picklable per-shard recipe)
-and ``obs.fold(harvests)``.
+from the outside): the shard hosts carry a harvest as an opaque part of
+a reply, and only ``repro.core`` calls the two functions above.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any
 
 from .events import EventLog
-from .instrument import instrument_pipeline
-from .metrics import MetricsRegistry, merge_reservoirs
+from .metrics import MetricsRegistry
 from .tracing import Span, Tracer
 
 #: First-match gauge aggregation rules: a parallel run is as long as its
@@ -104,31 +101,6 @@ def snapshot_registry(registry: MetricsRegistry) -> MetricsSnapshot:
             )
             for name, h in sorted(registry._histograms.items())
         },
-    )
-
-
-def merge_histogram_snapshots(
-    parts: list[HistogramSnapshot], reservoir_size: int = 512, seed: int = 0
-) -> HistogramSnapshot:
-    """Merge histogram summaries: exact count/sum/min/max, sampled reservoir.
-
-    Deterministic for a fixed ``seed`` and part order — the weighted
-    reservoir merge draws through one seeded RNG.
-    """
-    live = [p for p in parts if p.count > 0]
-    if not live:
-        return HistogramSnapshot(0, 0.0, float("inf"), float("-inf"), (), reservoir_size)
-    rng = random.Random(seed)
-    reservoir = merge_reservoirs(
-        [(p.count, list(p.reservoir)) for p in live], reservoir_size, rng
-    )
-    return HistogramSnapshot(
-        count=sum(p.count for p in live),
-        sum=sum(p.sum for p in live),
-        min=min(p.min for p in live),
-        max=max(p.max for p in live),
-        reservoir=tuple(reservoir),
-        reservoir_size=reservoir_size,
     )
 
 
@@ -298,117 +270,3 @@ def fold_harvests(
             tracer.absorb(list(h.spans), parent=root, tags={"shard": h.shard})
         tracer.finish(root)
     return root
-
-
-@dataclass(slots=True)
-class _ShardObs:
-    """The live observability objects of one shard replica."""
-
-    registry: MetricsRegistry
-    events: EventLog
-    tracer: Tracer
-
-
-@dataclass(slots=True)
-class ShardObsWorker:
-    """The picklable worker-side recipe of the obs plane.
-
-    This is the *only* part of :class:`ShardedObsPlane` that crosses the
-    process boundary: it holds no live objects, just how to build a shard's
-    registry/event-log/tracer (``setup``) and how to freeze them into a
-    picklable :class:`ObsHarvest` after a run (``harvest``).
-    """
-
-    seed: int = 0
-    instrument: bool = True
-    event_capacity: int = 256
-    max_spans: int = 4096
-
-    def setup(self, shard: int, pipeline: Any = None) -> _ShardObs:
-        """Build the shard-local obs objects, instrumenting ``pipeline``."""
-        obs = _ShardObs(
-            registry=MetricsRegistry(seed=self.seed),
-            events=EventLog(capacity=self.event_capacity),
-            tracer=Tracer(max_spans=self.max_spans),
-        )
-        if self.instrument and pipeline is not None:
-            instrument_pipeline(pipeline, obs.registry)
-        return obs
-
-    def harvest(
-        self,
-        shard: int,
-        obs: _ShardObs,
-        wall_seconds: float,
-        setup_seconds: float = 0.0,
-    ) -> ObsHarvest:
-        """Freeze the shard's obs state; adds a synthetic ``shard.run`` span.
-
-        The span is stamped on a shard-local zero-based clock (worker
-        ``perf_counter`` origins are not comparable across processes), so
-        its duration — the shard's wall — is the meaningful part.
-        ``setup_seconds`` (replica build cost) travels beside the wall,
-        never inside it.
-        """
-        root = obs.tracer.start_trace("shard.run", shard=shard)
-        root.start = 0.0
-        root.end = float(wall_seconds)
-        return harvest_obs(
-            shard,
-            obs.registry,
-            obs.events,
-            obs.tracer,
-            wall_seconds=wall_seconds,
-            setup_seconds=setup_seconds,
-        )
-
-
-class ShardedObsPlane:
-    """Parent-side coordinator: pass as ``obs=`` to the sharded substrate.
-
-    ``run_sharded``/``ShardedPipeline`` treat this duck-typed: they call
-    ``plane.worker.setup(...)``/``.harvest(...)`` inside each shard
-    (worker process or not) and ``plane.fold(deltas)`` once per run in
-    the parent. The folded state lives in :attr:`registry`,
-    :attr:`events` and :attr:`tracer` — ready for ``render_openmetrics``
-    or a :class:`~repro.obs.export.MetricsServer`.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        events: EventLog | None = None,
-        tracer: Tracer | None = None,
-        seed: int = 0,
-        instrument: bool = True,
-        gauge_rules: tuple[tuple[str, str], ...] = DEFAULT_GAUGE_RULES,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry(seed=seed)
-        self.events = events if events is not None else EventLog()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.worker = ShardObsWorker(seed=seed, instrument=instrument)
-        self.gauge_rules = tuple(gauge_rules)
-        self.harvests: list[ObsHarvest] = []
-        self.root_span: Span | None = None
-
-    def fold(self, harvests: list[ObsHarvest]) -> Span | None:
-        """Merge one run's shard harvests into the parent-side state."""
-        batch = sorted((h for h in harvests if h is not None), key=lambda h: h.shard)
-        self.harvests.extend(batch)
-        self.root_span = fold_harvests(
-            self.registry,
-            batch,
-            events=self.events,
-            tracer=self.tracer,
-            gauge_rules=self.gauge_rules,
-        )
-        return self.root_span
-
-    def shard_walls(self) -> list[float]:
-        """Per-shard wall seconds (``shard.<i>.wall_s``), in shard order."""
-        walls: dict[int, float] = {}
-        for name, value in self.registry.gauges("shard.").items():
-            head, _, tail = name[len("shard."):].partition(".")
-            if tail == "wall_s" and head.isdigit():
-                walls[int(head)] = value
-        return [walls[i] for i in sorted(walls)]

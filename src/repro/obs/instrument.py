@@ -3,9 +3,8 @@
 Three kinds of components carry the numbers the paper reports, and each
 gets a dedicated instrumentation entry point:
 
-* **operators / pipelines** — per-operator records/s, per-record
-  processing latency, and buffered queue depth
-  (:func:`instrument_operator`, :func:`instrument_pipeline`);
+* **operators** — per-operator records/s, per-record processing
+  latency, and buffered queue depth (:func:`instrument_operator`);
 * **the broker** — per-topic size/published/dropped gauges and
   per-consumer-group lag gauges (:func:`instrument_broker`,
   :func:`instrument_consumer`);
@@ -34,19 +33,18 @@ from .metrics import MetricsRegistry
 if TYPE_CHECKING:  # import only for typing: streams must not import obs
     from ..streams.broker import Broker, Consumer
     from ..streams.operators import Operator
-    from ..streams.pipeline import Pipeline
 
 
 class OperatorProbe:
     """The per-operator metric bundle, attached to ``Operator.probe``.
 
     ``Operator.process`` calls :meth:`observe` once per record with the
-    fan-out count and the wall seconds spent in ``on_record``; the batched
-    ``Operator.process_batch`` path calls it once per record *run* with
-    ``n_in`` set to the run length, so the counters stay exact either way.
-    ``op.<name>.batches`` counts observe calls — per-record processing has
-    ``batches == records_in``, the batched path far fewer — and the latency
-    histogram holds per-call (i.e. per record or per batch) seconds.
+    fan-out count and the wall seconds spent in ``on_record``; a stage
+    that works on several records at once calls it once per batch with
+    ``n_in`` set to the batch length, so the counters stay exact either
+    way. ``op.<name>.batches`` counts observe calls — per-record
+    processing has ``batches == records_in`` — and the latency histogram
+    holds per-call (i.e. per record or per batch) seconds.
     """
 
     __slots__ = ("name", "records_in", "records_out", "batches", "latency")
@@ -87,24 +85,6 @@ def instrument_operator(op: "Operator", registry: MetricsRegistry, name: str | N
     if hasattr(op, "late_records"):
         registry.gauge(f"op.{label}.late_records", fn=lambda o=op: o.late_records)
     return op
-
-
-def instrument_pipeline(pipeline: "Pipeline", registry: MetricsRegistry, prefix: str | None = None) -> "Pipeline":
-    """Instrument every operator of a pipeline plus pipeline-level throughput.
-
-    Operator metric names are ``<prefix>.<op.name>``; duplicate names in
-    one chain get a positional suffix so their metrics stay separate.
-    """
-    base = prefix or pipeline.name
-    seen: dict[str, int] = {}
-    for op in pipeline.operators:
-        n = seen.get(op.name, 0)
-        seen[op.name] = n + 1
-        label = f"{base}.{op.name}" if n == 0 else f"{base}.{op.name}.{n}"
-        instrument_operator(op, registry, name=label)
-    registry.gauge(f"pipeline.{base}.records_s", fn=pipeline.throughput)
-    registry.gauge(f"pipeline.{base}.records_processed", fn=lambda p=pipeline: p.records_processed)
-    return pipeline
 
 
 def instrument_broker(broker: "Broker", registry: MetricsRegistry) -> None:

@@ -7,16 +7,10 @@ partitioned broker with consumer groups.
 
 from .broker import Broker, Consumer, Topic, TopicBatcher, TopicMessage
 from .join import Enriched, TemporalLookupJoin
-from .operators import Filter, FlatMap, KeyBy, KeyedProcess, LatencyProbe, Map, MapBatch, Operator, Peek, Union
+from .operators import Filter, FlatMap, KeyBy, KeyedProcess, LatencyProbe, Map, Operator, Peek, Union
 from .pipeline import Pipeline, WatermarkAssigner, drain_consumer, merge_by_time, publish_all, records_from_values
 from .record import Record, StreamElement, StreamStats, Watermark
-from .sharding import (
-    ShardedPipeline,
-    ShardRouter,
-    merge_shard_outputs,
-    run_sharded,
-    shard_index,
-)
+from .sharding import merge_shard_outputs, shard_index
 from .windows import SlidingWindow, TumblingWindow, WindowResult, count_aggregate, mean_aggregate
 from .workers import (
     ShardWorkerDied,
@@ -36,15 +30,12 @@ __all__ = [
     "KeyedProcess",
     "LatencyProbe",
     "Map",
-    "MapBatch",
     "Operator",
     "Peek",
     "Pipeline",
     "Record",
-    "ShardRouter",
     "ShardWorkerDied",
     "ShardWorkerError",
-    "ShardedPipeline",
     "SlidingWindow",
     "WorkerHost",
     "StreamElement",
@@ -65,7 +56,6 @@ __all__ = [
     "merge_shard_outputs",
     "publish_all",
     "records_from_values",
-    "run_sharded",
     "scatter_gather",
     "shard_hosts",
     "shard_index",

@@ -59,61 +59,6 @@ class Operator:
             out.extend(self.process(el))
         return out
 
-    def process_batch(self, elements: Iterable[StreamElement]) -> list[StreamElement]:
-        """The batched fast path: feed many elements with batch-level accounting.
-
-        Runs of consecutive records are handed to :meth:`on_batch` as one
-        call — the whole run is timed once into the probe (``n_in`` set to
-        the run length) and the stream stats are bumped once per run instead
-        of once per record. Watermarks split runs so event-time ordering
-        relative to records is preserved. Emitted elements, stats counters
-        and probe totals are identical to calling :meth:`process` per
-        element; only the probe's latency histogram sees per-run instead of
-        per-record observations.
-        """
-        out: list[StreamElement] = []
-        run: list[Record] = []
-        for el in elements:
-            if isinstance(el, Watermark):
-                if run:
-                    self._process_run(run, out)
-                    run = []
-                out.extend(self.on_watermark(el))
-                self.stats.watermarks += 1
-            else:
-                run.append(el)
-        if run:
-            self._process_run(run, out)
-        return out
-
-    def _process_run(self, records: list[Record], out: list[StreamElement]) -> None:
-        """Process one watermark-free run of records through :meth:`on_batch`."""
-        self.stats.saw_records(records)
-        if self.probe is not None:
-            start = perf_counter()
-            emitted = self.on_batch(records)
-            elapsed = perf_counter() - start
-        else:
-            emitted = self.on_batch(records)
-        n_out = sum(1 for e in emitted if isinstance(e, Record))
-        if self.probe is not None:
-            self.probe.observe(n_out, elapsed, n_in=len(records))
-        self.stats.emitted(n_out)
-        out.extend(emitted)
-
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        """Batched record kernel; default delegates to :meth:`on_record`.
-
-        Subclasses with per-record logic cheap enough to inline (map,
-        filter, ...) override this with a single-comprehension kernel.
-        Overrides must keep per-record semantics bit-identical, including
-        side effects such as drop counting.
-        """
-        out: list[StreamElement] = []
-        for record in records:
-            out.extend(self.on_record(record))
-        return out
-
     def on_record(self, record: Record) -> list[StreamElement]:
         raise NotImplementedError
 
@@ -142,41 +87,6 @@ class Map(Operator):
     def on_record(self, record: Record) -> list[StreamElement]:
         return [record.with_value(self.fn(record.value))]
 
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        fn = self.fn
-        return [r.with_value(fn(r.value)) for r in records]
-
-
-class MapBatch(Operator):
-    """Apply a whole-batch kernel to runs of record values.
-
-    The plumbing that lets vectorized kernels (the numpy geo batch paths,
-    columnar encoders, ...) run over a poll's worth of records in one
-    call: the constructor takes a batch function ``list[values] ->
-    list[values]`` that must return exactly one output value per input.
-    The per-record path feeds the same kernel a one-element batch, so
-    ``on_record`` stays the equivalence oracle for ``on_batch`` whenever
-    the kernel is element-wise.
-    """
-
-    name = "map_batch"
-
-    def __init__(self, batch_fn: Callable[[list[Any]], list[Any]]):
-        super().__init__()
-        self.batch_fn = batch_fn
-
-    def on_record(self, record: Record) -> list[StreamElement]:
-        values = self.batch_fn([record.value])
-        if len(values) != 1:
-            raise ValueError(f"batch kernel returned {len(values)} values for 1 record")
-        return [record.with_value(values[0])]
-
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        values = self.batch_fn([r.value for r in records])
-        if len(values) != len(records):
-            raise ValueError(f"batch kernel returned {len(values)} values for {len(records)} records")
-        return [r.with_value(v) for r, v in zip(records, values)]
-
 
 class Filter(Operator):
     """Keep only records whose value satisfies the predicate."""
@@ -193,12 +103,6 @@ class Filter(Operator):
         self.stats.dropped += 1
         return []
 
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        predicate = self.predicate
-        kept = [r for r in records if predicate(r.value)]
-        self.stats.dropped += len(records) - len(kept)
-        return kept
-
 
 class FlatMap(Operator):
     """Apply a function returning an iterable; emit one record per item."""
@@ -212,10 +116,6 @@ class FlatMap(Operator):
     def on_record(self, record: Record) -> list[StreamElement]:
         return [record.with_value(v) for v in self.fn(record.value)]
 
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        fn = self.fn
-        return [r.with_value(v) for r in records for v in fn(r.value)]
-
 
 class KeyBy(Operator):
     """Re-key records with a key extractor over the value."""
@@ -228,10 +128,6 @@ class KeyBy(Operator):
 
     def on_record(self, record: Record) -> list[StreamElement]:
         return [record.with_key(self.key_fn(record.value))]
-
-    def on_batch(self, records: list[Record]) -> list[StreamElement]:
-        key_fn = self.key_fn
-        return [r.with_key(key_fn(r.value)) for r in records]
 
 
 class KeyedProcess(Operator, Generic[T]):

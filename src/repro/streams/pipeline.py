@@ -85,36 +85,13 @@ class Pipeline:
                 break
         return batch
 
-    def push_batch(self, elements: list[StreamElement]) -> list[StreamElement]:
-        """Push a batch through the chain, one operator hop per stage.
-
-        The batched fast path: each operator sees the whole batch in one
-        :meth:`~repro.streams.operators.Operator.process_batch` call instead
-        of one :meth:`~repro.streams.operators.Operator.process` call per
-        element. Element order is preserved through every hop, so outputs
-        (and all operator state transitions) are identical to pushing the
-        elements one by one.
-        """
-        batch = elements
-        for op in self.operators:
-            batch = op.process_batch(batch)
-            if not batch:
-                break
-        return batch
-
     def run(
         self,
         elements: Iterable[StreamElement],
         watermarks: WatermarkAssigner | None = None,
         flush: bool = True,
-        batch_size: int | None = None,
     ) -> list[Record]:
         """Run the pipeline over a bounded element stream; returns output records.
-
-        ``batch_size`` switches to the batched fast path: elements (with
-        their injected watermarks, in order) are pushed through the chain in
-        chunks of up to ``batch_size`` via :meth:`push_batch`. Outputs are
-        element-for-element identical to the per-element path.
 
         ``flush=False`` makes the run *incremental*: no stream-closing
         watermark is injected and no operator state is flushed, so a later
@@ -129,28 +106,15 @@ class Pipeline:
         """
         out: list[Record] = []
         start = _time.perf_counter()
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        pending: list[StreamElement] = []
         for el in elements:
             if isinstance(el, Record) and watermarks is not None:
                 wrapped: list[StreamElement] = watermarks.feed(el)
             else:
                 wrapped = [el]
-            if batch_size is None:
-                for w in wrapped:
-                    if isinstance(w, Record):
-                        self.records_processed += 1
-                    out.extend(r for r in self.push(w) if isinstance(r, Record))
-            else:
-                pending.extend(wrapped)
-                if len(pending) >= batch_size:
-                    self.records_processed += sum(1 for w in pending if isinstance(w, Record))
-                    out.extend(r for r in self.push_batch(pending) if isinstance(r, Record))
-                    pending = []
-        if pending:
-            self.records_processed += sum(1 for w in pending if isinstance(w, Record))
-            out.extend(r for r in self.push_batch(pending) if isinstance(r, Record))
+            for w in wrapped:
+                if isinstance(w, Record):
+                    self.records_processed += 1
+                out.extend(r for r in self.push(w) if isinstance(r, Record))
         if flush:
             if watermarks is not None:
                 out.extend(r for r in self.push(watermarks.final_watermark()) if isinstance(r, Record))
@@ -221,7 +185,6 @@ def drain_consumer(
     consumer: Consumer,
     pipeline: Pipeline,
     watermarks: WatermarkAssigner | None = None,
-    batch_size: int | None = None,
 ) -> list[Record]:
     """Poll a broker consumer to exhaustion through a pipeline.
 
@@ -229,15 +192,13 @@ def drain_consumer(
     arriving in a later poll within the out-of-orderness bound are still
     in time — the stream-closing final watermark is pushed exactly once,
     after the poll loop, followed by the operator flush.
-
-    ``batch_size`` selects the pipeline's batched fast path for each poll.
     """
     out: list[Record] = []
     while True:
         batch = consumer.poll()
         if not batch:
             break
-        out.extend(pipeline.run(batch, watermarks=watermarks, flush=False, batch_size=batch_size))
+        out.extend(pipeline.run(batch, watermarks=watermarks, flush=False))
     if watermarks is not None:
         out.extend(r for r in pipeline.push(watermarks.final_watermark()) if isinstance(r, Record))
     out.extend(pipeline.flush())

@@ -76,13 +76,5 @@ class StreamStats:
         if record.key is not None:
             self.by_key[record.key] = self.by_key.get(record.key, 0) + 1
 
-    def saw_records(self, records: list[Record]) -> None:
-        """Batched :meth:`saw_record`: one counter bump for the whole batch."""
-        self.records_in += len(records)
-        by_key = self.by_key
-        for record in records:
-            if record.key is not None:
-                by_key[record.key] = by_key.get(record.key, 0) + 1
-
     def emitted(self, n: int = 1) -> None:
         self.records_out += n

@@ -4,7 +4,7 @@ A sharded stream is N replicas fed one request per poll each. *What* a
 replica is belongs to a :class:`WorkerSpec` (``setup`` builds it once,
 ``handle`` serves one request); *where* it lives belongs to a host, and
 there are exactly two, with one surface (``send`` / ``receive`` /
-``reset`` / ``restart`` / ``close`` / ``setup_s``):
+``restart`` / ``close`` / ``setup_s``):
 
 * :class:`InlineHost` calls ``spec.setup`` / ``spec.handle`` directly in
   the parent process — the deterministic oracle, no serialisation;
@@ -16,10 +16,10 @@ there are exactly two, with one surface (``send`` / ``receive`` /
   runs of the realtime serving pattern.
 
 :func:`scatter_gather` is the only place that ships a request to every
-shard and collects a reply from every shard; the pipeline facade
-(:class:`~repro.streams.sharding.ShardedPipeline`) and the Figure-2 layer
-(``repro.core.sharded``) both run through it, so the two transports
-execute the same code and differ only in the host.
+shard and collects a reply from every shard; the one sharded executor,
+the Figure-2 layer (``repro.core.sharded``), runs every poll through it
+on either host, so the two transports execute the same code and differ
+only in the host.
 
 Protocol of the process host: strict lockstep — at most one outstanding
 request per worker, so the pipe can never deadlock; the parent scatters
@@ -32,12 +32,12 @@ them only through :meth:`WorkerHost._expect`, which refuses a reply
 through one handler table keyed by the same request tags.
 
 Payloads (``p`` / ``response``) are opaque to the protocol — a
-:class:`WorkerSpec` owns their shape. The pipeline facade ships
-``list[Record]`` by value (``Record`` and the domain values it carries
-pickle positionally, not through the per-object ``fields()`` walk
-frozen+slots dataclasses default to); the pooled Figure-2 layer ships
+:class:`WorkerSpec` owns their shape. The pooled Figure-2 layer ships
 pre-serialised ``bytes`` in both directions — columnar fix batches out,
-reply-by-reference topics back (``repro.core.frames``).
+reply-by-reference topics back (``repro.core.frames``); the derived
+records that still travel by value inside a reply (``Record`` and the
+domain values it carries) pickle positionally, not through the
+per-object ``fields()`` walk frozen+slots dataclasses default to.
 
 Liveness: a dead worker is detected at the next interaction with it and
 surfaced as :class:`ShardWorkerDied` carrying the shard id; a *hung*
@@ -67,7 +67,7 @@ DEFAULT_REQUEST_TIMEOUT_S = 300.0
 _CLOSE_ACK_TIMEOUT_S = 5.0
 
 # Frame tags. A frame is the tuple ``(tag, *payload)``.
-REQ, RESET, CLOSE = "req", "reset", "close"  # parent → worker
+REQ, CLOSE = "req", "close"  # parent → worker
 READY, FATAL, OK, ERR, CLOSED = "ready", "fatal", "ok", "err", "closed"  # worker → parent
 
 #: The whole protocol: request tag → the reply tags that may answer it.
@@ -75,7 +75,6 @@ READY, FATAL, OK, ERR, CLOSED = "ready", "fatal", "ok", "err", "closed"  # worke
 PROTOCOL: dict[str | None, tuple[str, ...]] = {
     None: (READY, FATAL),  # (spawn)    → ("ready", setup_s) | ("fatal", repr(exc)), then exits
     REQ: (OK, ERR),        # ("req", p) → ("ok", response)   | ("err", repr(exc))
-    RESET: (READY, ERR),   # ("reset",) → ("ready", setup_s) | ("err", repr(exc))
     CLOSE: (CLOSED,),      # ("close",) → ("closed",), then exits
 }
 
@@ -148,7 +147,6 @@ class _Replica:
 _HANDLERS: dict[str | None, Callable[..., tuple]] = {
     None: _Replica.build,
     REQ: _Replica.serve,
-    RESET: _Replica.build,
     CLOSE: lambda replica: (CLOSED,),
 }
 
@@ -204,8 +202,8 @@ class WorkerHost:
     the shard.
 
     ``setup_s`` accumulates replica build seconds across the initial
-    spawn and every :meth:`reset`/:meth:`restart` — reported apart from
-    run walls so speedups compare steady state.
+    spawn and every :meth:`restart` — reported apart from run walls so
+    speedups compare steady state.
 
     ``request_timeout_s`` bounds every wait for a reply frame: a worker
     that is alive but hung (deadlocked replica, wedged syscall) would
@@ -267,11 +265,6 @@ class WorkerHost:
         """Lockstep convenience: :meth:`send` then :meth:`receive`."""
         self.send(payload)
         return self.receive()
-
-    def reset(self) -> None:
-        """Rebuild the replica in place (same process, fresh state)."""
-        self._send(RESET)
-        self.setup_s += self._expect(RESET)
 
     def restart(self) -> None:
         """Kill the process (alive or not) and spawn a fresh replica."""
@@ -361,7 +354,7 @@ class InlineHost:
         self.shard = shard
         self.setup_s = 0.0
         self._request: Any = None
-        self.reset()
+        self.restart()
 
     def send(self, payload: Any) -> None:
         self._request = payload
@@ -376,13 +369,11 @@ class InlineHost:
         except Exception as exc:
             raise ShardWorkerError(self.shard, repr(exc)) from exc
 
-    def reset(self) -> None:
-        """Rebuild the replica from the spec (fresh state)."""
+    def restart(self) -> None:
+        """Build the replica from the spec (fresh state)."""
         t0 = perf_counter()
         self.state = self.spec.setup(self.shard)
         self.setup_s += perf_counter() - t0
-
-    restart = reset
 
     def close(self) -> None:
         """Nothing to release in-process."""

@@ -49,12 +49,6 @@ class Operator:
 
     def on_record(self, record):
         return []
-
-    def on_batch(self, records):
-        out = []
-        for r in records:
-            out.extend(self.on_record(r))
-        return out
 """
 
 
@@ -390,57 +384,6 @@ class TestDualPathChecker:
         )
         result = run_analysis(root, checks=["dual-path"])
         assert new_findings_of(result, "dual-path") == []
-
-    def test_on_batch_without_on_record_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/operators.py": OPERATOR_BASE,
-                "src/repro/streams/fast.py": (
-                    "from .operators import Operator\n"
-                    "class BatchOnly(Operator):\n"
-                    "    def on_batch(self, records):\n"
-                    "        return records\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "no per-record twin" in f.message for f in new_findings_of(result, "dual-path")
-        )
-
-    def test_on_batch_needs_batched_test(self, tmp_path):
-        fast = (
-            "from .operators import Operator\n"
-            "class Doubler(Operator):\n"
-            "    def on_record(self, r):\n"
-            "        return [r]\n"
-            "    def on_batch(self, records):\n"
-            "        return list(records)\n"
-        )
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/operators.py": OPERATOR_BASE,
-                "src/repro/streams/fast.py": fast,
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert any("process_batch" in f.message for f in new_findings_of(result, "dual-path"))
-        # ... and a test naming the class + the batched entry point satisfies it.
-        root2 = write_project(
-            tmp_path / "ok",
-            {
-                "src/repro/streams/operators.py": OPERATOR_BASE,
-                "src/repro/streams/fast.py": fast,
-                "tests/test_fast.py": (
-                    "def test_batched():\n"
-                    "    assert Doubler().process_batch([]) == []\n"
-                ),
-            },
-        )
-        result2 = run_analysis(root2, checks=["dual-path"])
-        assert new_findings_of(result2, "dual-path") == []
 
     @staticmethod
     def _batch_toml() -> str:

@@ -86,6 +86,11 @@ def assert_same_records(got, want):
 
 
 class TestShardEquivalence:
+    def test_rejects_zero_shards(self):
+        for n_shards in (0, -3):
+            with pytest.raises(ValueError, match="at least one shard"):
+                ShardedRealtimeLayer(SystemConfig(n_shards=n_shards))
+
     def test_n_shards_2_matches_single_shard_oracle(self, fixes):
         oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
@@ -417,6 +422,11 @@ class TestWorkerPoolLayer:
             assert layer.shards == []  # the replicas live in the workers
             report = layer.run(list(fixes))
             assert report.raw_fixes == len(fixes)
+            # What stays behind in a worker otherwise: its run wall, and
+            # the replica's callback-backed gauges, shipped as plain floats.
+            assert all(wall > 0.0 for wall in layer.shard_walls())
+            published = layer.metrics.gauges("shard.")[f"shard.0.broker.topic.{TOPIC_RAW}.published"]
+            assert published == layer.shard_reports()[0].raw_fixes > 0
         assert all(not host.alive() for host in layer._hosts)
 
     def test_default_stays_in_process(self):

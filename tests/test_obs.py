@@ -13,14 +13,12 @@ from repro.obs import (
     instrument_broker,
     instrument_consumer,
     instrument_operator,
-    instrument_pipeline,
     operator_rates,
 )
 from repro.obs.metrics import Histogram
 from repro.streams import (
     Broker,
     Map,
-    Pipeline,
     Record,
     TumblingWindow,
     Watermark,
@@ -167,16 +165,6 @@ class TestOperatorInstrumentation:
         assert reg.gauge("op.win.queue_depth").value() == 2.0
         w.process(Watermark(10.0))
         assert reg.gauge("op.win.queue_depth").value() == 0.0
-
-    def test_instrument_pipeline_disambiguates_duplicates(self):
-        reg = MetricsRegistry()
-        pipe = Pipeline([Map(lambda v: v + 1), Map(lambda v: v * 2)], name="p")
-        instrument_pipeline(pipe, reg)
-        pipe.run([Record(0.0, 1), Record(1.0, 2)])
-        assert reg.counter("op.p.map.records_in").value == 2
-        assert reg.counter("op.p.map.1.records_in").value == 2
-        assert reg.gauge("pipeline.p.records_processed").value() == 2.0
-        assert reg.gauge("pipeline.p.records_s").value() > 0.0
 
     def test_operator_rates_view(self):
         reg = MetricsRegistry()

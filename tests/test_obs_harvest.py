@@ -1,10 +1,7 @@
-"""Tests for the distributed observability plane (repro.obs.harvest).
-
-The correctness story mirrors the substrate's: the in-process
-``worker_pool=False`` path is the merge oracle — aggregated counters of
-an N-shard fold must equal a single-shard run's registry exactly — and
-the worker-process path must produce the same fold even though every
-harvest crossed a pickle/process boundary.
+"""Tests for the cross-process observability harvest (repro.obs.harvest):
+snapshot/harvest plumbing, per-run deltas and the fold into a parent
+registry, over controlled observations. What the sharded layer folds on
+both hosts is tested in ``test_core_sharded.py::TestHarvestFold``.
 """
 
 import math
@@ -17,46 +14,16 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     EventLog,
-    HistogramSnapshot,
     MetricsRegistry,
     ObsHarvest,
-    ShardedObsPlane,
     Tracer,
     fold_harvests,
     harvest_obs,
-    merge_histogram_snapshots,
     parse_openmetrics,
     render_openmetrics,
     snapshot_registry,
 )
 from repro.obs.metrics import merge_reservoirs
-from repro.streams import (
-    Map,
-    Pipeline,
-    Record,
-    ShardedPipeline,
-    TumblingWindow,
-    WatermarkAssigner,
-    count_aggregate,
-)
-
-N_SHARDS = 3
-
-
-def keyed_records(n, n_keys=7, dt=1.0):
-    return [Record(i * dt, i, key=f"vessel-{i % n_keys}") for i in range(n)]
-
-
-def window_pipeline() -> Pipeline:
-    return Pipeline(
-        [Map(lambda v: v + 1), TumblingWindow(10.0, count_aggregate)],
-        name="harvest_bench",
-    )
-
-
-def assigner() -> WatermarkAssigner:
-    return WatermarkAssigner(out_of_orderness_s=5.0)
-
 
 def nonshard_counters(registry: MetricsRegistry) -> dict[str, int]:
     return {
@@ -328,13 +295,12 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(finite_floats, max_size=40), min_size=1, max_size=5))
 def test_histogram_merge_preserves_exact_fields(shards):
-    parts = []
-    for i, values in enumerate(shards):
+    merged = MetricsRegistry().histogram("op.x.latency_s")
+    for values in shards:
         h = MetricsRegistry().histogram("op.x.latency_s")
         for v in values:
             h.observe(v)
-        parts.append(HistogramSnapshot(h.count, h.sum, h.min, h.max, h.samples()))
-    merged = merge_histogram_snapshots(parts)
+        merged.absorb(h.count, h.sum, h.min, h.max, h.samples())
     flat = [v for values in shards for v in values]
     assert merged.count == len(flat)
     assert merged.sum == pytest.approx(math.fsum(flat), abs=1e-6)
@@ -343,9 +309,9 @@ def test_histogram_merge_preserves_exact_fields(shards):
         assert merged.max == max(flat)
         # Under reservoir capacity the merge is lossless, so quantiles
         # are exact: every reservoir value is a real observation.
-        assert sorted(merged.reservoir) == sorted(flat)
+        assert sorted(merged.samples()) == sorted(flat)
     else:
-        assert merged.reservoir == ()
+        assert merged.samples() == ()
 
 
 @settings(max_examples=20, deadline=None)
@@ -397,71 +363,3 @@ def test_shard_labeled_openmetrics_round_trip(per_shard):
     live = [i for i, n in enumerate(per_shard) if n]
     key = f'shard_op_clean_latency_s{{shard="{live[0]}",quantile="0.5"}}'
     assert latency["samples"][key] == pytest.approx(0.1)
-
-
-# -- the sharded substrate, in-process oracle vs worker processes ---------------------
-
-
-def run_with_plane(worker_pool: bool, n_shards: int = N_SHARDS):
-    """One run() of the facade: one fold of one delta harvest per shard."""
-    plane = ShardedObsPlane()
-    with ShardedPipeline(
-        window_pipeline, n_shards, watermark_factory=assigner, obs=plane,
-        worker_pool=worker_pool,
-    ) as sharded:
-        out = sharded.run(keyed_records(200))
-    return out, plane
-
-
-def test_sequential_fold_counters_equal_single_shard_oracle():
-    _, oracle = run_with_plane(worker_pool=False, n_shards=1)
-    _, plane = run_with_plane(worker_pool=False)
-    assert nonshard_counters(plane.registry) == nonshard_counters(oracle.registry)
-
-
-def test_parallel_fold_equals_sequential_oracle():
-    out_seq, oracle = run_with_plane(worker_pool=False)
-    out_par, plane = run_with_plane(worker_pool=True)
-    assert [(r.t, r.key, r.value) for r in out_par] == [(r.t, r.key, r.value) for r in out_seq]
-    # The merge-correctness oracle: aggregated counters must be *exactly*
-    # what the in-process run measured, even across the process boundary.
-    assert plane.registry.counters() == oracle.registry.counters()
-
-
-def test_parallel_path_surfaces_shard_walls():
-    # Regression: worker processes used to take their wall seconds with
-    # them, so per-shard walls were only readable in-process.
-    _, plane = run_with_plane(worker_pool=True)
-    walls = plane.shard_walls()
-    assert len(walls) == N_SHARDS
-    assert all(w > 0.0 for w in walls)
-    assert plane.registry.gauges()[f"shard.{N_SHARDS - 1}.wall_s"] == walls[-1]
-
-
-def test_callback_gauges_survive_fork_boundary():
-    # instrument_pipeline registers callback-backed gauges on the worker
-    # side (queue depths, pipeline rates); the harvest must materialize
-    # them to plain floats or pickling the harvest would fail.
-    _, plane = run_with_plane(worker_pool=True)
-    gauges = plane.registry.gauges()
-    depth_keys = [k for k in gauges if k.startswith("shard.0.op.") and k.endswith(".queue_depth")]
-    assert depth_keys, f"no materialized worker callback gauges in {sorted(gauges)[:10]}"
-    assert all(isinstance(gauges[k], float) for k in depth_keys)
-    assert "shard.0.pipeline.harvest_bench.records_processed" in gauges
-
-
-def test_parallel_traces_rehomed_under_one_root():
-    _, plane = run_with_plane(worker_pool=True)
-    roots = [sp for sp in plane.tracer.spans() if sp.name == "sharded.run"]
-    assert len(roots) == 1
-    shard_runs = [sp for sp in plane.tracer.spans() if sp.name == "shard.run"]
-    assert len(shard_runs) == N_SHARDS
-    assert all(sp.parent_id == roots[0].span_id for sp in shard_runs)
-    assert sorted(sp.tags["shard"] for sp in shard_runs) == list(range(N_SHARDS))
-
-
-def test_sharded_pipeline_export_parses():
-    _, plane = run_with_plane(worker_pool=False)
-    families = parse_openmetrics(render_openmetrics(plane.registry.snapshot()))
-    assert "op_harvest_bench_map_records_in" in families
-    assert "shard_op_harvest_bench_map_records_in" in families

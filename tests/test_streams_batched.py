@@ -1,39 +1,22 @@
-"""Equivalence properties of the batched broker/operator fast paths.
+"""Equivalence properties of the batched broker fast paths.
 
-The columnar fast path (``Topic.publish_many``, the merge-based
-``Consumer.poll``, ``Operator.process_batch``, ``Pipeline.run`` with a
-``batch_size``) promises *bit-identical semantics* to the per-record
-paths: same delivered elements in the same order, same offsets, same
+The batched fast path (``Topic.publish_many``, the merge-based
+``Consumer.poll``) promises *bit-identical semantics* to the per-record
+paths: same delivered records in the same order, same offsets, same
 stats counters. These hypothesis properties pin that promise against
-randomized workloads — keyed/keyless mixes, retention trims, watermark
-interleavings, stateful operators.
+randomized workloads — keyed/keyless mixes, retention trims, time-ordered
+and shuffled logs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.streams.broker as broker_mod
-from repro.obs import MetricsRegistry, OperatorProbe
-from repro.streams import (
-    Consumer,
-    Filter,
-    FlatMap,
-    KeyBy,
-    KeyedProcess,
-    Map,
-    MapBatch,
-    Pipeline,
-    Record,
-    Topic,
-    TumblingWindow,
-    Watermark,
-    WatermarkAssigner,
-)
+from repro.streams import Consumer, Record, Topic
 
 KEYS = [None, "a", "b", "vessel-42"]
 
@@ -47,30 +30,9 @@ record_lists = st.lists(
     max_size=60,
 ).map(lambda items: [Record(t, v, k) for t, v, k in items])
 
-#: Records interleaved with watermarks (watermark time from a small grid).
-element_lists = st.lists(
-    st.one_of(
-        st.tuples(
-            st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
-            st.integers(-50, 50),
-            st.sampled_from(KEYS),
-        ).map(lambda tvk: Record(*tvk)),
-        st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False).map(Watermark),
-    ),
-    max_size=50,
-)
 
-
-def _stats_tuple(op):
-    s = op.stats
-    return (s.records_in, s.records_out, s.watermarks, s.dropped, s.errors, dict(s.by_key))
-
-
-def _normalize(elements):
-    return [
-        (type(e).__name__, e.t, e.value, e.key) if isinstance(e, Record) else ("Watermark", e.time)
-        for e in elements
-    ]
+def _normalize(records):
+    return [(r.t, r.value, r.key) for r in records]
 
 
 class TestPublishManyEquivalence:
@@ -147,110 +109,3 @@ def _drain(consumer, poll_size):
             break
         out.extend(batch)
     return out
-
-
-def _operator_cases():
-    def running_sum(state, record):
-        state["sum"] += record.value
-        return [state["sum"]]
-
-    return {
-        "map": lambda: Map(lambda v: v * 2 + 1),
-        "filter": lambda: Filter(lambda v: v % 2 == 0),
-        "flat_map": lambda: FlatMap(lambda v: [v] * (abs(v) % 3)),
-        "key_by": lambda: KeyBy(lambda v: f"k{v % 5}"),
-        "keyed_process": lambda: KeyedProcess(lambda: {"sum": 0}, running_sum),
-        "tumbling_window": lambda: TumblingWindow(60.0, sum),
-    }
-
-
-class TestProcessBatchEquivalence:
-    @pytest.mark.parametrize("case", sorted(_operator_cases()))
-    @given(elements=element_lists)
-    @settings(max_examples=60)
-    def test_outputs_and_stats_match(self, case, elements):
-        if case == "keyed_process":  # requires keyed records
-            elements = [
-                e.with_key(e.key or "k") if isinstance(e, Record) else e for e in elements
-            ]
-        build = _operator_cases()[case]
-        scalar_op, batch_op = build(), build()
-        out_scalar = scalar_op.process_many(elements)
-        out_batch = batch_op.process_batch(elements)
-        assert _normalize(out_batch) == _normalize(out_scalar)
-        assert _stats_tuple(batch_op) == _stats_tuple(scalar_op)
-        # End-of-stream flush must also agree (window buffers etc.).
-        assert _normalize(batch_op.flush()) == _normalize(scalar_op.flush())
-
-    @given(elements=element_lists)
-    @settings(max_examples=40)
-    def test_probe_counters_match(self, elements):
-        scalar_op, batch_op = Map(lambda v: -v), Map(lambda v: -v)
-        scalar_op.probe = OperatorProbe(MetricsRegistry(), "scalar")
-        batch_op.probe = OperatorProbe(MetricsRegistry(), "batched")
-        scalar_op.process_many(elements)
-        batch_op.process_batch(elements)
-        # Exact same record counters; only batch granularity may differ.
-        assert batch_op.probe.records_in.value == scalar_op.probe.records_in.value
-        assert batch_op.probe.records_out.value == scalar_op.probe.records_out.value
-        assert batch_op.probe.batches.value <= scalar_op.probe.batches.value
-
-
-class TestMapBatchEquivalence:
-    """MapBatch runs a whole-batch kernel; one-element batches are the oracle."""
-
-    @given(elements=element_lists)
-    @settings(max_examples=40)
-    def test_batch_kernel_matches_per_record(self, elements):
-        kernel = lambda values: [v * 2 + 1 for v in values]  # noqa: E731
-        scalar_op, batch_op = MapBatch(kernel), MapBatch(kernel)
-        out_scalar = scalar_op.process_many(elements)
-        out_batch = batch_op.process_batch(elements)
-        assert _normalize(out_batch) == _normalize(out_scalar)
-        assert _stats_tuple(batch_op) == _stats_tuple(scalar_op)
-
-    def test_length_mismatch_rejected(self):
-        bad = MapBatch(lambda values: values[:-1])
-        with pytest.raises(ValueError):
-            bad.process_batch([Record(0.0, 1), Record(1.0, 2)])
-        with pytest.raises(ValueError):
-            bad.process_many([Record(0.0, 1)])
-
-
-class TestPipelineRunEquivalence:
-    @given(
-        values=st.lists(
-            st.tuples(
-                st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
-                st.integers(-100, 100),
-            ),
-            max_size=50,
-        ),
-        batch_size=st.integers(1, 16),
-    )
-    @settings(max_examples=60)
-    def test_batched_run_matches_per_element(self, values, batch_size):
-        def build():
-            return Pipeline([
-                Map(lambda v: v + 1),
-                Filter(lambda v: v % 3 != 0),
-                KeyBy(lambda v: f"k{v % 4}"),
-                TumblingWindow(120.0, sum),
-            ])
-
-        records = [Record(t, v) for t, v in values]
-        assigner_args = {"out_of_orderness_s": 30.0, "period_s": 60.0}
-        scalar = build()
-        out_scalar = scalar.run(records, watermarks=WatermarkAssigner(**assigner_args))
-        batched = build()
-        out_batched = batched.run(
-            records, watermarks=WatermarkAssigner(**assigner_args), batch_size=batch_size
-        )
-        assert _normalize(out_batched) == _normalize(out_scalar)
-        assert batched.records_processed == scalar.records_processed
-        for op_scalar, op_batched in zip(scalar.operators, batched.operators):
-            assert _stats_tuple(op_batched) == _stats_tuple(op_scalar)
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            Pipeline([Map(lambda v: v)]).run([], batch_size=0)
