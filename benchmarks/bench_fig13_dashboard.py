@@ -56,25 +56,26 @@ def test_fig13_end_to_end_pipeline(system_run, console, benchmark, emit_metrics)
         print(f"end-to-end: {run.realtime.raw_fixes / elapsed:,.0f} fixes/s wall-clock "
               f"({elapsed:.2f} s for a 6 h simulated window)")
     snapshot = emit_metrics(system.metrics, benchmark, title="Fig-13 pipeline metrics (repro.obs)")
-    assert snapshot["counters"]["op.clean.records_in"] == run.realtime.clean_fixes
-    assert snapshot["histograms"]["realtime.fix_latency_s"]["count"] == run.realtime.clean_fixes
-    assert snapshot["histograms"]["realtime.fix_latency_s"]["p95"] > 0.0
+    assert snapshot["counters"]["op.clean.records_in"] == run.realtime.raw_fixes
+    assert snapshot["counters"]["op.clean.records_out"] == run.realtime.clean_fixes
+    assert snapshot["histograms"]["e2e.record_latency_s"]["count"] == run.realtime.critical_points
+    assert snapshot["histograms"]["e2e.record_latency_s"]["p95"] > 0.0
     assert run.realtime.raw_fixes / elapsed > run.realtime.raw_fixes / (6 * 3600.0)  # faster than real time
     assert run.realtime.cep_forecasts > 0
     benchmark(lambda: system.dashboard_frame(t=7200.0))
 
 
 def test_fig13_record_lineage(system_run, console):
-    """End-to-end lineage of sampled records through the Figure-2 stages."""
+    """Lineage of one run() through the Figure-2 stages: a `run` root, one child per stage."""
     system, run, _ = system_run
     tracer = system.realtime.tracer
     traces = tracer.traces()
-    assert traces, "tracing is on by default; sampled traces expected"
+    assert traces, "every run() is traced"
     with console():
-        print("\nFigure 13: sampled record lineage (first trace)")
+        print("\nFigure 13: run lineage (first trace)")
         print(tracer.lineage(traces[0]))
     stage_names = {sp.name for sp in tracer.trace(traces[0])}
-    assert {"record", "synopses"} <= stage_names
+    assert {"run", "clean", "synopses", "link_discovery"} <= stage_names
 
 
 def test_fig13_dashboard_frame_content(system_run, console, benchmark):

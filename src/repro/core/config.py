@@ -49,7 +49,5 @@ class SystemConfig:
     #: worker surfaces as ShardWorkerDied after this long instead of
     #: blocking the parent forever. None = unbounded waits.
     worker_request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S
-    #: Trace every Nth clean fix end to end (0 disables lineage tracing).
-    trace_sample_every: int = 256
     #: Ring size of the structured event log (oldest events overwritten).
     event_log_capacity: int = 1024

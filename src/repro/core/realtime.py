@@ -48,6 +48,7 @@ from ..obs import (
     HealthMonitor,
     MetricsRegistry,
     OperatorProbe,
+    Span,
     Tracer,
     consumer_lags,
     default_realtime_rules,
@@ -55,8 +56,8 @@ from ..obs import (
     operator_rates,
     watch_broker,
 )
-from ..streams import Broker, Record, TopicBatcher
-from ..synopses import CriticalPoint, SynopsesGenerator
+from ..streams import Broker, Record
+from ..synopses import SynopsesGenerator
 from ..va import Dashboard
 
 from .config import (
@@ -68,11 +69,6 @@ from .config import (
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
-
-
-#: Broker publishes coalesce into batches of this size (the columnar fast
-#: path through the Figure-2 loop).
-PUBLISH_BATCH_SIZE = 256
 
 
 @dataclass
@@ -131,8 +127,8 @@ class GlobalStages:
     Proximity pairs entities, the Wayeb engine consumes one global symbol
     sequence and the dashboard is one situational picture, so none of them
     can be entity-partitioned: whoever owns the whole stream shows every
-    clean fix to :attr:`dashboard` and every critical point to
-    :meth:`critical_point`, and closes each run with :meth:`recognise`.
+    run's clean fixes to :meth:`clean_fixes` and critical points to
+    :meth:`critical_points`, and closes the run with :meth:`recognise`.
     What they find is counted into ``totals`` (``links``,
     ``proximity_links``, ``cep_detections``, ``cep_forecasts``).
     """
@@ -162,7 +158,7 @@ class GlobalStages:
         # Online-cleaning rejection rate, the error-rate signal the health
         # monitor's default rules watch: raw minus clean over raw, from the
         # entity stages' own counters (folded ones on the sharded layer).
-        raw, clean = metrics.counter("stage.raw.records"), metrics.counter("op.clean.records_in")
+        raw, clean = metrics.counter("stage.raw.records"), metrics.counter("op.clean.records_out")
         metrics.gauge(
             "realtime.error_rate",
             fn=lambda: (raw.value - clean.value) / raw.value if raw.value else 0.0,
@@ -175,21 +171,41 @@ class GlobalStages:
         self._e2e_latency = metrics.histogram("e2e.record_latency_s")
         self._turns: list[SimpleEvent] = []
 
-    def critical_point(self, cp: CriticalPoint, ingest_wall_s: float | None) -> list[Record]:
-        """Show one critical point to every global stage; the proximity
-        links it closes come back as records for the links topic."""
-        self.dashboard.ingest_critical_point(cp)
+    def clean_fixes(self, clean: list[Record]) -> None:
+        """Show one run's clean fixes (its clean-topic records, in stream
+        order) to the dashboard."""
+        ingest = self.dashboard.ingest_fix
+        for record in clean:
+            ingest(record.value)
+
+    def critical_points(self, synopses: list[Record]) -> list[list[Record]]:
+        """Show one run's critical points (its synopses records, in stream
+        order) to every global stage, a stage at a time; the proximity
+        links each point closes come back as records for the links topic."""
+        if not synopses:
+            return []
+        points = [record.value for record in synopses]
+        for cp in points:
+            self.dashboard.ingest_critical_point(cp)
         t0 = perf_counter()
-        links = self.proximity.process(cp.fix)
-        self._probes["proximity"].observe(len(links), perf_counter() - t0)
-        self.totals.links += len(links)
-        self.totals.proximity_links += len(links)
+        process = self.proximity.process
+        found = [process(cp.fix) for cp in points]
+        n_links = sum(map(len, found))
+        self._probes["proximity"].observe(n_links, perf_counter() - t0, n_in=len(points))
+        self.totals.links += n_links
+        self.totals.proximity_links += n_links
         if self.cep is not None:
-            self._turns.extend(turn_event_stream([cp]))
-        # Flush-tail points of a run that ingested nothing carry no stamp.
-        if ingest_wall_s is not None:
-            self._e2e_latency.observe(wall_clock() - ingest_wall_s)
-        return [Record(link.t, link, key=link.source_id, ingest_wall_s=ingest_wall_s) for link in links]
+            self._turns.extend(turn_event_stream(points))
+        # Enriched now, all of them. Flush-tail points of a run that
+        # ingested nothing carry no stamp.
+        enriched = wall_clock()
+        for record in synopses:
+            if record.ingest_wall_s is not None:
+                self._e2e_latency.observe(enriched - record.ingest_wall_s)
+        return [
+            [Record(link.t, link, link.source_id, record.ingest_wall_s) for link in links]
+            for record, links in zip(synopses, found)
+        ]
 
     def recognise(self) -> list[Record]:
         """Complex event recognition & forecasting over the turn events
@@ -226,11 +242,30 @@ class GlobalStages:
         return snap
 
 
+@dataclass(slots=True)
+class _Poll:
+    """What the entity stages computed for one ``run()``, not yet published
+    or counted: the four topics' records, the run's cleaning verdicts and
+    area-event count, and one finished span per stage that had work."""
+
+    raw: list[Record]
+    clean: list[Record]
+    synopses: list[Record]
+    #: Region then port links of each critical point, in point order.
+    links: list[list[Record]]
+    quality: QualityReport
+    area_events: int
+    stages: list[Span]
+
+
 class EntityStages(Figure2Plane):
     """The per-entity half of Figure 2, with its own obs plane and broker.
 
     Every stage here keeps state per ``entity_id`` only, so this class is
-    also exactly what one shard of the sharded layer runs.
+    also exactly what one shard of the sharded layer runs. A poll crosses
+    the stages one stage at a time — every fix through cleaning, then
+    every clean fix through area events, and so on — and each stage is
+    timed, traced and observed once per run, not once per fix.
     """
 
     def __init__(self, config: SystemConfig | None = None):
@@ -259,11 +294,17 @@ class EntityStages(Figure2Plane):
         self.report = RealtimeReport()
 
     def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
-        """Push a bounded surveillance stream through the layer."""
+        """Push a bounded surveillance stream through the layer.
+
+        Every stage's output for the poll is computed first and committed
+        — published, counted, observed — at the end, so a run that raises
+        publishes nothing and leaves every counter equal to its topic.
+        """
         report = self.report
         self.events.emit("info", "realtime", "run_started")
         wall_start = perf_counter()
-        self._stages(fixes)
+        with self.tracer.span("run") as root:
+            self._commit(self._entity_stages(fixes, root))
         self._wall_s += perf_counter() - wall_start
         self.metrics.gauge("realtime.wall_s").set(self._wall_s)
         self.events.emit(
@@ -273,117 +314,102 @@ class EntityStages(Figure2Plane):
         )
         return report
 
-    def _stages(self, fixes: Iterable[PositionFix]) -> None:
-        report = self.report
-        probes = self._probes
+    def _entity_stages(self, fixes: Iterable[PositionFix], root: Span) -> _Poll:
+        """The poll through each per-entity stage as one batch."""
         tracer = self.tracer
-        trace_every = self.config.trace_sample_every
-        fix_latency = self.metrics.histogram("realtime.fix_latency_s")
-        # Publish per batch, not per fix: each Figure-2 hop buffers into a
-        # TopicBatcher that flushes through the broker's publish_many fast
-        # path (identical topic contents/offsets/stats to per-fix publishes).
-        raw_topic = TopicBatcher(self.broker.topic(TOPIC_RAW), PUBLISH_BATCH_SIZE)
-        clean_topic = TopicBatcher(self.broker.topic(TOPIC_CLEAN), PUBLISH_BATCH_SIZE)
-        syn_topic = TopicBatcher(self.broker.topic(TOPIC_SYNOPSES), PUBLISH_BATCH_SIZE)
-        link_topic = TopicBatcher(self.broker.topic(TOPIC_LINKS), PUBLISH_BATCH_SIZE)
-        raw_counter = self.metrics.counter("stage.raw.records")
+        stages: list[Span] = []
 
-        # The wall-clock instant the *current* fix entered the system.
-        # clean_stream is a 1:1 in-order drop-or-yield filter, so when it
-        # yields, the last stamp written here belongs to that very fix.
-        ingest_wall = [0.0]
+        def done(span: Span, n_out: int) -> None:
+            span.tags["n_out"] = n_out
+            stages.append(tracer.finish(span))
 
-        def raw_stream():
-            for fix in fixes:
-                report.raw_fixes += 1
-                raw_counter.inc()
-                stamp = wall_clock()
-                ingest_wall[0] = stamp
-                raw_topic.add(Record(fix.t, fix, key=fix.entity_id, ingest_wall_s=stamp))
-                yield fix
-
-        clean_it = iter(clean_stream(raw_stream(), config=self.config.quality, report=report.quality))
-        while True:
-            fix_start = perf_counter()
-            try:
-                fix = next(clean_it)
-            except StopIteration:
-                break
-            fix_ingest = ingest_wall[0]
-            # Ingest + online cleaning latency is the time to surface this fix.
-            probes["clean"].observe(1, perf_counter() - fix_start)
-            span = None
-            if trace_every and report.clean_fixes % trace_every == 0:
-                span = tracer.start_trace("record", entity_id=fix.entity_id, t=fix.t)
-            report.clean_fixes += 1
-            clean_topic.add(Record(fix.t, fix, key=fix.entity_id, ingest_wall_s=fix_ingest))
-            self._clean_fix(fix)
+        fixes = fixes if isinstance(fixes, list) else list(fixes)
+        # Record provenance: the wall-clock instant the poll was handed
+        # over, one stamp for every record derived from it (None on an
+        # empty run, whose flush-tail points come from earlier polls).
+        stamp = wall_clock() if fixes else None
+        quality = QualityReport()
+        raw: list[Record] = []
+        clean: list[PositionFix] = []
+        clean_records: list[Record] = []
+        if fixes:
+            # Ingest and online cleaning.
+            span = tracer.start_span("clean", root, n_in=len(fixes))
+            raw = [Record(fix.t, fix, fix.entity_id, stamp) for fix in fixes]
+            clean = list(clean_stream(fixes, config=self.config.quality, report=quality))
+            clean_records = [Record(fix.t, fix, fix.entity_id, stamp) for fix in clean]
+            done(span, len(clean))
+        area_events = 0
+        if clean:
             # Low-level area events.
-            child = tracer.start_span("area_events", span) if span else None
-            t0 = perf_counter()
-            area_events = self.area_detector.process(fix)
-            probes["area_events"].observe(len(area_events), perf_counter() - t0)
-            if child:
-                tracer.finish(child)
-            report.area_events += len(area_events)
-            # Synopses.
-            child = tracer.start_span("synopses", span) if span else None
-            t0 = perf_counter()
-            points = self.synopses.process(fix)
-            probes["synopses"].observe(len(points), perf_counter() - t0)
-            if child:
-                tracer.finish(child)
+            span = tracer.start_span("area_events", root, n_in=len(clean))
+            area_events = len(self.area_detector.process_many(clean))
+            done(span, area_events)
+        # Synopses. Trailing points surface when the stream closes, which
+        # is every call — so this stage runs, and is observed, on every call.
+        span = tracer.start_span("synopses", root, n_in=len(clean))
+        process = self.synopses.process
+        points = [cp for fix in clean for cp in process(fix)]
+        points += self.synopses.flush()
+        synopses = [Record(cp.fix.t, cp, cp.fix.entity_id, stamp) for cp in points]
+        done(span, len(points))
+        links: list[list[Record]] = []
+        if points:
+            # Weather enrichment, then region and port links.
+            span = tracer.start_span("link_discovery", root, n_in=len(points))
+            sample = self.weather.sample
+            region_links, port_links = self.region_links.links_for, self.port_links.links_for
             for cp in points:
-                self._critical_point(cp, syn_topic, link_topic, fix_ingest, span)
-            fix_latency.observe(perf_counter() - fix_start)
-            if span:
-                tracer.finish(span)
-        # Trailing synopsis points surface when the stream closes; their
-        # provenance is the last ingested fix's stamp (None on an empty run).
-        tail_ingest = ingest_wall[0] or None
-        for cp in self.synopses.flush():
-            self._critical_point(cp, syn_topic, link_topic, tail_ingest)
-        # Flush every hop's remaining buffered publishes before the run's
-        # wall clock stops.
-        for batcher in (raw_topic, clean_topic, syn_topic, link_topic):
-            batcher.flush()
+                fix = cp.fix
+                weather = sample(fix.lon, fix.lat, fix.t)
+                cp.detail["weather"] = {
+                    "wind_u_ms": weather.wind_u_ms,
+                    "wind_v_ms": weather.wind_v_ms,
+                    "wave_m": weather.wave_height_m,
+                }
+                links.append([
+                    Record(link.t, link, link.source_id, stamp)
+                    for link in region_links(fix)[0] + port_links(fix)[0]
+                ])
+            done(span, sum(map(len, links)))
+        return _Poll(raw, clean_records, synopses, links, quality, area_events, stages)
 
-    def _clean_fix(self, fix: PositionFix) -> None:
-        """A fix passed cleaning and is published: no per-entity stage
-        wants it before area events and synopses do."""
+    def _commit(self, poll: _Poll) -> None:
+        """Make a computed poll visible. The per-entity half only publishes
+        it; :class:`RealtimeLayer` shows it to the global half first."""
+        self._publish(poll)
 
-    def _critical_point(
-        self,
-        cp: CriticalPoint,
-        syn_topic: TopicBatcher,
-        link_topic: TopicBatcher,
-        ingest_wall_s: float | None,
-        parent_span=None,
-    ) -> None:
-        """Publish one critical point, weather-enriched, and its region
-        and port links."""
-        self.report.critical_points += 1
-        syn_topic.add(Record(cp.t, cp, key=cp.entity_id, ingest_wall_s=ingest_wall_s))
-        sample = self.weather.sample(cp.fix.lon, cp.fix.lat, cp.t)
-        cp.detail["weather"] = {
-            "wind_u_ms": sample.wind_u_ms,
-            "wind_v_ms": sample.wind_v_ms,
-            "wave_m": sample.wave_height_m,
-        }
-        child = self.tracer.start_span("link_discovery", parent_span) if parent_span else None
-        t0 = perf_counter()
-        links = self.region_links.links_for(cp.fix)[0] + self.port_links.links_for(cp.fix)[0]
-        self._probes["link_discovery"].observe(len(links), perf_counter() - t0)
-        if child:
-            self.tracer.finish(child)
-        self.report.links += len(links)
-        for link in links:
-            link_topic.add(Record(link.t, link, key=link.source_id, ingest_wall_s=ingest_wall_s))
+    def _publish(self, poll: _Poll, proximity: list[list[Record]] | None = None) -> None:
+        """Publish one computed poll — one ``publish_many`` per topic —
+        then count it and observe each stage's probe, once. ``proximity``
+        is each critical point's proximity links, published right behind
+        that point's region and port links."""
+        report = self.report
+        per_point = poll.links
+        if proximity is not None:
+            per_point = [links + extra for links, extra in zip(poll.links, proximity)]
+        for topic, records in (
+            (TOPIC_RAW, poll.raw),
+            (TOPIC_CLEAN, poll.clean),
+            (TOPIC_SYNOPSES, poll.synopses),
+            (TOPIC_LINKS, [record for links in per_point for record in links]),
+        ):
+            if records:
+                self.broker.publish_many(topic, records)
+        report.raw_fixes += len(poll.raw)
+        self.metrics.counter("stage.raw.records").inc(len(poll.raw))
+        report.clean_fixes += len(poll.clean)
+        report.quality += poll.quality
+        report.area_events += poll.area_events
+        report.critical_points += len(poll.synopses)
+        report.links += sum(map(len, poll.links))
+        for span in poll.stages:
+            self._probes[span.name].observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
 
 
 class RealtimeLayer(EntityStages):
-    """Both halves of Figure 2 in one loop: every record the entity stages
-    surface is fed to the global stages as it appears."""
+    """Both halves of Figure 2 in one loop: every run the entity stages
+    compute is shown to the global stages before it is published."""
 
     def __init__(self, config: SystemConfig | None = None, cep_training_symbols: list[str] | None = None):
         super().__init__(config)
@@ -391,21 +417,14 @@ class RealtimeLayer(EntityStages):
         self.proximity, self.cep = self.globals.proximity, self.globals.cep
         self.dashboard, self.health = self.globals.dashboard, self.globals.health
 
-    def _stages(self, fixes: Iterable[PositionFix]) -> None:
-        super()._stages(fixes)
+    def _commit(self, poll: _Poll) -> None:
+        self.globals.clean_fixes(poll.clean)
+        self._publish(poll, self.globals.critical_points(poll.synopses))
         detections = self.globals.recognise()
         if detections:
             self.broker.publish_many(TOPIC_EVENTS, detections)
         # After every publish, so the rules read the final topic gauges.
         self.health.evaluate()
-
-    def _clean_fix(self, fix: PositionFix) -> None:
-        self.dashboard.ingest_fix(fix)
-
-    def _critical_point(self, cp, syn_topic, link_topic, ingest_wall_s, parent_span=None) -> None:
-        super()._critical_point(cp, syn_topic, link_topic, ingest_wall_s, parent_span)
-        for proximity_link in self.globals.critical_point(cp, ingest_wall_s):
-            link_topic.add(proximity_link)
 
     def system_metrics(self) -> dict[str, Any]:
         """The one :meth:`GlobalStages.system_metrics` view."""

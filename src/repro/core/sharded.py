@@ -265,10 +265,9 @@ class ShardedRealtimeLayer(Figure2Plane):
         # The global stages, fed the merged stream: e2e latency here runs
         # from the ingest stamp the shard replica wrote (record provenance)
         # to merged consumption.
-        for rec in merged[TOPIC_CLEAN]:
-            self.dashboard.ingest_fix(rec.value)
-        for rec in merged[TOPIC_SYNOPSES]:
-            merged[TOPIC_LINKS] += self.globals.critical_point(rec.value, rec.ingest_wall_s)
+        self.globals.clean_fixes(merged[TOPIC_CLEAN])
+        for proximity_links in self.globals.critical_points(merged[TOPIC_SYNOPSES]):
+            merged[TOPIC_LINKS] += proximity_links
         merged[TOPIC_EVENTS] += self.globals.recognise()
         for topic, records in merged.items():
             if records:

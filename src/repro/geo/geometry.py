@@ -53,11 +53,12 @@ class GeoPoint:
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     """Great-circle distance between two lon/lat pairs, in metres."""
-    phi1 = deg_to_rad(lat1)
-    phi2 = deg_to_rad(lat2)
-    dphi = deg_to_rad(lat2 - lat1)
-    dlmb = deg_to_rad(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
+    # Twice per clean fix on the Figure-2 path: ``deg_to_rad`` is inlined,
+    # operation for operation, so the result stays bit-equal to composing it.
+    sin, cos, pi = math.sin, math.cos, math.pi
+    sin_dphi = sin((lat2 - lat1) * pi / 180.0 / 2.0)
+    sin_dlmb = sin((lon2 - lon1) * pi / 180.0 / 2.0)
+    a = sin_dphi ** 2 + cos(lat1 * pi / 180.0) * cos(lat2 * pi / 180.0) * sin_dlmb ** 2
     # Clamp for numerical safety near antipodal points.
     a = min(1.0, max(0.0, a))
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
@@ -65,11 +66,12 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
 
 def initial_bearing_deg(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     """Initial bearing from point 1 to point 2, degrees clockwise from north."""
-    phi1 = deg_to_rad(lat1)
-    phi2 = deg_to_rad(lat2)
-    dlmb = deg_to_rad(lon2 - lon1)
-    y = math.sin(dlmb) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlmb)
+    sin, cos, pi = math.sin, math.cos, math.pi
+    phi1 = lat1 * pi / 180.0
+    phi2 = lat2 * pi / 180.0
+    dlmb = (lon2 - lon1) * pi / 180.0
+    y = sin(dlmb) * cos(phi2)
+    x = cos(phi1) * sin(phi2) - sin(phi1) * cos(phi2) * cos(dlmb)
     theta = math.atan2(y, x)
     deg = rad_to_deg(theta)
     return deg + 360.0 if deg < 0.0 else deg

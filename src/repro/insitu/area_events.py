@@ -93,6 +93,22 @@ class AreaEventDetector:
         self.events_emitted += len(events)
         return events
 
+    def process_many(self, fixes: Iterable[PositionFix]) -> list[AreaEvent]:
+        """Feed a batch of fixes in order; returns the area events they trigger.
+
+        A loop around :meth:`process` behind one exact prefilter: a fix of
+        an initialised entity that is inside nothing, in a grid cell no
+        region's rasterization covers, can neither enter nor leave
+        anything and is skipped.
+        """
+        states, cell_id, covered = self._states, self.index.grid.cell_id, self.index._cell_to_regions
+        events: list[AreaEvent] = []
+        for fix in fixes:
+            state = states.get(fix.entity_id)
+            if state is None or state.inside or not state.initialized or cell_id(fix.lon, fix.lat) in covered:
+                events.extend(self.process(fix))
+        return events
+
     def process_stream(self, fixes: Iterable[PositionFix]) -> Iterator[AreaEvent]:
         """Run the detector over a whole fix stream."""
         for fix in fixes:

@@ -4,9 +4,9 @@ The paper's Figure-2 real-time layer is a chain of components
 (cleaning -> in-situ statistics -> synopses -> link discovery -> CEP),
 and its time-critical claims are about how long a surveillance record
 takes to traverse that chain. A :class:`Tracer` records that traversal
-as a tree of spans — one trace per sampled record, one span per stage —
-so a single position fix can be followed from raw arrival to enriched
-output with per-stage wall-clock timings.
+as a tree of spans — in the real-time layer one trace per ``run()``, one
+child span per stage the poll crossed — so a poll can be followed from
+raw arrival to enriched output with per-stage wall-clock timings.
 
 Span ids are sequential integers and the clock is injectable, keeping
 traces deterministic in tests.
@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator
 
 @dataclass(slots=True)
 class Span:
-    """One timed stage of one traced record's journey."""
+    """One timed stage of one traced journey."""
 
     span_id: int
     trace_id: int
@@ -42,7 +42,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans, grouped into traces (one trace = one record lineage)."""
+    """Collects spans, grouped into traces (one trace = one lineage: a run, a record)."""
 
     def __init__(self, clock: Callable[[], float] | None = None, max_spans: int = 100_000):
         self._clock = clock or time.perf_counter

@@ -28,9 +28,12 @@ from repro.core.realtime import EntityStages
 from repro.core.sharded import _RealtimeShardSpec
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.datasources import AISSimulator, fishing_vessel_stream
-from repro.streams import ShardWorkerError, WorkerHost
+from repro.streams import Record, ShardWorkerError, WorkerHost
 from repro.streams.workers import InlineHost
 from repro.synopses import SynopsesConfig, SynopsesGenerator
+
+
+ENTITY_STAGES = ("clean", "area_events", "synopses", "link_discovery")
 
 
 @pytest.fixture(scope="module")
@@ -249,11 +252,21 @@ class TestHarvestFold:
         }
 
     def test_folded_counters_equal_single_shard_oracle(self, fixes):
+        """Every merged counter equals the oracle's, except the observe
+        calls of the entity-stage probes: a stage is observed once per run
+        *per replica*, so that family is ``n_shards x runs`` by construction."""
         oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        oracle.run(list(fixes))
-        sharded.run(list(fixes))
-        assert self.nonshard_counters(sharded) == self.nonshard_counters(oracle)
+        half = len(fixes) // 2
+        for layer in (oracle, sharded):
+            layer.run(fixes[:half])
+            layer.run(fixes[half:])
+        stage_batches = {f"op.{stage}.batches" for stage in ENTITY_STAGES}
+        got, want = self.nonshard_counters(sharded), self.nonshard_counters(oracle)
+        for counters, n_shards in ((got, 3), (want, 1)):
+            assert {counters.pop(name) for name in stage_batches} == {n_shards * 2}
+        assert got == want
+        assert got["op.proximity.batches"] == 2  # the global half runs once per run
 
     def test_per_shard_counter_families_sum_to_merged(self, fixes):
         """Harvest completeness: every counter family a shard reports is
@@ -391,10 +404,11 @@ class TestWorkerPoolLayer:
         """Regression: gather used to raise at the first failing shard and
         leave the later shards' replies unread in their pipes, so every
         following run decoded the *previous* run's frame for those shards.
-        Shard 0 fails twice here (a fix that blows up mid-run, then the
-        raw-count refusal its stranded records cause); the run after that
-        must equal the in-process twin's, which went through the same
-        scatter/gather — minus the frames, so it serves the second poll."""
+        Shard 0 fails here on a fix that blows up in cleaning — before
+        anything of that poll is published, so its replica is not left
+        holding stray raw records — and every run after that must equal
+        the in-process twin's, which went through the same scatter/gather
+        minus the frames."""
         cfg = SystemConfig(n_shards=2, proximity_space_m=1.0)  # no cross-run links
         twin = ShardedRealtimeLayer(cfg)
         victim = next(f for f in fixes[700:] if twin.shard_for(f.entity_id) == 0)
@@ -404,16 +418,12 @@ class TestWorkerPoolLayer:
                 with pytest.raises(ShardWorkerError, match="TypeError") as err:
                     layer.run(polls[0])
                 assert err.value.shard == 0
-            with pytest.raises(ShardWorkerError, match="raw topic yielded") as err:
-                pooled.run(polls[1])
-            assert err.value.shard == 0
-            twin.run(polls[1])
             pooled_new, twin_new = dump_consumers(pooled), dump_consumers(twin)
-            drain(twin_new)
-            assert pooled.run(polls[2]) == twin.run(polls[2])
-            got = drain(pooled_new)
-            assert_same_records(got, drain(twin_new))
-            assert len(got[TOPIC_RAW]) == len(polls[2]) and got[TOPIC_SYNOPSES]
+            for poll in polls[1:]:
+                assert pooled.run(poll) == twin.run(poll)
+                got = drain(pooled_new)
+                assert_same_records(got, drain(twin_new))
+                assert len(got[TOPIC_RAW]) == len(poll) and got[TOPIC_SYNOPSES]
 
     def test_config_knob_selects_the_pool(self, fixes):
         with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as layer:
@@ -524,22 +534,36 @@ class TestShardFrames:
 
     def test_worker_rejects_a_raw_count_mismatch_and_stays_alive(self, fixes):
         """Reply-by-reference assumes one raw record per request fix; the
-        worker checks it on every request. A request that blows up mid-run
-        strands its published raw records in the replica's topic, so the
-        next request drains more than it carried."""
+        worker checks it on every request. A request that blows up
+        mid-run cannot strand raw records in the replica's topic — a run
+        publishes nothing until every stage has its output — so the
+        request after a poisoned one is served with exactly its own rows."""
         host = WorkerHost(_RealtimeShardSpec(self.CFG), 0)
         try:
             poison = replace(fixes[300], lon=None)
             with pytest.raises(ShardWorkerError, match="TypeError"):
                 host.request(encode_request([*fixes[:300], poison]))
-            with pytest.raises(ShardWorkerError, match="raw topic yielded 356 records for a 100-fix"):
-                host.request(encode_request(fixes[300:400]))
             assert host.alive()
-            poll = fixes[400:500]
-            _, topics = decode_reply(host.request(encode_request(poll)), poll)
+            poll = fixes[300:400]
+            reply, topics = decode_reply(host.request(encode_request(poll)), poll)
             assert [r.value for r in topics[TOPIC_RAW]] == poll
+            assert reply.report.raw_fixes == len(poll)
         finally:
             host.close()
+
+    def test_stray_raw_record_in_the_replica_topic_is_refused(self, fixes):
+        """The by-reference guard itself: a raw record the request did not
+        carry makes the reply inexpressible by row, and the replica says so."""
+        spec = _RealtimeShardSpec(self.CFG)
+        replica = spec.setup(0)
+        stray = fixes[0]
+        replica.layer.broker.publish(TOPIC_RAW, Record(stray.t, stray, stray.entity_id, 0.0))
+        with pytest.raises(ValueError, match="raw topic yielded 101 records for a 100-fix request"):
+            spec.handle(0, replica, encode_request(fixes[300:400]))
+        # Drained with the refused request: the next one is expressible again.
+        poll = fixes[400:500]
+        _, topics = decode_reply(spec.handle(0, replica, encode_request(poll)), poll)
+        assert [r.value for r in topics[TOPIC_RAW]] == poll
 
     def test_spawn_context_worker_replies_like_the_inline_host(self, fixes):
         """Every other test forks, which copies the spec; only ``spawn``

@@ -1,6 +1,7 @@
 """Unit and property tests for repro.geo.geometry."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from repro.geo.geometry import (
     destination_point,
     segments_intersect,
 )
+from repro.geo.units import EARTH_RADIUS_M, deg_to_rad, rad_to_deg
 
 lons = st.floats(-179.0, 179.0, allow_nan=False)
 lats = st.floats(-80.0, 80.0, allow_nan=False)
@@ -40,6 +42,67 @@ class TestHaversine:
     @given(lons, lats, lons, lats)
     def test_nonnegative(self, lon1, lat1, lon2, lat2):
         assert haversine_m(lon1, lat1, lon2, lat2) >= 0.0
+
+
+def _composed_haversine_m(lon1, lat1, lon2, lat2):
+    """``haversine_m`` as it was written before ``deg_to_rad`` was inlined."""
+    phi1 = deg_to_rad(lat1)
+    phi2 = deg_to_rad(lat2)
+    dphi = deg_to_rad(lat2 - lat1)
+    dlmb = deg_to_rad(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
+    a = min(1.0, max(0.0, a))
+    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
+
+
+def _composed_initial_bearing_deg(lon1, lat1, lon2, lat2):
+    phi1 = deg_to_rad(lat1)
+    phi2 = deg_to_rad(lat2)
+    dlmb = deg_to_rad(lon2 - lon1)
+    y = math.sin(dlmb) * math.cos(phi2)
+    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlmb)
+    deg = rad_to_deg(math.atan2(y, x))
+    return deg + 360.0 if deg < 0.0 else deg
+
+
+#: The full coordinate range with its awkward members made likely.
+full_lons = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0, 179.999999, -179.999999, 0.0, -0.0]))
+full_lats = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 90.0, 0.0, -0.0]))
+
+
+class TestInlinedKernelsAreBitEqual:
+    """The hot-path kernels inline ``deg_to_rad``; the result must not move
+    by one ulp, or cleaning and synopses verdicts near a threshold would."""
+
+    @staticmethod
+    def bits(x: float) -> bytes:
+        return struct.pack("<d", x)
+
+    @settings(max_examples=500)
+    @given(full_lons, full_lats, full_lons, full_lats)
+    def test_any_pair(self, lon1, lat1, lon2, lat2):
+        args = (lon1, lat1, lon2, lat2)
+        assert self.bits(haversine_m(*args)) == self.bits(_composed_haversine_m(*args))
+        assert self.bits(initial_bearing_deg(*args)) == self.bits(_composed_initial_bearing_deg(*args))
+
+    @given(full_lons, full_lats)
+    def test_equal_points(self, lon, lat):
+        args = (lon, lat, lon, lat)
+        assert self.bits(haversine_m(*args)) == self.bits(_composed_haversine_m(*args))
+        assert self.bits(initial_bearing_deg(*args)) == self.bits(_composed_initial_bearing_deg(*args))
+
+    @pytest.mark.parametrize("args", [
+        (179.9, 10.0, -179.9, 10.0),      # across the antimeridian
+        (-180.0, 0.0, 180.0, 0.0),
+        (0.0, 90.0, 120.0, 90.0),         # both at a pole
+        (45.0, -90.0, -135.0, 90.0),      # pole to pole
+        (0.0, 0.0, 180.0, 0.0),           # antipodal: the clamp
+        (-0.0, -0.0, 0.0, 0.0),           # signed zeros
+        (0.0, 0.0, -0.0, -0.0),
+    ])
+    def test_named_edges(self, args):
+        assert self.bits(haversine_m(*args)) == self.bits(_composed_haversine_m(*args))
+        assert self.bits(initial_bearing_deg(*args)) == self.bits(_composed_initial_bearing_deg(*args))
 
 
 class TestBearingAndDestination:

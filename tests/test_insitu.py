@@ -172,6 +172,33 @@ class TestAreaEventDetector:
         events = det.process(fix(0.0, 0.5, 0.5, eid="b"))
         assert events and events[0].entity_id == "b"
 
+    @given(st.lists(
+        st.tuples(st.sampled_from(["a", "b"]), st.floats(-3.0, 8.0), st.floats(-3.0, 8.0)), max_size=40,
+    ))
+    def test_process_many_is_process_in_a_loop(self, moves):
+        """The batch entry only *skips* calls that cannot change anything:
+        same events, same per-entity state, fewer ``process`` calls."""
+        regions = [region("r1", 0.0, 0.0), region("r2", 0.5, 0.5), region("r3", 5.0, 5.0)]
+        one, many = (AreaEventDetector(RegionIndex(regions, cell_deg=0.5)) for _ in range(2))
+        fixes = [fix(float(i), lon, lat, eid=eid) for i, (eid, lon, lat) in enumerate(moves)]
+        calls = []
+        process = many.process
+        many.process = lambda f: calls.append(f) or process(f)
+        assert many.process_many(fixes) == [e for f in fixes for e in one.process(f)]
+        assert many.events_emitted == one.events_emitted
+        assert all(many.currently_inside(eid) == one.currently_inside(eid) for eid in "ab")
+        skipped = [f for f in fixes if not any(f is c for c in calls)]
+        assert all(not many.index.candidate_regions(f.lon, f.lat) for f in skipped)
+
+    def test_process_many_skips_open_water(self):
+        det = AreaEventDetector(RegionIndex([region("r1", 0.0, 0.0), region("r2", 10.0, 10.0)]))
+        far = [fix(float(i), 4.0 + 0.1 * i, 5.0) for i in range(5)]
+        calls = []
+        process = det.process
+        det.process = lambda f: calls.append(f) or process(f)
+        assert det.process_many(far) == []
+        assert calls == far[:1]          # the first fix initialises the entity
+
 
 class TestQuality:
     def test_clean_passes_good_stream(self):

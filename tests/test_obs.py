@@ -281,23 +281,26 @@ class TestRealtimeIntegration:
         from repro.core import DatacronSystem, SystemConfig
         from repro.datasources import AISConfig, AISSimulator
 
-        config = SystemConfig(n_regions=10, n_ports=5, seed=3, trace_sample_every=10)
+        config = SystemConfig(n_regions=10, n_ports=5, seed=3)
         system = DatacronSystem(config, t_origin=0.0, t_extent_s=3600.0)
         sim = AISSimulator(n_vessels=3, seed=4, config=AISConfig(report_period_s=60.0))
         run = system.run(sim.fixes(0.0, 1800.0))
 
         metrics = system.system_metrics()
         assert metrics["counters"]["stage.raw.records"] == run.realtime.raw_fixes
-        assert metrics["counters"]["op.clean.records_in"] == run.realtime.clean_fixes
-        assert metrics["histograms"]["realtime.fix_latency_s"]["count"] == run.realtime.clean_fixes
+        assert metrics["counters"]["op.clean.records_in"] == run.realtime.raw_fixes
+        assert metrics["counters"]["op.clean.records_out"] == run.realtime.clean_fixes
+        # Ingest -> enriched latency, from the poll's hand-over stamp: one
+        # observation per critical point (there is no per-fix histogram).
+        assert metrics["histograms"]["e2e.record_latency_s"]["count"] == run.realtime.critical_points
+        assert "realtime.fix_latency_s" not in metrics["histograms"]
         assert metrics["operators"]["clean"]["records_s"] > 0.0
         # The batch layer drained the synopses topic: its lag gauge reads zero.
         assert metrics["consumer_lag"]["trajectories.synopses.batch"] == 0
-        # Sampled lineage traces exist and follow the Figure-2 stages.
-        traces = system.realtime.tracer.traces()
-        assert traces
-        names = {sp.name for sp in system.realtime.tracer.trace(traces[0])}
-        assert "record" in names and "synopses" in names
+        # One trace per run(): a `run` root over the Figure-2 stages.
+        [trace] = system.realtime.tracer.traces()
+        names = [sp.name for sp in system.realtime.tracer.trace(trace)]
+        assert names == ["run", "clean", "area_events", "synopses", "link_discovery"]
 
     def test_dashboard_renders_registry(self):
         from repro.core import DatacronSystem, SystemConfig

@@ -328,44 +328,80 @@ class TestGaugeConflict:
         assert reg.gauge("b").value() == 5.0
 
 
-def _run_realtime(trace_sample_every, fixes=None):
+def _run_realtime(polls=None):
     from repro.core import RealtimeLayer, SystemConfig
     from repro.datasources import AISConfig, AISSimulator
 
-    config = SystemConfig(
-        n_regions=10, n_ports=5, seed=3, trace_sample_every=trace_sample_every
-    )
-    layer = RealtimeLayer(config)
-    if fixes is None:
+    layer = RealtimeLayer(SystemConfig(n_regions=10, n_ports=5, seed=3))
+    if polls is None:
         sim = AISSimulator(n_vessels=2, seed=4, config=AISConfig(report_period_s=120.0))
-        fixes = sim.fixes(0.0, 1200.0)
-    report = layer.run(fixes)
-    return layer, report
+        polls = [sim.fixes(0.0, 1200.0)]
+    for poll in polls:
+        layer.run(poll)
+    return layer, layer.report
+
+
+def _run_trees(layer):
+    """Each trace of the layer as (root, children)."""
+    tracer = layer.tracer
+    trees = []
+    for trace_id in tracer.traces():
+        root, *children = tracer.trace(trace_id)
+        assert root.parent_id is None and all(c.parent_id == root.span_id for c in children)
+        trees.append((root, children))
+    return trees
 
 
 class TestTracerSampling:
-    """Satellite: sampling edges of the end-to-end lineage tracer."""
+    """Satellite: the per-run shape of the lineage tracer — one ``run``
+    root per ``run()`` call, one child per stage that had work."""
+
+    STAGES = ["clean", "area_events", "synopses", "link_discovery"]
 
     def test_sample_every_record(self):
-        layer, report = _run_realtime(trace_sample_every=1)
-        roots = [s for s in layer.tracer.spans() if s.name == "record"]
-        assert len(roots) == report.clean_fixes
+        """The trace does not scale with fixes: a whole stream is one root
+        and one child per stage, whose attrs are the stage's exact counts."""
+        layer, report = _run_realtime()
+        [(root, children)] = _run_trees(layer)
+        assert root.name == "run" and [c.name for c in children] == self.STAGES
         assert all(s.finished for s in layer.tracer.spans())
+        attrs = {c.name: (c.tags["n_in"], c.tags["n_out"]) for c in children}
+        entity_links = report.links - report.proximity_links
+        assert attrs == {
+            "clean": (report.raw_fixes, report.clean_fixes),
+            "area_events": (report.clean_fixes, report.area_events),
+            "synopses": (report.clean_fixes, report.critical_points),
+            "link_discovery": (report.critical_points, entity_links),
+        }
+        assert sum(c.duration_s for c in children) <= root.duration_s
 
     def test_sampling_disabled(self):
-        layer, report = _run_realtime(trace_sample_every=0)
-        assert report.clean_fixes > 0
-        assert layer.tracer.spans() == []
+        """There is no sampling knob left to turn off; what bounds the
+        trace is ``Tracer.max_spans``, and the layer runs on past it."""
+        from repro.core import RealtimeLayer, SystemConfig
+        from repro.datasources import AISConfig, AISSimulator
+
+        layer = RealtimeLayer(SystemConfig(n_regions=10, n_ports=5, seed=3))
+        layer.tracer.max_spans = 7
+        fixes = list(AISSimulator(n_vessels=2, seed=4, config=AISConfig(report_period_s=120.0)).fixes(0.0, 1200.0))
+        for i in range(0, len(fixes), 4):
+            layer.run(fixes[i : i + 4])
+        assert layer.report.raw_fixes == len(fixes)
+        assert len(layer.tracer.spans()) == 7 and layer.tracer.dropped_spans > 0
+        # Spans past the bound still time their stage: the probes lose nothing.
+        assert layer.metrics.counter("op.clean.records_out").value == layer.report.clean_fixes
 
     @settings(max_examples=20, deadline=None)
     @given(
         offsets=st.lists(
             st.integers(min_value=-2, max_value=8), min_size=3, max_size=30
-        )
+        ),
+        n_polls=st.integers(min_value=1, max_value=4),
     )
-    def test_every_sampled_record_yields_one_finished_root(self, offsets):
-        """Even with regressing timestamps (records the pipeline drops),
-        each surviving clean fix opens exactly one finished root span."""
+    def test_every_sampled_record_yields_one_finished_root(self, offsets, n_polls):
+        """Even with regressing timestamps (records the pipeline drops)
+        and empty polls, every run yields exactly one finished root whose
+        children are finished, in stage order, and sum to no more than it."""
         t = 0.0
         fixes = []
         for i, off in enumerate(offsets):
@@ -373,10 +409,20 @@ class TestTracerSampling:
             fixes.append(
                 PositionFix("v1", t, lon=9.0 + i * 1e-3, lat=37.0, speed=5.0, heading=90.0)
             )
-        layer, report = _run_realtime(trace_sample_every=1, fixes=fixes)
-        roots = [s for s in layer.tracer.spans() if s.name == "record"]
-        assert len(roots) == report.clean_fixes <= len(fixes)
-        assert all(s.finished for s in layer.tracer.spans())
+        size = -(-len(fixes) // n_polls)
+        polls = [fixes[i * size : (i + 1) * size] for i in range(n_polls)]
+        layer, report = _run_realtime(polls)
+        trees = _run_trees(layer)
+        assert len(trees) == n_polls and report.raw_fixes == len(fixes)
+        clean_out = 0
+        for root, children in trees:
+            assert root.name == "run" and root.finished
+            assert all(c.finished and {"n_in", "n_out"} <= c.tags.keys() for c in children)
+            names = [c.name for c in children]
+            assert names == [stage for stage in self.STAGES if stage in names]
+            assert sum(c.duration_s for c in children) <= root.duration_s
+            clean_out += sum(c.tags["n_out"] for c in children if c.name == "clean")
+        assert clean_out == report.clean_fixes <= len(fixes)
 
 
 class TestWatermarkLag:
