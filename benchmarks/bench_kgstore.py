@@ -71,7 +71,7 @@ def test_pushdown_speedup(store, console, benchmark, emit_metrics):
             width=22,
         ))
         print(f"speedup: {comparison['speedup']:.2f}x")
-    assert len(baseline) == len(pushed)
+    assert baseline == pushed
     assert comparison["speedup"] > 2.0
     benchmark(lambda: kg.execute(node_query(), pushdown=True)[1].results)
     emit_metrics(kg.registry, benchmark, title="kgstore query metrics (repro.obs)")

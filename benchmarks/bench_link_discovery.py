@@ -10,10 +10,13 @@ and the port join runs faster than the region join.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.datasources import AISConfig, AISSimulator, DEFAULT_BBOX, generate_ports, generate_regions
 from repro.linkdiscovery import (
+    DiscoveryResult,
     NEAR_TO,
     PortLinkDiscoverer,
     RegionLinkDiscoverer,
@@ -59,6 +62,19 @@ def workload():
     return regions, ports, points
 
 
+def per_fix_discover(discoverer: RegionLinkDiscoverer, points) -> DiscoveryResult:
+    """Time the ``links_for`` loop itself, one point at a time."""
+    links, refinements = [], 0
+    start = time.perf_counter()
+    for point in points:
+        found, r = discoverer.links_for(point)
+        links += found
+        refinements += r
+    elapsed = time.perf_counter() - start
+    pruned = discoverer.masks.stats.pruned if discoverer.masks is not None else 0
+    return DiscoveryResult(links, len(points), elapsed, refinements, mask_pruned=pruned)
+
+
 @pytest.fixture(scope="module")
 def region_results(workload):
     regions, _, points = workload
@@ -66,10 +82,7 @@ def region_results(workload):
     without_masks = RegionLinkDiscoverer(regions, DEFAULT_BBOX, cell_deg=0.5, use_masks=False)
     # E4 is the per-fix path EntityStages runs through links_for; on the
     # batched default mask pruning buys nothing.
-    return (
-        with_masks.discover(points, vectorized=False),
-        without_masks.discover(points, vectorized=False),
-    )
+    return per_fix_discover(with_masks, points), per_fix_discover(without_masks, points)
 
 
 def test_masks_speedup(region_results, console, benchmark):

@@ -1,7 +1,6 @@
 """Built-in checkers. Importing this package registers all of them."""
 
 from .determinism import DeterminismChecker
-from .dual_path import DualPathChecker
 from .hygiene import HygieneChecker
 from .layering import LayeringChecker
 from .metrics_contract import MetricContractChecker
@@ -10,7 +9,6 @@ from .resource_lifecycle import ResourceLifecycleChecker
 
 __all__ = [
     "DeterminismChecker",
-    "DualPathChecker",
     "HygieneChecker",
     "LayeringChecker",
     "MetricContractChecker",

@@ -154,27 +154,11 @@ class ResourceLifecycleConfig:
 
 
 @dataclass
-class DualPathConfig:
-    """Where the ``_batch``-suffix twin convention is enforced.
-
-    Subpackages listed in ``batch_suffix_packages`` promise that every
-    public ``*_batch`` function or method keeps a scalar twin (the name
-    with the suffix stripped, possibly underscore-private or with a
-    plural token singularized, e.g. ``cell_ids_batch`` -> ``cell_id``)
-    and is named by at least one test — the dual-path checker turns that
-    promise into findings.
-    """
-
-    batch_suffix_packages: list[str] = field(default_factory=list)
-
-
-@dataclass
 class AnalysisConfig:
     """Everything the checkers read from disk besides the sources."""
 
     root: Path
     layering: LayeringConfig | None = None
-    dual_path: DualPathConfig | None = None
     pickle_safety: PickleSafetyConfig | None = None
     resource_lifecycle: ResourceLifecycleConfig | None = None
 
@@ -183,7 +167,6 @@ class AnalysisConfig:
         root = Path(root).resolve()
         path = layering_path or root / "tools" / "layering.toml"
         layering = None
-        dual_path = None
         pickle_safety = None
         resource_lifecycle = None
         if path.is_file():
@@ -196,12 +179,6 @@ class AnalysisConfig:
                 package=doc.get("package", "repro"), allow=allow, forbid=forbid
             )
             layering.validate()
-            dp_doc = doc.get("dual_path")
-            if dp_doc is not None:
-                pkgs = dp_doc.get("batch_suffix_packages", [])
-                if not isinstance(pkgs, list):
-                    raise ConfigError("dual_path.batch_suffix_packages must be an array")
-                dual_path = DualPathConfig(batch_suffix_packages=[str(p) for p in pkgs])
             ps_doc = doc.get("pickle_safety")
             if ps_doc is not None:
                 roots = ps_doc.get("boundary_roots", [])
@@ -217,7 +194,6 @@ class AnalysisConfig:
         return cls(
             root=root,
             layering=layering,
-            dual_path=dual_path,
             pickle_safety=pickle_safety,
             resource_lifecycle=resource_lifecycle,
         )

@@ -4,9 +4,10 @@ Checkers never touch the filesystem themselves — a :class:`Project` is
 built once (every file parsed once) and handed to each checker, so a
 full run costs one AST parse per file regardless of how many checkers
 inspect it. Files are grouped into *realms* (``src``, ``benchmarks``,
-``examples``, ``tests``) so checkers can scope themselves: layering and
+``examples``) so checkers can scope themselves: layering and
 determinism apply to ``src`` only, while metric extraction also reads
-the benchmarks that name probe operators.
+the benchmarks that name probe operators. ``tests/`` is not scanned: no
+checker reads it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class SourceFile:
 
     path: Path            # absolute
     relpath: str          # repo-relative posix
-    realm: str            # "src" | "benchmarks" | "examples" | "tests"
+    realm: str            # "src" | "benchmarks" | "examples"
     module: str           # dotted module name ("repro.streams.broker")
     text: str
     tree: ast.AST | None  # None when the file failed to parse
@@ -125,7 +126,7 @@ class Project:
         """Parse the project rooted at ``root`` (the repository root).
 
         Scans ``src/<package>`` as realm ``src`` and ``benchmarks/``,
-        ``examples/``, ``tests/`` under their own realm names. Missing
+        ``examples/`` under their own realm names. Missing
         directories are simply skipped, so fixture projects can be as
         small as one file.
         """
@@ -135,7 +136,6 @@ class Project:
             (root / "src" / package, "src"),
             (root / "benchmarks", "benchmarks"),
             (root / "examples", "examples"),
-            (root / "tests", "tests"),
         ]
         for base, realm in realms:
             if not base.is_dir():

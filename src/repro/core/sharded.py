@@ -16,8 +16,7 @@ The merge is canonical: per-shard topic streams are combined with the
 ``(t, key)`` stable merge (``merge_shard_outputs``), so the merged
 stream — and therefore every global stage and the merged broker topics
 — is *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard
-run is the equivalence oracle, exactly as ``vectorized=False`` is for
-the columnar fast path; the shard-equivalence tests drive both.
+run is the equivalence oracle; the shard-equivalence tests drive both.
 
 Observability: each shard's counters surface as ``shard.<i>.*`` gauges
 on the layer-wide registry, next to a ``shard.count`` and a

@@ -24,9 +24,7 @@ from .trajectory import (
     cross_track_error_m,
     group_fixes_by_entity,
     mean_sampling_period,
-    segment_speeds_mps,
     split_on_gaps,
-    turn_rates_deg_s,
 )
 from .units import (
     EARTH_RADIUS_M,
@@ -88,9 +86,7 @@ __all__ = [
     "parse_polygon",
     "point_to_wkt",
     "polygon_boundary_distance_m",
-    "segment_speeds_mps",
     "segments_intersect",
     "polygon_to_wkt",
     "split_on_gaps",
-    "turn_rates_deg_s",
 ]

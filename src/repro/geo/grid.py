@@ -145,30 +145,16 @@ class EquiGrid:
             for col in range(c0, c1 + 1):
                 yield col, row
 
-    def rasterize_polygon(self, polygon: Polygon, vectorized: bool = True) -> list[int]:
-        """Ids of all cells whose box intersects the polygon.
+    def rasterize_polygon(self, polygon: Polygon) -> list[int]:
+        """Ids of all cells whose box intersects the polygon, row-major.
 
         Used by link discovery to assign stationary regions to blocks and to
         build cell masks, and by the KG store to index region geometries.
-        The vectorized path evaluates the same cell-box intersection stages
-        (vertex-in-box, corner-in-polygon, edge-crossing) over all candidate
-        cells at once; the scalar per-cell loop is kept as the equivalence
-        oracle (``vectorized=False``) and returns the identical id list.
-        """
-        if not vectorized:
-            hits: list[int] = []
-            for col, row in self.cells_overlapping_bbox(polygon.bbox):
-                if polygon.intersects_bbox(self.cell_box(col, row)):
-                    hits.append(row * self.cols + col)
-            return hits
-        return self._rasterize_polygon_batch(polygon)
-
-    def _rasterize_polygon_batch(self, polygon: Polygon) -> list[int]:
-        """Numpy twin of the per-cell ``intersects_bbox`` rasterization loop.
-
-        Every stage mirrors the scalar predicate's arithmetic exactly
-        (pure products and comparisons), so the surviving cell ids equal
-        the scalar path's bit-for-bit, in the same row-major order.
+        Evaluates ``polygon.intersects_bbox(cell_box)`` over every cell of
+        :meth:`cells_overlapping_bbox` at once: each stage (vertex-in-box,
+        corner-in-polygon, edge-crossing) mirrors the per-cell predicate's
+        arithmetic exactly (pure products and comparisons), so the ids
+        equal that loop's bit-for-bit.
         """
         if not self.bbox.intersects(polygon.bbox):
             return []
@@ -188,7 +174,7 @@ class EquiGrid:
         vx, vy = verts[:, 0], verts[:, 1]
         pb = polygon.bbox
         # Stage 0: polygon bbox vs cell box (cells_overlapping_bbox makes
-        # this vacuously true, but the scalar twin evaluates it, so we do).
+        # this vacuously true, but intersects_bbox evaluates it, so we do).
         hit = ~(
             (pb.min_lon > box_max_lon)
             | (pb.max_lon < box_min_lon)
@@ -249,7 +235,7 @@ class EquiGrid:
         verts = np.asarray(polygon.vertices, dtype=np.float64)
         ax, ay = verts[:, 0], verts[:, 1]
         bx, by = np.roll(ax, -1), np.roll(ay, -1)
-        # The four box edges, in the scalar twin's corner order.
+        # The four box edges, in intersects_bbox's corner order.
         cx = np.stack([min_lon, min_lon, max_lon, max_lon], axis=1).reshape(-1, 1)
         cy = np.stack([min_lat, max_lat, max_lat, min_lat], axis=1).reshape(-1, 1)
         dx = np.stack([min_lon, max_lon, max_lon, min_lon], axis=1).reshape(-1, 1)

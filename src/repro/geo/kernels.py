@@ -3,10 +3,10 @@
 The paper's E4 experiment (Section 4.2.4) is throughput-bound on
 geometric predicates: haversine distances, point-in-polygon refinement,
 grid assignment. The scalar implementations in :mod:`.geometry`,
-:mod:`.grid` and :mod:`.trajectory` stay the readable source of truth —
-and the *equivalence oracle* the dual-path reprolint checker enforces —
-while the functions here evaluate the same formulas over whole
-coordinate arrays in one numpy pass.
+:mod:`.grid` are the per-point APIs the real-time layer runs — and the
+equivalence reference ``tests/test_geo_vectorized.py`` holds every
+kernel to — while the functions here evaluate the same formulas over
+whole coordinate arrays in one numpy pass.
 
 Parity contract (what "equivalent" means, kernel by kernel)
 -----------------------------------------------------------
@@ -42,9 +42,7 @@ __all__ = [
     "as_array",
     "as_lonlat",
     "haversine_m_batch",
-    "heading_difference_batch",
     "initial_bearing_deg_batch",
-    "normalize_heading_batch",
     "ring_contains_batch",
     "rings_to_arrays",
     "point_segment_distance_batch",
@@ -101,26 +99,6 @@ def initial_bearing_deg_batch(lon1, lat1, lon2, lat2) -> np.ndarray:
     x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlmb)
     deg = np.arctan2(y, x) * 180.0 / math.pi
     return np.where(deg < 0.0, deg + 360.0, deg)
-
-
-# -- headings ----------------------------------------------------------------------
-
-
-def normalize_heading_batch(degs) -> np.ndarray:
-    """Headings normalized to [0, 360); bit-for-bit twin of ``units.normalize_heading``.
-
-    ``np.fmod`` is the same C ``fmod`` the scalar path calls, so every
-    branch (negative wrap, the ``>= 360`` rounding guard) matches exactly.
-    """
-    h = np.fmod(np.asarray(degs, np.float64), 360.0)
-    h = np.where(h < 0.0, h + 360.0, h)
-    return np.where(h >= 360.0, 0.0, h)
-
-
-def heading_difference_batch(a, b) -> np.ndarray:
-    """Smallest absolute angular differences in [0, 180]; twin of ``units.heading_difference``."""
-    d = np.abs(normalize_heading_batch(a) - normalize_heading_batch(b))
-    return np.where(d > 180.0, 360.0 - d, d)
 
 
 # -- point-in-ring (even-odd, boundary-inclusive) ----------------------------------

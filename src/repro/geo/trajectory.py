@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import kernels
 from .geometry import GeoPoint, LocalProjection, haversine_m, initial_bearing_deg
-from .units import heading_difference, normalize_heading
+from .units import normalize_heading
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,74 +208,6 @@ def _lerp_heading(a: float | None, b: float | None, w: float) -> float | None:
         return a if b is None else b
     diff = (b - a + 180.0) % 360.0 - 180.0
     return normalize_heading(a + w * diff)
-
-
-def segment_speeds_mps(
-    ts: Sequence[float],
-    lons: Sequence[float],
-    lats: Sequence[float],
-    vectorized: bool = True,
-) -> list[float]:
-    """Ground speed of each consecutive-fix segment, m/s (``n - 1`` values).
-
-    The batched speed kernel behind derived-motion and synopses work at
-    scale: one haversine pass over the whole track instead of a Python
-    loop. Non-increasing timestamps yield 0.0 for that segment, exactly
-    as the scalar path (``vectorized=False``, the equivalence oracle)
-    does. Distances agree with the scalar twin to the last ulp of
-    ``asin`` (see :mod:`.kernels`); the zero-dt verdicts are exact.
-    """
-    if len(ts) != len(lons) or len(ts) != len(lats):
-        raise ValueError("ts/lons/lats must have equal lengths")
-    if not vectorized:
-        out: list[float] = []
-        for i in range(len(ts) - 1):
-            dt = ts[i + 1] - ts[i]
-            if dt <= 0.0:
-                out.append(0.0)
-                continue
-            out.append(haversine_m(lons[i], lats[i], lons[i + 1], lats[i + 1]) / dt)
-        return out
-    t = kernels.as_array(ts)
-    lon, lat = kernels.as_lonlat(lons, lats)
-    dt = t[1:] - t[:-1]
-    d = kernels.haversine_m_batch(lon[:-1], lat[:-1], lon[1:], lat[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = d / dt
-    return np.where(dt > 0.0, v, 0.0).tolist()
-
-
-def turn_rates_deg_s(
-    ts: Sequence[float],
-    headings: Sequence[float],
-    vectorized: bool = True,
-) -> list[float]:
-    """Absolute turn rate of each consecutive-fix segment, deg/s (``n - 1`` values).
-
-    Feeds turn-point detection (the synopses generator's critical-point
-    extraction). Pure arithmetic — ``fmod``, comparisons, subtraction —
-    so the batch path is bit-for-bit identical to the scalar oracle
-    (``vectorized=False``), including the 0.0 verdict for non-increasing
-    timestamps.
-    """
-    if len(ts) != len(headings):
-        raise ValueError("ts/headings must have equal lengths")
-    if not vectorized:
-        out: list[float] = []
-        for i in range(len(ts) - 1):
-            dt = ts[i + 1] - ts[i]
-            if dt <= 0.0:
-                out.append(0.0)
-                continue
-            out.append(heading_difference(headings[i], headings[i + 1]) / dt)
-        return out
-    t = kernels.as_array(ts)
-    h = kernels.as_array(headings)
-    dt = t[1:] - t[:-1]
-    dh = kernels.heading_difference_batch(h[:-1], h[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = dh / dt
-    return np.where(dt > 0.0, r, 0.0).tolist()
 
 
 def group_fixes_by_entity(fixes: Iterable[PositionFix]) -> dict[str, Trajectory]:

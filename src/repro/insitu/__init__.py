@@ -6,6 +6,7 @@ from .quality import (
     ISSUE_COORD_RANGE,
     ISSUE_DUPLICATE_TIME,
     ISSUE_IMPLIED_SPEED,
+    ISSUE_NON_FINITE_TIME,
     ISSUE_REPORTED_SPEED,
     ISSUE_TIME_ORDER,
     QualityConfig,
@@ -29,6 +30,7 @@ __all__ = [
     "ISSUE_COORD_RANGE",
     "ISSUE_DUPLICATE_TIME",
     "ISSUE_IMPLIED_SPEED",
+    "ISSUE_NON_FINITE_TIME",
     "ISSUE_REPORTED_SPEED",
     "ISSUE_TIME_ORDER",
     "OnlineStats",

@@ -6,6 +6,7 @@ surveillance-stream checks, derived from the movement-data-quality
 typology of Andrienko et al. (paper's reference [5]):
 
 * out-of-range coordinates,
+* non-finite (NaN, +-inf) timestamps,
 * non-monotonic or duplicate timestamps per entity,
 * physically impossible implied speed (teleport outliers),
 * implausible reported speed for the entity class,
@@ -18,6 +19,7 @@ drops flagged fixes and counts them, so quality metrics stay observable
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -26,6 +28,7 @@ from ..geo import PositionFix
 
 #: Issue labels attached to fixes.
 ISSUE_COORD_RANGE = "coord_out_of_range"
+ISSUE_NON_FINITE_TIME = "non_finite_time"
 ISSUE_TIME_ORDER = "non_monotonic_time"
 ISSUE_DUPLICATE_TIME = "duplicate_timestamp"
 ISSUE_IMPLIED_SPEED = "impossible_implied_speed"
@@ -33,6 +36,7 @@ ISSUE_REPORTED_SPEED = "implausible_reported_speed"
 
 ALL_ISSUES = (
     ISSUE_COORD_RANGE,
+    ISSUE_NON_FINITE_TIME,
     ISSUE_TIME_ORDER,
     ISSUE_DUPLICATE_TIME,
     ISSUE_IMPLIED_SPEED,
@@ -104,7 +108,12 @@ def check_fix(fix: PositionFix, state: QualityState, config: QualityConfig) -> l
     if fix.speed is not None and fix.speed > config.max_reported_speed_ms:
         issues.append(ISSUE_REPORTED_SPEED)
     prev = state.last_fix
-    if prev is not None:
+    if not math.isfinite(fix.t):
+        # Every comparison below is False for NaN and the implied speed of
+        # an infinite gap is 0, so without this a NaN/inf t would pass —
+        # and become the baseline no later fix can be ordered against.
+        issues.append(ISSUE_NON_FINITE_TIME)
+    elif prev is not None:
         if fix.t < prev.t:
             issues.append(ISSUE_TIME_ORDER)
         elif fix.t == prev.t:

@@ -97,18 +97,13 @@ class Dictionary:
         return {cell + 1 for cell in self.st_grid.ids_for_range(bbox, t_min, t_max)}
 
     @staticmethod
-    def id_matches_slots(term_id: int, slots: set[int]) -> bool:
-        """Constraint check evaluated purely on the encoded id."""
-        return (term_id >> SERIAL_BITS) in slots
-
-    @staticmethod
     def slots_to_array(slots: set[int]) -> np.ndarray:
-        """A slot set as a sorted int64 array, for vectorized matching."""
+        """A slot set as a sorted int64 array, for :meth:`ids_match_slots`."""
         return np.sort(np.fromiter(slots, dtype=np.int64, count=len(slots)))
 
     @staticmethod
     def ids_match_slots(term_ids: np.ndarray, slot_array: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`id_matches_slots`: one boolean per encoded id.
+        """Constraint check evaluated purely on the encoded ids: one boolean each.
 
         ``slot_array`` must be sorted (see :meth:`slots_to_array`); matching
         is one shift plus one ``np.isin`` over the whole id column.

@@ -202,20 +202,6 @@ class PropertyTable:
     def row(self, s_id: int) -> dict[int, int] | None:
         return self._rows.get(s_id)
 
-    def star_scan(self, predicate_ids: list[int]) -> Iterator[tuple[int, list[int]]]:
-        """All (subject, [object per predicate]) rows having every predicate."""
-        for s_id, row in self._rows.items():
-            objs = []
-            complete = True
-            for p_id in predicate_ids:
-                o = row.get(p_id)
-                if o is None:
-                    complete = False
-                    break
-                objs.append(o)
-            if complete:
-                yield s_id, objs
-
     def _column(self, p_id: int) -> tuple[np.ndarray, np.ndarray]:
         """The dense (present-mask, object) column of one predicate (cached)."""
         cached = self._columns.get(p_id)
@@ -233,11 +219,10 @@ class PropertyTable:
         return present, col
 
     def star_scan_arrays(self, predicate_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`star_scan`: (subjects, objects-matrix) arrays.
+        """All rows having every predicate, as (subjects, objects-matrix) arrays.
 
-        Subjects come back in row-insertion order — the exact order
-        :meth:`star_scan` yields — with one object column per requested
-        predicate (shape ``(n_subjects, n_predicates)``).
+        Subjects come back in row-insertion order, with one object column
+        per requested predicate (shape ``(n_subjects, n_predicates)``).
         """
         if self._subjects_arr is None:
             self._subjects_arr = np.fromiter(self._rows.keys(), dtype=np.int64, count=len(self._rows))

@@ -92,7 +92,7 @@ class KGStore:
         #: The store's triples as growing numpy columns (the columnar truth).
         self._cols = TripleColumns.empty()
         # Anchors as parallel (id, lon, lat, t) arrays sorted by id, built
-        # lazily for the vectorized refine step; invalidated on load.
+        # lazily for the refine step; invalidated on load.
         self._anchor_arrays_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- loading ---------------------------------------------------------------
@@ -123,7 +123,10 @@ class KGStore:
             point = parse_point(wkt)
             anchors[subject] = STPosition(point.lon, point.lat, t)
 
-        # Pass 2: encode with anchored subject ids, into columnar batch buffers.
+        # Pass 2: encode into columnar batch buffers. An id is minted at a
+        # term's first sight, so an anchored node met first as an *object*
+        # (``traj hasSemanticNode node`` ahead of the node's own triples)
+        # must get its spatio-temporal id there too, or pushdown prunes it.
         report = LoadReport()
         seen_subjects: set[int] = set()
         anchored_subjects: set[int] = set()
@@ -135,7 +138,7 @@ class KGStore:
             s_id = self.dictionary.encode(tr.s, anchor)
             s_ids.append(s_id)
             p_ids.append(self.dictionary.encode(tr.p))
-            o_ids.append(self.dictionary.encode(tr.o))
+            o_ids.append(self.dictionary.encode(tr.o, anchors.get(tr.o)))
             seen_subjects.add(s_id)
             if anchor is not None:
                 anchored_subjects.add(s_id)
@@ -164,27 +167,18 @@ class KGStore:
 
     # -- query execution ---------------------------------------------------------
 
-    def execute(
-        self, query: StarQuery, pushdown: bool = True, vectorized: bool = True
-    ) -> tuple[list[dict[str, Term]], QueryMetrics]:
+    def execute(self, query: StarQuery, pushdown: bool = True) -> tuple[list[dict[str, Term]], QueryMetrics]:
         """Run a star query; returns (bindings, metrics).
 
-        ``pushdown=False`` forces the baseline post-filter plan.
-        ``vectorized=False`` forces the per-row scalar execution path; the
-        default columnar path returns identical bindings (same order) and
-        identical :class:`QueryMetrics` counters, enforced by the
-        equivalence property tests.
+        ``pushdown=False`` forces the baseline post-filter plan; both
+        plans return the same bindings in the same order.
         """
         if self._layout is None:
             raise RuntimeError("store is empty; call load() first")
         metrics = QueryMetrics()
         start = time.perf_counter()
-        if vectorized:
-            subjects, objects = self._star_rows_vectorized(query, metrics, pushdown)
-            bindings = self._refine_and_project_vectorized(query, subjects, objects, metrics)
-        else:
-            rows = self._star_rows(query, metrics, pushdown)
-            bindings = self._refine_and_project(query, rows, metrics, pushdown)
+        subjects, objects = self._star_rows(query, metrics, pushdown)
+        bindings = self._refine_and_project(query, subjects, objects, metrics)
         metrics.wall_seconds = time.perf_counter() - start
         metrics.results = len(bindings)
         if self.registry is not None:
@@ -218,59 +212,13 @@ class KGStore:
     def _slots_for(self, st: STConstraint) -> set[int]:
         return self.dictionary.ids_for_range(st.bbox, st.t_min, st.t_max)
 
-    def _star_rows(self, query: StarQuery, metrics: QueryMetrics, pushdown: bool) -> dict[int, list[int]]:
-        """Candidate star rows: subject id -> object id per arm."""
-        arms = self._resolve_arms(query)
-        if arms is None:
-            return {}
-        slots = self._slots_for(query.st) if (pushdown and query.st is not None) else None
-
-        if isinstance(self._layout, PropertyTable):
-            rows: dict[int, list[int]] = {}
-            predicate_ids = [p for p, _ in arms]
-            for s_id, objs in self._layout.star_scan(predicate_ids):
-                metrics.join_rows += 1
-                if slots is not None and not Dictionary.id_matches_slots(s_id, slots):
-                    continue
-                if any(fixed is not None and objs[i] != fixed for i, (_, fixed) in enumerate(arms)):
-                    continue
-                rows[s_id] = objs
-            metrics.candidates = len(rows)
-            return rows
-
-        # TriplesTable / VerticalPartitioning: cascade of hash semi-joins.
-        rows = {}
-        first = True
-        for p_id, fixed in arms:
-            arm_hits: dict[int, int] = {}
-            for part in self._layout.scan_predicate(p_id):
-                metrics.join_rows += len(part)
-                for s_id, o_id in zip(part.s.tolist(), part.o.tolist()):
-                    if slots is not None and not Dictionary.id_matches_slots(s_id, slots):
-                        continue
-                    if fixed is not None and o_id != fixed:
-                        continue
-                    if not first and s_id not in rows:
-                        continue
-                    arm_hits[s_id] = o_id
-            if first:
-                rows = {s: [o] for s, o in arm_hits.items()}
-                first = False
-            else:
-                rows = {s: objs + [arm_hits[s]] for s, objs in rows.items() if s in arm_hits}
-            if not rows:
-                break
-        metrics.candidates = len(rows)
-        return rows
-
-    def _star_rows_vectorized(
+    def _star_rows(
         self, query: StarQuery, metrics: QueryMetrics, pushdown: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`_star_rows`: (subjects, objects-matrix) arrays.
+        """Candidate star rows as (subjects, objects-matrix) arrays.
 
         Slot pruning is one shift + ``np.isin`` over the whole subject
-        column; fixed-object arms are equality masks. Candidate order and
-        every :class:`QueryMetrics` counter match the scalar path exactly.
+        column; fixed-object arms are equality masks.
         """
         no_rows = (np.empty(0, dtype=np.int64), np.empty((0, len(query.arms)), dtype=np.int64))
         arms = self._resolve_arms(query)
@@ -294,8 +242,8 @@ class KGStore:
             return subjects, objects
 
         # TriplesTable / VerticalPartitioning: cascade of hash semi-joins,
-        # with the per-partition slot/fixed filters vectorized so only the
-        # survivors enter the Python-dict join.
+        # with the per-partition slot/fixed filters as column masks so only
+        # the survivors enter the Python-dict join.
         rows: dict[int, list[int]] = {}
         first = True
         for p_id, fixed in arms:
@@ -338,15 +286,15 @@ class KGStore:
             self._anchor_arrays_cache = cached
         return cached
 
-    def _refine_and_project_vectorized(
+    def _refine_and_project(
         self,
         query: StarQuery,
         subjects: np.ndarray,
         objects: np.ndarray,
         metrics: QueryMetrics,
     ) -> list[dict[str, Term]]:
-        """Columnar :meth:`_refine_and_project`: one bbox/time mask over the
-        survivors' anchor arrays instead of a dict probe per row."""
+        """Exact constraint check (one bbox/time mask over the survivors'
+        anchor arrays), then decode the surviving rows into bindings."""
         st = query.st
         if st is not None and len(subjects):
             metrics.refined += len(subjects)
@@ -375,35 +323,6 @@ class KGStore:
                 if isinstance(obj, Variable):
                     existing = binding.get(obj.name)
                     decoded = decode(o_id)
-                    if existing is not None and existing != decoded:
-                        ok = False
-                        break
-                    binding[obj.name] = decoded
-            if ok:
-                bindings.append(binding)
-        return bindings
-
-    def _refine_and_project(
-        self,
-        query: StarQuery,
-        rows: dict[int, list[int]],
-        metrics: QueryMetrics,
-        pushdown: bool,
-    ) -> list[dict[str, Term]]:
-        bindings: list[dict[str, Term]] = []
-        st = query.st
-        for s_id, objs in rows.items():
-            if st is not None:
-                metrics.refined += 1
-                anchor = self._positions.get(s_id)
-                if anchor is None or not st.contains(anchor.lon, anchor.lat, anchor.t):
-                    continue
-            binding: dict[str, Term] = {query.subject.name: self.dictionary.decode(s_id)}
-            ok = True
-            for (predicate, obj), o_id in zip(query.arms, objs):
-                if isinstance(obj, Variable):
-                    existing = binding.get(obj.name)
-                    decoded = self.dictionary.decode(o_id)
                     if existing is not None and existing != decoded:
                         ok = False
                         break

@@ -108,33 +108,23 @@ class RegionLinkDiscoverer:
                 counters.links.inc(len(links))
         return links, refinements
 
-    def discover(self, fixes: Iterable[PositionFix], vectorized: bool = True) -> DiscoveryResult:
-        """Run over a bounded point stream, measuring throughput.
+    def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
+        """Run over a bounded point batch, measuring throughput.
 
-        The vectorized path mask-prunes the whole batch in one shot, then
-        groups survivors by cell and refines each candidate region with
-        the batched point-in-polygon / boundary-distance kernels. The
-        per-point path (``vectorized=False``) is the equivalence oracle:
-        both produce the same link set, prune verdicts and counter
-        deltas (the batch path's link ordering groups by cell).
+        Mask-prunes the whole batch in one shot, then groups survivors by
+        cell and refines each candidate region with the batched
+        point-in-polygon / boundary-distance kernels. A loop over
+        :meth:`links_for` (the per-point API the real-time layer runs)
+        produces the same link set, prune verdicts and counter deltas;
+        the batch's link ordering groups by region.
 
         ``mask_pruned`` reports this run's prunes only: the mask stats
         are snapshotted at entry, so consecutive ``discover()`` calls on
         one discoverer no longer inflate each other's counts.
         """
         pruned_before = self.masks.stats.pruned if self.masks is not None else 0
-        links: list[Link] = []
-        n = 0
-        refinements = 0
         start = time.perf_counter()
-        if vectorized:
-            links, n, refinements = self._discover_batch(list(fixes))
-        else:
-            for fix in fixes:
-                found, r = self.links_for(fix)
-                links.extend(found)
-                refinements += r
-                n += 1
+        links, n, refinements = self._discover_batch(list(fixes))
         elapsed = time.perf_counter() - start
         pruned = self.masks.stats.pruned - pruned_before if self.masks is not None else 0
         return DiscoveryResult(links, n, elapsed, refinements, mask_pruned=pruned)
@@ -166,7 +156,7 @@ class RegionLinkDiscoverer:
         sorted_cells = cell_ids[order]
         run_starts = np.flatnonzero(np.r_[True, sorted_cells[1:] != sorted_cells[:-1]])
         run_ends = np.r_[run_starts[1:], sorted_cells.size]
-        # Scalar semantics: one candidates() lookup per surviving fix.
+        # links_for semantics: one candidates() lookup per surviving fix.
         self.blocks.stats.lookups += int(survivors.size)
         cell_map = self.blocks._cell_to_regions
         near = self.near_threshold_m
@@ -251,28 +241,18 @@ class PortLinkDiscoverer:
                 counters.links.inc(len(links))
         return links, refinements
 
-    def discover(self, fixes: Iterable[PositionFix], vectorized: bool = True) -> DiscoveryResult:
-        """Run over a bounded point stream, measuring throughput.
+    def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
+        """Run over a bounded point batch, measuring throughput.
 
-        The vectorized path groups the batch by cell and evaluates each
-        cell's point x candidate-port distances as one broadcast
-        haversine kernel; the per-point loop (``vectorized=False``) is
-        the equivalence oracle (haversine agrees to the last ulp of
-        ``asin``, so threshold verdicts match on any workload whose
-        distances are not within one ulp of the threshold).
+        Groups the batch by cell and evaluates each cell's point x
+        candidate-port distances as one broadcast haversine kernel. A
+        loop over :meth:`links_for` finds the same pairs (haversine
+        agrees to the last ulp of ``asin``, so threshold verdicts match
+        on any workload whose distances are not within one ulp of the
+        threshold).
         """
-        links: list[Link] = []
-        n = 0
-        refinements = 0
         start = time.perf_counter()
-        if vectorized:
-            links, n, refinements = self._discover_batch(list(fixes))
-        else:
-            for fix in fixes:
-                found, r = self.links_for(fix)
-                links.extend(found)
-                refinements += r
-                n += 1
+        links, n, refinements = self._discover_batch(list(fixes))
         elapsed = time.perf_counter() - start
         return DiscoveryResult(links, n, elapsed, refinements)
 

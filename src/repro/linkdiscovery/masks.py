@@ -41,13 +41,7 @@ class MaskStats:
 class CellMasks:
     """Per-cell coverage bitmaps over the blocked region set."""
 
-    def __init__(
-        self,
-        blocks: RegionBlocks,
-        resolution: int = 16,
-        near_margin_m: float = 0.0,
-        vectorized: bool = True,
-    ):
+    def __init__(self, blocks: RegionBlocks, resolution: int = 16, near_margin_m: float = 0.0):
         if resolution < 1:
             raise ValueError("mask resolution must be >= 1")
         self.blocks = blocks
@@ -56,10 +50,7 @@ class CellMasks:
         self.near_margin_m = near_margin_m
         # cell_id -> bitmask of covered sub-cells (bit set = covered, NOT mask).
         self._coverage: dict[int, int] = {}
-        if vectorized:
-            self._build_batch()
-        else:
-            self._build()
+        self._build_batch()
         # Cells that have blocked candidates but no materialized coverage
         # (possible when a region's *expanded* blocking overshoots its
         # geometry) must still have an all-free bitmap entry: "no entry"
@@ -84,80 +75,16 @@ class CellMasks:
 
     # -- construction -------------------------------------------------------------
 
-    def _build(self) -> None:
-        res = self.resolution
-        grid = self.grid
-        sub_cols = grid.cols * res
-        sub_rows = grid.rows * res
-        inv_dx = sub_cols / grid.bbox.width
-        inv_dy = sub_rows / grid.bbox.height
-        min_lon, min_lat = grid.bbox.min_lon, grid.bbox.min_lat
-
-        def mark(sc: int, sr: int) -> None:
-            if not (0 <= sc < sub_cols and 0 <= sr < sub_rows):
-                return
-            cell_id = (sr // res) * grid.cols + (sc // res)
-            bit = 1 << ((sr % res) * res + (sc % res))
-            self._coverage[cell_id] = self._coverage.get(cell_id, 0) | bit
-
-        for region in self.blocks.regions:
-            if self.near_margin_m > 0.0:
-                # nearTo coverage: the expanded bounding rectangle.
-                box = region.polygon.bbox.expanded_by_metres(self.near_margin_m)
-                c0 = max(0, int((box.min_lon - min_lon) * inv_dx))
-                c1 = min(sub_cols - 1, int((box.max_lon - min_lon) * inv_dx))
-                r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
-                r1 = min(sub_rows - 1, int((box.max_lat - min_lat) * inv_dy))
-                for sr in range(r0, r1 + 1):
-                    for sc in range(c0, c1 + 1):
-                        mark(sc, sr)
-                continue
-            rings = [region.polygon.vertices] + region.polygon.holes
-            # 1) Supercover of every boundary edge.
-            for ring in rings:
-                n = len(ring)
-                for i in range(n):
-                    ax, ay = ring[i]
-                    bx, by = ring[(i + 1) % n]
-                    _supercover(
-                        (ax - min_lon) * inv_dx,
-                        (ay - min_lat) * inv_dy,
-                        (bx - min_lon) * inv_dx,
-                        (by - min_lat) * inv_dy,
-                        mark,
-                    )
-            # 2) Even-odd interior fill along sub-row centre scanlines.
-            box = region.polygon.bbox
-            r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
-            r1 = min(sub_rows - 1, int((box.max_lat - min_lat) * inv_dy))
-            for sr in range(r0, r1 + 1):
-                y = min_lat + (sr + 0.5) / inv_dy
-                crossings: list[float] = []
-                for ring in rings:
-                    n = len(ring)
-                    for i in range(n):
-                        x1, y1 = ring[i]
-                        x2, y2 = ring[(i + 1) % n]
-                        if (y1 > y) != (y2 > y):
-                            crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
-                crossings.sort()
-                for j in range(0, len(crossings) - 1, 2):
-                    c_start = int((crossings[j] - min_lon) * inv_dx)
-                    c_end = int((crossings[j + 1] - min_lon) * inv_dx)
-                    for sc in range(max(0, c_start), min(sub_cols - 1, c_end) + 1):
-                        mark(sc, sr)
-
     def _build_batch(self) -> None:
-        """Canvas-based coverage build: row-run numpy fills, identical bitmaps.
+        """Canvas-based coverage build: row-run numpy fills.
 
         Marks all regions into one boolean sub-grid canvas — the boundary
         supercover stays per-edge (it is O(vertices)), but the interior
-        scanline spans and nearTo rectangles become whole-row slice
+        scanline spans and nearTo rectangles are whole-row slice
         assignments — then packs each grid cell's ``res x res`` block into
-        the same little-endian bit layout the scalar ``mark`` produces
-        (bit index ``(sr % res) * res + (sc % res)``). The scalar
-        ``_build`` (``vectorized=False``) is the equivalence oracle: both
-        paths yield byte-identical ``_coverage`` dictionaries.
+        a little-endian bitmap (bit index ``(sr % res) * res + (sc % res)``).
+        ``tests/oracles/cell_masks.py`` marks the same sub-cells one at a
+        time and must yield byte-identical bitmaps.
         """
         res = self.resolution
         grid = self.grid
@@ -215,7 +142,7 @@ class CellMasks:
                     if c_end >= c_start:
                         canvas[sr, c_start : c_end + 1] = True
 
-        # Pack each grid cell's res x res block into the scalar bit layout.
+        # Pack each grid cell's res x res block into its bitmap.
         blocks4 = canvas.reshape(grid.rows, res, grid.cols, res).transpose(0, 2, 1, 3)
         covered = blocks4.any(axis=(2, 3))
         for row, col in np.argwhere(covered):

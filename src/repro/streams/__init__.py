@@ -5,7 +5,7 @@ watermark-driven windows, keyed stateful operators, and an in-process
 partitioned broker with consumer groups.
 """
 
-from .broker import Broker, Consumer, Topic, TopicBatcher, TopicMessage
+from .broker import Broker, Consumer, Topic, TopicMessage
 from .join import Enriched, TemporalLookupJoin
 from .operators import Filter, FlatMap, KeyBy, KeyedProcess, LatencyProbe, Map, Operator, Peek, Union
 from .pipeline import Pipeline, WatermarkAssigner, drain_consumer, merge_by_time, publish_all, records_from_values
@@ -42,7 +42,6 @@ __all__ = [
     "StreamStats",
     "TemporalLookupJoin",
     "Topic",
-    "TopicBatcher",
     "TopicMessage",
     "TumblingWindow",
     "Union",

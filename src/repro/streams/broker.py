@@ -297,49 +297,6 @@ class Broker:
         return len(self.topic(topic_name).publish_many(records))
 
 
-class TopicBatcher:
-    """Coalesce per-record publishes into :meth:`Topic.publish_many` flushes.
-
-    The glue the integrated real-time layer uses to publish per batch
-    instead of per fix: records accumulate in a buffer that flushes
-    automatically at ``batch_size`` and explicitly at end of run. Within a
-    single-threaded run this is publish-order preserving, so topic
-    contents, offsets and stats are identical to per-record publishing —
-    only the point in time at which they appear moves to the flush.
-    """
-
-    __slots__ = ("topic", "batch_size", "_buffer")
-
-    def __init__(self, topic: Topic, batch_size: int = 256):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.topic = topic
-        self.batch_size = batch_size
-        self._buffer: list[Record] = []
-
-    def add(self, record: Record) -> None:
-        self._buffer.append(record)
-        if len(self._buffer) >= self.batch_size:
-            self.flush()
-
-    def pending(self) -> int:
-        return len(self._buffer)
-
-    def flush(self) -> int:
-        """Publish everything buffered; returns the number published.
-
-        The buffer is detached *before* handing it to
-        :meth:`Topic.publish_many`: if the publish raises, a retried
-        ``flush`` must not double-publish records the topic may already
-        have appended. At-most-once is the batcher's contract — callers
-        that need redelivery re-add the batch deliberately.
-        """
-        if not self._buffer:
-            return 0
-        batch, self._buffer = self._buffer, []
-        return len(self.topic.publish_many(batch))
-
-
 def _time_ordered(records: list[Record]) -> bool:
     """Whether a fetched run is non-decreasing in event time."""
     return all(records[i].t <= records[i + 1].t for i in range(len(records) - 1))

@@ -93,7 +93,8 @@ class TestProjectModel:
         project = Project.discover(root)
         modules = {f.module for f in project.files}
         assert "repro.streams.broker" in modules
-        assert {f.realm for f in project.files} == {"src", "tests", "benchmarks"}
+        # tests/ is not a realm: no checker reads it.
+        assert {f.realm for f in project.files} == {"src", "benchmarks"}
 
     def test_relative_import_resolution(self, tmp_path):
         root = write_project(
@@ -331,201 +332,6 @@ class TestMetricContractChecker:
         """The default health rules and every emitted name must stay live."""
         result = run_analysis(REPO_ROOT, checks=["metric-contract"])
         assert new_findings_of(result, "metric-contract") == []
-
-
-class TestDualPathChecker:
-    def test_vectorized_without_branch_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/scan.py": (
-                    "def scan(rows, vectorized=True):\n"
-                    "    return rows\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert len(messages) == 1
-        assert "never branches" in messages[0]
-
-    def test_vectorized_without_equivalence_test_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/scan.py": (
-                    "def scan(rows, vectorized=True):\n"
-                    "    if vectorized:\n"
-                    "        return rows\n"
-                    "    return list(rows)\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "vectorized=False" in f.message for f in new_findings_of(result, "dual-path")
-        )
-
-    def test_equivalence_test_satisfies(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/scan.py": (
-                    "def scan(rows, vectorized=True):\n"
-                    "    if vectorized:\n"
-                    "        return rows\n"
-                    "    return list(rows)\n"
-                ),
-                "tests/test_scan.py": (
-                    "def test_equivalence():\n"
-                    "    assert scan([1], vectorized=False) == scan([1])\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert new_findings_of(result, "dual-path") == []
-
-    @staticmethod
-    def _batch_toml() -> str:
-        return LAYERING_TOML.replace("cep = []", 'cep = []\ngeo = []').replace(
-            "[forbid.streams]",
-            '[dual_path]\nbatch_suffix_packages = ["geo"]\n\n[forbid.streams]',
-        )
-
-    def test_batch_kernel_without_scalar_twin_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "tools/layering.toml": self._batch_toml(),
-                "src/repro/geo/kern.py": (
-                    "def haversine_m_batch(lon, lat):\n"
-                    "    return lon\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert any("no scalar twin" in m for m in messages)
-
-    def test_batch_kernel_without_equivalence_test_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "tools/layering.toml": self._batch_toml(),
-                "src/repro/geo/kern.py": (
-                    "def cell_ids_batch(lon, lat):\n"
-                    "    return lon\n"
-                    "def cell_id(lon, lat):\n"  # singularized twin exists
-                    "    return lon\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert len(messages) == 1
-        assert "no test references cell_ids_batch" in messages[0]
-
-    def test_batch_kernel_with_twin_and_test_satisfies(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "tools/layering.toml": self._batch_toml(),
-                "src/repro/geo/kern.py": (
-                    "def _contains(lon, lat):\n"  # underscore-private twin is fine
-                    "    return True\n"
-                    "def contains_batch(lon, lat):\n"
-                    "    return [_contains(x, y) for x, y in zip(lon, lat)]\n"
-                ),
-                "tests/test_kern.py": (
-                    "def test_equivalence():\n"
-                    "    assert contains_batch([1.0], [2.0]) == [_contains(1.0, 2.0)]\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert new_findings_of(result, "dual-path") == []
-
-    def test_batch_suffix_rule_only_in_opted_in_packages(self, tmp_path):
-        # streams is not listed in batch_suffix_packages: no finding even
-        # with neither twin nor test.
-        root = write_project(
-            tmp_path,
-            {
-                "tools/layering.toml": self._batch_toml(),
-                "src/repro/streams/enc.py": (
-                    "def encode_batch(rows):\n"
-                    "    return rows\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        assert new_findings_of(result, "dual-path") == []
-
-    def test_n_shards_without_oracle_test_fires(self, tmp_path):
-        sharder = (
-            "def split(items, n_shards):\n"
-            "    return [items[i::n_shards] for i in range(n_shards)]\n"
-        )
-        root = write_project(tmp_path, {"src/repro/streams/sharder.py": sharder})
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "single-shard" in f.message for f in new_findings_of(result, "dual-path")
-        )
-        # A test that also constructs the n_shards=1 oracle satisfies it.
-        root2 = write_project(
-            tmp_path / "ok",
-            {
-                "src/repro/streams/sharder.py": sharder,
-                "tests/test_sharder.py": (
-                    "def test_oracle():\n"
-                    "    assert split([1, 2], n_shards=2) != split([1, 2], n_shards=1)\n"
-                ),
-            },
-        )
-        result2 = run_analysis(root2, checks=["dual-path"])
-        assert new_findings_of(result2, "dual-path") == []
-
-    def test_worker_pool_without_branch_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/core/layer.py": (
-                    "class Layer:\n"
-                    "    def __init__(self, worker_pool=False):\n"
-                    "        self.shards = []\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["dual-path"])
-        messages = [f.message for f in new_findings_of(result, "dual-path")]
-        assert any("in-process replica twin" in m for m in messages)
-
-    def test_worker_pool_without_oracle_test_fires(self, tmp_path):
-        layer = (
-            "class Layer:\n"
-            "    def __init__(self, worker_pool=False):\n"
-            "        self.pooled = bool(worker_pool)\n"
-        )
-        root = write_project(tmp_path, {"src/repro/core/layer.py": layer})
-        result = run_analysis(root, checks=["dual-path"])
-        assert any(
-            "worker_pool=False" in f.message
-            for f in new_findings_of(result, "dual-path")
-        )
-        # A test checking against the in-process oracle satisfies it.
-        root2 = write_project(
-            tmp_path / "ok",
-            {
-                "src/repro/core/layer.py": layer,
-                "tests/test_layer.py": (
-                    "def test_oracle():\n"
-                    "    assert Layer(worker_pool=True).pooled != "
-                    "Layer(worker_pool=False).pooled\n"
-                ),
-            },
-        )
-        result2 = run_analysis(root2, checks=["dual-path"])
-        assert new_findings_of(result2, "dual-path") == []
 
 
 class TestHygieneChecker:
@@ -972,12 +778,11 @@ class TestBaselineAndReporting:
         }
         assert finding["path"] == "src/repro/streams/bad.py"
 
-    def test_checker_registry_has_the_seven_checkers(self):
+    def test_checker_registry_has_the_six_checkers(self):
         assert set(all_checkers()) == {
             "layering",
             "determinism",
             "metric-contract",
-            "dual-path",
             "hygiene",
             "pickle-safety",
             "resource-lifecycle",
@@ -1032,7 +837,6 @@ class TestCliContract:
             "layering",
             "determinism",
             "metric-contract",
-            "dual-path",
             "hygiene",
             "pickle-safety",
             "resource-lifecycle",

@@ -1,5 +1,7 @@
 """Integration tests: the full Figure-2 pipeline, end to end."""
 
+from itertools import islice
+
 import pytest
 
 from repro.core import (
@@ -14,6 +16,8 @@ from repro.core import (
 )
 from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
 from repro.cep import symbol_sequence, turn_event_stream
+from repro.kgstore import STConstraint, star
+from repro.rdf import A, VOC, var
 from repro.synopses import SynopsesGenerator
 
 
@@ -110,6 +114,31 @@ class TestEndToEnd:
         system, run = system_run
         assert run.realtime.links >= 0
         assert system.realtime.broker.topic(TOPIC_LINKS).size() == run.realtime.links
+
+
+class TestBatchViewPushdown:
+    def test_incremental_ingests_lose_no_node_to_pushdown(self):
+        """The graph puts ``traj hasSemanticNode node`` ahead of many nodes'
+        own triples; their ids used to be minted unanchored there, and the
+        pushdown plan behind ``nodes_in_range`` then pruned them (216 rows
+        for post-filter's 243 on this stream)."""
+        config = SystemConfig()
+        extent = 24 * 3600.0
+        realtime = RealtimeLayer(config)
+        batch = BatchLayer(config, realtime.broker, 0.0, extent)
+        fixes = list(islice(AISSimulator().fixes(0.0, extent), 4000))
+        for k in range(4):
+            realtime.run(fixes[k * 1000 : (k + 1) * 1000])
+            batch.ingest_from_broker()
+        query = star(
+            "node",
+            (A, VOC.SemanticNode),
+            (VOC.timestamp, var("t")),
+            (VOC.eventType, var("kind")),
+            st=STConstraint(config.bbox, 0.0, extent),
+        )
+        post_filter, _ = batch.store.execute(query, pushdown=False)
+        assert batch.nodes_in_range(config.bbox, 0.0, extent) == post_filter != []
 
 
 class TestCEPIntegration:

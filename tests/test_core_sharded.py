@@ -201,6 +201,37 @@ class TestThreeCompositions:
             assert layers[name].report == oracle.report, name
             assert topic_streams(layers[name]) == topic_streams(oracle), name
 
+    def test_compositions_drop_non_finite_timestamps_alike(self, fixes):
+        """NaN/inf ``t`` compares False with everything, so it used to pass
+        cleaning and then order the ``(t, key)`` merge by float identity."""
+        stream = list(fixes[:1200])
+        bad = (float("nan"), float("inf"), float("-inf"))
+        for n, i in enumerate(range(0, len(stream), 40)):
+            stream[i] = replace(stream[i], t=bad[n % 3])
+        sharded = SystemConfig(n_shards=3)
+        layers = {
+            "plain": RealtimeLayer(SystemConfig()),
+            "n_shards=3": ShardedRealtimeLayer(sharded),
+            "pooled": ShardedRealtimeLayer(replace(sharded, worker_pool=True)),
+        }
+        streams = {}
+        for name, layer in layers.items():
+            with layer:
+                layer.run(stream[:700])
+                layer.run(stream[700:])
+            streams[name] = topic_streams(layer)
+            # Raw records keep their NaN stamps, and NaN != NaN.
+            streams[name][TOPIC_RAW] = len(streams[name][TOPIC_RAW])
+        plain = layers["plain"].report
+        assert plain.quality.flagged["non_finite_time"] == 30
+        assert plain.clean_fixes == 1200 - plain.quality.dropped > 0
+        for name in ("n_shards=3", "pooled"):
+            report = layers[name].report
+            for counter in ("raw_fixes", "clean_fixes", "critical_points", "area_events", "quality"):
+                assert getattr(report, counter) == getattr(plain, counter), (name, counter)
+        assert layers["pooled"].report == layers["n_shards=3"].report
+        assert streams["pooled"] == streams["n_shards=3"]
+
     def test_entity_stages_alone_have_no_global_half(self, fixes):
         stages = EntityStages(SystemConfig())
         assert stages.run(fixes[:500]).critical_points > 0

@@ -1,13 +1,15 @@
-"""Equivalence of the numpy geo/link-discovery batch kernels and their scalar twins.
+"""Equivalence of the numpy geo/link-discovery batch kernels and the per-point APIs.
 
 Every kernel in ``repro.geo.kernels`` (and every ``*_batch`` method /
-``vectorized=`` path built on them) keeps its scalar implementation as
-the equivalence oracle. These properties pin the contract documented in
-the kernels module:
+batch ``discover`` built on them) is held to the per-point production
+API it batches — ``haversine_m``, ``Polygon.contains``, ``EquiGrid.cell_id``,
+``CellMasks.in_mask``, ``links_for`` ... — or, for the cell-mask build,
+to the reference under ``tests/oracles/``. These properties pin the
+contract documented in the kernels module:
 
 * pure-arithmetic predicates — point-in-ring, bbox containment, grid
-  assignment, mask bits, projection, heading arithmetic, boundary
-  distances — are **bit-for-bit** identical;
+  assignment, mask bits, projection, boundary distances — are
+  **bit-for-bit** identical;
 * transcendental kernels (haversine, bearing) agree to the last ulp of
   ``asin``/``atan2``, with verdicts (link sets) asserted exactly on the
   randomized workloads;
@@ -36,25 +38,22 @@ from repro.geo import (
     haversine_m,
     initial_bearing_deg,
     polygon_boundary_distance_m,
-    segment_speeds_mps,
-    turn_rates_deg_s,
 )
 from repro.geo.geometry import _point_segment_distance, _ring_contains
 from repro.geo.kernels import (
     haversine_m_batch,
-    heading_difference_batch,
     initial_bearing_deg_batch,
-    normalize_heading_batch,
     point_segment_distance_batch,
     polygon_boundary_distance_m_batch,
     ring_contains_batch,
     rings_to_arrays,
 )
-from repro.geo.units import heading_difference, normalize_heading
 from repro.linkdiscovery.blocking import RegionBlocks
-from repro.linkdiscovery.discoverer import PortLinkDiscoverer, RegionLinkDiscoverer
+from repro.linkdiscovery.discoverer import DiscoveryResult, PortLinkDiscoverer, RegionLinkDiscoverer
 from repro.linkdiscovery.masks import CellMasks
 from repro.obs import MetricsRegistry
+
+from tests.oracles.cell_masks import scalar_coverage
 
 BOX = BBox(0.0, 0.0, 10.0, 10.0)
 
@@ -138,23 +137,6 @@ class TestGeodesicKernels:
         # The scalar twin's `% 360` can land exactly on 360.0 for a bearing
         # that is a hair below zero; the batch path reproduces it faithfully.
         assert ((batch >= 0.0) & (batch <= 360.0)).all()
-
-    @given(degs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_normalize_heading_batch_bit_for_bit(self, degs):
-        batch = normalize_heading_batch(degs)
-        scalar = [normalize_heading(d) for d in degs]
-        assert batch.tolist() == scalar
-
-    @given(degs=st.lists(st.tuples(st.floats(-720, 720), st.floats(-720, 720)),
-                         min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_heading_difference_batch_bit_for_bit(self, degs):
-        a = np.asarray([d[0] for d in degs])
-        b = np.asarray([d[1] for d in degs])
-        batch = heading_difference_batch(a, b)
-        scalar = [heading_difference(x, y) for x, y in degs]
-        assert batch.tolist() == scalar
 
 
 # -- point-in-polygon ---------------------------------------------------------------
@@ -252,7 +234,16 @@ class TestDistanceKernels:
         assert batch.tolist() == scalar
 
 
-# -- projection, grid, trajectory kernels -------------------------------------------
+# -- projection and grid kernels ----------------------------------------------------
+
+
+def per_cell_rasterize(grid: EquiGrid, polygon: Polygon) -> list[int]:
+    """``rasterize_polygon`` one cell at a time, over the public predicates."""
+    return [
+        row * grid.cols + col
+        for col, row in grid.cells_overlapping_bbox(polygon.bbox)
+        if polygon.intersects_bbox(grid.cell_box(col, row))
+    ]
 
 
 class TestProjectionAndGrid:
@@ -290,48 +281,12 @@ class TestProjectionAndGrid:
     def test_rasterize_polygon_vectorized_equivalence(self, seed, with_hole):
         grid = EquiGrid(BOX, 16, 16)
         polygon = star_polygon(seed, with_hole=with_hole)
-        assert grid.rasterize_polygon(polygon, vectorized=True) == grid.rasterize_polygon(
-            polygon, vectorized=False
-        )
+        assert grid.rasterize_polygon(polygon) == per_cell_rasterize(grid, polygon)
 
     def test_rasterize_polygon_disjoint_bbox(self):
         grid = EquiGrid(BOX, 8, 8)
         far = Polygon([(20.0, 20.0), (21.0, 20.0), (20.5, 21.0)])
-        assert grid.rasterize_polygon(far, vectorized=True) == []
-        assert grid.rasterize_polygon(far, vectorized=False) == []
-
-
-class TestTrajectoryKernels:
-    @given(seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_segment_speeds_mps_equivalence(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 50)
-        ts = sorted(rng.uniform(0, 3600) for _ in range(n))
-        if n > 3:
-            ts[2] = ts[1]  # zero-dt segment exercises the 0.0 branch
-        lons = [rng.uniform(-10, 10) for _ in range(n)]
-        lats = [rng.uniform(-10, 10) for _ in range(n)]
-        fast = segment_speeds_mps(ts, lons, lats, vectorized=True)
-        slow = segment_speeds_mps(ts, lons, lats, vectorized=False)
-        assert len(fast) == len(slow) == n - 1
-        assert np.allclose(fast, slow, rtol=1e-12, atol=1e-9)
-        for f, s in zip(fast, slow):
-            if s == 0.0:
-                assert f == 0.0
-
-    @given(seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_turn_rates_deg_s_bit_for_bit(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 50)
-        ts = sorted(rng.uniform(0, 3600) for _ in range(n))
-        if n > 3:
-            ts[2] = ts[1]
-        headings = [rng.uniform(-400, 760) for _ in range(n)]
-        assert turn_rates_deg_s(ts, headings, vectorized=True) == turn_rates_deg_s(
-            ts, headings, vectorized=False
-        )
+        assert grid.rasterize_polygon(far) == per_cell_rasterize(grid, far) == []
 
 
 # -- cell masks ---------------------------------------------------------------------
@@ -355,13 +310,14 @@ class TestCellMasks:
     @given(seed=seeds, margin=st.sampled_from([0.0, 10_000.0]))
     @settings(max_examples=25, deadline=None)
     def test_build_equivalence(self, seed, margin):
-        # The canvas build (vectorized=True) must produce byte-identical
-        # coverage bitmaps to the scalar mark-loop build.
+        # The canvas build must produce byte-identical coverage bitmaps to
+        # the mark-loop reference (cells blocked but uncovered carry an
+        # all-free bitmap in CellMasks and no entry in the reference).
         grid = EquiGrid(BOX, 10, 10)
         blocks = RegionBlocks(_regions(seed), grid, near_margin_m=margin)
-        fast = CellMasks(blocks, resolution=8, near_margin_m=margin, vectorized=True)
-        slow = CellMasks(blocks, resolution=8, near_margin_m=margin, vectorized=False)
-        assert fast._coverage == slow._coverage
+        masks = CellMasks(blocks, resolution=8, near_margin_m=margin)
+        covered = {cell: bits for cell, bits in masks._coverage.items() if bits}
+        assert covered == scalar_coverage(blocks, 8, margin)
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
@@ -402,6 +358,18 @@ def _fixes(seed: int, n: int) -> list[PositionFix]:
     ]
 
 
+def per_point_discover(discoverer, fixes) -> DiscoveryResult:
+    """``discover`` as the real-time layer runs it: ``links_for`` per point."""
+    masks = getattr(discoverer, "masks", None)
+    links, refinements = [], 0
+    for fix in fixes:
+        found, r = discoverer.links_for(fix)
+        links += found
+        refinements += r
+    pruned = masks.stats.pruned if masks is not None else 0
+    return DiscoveryResult(links, len(fixes), 0.0, refinements, mask_pruned=pruned)
+
+
 class TestDiscovererEquivalence:
     @given(seed=seeds, use_masks=st.booleans(), near=st.sampled_from([0.0, 15_000.0]))
     @settings(max_examples=15, deadline=None)
@@ -415,8 +383,8 @@ class TestDiscovererEquivalence:
             regions, BOX, near_threshold_m=near, use_masks=use_masks, registry=reg_slow
         )
         fixes = _fixes(seed + 1, 400)
-        res_fast = fast.discover(fixes, vectorized=True)
-        res_slow = slow.discover(fixes, vectorized=False)
+        res_fast = fast.discover(fixes)
+        res_slow = per_point_discover(slow, fixes)
         # Link sets are bit-for-bit identical (distances included): the
         # refinement predicates are pure arithmetic on both paths.
         assert set(res_fast.links) == set(res_slow.links)
@@ -441,8 +409,8 @@ class TestDiscovererEquivalence:
         fast = PortLinkDiscoverer(ports, BOX, threshold_m=12_000.0, registry=reg_fast)
         slow = PortLinkDiscoverer(ports, BOX, threshold_m=12_000.0, registry=reg_slow)
         fixes = _fixes(seed + 2, 300)
-        res_fast = fast.discover(fixes, vectorized=True)
-        res_slow = slow.discover(fixes, vectorized=False)
+        res_fast = fast.discover(fixes)
+        res_slow = per_point_discover(slow, fixes)
         # Same pairs; distances agree to the last ulp of asin.
         key = lambda link: (link.source_id, link.target_id, link.relation, link.t)  # noqa: E731
         fast_by_key = {key(link): link.distance_m for link in res_fast.links}

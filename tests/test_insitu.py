@@ -12,6 +12,7 @@ from repro.insitu import (
     AreaEventDetector,
     ISSUE_COORD_RANGE,
     ISSUE_DUPLICATE_TIME,
+    ISSUE_NON_FINITE_TIME,
     ISSUE_IMPLIED_SPEED,
     ISSUE_REPORTED_SPEED,
     ISSUE_TIME_ORDER,
@@ -235,6 +236,25 @@ class TestQuality:
         assert len(out) == 1
         assert report.flagged[ISSUE_DUPLICATE_TIME] == 1
         assert report.flagged[ISSUE_TIME_ORDER] == 1
+
+    @pytest.mark.parametrize("bad_t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_dropped(self, bad_t):
+        # First of its entity (no predecessor to compare with), mid-stream,
+        # and alone: a NaN/inf t never passes.
+        fixes = [fix(bad_t, 0.0, 40.0), fix(0.0, 0.0, 40.0), fix(bad_t, 0.0, 40.0), fix(10.0, 0.0, 40.0)]
+        report = QualityReport()
+        out = list(clean_stream(fixes, report=report))
+        assert [f.t for f in out] == [0.0, 10.0]
+        assert report.flagged == {ISSUE_NON_FINITE_TIME: 2}
+
+    def test_non_finite_time_never_becomes_the_baseline(self):
+        """A flagged fix is not ``last_fix``: the fixes after it are judged
+        against the last *good* one, as if it had not been sent."""
+        good = [fix(0.0, 0.0, 40.0), fix(10.0, 0.0, 40.0), fix(10.0, 0.0, 40.0), fix(5.0, 0.0, 40.0)]
+        with_nan = good[:1] + [fix(float("nan"), 0.0, 40.0)] + good[1:]
+        report = QualityReport()
+        assert list(clean_stream(with_nan, report=report)) == list(clean_stream(good))
+        assert report.flagged == {ISSUE_NON_FINITE_TIME: 1, ISSUE_DUPLICATE_TIME: 1, ISSUE_TIME_ORDER: 1}
 
     def test_reported_speed_limit(self):
         report = QualityReport()

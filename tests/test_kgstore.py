@@ -1,5 +1,6 @@
 """Tests for the knowledge-graph store: encoding, layouts, star queries."""
 
+import numpy as np
 import pytest
 
 from repro.datasources import AISConfig, AISSimulator
@@ -57,9 +58,10 @@ class TestDictionary:
         pos = STPosition(5.5, 5.5, 0.0)
         term_id = d.encode(IRI("http://x/n"), pos)
         slots = d.ids_for_range(BBox(5.0, 5.0, 6.0, 6.0), 0.0, 3600.0)
-        assert Dictionary.id_matches_slots(term_id, slots)
         far = d.ids_for_range(BBox(0.0, 0.0, 1.0, 1.0), 0.0, 3600.0)
-        assert not Dictionary.id_matches_slots(term_id, far)
+        ids = np.asarray([term_id, d.encode(IRI("http://x/unanchored"))])
+        assert Dictionary.ids_match_slots(ids, Dictionary.slots_to_array(slots)).tolist() == [True, False]
+        assert Dictionary.ids_match_slots(ids, Dictionary.slots_to_array(far)).tolist() == [False, False]
 
     def test_decode_unknown(self):
         with pytest.raises(KeyError):
@@ -93,8 +95,9 @@ class TestLayouts:
 
     def test_property_table_star_scan(self):
         layout = PropertyTable(TRIPLES)
-        rows = dict(layout.star_scan([10, 11]))
-        assert rows == {1: [100, 101], 2: [102, 104]}
+        subjects, objects = layout.star_scan_arrays([10, 11])
+        assert subjects.tolist() == [1, 2]
+        assert objects.tolist() == [[100, 101], [102, 104]]
 
     def test_property_table_multivalue_overflow(self):
         layout = PropertyTable([(1, 10, 100), (1, 10, 200)])

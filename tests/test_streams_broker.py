@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.streams.broker import Broker, Consumer, Topic, TopicBatcher, _stable_hash
+from repro.streams.broker import Broker, Consumer, Topic, _stable_hash
 from repro.streams.record import Record
 
 
@@ -219,69 +219,3 @@ class TestBroker:
         b.create_topic("x")
         b.publish("x", Record(0.0, 1))
         assert b.topic("x").size() == 1
-
-
-class _FlakyTopic(Topic):
-    """Fails the first ``publish_many`` after appending a prefix of the batch
-    — the worst case for a retrying caller."""
-
-    def __init__(self, fail_after: int):
-        super().__init__("flaky")
-        self._fail_after = fail_after
-        self._failed = False
-
-    def publish_many(self, records):
-        records = list(records)
-        if not self._failed:
-            self._failed = True
-            super().publish_many(records[: self._fail_after])
-            raise ConnectionError("broker went away mid-batch")
-        return super().publish_many(records)
-
-
-class TestTopicBatcher:
-    def test_flush_at_batch_size(self):
-        topic = Topic("x")
-        batcher = TopicBatcher(topic, batch_size=3)
-        for i in range(7):
-            batcher.add(Record(float(i), i))
-        assert topic.size() == 6 and batcher.pending() == 1
-        assert batcher.flush() == 1
-        assert topic.size() == 7 and batcher.flush() == 0
-
-    def test_contents_identical_to_per_record(self):
-        records = [Record(float(i), i, key=f"k{i % 3}") for i in range(10)]
-        direct = Topic("x", partitions=2)
-        for r in records:
-            direct.publish(r)
-        batched = Topic("x", partitions=2)
-        batcher = TopicBatcher(batched, batch_size=4)
-        for r in records:
-            batcher.add(r)
-        batcher.flush()
-        for p in range(2):
-            assert [m.record.value for m in batched.read(p, 0)] == [
-                m.record.value for m in direct.read(p, 0)
-            ]
-
-    def test_failed_flush_does_not_double_publish_on_retry(self):
-        """The buffer detaches before publish_many: a retried flush after a
-        mid-batch failure must not re-publish records the topic already
-        appended (at-most-once contract)."""
-        topic = _FlakyTopic(fail_after=2)
-        batcher = TopicBatcher(topic, batch_size=100)
-        for i in range(5):
-            batcher.add(Record(float(i), i))
-        with pytest.raises(ConnectionError):
-            batcher.flush()
-        # The failed batch is gone from the buffer; 2 records landed.
-        assert batcher.pending() == 0
-        assert topic.size() == 2
-        # A retry publishes only newly added records — nothing re-appears.
-        batcher.add(Record(9.0, "new"))
-        assert batcher.flush() == 1
-        assert [m.record.value for m in topic.read(0, 0)] == [0, 1, "new"]
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            TopicBatcher(Topic("x"), batch_size=0)
