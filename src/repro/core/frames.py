@@ -8,16 +8,12 @@ else in the repo knows their layout.
 
 **Request — a struct-of-arrays fix batch** (:class:`FixBatch`). A poll's
 fixes share a handful of entity ids and sources and are otherwise seven
-floats each, so they ship as columns instead of pickled objects:
+floats each, so they ship as columns instead of pickled objects: the
+:class:`~repro.geo.FixColumns` of the poll — the layout the layer's own
+column kernels read, bit-exact for ``NaN``, ``-0.0``, ``±inf``, ``None``
+and the rare non-float value — plus what only the wire needs:
 
-* ``entity_id`` and ``source`` dictionary-encoded (distinct values once,
-  an ``int32`` code per fix);
-* ``t/lon/lat/alt/speed/heading/vrate`` as one ``float64[7, n]`` block,
-  which round-trips ``NaN``, ``-0.0`` and ``±inf`` bit-exactly;
-* a ``bool[7, n]`` validity mask — ``False`` where the field is not a
-  float. That is ``None`` (a missing kinematic field) unless the cell is
-  listed in ``odd``, which carries the rare non-float value (an ``int``
-  timestamp, say) by value so the worker sees exactly the parent's data;
+* ``source`` dictionary-encoded like ``entity_id``;
 * ``annotations`` only for the fixes where the dict is non-empty.
 
 **Reply — by reference** (:class:`ShardReply`). The raw and clean topics
@@ -50,32 +46,23 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Any
 
 import numpy as np
 
-from ..geo import PositionFix
+from ..geo import FLOAT_FIELDS, FixColumns, PositionFix
+from ..geo.columns import dictionary_encode
 from ..obs import ObsHarvest
 from ..streams import Record
 from .config import TOPIC_CLEAN, TOPIC_RAW
 from .realtime import RealtimeReport
 
-#: The float64 block's rows, in ``PositionFix`` field order.
-_FLOAT_FIELDS = ("t", "lon", "lat", "alt", "speed", "heading", "vrate")
-
-
 @dataclass(frozen=True, slots=True)
 class FixBatch:
     """Request frame: one shard's fixes of one poll, as columns."""
 
-    entity_ids: list[str]
-    entity_codes: np.ndarray            # int32[n] into entity_ids
+    columns: FixColumns
     sources: list[str]
     source_codes: np.ndarray            # int32[n] into sources
-    columns: np.ndarray                 # float64[7, n], _FLOAT_FIELDS order
-    valid: np.ndarray                   # bool[7, n]: the cell holds a float
-    odd: list[tuple[int, int, Any]]     # (field, row, value): invalid and not None
     annotations: dict[int, dict]        # row -> non-empty annotations
 
 
@@ -92,32 +79,11 @@ class ShardReply:
     by_value: dict[str, list[Record]]   # the derived topics
 
 
-def _dictionary_encode(values: list) -> tuple[list, np.ndarray]:
-    distinct = list(dict.fromkeys(values))
-    code_of = {value: code for code, value in enumerate(distinct)}
-    return distinct, np.array(list(map(code_of.__getitem__, values)), dtype=np.int32)
-
-
 def encode_request(fixes: list[PositionFix]) -> bytes:
     """Pack one shard's fixes of one poll into a request frame."""
-    n = len(fixes)
-    columns = np.zeros((len(_FLOAT_FIELDS), n))
-    valid = np.ones((len(_FLOAT_FIELDS), n), dtype=bool)
-    odd: list[tuple[int, int, Any]] = []
-    for j, name in enumerate(_FLOAT_FIELDS):
-        values = list(map(attrgetter(name), fixes))
-        if set(map(type, values)) - {float}:
-            for i, value in enumerate(values):
-                if type(value) is not float:
-                    valid[j, i] = False
-                    values[i] = 0.0
-                    if value is not None:
-                        odd.append((j, i, value))
-        columns[j] = values
-    entity_ids, entity_codes = _dictionary_encode([fix.entity_id for fix in fixes])
-    sources, source_codes = _dictionary_encode([fix.source for fix in fixes])
     batch = FixBatch(
-        entity_ids, entity_codes, sources, source_codes, columns, valid, odd,
+        FixColumns.of(fixes),
+        *dictionary_encode([fix.source for fix in fixes]),
         annotations={i: fix.annotations for i, fix in enumerate(fixes) if fix.annotations},
     )
     return pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
@@ -126,17 +92,12 @@ def encode_request(fixes: list[PositionFix]) -> bytes:
 def decode_request(frame: bytes) -> list[PositionFix]:
     """The fixes a request frame carries, equal field for field to the sender's."""
     batch: FixBatch = pickle.loads(frame)
-    columns = [column.tolist() for column in batch.columns]
-    for j, i in np.argwhere(~batch.valid).tolist():
-        columns[j][i] = None
-    for j, i, value in batch.odd:
-        columns[j][i] = value
-    entity_ids, sources = batch.entity_ids, batch.sources
+    sources = batch.sources
     fixes = list(
         map(
             PositionFix,
-            [entity_ids[code] for code in batch.entity_codes.tolist()],
-            *columns,
+            batch.columns.keys(),
+            *map(batch.columns.values, range(len(FLOAT_FIELDS))),
             [sources[code] for code in batch.source_codes.tolist()],
         )
     )
@@ -196,16 +157,11 @@ def decode_reply(
     reply: ShardReply = pickle.loads(frame)
     stamps = reply.stamps.tolist()
 
-    def by_reference(rows: np.ndarray) -> list[Record]:
-        records = []
-        for i in rows.tolist():
-            fix = fixes[i]
-            records.append(Record(fix.t, fix, fix.entity_id, stamps[i]))
-        return records
-
+    # One record per request row; a clean record is the raw record of its row.
+    raw = {i: Record(fixes[i].t, fixes[i], fixes[i].entity_id, stamps[i]) for i in reply.raw_rows.tolist()}
     topics = {
-        TOPIC_RAW: by_reference(reply.raw_rows),
-        TOPIC_CLEAN: by_reference(reply.clean_rows),
+        TOPIC_RAW: list(raw.values()),
+        TOPIC_CLEAN: [raw[i] for i in reply.clean_rows.tolist()],
         **reply.by_value,
     }
     return reply, topics

@@ -36,8 +36,8 @@ from ..cep import (
 )
 from ..datasources import generate_ports, generate_regions
 from ..datasources.weather import WeatherField
-from ..geo import PositionFix
-from ..insitu import AreaEventDetector, QualityReport, RegionIndex, clean_stream
+from ..geo import FixColumns, PositionFix
+from ..insitu import AreaEventDetector, QualityReport, RegionIndex, clean_batch
 from ..linkdiscovery import (
     MovingProximityDiscoverer,
     PortLinkDiscoverer,
@@ -69,6 +69,13 @@ from .config import (
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
+
+
+#: A poll with fewer fixes than this, or fewer fixes per entity, crosses
+#: the stages per fix: building its columns and reading the entities'
+#: carried state costs more than the screens save (EXPERIMENTS.md E18).
+_COLUMNS_MIN_ROWS = 256
+_COLUMNS_MIN_ROWS_PER_ENTITY = 2
 
 
 @dataclass
@@ -174,9 +181,7 @@ class GlobalStages:
     def clean_fixes(self, clean: list[Record]) -> None:
         """Show one run's clean fixes (its clean-topic records, in stream
         order) to the dashboard."""
-        ingest = self.dashboard.ingest_fix
-        for record in clean:
-            ingest(record.value)
+        self.dashboard.ingest_fixes([record.value for record in clean])
 
     def critical_points(self, synopses: list[Record]) -> list[list[Record]]:
         """Show one run's critical points (its synopses records, in stream
@@ -332,24 +337,32 @@ class EntityStages(Figure2Plane):
         raw: list[Record] = []
         clean: list[PositionFix] = []
         clean_records: list[Record] = []
+        columns: FixColumns | None = None
         if fixes:
-            # Ingest and online cleaning.
+            # Ingest and online cleaning. The poll's columns are built here,
+            # once, for every stage to screen — unless the poll is too small
+            # to pay for them; a clean-topic record is the raw-topic record
+            # of a fix that passed.
             span = tracer.start_span("clean", root, n_in=len(fixes))
             raw = [Record(fix.t, fix, fix.entity_id, stamp) for fix in fixes]
-            clean = list(clean_stream(fixes, config=self.config.quality, report=quality))
-            clean_records = [Record(fix.t, fix, fix.entity_id, stamp) for fix in clean]
+            n = len(fixes)
+            if n >= _COLUMNS_MIN_ROWS and n >= _COLUMNS_MIN_ROWS_PER_ENTITY * len({fix.entity_id for fix in fixes}):
+                columns = FixColumns.of(fixes)
+            clean, rows = clean_batch(fixes, self.config.quality, quality, columns)
+            if columns is not None:
+                columns = columns.take(rows)
+            clean_records = [raw[i] for i in rows.tolist()]
             done(span, len(clean))
         area_events = 0
         if clean:
             # Low-level area events.
             span = tracer.start_span("area_events", root, n_in=len(clean))
-            area_events = len(self.area_detector.process_many(clean))
+            area_events = len(self.area_detector.process_many(clean, columns))
             done(span, area_events)
         # Synopses. Trailing points surface when the stream closes, which
         # is every call — so this stage runs, and is observed, on every call.
         span = tracer.start_span("synopses", root, n_in=len(clean))
-        process = self.synopses.process
-        points = [cp for fix in clean for cp in process(fix)]
+        points = self.synopses.process_many(clean, columns)
         points += self.synopses.flush()
         synopses = [Record(cp.fix.t, cp, cp.fix.entity_id, stamp) for cp in points]
         done(span, len(points))

@@ -6,6 +6,7 @@ is built on this package.
 """
 
 from . import kernels
+from .columns import FLOAT_FIELDS, FixColumns
 from .geometry import (
     BBox,
     GeoPoint,
@@ -55,6 +56,8 @@ __all__ = [
     "Cell",
     "EARTH_RADIUS_M",
     "EquiGrid",
+    "FLOAT_FIELDS",
+    "FixColumns",
     "GeoPoint",
     "KNOT_MS",
     "LocalProjection",

@@ -3,25 +3,31 @@
 The paper's E4 experiment (Section 4.2.4) is throughput-bound on
 geometric predicates: haversine distances, point-in-polygon refinement,
 grid assignment. The scalar implementations in :mod:`.geometry`,
-:mod:`.grid` are the per-point APIs the real-time layer runs — and the
-equivalence reference ``tests/test_geo_vectorized.py`` holds every
-kernel to — while the functions here evaluate the same formulas over
-whole coordinate arrays in one numpy pass.
+:mod:`.grid` are the per-point APIs — what the real-time layer runs on
+the fixes its column screen cannot clear, and the equivalence reference
+``tests/test_geo_vectorized.py`` holds every kernel to — while the
+functions here evaluate the same formulas over whole coordinate arrays
+in one numpy pass.
 
 Parity contract (what "equivalent" means, kernel by kernel)
 -----------------------------------------------------------
 * **Pure-arithmetic predicates are bit-for-bit.** Point-in-ring
-  (even-odd), bbox containment, grid cell assignment and mask sub-cell
-  lookup use only ``+ - * /``, comparisons and truncation; every
-  expression here mirrors the scalar operation order, so the verdicts
-  are identical down to the last ulp on every platform.
+  (even-odd), bbox containment, grid cell assignment, heading
+  normalisation (``fmod`` is exact) and mask sub-cell lookup use only
+  ``+ - * /``, comparisons and truncation; every expression here mirrors
+  the scalar operation order, so the verdicts are identical down to the
+  last ulp on every platform.
 * **Transcendental kernels are last-ulp equivalent.** ``np.arcsin`` /
   ``np.arctan2`` (and, on some SIMD builds, ``np.sin``/``np.cos``) may
   differ from the ``math`` module by one ulp, so haversine distances and
-  bearings agree to ~1e-12 relative rather than exactly. Predicates
-  *derived* from them (nearTo thresholds) are asserted equivalent on the
-  benchmark workloads, where a last-ulp flip at the threshold does not
-  occur.
+  bearings agree to ~1e-12 relative rather than exactly.
+* **An exact predicate from a last-ulp kernel: slack and refine.** A
+  threshold verdict derived from such a kernel (or from a sum taken in
+  another order) is final only when the value clears the threshold by
+  ``SCREEN_SLACK``, far wider than the kernel's error; a value inside the
+  band goes to the scalar function, whose verdict *is* the definition.
+  The column screens of ``repro.insitu.quality`` and
+  ``repro.synopses.detector`` are built this way.
 
 Truncation convention: the scalar code indexes with ``int(x)``
 (truncation toward zero); kernels mirror that with ``astype(int64)``,
@@ -38,11 +44,17 @@ import numpy as np
 
 from .units import EARTH_RADIUS_M
 
+#: Relative slack of the slack-and-refine rule: six orders wider than the
+#: kernels' disagreement with ``math`` or a non-negative sum's reordering.
+SCREEN_SLACK = 1e-6
+
 __all__ = [
+    "SCREEN_SLACK",
     "as_array",
     "as_lonlat",
     "haversine_m_batch",
     "initial_bearing_deg_batch",
+    "heading_difference_batch",
     "ring_contains_batch",
     "rings_to_arrays",
     "point_segment_distance_batch",
@@ -99,6 +111,19 @@ def initial_bearing_deg_batch(lon1, lat1, lon2, lat2) -> np.ndarray:
     x = np.cos(phi1) * np.sin(phi2) - np.sin(phi1) * np.cos(phi2) * np.cos(dlmb)
     deg = np.arctan2(y, x) * 180.0 / math.pi
     return np.where(deg < 0.0, deg + 360.0, deg)
+
+
+def heading_difference_batch(a, b) -> np.ndarray:
+    """Smallest absolute angular differences in [0, 180]; bit-for-bit twin
+    of ``heading_difference`` (``fmod`` is exact, the rest is arithmetic)."""
+
+    def normalize(deg):
+        h = np.fmod(np.asarray(deg, np.float64), 360.0)
+        h = np.where(h < 0.0, h + 360.0, h)
+        return np.where(h >= 360.0, 0.0, h)
+
+    d = np.abs(normalize(a) - normalize(b))
+    return np.where(d > 180.0, 360.0 - d, d)
 
 
 # -- point-in-ring (even-odd, boundary-inclusive) ----------------------------------

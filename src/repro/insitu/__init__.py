@@ -13,6 +13,7 @@ from .quality import (
     QualityReport,
     QualityState,
     check_fix,
+    clean_batch,
     clean_stream,
 )
 from .stats import (
@@ -40,6 +41,7 @@ __all__ = [
     "RegionIndex",
     "TrajectoryStatsState",
     "check_fix",
+    "clean_batch",
     "clean_stream",
     "make_stats_operator",
     "stats_for_fixes",

@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from ..datasources.regions import Region
-from ..geo import BBox, EquiGrid, PositionFix
+from ..geo import BBox, EquiGrid, FixColumns, PositionFix
+from ..geo.columns import LAT, LON
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,6 +27,9 @@ class AreaEvent:
     region_id: str
     kind: str           # "entry" | "exit"
     fix: PositionFix
+
+
+_NOWHERE: frozenset[str] = frozenset()
 
 
 class RegionIndex:
@@ -42,6 +48,9 @@ class RegionIndex:
         for idx, region in enumerate(self.regions):
             for cell_id in self.grid.rasterize_polygon(region.polygon):
                 self._cell_to_regions.setdefault(cell_id, []).append(idx)
+        #: Per grid cell: some region's rasterization covers it.
+        self.covered = np.zeros(len(self.grid), dtype=bool)
+        self.covered[list(self._cell_to_regions)] = True
 
     def candidate_regions(self, lon: float, lat: float) -> list[Region]:
         """Regions whose rasterization covers the point's cell."""
@@ -54,6 +63,8 @@ class RegionIndex:
 
     def occupancy(self, lon: float, lat: float) -> frozenset[str]:
         """The set of region ids containing the point."""
+        if not self.covered[self.grid.cell_id(lon, lat)]:
+            return _NOWHERE
         return frozenset(r.region_id for r in self.containing(lon, lat))
 
 
@@ -75,8 +86,12 @@ class AreaEventDetector:
 
     def process(self, fix: PositionFix) -> list[AreaEvent]:
         """Feed one fix; returns the area events it triggers."""
-        state = self._states.setdefault(fix.entity_id, _AreaState())
+        state = self._states.get(fix.entity_id)
+        if state is None:
+            state = self._states[fix.entity_id] = _AreaState()
         now = self.index.occupancy(fix.lon, fix.lat)
+        if state.initialized and now == state.inside:
+            return []   # nothing entered, nothing left
         events: list[AreaEvent] = []
         if state.initialized:
             for rid in sorted(now - state.inside):
@@ -93,21 +108,28 @@ class AreaEventDetector:
         self.events_emitted += len(events)
         return events
 
-    def process_many(self, fixes: Iterable[PositionFix]) -> list[AreaEvent]:
+    def process_many(self, fixes: Sequence[PositionFix], columns: FixColumns | None = None) -> list[AreaEvent]:
         """Feed a batch of fixes in order; returns the area events they trigger.
 
-        A loop around :meth:`process` behind one exact prefilter: a fix of
-        an initialised entity that is inside nothing, in a grid cell no
-        region's rasterization covers, can neither enter nor leave
-        anything and is skipped.
+        A loop around :meth:`process` — with the batch's ``columns``, behind
+        one exact screen: a fix in a grid cell no region's rasterization
+        covers, of an entity that was inside nothing, can neither enter
+        nor leave anything and is skipped. The entity was inside nothing
+        when its previous fix was in such a cell too — or, for its first
+        fix of the batch, when its carried state says so.
         """
-        states, cell_id, covered = self._states, self.index.grid.cell_id, self.index._cell_to_regions
-        events: list[AreaEvent] = []
-        for fix in fixes:
-            state = states.get(fix.entity_id)
-            if state is None or state.inside or not state.initialized or cell_id(fix.lon, fix.lat) in covered:
-                events.extend(self.process(fix))
-        return events
+        fed = range(len(fixes))
+        if columns is not None and not columns.odd and columns.valid[[LON, LAT]].all():
+            lon, lat = columns.columns[[LON, LAT]]
+            if np.isfinite(lon).all() and np.isfinite(lat).all():
+                covered = self.index.covered[self.index.grid.cell_ids_batch(lon, lat)]
+                prev = columns.predecessors
+                feed = covered | ((prev >= 0) & covered[prev])
+                for row in np.flatnonzero(prev < 0).tolist():
+                    state = self._states.get(fixes[row].entity_id)
+                    feed[row] |= state is None or bool(state.inside) or not state.initialized
+                fed = np.flatnonzero(feed).tolist()
+        return [event for row in fed for event in self.process(fixes[row])]
 
     def process_stream(self, fixes: Iterable[PositionFix]) -> Iterator[AreaEvent]:
         """Run the detector over a whole fix stream."""

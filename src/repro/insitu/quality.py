@@ -15,6 +15,11 @@ typology of Andrienko et al. (paper's reference [5]):
 Each check flags rather than silently drops; the cleaning operator then
 drops flagged fixes and counts them, so quality metrics stay observable
 (the VA quality dashboard consumes those counters).
+
+:func:`clean_stream` is the per-fix operator; :func:`clean_batch` is the
+same over one poll read as columns: a fix whose every check a column
+kernel clears passes without a call, every other goes through
+:func:`check_fix` — the screen can only say "no issue here".
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from ..geo import PositionFix
+import numpy as np
+
+from ..geo import FixColumns, PositionFix
+from ..geo.columns import LAT, LON, SPEED, T
+from ..geo.kernels import SCREEN_SLACK, haversine_m_batch
 
 #: Issue labels attached to fixes.
 ISSUE_COORD_RANGE = "coord_out_of_range"
@@ -145,3 +154,66 @@ def clean_stream(
         state.last_fix = fix
         rep.passed += 1
         yield fix
+
+
+def _cleared(cols: FixColumns, cfg: QualityConfig) -> np.ndarray:
+    """The screen: True where column kernels prove :func:`check_fix` finds
+    no issue *if the row's predecessor passed* — and, so that it did,
+    False from an entity's first uncleared row on."""
+    if cols.odd or not cols.valid[[T, LON, LAT]].all():
+        return np.zeros(len(cols), dtype=bool)
+    t, lon, lat, speed = cols.columns[[T, LON, LAT, SPEED]]
+    (lon_lo, lon_hi), (lat_lo, lat_hi) = cfg.lon_range, cfg.lat_range
+    prev = cols.predecessors
+    with np.errstate(all="ignore"):
+        implied = haversine_m_batch(lon[prev], lat[prev], lon, lat) / (t - t[prev])
+        clear = (
+            (lon_lo <= lon) & (lon <= lon_hi) & (lat_lo <= lat) & (lat <= lat_hi)
+            & (~cols.valid[SPEED] | (speed <= cfg.max_reported_speed_ms))
+            & np.isfinite(t)
+            & ((prev < 0) | ((t > t[prev]) & (implied * (1.0 + SCREEN_SLACK) < cfg.max_implied_speed_ms)))
+        )
+    # Uncleared rows so far in the entity's run, the row's own included.
+    order, starts, counts = cols.runs
+    unclear = ~clear[order]
+    behind = np.cumsum(unclear)
+    clear[order] = behind == np.repeat(behind[starts] - unclear[starts], counts)
+    return clear
+
+
+def clean_batch(
+    fixes: Sequence[PositionFix],
+    config: QualityConfig | None = None,
+    report: QualityReport | None = None,
+    columns: FixColumns | None = None,
+) -> tuple[list[PositionFix], np.ndarray]:
+    """:func:`clean_stream` over one poll: the fixes that pass and their
+    row numbers in the poll; counts go to ``report``. With the poll's
+    ``columns`` the poll is screened first; without, every fix is checked."""
+    cfg = config or QualityConfig()
+    rep = report if report is not None else QualityReport()
+    n = len(fixes)
+    keep = np.ones(n, dtype=bool)
+    unclear, prev = range(n), None
+    if columns is not None:
+        unclear, prev = np.flatnonzero(~_cleared(columns, cfg)).tolist(), columns.predecessors.tolist()
+    states: dict[str, QualityState] = {}
+    for i in unclear:
+        fix = fixes[i]
+        state = states.get(fix.entity_id)
+        if state is None:
+            # The entity's first uncleared row: the baseline is its
+            # predecessor in the poll, which was cleared.
+            before = fixes[prev[i]] if prev and prev[i] >= 0 else None
+            state = states[fix.entity_id] = QualityState(before)
+        issues = check_fix(fix, state, cfg)
+        if issues:
+            for issue in issues:
+                rep.flag(issue)
+            keep[i] = False
+        else:
+            state.last_fix = fix
+    rows = np.flatnonzero(keep)
+    rep.seen += n
+    rep.passed += len(rows)
+    return [fixes[i] for i in rows.tolist()], rows

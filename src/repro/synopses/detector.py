@@ -14,16 +14,27 @@ enhanced (as in the paper) with a noise filter that discards fixes
 implying physically impossible motion. Emitted synopses can be fed
 directly to the event-recognition module (Section 6) as its low-level
 event stream, and to the RDFizers as ``semantic nodes``.
+
+``process`` is the detector; ``process_many`` is the same over one poll
+read as columns. Its screen holds no detection logic: it proves,
+threshold by threshold and with a slack (``geo/kernels.py``), that a fix
+is plain normal motion — no point, no state change beyond the course
+window — and every fix it cannot clear goes through ``process``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from ..geo import PositionFix, heading_difference
+import numpy as np
+
+from ..geo import FixColumns, PositionFix, heading_difference
+from ..geo.columns import ALT, HEADING, LAT, LON, SPEED, T, VRATE
 from ..geo.geometry import initial_bearing_deg
+from ..geo.kernels import SCREEN_SLACK, haversine_m_batch, heading_difference_batch, initial_bearing_deg_batch
 
 from .config import SynopsesConfig
 
@@ -43,6 +54,12 @@ CRITICAL_TYPES = (
     "takeoff",
     "landing",
 )
+
+
+#: Below this mean speed of the course window a speed change is undefined.
+_MIN_MEAN_SPEED_MS = 0.1
+#: A course window whose ends are closer than this (degrees) has no course.
+_NO_COURSE_DEG = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +132,159 @@ class SynopsesGenerator:
         out = self._step(state, fix)
         self.points_out += len(out)
         return out
+
+    def process_many(self, fixes: Sequence[PositionFix], columns: FixColumns | None = None) -> list[CriticalPoint]:
+        """Feed one poll in order: the critical points of a :meth:`process`
+        loop, and the same state afterwards. With the poll's ``columns`` it
+        is screened first; without, every fix is refined.
+
+        Each entity's rows are walked once: a run of rows the screen
+        cleared becomes one window update, every other row is refined by
+        :meth:`process`. The screen's verdicts assume the entity moves
+        normally from row to row, so once a refined row leaves it stopped,
+        slow, behind a gap or noise-filtered, the rest of its rows are
+        refined too.
+        """
+        cols, n = columns, len(fixes)
+        if cols is None or not n or cols.odd or not cols.valid[[T, LON, LAT, ALT]].all():
+            return [cp for fix in fixes for cp in self.process(fix)]
+        order, starts, _ = cols.runs
+        rows, bounds = order.tolist(), [*starts.tolist(), n]
+        states, firsts = self._states, order[starts].tolist()
+        # New entities enter the state table in arrival order, as flush() reads it.
+        for row in sorted(row for row in firsts if fixes[row].entity_id not in states):
+            states[fixes[row].entity_id] = _EntityState()
+        run_states = [states[fixes[row].entity_id] for row in firsts]
+        next_refined, continuous, samples = self._screen(cols, run_states)
+        found: list[tuple[int, list[CriticalPoint]]] = []
+        for state, k, end in zip(run_states, bounds, bounds[1:]):
+            cruising = True     # the screen's premise holds up to row k
+            while k < end:
+                cleared = min(next_refined[k], end) if cruising else k
+                if cleared > k:
+                    self._extend_window(state, fixes[rows[cleared - 1]], samples[k:cleared])
+                    k = cleared
+                    continue
+                fix = fixes[rows[k]]
+                points = self.process(fix)
+                if points:
+                    found.append((rows[k], points))
+                cruising = (
+                    cruising and state.last_fix is fix and continuous[k]
+                    and state.stop_since is None and state.slow_since is None
+                )
+                k += 1
+        found.sort(key=lambda item: item[0])
+        return [cp for _, points in found for cp in points]
+
+    def _extend_window(self, state: _EntityState, last: PositionFix, samples: list[tuple]) -> None:
+        """What a run of cleared fixes ending in ``last`` does to the state:
+        as many :meth:`_push_window` calls, the evictions taken at once."""
+        window = state.window
+        window.extend(samples)
+        horizon = last.t - self.config.course_window_s
+        while window and window[0][0] < horizon:
+            window.popleft()
+        state.last_fix = last
+        state.seen += len(samples)
+        self.points_in += len(samples)
+
+    def _screen(self, cols: FixColumns, run_states: list[_EntityState]) -> tuple[list[int], list[bool], list[tuple]]:
+        """Per row, in ``cols.runs`` order: the next row at or after it that
+        is *not* cleared — cleared meaning :meth:`_step` provably returns
+        nothing and only pushes the course window, given that the entity's
+        earlier rows did the same; whether the row follows its predecessor
+        without a gap; and its course-window sample.
+
+        Every entity's carried course window is laid in front of its rows,
+        so a row's window is the samples behind it back to the horizon of
+        the previous push. A new entity gets its first row refined; one
+        carried stopped, slow or without a window is not screened at all.
+        """
+        cfg = self.config
+        order, starts, counts = cols.runs
+        n = len(order)
+        carried: list[tuple] = []
+        widths, screened, alt_before_run, air_before_run = [], [], [], []
+        for state in run_states:
+            last, window = state.last_fix, state.window
+            in_step = last is not None and state.stop_since is None and state.slow_since is None \
+                and bool(window) and window[-1][0] == last.t
+            if in_step:
+                carried.extend(window)
+            widths.append(len(window) if in_step else 0)
+            screened.append(in_step or last is None)
+            alt_before_run.append(last.alt if in_step else 0.0)
+            air_before_run.append(bool(state.was_airborne))
+        t, lon, lat, alt, speed, heading, vrate = run_cols = cols.columns[:, order]
+        samples = list(zip(*run_cols[[T, LON, LAT, SPEED]].tolist()))
+        if set(map(type, chain(chain.from_iterable(carried), alt_before_run))) - {float}:
+            return list(range(n)), [True] * n, samples   # state only the per-fix arithmetic reads exactly
+        has_speed, has_heading, has_vrate = cols.valid[[SPEED, HEADING, VRATE]][:, order]
+        widths = np.array(widths)
+        carried_upto = np.cumsum(widths)
+        run_start = starts + carried_upto - widths
+        row_at = np.arange(n) + np.repeat(carried_upto, counts)
+        run_at = np.repeat(run_start, counts)
+        block = np.empty((4, n + len(carried)))
+        block[:, row_at] = run_cols[[T, LON, LAT, SPEED]]
+        carried_at = np.arange(len(carried)) + np.repeat(starts, widths)
+        block[:, carried_at] = np.array(carried).reshape(-1, 4).T
+        bt, blon, blat, bspeed = block
+        # A carried window is the samples back to a horizon only while it is
+        # in time order: a NaN timestamp, once pushed, blocks every eviction.
+        run_of = np.repeat(np.arange(len(widths)), widths)
+        disordered = (carried_at > run_start[run_of]) & ~(bt[carried_at] > bt[carried_at - 1])
+        screened = np.array(screened)
+        screened[run_of[disordered]] = False
+        last = np.maximum(row_at - 1, 0)
+        has_prev = row_at - 1 >= run_at
+        lo, hi = 1.0 - SCREEN_SLACK, 1.0 + SCREEN_SLACK
+        with np.errstate(all="ignore"):
+            dt = t - bt[last]
+            implied = haversine_m_batch(blon[last], blat[last], lon, lat) / dt
+            gapless = dt <= cfg.gap_threshold_s
+            continuous = ~has_prev | gapless
+            moving = (
+                has_prev & (dt > 0.0) & gapless & (implied * hi < cfg.max_speed_ms)
+                & (np.where(has_speed, speed, implied * lo) >= cfg.slow_speed_ms)
+            )
+            # The course window: walk back a sample at a time, all rows at once.
+            horizon = bt[last] - cfg.course_window_s
+            width, total = np.zeros(n, dtype=np.intp), np.zeros(n)
+            oldest, summable = last.copy(), np.ones(n, dtype=bool)
+            for back in range(1, len(block[0]) + 1):
+                at = np.maximum(row_at - back, 0)
+                inside = (row_at - back >= run_at) & (bt[at] >= horizon)
+                if not inside.any():
+                    break
+                width += inside
+                total += np.where(inside, bspeed[at], 0.0)
+                # Non-negative samples: any summation order is within SCREEN_SLACK.
+                summable &= ~inside | (bspeed[at] >= 0.0)
+                oldest = np.where(inside, at, oldest)
+            mean = total / width
+            ratio = np.abs(np.where(has_speed, speed, implied) - mean) / mean
+            steady = (width == 0) | summable & (
+                (mean * hi < _MIN_MEAN_SPEED_MS)
+                | (mean * lo > _MIN_MEAN_SPEED_MS) & (ratio + SCREEN_SLACK * (1.0 + ratio) < cfg.speed_change_ratio)
+            )
+            no_course = (
+                (width < 2)
+                | (np.abs(blon[last] - blon[oldest]) < _NO_COURSE_DEG) & (np.abs(blat[last] - blat[oldest]) < _NO_COURSE_DEG)
+            )
+            course = initial_bearing_deg_batch(blon[oldest], blat[oldest], blon[last], blat[last])
+            straight = ~has_heading | no_course | (
+                heading_difference_batch(heading, course) + 360.0 * SCREEN_SLACK < cfg.turn_threshold_deg
+            )
+            airborne = alt > cfg.ground_altitude_m
+            was_airborne, alt_before = np.r_[False, airborne[:-1]], np.r_[0.0, alt[:-1]]
+            was_airborne[starts], alt_before[starts] = air_before_run, alt_before_run
+            climb = np.where(has_vrate, vrate, (alt - alt_before) / dt)
+            level = (airborne == was_airborne) & (np.abs(climb) <= cfg.altitude_rate_ms)
+        cleared = moving & steady & straight & level & np.repeat(screened, counts)
+        next_refined = np.minimum.accumulate(np.where(cleared, n, np.arange(n))[::-1])[::-1]
+        return next_refined.tolist(), continuous.tolist(), samples
 
     def process_stream(self, fixes: Iterable[PositionFix]) -> Iterator[CriticalPoint]:
         """Run over a whole stream; callers should finish with :meth:`flush`."""
@@ -249,7 +419,7 @@ class SynopsesGenerator:
         t1, lon1, lat1, _ = state.window[-1]
         if t1 <= t0:
             return None
-        if abs(lon1 - lon0) < 1e-9 and abs(lat1 - lat0) < 1e-9:
+        if abs(lon1 - lon0) < _NO_COURSE_DEG and abs(lat1 - lat0) < _NO_COURSE_DEG:
             return None
         return initial_bearing_deg(lon0, lat0, lon1, lat1)
 
@@ -270,7 +440,7 @@ class SynopsesGenerator:
         if not speeds:
             return []
         mean_speed = sum(speeds) / len(speeds)
-        if mean_speed < 0.1:
+        if mean_speed < _MIN_MEAN_SPEED_MS:
             return []
         ratio = abs(speed - mean_speed) / mean_speed
         if ratio > cfg.speed_change_ratio and self._armed(state, "speed_change", fix.t):

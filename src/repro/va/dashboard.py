@@ -12,6 +12,7 @@ the same streams the rest of the system exchanges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..geo import BBox, EquiGrid, PositionFix
 from ..obs import MetricsRegistry, consumer_lags, operator_rates
@@ -29,16 +30,6 @@ class DashboardState:
     recent_events: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
     max_recent: int = 8
-
-    def update_position(self, fix: PositionFix) -> None:
-        self.last_position[fix.entity_id] = fix
-        self.counters["positions"] = self.counters.get("positions", 0) + 1
-
-    def add_event(self, label: str) -> None:
-        self.recent_events.append(label)
-        if len(self.recent_events) > self.max_recent:
-            del self.recent_events[: len(self.recent_events) - self.max_recent]
-        self.counters["events"] = self.counters.get("events", 0) + 1
 
     def bump(self, counter: str, by: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + by
@@ -84,6 +75,11 @@ class Dashboard:
     def ingest_fix(self, fix: PositionFix) -> None:
         self.state.last_position[fix.entity_id] = fix
         self._bump("positions")
+
+    def ingest_fixes(self, fixes: Sequence[PositionFix]) -> None:
+        """:meth:`ingest_fix` for a batch in stream order, counted once."""
+        self.state.last_position.update((fix.entity_id, fix) for fix in fixes)
+        self._bump("positions", len(fixes))
 
     def ingest_critical_point(self, point: CriticalPoint) -> None:
         self._bump("synopses")

@@ -9,6 +9,7 @@ are set, and every report and quality counter.
 """
 
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.core import ALL_TOPICS, RealtimeLayer, ShardedRealtimeLayer, SystemConfig, TOPIC_EVENTS, TOPIC_LINKS
-from repro.core.realtime import EntityStages
+from repro.core.realtime import _COLUMNS_MIN_ROWS, EntityStages
 from repro.datasources import AISSimulator, fishing_vessel_stream
 from repro.geo import PositionFix
 from repro.synopses import CriticalPoint, SynopsesConfig, SynopsesGenerator
 
 from tests.oracles.per_fix_layer import PerFixLayer
+from tests.plants import ENTITIES, REPORT, planted_stream
 
 #: Loose proximity and fast re-emission, so every topic carries records.
 CFG = SystemConfig(synopses=SynopsesConfig(min_reemit_s=30.0), proximity_space_m=500_000.0, proximity_time_s=3600.0)
@@ -61,16 +63,33 @@ def partitions(broker):
     return out
 
 
+def entity_state(stages):
+    """What the per-entity stages carry from run to run, as comparable
+    text: the generator's and the area detector's per-entity state (key
+    order included) and their counters."""
+    synopses, areas = stages.synopses, stages.area_detector
+    return (
+        repr(synopses._states), synopses.points_in, synopses.points_out, synopses.noise_dropped,
+        repr(areas._states), areas.events_emitted,
+    )
+
+
 def assert_reproduces_the_oracle(cfg, name, polls, symbols=None):
     """Run ``polls`` through composition ``name`` and its oracle; compare
-    topics and counters after every run. ``polls`` are factories, so each
-    side gets its own iterable (a generator can be handed over once)."""
+    topics, counters and — where the replicas are in this process — the
+    carried per-entity state after every run. ``polls`` are factories, so
+    each side gets its own iterable (a generator can be handed over once)."""
     layer, oracle = build(cfg, name, symbols)
+    replicas = [layer] if isinstance(layer, RealtimeLayer) else layer.shards
     with layer:
         for poll in polls:
             got, want = layer.run(poll()), oracle.run(poll())
             assert repr(got) == repr(want), name   # repr: a NaN-proof ==, quality included
             assert partitions(layer.broker) == partitions(oracle.broker), name
+            assert [*map(entity_state, replicas)] == [*map(entity_state, oracle.replicas)][: len(replicas)], name
+            dashboard = layer.metrics.counters("dashboard.")
+            assert dashboard.get("dashboard.positions", 0) == got.clean_fixes, name
+            assert dashboard.get("dashboard.synopses", 0) == got.critical_points, name
     return layer
 
 
@@ -153,7 +172,34 @@ def hostile_stream(reports):
     return fixes
 
 
+def planted_polls(plants, n_polls):
+    """A long cruise of every plant entity, round robin, with the drawn
+    plants dropped into it: ``n_polls`` polls on the column side of the
+    layer's crossover (every shard of three included) and a last one on
+    the per-fix side."""
+    reports = [(eid, "cruise", 1) for _ in range(2 * _COLUMNS_MIN_ROWS) for eid in sorted(ENTITIES)]
+    for at, report in plants:
+        reports.insert(at % len(reports), report)
+    stream = planted_stream(reports, SMALL.synopses)
+    tail = _COLUMNS_MIN_ROWS // 4
+    return [*chunked(stream[:-tail], n_polls), lambda: stream[-tail:]]
+
+
+_PLANTS = st.lists(st.tuples(st.integers(0, 10_000), REPORT), max_size=40)
+
+
 class TestPerFixOracleProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(plants=_PLANTS, n_polls=st.integers(1, 2))
+    def test_planted_stream_in_process(self, plants, n_polls):
+        for name in ("plain", "n_shards=1", "n_shards=3"):
+            assert_reproduces_the_oracle(SMALL, name, planted_polls(plants, n_polls))
+
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(plants=_PLANTS, n_polls=st.integers(1, 2))
+    def test_planted_stream_pooled(self, plants, n_polls):
+        assert_reproduces_the_oracle(SMALL, "pooled", planted_polls(plants, n_polls))
+
     @settings(max_examples=25, deadline=None)
     @given(reports=st.lists(_REPORT, max_size=40), n_polls=st.integers(1, 4))
     def test_hostile_stream_in_process(self, reports, n_polls):
@@ -207,3 +253,24 @@ class TestNoPerFixObservation:
         assert layer.synopses.points_in == seen
         layer.run(fleet[300:500])
         assert layer.report.raw_fixes == 500 == layer.metrics.counter("stage.raw.records").value
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field", ["t", "lon", "alt", "speed"])
+    @pytest.mark.parametrize("value", [None, "7.0", Decimal(7), 7, float("nan")])
+    def test_a_poll_the_screens_cannot_read_is_the_per_fix_run(self, fleet, field, value):
+        """A poll big enough for columns with one field that is no float:
+        the run raises what the per-fix oracle raises (and then publishes
+        nothing), or produces what it produces — never a numpy error."""
+        assert len(fleet) >= 2 * _COLUMNS_MIN_ROWS
+        poll = [*fleet[:400], replace(fleet[400], **{field: value}), *fleet[401:]]
+        layer, oracle = build(SMALL, "plain")
+        try:
+            want = oracle.run(poll)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                layer.run(poll)
+            assert str(raised.value) == str(exc)
+            assert layer.report.raw_fixes == 0 and not any(layer.metrics.counters("op.").values())
+        else:
+            assert repr(layer.run(poll)) == repr(want)
+            assert partitions(layer.broker) == partitions(oracle.broker)

@@ -31,17 +31,20 @@ from repro.datasources.regions import Region
 from repro.geo import (
     BBox,
     EquiGrid,
+    FixColumns,
     GeoPoint,
     LocalProjection,
     Polygon,
     PositionFix,
     haversine_m,
+    heading_difference,
     initial_bearing_deg,
     polygon_boundary_distance_m,
 )
 from repro.geo.geometry import _point_segment_distance, _ring_contains
 from repro.geo.kernels import (
     haversine_m_batch,
+    heading_difference_batch,
     initial_bearing_deg_batch,
     point_segment_distance_batch,
     polygon_boundary_distance_m_batch,
@@ -137,6 +140,51 @@ class TestGeodesicKernels:
         # The scalar twin's `% 360` can land exactly on 360.0 for a bearing
         # that is a hair below zero; the batch path reproduces it faithfully.
         assert ((batch >= 0.0) & (batch <= 360.0)).all()
+
+
+    @given(pairs=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40))
+    def test_heading_difference_batch_is_bit_for_bit(self, pairs):
+        pairs += [(350.0, 10.0), (360.0 - 1e-16, 0.0), (-0.0, 360.0), (720.5, -90.0)]
+        arr = np.asarray(pairs, dtype=np.float64)
+        assert heading_difference_batch(arr[:, 0], arr[:, 1]).tolist() == [heading_difference(a, b) for a, b in pairs]
+
+
+# -- fixes as columns ---------------------------------------------------------------
+
+
+class TestFixColumns:
+    """The struct-of-arrays layout the column screens and the pooled frames share."""
+
+    FIXES = (
+        PositionFix("a", 0.0, 1.0, 2.0, speed=3.0),
+        PositionFix("b", 1, 1.5, 2.5, heading=float("nan")),        # an int timestamp: odd
+        PositionFix("a", 2.0, -0.0, 2.0, alt=float("inf"), vrate=0.5),
+        PositionFix("c", 3.0, 1.0, 2.0),
+        PositionFix("a", 4.0, 1.0, 2.0, speed="fast"),              # odd
+    )
+
+    def test_values_and_keys_give_the_fixes_back(self):
+        cols = FixColumns.of(self.FIXES)
+        assert cols.keys() == [f.entity_id for f in self.FIXES] and cols.entity_ids == ["a", "b", "c"]
+        for j, name in enumerate(("t", "lon", "lat", "alt", "speed", "heading", "vrate")):
+            assert repr(cols.values(j)) == repr([getattr(f, name) for f in self.FIXES])   # repr: NaN, -0.0, int
+        assert sorted((j, i) for j, i, _ in cols.odd) == [(0, 1), (4, 4)]
+        assert not cols.valid[4, [1, 2, 3, 4]].any() and cols.valid[4, 0]
+
+    def test_runs_and_predecessors_link_each_entity_in_arrival_order(self):
+        cols = FixColumns.of(self.FIXES)
+        order, starts, counts = cols.runs
+        assert order.tolist() == [0, 2, 4, 1, 3] and starts.tolist() == [0, 3, 4] and counts.tolist() == [3, 1, 1]
+        assert cols.predecessors.tolist() == [-1, -1, 0, -1, 2]
+        empty = FixColumns.of([])
+        assert len(empty) == 0 and empty.runs[1].tolist() == [] and empty.predecessors.tolist() == []
+
+    def test_take_is_the_columns_of_the_subset(self):
+        rows = np.array([1, 2, 4])
+        got, want = FixColumns.of(self.FIXES).take(rows), FixColumns.of([self.FIXES[i] for i in rows])
+        assert got.keys() == want.keys() and sorted(got.odd) == sorted(want.odd)
+        assert all(repr(got.values(j)) == repr(want.values(j)) for j in range(7))
+        assert got.predecessors.tolist() == want.predecessors.tolist() == [-1, -1, 1]
 
 
 # -- point-in-polygon ---------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tests for in-situ processing: stats, area events, quality."""
 
 import math
+from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasources.regions import Region
-from repro.geo import PositionFix, Polygon
+from repro.geo import FixColumns, PositionFix, Polygon
 from repro.insitu import (
     AreaEventDetector,
     ISSUE_COORD_RANGE,
@@ -20,11 +21,14 @@ from repro.insitu import (
     QualityConfig,
     QualityReport,
     RegionIndex,
+    clean_batch,
     clean_stream,
     make_stats_operator,
     stats_for_fixes,
 )
 from repro.streams import Record
+
+from tests.plants import CONFIGS, QUALITY, REPORT, chunks, planted_stream
 
 
 def fix(t, lon, lat, eid="v1", **kw):
@@ -173,23 +177,44 @@ class TestAreaEventDetector:
         events = det.process(fix(0.0, 0.5, 0.5, eid="b"))
         assert events and events[0].entity_id == "b"
 
-    @given(st.lists(
-        st.tuples(st.sampled_from(["a", "b"]), st.floats(-3.0, 8.0), st.floats(-3.0, 8.0)), max_size=40,
-    ))
-    def test_process_many_is_process_in_a_loop(self, moves):
+    @given(
+        st.lists(st.tuples(st.sampled_from(["a", "b"]), st.floats(-3.0, 8.0), st.floats(-3.0, 8.0)), max_size=40),
+        st.lists(st.integers(0, 40), max_size=3),
+    )
+    def test_process_many_is_process_in_a_loop(self, moves, cuts):
         """The batch entry only *skips* calls that cannot change anything:
-        same events, same per-entity state, fewer ``process`` calls."""
+        same events, same per-entity state after every poll (wherever the
+        stream is cut), fewer ``process`` calls."""
         regions = [region("r1", 0.0, 0.0), region("r2", 0.5, 0.5), region("r3", 5.0, 5.0)]
         one, many = (AreaEventDetector(RegionIndex(regions, cell_deg=0.5)) for _ in range(2))
         fixes = [fix(float(i), lon, lat, eid=eid) for i, (eid, lon, lat) in enumerate(moves)]
         calls = []
         process = many.process
         many.process = lambda f: calls.append(f) or process(f)
-        assert many.process_many(fixes) == [e for f in fixes for e in one.process(f)]
-        assert many.events_emitted == one.events_emitted
-        assert all(many.currently_inside(eid) == one.currently_inside(eid) for eid in "ab")
+        for poll in chunks(fixes, cuts):
+            assert many.process_many(poll, FixColumns.of(poll)) == [e for f in poll for e in one.process(f)]
+            assert many.events_emitted == one.events_emitted
+            assert many._states == one._states and list(many._states) == list(one._states)
         skipped = [f for f in fixes if not any(f is c for c in calls)]
         assert all(not many.index.candidate_regions(f.lon, f.lat) for f in skipped)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [{"lon": None}, {"lat": "5.0"}, {"lon": float("nan")}, {"lat": float("inf")}, {"lon": 3}])
+    def test_process_many_falls_back_whole(self, bad):
+        """Columns the screen cannot read: the batch does exactly what the
+        per-fix loop does, its exception included."""
+        fixes = [fix(0.0, 0.5, 0.5), PositionFix("v1", 1.0, **{"lon": 0.6, "lat": 0.6, **bad}), fix(2.0, 3.0, 3.0)]
+        one, many = self.make_detector(), self.make_detector()
+
+        def outcome(run):
+            try:
+                return run()
+            except (TypeError, ValueError, OverflowError) as exc:
+                return type(exc)
+
+        want = outcome(lambda: [e for f in fixes for e in one.process(f)])
+        assert outcome(lambda: many.process_many(fixes, FixColumns.of(fixes))) == want
+        assert many._states == one._states and many.events_emitted == one.events_emitted
 
     def test_process_many_skips_open_water(self):
         det = AreaEventDetector(RegionIndex([region("r1", 0.0, 0.0), region("r2", 10.0, 10.0)]))
@@ -197,8 +222,9 @@ class TestAreaEventDetector:
         calls = []
         process = det.process
         det.process = lambda f: calls.append(f) or process(f)
-        assert det.process_many(far) == []
+        assert det.process_many(far, FixColumns.of(far)) == []
         assert calls == far[:1]          # the first fix initialises the entity
+        assert det.process_many(far) == [] and calls == far[:1] + far   # no columns, no screen
 
 
 class TestQuality:
@@ -277,3 +303,52 @@ class TestQuality:
         fixes = [fix(100.0, 0.0, 40.0, eid="a"), fix(50.0, 0.0, 40.0, eid="b")]
         out = list(clean_stream(fixes))
         assert len(out) == 2
+
+def assert_clean_batch_is_clean_stream(fixes, columns=True):
+    want_report, got_report = QualityReport(), QualityReport()
+    want = list(clean_stream(fixes, QUALITY, want_report))
+    got, rows = clean_batch(fixes, QUALITY, got_report, FixColumns.of(fixes) if columns else None)
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    assert [fixes[i] for i in rows.tolist()] == got
+    assert repr(got_report) == repr(want_report)      # flagged: counts and key order
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCleanBatch:
+    """``clean_batch`` is ``list(clean_stream)``: the column screen may only
+    clear a fix, and what it cannot clear is checked by ``check_fix``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(REPORT, max_size=120), st.sampled_from(CONFIGS), st.booleans())
+    def test_planted_streams(self, reports, cfg, columns):
+        assert_clean_batch_is_clean_stream(planted_stream(reports, cfg), columns)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["cruise", "teleport", "relocate", "implied", "dt_zero"]), max_size=60), st.integers(0, 2))
+    def test_dropped_predecessor_chains(self, moves, side):
+        """One entity: every drop leaves the baseline where it was."""
+        assert_clean_batch_is_clean_stream(planted_stream([("mid", move, side) for move in moves]))
+
+    def test_single_fix_and_empty_polls(self):
+        for fixes in ([], [fix(0.0, 1.0, 1.0)], [fix(0.0, 500.0, 1.0)], [fix(float("nan"), 1.0, 1.0)]):
+            assert_clean_batch_is_clean_stream(fixes)
+
+    def test_the_same_fix_twice(self):
+        one = fix(0.0, 1.0, 1.0, speed=3.0)
+        assert_clean_batch_is_clean_stream([one, one, fix(5.0, 1.0, 1.0), one])
+
+    @pytest.mark.parametrize("field", ["t", "lon", "lat", "speed"])
+    @pytest.mark.parametrize("value", [None, "40.0", 7, Decimal(7)])
+    def test_unreadable_columns_take_the_per_fix_path(self, field, value):
+        """A field that is no float: whatever ``clean_stream`` raises or
+        flags, the batch raises or flags — never a numpy error."""
+        odd = PositionFix("v1", **{"t": 10.0, "lon": 1.0, "lat": 40.0, "speed": 3.0, field: value})
+        fixes = [fix(0.0, 1.0, 40.0), odd, fix(20.0, 1.0, 40.0)]
+        try:
+            list(clean_stream(fixes, QUALITY))
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                clean_batch(fixes, QUALITY, None, FixColumns.of(fixes))
+            assert str(raised.value) == str(exc)
+        else:
+            assert_clean_batch_is_clean_stream(fixes)

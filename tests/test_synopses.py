@@ -1,9 +1,15 @@
 """Tests for the Synopses Generator (critical-point detection, reconstruction)."""
 
+import math
+import random
+from dataclasses import replace
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.geo import PositionFix, Trajectory, destination_point
+from repro.geo import FixColumns, PositionFix, Trajectory, destination_point
 from repro.synopses import (
     AVIATION_CONFIG,
     CriticalPoint,
@@ -13,6 +19,9 @@ from repro.synopses import (
     run_synopses,
     synopsis_trajectory,
 )
+
+
+from tests.plants import CONFIGS, ENTITIES, MOVES, REPORT, chunks, planted_stream
 
 
 def make_fix(t, lon, lat, alt=0.0, speed=None, heading=None, vrate=None, eid="v1"):
@@ -257,3 +266,107 @@ class TestConfigValidation:
     def test_bad_gap(self):
         with pytest.raises(ValueError):
             SynopsesConfig(gap_threshold_s=-1.0)
+
+
+def canonical(points):
+    """Critical points as comparable text, ``detail`` (which ``==`` skips) included."""
+    return [(repr(cp.fix), cp.kind, repr(cp.detail)) for cp in points]
+
+
+def assert_process_many_is_process(polls, cfg, columns=True):
+    """Poll by poll: the points, the per-entity state (window deque,
+    ``last_fix``, ``seen``, ... and the order entities were first seen in)
+    and the generator's counters of a ``process`` loop."""
+    one, many = SynopsesGenerator(cfg), SynopsesGenerator(cfg)
+    for poll in polls:
+        want = [cp for f in poll for cp in one.process(f)]
+        got = many.process_many(poll, FixColumns.of(poll) if columns else None)
+        assert canonical(got) == canonical(want)
+        assert all(a.fix is b.fix for a, b in zip(got, want))
+        assert repr(many._states) == repr(one._states)      # repr: value, type and key order
+        assert all(many._states[e].last_fix is one._states[e].last_fix for e in one._states)
+        assert (many.points_in, many.points_out, many.noise_dropped) == (one.points_in, one.points_out, one.noise_dropped)
+    assert canonical(many.flush()) == canonical(one.flush())
+    return many
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestProcessMany:
+    """``process_many`` is a ``process`` loop: its column screen may only
+    prove that nothing happens at a fix, everything else is refined."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(REPORT, max_size=150), st.lists(st.integers(0, 150), max_size=4),
+        st.sampled_from(CONFIGS), st.booleans(),
+    )
+    def test_planted_streams_chunked_anywhere(self, reports, cuts, cfg, columns):
+        assert_process_many_is_process(chunks(planted_stream(reports, cfg), cuts), cfg, columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(ENTITIES)), st.lists(st.tuples(st.sampled_from(sorted(MOVES)), st.integers(0, 2)), max_size=12),
+        st.integers(1, 40), st.sampled_from(CONFIGS),
+    )
+    def test_plants_in_a_quiet_window(self, eid, plants, every, cfg):
+        """One entity, long cruises between the plants: the rows around a
+        plant are screened against a full carried window."""
+        reports = [(eid, "cruise", 1)] * 20
+        for move, side in plants:
+            reports += [(eid, move, side), *[(eid, "cruise", 1)] * every]
+        stream = planted_stream(reports, cfg)
+        assert_process_many_is_process(chunks(stream, list(range(0, len(stream), 17))), cfg)
+
+    def test_a_mean_summed_in_another_order_is_inside_the_slack_band(self):
+        """The screen sums a course window newest first, ``_step`` oldest
+        first. Here the two means differ in the last digits and the
+        threshold sits between the two ratios: ``_step`` emits, a screen
+        trusting its own sum to the last ulp would clear the fix. Fails
+        with ``SCREEN_SLACK = 0``."""
+        rng = random.Random(5)
+        while True:
+            speeds = [rng.uniform(5.0, 12.0) for _ in range(12)]
+            oldest_first, newest_first = sum(speeds) / 12, sum(reversed(speeds)) / 12
+            now = 1.3 * oldest_first
+            ratio, screen_ratio = abs(now - oldest_first) / oldest_first, abs(now - newest_first) / newest_first
+            threshold = math.nextafter(screen_ratio, math.inf)
+            if screen_ratio < threshold < ratio:
+                break
+        cfg = SynopsesConfig(speed_change_ratio=threshold, course_window_s=115.0, min_reemit_s=0.0)
+        cruise = straight_cruise(14)
+        fixes = [replace(f, speed=v) for f, v in zip(cruise, [8.0, *speeds, now])]
+        per_fix = SynopsesGenerator(cfg)
+        assert kinds([per_fix.process(f) for f in fixes][-1]) == ["speed_change"]
+        assert_process_many_is_process([fixes[:1], fixes[1:]], cfg)
+
+    def test_most_of_a_cruise_is_cleared_without_a_call(self):
+        fixes = [f for eid in ("a", "b") for f in straight_cruise(60, eid=eid)]
+        many = SynopsesGenerator()
+        calls = []
+        process = many.process
+        many.process = lambda fix: calls.append(fix) or process(fix)
+        assert kinds(many.process_many(fixes, FixColumns.of(fixes))) == ["start", "start"]
+        assert len(calls) == 2 and many.points_in == 120
+
+    def test_single_fix_single_entity_and_empty_polls(self):
+        cruise = straight_cruise(30)
+        for polls in ([[]], [cruise[:1]], [[f] for f in cruise], [cruise[:1], cruise[1:]], [[], cruise, []]):
+            assert_process_many_is_process(polls, SynopsesConfig())
+
+    @pytest.mark.parametrize("field", ["t", "lon", "lat", "alt", "speed", "heading", "vrate"])
+    @pytest.mark.parametrize("value", [None, "7.0", 7, Decimal(7), float("nan"), float("inf")])
+    def test_unreadable_columns_take_the_per_fix_path(self, field, value):
+        """Whatever the per-fix loop raises or returns for a field that is
+        no finite float, the batch raises or returns — never a numpy
+        error, never a warning."""
+        cruise = straight_cruise(12, heading=90.0)
+        odd = PositionFix("v1", **{"t": 55.0, "lon": 0.004, "lat": 40.0, "speed": 8.0, "heading": 90.0, field: value})
+        polls = [cruise[:6], [*cruise[6:9], odd, *cruise[9:]]]
+        try:
+            assert_process_many_is_process(polls, SynopsesConfig(), columns=False)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                assert_process_many_is_process(polls, SynopsesConfig())
+            assert str(raised.value) == str(exc)
+        else:
+            assert_process_many_is_process(polls, SynopsesConfig())

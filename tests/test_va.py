@@ -314,3 +314,14 @@ class TestDashboard:
         dash.ingest_fix(fix(10.0, 6.0, 6.0, eid="a"))
         assert dash.entity_count() == 1
         assert dash.state.counters["positions"] == 2
+
+    def test_ingest_fixes_is_ingest_fix_in_a_loop(self):
+        fixes = [fix(float(t), 5.0 + t, 5.0, eid=eid) for t, eid in enumerate("abacb")]
+        one, many = self.make(), self.make()
+        for f in fixes:
+            one.ingest_fix(f)
+        many.ingest_fixes(fixes[:2])
+        many.ingest_fixes(fixes[2:])
+        many.ingest_fixes([])
+        assert list(many.state.last_position.items()) == list(one.state.last_position.items())
+        assert many.state.counters == one.state.counters == {"positions": 5}
