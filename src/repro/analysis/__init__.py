@@ -20,7 +20,11 @@ Layout:
 * :mod:`~repro.analysis.baseline` — grandfathered-finding fingerprints
 * :mod:`~repro.analysis.reporting` — text and JSON reporters
 * :mod:`~repro.analysis.runner` — orchestration and the exit-code contract
-* :mod:`~repro.analysis.checkers` — the built-in checkers
+* :mod:`~repro.analysis.checkers` — the four built-in checkers: layering,
+  determinism, metric-contract and hygiene
+
+The worker process boundary (``repro.streams.workers``) has no checker:
+what crosses it and how a worker is reaped are tested by running it.
 """
 
 from .baseline import Baseline, fingerprint

@@ -4,14 +4,10 @@ from .determinism import DeterminismChecker
 from .hygiene import HygieneChecker
 from .layering import LayeringChecker
 from .metrics_contract import MetricContractChecker
-from .pickle_safety import PickleSafetyChecker
-from .resource_lifecycle import ResourceLifecycleChecker
 
 __all__ = [
     "DeterminismChecker",
     "HygieneChecker",
     "LayeringChecker",
     "MetricContractChecker",
-    "PickleSafetyChecker",
-    "ResourceLifecycleChecker",
 ]

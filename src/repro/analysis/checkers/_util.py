@@ -44,13 +44,6 @@ def dotted_name(node: ast.expr) -> str:
     return ""
 
 
-def connection_receiver(expr: ast.expr) -> str:
-    """Dotted name of ``expr`` if it names a connection, else ``""`` — by
-    convention the last segment contains ``conn`` (``self._conn``)."""
-    name = dotted_name(expr)
-    return name if "conn" in name.split(".")[-1] else ""
-
-
 def loop_string_bindings(scope: ast.AST) -> dict[str, list[str]]:
     """Names bound by ``for x in ("a", "b")`` loops/comprehensions in ``scope``.
 

@@ -130,45 +130,17 @@ class LayeringConfig:
 
 
 @dataclass
-class PickleSafetyConfig:
-    """Roots of the fork/IPC pickle boundary (``[pickle_safety]``).
-
-    ``boundary_roots`` are dotted class paths whose instances cross a
-    process boundary (worker specs, request/reply payload records,
-    harvest snapshots). The ``pickle-safety`` checker walks everything
-    statically reachable from them via field annotations and flags
-    content that cannot pickle.
-    """
-
-    boundary_roots: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ResourceLifecycleConfig:
-    """Where OS-resource acquisitions must provably be released
-    (``[resource_lifecycle]``): subpackages of ``package`` the
-    ``resource-lifecycle`` checker scans for Process/Pipe/file/socket
-    acquisitions without a release on all paths."""
-
-    packages: list[str] = field(default_factory=list)
-
-
-@dataclass
 class AnalysisConfig:
     """Everything the checkers read from disk besides the sources."""
 
     root: Path
     layering: LayeringConfig | None = None
-    pickle_safety: PickleSafetyConfig | None = None
-    resource_lifecycle: ResourceLifecycleConfig | None = None
 
     @classmethod
     def load(cls, root: Path, layering_path: Path | None = None) -> "AnalysisConfig":
         root = Path(root).resolve()
         path = layering_path or root / "tools" / "layering.toml"
         layering = None
-        pickle_safety = None
-        resource_lifecycle = None
         if path.is_file():
             doc = load_toml(path)
             allow = {k: list(v) for k, v in doc.get("allow", {}).items()}
@@ -179,21 +151,4 @@ class AnalysisConfig:
                 package=doc.get("package", "repro"), allow=allow, forbid=forbid
             )
             layering.validate()
-            ps_doc = doc.get("pickle_safety")
-            if ps_doc is not None:
-                roots = ps_doc.get("boundary_roots", [])
-                if not isinstance(roots, list):
-                    raise ConfigError("pickle_safety.boundary_roots must be an array")
-                pickle_safety = PickleSafetyConfig(boundary_roots=[str(r) for r in roots])
-            rl_doc = doc.get("resource_lifecycle")
-            if rl_doc is not None:
-                pkgs = rl_doc.get("packages", [])
-                if not isinstance(pkgs, list):
-                    raise ConfigError("resource_lifecycle.packages must be an array")
-                resource_lifecycle = ResourceLifecycleConfig(packages=[str(p) for p in pkgs])
-        return cls(
-            root=root,
-            layering=layering,
-            pickle_safety=pickle_safety,
-            resource_lifecycle=resource_lifecycle,
-        )
+        return cls(root=root, layering=layering)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from ..datasources.regions import DEFAULT_BBOX
 from ..geo import BBox
 from ..insitu.quality import QualityConfig
-from ..streams.workers import DEFAULT_REQUEST_TIMEOUT_S
 from ..synopses import SynopsesConfig
 
 #: Topic names of the Kafka-surrogate wiring.
@@ -45,9 +44,5 @@ class SystemConfig:
     #: startup across runs. False keeps the in-process replicas — the
     #: determinism/equivalence oracle for the pool path.
     worker_pool: bool = False
-    #: Reply deadline (seconds) for worker-pool IPC: a hung-but-alive
-    #: worker surfaces as ShardWorkerDied after this long instead of
-    #: blocking the parent forever. None = unbounded waits.
-    worker_request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S
     #: Ring size of the structured event log (oldest events overwritten).
     event_log_capacity: int = 1024

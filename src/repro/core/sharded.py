@@ -167,12 +167,7 @@ class ShardedRealtimeLayer(Figure2Plane):
         self.use_worker_pool = cfg.worker_pool
         # Replicas own every per-entity stage; the cross-entity ones run
         # here, once, over the merged stream.
-        self._hosts = shard_hosts(
-            _RealtimeShardSpec(cfg),
-            self.n_shards,
-            self.use_worker_pool,
-            request_timeout_s=cfg.worker_request_timeout_s,
-        )
+        self._hosts = shard_hosts(_RealtimeShardSpec(cfg), self.n_shards, self.use_worker_pool)
         #: The live replica layers when they are in-process; empty pooled.
         self.shards: list[EntityStages] = (
             [] if self.use_worker_pool else [host.state.layer for host in self._hosts]

@@ -183,9 +183,9 @@ def _worker_main(
         if reply[0] in _LAST_WORDS:
             break
         try:
-            # reprolint: disable=resource-lifecycle — the worker idles here by
-            # design between lockstep requests; the parent owns liveness (its
-            # request deadline), and a dead parent reads as EOF.
+            # Unbounded on purpose: the worker idles here between lockstep
+            # requests; the parent owns liveness (its request deadline), and
+            # a dead parent reads as EOF.
             frame = conn.recv()
         except (EOFError, OSError):
             break  # parent is gone; nothing left to serve
@@ -211,8 +211,7 @@ class WorkerHost:
     only raises for *dead* peers. On deadline the host terminates the
     worker (the lockstep is desynchronised — a late reply could pair
     with the wrong request) and raises :class:`ShardWorkerDied` naming
-    the shard, so callers can :meth:`restart`. ``None`` disables the
-    deadline (the pre-timeout behavior).
+    the shard, so callers can :meth:`restart`.
     """
 
     def __init__(
@@ -221,7 +220,7 @@ class WorkerHost:
         shard: int,
         context: Any = None,
         start: bool = True,
-        request_timeout_s: float | None = None,
+        request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
     ):
         self.spec = spec
         self.shard = shard
@@ -312,13 +311,13 @@ class WorkerHost:
         """
         if self._conn is None:
             raise ShardWorkerDied(self.shard)
-        # The shutdown ack is bounded even when requests are not:
-        # close() must not hang on a wedged worker.
+        # The shutdown ack has its own short bound: close() must not
+        # wait out a request deadline on a wedged worker.
         timeout_s = _CLOSE_ACK_TIMEOUT_S if request == CLOSE else self.request_timeout_s
         detail: str | None = None
         cause: Exception | None = None
         try:
-            if timeout_s is not None and not self._conn.poll(timeout_s):
+            if not self._conn.poll(timeout_s):
                 detail = f"no reply within {timeout_s}s (worker hung)"
             else:
                 tag, *payload = self._conn.recv()
@@ -383,7 +382,7 @@ def shard_hosts(
     spec: Any,
     n_shards: int,
     worker_pool: bool,
-    request_timeout_s: float | None = DEFAULT_REQUEST_TIMEOUT_S,
+    request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
 ) -> list[Any]:
     """One host per shard for ``spec``: worker processes with
     ``worker_pool``, inline otherwise. The caller owns them and must

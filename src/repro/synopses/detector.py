@@ -24,6 +24,7 @@ window — and every fix it cannot clear goes through ``process``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -231,12 +232,6 @@ class SynopsesGenerator:
         carried_at = np.arange(len(carried)) + np.repeat(starts, widths)
         block[:, carried_at] = np.array(carried).reshape(-1, 4).T
         bt, blon, blat, bspeed = block
-        # A carried window is the samples back to a horizon only while it is
-        # in time order: a NaN timestamp, once pushed, blocks every eviction.
-        run_of = np.repeat(np.arange(len(widths)), widths)
-        disordered = (carried_at > run_start[run_of]) & ~(bt[carried_at] > bt[carried_at - 1])
-        screened = np.array(screened)
-        screened[run_of[disordered]] = False
         last = np.maximum(row_at - 1, 0)
         has_prev = row_at - 1 >= run_at
         lo, hi = 1.0 - SCREEN_SLACK, 1.0 + SCREEN_SLACK
@@ -312,6 +307,14 @@ class SynopsesGenerator:
         cfg = self.config
         prev = state.last_fix
         out: list[CriticalPoint] = []
+
+        # A NaN clock compares False with every other and +inf is later than
+        # all of them: as ``last_fix`` or in the course window, either would
+        # freeze the entity or stop window eviction for good.
+        if not math.isfinite(fix.t):
+            state.noise_dropped += 1
+            self.noise_dropped += 1
+            return out
 
         # Noise filter: reject fixes implying impossible motion; they would
         # otherwise masquerade as turns/speed changes.

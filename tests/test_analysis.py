@@ -72,10 +72,6 @@ def write_project(tmp_path: Path, files: dict[str, str]) -> Path:
     return tmp_path
 
 
-def findings_of(result, check: str):
-    return [r.finding for r in result.rows if r.finding.check == check]
-
-
 def new_findings_of(result, check: str):
     return [f for f in result.new_findings() if f.check == check]
 
@@ -427,306 +423,6 @@ class TestHygieneChecker:
         assert any(r.suppressed for r in result.rows)
 
 
-PICKLE_TOML = LAYERING_TOML + """
-[pickle_safety]
-boundary_roots = ["repro.streams.spec.WorkerSpec"]
-"""
-
-PICKLE_CLEAN_ROOT = """
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    shard: int
-    name: str = "w"
-"""
-
-
-class TestPickleSafetyChecker:
-    def _project(self, tmp_path, files):
-        return write_project(
-            tmp_path, {"tools/layering.toml": PICKLE_TOML, **files}
-        )
-
-    def test_plain_data_root_is_clean(self, tmp_path):
-        root = self._project(
-            tmp_path, {"src/repro/streams/spec.py": PICKLE_CLEAN_ROOT}
-        )
-        result = run_analysis(root, checks=["pickle-safety"])
-        assert new_findings_of(result, "pickle-safety") == []
-
-    def test_lock_typed_field_fires(self, tmp_path):
-        root = self._project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": (
-                    "import threading\n"
-                    "from dataclasses import dataclass, field\n"
-                    "@dataclass\n"
-                    "class WorkerSpec:\n"
-                    "    shard: int\n"
-                    "    guard: threading.Lock = field(default_factory=threading.Lock)\n"
-                ),
-            },
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert len(findings) == 1
-        assert "WorkerSpec.guard" in findings[0].message
-        assert "Lock" in findings[0].message
-
-    def test_lambda_field_default_fires(self, tmp_path):
-        root = self._project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": (
-                    "from dataclasses import dataclass\n"
-                    "@dataclass\n"
-                    "class WorkerSpec:\n"
-                    "    shard: int\n"
-                    "    op: object = lambda v: v\n"
-                ),
-            },
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert any("defaults to a lambda" in f.message for f in findings)
-
-    def test_reachability_follows_field_annotations(self, tmp_path):
-        root = self._project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": (
-                    "from dataclasses import dataclass\n"
-                    "from io import TextIOWrapper\n"
-                    "@dataclass\n"
-                    "class Inner:\n"
-                    "    fh: TextIOWrapper\n"
-                    "@dataclass\n"
-                    "class WorkerSpec:\n"
-                    "    inner: Inner\n"
-                ),
-            },
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert any("Inner.fh" in f.message for f in findings)
-
-    def test_process_target_lambda_fires(self, tmp_path):
-        root = self._project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": PICKLE_CLEAN_ROOT,
-                "src/repro/streams/spawn.py": (
-                    "from multiprocessing import Process\n"
-                    "def boot():\n"
-                    "    p = Process(target=lambda: None, args=())\n"
-                    "    p.start()\n"
-                    "    p.join()\n"
-                ),
-            },
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert any("target is a lambda" in f.message for f in findings)
-
-    def test_generator_in_send_payload_fires(self, tmp_path):
-        root = self._project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": PICKLE_CLEAN_ROOT,
-                "src/repro/streams/ship.py": (
-                    "def ship(conn, xs):\n"
-                    "    conn.send((x for x in xs))\n"
-                ),
-            },
-        )
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert any("generator expression" in f.message for f in findings)
-
-    def test_stale_boundary_root_is_an_error(self, tmp_path):
-        root = self._project(tmp_path, {"src/repro/streams/other.py": "x = 1\n"})
-        findings = new_findings_of(
-            run_analysis(root, checks=["pickle-safety"]), "pickle-safety"
-        )
-        assert len(findings) == 1
-        assert findings[0].path == "tools/layering.toml"
-        assert "stale root" in findings[0].message
-
-    def test_inert_without_declared_roots(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/spec.py": (
-                    "import threading\n"
-                    "class Unchecked:\n"
-                    "    guard: threading.Lock\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["pickle-safety"])
-        assert findings_of(result, "pickle-safety") == []
-
-    def test_declared_boundary_roots_are_clean_at_head(self):
-        result = run_analysis(REPO_ROOT, checks=["pickle-safety"])
-        assert new_findings_of(result, "pickle-safety") == []
-
-
-LIFECYCLE_TOML = LAYERING_TOML + """
-[resource_lifecycle]
-packages = ["streams"]
-"""
-
-
-class TestResourceLifecycleChecker:
-    def _run(self, tmp_path, module_text, relpath="src/repro/streams/io.py"):
-        root = write_project(
-            tmp_path, {"tools/layering.toml": LIFECYCLE_TOML, relpath: module_text}
-        )
-        return run_analysis(root, checks=["resource-lifecycle"])
-
-    def test_context_manager_release_and_join_are_clean(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "from multiprocessing import Process\n"
-            "def read(path):\n"
-            "    with open(path) as fh:\n"
-            "        return fh.read()\n"
-            "def spawn(fn):\n"
-            "    p = Process(target=fn)\n"
-            "    p.start()\n"
-            "    p.join()\n",
-        )
-        assert new_findings_of(result, "resource-lifecycle") == []
-
-    def test_unreleased_handle_fires(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def leak(path):\n"
-            "    fh = open(path)\n"
-            "    data = fh.read()\n"
-            "    return data\n",
-        )
-        findings = new_findings_of(result, "resource-lifecycle")
-        assert len(findings) == 1
-        assert "leaks on every path" in findings[0].message
-
-    def test_returned_handle_transfers_ownership(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def acquire(path):\n"
-            "    fh = open(path)\n"
-            "    return fh\n",
-        )
-        assert new_findings_of(result, "resource-lifecycle") == []
-
-    def test_daemon_process_without_join_fires(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "from multiprocessing import Process\n"
-            "def fire(fn):\n"
-            "    p = Process(target=fn, daemon=True)\n"
-            "    p.start()\n"
-            "    p.terminate()\n",
-        )
-        findings = new_findings_of(result, "resource-lifecycle")
-        assert any("never join()ed" in f.message for f in findings)
-
-    def test_self_stored_resource_needs_owner_release(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "from multiprocessing import Process\n"
-            "class Holder:\n"
-            "    def boot(self, fn):\n"
-            "        self._proc = Process(target=fn)\n"
-            "        self._proc.start()\n",
-        )
-        findings = new_findings_of(result, "resource-lifecycle")
-        assert any(
-            "has no close()/__exit__()/__del__()" in f.message for f in findings
-        )
-
-    def test_transitive_owner_release_is_clean(self, tmp_path):
-        # The WorkerHost shape: start() binds locally then transfers to
-        # self, close() delegates to a private method that releases.
-        result = self._run(
-            tmp_path,
-            "from multiprocessing import Process\n"
-            "class Host:\n"
-            "    def boot(self, fn):\n"
-            "        proc = Process(target=fn)\n"
-            "        proc.start()\n"
-            "        self._proc = proc\n"
-            "    def close(self):\n"
-            "        self._terminate()\n"
-            "    def _terminate(self):\n"
-            "        self._proc.terminate()\n"
-            "        self._proc.join()\n",
-        )
-        assert new_findings_of(result, "resource-lifecycle") == []
-
-    def test_recv_without_poll_guard_fires(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def wait(conn):\n"
-            "    return conn.recv()\n",
-        )
-        findings = new_findings_of(result, "resource-lifecycle")
-        assert len(findings) == 1
-        assert "poll(timeout) guard" in findings[0].message
-
-    def test_polled_recv_is_clean(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def wait(conn):\n"
-            "    if conn.poll(5.0):\n"
-            "        return conn.recv()\n"
-            "    return None\n",
-        )
-        assert new_findings_of(result, "resource-lifecycle") == []
-
-    def test_pragma_marks_deliberate_blocking_recv(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def idle(conn):\n"
-            "    # reprolint: disable=resource-lifecycle — worker idle loop:\n"
-            "    # blocking between requests is the design.\n"
-            "    return conn.recv()\n",
-        )
-        assert new_findings_of(result, "resource-lifecycle") == []
-        assert any(r.suppressed for r in result.rows)
-
-    def test_undeclared_packages_are_out_of_scope(self, tmp_path):
-        result = self._run(
-            tmp_path,
-            "def leak(path):\n"
-            "    fh = open(path)\n"
-            "    data = fh.read()\n"
-            "    return data\n",
-            relpath="src/repro/obs/io.py",
-        )
-        assert findings_of(result, "resource-lifecycle") == []
-
-    def test_inert_without_declared_packages(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {"src/repro/streams/io.py": "def wait(conn):\n    return conn.recv()\n"},
-        )
-        result = run_analysis(root, checks=["resource-lifecycle"])
-        assert findings_of(result, "resource-lifecycle") == []
-
-    def test_declared_packages_are_clean_at_head(self):
-        result = run_analysis(REPO_ROOT, checks=["resource-lifecycle"])
-        assert new_findings_of(result, "resource-lifecycle") == []
-
-
 class TestBaselineAndReporting:
     def _violating_project(self, tmp_path):
         return write_project(
@@ -778,15 +474,8 @@ class TestBaselineAndReporting:
         }
         assert finding["path"] == "src/repro/streams/bad.py"
 
-    def test_checker_registry_has_the_six_checkers(self):
-        assert set(all_checkers()) == {
-            "layering",
-            "determinism",
-            "metric-contract",
-            "hygiene",
-            "pickle-safety",
-            "resource-lifecycle",
-        }
+    def test_checker_registry_has_the_four_checkers(self):
+        assert set(all_checkers()) == {"layering", "determinism", "metric-contract", "hygiene"}
 
 
 class TestCliContract:
@@ -833,15 +522,8 @@ class TestCliContract:
     def test_list_checks(self):
         proc = self._run("--list-checks")
         assert proc.returncode == 0
-        for name in (
-            "layering",
-            "determinism",
-            "metric-contract",
-            "hygiene",
-            "pickle-safety",
-            "resource-lifecycle",
-        ):
-            assert name in proc.stdout
+        listed = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
+        assert listed == {"layering", "determinism", "metric-contract", "hygiene"}
 
     def test_unknown_checker_is_config_error(self):
         proc = self._run("--checks", "no-such-checker")

@@ -235,12 +235,12 @@ def test_per_run_delta_folds_equal_the_one_shot_harvest(worker_pool):
 
 
 class TestRequestTimeout:
-    """Satellite regression: the unbounded `_recv` liveness hole.
+    """Every wait for a reply polls a deadline; there is no unbounded wait.
 
-    `Connection.recv` only raises for *dead* peers, so before the
-    `request_timeout_s` deadline existed, a hung-but-alive worker wedged
-    the parent forever — the exact defect the resource-lifecycle
-    checker's recv-without-poll rule detects statically.
+    `Connection.recv` only raises for *dead* peers, so a reply read
+    without its `poll(timeout)` guard lets a hung-but-alive worker wedge
+    the parent: the first test would then block for the sleeper's 30 s
+    and get a reply instead of `ShardWorkerDied`.
     """
 
     def test_hung_worker_surfaces_as_shard_worker_died(self):
@@ -267,16 +267,8 @@ class TestRequestTimeout:
         finally:
             host.close()
 
-    def test_none_restores_unbounded_behavior(self):
-        host = WorkerHost(EchoSpec(), shard=0, request_timeout_s=None)
-        try:
-            assert host.request_timeout_s is None
-            assert host.request("fine") == (0, "fine")
-        finally:
-            host.close()
-
     def test_pool_default_is_generous_but_finite(self):
-        hosts = shard_hosts(EchoSpec(), 2, worker_pool=True)
+        hosts = [*shard_hosts(EchoSpec(), 2, worker_pool=True), WorkerHost(EchoSpec(), 2)]
         try:
             assert all(host.request_timeout_s == DEFAULT_REQUEST_TIMEOUT_S for host in hosts)
         finally:
@@ -462,6 +454,35 @@ class TestNoStrandedWorkers:
                 if not _exited(pid):
                     os.kill(pid, signal.SIGKILL)
 
+    def test_closing_a_worker_hung_mid_request_waits_only_for_the_ack(self, monkeypatch):
+        """The shutdown ack has its own bound: ``close`` waits neither for
+        the hung request (the sleeper's 30 s) nor for its deadline."""
+        monkeypatch.setattr(workers, "_CLOSE_ACK_TIMEOUT_S", 0.3)
+        host = WorkerHost(SleeperSpec(), 2)
+        pid = host._proc.pid
+        host.send("hang")
+        started = time.monotonic()
+        host.close()
+        assert time.monotonic() - started < 3.0
+        assert not host.alive() and _reaped(pid)
+
+    @pytest.mark.parametrize("end", ["close", "hung", "killed"])
+    def test_an_ended_worker_leaves_no_open_pipe_and_no_zombie(self, end):
+        host = WorkerHost(SleeperSpec(), 4, request_timeout_s=0.3)
+        conn, pid = host._conn, host._proc.pid
+        try:
+            if end == "close":
+                host.close()
+            else:
+                host.send("hang")
+                if end == "killed":
+                    os.kill(pid, signal.SIGKILL)
+                with pytest.raises(ShardWorkerDied):
+                    host.receive()
+            assert conn.closed and _reaped(pid)
+        finally:
+            host.close()
+
 
 def _exited(pid) -> bool:
     """Gone, or a zombie nobody has reaped yet (its parent was killed)."""
@@ -470,6 +491,11 @@ def _exited(pid) -> bool:
             return stat.read().rpartition(")")[2].split()[0] == "Z"
     except FileNotFoundError:
         return True
+
+
+def _reaped(pid) -> bool:
+    """Gone from the process table: exited *and* waited for by its parent."""
+    return not os.path.exists(f"/proc/{pid}")
 
 
 def _bit_equal_roundtrip(obj) -> bool:
@@ -522,9 +548,11 @@ def _harvests(draw, shard=0):
 
 
 class TestPickleBoundaryRoundTrip:
-    """Runtime witness for the pickle-safety checker: everything the
-    checker declares (or observes) crossing the worker IPC boundary must
-    survive `pickle.dumps`/`loads` round-trips bit-equal."""
+    """Everything that crosses the worker IPC boundary — the spec pickled
+    at spawn, every frame shape of `PROTOCOL`, the obs harvests — must
+    survive `pickle.dumps`/`loads` round-trips bit-equal. With the
+    spawn-context worker in `test_core_sharded.py`, this is where a lock,
+    a lambda or an open handle on a boundary type fails."""
 
     @given(seed=st.integers(0, 2**31), n_shards=st.integers(1, 8), worker_pool=st.booleans())
     @settings(max_examples=25, deadline=None)

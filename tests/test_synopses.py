@@ -221,6 +221,23 @@ class TestNoiseFilter:
         out = gen.process(make_fix(0.0, 0.001, 40.0, speed=5.0))
         assert out == []
 
+    @pytest.mark.parametrize("at", [0, 10])
+    @pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_dropped_as_noise(self, bad_t, at):
+        """A NaN ``t`` used to enter the course window and stop its eviction
+        (2 001 samples after 2 000 more fixes instead of 13); a ``+inf`` one
+        froze the entity, every later fix being "earlier"."""
+        fixes = straight_cruise(2011)
+        gen, without = SynopsesGenerator(), SynopsesGenerator()
+        bad = replace(fixes[at], t=bad_t)
+        got = [cp for f in [*fixes[:at], bad, *fixes[at:]] for cp in gen.process(f)]
+        want = [cp for f in fixes for cp in without.process(f)]
+        assert canonical(got) == canonical(want)
+        assert gen.noise_dropped == gen._states["v1"].noise_dropped == 1
+        state, clean = gen._states["v1"], without._states["v1"]
+        assert state.last_fix is fixes[-1] and state.window == clean.window
+        assert len(state.window) == 13
+
 
 class TestReconstruction:
     def test_straight_track_low_error(self):

@@ -17,8 +17,8 @@ Usage::
     python tools/reprolint.py --format json        # CI artifact to stdout
     python tools/reprolint.py --format json --output reprolint_report.json
     python tools/reprolint.py --verbose --json-output report.json  # one run, both
-    python tools/reprolint.py --checks pickle-safety,resource-lifecycle
     python tools/reprolint.py --checks layering,hygiene
+    python tools/reprolint.py --checks determinism,metric-contract
     python tools/reprolint.py --update-baseline    # grandfather current findings
     python tools/reprolint.py --list-checks
 """
