@@ -4,7 +4,8 @@ forecasting stack (Vouros et al., EDBT 2018).
 Subpackages mirror the paper's architecture (Figure 2):
 
 - :mod:`repro.geo` -- geometry and spatio-temporal primitives,
-- :mod:`repro.streams` -- the Flink/Kafka-surrogate dataflow engine,
+- :mod:`repro.streams` -- the Kafka surrogate (broker, topics, consumer
+  groups) and the shard process hosts,
 - :mod:`repro.datasources` -- synthetic surrogates of the Table-1 feeds,
 - :mod:`repro.insitu` -- in-situ statistics, low-level events, cleaning,
 - :mod:`repro.synopses` -- the trajectory Synopses Generator,

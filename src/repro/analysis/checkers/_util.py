@@ -3,33 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 #: Marker for one dynamic segment inside a statically-extracted string.
 WILDCARD = "*"
-
-
-def walk_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def base_names(cls: ast.ClassDef) -> list[str]:
-    """Base-class names of ``cls`` as plain strings (``a.B`` -> ``B``)."""
-    out = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            out.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            out.append(base.attr)
-        elif isinstance(base, ast.Subscript):  # Generic[T] etc.
-            inner = base.value
-            if isinstance(inner, ast.Name):
-                out.append(inner.id)
-            elif isinstance(inner, ast.Attribute):
-                out.append(inner.attr)
-    return out
 
 
 def dotted_name(node: ast.expr) -> str:
@@ -124,9 +100,3 @@ def resolve_strings(
         return list(bindings[expr.id])
     return [WILDCARD]
 
-
-def call_keyword(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None

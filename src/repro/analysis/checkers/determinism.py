@@ -1,8 +1,8 @@
-"""Determinism linting for event-time operator code.
+"""Determinism linting for event-time code.
 
-The exactly-once replay oracle (PR 1) and the batched/scalar
-equivalence oracle (PR 3) both rest on operators being *event-time
-pure*: reprocessing the same records yields byte-identical outputs.
+The shard-equivalence and per-fix oracles both rest on the broker, the
+shard merge and the event recognizer being *event-time pure*:
+reprocessing the same records yields byte-identical outputs.
 Wall-clock reads (``time.time()``, ``datetime.now()``) and global
 RNG state (module-level ``random.*`` / ``np.random.*``) break that
 silently — the tests still pass on one run and flake on the next.

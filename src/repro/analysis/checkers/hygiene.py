@@ -1,23 +1,17 @@
 """API hygiene: defect patterns that corrupt state or hide failures.
 
-Three families, all grounded in bugs this codebase is structurally
+Two families, both grounded in bugs this codebase is structurally
 exposed to:
 
 * **mutable default arguments** — a shared list/dict/set default is
-  cross-call global state, the antithesis of replayable operators;
+  cross-call global state, the antithesis of replayable stages;
 * **bare / broad / swallowed excepts** — ``except:`` catches
-  ``KeyboardInterrupt`` and hides broker/operator failures; ``except
+  ``KeyboardInterrupt`` and hides broker/stage failures; ``except
   Exception`` is almost as indiscriminate and only belongs at a
   process/IPC boundary where *any* failure must be serialised rather
   than propagated; an ``except X: pass`` silently drops data. When
   intentional, say why with a ``# reprolint: disable=hygiene — reason``
-  pragma;
-* **Operator contract overrides** — subclasses of
-  :class:`repro.streams.operators.Operator` must override ``on_record`` /
-  ``on_watermark``, never ``process`` / ``process_many`` themselves: the
-  base methods carry the probe accounting and stream stats that the
-  exactly-once oracles assume. An override that skips them is invisible
-  to observability and unverifiable by the oracles.
+  pragma.
 """
 
 from __future__ import annotations
@@ -27,13 +21,6 @@ import ast
 from ..config import AnalysisConfig
 from ..model import Finding, Project
 from ..registry import Checker, register
-from ._util import base_names, walk_classes
-
-#: Operator entry points that subclasses must not re-implement.
-PROTECTED_OPERATOR_METHODS = ("process", "process_many")
-
-#: The extension points subclasses are supposed to use instead.
-OPERATOR_EXTENSION_POINTS = "on_record / on_watermark / flush"
 
 _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
 
@@ -42,13 +29,11 @@ _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter"
 class HygieneChecker(Checker):
     name = "hygiene"
     description = (
-        "mutable default arguments, bare/broad/swallowed excepts, and "
-        "Operator subclasses overriding the instrumented process entry points"
+        "mutable default arguments and bare/broad/swallowed excepts"
     )
 
     def run(self, project: Project, config: AnalysisConfig) -> list[Finding]:
         findings: list[Finding] = []
-        operator_subclasses = self._operator_subclasses(project)
         for source in project.realm("src", "benchmarks", "examples"):
             if source.tree is None:
                 continue
@@ -57,7 +42,6 @@ class HygieneChecker(Checker):
                     findings.extend(self._mutable_defaults(source, node))
                 elif isinstance(node, ast.ExceptHandler):
                     findings.extend(self._except_handler(source, node))
-            findings.extend(self._operator_overrides(source, operator_subclasses))
         return findings
 
     # -- mutable defaults --------------------------------------------------------
@@ -146,49 +130,3 @@ class HygieneChecker(Checker):
                 "`# reprolint: disable=hygiene` pragma",
                 symbol=source.module,
             )
-
-    # -- Operator contract -------------------------------------------------------
-
-    @staticmethod
-    def _operator_subclasses(project: Project) -> set[str]:
-        """Names of classes that (transitively, by name) extend Operator."""
-        parents: dict[str, list[str]] = {}
-        for source in project.realm("src", "benchmarks", "examples"):
-            if source.tree is None:
-                continue
-            for cls in walk_classes(source.tree):
-                parents.setdefault(cls.name, []).extend(base_names(cls))
-        subclasses: set[str] = {"Operator"}
-        changed = True
-        while changed:
-            changed = False
-            for name, bases in parents.items():
-                if name not in subclasses and any(b in subclasses for b in bases):
-                    subclasses.add(name)
-                    changed = True
-        return subclasses
-
-    def _operator_overrides(self, source, operator_subclasses: set[str]):
-        if source.tree is None:
-            return
-        for cls in walk_classes(source.tree):
-            # The base class itself defines the contract; only subclasses
-            # are forbidden from re-implementing it.
-            if cls.name not in operator_subclasses or cls.name == "Operator":
-                continue
-            for stmt in cls.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name in PROTECTED_OPERATOR_METHODS
-                ):
-                    yield self.finding(
-                        "error",
-                        source.relpath,
-                        stmt.lineno,
-                        stmt.col_offset,
-                        f"Operator subclass {cls.name} overrides "
-                        f"{stmt.name}() — that bypasses probe accounting and "
-                        f"batch/scalar parity; extend "
-                        f"{OPERATOR_EXTENSION_POINTS} instead",
-                        symbol=f"{source.module}.{cls.name}.{stmt.name}",
-                    )

@@ -9,8 +9,10 @@ statically:
 * **extraction** — every ``counter("...")`` / ``gauge("...")`` /
   ``histogram("...")`` / ``time("...")`` call in shipped code (src,
   benchmarks, examples) is resolved to a name, with f-string holes
-  becoming ``*`` wildcards and ``OperatorProbe`` / ``instrument_*``
-  call sites expanded to the full ``op.<name>.*`` family they register;
+  becoming ``*`` wildcards, ``OperatorProbe`` call sites expanded to
+  the full ``op.<name>.*`` family they register, and the
+  ``instrument_broker`` / ``instrument_consumer`` call sites to their
+  ``broker.*`` gauges;
 * **grammar** — extracted names must be lowercase dotted paths of at
   least two segments whose root is a known namespace (``op``, ``kg``,
   ``cep``, ``batch``, ...);
@@ -28,7 +30,7 @@ from fnmatch import fnmatchcase
 from ..config import AnalysisConfig
 from ..model import Finding, Project, SourceFile
 from ..registry import Checker, register
-from ._util import WILDCARD, call_keyword, dotted_name, loop_string_bindings, resolve_strings
+from ._util import WILDCARD, loop_string_bindings, resolve_strings
 
 #: Namespace roots the dotted grammar admits (see DESIGN.md §observability).
 KNOWN_ROOTS = frozenset(
@@ -57,9 +59,6 @@ _PROBE_FAMILY = (
     ("counters", "batches"),
     ("histograms", "latency_s"),
 )
-
-#: The additional gauges instrument_operator can register.
-_OPERATOR_GAUGES = ("queue_depth", "watermark_lag_s", "late_records")
 
 
 @dataclass(frozen=True)
@@ -132,25 +131,14 @@ class MetricContractChecker(Checker):
                 emit(_ACCESSOR_KIND[attr], resolve_strings(node.args[0], bindings), node)
             elif attr == "OperatorProbe" and len(node.args) >= 2:
                 for op_name in resolve_strings(node.args[1], bindings):
-                    self._emit_probe_family(emit, op_name, node)
-            elif attr == "instrument_operator":
-                name_arg = call_keyword(node, "name")
-                names = resolve_strings(name_arg, bindings) if name_arg is not None else [WILDCARD]
-                for op_name in names:
-                    self._emit_probe_family(emit, op_name, node)
-                    for gauge in _OPERATOR_GAUGES:
-                        emit("gauges", [f"op.{op_name}.{gauge}"], node)
+                    for kind, field in _PROBE_FAMILY:
+                        emit(kind, [f"op.{op_name}.{field}"], node)
             elif attr == "instrument_broker":
                 for field in ("size", "published", "dropped"):
                     emit("gauges", [f"broker.topic.{WILDCARD}.{field}"], node)
             elif attr == "instrument_consumer":
                 emit("gauges", [f"broker.lag.{WILDCARD}.{WILDCARD}"], node)
         return out
-
-    @staticmethod
-    def _emit_probe_family(emit, op_name: str, node: ast.AST) -> None:
-        for kind, field in _PROBE_FAMILY:
-            emit(kind, [f"op.{op_name}.{field}"], node)
 
     # -- grammar -----------------------------------------------------------------
 

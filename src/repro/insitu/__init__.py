@@ -19,7 +19,6 @@ from .quality import (
 from .stats import (
     OnlineStats,
     TrajectoryStatsState,
-    make_stats_operator,
     stats_for_fixes,
     update_trajectory_stats,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "check_fix",
     "clean_batch",
     "clean_stream",
-    "make_stats_operator",
     "stats_for_fixes",
     "update_trajectory_stats",
 ]

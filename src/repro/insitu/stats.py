@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..geo import PositionFix
-from ..streams import KeyedProcess
 
 
 class OnlineStats:
@@ -110,15 +109,6 @@ def update_trajectory_stats(state: TrajectoryStatsState, fix: PositionFix) -> Po
         speed_stats=state.speed.snapshot(),
         accel_stats=state.acceleration.snapshot(),
     )
-
-
-def make_stats_operator() -> KeyedProcess:
-    """A keyed dataflow operator computing in-situ statistics per entity.
-
-    Input records must be keyed by entity id and carry PositionFix values;
-    output carries the same fixes annotated with running statistics.
-    """
-    return KeyedProcess(TrajectoryStatsState, lambda state, rec: [update_trajectory_stats(state, rec.value)])
 
 
 def stats_for_fixes(fixes: Iterable[PositionFix]) -> dict[str, TrajectoryStatsState]:

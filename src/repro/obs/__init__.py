@@ -3,13 +3,13 @@
 The paper judges every datAcron component by throughput and latency
 numbers (Sections 4-5); this package is where the reproduction measures
 them. One :class:`MetricsRegistry` per system instance holds counters,
-gauges and deterministic reservoir histograms; operators and the broker
-are wired in through :mod:`repro.obs.instrument`; and a
+gauges and deterministic reservoir histograms; the Figure-2 stages and
+the broker are wired in through :mod:`repro.obs.instrument`; and a
 :class:`Tracer` follows sampled records end to end through the
 Figure-2 real-time layer.
 """
 
-from .events import EventLog, JsonlSink, ObsEvent, SEVERITIES, watch_broker, watch_window
+from .events import EventLog, JsonlSink, ObsEvent, SEVERITIES, watch_broker
 from .export import (
     MetricsServer,
     parse_openmetrics,
@@ -33,7 +33,6 @@ from .instrument import (
     consumer_lags,
     instrument_broker,
     instrument_consumer,
-    instrument_operator,
     operator_rates,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, format_snapshot
@@ -69,13 +68,11 @@ __all__ = [
     "snapshot_registry",
     "instrument_broker",
     "instrument_consumer",
-    "instrument_operator",
     "operator_rates",
     "parse_openmetrics",
     "render_openmetrics",
     "sanitize_metric_name",
     "watch_broker",
-    "watch_window",
     "write_json_snapshot",
     "write_openmetrics",
 ]

@@ -2,11 +2,11 @@
 
 Metrics (:mod:`repro.obs.metrics`) answer "how fast / how many"; this
 module answers "what occurred and when": retention drops in the broker,
-late records at a window, health-state transitions, complex-event
-detections. Events carry an event-time stamp (stream time, when the
-emitter has one), a wall-clock stamp, a severity, a component tag and a
-kind, so operators can filter a live run ("every warn+ event of the
-broker in the last minute") without grepping stdout.
+health-state transitions, complex-event detections, run boundaries.
+Events carry an event-time stamp (stream time, when the emitter has
+one), a wall-clock stamp, a severity, a component tag and a kind, so
+operators can filter a live run ("every warn+ event of the broker in
+the last minute") without grepping stdout.
 
 The log is a bounded ring (old events are overwritten, never an
 unbounded list) with an optional pluggable sink — any callable taking
@@ -24,7 +24,6 @@ from typing import IO, TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # typing only: streams must stay importable without obs
     from ..streams.broker import Broker
-    from ..streams.record import Record
 
 #: Severities, least to most severe. Filtering is by minimum severity.
 SEVERITIES = ("debug", "info", "warn", "error")
@@ -39,8 +38,8 @@ class ObsEvent:
     seq: int                      # monotonically increasing per log
     wall_s: float                 # wall-clock emission time (time.time)
     severity: str
-    component: str                # "broker", "cep", "health", "window:<name>", ...
-    kind: str                     # "retention_drop", "late_record", "transition", ...
+    component: str                # "broker", "cep", "health", ...
+    kind: str                     # "retention_drop", "detection", "transition", ...
     message: str = ""
     t: float | None = None        # event time (stream seconds), when known
     tags: dict[str, Any] = field(default_factory=dict)
@@ -255,26 +254,3 @@ def watch_broker(broker: "Broker", log: EventLog) -> None:
             )
 
         topic.on_drop = on_drop
-
-
-def watch_window(window: Any, log: EventLog, name: str | None = None) -> Any:
-    """Emit a warn event for every record a window drops as late.
-
-    Works with any operator exposing an ``on_late`` hook
-    (:class:`~repro.streams.windows.TumblingWindow` /
-    :class:`~repro.streams.windows.SlidingWindow`).
-    """
-    label = name or getattr(window, "name", "window")
-
-    def on_late(record: "Record") -> None:
-        log.emit(
-            "warn",
-            f"window:{label}",
-            "late_record",
-            f"record behind watermark dropped (key={record.key!r})",
-            t=record.t,
-            key=record.key,
-        )
-
-    window.on_late = on_late
-    return window

@@ -17,8 +17,8 @@ Merge semantics, by metric kind:
   equals the sequential single-shard oracle's counters exactly;
 * **gauges** are levels, so each shard's value is kept under a
   ``shard.<i>.<name>`` family and one merged aggregate is computed per
-  rule (``sum`` for depths/sizes, ``max`` for walls and lags, ``last``
-  for free-running levels) — see :data:`DEFAULT_GAUGE_RULES`;
+  rule (``sum`` for depths/sizes, ``max`` for walls and error rates,
+  ``last`` for free-running levels) — see :data:`DEFAULT_GAUGE_RULES`;
 * **histograms** merge exact count/sum/min/max and combine reservoirs
   by deterministic weighted sampling
   (:meth:`repro.obs.metrics.Histogram.absorb`);
@@ -42,13 +42,12 @@ from .metrics import MetricsRegistry
 from .tracing import Span, Tracer
 
 #: First-match gauge aggregation rules: a parallel run is as long as its
-#: slowest shard (``max`` for walls/lags/error levels), while sizes,
-#: depths and throughputs add up (``sum``). ``last`` keeps the value of
+#: slowest shard (``max`` for walls/error levels), while sizes, depths,
+#: lags and throughputs add up (``sum``). ``last`` keeps the value of
 #: the highest-numbered shard (for levels where neither fits).
 DEFAULT_GAUGE_RULES: tuple[tuple[str, str], ...] = (
     ("*.wall_s", "max"),
     ("*.error_rate", "max"),
-    ("*.watermark_lag_s", "max"),
     ("*", "sum"),
 )
 

@@ -3,10 +3,10 @@
 A time-critical deployment (the ROADMAP's production north star, and
 the edge/cloud mobility stacks in PAPERS.md) needs a yes/no answer to
 "is the pipeline keeping up?" that is cheaper than reading dashboards:
-watermark lag growing, consumer groups falling behind, queues filling,
-error rates climbing. A :class:`HealthMonitor` evaluates declarative
-:class:`HealthRule`s over registry gauges and derives a state per
-component plus a system-wide worst-of state.
+consumer groups falling behind, error rates climbing. A
+:class:`HealthMonitor` evaluates declarative :class:`HealthRule`s over
+registry gauges and derives a state per component plus a system-wide
+worst-of state.
 
 States only change with *hysteresis*: a component escalates after
 ``escalate_after`` consecutive evaluations at a worse level and
@@ -44,10 +44,9 @@ class HealthRule:
     """One gauge threshold pair: above ``degraded`` / ``failing`` is bad.
 
     ``metric`` names a gauge in the registry, or a glob pattern
-    (``broker.lag.*``, ``op.*.queue_depth``) matched against every
-    gauge at evaluation time — so rules can be declared before the
-    components register their gauges. A gauge that does not exist
-    (yet) reads as healthy.
+    (``broker.lag.*``) matched against every gauge at evaluation time —
+    so rules can be declared before the components register their
+    gauges. A gauge that does not exist (yet) reads as healthy.
     """
 
     component: str
@@ -214,21 +213,15 @@ def default_realtime_rules(
     lag_failing: float = 50_000.0,
     error_rate_degraded: float = 0.2,
     error_rate_failing: float = 0.5,
-    queue_degraded: float = 10_000.0,
-    queue_failing: float = 100_000.0,
 ) -> HealthMonitor:
     """The rule set the integrated real-time layer ships with.
 
-    Covers the three degradation modes the paper's architecture can
-    exhibit: consumer groups falling behind the broker (``broker.lag.*``
-    gauges), the online cleaner rejecting an abnormal share of input
-    (``realtime.error_rate``), and operators buffering without draining
-    (``op.*.queue_depth`` / watermark lag, registered per window). The
-    patterns bind to gauges lazily, so rules match consumers and
-    windows instrumented after the monitor was built.
+    Covers the two degradation modes the Figure-2 layer registers gauges
+    for: consumer groups falling behind the broker (``broker.lag.*``
+    gauges) and the online cleaner rejecting an abnormal share of input
+    (``realtime.error_rate``). The lag pattern binds to gauges lazily,
+    so it matches consumers instrumented after the monitor was built.
     """
     monitor.add_rule("broker", "broker.lag.*", lag_degraded, lag_failing)
-    monitor.add_rule("streams", "op.*.queue_depth", queue_degraded, queue_failing)
-    monitor.add_rule("streams", "op.*.watermark_lag_s", queue_degraded, queue_failing)
     monitor.add_rule("clean", "realtime.error_rate", error_rate_degraded, error_rate_failing)
     return monitor

@@ -1,25 +1,21 @@
-"""Wiring metrics into the streaming substrate.
+"""Wiring metrics into the Figure-2 stages and the broker.
 
-Three kinds of components carry the numbers the paper reports, and each
+Two kinds of components carry the numbers the paper reports, and each
 gets a dedicated instrumentation entry point:
 
-* **operators** — per-operator records/s, per-record processing
-  latency, and buffered queue depth (:func:`instrument_operator`);
+* **stages** (the integrated real-time layer's cleaning, synopses,
+  link-discovery hops) — an :class:`OperatorProbe` each, so they report
+  under one ``op.<name>.*`` namespace and the dashboard renders them
+  uniformly;
 * **the broker** — per-topic size/published/dropped gauges and
   per-consumer-group lag gauges (:func:`instrument_broker`,
-  :func:`instrument_consumer`);
-* **non-operator stages** (the integrated real-time layer's cleaning,
-  synopses, link-discovery hops) — :class:`OperatorProbe` used
-  directly, so they report under the same ``op.<name>.*`` namespace
-  and the dashboard renders them uniformly.
+  :func:`instrument_consumer`).
 
 Naming conventions (what the dashboard and benches parse):
 
-* ``op.<name>.records_in`` / ``op.<name>.records_out`` — counters
-* ``op.<name>.latency_s`` — histogram of per-record processing seconds
-* ``op.<name>.queue_depth`` — gauge over buffered elements
-* ``op.<name>.watermark_lag_s`` / ``op.<name>.late_records`` — window
-  gauges (registered when the operator exposes them)
+* ``op.<name>.records_in`` / ``op.<name>.records_out`` /
+  ``op.<name>.batches`` — counters
+* ``op.<name>.latency_s`` — histogram of per-batch processing seconds
 * ``broker.topic.<topic>.{size,published,dropped}`` — topic gauges
 * ``broker.lag.<topic>.<group>`` — consumer-group lag gauges
 """
@@ -32,19 +28,15 @@ from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # import only for typing: streams must not import obs
     from ..streams.broker import Broker, Consumer
-    from ..streams.operators import Operator
 
 
 class OperatorProbe:
-    """The per-operator metric bundle, attached to ``Operator.probe``.
+    """The per-stage metric bundle.
 
-    ``Operator.process`` calls :meth:`observe` once per record with the
-    fan-out count and the wall seconds spent in ``on_record``; a stage
-    that works on several records at once calls it once per batch with
-    ``n_in`` set to the batch length, so the counters stay exact either
-    way. ``op.<name>.batches`` counts observe calls — per-record
-    processing has ``batches == records_in`` — and the latency histogram
-    holds per-call (i.e. per record or per batch) seconds.
+    A stage calls :meth:`observe` once per batch it processes, with the
+    fan-out count, the wall seconds spent and ``n_in`` set to the batch
+    length, so the counters stay exact. ``op.<name>.batches`` counts
+    observe calls, and the latency histogram holds per-call seconds.
     """
 
     __slots__ = ("name", "records_in", "records_out", "batches", "latency")
@@ -68,23 +60,6 @@ class OperatorProbe:
         if self.latency.sum <= 0.0:
             return 0.0
         return self.records_in.value / self.latency.sum
-
-
-def instrument_operator(op: "Operator", registry: MetricsRegistry, name: str | None = None) -> "Operator":
-    """Attach an :class:`OperatorProbe` and a queue-depth gauge to an operator.
-
-    Window operators (anything exposing ``watermark_lag_s``) also get an
-    ``op.<name>.watermark_lag_s`` gauge and an ``op.<name>.late_records``
-    gauge — the signals the health monitor's default rules watch.
-    """
-    label = name or op.name
-    op.probe = OperatorProbe(registry, label)
-    registry.gauge(f"op.{label}.queue_depth", fn=op.pending)
-    if hasattr(op, "watermark_lag_s"):
-        registry.gauge(f"op.{label}.watermark_lag_s", fn=op.watermark_lag_s)
-    if hasattr(op, "late_records"):
-        registry.gauge(f"op.{label}.late_records", fn=lambda o=op: o.late_records)
-    return op
 
 
 def instrument_broker(broker: "Broker", registry: MetricsRegistry) -> None:

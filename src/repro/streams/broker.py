@@ -44,7 +44,7 @@ class Topic:
         self.stats = StreamStats()
         #: Optional observability hook: called with the overflow count each
         #: time retention trims messages. Attached by ``repro.obs.watch_broker``
-        #: — streams stays obs-agnostic, like ``Operator.probe``.
+        #: — streams stays obs-agnostic.
         self.on_drop = None
 
     def __repr__(self) -> str:

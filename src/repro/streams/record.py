@@ -1,17 +1,16 @@
-"""Stream records: the unit of data flowing through the dataflow engine.
+"""Stream records: the unit of data published to and polled from topics.
 
 Every message exchanged between datAcron components (Figure 2) travels
 over Kafka topics as a timestamped, keyed payload. ``Record`` mirrors
 that: an event-time timestamp, an optional partitioning key, and an
-arbitrary value. ``Watermark`` carries event-time progress through the
-dataflow so that windows can close deterministically — the same
-mechanism Apache Flink uses.
+arbitrary value.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Generic, TypeVar
+from typing import Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -40,35 +39,13 @@ class Record(Generic[T]):
         # which dominated every IPC frame that ships records by value.
         return (type(self), (self.t, self.value, self.key, self.ingest_wall_s))
 
-    def with_value(self, value: Any) -> "Record":
-        """A copy carrying a different payload (same time, key, provenance)."""
-        return Record(self.t, value, self.key, self.ingest_wall_s)
-
-    def with_key(self, key: str | None) -> "Record[T]":
-        """A copy carrying a different partitioning key."""
-        return Record(self.t, self.value, key, self.ingest_wall_s)
-
-
-@dataclass(frozen=True, slots=True)
-class Watermark:
-    """An assertion that no further records with ``t <= time`` will arrive."""
-
-    time: float
-
-
-#: What flows through operator channels: data or event-time progress.
-StreamElement = Record | Watermark
-
 
 @dataclass(slots=True)
 class StreamStats:
-    """Simple throughput counters kept by topics and operators."""
+    """Throughput counters a topic keeps over what it was given."""
 
     records_in: int = 0
-    records_out: int = 0
-    watermarks: int = 0
     dropped: int = 0
-    errors: int = 0
     by_key: dict[str, int] = field(default_factory=dict)
 
     def saw_record(self, record: Record) -> None:
@@ -76,5 +53,33 @@ class StreamStats:
         if record.key is not None:
             self.by_key[record.key] = self.by_key.get(record.key, 0) + 1
 
-    def emitted(self, n: int = 1) -> None:
-        self.records_out += n
+
+def merge_by_time(*streams: Iterable[Record]) -> Iterator[Record]:
+    """K-way merge of record streams by event time (stable across streams).
+
+    This is the fan-in primitive: cross-stream processing (e.g. fusing
+    surveillance feeds in :mod:`repro.synopses.crossstream`) merges
+    sources into one time-ordered stream before processing it.
+
+    Equal timestamps are stable: ties go to the lower-numbered stream,
+    and each stream's own order is preserved (only one entry per stream
+    is ever in the heap, so ``(t, idx)`` totally orders the heap and the
+    record itself is never compared).
+    """
+    entries = []
+    for idx, s in enumerate(streams):
+        it = iter(s)
+        try:
+            first = next(it)
+        except StopIteration:
+            continue
+        entries.append((first.t, idx, first, it))
+    heapq.heapify(entries)
+    while entries:
+        t, idx, rec, it = heapq.heappop(entries)
+        yield rec
+        try:
+            nxt = next(it)
+        except StopIteration:
+            continue
+        heapq.heappush(entries, (nxt.t, idx, nxt, it))

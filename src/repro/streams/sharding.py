@@ -37,9 +37,7 @@ def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
 
     The sort is stable, and all records of one key come from one shard in
     that shard's emission order — so per-key subsequences are preserved
-    exactly, and same-``(t, key)`` runs keep their shard-local order. For
-    keyed streams this reproduces the single-shard window emission order
-    (windows fire sorted by ``(start, key)``).
+    exactly, and same-``(t, key)`` runs keep their shard-local order.
     """
     merged = [record for outputs in per_shard for record in outputs]
     merged.sort(key=lambda r: (r.t, r.key or ""))

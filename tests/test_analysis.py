@@ -42,15 +42,6 @@ cep = []
 obs = "streams must stay importable without obs"
 """
 
-OPERATOR_BASE = """
-class Operator:
-    def process(self, el):
-        return []
-
-    def on_record(self, record):
-        return []
-"""
-
 
 def write_project(tmp_path: Path, files: dict[str, str]) -> Path:
     """Materialise a fixture repo; every src package gets an __init__.py."""
@@ -294,10 +285,11 @@ class TestMetricContractChecker:
             tmp_path,
             {
                 "src/repro/streams/emit.py": (
-                    "def wire(registry, monitor, op, plan):\n"
+                    "def wire(registry, monitor, plan):\n"
                     "    registry.gauge(f'kg.cache_rows.{plan}')\n"
                     "    for name in ('clean', 'synopses'):\n"
-                    "        instrument_operator(op, registry, name=name)\n"
+                    "        OperatorProbe(registry, name)\n"
+                    "        registry.gauge(f'op.{name}.queue_depth')\n"
                     "    for probed in ('clean', 'BadOp'):\n"
                     "        OperatorProbe(registry, probed)\n"
                     "    monitor.add_rule('kg', 'kg.cache_rows.pushdown', 1.0, 2.0)\n"
@@ -382,26 +374,6 @@ class TestHygieneChecker:
         assert len(new) == 1
         assert "broad `except" in new[0].message
         assert new[0].line == 4  # the un-pragma'd handler, not the boundary one
-
-    def test_operator_process_override_fires(self, tmp_path):
-        root = write_project(
-            tmp_path,
-            {
-                "src/repro/streams/operators.py": OPERATOR_BASE,
-                "src/repro/streams/shady.py": (
-                    "from .operators import Operator\n"
-                    "class Shady(Operator):\n"
-                    "    def process(self, el):\n"
-                    "        return []\n"
-                    "    def on_record(self, r):\n"
-                    "        return []\n"
-                ),
-            },
-        )
-        result = run_analysis(root, checks=["hygiene"])
-        assert any(
-            "overrides process()" in f.message for f in new_findings_of(result, "hygiene")
-        )
 
     def test_pragma_with_multiline_reason_suppresses(self, tmp_path):
         root = write_project(

@@ -21,12 +21,12 @@ from repro.insitu import (
     QualityConfig,
     QualityReport,
     RegionIndex,
+    TrajectoryStatsState,
     clean_batch,
     clean_stream,
-    make_stats_operator,
     stats_for_fixes,
+    update_trajectory_stats,
 )
-from repro.streams import Record
 
 from tests.plants import CONFIGS, QUALITY, REPORT, chunks, planted_stream
 
@@ -105,9 +105,8 @@ class TestTrajectoryStats:
         assert states["v1"].speed.count >= 1
 
     def test_operator_annotates(self):
-        op = make_stats_operator()
-        out = op.process(Record(0.0, fix(0.0, 0.0, 40.0, speed=5.0), key="v1"))
-        assert "speed_stats" in out[0].value.annotations
+        out = update_trajectory_stats(TrajectoryStatsState(), fix(0.0, 0.0, 40.0, speed=5.0))
+        assert "speed_stats" in out.annotations
 
     def test_per_entity_isolation(self):
         fixes = [fix(0.0, 0, 40, eid="a", speed=1.0), fix(0.0, 0, 40, eid="b", speed=9.0)]

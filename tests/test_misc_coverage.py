@@ -5,33 +5,8 @@ import pytest
 
 from repro.geo import BBox, EquiGrid
 from repro.rdf import GraphTemplate, IRI, Literal, TriplePattern, fn, var
-from repro.streams import Peek, Pipeline, Record, Union, WatermarkAssigner, Watermark
 from repro.synopses import CriticalPoint, SynopsesGenerator
 from repro.geo import PositionFix
-
-
-class TestStreamsSmallOperators:
-    def test_peek_observes_without_change(self):
-        seen = []
-        op = Peek(lambda r: seen.append(r.value))
-        out = op.process(Record(0.0, "x"))
-        assert [r.value for r in out] == ["x"]
-        assert seen == ["x"]
-
-    def test_union_passthrough(self):
-        op = Union()
-        assert [r.value for r in op.process(Record(0.0, 1))] == [1]
-        assert op.process(Watermark(5.0)) == [Watermark(5.0)]
-
-    def test_watermark_assigner_validation(self):
-        with pytest.raises(ValueError):
-            WatermarkAssigner(out_of_orderness_s=-1.0)
-        with pytest.raises(ValueError):
-            WatermarkAssigner(period_s=0.0)
-
-    def test_pipeline_repr_lists_chain(self):
-        p = Pipeline([Union(), Peek(lambda r: None)], name="demo")
-        assert "union" in repr(p) and "peek" in repr(p)
 
 
 class TestTemplatesFn:

@@ -12,18 +12,10 @@ from repro.obs import (
     format_snapshot,
     instrument_broker,
     instrument_consumer,
-    instrument_operator,
     operator_rates,
 )
 from repro.obs.metrics import Histogram
-from repro.streams import (
-    Broker,
-    Map,
-    Record,
-    TumblingWindow,
-    Watermark,
-    count_aggregate,
-)
+from repro.streams import Broker, Record
 
 
 class TestCounter:
@@ -150,21 +142,14 @@ class TestRegistry:
 class TestOperatorInstrumentation:
     def test_probe_counts_and_latency(self):
         reg = MetricsRegistry()
-        op = instrument_operator(Map(lambda v: v * 2), reg, name="double")
-        out = op.process(Record(0.0, 21))
-        assert out[0].value == 42
-        assert reg.counter("op.double.records_in").value == 1
+        probe = OperatorProbe(reg, "double")
+        probe.observe(1, 0.25)
+        probe.observe(0, 0.5, n_in=3)
+        assert reg.counter("op.double.records_in").value == 4
         assert reg.counter("op.double.records_out").value == 1
-        assert reg.histogram("op.double.latency_s").count == 1
-
-    def test_queue_depth_gauge_tracks_window_buffer(self):
-        reg = MetricsRegistry()
-        w = instrument_operator(TumblingWindow(10.0, count_aggregate), reg, name="win")
-        w.process(Record(1.0, "a", "k"))
-        w.process(Record(2.0, "b", "k"))
-        assert reg.gauge("op.win.queue_depth").value() == 2.0
-        w.process(Watermark(10.0))
-        assert reg.gauge("op.win.queue_depth").value() == 0.0
+        assert reg.counter("op.double.batches").value == 2
+        assert reg.histogram("op.double.latency_s").count == 2
+        assert probe.rate_records_s() == pytest.approx(4 / 0.75)
 
     def test_operator_rates_view(self):
         reg = MetricsRegistry()
@@ -176,12 +161,6 @@ class TestOperatorInstrumentation:
         assert rates["stage"]["records_out"] == 3
         assert rates["stage"]["records_s"] == pytest.approx(2.0)
         assert rates["stage"]["p95_ms"] == pytest.approx(500.0)
-
-    def test_uninstrumented_operator_unchanged(self):
-        op = Map(lambda v: v)
-        assert op.probe is None
-        assert op.process(Record(0.0, 1))[0].value == 1
-        assert op.pending() == 0
 
 
 class TestBrokerInstrumentation:

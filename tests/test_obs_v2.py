@@ -4,6 +4,7 @@ export, scrape endpoint and batch-layer instrumentation."""
 import json
 import math
 import urllib.request
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import given, settings
@@ -22,17 +23,15 @@ from repro.obs import (
     MetricsServer,
     default_realtime_rules,
     format_snapshot,
-    instrument_operator,
     parse_openmetrics,
     render_openmetrics,
     sanitize_metric_name,
     watch_broker,
-    watch_window,
     write_json_snapshot,
     write_openmetrics,
 )
 from repro.obs.metrics import Histogram
-from repro.streams import Broker, Record, TumblingWindow, Watermark, count_aggregate
+from repro.streams import Broker, Record
 
 class TestEventLog:
     def test_emit_and_filter(self):
@@ -91,16 +90,6 @@ class TestEventLog:
         assert drops
         assert sum(e.tags["dropped"] for e in drops) == 3
         assert all(e.severity == "warn" for e in drops)
-
-    def test_watch_window_emits_late_records(self):
-        log = EventLog()
-        window = watch_window(TumblingWindow(10.0, count_aggregate), log, name="agg")
-        window.process(Record(1.0, "a", key="k"))
-        window.process(Watermark(20.0))
-        window.process(Record(2.0, "late", key="k"))   # behind the watermark
-        late = log.events(component="window:agg", kind="late_record")
-        assert len(late) == 1
-        assert late[0].t == 2.0 and late[0].tags["key"] == "k"
 
 
 class TestOpenMetrics:
@@ -271,10 +260,7 @@ class TestHealthMonitor:
     def test_default_rules_cover_the_figure2_modes(self):
         monitor = default_realtime_rules(HealthMonitor(MetricsRegistry()))
         metrics = {rule.metric for rule in monitor.rules()}
-        assert "broker.lag.*" in metrics
-        assert "op.*.queue_depth" in metrics
-        assert "op.*.watermark_lag_s" in metrics
-        assert "realtime.error_rate" in metrics
+        assert metrics == {"broker.lag.*", "realtime.error_rate"}
 
 
 class TestHistogramEmptyReservoir:
@@ -425,28 +411,6 @@ class TestTracerSampling:
         assert clean_out == report.clean_fixes <= len(fixes)
 
 
-class TestWatermarkLag:
-    def test_lag_grows_then_watermark_catches_up(self):
-        w = TumblingWindow(10.0, count_aggregate)
-        assert w.watermark_lag_s() == 0.0            # no data yet
-        w.process(Record(5.0, "a"))
-        w.process(Record(65.0, "b"))
-        assert w.watermark_lag_s() == 60.0           # span before any watermark
-        w.process(Watermark(60.0))
-        assert w.watermark_lag_s() == 5.0
-        w.process(Watermark(100.0))
-        assert w.watermark_lag_s() == 0.0            # never negative
-
-    def test_instrumented_window_exports_lag_and_late_gauges(self):
-        reg = MetricsRegistry()
-        w = instrument_operator(TumblingWindow(10.0, count_aggregate), reg, name="win")
-        w.process(Record(1.0, "a"))
-        w.process(Watermark(50.0))
-        w.process(Record(2.0, "late"))
-        assert reg.gauge("op.win.watermark_lag_s").value() == 0.0
-        assert reg.gauge("op.win.late_records").value() == 1.0
-
-
 class TestBatchInstrumentation:
     @pytest.fixture(scope="class")
     def system(self):
@@ -480,9 +444,19 @@ class TestBatchInstrumentation:
     def test_health_and_events_in_system_metrics(self, system):
         snap = system.system_metrics()
         assert snap["health"]["system"] in (OK, DEGRADED, FAILING)
-        assert set(snap["health"]["components"]) == {"broker", "clean", "streams"}
+        assert set(snap["health"]["components"]) == {"broker", "clean"}
         kinds = [e["kind"] for e in snap["events"]["recent"]]
         assert "run_started" in kinds and "run_finished" in kinds
+
+    def test_every_default_rule_watches_a_live_gauge(self, system):
+        """A rule whose glob matches no gauge of a real run can never fire."""
+        gauges = system.metrics.gauges()
+        dead = [
+            rule.metric
+            for rule in system.realtime.health.rules()
+            if not any(fnmatchcase(name, rule.metric) for name in gauges)
+        ]
+        assert dead == []
 
     def test_dashboard_frame_leads_with_health(self, system):
         frame = system.dashboard_frame(t=0.0)

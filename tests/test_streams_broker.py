@@ -1,11 +1,15 @@
-"""Tests for the in-process broker (Kafka surrogate)."""
+"""Tests for the in-process broker (Kafka surrogate) and the time merge."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.streams.broker import Broker, Consumer, Topic, _stable_hash
-from repro.streams.record import Record
+from repro.streams.record import Record, merge_by_time
+
+
+def recs(*pairs, key=None):
+    return [Record(t, v, key) for t, v in pairs]
 
 
 def key_for_partition(partitions: int, partition: int) -> str:
@@ -219,3 +223,36 @@ class TestBroker:
         b.create_topic("x")
         b.publish("x", Record(0.0, 1))
         assert b.topic("x").size() == 1
+
+
+class TestMergeByTime:
+    def test_merge_by_time(self):
+        s1 = recs((0.0, "a"), (10.0, "c"))
+        s2 = recs((5.0, "b"), (15.0, "d"))
+        merged = [r.value for r in merge_by_time(s1, s2)]
+        assert merged == ["a", "b", "c", "d"]
+
+    def test_merge_handles_empty(self):
+        assert list(merge_by_time([], recs((0.0, "a")))) == recs((0.0, "a"))
+
+
+class TestMergeByTimeStability:
+    def test_equal_timestamps_favor_lower_stream(self):
+        a = recs((1.0, "a1"), (2.0, "a2"))
+        b = recs((1.0, "b1"), (2.0, "b2"))
+        merged = [r.value for r in merge_by_time(a, b)]
+        assert merged == ["a1", "b1", "a2", "b2"]
+
+    def test_per_stream_order_preserved_within_ties(self):
+        a = recs((5.0, "a1"), (5.0, "a2"), (5.0, "a3"))
+        b = recs((5.0, "b1"), (5.0, "b2"))
+        merged = [r.value for r in merge_by_time(a, b)]
+        assert [v for v in merged if v.startswith("a")] == ["a1", "a2", "a3"]
+        assert [v for v in merged if v.startswith("b")] == ["b1", "b2"]
+
+    def test_unorderable_values_never_compared(self):
+        """The heap orders on (t, idx) alone: values with no __lt__ are fine
+        even on timestamp ties (the dead tiebreak counter is gone)."""
+        a = [Record(1.0, object()), Record(1.0, object())]
+        b = [Record(1.0, object())]
+        assert len(list(merge_by_time(a, b))) == 3
