@@ -37,7 +37,7 @@ KNOWN_ROOTS = frozenset(
     {
         "op", "kg", "cep", "batch", "broker", "realtime",
         "shard", "stage", "synopses", "linkdiscovery", "prediction",
-        "dashboard", "throughput", "e2e",
+        "dashboard", "throughput", "e2e", "ipc",
     }
 )
 

@@ -7,14 +7,18 @@ serialised once to ``bytes`` (so the worker protocol of
 else in the repo knows their layout.
 
 **Request — a struct-of-arrays fix batch** (:class:`FixBatch`). A poll's
-fixes share a handful of entity ids and sources and are otherwise seven
-floats each, so they ship as columns instead of pickled objects: the
-:class:`~repro.geo.FixColumns` of the poll — the layout the layer's own
-column kernels read, bit-exact for ``NaN``, ``-0.0``, ``±inf``, ``None``
-and the rare non-float value — plus what only the wire needs:
-
-* ``source`` dictionary-encoded like ``entity_id``;
-* ``annotations`` only for the fixes where the dict is non-empty.
+fixes share a handful of entity ids, sources and annotation dicts and are
+otherwise seven floats each, so they ship as columns instead of pickled
+objects: the :class:`~repro.geo.FixColumns` of the poll — the layout the
+layer's own column kernels read, bit-exact for ``NaN``, ``-0.0``,
+``±inf``, ``None`` and the rare non-float value — plus ``source`` and
+``annotations``, dictionary-encoded like ``entity_id``. Annotations are
+encoded by value when every key and value in the batch is a ``str``,
+``None`` and ``int`` *or* ``bool`` (types whose ``==`` never merges
+values that pickle apart, as ``1 == True`` and ``0.0 == -0.0`` do), else
+by dict object, so any dict round-trips. The worker rebuilds the fixes
+in one ``map(PositionFix, ...)`` pass, each owning a copy of its
+annotations, and its entity stages screen the columns as they came.
 
 **Reply — by reference** (:class:`ShardReply`). The raw and clean topics
 of a shard replica hold ``Record(fix.t, fix, fix.entity_id, stamp)``
@@ -45,7 +49,8 @@ run wall and the per-run delta harvest.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +61,10 @@ from ..streams import Record
 from .config import TOPIC_CLEAN, TOPIC_RAW
 from .realtime import RealtimeReport
 
+#: Annotation types a batch is dictionary-encoded by value under.
+_BY_VALUE = (frozenset({str, type(None), int}), frozenset({str, type(None), bool}))
+
+
 @dataclass(frozen=True, slots=True)
 class FixBatch:
     """Request frame: one shard's fixes of one poll, as columns."""
@@ -63,7 +72,8 @@ class FixBatch:
     columns: FixColumns
     sources: list[str]
     source_codes: np.ndarray            # int32[n] into sources
-    annotations: dict[int, dict]        # row -> non-empty annotations
+    annotations: list[dict]
+    annotation_codes: np.ndarray        # int32[n] into annotations
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,29 +91,35 @@ class ShardReply:
 
 def encode_request(fixes: list[PositionFix]) -> bytes:
     """Pack one shard's fixes of one poll into a request frame."""
+    annotations = [fix.annotations for fix in fixes]
+    keys = list(map(tuple, map(dict.items, annotations)))
+    kinds = set(map(type, chain.from_iterable(chain.from_iterable(keys))))
+    if not any(map(kinds.issubset, _BY_VALUE)):
+        keys = list(map(id, annotations))
     batch = FixBatch(
         FixColumns.of(fixes),
         *dictionary_encode([fix.source for fix in fixes]),
-        annotations={i: fix.annotations for i, fix in enumerate(fixes) if fix.annotations},
+        list(dict(zip(keys, annotations)).values()),
+        dictionary_encode(keys)[1],
     )
     return pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
 
 
-def decode_request(frame: bytes) -> list[PositionFix]:
-    """The fixes a request frame carries, equal field for field to the sender's."""
+def decode_request(frame: bytes) -> tuple[list[PositionFix], FixColumns]:
+    """The fixes a request frame carries, equal field for field to the
+    sender's, and their columns, equal to ``FixColumns.of`` of them."""
     batch: FixBatch = pickle.loads(frame)
-    sources = batch.sources
+    columns = batch.columns
     fixes = list(
         map(
             PositionFix,
-            batch.columns.keys(),
-            *map(batch.columns.values, range(len(FLOAT_FIELDS))),
-            [sources[code] for code in batch.source_codes.tolist()],
+            columns.keys(),
+            *map(columns.values, range(len(FLOAT_FIELDS))),
+            map(batch.sources.__getitem__, batch.source_codes.tolist()),
+            map(dict, map(batch.annotations.__getitem__, batch.annotation_codes.tolist())),
         )
     )
-    for i, annotations in batch.annotations.items():
-        fixes[i] = replace(fixes[i], annotations=annotations)
-    return fixes
+    return fixes, columns
 
 
 def encode_reply(

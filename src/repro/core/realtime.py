@@ -298,18 +298,21 @@ class EntityStages(Figure2Plane):
         self._wall_s = 0.0
         self.report = RealtimeReport()
 
-    def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
+    def run(self, fixes: Iterable[PositionFix], columns: FixColumns | None = None) -> RealtimeReport:
         """Push a bounded surveillance stream through the layer.
 
         Every stage's output for the poll is computed first and committed
         — published, counted, observed — at the end, so a run that raises
         publishes nothing and leaves every counter equal to its topic.
+        ``columns``, when the caller already holds ``FixColumns.of(fixes)``
+        (a pooled worker's decoded frame), are screened instead of built;
+        the poll's size decides either way whether the screens run.
         """
         report = self.report
         self.events.emit("info", "realtime", "run_started")
         wall_start = perf_counter()
         with self.tracer.span("run") as root:
-            self._commit(self._entity_stages(fixes, root))
+            self._commit(self._entity_stages(fixes, columns, root))
         self._wall_s += perf_counter() - wall_start
         self.metrics.gauge("realtime.wall_s").set(self._wall_s)
         self.events.emit(
@@ -319,7 +322,7 @@ class EntityStages(Figure2Plane):
         )
         return report
 
-    def _entity_stages(self, fixes: Iterable[PositionFix], root: Span) -> _Poll:
+    def _entity_stages(self, fixes: Iterable[PositionFix], columns: FixColumns | None, root: Span) -> _Poll:
         """The poll through each per-entity stage as one batch."""
         tracer = self.tracer
         stages: list[Span] = []
@@ -337,16 +340,17 @@ class EntityStages(Figure2Plane):
         raw: list[Record] = []
         clean: list[PositionFix] = []
         clean_records: list[Record] = []
-        columns: FixColumns | None = None
         if fixes:
-            # Ingest and online cleaning. The poll's columns are built here,
-            # once, for every stage to screen — unless the poll is too small
-            # to pay for them; a clean-topic record is the raw-topic record
-            # of a fix that passed.
+            # Ingest and online cleaning. The poll's columns are built here
+            # (unless the caller has them), once, for every stage to screen
+            # — or dropped if the poll is too small to pay for them; a
+            # clean-topic record is the raw-topic record of a fix that passed.
             span = tracer.start_span("clean", root, n_in=len(fixes))
             raw = [Record(fix.t, fix, fix.entity_id, stamp) for fix in fixes]
             n = len(fixes)
-            if n >= _COLUMNS_MIN_ROWS and n >= _COLUMNS_MIN_ROWS_PER_ENTITY * len({fix.entity_id for fix in fixes}):
+            if n < _COLUMNS_MIN_ROWS or n < _COLUMNS_MIN_ROWS_PER_ENTITY * len({fix.entity_id for fix in fixes}):
+                columns = None
+            elif columns is None:
                 columns = FixColumns.of(fixes)
             clean, rows = clean_batch(fixes, self.config.quality, quality, columns)
             if columns is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Iterator
 
-from ..geo import PositionFix
+from ..geo import FixColumns, PositionFix
 from ..obs import ObsHarvest, fold_harvests, harvest_obs
 from ..streams import (
     Consumer,
@@ -79,13 +79,13 @@ class _RealtimeReplica:
     prev_harvest: ObsHarvest | None = None
 
     def serve(
-        self, shard: int, fixes: list[PositionFix]
+        self, shard: int, fixes: list[PositionFix], columns: FixColumns | None = None
     ) -> tuple[RealtimeReport, dict[str, list[Record]], float, ObsHarvest]:
-        """Run one poll's fixes through the replica: its cumulative
-        report, the records this run added per topic, its cumulative run
-        wall, and its cumulative harvest."""
+        """Run one poll's fixes (and columns, if they came framed) through
+        the replica: its cumulative report, the records this run added per
+        topic, its cumulative run wall, and its cumulative harvest."""
         layer = self.layer
-        layer.run(fixes)
+        layer.run(fixes, columns)
         wall_s = layer.metrics.gauge("realtime.wall_s").value()
         current = harvest_obs(
             shard,
@@ -135,8 +135,14 @@ class _RealtimeShardSpec:
 
     def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> Any:
         framed = isinstance(request, bytes)
-        fixes = decode_request(request) if framed else request
-        report, topics, wall_s, current = replica.serve(shard, fixes)
+        fixes, columns = request, None
+        if framed:
+            # The worker's half of the codec, folded as shard.<i>.ipc.*
+            # next to the parent's half (ShardedRealtimeLayer._observe_ipc).
+            t0 = perf_counter()
+            fixes, columns = decode_request(request)
+            replica.layer.metrics.histogram("ipc.request_decode_s").observe(perf_counter() - t0)
+        report, topics, wall_s, current = replica.serve(shard, fixes, columns)
         reply: Any = (report, topics, wall_s, current.delta(replica.prev_harvest))
         if framed:
             reply = encode_reply(fixes, *reply)

@@ -28,6 +28,7 @@ from repro.core.realtime import EntityStages
 from repro.core.sharded import _RealtimeShardSpec
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.datasources import AISSimulator, fishing_vessel_stream
+from repro.geo import FixColumns
 from repro.streams import Record, ShardWorkerError, WorkerHost
 from repro.streams.workers import InlineHost
 from repro.synopses import SynopsesConfig, SynopsesGenerator
@@ -427,9 +428,15 @@ class TestWorkerPoolLayer:
             for leaf in ("req_bytes", "reply_bytes", "encode_s", "decode_s"):
                 hist = snapshot["histograms"][f"shard.{i}.ipc_{leaf}"]
                 assert hist["count"] == 3 and hist["min"] > 0
+            # The worker's half: request decode, folded from each replica.
+            assert snapshot["histograms"][f"shard.{i}.ipc.request_decode_s"]["count"] == 3
         families = parse_openmetrics(render_openmetrics(snapshot))
         samples = families["shard_ipc_req_bytes"]["samples"]
         assert samples['shard_ipc_req_bytes_count{shard="1"}'] == 3
+        # In process nothing crosses a pipe, so nothing is decoded.
+        in_process = ShardedRealtimeLayer(SystemConfig(n_shards=2))
+        in_process.run(fixes[:300])
+        assert not [name for name in in_process.metrics.snapshot()["histograms"] if "ipc" in name]
 
     def test_failed_request_leaves_every_other_shard_in_step(self, fixes):
         """Regression: gather used to raise at the first failing shard and
@@ -533,6 +540,31 @@ class TestShardFrames:
                 mine = {id(fix) for fix in poll}
                 assert all(id(r.value) in mine for r in got[name])
             assert got[TOPIC_SYNOPSES]
+
+    def test_worker_screens_the_frames_columns_and_rebuilds_no_fix(self, fixes, monkeypatch):
+        """A request large enough to screen is decoded in one pass: the
+        worker neither rebuilds columns from the decoded fixes nor copies
+        a fix to attach its annotations."""
+        import dataclasses
+
+        import repro.core.frames as frames
+
+        poll = fixes[:600]
+        assert len(poll) >= 2 * len({f.entity_id for f in poll})
+        spec = _RealtimeShardSpec(self.CFG)
+        replica, frame = spec.setup(0), encode_request(poll)
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(FixColumns, "of", counted("FixColumns.of", FixColumns.of))
+        replace_counted = counted("replace", dataclasses.replace)
+        monkeypatch.setattr(dataclasses, "replace", replace_counted)
+        monkeypatch.setattr(frames, "replace", replace_counted, raising=False)
+        reply, _ = decode_reply(spec.handle(0, replica, frame), poll)
+        assert reply.report.raw_fixes == len(poll)
+        assert calls == []
 
     def test_empty_request(self):
         [(got, want)] = self.serve([[]])

@@ -20,7 +20,7 @@ import struct
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +32,7 @@ from repro.core.frames import decode_reply, decode_request, encode_reply, encode
 from repro.core.realtime import RealtimeReport
 from repro.core.sharded import _RealtimeShardSpec
 from repro.datasources import AISSimulator
-from repro.geo import PositionFix
+from repro.geo import FixColumns, PositionFix
 from repro.linkdiscovery import Link
 from repro.obs import MetricsRegistry, fold_harvests, harvest_obs
 from repro.obs.harvest import HistogramSnapshot, MetricsSnapshot, ObsHarvest
@@ -591,9 +591,15 @@ class TestPickleBoundaryRoundTrip:
 
 def _exact(value):
     """A value that compares equal only bit for bit: floats by their
-    IEEE-754 bytes (NaN payloads, signed zeros), everything else with its type."""
+    IEEE-754 bytes (NaN payloads, signed zeros), containers item by item
+    in order, everything else with its type (``1``, ``True`` and ``1.0``
+    differ)."""
     if isinstance(value, float):
         return (type(value), struct.pack(">d", value))
+    if isinstance(value, dict):
+        return (type(value), [(_exact(k), _exact(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_exact(v) for v in value])
     return (type(value), value)
 
 
@@ -603,10 +609,33 @@ def _exact_fix(fix):
     )
 
 
+def _exact_columns(columns):
+    return (
+        columns.entity_ids,
+        columns.entity_codes.dtype,
+        columns.entity_codes.tolist(),
+        columns.columns.shape,
+        columns.columns.tobytes(),
+        columns.valid.tobytes(),
+        [(j, i, _exact(value)) for j, i, value in columns.odd],
+    )
+
+
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
 _kinematic = st.one_of(st.none(), _any_float, st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+# Values that compare equal but pickle differently (0, False, 0.0, -0.0),
+# unhashable ones and nested ones: the frame must keep every one apart.
+_annotation_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(0, 9), st.sampled_from([0.0, -0.0, 1.0, math.nan]),
+        st.sampled_from(["transit", "port"]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["k", "v"]), inner)),
+    max_leaves=4,
+)
 _annotations = st.one_of(
-    st.just({}), st.dictionaries(st.sampled_from(["regime", "gap_s"]), st.integers(0, 9), min_size=1)
+    st.just({}),
+    st.dictionaries(st.sampled_from(["regime", "gap_s", "path"]), _annotation_values, min_size=1),
 )
 _position_fixes = st.builds(
     PositionFix,
@@ -625,19 +654,35 @@ _position_fixes = st.builds(
 _stamps = st.floats(1.0e9, 2.0e9, allow_nan=False)
 
 
+def _annotated(values):
+    """Fixes of two entities, one ``{"regime": value}`` dict each."""
+    return [
+        PositionFix(f"vessel-{i % 2}", float(i), 1.0, 2.0, annotations={"regime": value})
+        for i, value in enumerate(values)
+    ]
+
+
 class TestShardFrameRoundTrip:
     """The compact frames of the pooled Figure-2 layer (repro.core.frames)
     and the positional pickles of the records that still travel by value."""
 
-    @given(fixes=st.lists(_position_fixes, max_size=12))
-    @example(fixes=[])
-    @example(fixes=[PositionFix("solo", 0.0, -0.0, math.nan, math.inf, None, -0.0, None)])
+    @given(fixes=st.lists(_position_fixes, max_size=12), share=st.booleans())
+    @example(fixes=[], share=False)
+    @example(fixes=[PositionFix("solo", 0.0, -0.0, math.nan, math.inf, None, -0.0, None)], share=False)
+    @example(fixes=_annotated([1, True, 1.0, 0, False, 0.0, -0.0, math.nan, math.nan, [0], [0]]), share=True)
+    @example(fixes=_annotated([1, True, 0, False, 1]), share=False)
+    @example(fixes=_annotated(["transit", "port", "transit", None, None]), share=True)
     @settings(max_examples=100, deadline=None)
-    def test_request_batches_round_trip_bit_equal(self, fixes):
-        decoded = decode_request(encode_request(fixes))
+    def test_request_batches_round_trip_bit_equal(self, fixes, share):
+        if share and fixes:
+            # One dict object behind two fixes.
+            fixes = [*fixes, replace(fixes[0], t=-1.0)]
+        decoded, columns = decode_request(encode_request(fixes))
         assert [_exact_fix(f) for f in decoded] == [_exact_fix(f) for f in fixes]
         # Every decoded fix owns its annotations dict, as constructed ones do.
         assert len({id(f.annotations) for f in decoded}) == len(decoded)
+        # The columns the worker screens are the ones it would have built.
+        assert _exact_columns(columns) == _exact_columns(FixColumns.of(decoded))
 
     @given(data=st.data(), fixes=st.lists(_position_fixes, max_size=10))
     @settings(max_examples=60, deadline=None)
@@ -649,7 +694,7 @@ class TestShardFrameRoundTrip:
         stamps = data.draw(st.lists(_stamps, min_size=n, max_size=n))
         raw_rows = data.draw(st.permutations(range(n)))
         clean_rows = [i for i in data.draw(st.permutations(range(n))) if data.draw(st.booleans())]
-        worker_fixes = decode_request(encode_request(fixes))
+        worker_fixes, _ = decode_request(encode_request(fixes))
 
         def records(rows, of):
             return [Record(of[i].t, of[i], of[i].entity_id, stamps[i]) for i in rows]
@@ -731,4 +776,4 @@ class TestShardFrameRoundTrip:
         clone = pickle.loads(pickle.dumps(record))
         assert clone.ingest_wall_s == stamp
         assert clone.value.detail == point.detail
-        assert clone.value.fix.annotations == fix.annotations
+        assert _exact(clone.value.fix.annotations) == _exact(fix.annotations)
