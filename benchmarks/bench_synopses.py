@@ -85,7 +85,7 @@ def test_throughput_realtime(maritime_runs, console, benchmark, emit_metrics):
     # per-fix processing latency, from a deterministic obs registry.
     sim = AISSimulator(n_vessels=8, seed=13, config=AISConfig(report_period_s=10.0))
     fixes = list(sim.fixes(0.0, 1200.0))
-    registry = MetricsRegistry(seed=13)
+    registry = MetricsRegistry()
     probe = OperatorProbe(registry, "synopses_generator")
     gen = SynopsesGenerator()
     for fix in fixes:

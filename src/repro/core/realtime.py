@@ -109,7 +109,7 @@ class Figure2Plane:
 
     def __init__(self, config: SystemConfig | None = None):
         self.config = config or SystemConfig()
-        self.metrics = MetricsRegistry(seed=self.config.seed)
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.events = EventLog(capacity=self.config.event_log_capacity)
         self.broker = Broker()

@@ -3,10 +3,10 @@
 The paper judges every datAcron component by throughput and latency
 numbers (Sections 4-5); this package is where the reproduction measures
 them. One :class:`MetricsRegistry` per system instance holds counters,
-gauges and deterministic reservoir histograms; the Figure-2 stages and
-the broker are wired in through :mod:`repro.obs.instrument`; and a
-:class:`Tracer` follows sampled records end to end through the
-Figure-2 real-time layer.
+gauges and log-bucket histograms that merge exactly across shards
+(:mod:`repro.obs.harvest`); the Figure-2 stages and the broker are wired
+in through :mod:`repro.obs.instrument`; and a :class:`Tracer` follows
+sampled records end to end through the Figure-2 real-time layer.
 """
 
 from .events import EventLog, JsonlSink, ObsEvent, SEVERITIES, watch_broker

@@ -4,7 +4,7 @@ The registry's numbers are only useful operationally if standard
 tooling can read them. This module renders any
 :class:`~repro.obs.metrics.MetricsRegistry` (or a plain snapshot dict)
 as OpenMetrics/Prometheus text exposition — counters as ``_total``
-samples, gauges as gauges, reservoir histograms as summaries with
+samples, gauges as gauges, log-bucket histograms as summaries with
 ``quantile`` labels — writes JSON snapshots, and serves both live over
 a stdlib ``http.server`` endpoint (``/metrics`` + ``/healthz``) so
 ``curl`` or a Prometheus scraper can watch a run without any dependency.
@@ -115,8 +115,7 @@ def render_openmetrics(
         else registry_or_snapshot
     )
     lines: list[str] = []
-    seen: set[str]
-    seen = set()
+    seen: set[str] = set()
     for family, shard, value in _family_rows(snap.get("counters", {})):
         om = sanitize_metric_name(family, prefix)
         if om not in seen:

@@ -17,11 +17,11 @@ Merge semantics, by metric kind:
   equals the sequential single-shard oracle's counters exactly;
 * **gauges** are levels, so each shard's value is kept under a
   ``shard.<i>.<name>`` family and one merged aggregate is computed per
-  rule (``sum`` for depths/sizes, ``max`` for walls and error rates,
-  ``last`` for free-running levels) — see :data:`DEFAULT_GAUGE_RULES`;
-* **histograms** merge exact count/sum/min/max and combine reservoirs
-  by deterministic weighted sampling
-  (:meth:`repro.obs.metrics.Histogram.absorb`);
+  rule (``max`` for walls and error rates, ``sum`` for everything else,
+  lags and sizes included) — see :data:`DEFAULT_GAUGE_RULES`;
+* **histograms** add: count, sum and the log-bucket counts add, min/max
+  take the extremes (:meth:`repro.obs.metrics.Histogram.absorb`), so a
+  fold of per-run deltas is the one-shot histogram, quantiles included;
 * **events** merge by wall timestamp, tagged with their origin shard;
 * **traces** are re-homed with fresh (shard-namespaced) trace ids and
   re-parented under one synthetic ``sharded.run`` root span.
@@ -58,16 +58,16 @@ _GAUGE_AGGREGATORS = ("sum", "max", "last")
 class HistogramSnapshot:
     """Picklable, mergeable summary of one histogram.
 
-    ``count``/``sum``/``min``/``max`` are exact; ``reservoir`` is the
-    uniform observation sample quantiles are read from.
+    ``count``/``sum``/``min``/``max`` are exact; ``buckets`` maps each
+    log-bucket key to its observation count (see
+    :class:`repro.obs.metrics.Histogram`).
     """
 
     count: int
     sum: float
     min: float
     max: float
-    reservoir: tuple[float, ...]
-    reservoir_size: int = 512
+    buckets: dict[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,8 +75,8 @@ class MetricsSnapshot:
     """A registry frozen to plain data, safe to pickle across processes.
 
     Callback-backed gauges are materialized to floats here — the live
-    closures they hold (operators, consumers, pipelines) must not cross
-    the process boundary.
+    closures they hold (topics, consumers) must not cross the process
+    boundary.
     """
 
     counters: dict[str, int]
@@ -90,14 +90,7 @@ def snapshot_registry(registry: MetricsRegistry) -> MetricsSnapshot:
         counters=registry.counters(),
         gauges=registry.gauges(),
         histograms={
-            name: HistogramSnapshot(
-                count=h.count,
-                sum=h.sum,
-                min=h.min,
-                max=h.max,
-                reservoir=h.samples(),
-                reservoir_size=h.reservoir_size,
-            )
+            name: HistogramSnapshot(h.count, h.sum, h.min, h.max, dict(h.buckets))
             for name, h in sorted(registry._histograms.items())
         },
     )
@@ -118,8 +111,8 @@ class ObsHarvest:
     spans: tuple[Span, ...] = ()
     wall_seconds: float = 0.0
     #: One-off replica construction cost (factory + instrumentation),
-    #: reported apart from ``wall_seconds`` so critical-path speedups
-    #: compare steady-state compute, not process startup.
+    #: reported apart from ``wall_seconds`` so run walls measure
+    #: steady-state compute, not process startup.
     setup_seconds: float = 0.0
 
     def delta(self, prev: "ObsHarvest | None") -> "ObsHarvest":
@@ -128,10 +121,9 @@ class ObsHarvest:
         ``prev=None``).
 
         Counters subtract exactly. Gauges are levels and stay current.
-        Histograms subtract count/sum exactly; min/max stay cumulative and
-        the reservoir is the current sample (quantiles over a delta are
-        therefore approximate — the exact fields are not). Events keep
-        only sequence numbers past ``prev``'s; spans are the append-only
+        Histograms subtract count, sum and bucket counts, keeping only the
+        buckets that grew; min/max stay cumulative. Events keep only
+        sequence numbers past ``prev``'s; spans are the append-only
         suffix; wall seconds subtract.
         """
         if prev is None:
@@ -150,13 +142,13 @@ class ObsHarvest:
             grown = cur.count - before.count
             if grown <= 0:
                 continue
+            old = before.buckets
             histograms[name] = HistogramSnapshot(
-                count=grown,
-                sum=cur.sum - before.sum,
-                min=cur.min,
-                max=cur.max,
-                reservoir=cur.reservoir,
-                reservoir_size=cur.reservoir_size,
+                grown,
+                cur.sum - before.sum,
+                cur.min,
+                cur.max,
+                {key: n - old.get(key, 0) for key, n in cur.buckets.items() if n > old.get(key, 0)},
             )
         last_seq = max((int(e["seq"]) for e in prev.events), default=-1)
         return ObsHarvest(
@@ -236,10 +228,8 @@ def fold_harvests(
         for name, snap in h.metrics.histograms.items():
             if snap.count <= 0:
                 continue
-            for target in (f"shard.{h.shard}.{name}", name):
-                registry.histogram(target, reservoir_size=snap.reservoir_size).absorb(
-                    snap.count, snap.sum, snap.min, snap.max, snap.reservoir
-                )
+            registry.histogram(f"shard.{h.shard}.{name}").absorb(snap)
+            registry.histogram(name).absorb(snap)
         for name, value in h.metrics.gauges.items():
             _set_gauge(registry, f"shard.{h.shard}.{name}", value)
             gauge_values.setdefault(name, []).append(value)

@@ -55,12 +55,6 @@ class OperatorProbe:
         self.batches.inc()
         self.latency.observe(seconds)
 
-    def rate_records_s(self) -> float:
-        """Records/s while processing (exact: count over exact latency sum)."""
-        if self.latency.sum <= 0.0:
-            return 0.0
-        return self.records_in.value / self.latency.sum
-
 
 def instrument_broker(broker: "Broker", registry: MetricsRegistry) -> None:
     """Register live gauges over every topic currently in the broker.

@@ -4,33 +4,53 @@ The paper evaluates every datAcron component by throughput and latency
 (entities/s in link discovery, records/s in the synopses generator,
 frame latency in the VA layer). This module is the single place those
 numbers come from in the reproduction: a :class:`MetricsRegistry` holds
-named counters, gauges and fixed-memory histograms, and every
-instrumented component (operators, pipelines, the broker, the
-integrated real-time layer) writes into one.
+named counters, gauges and log-bucket histograms, and every
+instrumented component (the Figure-2 stages, the broker, the KG store,
+CEP and the predictors) writes into one.
 
-Histograms keep a bounded uniform sample of observations (reservoir
-sampling, algorithm R) so that quantiles — the p50/p95/p99 latencies
-the paper quotes — cost O(reservoir) memory regardless of stream
-length. The reservoir RNG is seeded deterministically from the metric
-name, so snapshots are reproducible run to run.
+Histograms count observations in fixed logarithmic buckets with
+relative accuracy (DDSketch, Masson et al., VLDB 2019): every quantile —
+the p50/p95/p99 latencies the paper quotes — is within
+:data:`RELATIVE_ACCURACY` of the true nearest-rank value, memory grows
+with the logarithm of the value range, not with stream length, and two
+histograms merge exactly by adding bucket counts. There is no sampling,
+so snapshots are reproducible run to run by construction.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
+
+if TYPE_CHECKING:
+    from .harvest import HistogramSnapshot
+
+#: The relative error bound α of every histogram quantile (outside the
+#: zero bucket). One layout for every histogram, so any two merge.
+RELATIVE_ACCURACY = 0.01
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Magnitudes below one nanosecond share the zero bucket (key 0).
+ZERO_BELOW = 1e-9
+#: Shifts bucket indices so every magnitude >= ZERO_BELOW gets a key >= 1.
+_OFFSET = 1 - math.ceil(math.log(ZERO_BELOW) / _LOG_GAMMA)
 
 
-def _fnv1a(text: str) -> int:
-    """Deterministic 32-bit string hash (Python's builtin hash is salted)."""
-    h = 2166136261
-    for ch in text.encode("utf-8"):
-        h = (h ^ ch) * 16777619 % (1 << 32)
-    return h
+def _bucket_value(key: int) -> float:
+    """The representative value of a bucket: within α of all it holds.
+
+    Bucket ``i`` holds magnitudes in ``(γ^(i-1), γ^i]``;
+    ``(1+α)·γ^(i-1) = (1-α)·γ^i`` is at relative distance α from both
+    ends. ``γ^(i-1)`` is below the bucket's values, so unlike ``γ^i`` the
+    power cannot raise ``OverflowError`` near the largest float.
+    """
+    if key == 0:
+        return 0.0
+    rep = (1.0 + RELATIVE_ACCURACY) * _GAMMA ** (abs(key) - _OFFSET - 1)
+    return rep if key > 0 else -rep
 
 
 @dataclass(slots=True)
@@ -78,19 +98,19 @@ class Gauge:
 
 
 class Histogram:
-    """A streaming distribution summary with bounded memory.
+    """A streaming distribution summary in fixed log buckets.
 
-    Tracks exact count/sum/min/max and an unbiased uniform sample of the
-    observations (reservoir sampling) from which quantiles are read.
+    Tracks exact count/sum/min/max and ``buckets``, a ``{bucket key:
+    count}`` map of every observation, from which quantiles are read.
+    The key of ``v`` is ``±(ceil(log|v| / log γ) + offset)``, signed like
+    ``v``, or 0 in the zero bucket. Keys sort in value order — negatives
+    (larger magnitude first), the zero bucket, then positives — so a walk
+    over sorted keys is a walk over the sorted observations.
     """
 
-    def __init__(self, name: str, reservoir_size: int = 512, seed: int | None = None):
-        if reservoir_size < 1:
-            raise ValueError("reservoir must hold at least one sample")
+    def __init__(self, name: str):
         self.name = name
-        self.reservoir_size = reservoir_size
-        self._rng = random.Random(_fnv1a(name) if seed is None else seed)
-        self._reservoir: list[float] = []
+        self.buckets: dict[int, int] = {}
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -103,80 +123,63 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(value)
+        if value >= ZERO_BELOW:
+            key = math.ceil(math.log(value) / _LOG_GAMMA) + _OFFSET
+        elif value <= -ZERO_BELOW:
+            key = -math.ceil(math.log(-value) / _LOG_GAMMA) - _OFFSET
         else:
-            # Algorithm R: keep each of the n observations with prob k/n.
-            j = self._rng.randrange(self.count)
-            if j < self.reservoir_size:
-                self._reservoir[j] = value
+            key = 0
+        self.buckets[key] = self.buckets.get(key, 0) + 1
 
-    def samples(self) -> tuple[float, ...]:
-        """The current reservoir contents (a uniform sample of observations)."""
-        return tuple(self._reservoir)
+    def absorb(self, snap: "HistogramSnapshot") -> None:
+        """Add another histogram's summary (or a delta of one) into this one.
 
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        reservoir: tuple[float, ...] | list[float],
-    ) -> None:
-        """Merge another histogram's summary into this one.
-
-        The exact fields combine exactly — counts and sums add, min/max
-        take the extremes — so merged count/sum/min/max carry no sampling
-        error. The reservoirs combine by deterministic weighted sampling:
-        each side keeps a share of the merged reservoir proportional to
-        its observation count (largest-remainder allocation), drawn
-        without replacement with this histogram's seeded RNG, so a merge
-        of the same summaries is byte-identical run to run.
+        Counts, sums and bucket counts add; min/max take the extremes. All
+        but the float sum are exact, so folding per-run deltas gives the
+        same histogram as one harvest of the whole run.
         """
-        if count < 0:
+        if snap.count < 0:
             raise ValueError("cannot absorb a negative observation count")
-        if count == 0:
-            return
-        self._reservoir = merge_reservoirs(
-            [(self.count, self._reservoir), (count, list(reservoir))],
-            self.reservoir_size,
-            self._rng,
-        )
-        self.count += count
-        self.sum += total
-        if minimum < self.min:
-            self.min = minimum
-        if maximum > self.max:
-            self.max = maximum
+        self.count += snap.count
+        self.sum += snap.sum
+        if snap.min < self.min:
+            self.min = snap.min
+        if snap.max > self.max:
+            self.max = snap.max
+        for key, n in snap.buckets.items():
+            self.buckets[key] = self.buckets.get(key, 0) + n
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank quantile over the reservoir (exact while unsaturated).
+        """Nearest-rank quantile, ``min(n-1, int(q*n))``, over the buckets.
 
-        An empty histogram has no quantiles: returns ``nan``, which is
-        distinguishable from a true zero-latency observation (``0.0``
-        here used to make "never ran" and "instant" identical).
+        Returns the rank's bucket value clamped into [min, max]: within
+        :data:`RELATIVE_ACCURACY` of the true value outside the zero
+        bucket, and exact at the lowest and highest rank. An empty
+        histogram has no quantiles: returns ``nan``, which is
+        distinguishable from a true zero-latency observation.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        if not self._reservoir:
+        if not self.count:
             return math.nan
-        ordered = sorted(self._reservoir)
-        rank = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[rank]
+        rank = min(self.count - 1, int(q * self.count))
+        if rank == 0:
+            return self.min
+        if rank == self.count - 1:
+            return self.max
+        seen = 0
+        for key in sorted(self.buckets):
+            seen += self.buckets[key]
+            if seen > rank:
+                break
+        return min(self.max, max(self.min, _bucket_value(key)))
 
     def quantiles(self, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> dict[str, float]:
-        ordered = sorted(self._reservoir)
-        out = {}
-        for q in qs:
-            if not ordered:
-                out[f"p{int(q * 100)}"] = math.nan
-            else:
-                out[f"p{int(q * 100)}"] = ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-        return out
+        return {f"p{int(q * 100)}": self.quantile(q) for q in qs}
 
     def snapshot(self) -> dict[str, float]:
         return {
@@ -189,46 +192,6 @@ class Histogram:
         }
 
 
-def merge_reservoirs(
-    parts: list[tuple[int, list[float]]], k: int, rng: random.Random
-) -> list[float]:
-    """Deterministic weighted merge of reservoir samples.
-
-    ``parts`` pairs each source's true observation count with its sampled
-    reservoir. When everything fits in ``k`` slots the merge is lossless;
-    otherwise each part gets a share of the merged reservoir proportional
-    to its observation count (largest-remainder rounding, ties broken by
-    part order) and contributes that many samples drawn without
-    replacement via ``rng.sample``. With a seeded RNG and a fixed part
-    order the result is fully deterministic.
-    """
-    pools = [(c, list(r)) for c, r in parts if c > 0 and r]
-    if not pools:
-        return []
-    if sum(len(r) for _, r in pools) <= k:
-        return [x for _, r in pools for x in r]
-    total = sum(c for c, _ in pools)
-    shares = [k * c / total for c, _ in pools]
-    quotas = [min(int(s), len(r)) for s, (_, r) in zip(shares, pools)]
-    while sum(quotas) < k:
-        # Hand remaining slots to the pool with the largest unmet share
-        # that still has samples left; ties break on part order.
-        best, best_unmet = -1, -1.0
-        for i, (s, (_, r)) in enumerate(zip(shares, pools)):
-            if quotas[i] >= len(r):
-                continue
-            unmet = s - quotas[i]
-            if unmet > best_unmet:
-                best, best_unmet = i, unmet
-        if best < 0:
-            break
-        quotas[best] += 1
-    merged: list[float] = []
-    for q, (_, r) in zip(quotas, pools):
-        merged.extend(r if q >= len(r) else rng.sample(r, q))
-    return merged
-
-
 class MetricsRegistry:
     """The named home of every metric in one system instance.
 
@@ -237,13 +200,9 @@ class MetricsRegistry:
         registry.counter("stage.clean.records").inc()
         with registry.time("op.synopses.latency_s"):
             ...
-
-    ``seed`` makes every histogram's reservoir deterministic, so two runs
-    over the same stream produce byte-identical snapshots.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -271,12 +230,10 @@ class MetricsRegistry:
             g._fn = fn  # re-binding a callback gauge replaces its source
         return g
 
-    def histogram(self, name: str, reservoir_size: int = 512) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(
-                name, reservoir_size=reservoir_size, seed=self.seed ^ _fnv1a(name)
-            )
+            h = self._histograms[name] = Histogram(name)
         return h
 
     @contextmanager

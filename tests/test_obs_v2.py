@@ -94,7 +94,7 @@ class TestEventLog:
 
 class TestOpenMetrics:
     def make_registry(self):
-        reg = MetricsRegistry(seed=5)
+        reg = MetricsRegistry()
         reg.counter("stage.raw.records").inc(12)
         reg.gauge("broker.lag.raw.g1").set(3.0)
         hist = reg.histogram("op.clean.latency_s")
@@ -264,24 +264,24 @@ class TestHealthMonitor:
 
 
 class TestHistogramEmptyReservoir:
-    """Satellite: empty-reservoir statistics are NaN, not a fake 0.0."""
+    """An empty histogram's statistics are NaN, not a fake 0.0."""
 
     def test_quantiles_nan_when_empty(self):
-        h = Histogram("h", seed=0)
+        h = Histogram("h")
         assert math.isnan(h.quantile(0.5))
         assert all(math.isnan(v) for v in h.quantiles().values())
         assert math.isnan(h.mean)
 
     def test_snapshot_nan_min_max_when_empty(self):
-        snap = Histogram("h", seed=0).snapshot()
+        snap = Histogram("h").snapshot()
         assert snap["count"] == 0
         assert math.isnan(snap["min"]) and math.isnan(snap["max"])
 
     def test_distinguishable_from_true_zero(self):
-        zero = Histogram("h", seed=0)
+        zero = Histogram("h")
         zero.observe(0.0)
         assert zero.quantile(0.5) == 0.0            # a real observed zero
-        assert math.isnan(Histogram("h", seed=0).quantile(0.5))
+        assert math.isnan(Histogram("h").quantile(0.5))
 
     def test_format_snapshot_renders_dash(self):
         reg = MetricsRegistry()

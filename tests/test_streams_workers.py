@@ -207,9 +207,11 @@ def test_per_run_delta_folds_equal_the_one_shot_harvest(worker_pool):
     """A replica replies with one delta harvest per run, whichever host
     serves it; over >= 3 runs, what the layer folds under ``shard.<i>.*``
     must be exactly what one harvest of the finished replicas reports.
-    Histogram *counts* only: the observed values are wall timings of two
-    executions (exact count/sum/min/max delta semantics are pinned over
-    controlled observations in ``test_obs_harvest.py``)."""
+    In-process the folded histograms are compared with one harvest of the
+    *same* replicas, in full: buckets, count, min/max and quantiles
+    exactly, the float sum to rounding. Worker replicas are not reachable
+    from the parent, so pooled folds are compared with a second,
+    in-process execution, whose wall timings differ: counts only."""
     fixes = list(AISSimulator(n_vessels=6, seed=5).fixes(600.0))
     size = (len(fixes) + 3) // 4
 
@@ -220,8 +222,9 @@ def test_per_run_delta_folds_equal_the_one_shot_harvest(worker_pool):
                 layer.run(fixes[start: start + size])
         return layer
 
-    folded = run_chunked(worker_pool).metrics
-    finished = run_chunked(worker_pool=False)  # live replicas to harvest once
+    layer = run_chunked(worker_pool)
+    folded = layer.metrics
+    finished = run_chunked(worker_pool=False) if worker_pool else layer
     one_shot = MetricsRegistry()
     fold_harvests(one_shot, [
         harvest_obs(shard, stages.metrics) for shard, stages in enumerate(finished.shards)
@@ -230,8 +233,15 @@ def test_per_run_delta_folds_equal_the_one_shot_harvest(worker_pool):
     assert sharded["shard.0.stage.raw.records"] + sharded["shard.1.stage.raw.records"] == len(fixes)
     assert folded.counters("shard.") == sharded
     for name, expected in one_shot._histograms.items():
-        if name.startswith("shard."):
-            assert folded._histograms[name].count == expected.count, name
+        if not name.startswith("shard."):
+            continue
+        got = folded._histograms[name]
+        assert got.count == expected.count, name
+        if not worker_pool:
+            assert got.buckets == expected.buckets, name
+            assert (got.min, got.max) == (expected.min, expected.max), name
+            assert got.quantiles() == expected.quantiles(), name
+            assert got.sum == pytest.approx(expected.sum, rel=1e-12), name
 
 
 class TestRequestTimeout:
@@ -513,13 +523,12 @@ _finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 @st.composite
 def _histogram_snapshots(draw):
-    reservoir = tuple(draw(st.lists(_finite, max_size=8)))
     return HistogramSnapshot(
         count=draw(st.integers(min_value=0, max_value=10**6)),
         sum=draw(_finite),
         min=draw(_finite),
         max=draw(_finite),
-        reservoir=reservoir,
+        buckets=draw(st.dictionaries(st.integers(-3_000, 3_000), st.integers(1, 10**6), max_size=8)),
     )
 
 
