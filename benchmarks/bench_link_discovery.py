@@ -80,8 +80,9 @@ def region_results(workload):
     regions, _, points = workload
     with_masks = RegionLinkDiscoverer(regions, DEFAULT_BBOX, cell_deg=0.5, use_masks=True, mask_resolution=32)
     without_masks = RegionLinkDiscoverer(regions, DEFAULT_BBOX, cell_deg=0.5, use_masks=False)
-    # E4 is the per-fix path EntityStages runs through links_for; on the
-    # batched default mask pruning buys nothing.
+    # E4 times the per-point links_for loop, the path the paper
+    # describes. EntityStages runs links_many, the same masks and
+    # refinement screened as one batch.
     return per_fix_discover(with_masks, points), per_fix_discover(without_masks, points)
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, fields
 from time import perf_counter, time as wall_clock
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..cep import (
     SimpleEvent,
     TURN_ALPHABET,
@@ -193,8 +195,7 @@ class GlobalStages:
         for cp in points:
             self.dashboard.ingest_critical_point(cp)
         t0 = perf_counter()
-        process = self.proximity.process
-        found = [process(cp.fix) for cp in points]
+        found = self.proximity.process_many([cp.fix for cp in points])
         n_links = sum(map(len, found))
         self._probes["proximity"].observe(n_links, perf_counter() - t0, n_in=len(points))
         self.totals.links += n_links
@@ -372,22 +373,19 @@ class EntityStages(Figure2Plane):
         done(span, len(points))
         links: list[list[Record]] = []
         if points:
-            # Weather enrichment, then region and port links.
+            # Weather enrichment, then region and port links: one batch
+            # call each over the points' coordinates.
             span = tracer.start_span("link_discovery", root, n_in=len(points))
-            sample = self.weather.sample
-            region_links, port_links = self.region_links.links_for, self.port_links.links_for
-            for cp in points:
-                fix = cp.fix
-                weather = sample(fix.lon, fix.lat, fix.t)
-                cp.detail["weather"] = {
-                    "wind_u_ms": weather.wind_u_ms,
-                    "wind_v_ms": weather.wind_v_ms,
-                    "wave_m": weather.wave_height_m,
-                }
-                links.append([
-                    Record(link.t, link, link.source_id, stamp)
-                    for link in region_links(fix)[0] + port_links(fix)[0]
-                ])
+            point_fixes = [cp.fix for cp in points]
+            lons, lats, ts = np.array([(fix.lon, fix.lat, fix.t) for fix in point_fixes], dtype=np.float64).T
+            for cp, u, v, wave in zip(points, *self.weather.wind_wave_batch(lons, lats, ts)):
+                cp.detail["weather"] = {"wind_u_ms": u, "wind_v_ms": v, "wave_m": wave}
+            region_links, _ = self.region_links.links_many(point_fixes, lons, lats)
+            port_links, _ = self.port_links.links_many(point_fixes, lons, lats)
+            links = [
+                [Record(link.t, link, link.source_id, stamp) for link in region + port]
+                for region, port in zip(region_links, port_links)
+            ]
             done(span, sum(map(len, links)))
         return _Poll(raw, clean_records, synopses, links, quality, area_events, stages)
 

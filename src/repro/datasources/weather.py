@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from ..geo import BBox
 
 from .regions import DEFAULT_BBOX
@@ -62,11 +64,13 @@ class WeatherField:
             self._modes[var] = modes
         self.wind_scale_ms = wind_scale_ms
 
-    def _field(self, var: str, lon: float, lat: float, t: float) -> float:
-        """Raw field value in [-1, 1]-ish units."""
+    def _field(self, var: str, lon, lat, t, sin=math.sin):
+        """Raw field value in [-1, 1]-ish units: on floats with ``math.sin``,
+        elementwise on float64 arrays with ``np.sin``, in the same
+        operation order either way."""
         total, norm = 0.0, 0.0
         for kx, ky, phase, period_s, amp in self._modes[var]:
-            total += amp * math.sin(kx * lon + ky * lat + 2.0 * math.pi * t / period_s + phase)
+            total += amp * sin(kx * lon + ky * lat + 2.0 * math.pi * t / period_s + phase)
             norm += amp
         return total / norm if norm else 0.0
 
@@ -78,6 +82,15 @@ class WeatherField:
         wave = max(0.0, 1.8 + self._field("wave", lon, lat, t) * 1.8)
         temp = 16.0 + self._field("temp", lon, lat, t) * 10.0
         return WeatherSample(u, v, max(0.2, vis), wave, temp)
+
+    def wind_wave_batch(self, lons: np.ndarray, lats: np.ndarray, ts: np.ndarray) -> tuple[list[float], ...]:
+        """``sample()``'s ``wind_u_ms``, ``wind_v_ms`` and ``wave_height_m``
+        at every (lon, lat, t) of three float64 arrays, as float lists —
+        equal to the per-point values wherever ``np.sin`` is ``math.sin``."""
+        u = self._field("wind_u", lons, lats, ts, np.sin) * self.wind_scale_ms
+        v = self._field("wind_v", lons, lats, ts, np.sin) * self.wind_scale_ms
+        wave = 1.8 + self._field("wave", lons, lats, ts, np.sin) * 1.8
+        return u.tolist(), v.tolist(), np.where(wave > 0.0, wave, 0.0).tolist()
 
     def wind_at(self, lon: float, lat: float, t: float) -> tuple[float, float]:
         """Just the wind vector (u, v) in m/s."""

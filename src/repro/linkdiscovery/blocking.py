@@ -53,10 +53,7 @@ class RegionBlocks:
 
     def candidates(self, lon: float, lat: float) -> list[Region]:
         """The regions blocked with the point's cell."""
-        ids = self._cell_to_regions.get(self.grid.cell_id(lon, lat), [])
-        self.stats.lookups += 1
-        self.stats.candidates += len(ids)
-        return [self.regions[i] for i in ids]
+        return [self.regions[i] for i in self.candidate_indices(lon, lat)]
 
     def candidate_indices(self, lon: float, lat: float) -> list[int]:
         """Indices (into the region list) of the candidates for a point."""
@@ -84,11 +81,12 @@ class PortBlocks:
                 self._cell_to_ports.setdefault(cell_id, []).append(idx)
         self.stats = BlockingStats()
 
-    def candidates(self, lon: float, lat: float) -> list[Port]:
+    def candidate_indices(self, lon: float, lat: float) -> list[int]:
+        """Indices (into the port list) of the candidates for a point."""
         ids = self._cell_to_ports.get(self.grid.cell_id(lon, lat), [])
         self.stats.lookups += 1
         self.stats.candidates += len(ids)
-        return [self.ports[i] for i in ids]
+        return ids
 
 
 def default_grid(bbox: BBox, cell_deg: float = 0.25) -> EquiGrid:

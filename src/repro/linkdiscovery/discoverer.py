@@ -56,6 +56,23 @@ class _DiscoveryCounters:
         self.links = registry.counter(f"linkdiscovery.{name}.links")
         self.mask_pruned = registry.counter(f"linkdiscovery.{name}.mask_pruned")
 
+    def count(self, entities: int, candidates: int, links: int, mask_pruned: int = 0) -> None:
+        """Add one batch's totals."""
+        self.entities.inc(entities)
+        self.mask_pruned.inc(mask_pruned)
+        self.candidates.inc(candidates)
+        self.links.inc(links)
+
+
+def _discover(discoverer, fixes: Iterable[PositionFix]) -> tuple[list[Link], int, float, int]:
+    """``links_many`` over a bounded batch, flattened and timed:
+    (links, entities, wall seconds, refinements)."""
+    start = time.perf_counter()
+    fixes = list(fixes)
+    found, refinements = discoverer.links_many(fixes, [f.lon for f in fixes], [f.lat for f in fixes])
+    links = [link for links in found for link in links]
+    return links, len(fixes), time.perf_counter() - start, refinements
+
 
 class RegionLinkDiscoverer:
     """within/nearTo discovery between moving points and stationary regions."""
@@ -83,6 +100,19 @@ class RegionLinkDiscoverer:
         )
         self._counters = _DiscoveryCounters(registry, metrics_name) if registry is not None else None
 
+    def _refine(self, fix: PositionFix, candidates: list[int]) -> list[Link]:
+        """The per-fix predicates against each candidate region, in order."""
+        links: list[Link] = []
+        for idx in candidates:
+            region = self.blocks.regions[idx]
+            if point_within_region(fix, region):
+                links.append(Link(fix.entity_id, region.region_id, WITHIN, fix.t, 0.0))
+            elif self.near_threshold_m > 0.0:
+                near, d = point_near_region(fix, region, self.near_threshold_m)
+                if near:
+                    links.append(Link(fix.entity_id, region.region_id, NEAR_TO, fix.t, d))
+        return links
+
     def links_for(self, fix: PositionFix) -> tuple[list[Link], int]:
         """Links of one point; returns (links, refinement_count)."""
         counters = self._counters
@@ -92,110 +122,55 @@ class RegionLinkDiscoverer:
             if counters is not None:
                 counters.mask_pruned.inc()
             return [], 0
-        links: list[Link] = []
-        refinements = 0
-        for region in self.blocks.candidates(fix.lon, fix.lat):
-            refinements += 1
-            if point_within_region(fix, region):
-                links.append(Link(fix.entity_id, region.region_id, WITHIN, fix.t, 0.0))
-            elif self.near_threshold_m > 0.0:
-                near, d = point_near_region(fix, region, self.near_threshold_m)
-                if near:
-                    links.append(Link(fix.entity_id, region.region_id, NEAR_TO, fix.t, d))
+        candidates = self.blocks.candidate_indices(fix.lon, fix.lat)
+        links = self._refine(fix, candidates)
         if counters is not None:
-            counters.candidates.inc(refinements)
+            counters.candidates.inc(len(candidates))
             if links:
                 counters.links.inc(len(links))
-        return links, refinements
+        return links, len(candidates)
+
+    def links_many(self, fixes: Sequence[PositionFix], lons, lats) -> tuple[list[list[Link]], int]:
+        """:meth:`links_for` of every fix, screened as one batch; ``lons`` /
+        ``lats`` are the fixes' coordinates. Returns (links per fix,
+        refinement_count).
+
+        ``in_mask_batch`` and ``cell_ids_batch`` screen the batch (both
+        bit-for-bit twins of their scalar methods); every fix left with
+        candidates is refined by :meth:`_refine`, so the links, their order
+        and distances, ``blocks.stats``, ``masks.stats`` and the counters
+        equal a ``links_for`` loop's.
+        """
+        lons, lats = kernels.as_lonlat(lons, lats)
+        n = len(fixes)
+        rows = np.arange(n) if self.masks is None else np.flatnonzero(~self.masks.in_mask_batch(lons, lats))
+        cell_map = self.blocks._cell_to_regions
+        found: list[list[Link]] = [[] for _ in range(n)]
+        refinements = n_links = 0
+        for i, cell_id in zip(rows.tolist(), self.grid.cell_ids_batch(lons[rows], lats[rows]).tolist()):
+            candidates = cell_map.get(cell_id)
+            if candidates:
+                refinements += len(candidates)
+                found[i] = links = self._refine(fixes[i], candidates)
+                n_links += len(links)
+        self.blocks.stats.lookups += len(rows)
+        self.blocks.stats.candidates += refinements
+        if self._counters is not None:
+            self._counters.count(n, refinements, n_links, mask_pruned=n - len(rows))
+        return found, refinements
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """Run over a bounded point batch, measuring throughput.
-
-        Mask-prunes the whole batch in one shot, then groups survivors by
-        cell and refines each candidate region with the batched
-        point-in-polygon / boundary-distance kernels. A loop over
-        :meth:`links_for` (the per-point API the real-time layer runs)
-        produces the same link set, prune verdicts and counter deltas;
-        the batch's link ordering groups by region.
+        """:meth:`links_many` over a bounded point batch, flattened, measuring
+        throughput.
 
         ``mask_pruned`` reports this run's prunes only: the mask stats
         are snapshotted at entry, so consecutive ``discover()`` calls on
         one discoverer no longer inflate each other's counts.
         """
         pruned_before = self.masks.stats.pruned if self.masks is not None else 0
-        start = time.perf_counter()
-        links, n, refinements = self._discover_batch(list(fixes))
-        elapsed = time.perf_counter() - start
+        links, n, elapsed, refinements = _discover(self, fixes)
         pruned = self.masks.stats.pruned - pruned_before if self.masks is not None else 0
         return DiscoveryResult(links, n, elapsed, refinements, mask_pruned=pruned)
-
-    def _discover_batch(self, fixes: list[PositionFix]) -> tuple[list[Link], int, int]:
-        """One-shot mask pruning + per-cell grouped refinement over a fix batch."""
-        n = len(fixes)
-        counters = self._counters
-        if counters is not None:
-            counters.entities.inc(n)
-        if n == 0:
-            return [], 0, 0
-        lons = np.fromiter((f.lon for f in fixes), dtype=np.float64, count=n)
-        lats = np.fromiter((f.lat for f in fixes), dtype=np.float64, count=n)
-        if self.masks is not None:
-            free = self.masks.in_mask_batch(lons, lats)
-            if counters is not None:
-                counters.mask_pruned.inc(int(free.sum()))
-            survivors = np.flatnonzero(~free)
-        else:
-            survivors = np.arange(n)
-        links: list[Link] = []
-        refinements = 0
-        if survivors.size == 0:
-            return links, n, 0
-        cell_ids = self.grid.cell_ids_batch(lons[survivors], lats[survivors])
-        # Group survivors into per-cell runs via a stable sort on cell id.
-        order = np.argsort(cell_ids, kind="stable")
-        sorted_cells = cell_ids[order]
-        run_starts = np.flatnonzero(np.r_[True, sorted_cells[1:] != sorted_cells[:-1]])
-        run_ends = np.r_[run_starts[1:], sorted_cells.size]
-        # links_for semantics: one candidates() lookup per surviving fix.
-        self.blocks.stats.lookups += int(survivors.size)
-        cell_map = self.blocks._cell_to_regions
-        near = self.near_threshold_m
-        # Regroup the (cell, region) candidate pairs by region so each
-        # polygon refines all its candidates in ONE kernel call — the
-        # per-cell member runs are tiny, the per-region unions are not.
-        region_members: dict[int, list[np.ndarray]] = {}
-        for a, b in zip(run_starts.tolist(), run_ends.tolist()):
-            region_idxs = cell_map.get(int(sorted_cells[a]), [])
-            count = b - a
-            self.blocks.stats.candidates += len(region_idxs) * count
-            if not region_idxs:
-                continue
-            pairs = len(region_idxs) * count
-            refinements += pairs
-            if counters is not None:
-                counters.candidates.inc(pairs)
-            members = survivors[order[a:b]]
-            for ridx in region_idxs:
-                region_members.setdefault(ridx, []).append(members)
-        for ridx, chunks in region_members.items():
-            members = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            g_lons = lons[members]
-            g_lats = lats[members]
-            region = self.blocks.regions[ridx]
-            within = region.polygon.contains_exact_batch(g_lons, g_lats)
-            for i in np.flatnonzero(within).tolist():
-                f = fixes[int(members[i])]
-                links.append(Link(f.entity_id, region.region_id, WITHIN, f.t, 0.0))
-            if near > 0.0:
-                outside = np.flatnonzero(~within)
-                if outside.size:
-                    d = region.polygon.distance_to_point_m_batch(g_lons[outside], g_lats[outside])
-                    for i in np.flatnonzero(d <= near).tolist():
-                        f = fixes[int(members[int(outside[i])])]
-                        links.append(Link(f.entity_id, region.region_id, NEAR_TO, f.t, float(d[i])))
-        if counters is not None and links:
-            counters.links.inc(len(links))
-        return links, n, refinements
 
 
 class PortLinkDiscoverer:
@@ -218,8 +193,16 @@ class PortLinkDiscoverer:
         self.grid = default_grid(bbox, cell_deg)
         self.blocks = PortBlocks(list(ports), self.grid, threshold_m)
         self._counters = _DiscoveryCounters(registry, metrics_name) if registry is not None else None
-        self._port_lons = np.fromiter((p.location.lon for p in self.blocks.ports), dtype=np.float64)
-        self._port_lats = np.fromiter((p.location.lat for p in self.blocks.ports), dtype=np.float64)
+
+    def _refine(self, fix: PositionFix, candidates: list[int]) -> list[Link]:
+        """The per-fix predicate against each candidate port, in order."""
+        links: list[Link] = []
+        for idx in candidates:
+            port = self.blocks.ports[idx]
+            near, d = point_near_port(fix, port, self.threshold_m)
+            if near:
+                links.append(Link(fix.entity_id, port.port_id, NEAR_TO, fix.t, d))
+        return links
 
     def links_for(self, fix: PositionFix) -> tuple[list[Link], int]:
         counters = self._counters
@@ -228,75 +211,36 @@ class PortLinkDiscoverer:
         # `entities` counters are comparable.
         if counters is not None:
             counters.entities.inc()
-        links: list[Link] = []
-        refinements = 0
-        for port in self.blocks.candidates(fix.lon, fix.lat):
-            refinements += 1
-            near, d = point_near_port(fix, port, self.threshold_m)
-            if near:
-                links.append(Link(fix.entity_id, port.port_id, NEAR_TO, fix.t, d))
+        candidates = self.blocks.candidate_indices(fix.lon, fix.lat)
+        links = self._refine(fix, candidates)
         if counters is not None:
-            counters.candidates.inc(refinements)
+            counters.candidates.inc(len(candidates))
             if links:
                 counters.links.inc(len(links))
-        return links, refinements
+        return links, len(candidates)
+
+    def links_many(self, fixes: Sequence[PositionFix], lons, lats) -> tuple[list[list[Link]], int]:
+        """:meth:`links_for` of every fix, screened as one batch: one
+        ``cell_ids_batch`` call finds each fix's candidates, and
+        :meth:`_refine` refines them, so links, order, distances,
+        ``blocks.stats`` and counters equal a ``links_for`` loop's."""
+        cell_map = self.blocks._cell_to_ports
+        found: list[list[Link]] = [[] for _ in range(len(fixes))]
+        refinements = n_links = 0
+        for i, cell_id in enumerate(self.grid.cell_ids_batch(lons, lats).tolist()):
+            candidates = cell_map.get(cell_id)
+            if candidates:
+                refinements += len(candidates)
+                found[i] = links = self._refine(fixes[i], candidates)
+                n_links += len(links)
+        self.blocks.stats.lookups += len(fixes)
+        self.blocks.stats.candidates += refinements
+        if self._counters is not None:
+            self._counters.count(len(fixes), refinements, n_links)
+        return found, refinements
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """Run over a bounded point batch, measuring throughput.
-
-        Groups the batch by cell and evaluates each cell's point x
-        candidate-port distances as one broadcast haversine kernel. A
-        loop over :meth:`links_for` finds the same pairs (haversine
-        agrees to the last ulp of ``asin``, so threshold verdicts match
-        on any workload whose distances are not within one ulp of the
-        threshold).
-        """
-        start = time.perf_counter()
-        links, n, refinements = self._discover_batch(list(fixes))
-        elapsed = time.perf_counter() - start
+        """:meth:`links_many` over a bounded point batch, flattened,
+        measuring throughput."""
+        links, n, elapsed, refinements = _discover(self, fixes)
         return DiscoveryResult(links, n, elapsed, refinements)
-
-    def _discover_batch(self, fixes: list[PositionFix]) -> tuple[list[Link], int, int]:
-        """Per-cell grouped point x port broadcast refinement over a fix batch."""
-        n = len(fixes)
-        counters = self._counters
-        if counters is not None:
-            counters.entities.inc(n)
-        if n == 0:
-            return [], 0, 0
-        lons = np.fromiter((f.lon for f in fixes), dtype=np.float64, count=n)
-        lats = np.fromiter((f.lat for f in fixes), dtype=np.float64, count=n)
-        cell_ids = self.grid.cell_ids_batch(lons, lats)
-        order = np.argsort(cell_ids, kind="stable")
-        sorted_cells = cell_ids[order]
-        run_starts = np.flatnonzero(np.r_[True, sorted_cells[1:] != sorted_cells[:-1]])
-        run_ends = np.r_[run_starts[1:], sorted_cells.size]
-        self.blocks.stats.lookups += n
-        cell_map = self.blocks._cell_to_ports
-        links: list[Link] = []
-        refinements = 0
-        for a, b in zip(run_starts.tolist(), run_ends.tolist()):
-            port_idxs = cell_map.get(int(sorted_cells[a]), [])
-            count = b - a
-            self.blocks.stats.candidates += len(port_idxs) * count
-            if not port_idxs:
-                continue
-            pairs = len(port_idxs) * count
-            refinements += pairs
-            if counters is not None:
-                counters.candidates.inc(pairs)
-            members = order[a:b]
-            idx = np.asarray(port_idxs, dtype=np.int64)
-            d = kernels.haversine_m_batch(
-                lons[members][:, None],
-                lats[members][:, None],
-                self._port_lons[idx][None, :],
-                self._port_lats[idx][None, :],
-            )
-            for i, j in zip(*np.nonzero(d <= self.threshold_m)):
-                f = fixes[int(members[int(i)])]
-                port = self.blocks.ports[int(idx[int(j)])]
-                links.append(Link(f.entity_id, port.port_id, NEAR_TO, f.t, float(d[i, j])))
-        if counters is not None and links:
-            counters.links.inc(len(links))
-        return links, n, refinements

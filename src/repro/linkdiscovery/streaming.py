@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..geo import BBox, EquiGrid, PositionFix
 
@@ -52,8 +52,10 @@ class MovingProximityDiscoverer:
         self.self_links = self_links
         self.grid: EquiGrid = default_grid(bbox, cell_deg)
         self._radius = self.grid.radius_to_cells(space_threshold_m)
-        # cell_id -> deque of recent fixes (append order = time order).
+        # cell_id -> deque of recent fixes (append order = arrival order).
         self._cells: dict[int, deque[PositionFix]] = {}
+        # centre cell_id -> the ids of the cells its fixes compare against.
+        self._neighbours: dict[int, tuple[int, ...]] = {}
         self.stats = StreamingStats()
         if registry is not None:
             # Candidate-pair/book-keeping accounting as live gauges over the
@@ -63,45 +65,63 @@ class MovingProximityDiscoverer:
             registry.gauge("linkdiscovery.proximity.evicted", fn=lambda: self.stats.evicted)
             registry.gauge("linkdiscovery.proximity.live_entries", fn=self.live_entries)
 
-    def _evict(self, cell_id: int, now: float) -> None:
-        """Drop entries out of temporal scope from one cell (book-keeping)."""
-        bucket = self._cells.get(cell_id)
-        if not bucket:
-            return
-        horizon = now - self.time_threshold_s
-        while bucket and bucket[0].t < horizon:
-            bucket.popleft()
-            self.stats.evicted += 1
-        if not bucket:
-            del self._cells[cell_id]
-
     def process(self, fix: PositionFix) -> list[Link]:
         """Insert one fix; returns nearTo links against recent neighbours."""
-        center = self.grid.cell_id(fix.lon, fix.lat)
-        links: list[Link] = []
-        for cell_id in self.grid.neighbour_ids(center, radius=self._radius):
-            self._evict(cell_id, fix.t)
-            for other in self._cells.get(cell_id, ()):
-                if not self.self_links and other.entity_id == fix.entity_id:
+        return self._insert([fix], [self.grid.cell_id(fix.lon, fix.lat)])[0]
+
+    def process_many(self, fixes: Sequence[PositionFix]) -> list[list[Link]]:
+        """:meth:`process` of every fix, in order; the centre cells come
+        from one ``cell_ids_batch`` call."""
+        centres = self.grid.cell_ids_batch([f.lon for f in fixes], [f.lat for f in fixes])
+        return self._insert(fixes, centres.tolist())
+
+    def _insert(self, fixes: Sequence[PositionFix], centres: list[int]) -> list[list[Link]]:
+        """Insert each fix into its centre cell after comparing it with the
+        neighbour cells' recent fixes, evicting those out of temporal scope
+        (book-keeping) from every cell it visits."""
+        cells, neighbours = self._cells, self._neighbours
+        space_m, time_s, self_links = self.space_threshold_m, self.time_threshold_s, self.self_links
+        comparisons = evicted = 0
+        found: list[list[Link]] = []
+        for fix, centre in zip(fixes, centres):
+            around = neighbours.get(centre)
+            if around is None:
+                around = neighbours[centre] = tuple(self.grid.neighbour_ids(centre, radius=self._radius))
+            horizon = fix.t - time_s
+            links: list[Link] = []
+            for cell_id in around:
+                bucket = cells.get(cell_id)
+                if bucket is None:
                     continue
-                self.stats.comparisons += 1
-                near, d = points_near(fix, other, self.space_threshold_m, self.time_threshold_s)
-                if near:
-                    links.append(Link(fix.entity_id, other.entity_id, NEAR_TO, fix.t, d))
-        self._cells.setdefault(center, deque()).append(fix)
-        self.stats.inserted += 1
-        return links
+                while bucket and bucket[0].t < horizon:
+                    bucket.popleft()
+                    evicted += 1
+                if not bucket:
+                    del cells[cell_id]
+                    continue
+                for other in bucket:
+                    if not self_links and other.entity_id == fix.entity_id:
+                        continue
+                    comparisons += 1
+                    near, d = points_near(fix, other, space_m, time_s)
+                    if near:
+                        links.append(Link(fix.entity_id, other.entity_id, NEAR_TO, fix.t, d))
+            cells.setdefault(centre, deque()).append(fix)
+            found.append(links)
+        self.stats.inserted += len(found)
+        self.stats.evicted += evicted
+        self.stats.comparisons += comparisons
+        return found
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """Run over a time-ordered bounded stream, measuring throughput."""
-        links: list[Link] = []
-        n = 0
+        """:meth:`process_many` over a bounded stream, flattened, measuring
+        throughput; ``refinements`` are this call's comparisons only."""
+        comparisons_before = self.stats.comparisons
         start = time.perf_counter()
-        for fix in fixes:
-            links.extend(self.process(fix))
-            n += 1
+        fixes = list(fixes)
+        links = [link for found in self.process_many(fixes) for link in found]
         elapsed = time.perf_counter() - start
-        return DiscoveryResult(links, n, elapsed, refinements=self.stats.comparisons)
+        return DiscoveryResult(links, len(fixes), elapsed, refinements=self.stats.comparisons - comparisons_before)
 
     def live_entries(self) -> int:
         """How many fixes are currently retained in the grid."""

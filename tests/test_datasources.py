@@ -1,7 +1,10 @@
 """Tests for the synthetic data sources."""
 
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasources import AIRPORTS, AISConfig, AISSimulator, FlightDatasetConfig, FlightPlan, WeatherField, WeatherStationNetwork, SeaStateSource, fishing_vessel_stream, generate_aircraft_registry, generate_flight_dataset, generate_ports, generate_regions, generate_vessel_registry, make_route, measure_ais, measure_weather_obs, regions_by_kind
 from repro.datasources.regions import DEFAULT_BBOX
@@ -108,6 +111,26 @@ class TestWeather:
         assert s.visibility_km > 0
         assert s.wave_height_m >= 0
         assert s.wind_speed_ms >= 0
+
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(-40.0, 60.0), st.floats(0.0, 80.0), st.floats(0.0, 5 * 86_400.0)),
+            min_size=1,
+            max_size=30,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batch_covariates_are_sample_bit_for_bit(self, points, seed):
+        # Holds wherever numpy's sin is libm's: on a build where it is not,
+        # this fails here rather than deep inside the per-fix layer oracle.
+        f = WeatherField(seed=seed)
+        lons, lats, ts = np.array(points).T
+        want = [f.sample(lon, lat, t) for lon, lat, t in points]
+        got = f.wind_wave_batch(lons, lats, ts)
+        for values, name in zip(got, ("wind_u_ms", "wind_v_ms", "wave_height_m")):
+            assert all(type(v) is float for v in values)
+            assert [v.hex() for v in values] == [getattr(s, name).hex() for s in want]
 
     def test_station_network_rate(self):
         net = WeatherStationNetwork(WeatherField(seed=1), n_stations=16)

@@ -11,10 +11,10 @@ contract documented in the kernels module:
   assignment, mask bits, projection, boundary distances — are
   **bit-for-bit** identical;
 * transcendental kernels (haversine, bearing) agree to the last ulp of
-  ``asin``/``atan2``, with verdicts (link sets) asserted exactly on the
-  randomized workloads;
-* stats/counter deltas of the batched discovery paths equal the
-  per-point paths exactly.
+  ``asin``/``atan2``;
+* the batched discovery paths screen with those kernels and refine
+  with the per-point predicates, so their links (order and distances
+  included) and stats/counter deltas equal the per-point paths exactly.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.geo.kernels import (
 from repro.linkdiscovery.blocking import RegionBlocks
 from repro.linkdiscovery.discoverer import DiscoveryResult, PortLinkDiscoverer, RegionLinkDiscoverer
 from repro.linkdiscovery.masks import CellMasks
+from repro.linkdiscovery.streaming import MovingProximityDiscoverer
 from repro.obs import MetricsRegistry
 
 from tests.oracles.cell_masks import scalar_coverage
@@ -433,14 +434,15 @@ class TestDiscovererEquivalence:
         fixes = _fixes(seed + 1, 400)
         res_fast = fast.discover(fixes)
         res_slow = per_point_discover(slow, fixes)
-        # Link sets are bit-for-bit identical (distances included): the
-        # refinement predicates are pure arithmetic on both paths.
-        assert set(res_fast.links) == set(res_slow.links)
+        # The same links in the same order, distances included: the batch
+        # screens with numpy and refines with the per-fix predicates.
+        assert res_fast.links == res_slow.links
         assert res_fast.entities_processed == res_slow.entities_processed
         assert res_fast.refinements == res_slow.refinements
         assert res_fast.mask_pruned == res_slow.mask_pruned
-        assert fast.blocks.stats.lookups == slow.blocks.stats.lookups
-        assert fast.blocks.stats.candidates == slow.blocks.stats.candidates
+        assert fast.blocks.stats == slow.blocks.stats
+        if use_masks:
+            assert fast.masks.stats == slow.masks.stats
         for metric in ("entities", "candidate_pairs", "links", "mask_pruned"):
             name = f"linkdiscovery.region.{metric}"
             assert reg_fast.counter(name).value == reg_slow.counter(name).value
@@ -459,16 +461,35 @@ class TestDiscovererEquivalence:
         fixes = _fixes(seed + 2, 300)
         res_fast = fast.discover(fixes)
         res_slow = per_point_discover(slow, fixes)
-        # Same pairs; distances agree to the last ulp of asin.
-        key = lambda link: (link.source_id, link.target_id, link.relation, link.t)  # noqa: E731
-        fast_by_key = {key(link): link.distance_m for link in res_fast.links}
-        slow_by_key = {key(link): link.distance_m for link in res_slow.links}
-        assert fast_by_key.keys() == slow_by_key.keys()
-        for k, d in fast_by_key.items():
-            assert math.isclose(d, slow_by_key[k], rel_tol=1e-12)
+        # The same links in the same order, each distance the scalar
+        # haversine's own.
+        assert res_fast.links == res_slow.links
         assert res_fast.refinements == res_slow.refinements
-        assert fast.blocks.stats.lookups == slow.blocks.stats.lookups
-        assert fast.blocks.stats.candidates == slow.blocks.stats.candidates
+        assert fast.blocks.stats == slow.blocks.stats
         for metric in ("entities", "candidate_pairs", "links"):
             name = f"linkdiscovery.port.{metric}"
             assert reg_fast.counter(name).value == reg_slow.counter(name).value
+
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(0, 5), st.floats(0.0, 3_000.0), st.floats(4.0, 6.0), st.floats(4.0, 6.0)),
+            max_size=60,
+        ),
+        time_ordered=st.booleans(),
+        cuts=st.lists(st.integers(0, 60), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_proximity_process_many_is_the_process_loop(self, points, time_ordered, cuts):
+        # Out of order is how the plain layer feeds each run's flush-tail
+        # points; a 300-s scope over 3 000 s of fixes evicts either way.
+        fixes = [PositionFix(f"e{k}", t, lon, lat) for k, t, lon, lat in points]
+        if time_ordered:
+            fixes.sort(key=lambda fix: fix.t)
+        one, many = (MovingProximityDiscoverer(BOX, 10_000.0, 300.0, cell_deg=0.5) for _ in range(2))
+        want = [one.process(fix) for fix in fixes]
+        cuts = sorted(cuts)
+        got = [links for a, b in zip([0, *cuts], [*cuts, len(fixes)]) for links in many.process_many(fixes[a:b])]
+        assert got == want
+        assert many.stats == one.stats
+        assert many.live_entries() == one.live_entries()
+        assert {c: list(q) for c, q in many._cells.items()} == {c: list(q) for c, q in one._cells.items()}

@@ -200,6 +200,18 @@ class TestMovingProximity:
         assert result.entities_processed == 10
         assert result.count(NEAR_TO) > 0
 
+    def test_discover_reports_its_own_comparisons(self):
+        # Regression: discover() reported the cumulative stats.comparisons,
+        # so a second run on the same discoverer counted the first's too.
+        # The second batch is the first one, out of the first's time scope.
+        ld = self.make()
+        pts = [fix(float(i * 30), 5.0 + 0.001 * i, 5.0, eid=f"v{i % 3}") for i in range(10)]
+        first = ld.discover(pts)
+        second = ld.discover([fix(p.t + 10_000.0, p.lon, p.lat, eid=p.entity_id) for p in pts])
+        assert first.refinements > 0
+        assert second.refinements == first.refinements
+        assert ld.stats.comparisons == first.refinements + second.refinements
+
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             MovingProximityDiscoverer(BOX, 0.0, 10.0)
