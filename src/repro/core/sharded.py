@@ -171,16 +171,10 @@ class ShardedRealtimeLayer(Figure2Plane):
         self.n_shards = cfg.n_shards
         #: Whether the replicas live in worker processes or in this one.
         self.use_worker_pool = cfg.worker_pool
-        # Replicas own every per-entity stage; the cross-entity ones run
-        # here, once, over the merged stream.
-        self._hosts = shard_hosts(_RealtimeShardSpec(cfg), self.n_shards, self.use_worker_pool)
-        #: The live replica layers when they are in-process; empty pooled.
-        self.shards: list[EntityStages] = (
-            [] if self.use_worker_pool else [host.state.layer for host in self._hosts]
-        )
         # Each shard's cumulative report and run wall, as of its last reply.
         self._shard_reports = [RealtimeReport() for _ in range(self.n_shards)]
         self._shard_walls = [0.0] * self.n_shards
+        # The cross-entity stages run here, once, over the merged stream.
         # Its totals accumulate across runs like the replicas' reports do.
         self.globals = GlobalStages(cfg, self.metrics, self.events, RealtimeReport(), cep_training_symbols)
         self.proximity, self.cep = self.globals.proximity, self.globals.cep
@@ -190,6 +184,13 @@ class ShardedRealtimeLayer(Figure2Plane):
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
         self.metrics.gauge("shard.balance", fn=self.balance)
         self.report = RealtimeReport()
+        # Replicas own every per-entity stage. Their hosts start last, so no
+        # later step of this constructor can fail and strand a worker.
+        self._hosts = shard_hosts(_RealtimeShardSpec(cfg), self.n_shards, self.use_worker_pool)
+        #: The live replica layers when they are in-process; empty pooled.
+        self.shards: list[EntityStages] = (
+            [] if self.use_worker_pool else [host.state.layer for host in self._hosts]
+        )
 
     def _register_shard_gauges(self, i: int) -> None:
         base = f"shard.{i}"

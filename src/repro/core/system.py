@@ -41,9 +41,15 @@ class DatacronSystem:
         sharded = self.config.n_shards > 1 or self.config.worker_pool
         layer = ShardedRealtimeLayer if sharded else RealtimeLayer
         self.realtime = layer(self.config, cep_training_symbols=cep_training_symbols)
-        self.batch = BatchLayer(
-            self.config, self.realtime.broker, t_origin, t_extent_s, registry=self.realtime.metrics
-        )
+        try:
+            self.batch = BatchLayer(
+                self.config, self.realtime.broker, t_origin, t_extent_s, registry=self.realtime.metrics
+            )
+        # Not a handler: whatever stops the batch layer from being built,
+        # the real-time layer's shard workers are closed, then it re-raises.
+        except BaseException:
+            self.realtime.close()
+            raise
 
     def close(self) -> None:
         """Shut pooled shard workers down (nothing to do otherwise)."""

@@ -111,9 +111,8 @@ class KGStore:
                 try:
                     t_by_subject[tr.s] = float(tr.o.value)
                 except ValueError:
-                    # reprolint: disable=hygiene — a non-numeric timestamp
-                    # literal simply fails to anchor this subject; the triple
-                    # itself is still stored below.
+                    # A non-numeric timestamp literal simply fails to anchor
+                    # this subject; the triple itself is still stored below.
                     pass
         anchors: dict[Term, STPosition] = {}
         for subject, wkt in wkt_by_subject.items():

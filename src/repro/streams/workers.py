@@ -172,11 +172,11 @@ def _worker_main(
                 raise ValueError(f"unknown message kind {request!r}")
             reply = _HANDLERS[request](replica, *payload)
             conn.send(reply)
-        # reprolint: disable=hygiene — IPC boundary: whatever a handler raises
-        # (or a response that will not pickle) must travel to the parent as an
-        # ("err", repr) frame and leave the worker serving — ("fatal", repr) for
-        # the first build; the exception object itself may hold unpicklable
-        # operator state, so only its repr crosses.
+        # IPC boundary: whatever a handler raises (or a response that will
+        # not pickle) must travel to the parent as an ("err", repr) frame and
+        # leave the worker serving — ("fatal", repr) for the first build; the
+        # exception object itself may hold unpicklable operator state, so
+        # only its repr crosses.
         except Exception as exc:
             reply = (FATAL if request is None else ERR, repr(exc))
             conn.send(reply)
@@ -277,7 +277,7 @@ class WorkerHost:
                 self._send(CLOSE)
                 self._expect(CLOSE)
             except ShardWorkerDied:
-                pass  # reprolint: disable=hygiene — best-effort shutdown: the worker may already be gone
+                pass  # best-effort shutdown: the worker may already be gone
         self._terminate()
 
     def _terminate(self) -> None:
@@ -362,9 +362,9 @@ class InlineHost:
         request, self._request = self._request, None
         try:
             return self.spec.handle(self.shard, self.state, request)
-        # reprolint: disable=hygiene — the host contract: whatever the replica
-        # raises surfaces as ShardWorkerError naming the shard, as it does
-        # from a worker process; the original stays chained.
+        # The host contract: whatever the replica raises surfaces as
+        # ShardWorkerError naming the shard, as it does from a worker
+        # process; the original stays chained.
         except Exception as exc:
             raise ShardWorkerError(self.shard, repr(exc)) from exc
 
@@ -393,8 +393,8 @@ def shard_hosts(
     try:
         for shard in range(n_shards):
             hosts.append(WorkerHost(spec, shard, request_timeout_s=request_timeout_s))
-    # reprolint: disable=hygiene — not a handler: whatever stops a later shard
-    # from starting, the workers already running are closed, then it re-raises.
+    # Not a handler: whatever stops a later shard from starting, the
+    # workers already running are closed, then it re-raises.
     except BaseException:
         for host in hosts:
             host.close()
@@ -439,8 +439,8 @@ def scatter_gather(
             try:
                 reply = host.receive()
                 replies.append(reply if decode is None else decode(shard, reply))
-            # reprolint: disable=hygiene — whatever goes wrong with one
-            # shard's reply, the other shards' must still be read.
+            # Whatever goes wrong with one shard's reply, the other shards'
+            # must still be read.
             except Exception as exc:
                 first_error = first_error or exc
     if first_error is not None:

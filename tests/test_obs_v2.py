@@ -448,12 +448,13 @@ class TestBatchInstrumentation:
         kinds = [e["kind"] for e in snap["events"]["recent"]]
         assert "run_started" in kinds and "run_finished" in kinds
 
-    def test_every_default_rule_watches_a_live_gauge(self, system):
-        """A rule whose glob matches no gauge of a real run can never fire."""
-        gauges = system.metrics.gauges()
+    def test_every_default_rule_watches_a_live_gauge(self, live_system):
+        """A rule whose glob matches no gauge of a real run can never fire,
+        on any composition of the real-time layer."""
+        gauges = live_system.metrics.gauges()
         dead = [
             rule.metric
-            for rule in system.realtime.health.rules()
+            for rule in live_system.realtime.health.rules()
             if not any(fnmatchcase(name, rule.metric) for name in gauges)
         ]
         assert dead == []

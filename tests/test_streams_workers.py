@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ShardedRealtimeLayer, SystemConfig
+from repro.core import DatacronSystem, ShardedRealtimeLayer, SystemConfig
 from repro.core.config import TOPIC_CLEAN, TOPIC_LINKS, TOPIC_RAW, TOPIC_SYNOPSES
 from repro.core.frames import decode_reply, decode_request, encode_reply, encode_request
 from repro.core.realtime import RealtimeReport
@@ -475,6 +475,16 @@ class TestNoStrandedWorkers:
         host.close()
         assert time.monotonic() - started < 3.0
         assert not host.alive() and _reaped(pid)
+
+    def test_a_layer_whose_global_stages_fail_starts_no_worker(self):
+        with pytest.raises(ValueError):
+            ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True, proximity_time_s=0.0))
+        assert not _shard_workers()
+
+    def test_a_system_whose_batch_layer_fails_closes_its_workers(self):
+        with pytest.raises(ValueError):
+            DatacronSystem(SystemConfig(n_shards=2, worker_pool=True), t_extent_s=0.0)
+        assert not _shard_workers()
 
     @pytest.mark.parametrize("end", ["close", "hung", "killed"])
     def test_an_ended_worker_leaves_no_open_pipe_and_no_zombie(self, end):
