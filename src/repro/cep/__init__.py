@@ -1,6 +1,5 @@
 """Complex event recognition & forecasting (S10): the Wayeb surrogate."""
 
-from .adaptive import AdaptationStats, AdaptiveWayebEngine
 from .automaton import DFA, compile_pattern
 from .evaluation import PrecisionPoint, points_by_order, precision_sweep
 from .events import (
@@ -13,7 +12,6 @@ from .events import (
     TURN_ALPHABET,
     SimpleEvent,
     conditional_distribution,
-    critical_points_to_events,
     empirical_distribution,
     turn_event_stream,
     heading_quadrant,
@@ -32,7 +30,6 @@ from .pattern import (
     plus,
     seq,
     star,
-    sym,
 )
 from .waiting import (
     ForecastInterval,
@@ -44,8 +41,6 @@ from .waiting import (
 from .wayeb import Detection, Forecast, PrecisionReport, WayebEngine, WayebRun, score_forecasts
 
 __all__ = [
-    "AdaptationStats",
-    "AdaptiveWayebEngine",
     "CIH_EAST",
     "CIH_NORTH",
     "CIH_SOUTH",
@@ -74,7 +69,6 @@ __all__ = [
     "build_pmc_markov",
     "compile_pattern",
     "conditional_distribution",
-    "critical_points_to_events",
     "disj",
     "empirical_distribution",
     "forecast_interval",
@@ -87,7 +81,6 @@ __all__ = [
     "score_forecasts",
     "seq",
     "star",
-    "sym",
     "symbol_sequence",
     "turn_event_stream",
     "waiting_time_distribution",
@@ -96,7 +89,7 @@ __all__ = [
 
 def north_to_south_reversal() -> Pattern:
     """The paper's Figure-8 pattern: R = CIH_N (CIH_N + CIH_E)* CIH_S."""
-    return seq(sym(CIH_NORTH), star(disj(sym(CIH_NORTH), sym(CIH_EAST))), sym(CIH_SOUTH))
+    return seq(Sym(CIH_NORTH), star(disj(Sym(CIH_NORTH), Sym(CIH_EAST))), Sym(CIH_SOUTH))
 
 
 __all__.append("north_to_south_reversal")

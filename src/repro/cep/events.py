@@ -50,21 +50,6 @@ def heading_quadrant(heading_deg: float) -> str:
     return CIH_WEST
 
 
-def critical_points_to_events(points: Iterable[CriticalPoint]) -> Iterator[SimpleEvent]:
-    """Convert a critical-point stream into the CEP symbol stream.
-
-    ``turn`` points become direction-annotated ChangeInHeading symbols;
-    everything else becomes ``other`` (the alphabet must stay finite and
-    total for the Markov machinery).
-    """
-    for cp in points:
-        if cp.kind == "turn" and cp.fix.heading is not None:
-            symbol = heading_quadrant(cp.fix.heading)
-        else:
-            symbol = OTHER
-        yield SimpleEvent(symbol, cp.t, {"entity_id": cp.entity_id, "kind": cp.kind})
-
-
 def turn_event_stream(points: Iterable[CriticalPoint]) -> Iterator[SimpleEvent]:
     """The Figure-8 input: only ``turn`` critical points, heading-annotated."""
     for cp in points:

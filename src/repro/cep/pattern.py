@@ -3,9 +3,9 @@
 Complex events are defined by regular expressions over the low-level
 event alphabet, where sub-patterns are related through **sequence**,
 **disjunction** or **iteration** — exactly the three operators the paper
-names. Patterns can be built with combinators (:func:`sym`, :func:`seq`,
-:func:`disj`, :func:`star`, :func:`plus`) or parsed from a compact text
-form::
+names. Patterns can be built from :class:`Sym` with combinators
+(:func:`seq`, :func:`disj`, :func:`star`, :func:`plus`) or parsed from a
+compact text form::
 
     cih_n ; (cih_n | cih_e)* ; cih_s
 
@@ -76,10 +76,6 @@ class Star(Pattern):
     def __str__(self) -> str:
         inner = str(self.inner)
         return f"({inner})*" if (" " in inner or "|" in inner) else f"{inner}*"
-
-
-def sym(symbol: str) -> Sym:
-    return Sym(symbol)
 
 
 def seq(*parts: Pattern) -> Pattern:

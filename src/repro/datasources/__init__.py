@@ -18,7 +18,7 @@ from .aviation import (
 )
 from .maritime import AISConfig, AISSimulator, fishing_vessel_stream
 from .ports import Port, generate_ports
-from .regions import DEFAULT_BBOX, Region, generate_regions, regions_by_kind
+from .regions import DEFAULT_BBOX, Region, generate_regions
 from .registry import (
     AircraftRecord,
     VesselRecord,
@@ -85,5 +85,4 @@ __all__ = [
     "measure_contextual",
     "measure_sea_state",
     "measure_weather_obs",
-    "regions_by_kind",
 ]

@@ -130,11 +130,3 @@ def generate_regions(
             poly = _random_blob(rng, cx, cy, radius, n_vertices)
         regions.append(Region(region_id=f"region-{i:05d}", name=f"{kind}-{i:05d}", kind=kind, polygon=poly))
     return regions
-
-
-def regions_by_kind(regions: list[Region]) -> dict[str, list[Region]]:
-    """Index a region list by kind."""
-    out: dict[str, list[Region]] = {}
-    for r in regions:
-        out.setdefault(r.kind, []).append(r)
-    return out

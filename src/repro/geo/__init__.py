@@ -25,7 +25,6 @@ from .trajectory import (
     cross_track_error_m,
     group_fixes_by_entity,
     mean_sampling_period,
-    split_on_gaps,
 )
 from .units import (
     EARTH_RADIUS_M,
@@ -33,23 +32,9 @@ from .units import (
     NAUTICAL_MILE_M,
     feet_to_m,
     heading_difference,
-    knots_to_ms,
-    m_to_feet,
-    ms_to_knots,
     normalize_heading,
 )
-from .wkt import (
-    WKTError,
-    linestring_to_wkt,
-    multipolygon_to_wkt,
-    parse_geometry,
-    parse_linestring,
-    parse_multipolygon,
-    parse_point,
-    parse_polygon,
-    point_to_wkt,
-    polygon_to_wkt,
-)
+from .wkt import WKTError, parse_point, point_to_wkt, polygon_to_wkt
 
 __all__ = [
     "BBox",
@@ -75,21 +60,11 @@ __all__ = [
     "heading_difference",
     "initial_bearing_deg",
     "kernels",
-    "knots_to_ms",
-    "linestring_to_wkt",
-    "m_to_feet",
     "mean_sampling_period",
-    "ms_to_knots",
-    "multipolygon_to_wkt",
     "normalize_heading",
-    "parse_geometry",
-    "parse_linestring",
-    "parse_multipolygon",
     "parse_point",
-    "parse_polygon",
     "point_to_wkt",
     "polygon_boundary_distance_m",
     "segments_intersect",
     "polygon_to_wkt",
-    "split_on_gaps",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import GeoPoint, LocalProjection, haversine_m, initial_bearing_deg
 from .units import normalize_heading
@@ -218,35 +218,11 @@ def group_fixes_by_entity(fixes: Iterable[PositionFix]) -> dict[str, Trajectory]
     return {eid: Trajectory(eid, fs) for eid, fs in buckets.items()}
 
 
-def split_on_gaps(trajectory: Trajectory, max_gap_s: float) -> list[Trajectory]:
-    """Split a trajectory into segments wherever the report gap exceeds ``max_gap_s``.
-
-    This is the standard trip-segmentation step applied before offline
-    analytics (the batch layer in Figure 2), since a vessel's AIS history
-    is one long stream covering many voyages.
-    """
-    if max_gap_s <= 0:
-        raise ValueError("gap threshold must be positive")
-    if len(trajectory) == 0:
-        return []
-    segments: list[list[PositionFix]] = [[trajectory[0]]]
-    for prev, cur in zip(trajectory, list(trajectory)[1:]):
-        if cur.t - prev.t > max_gap_s:
-            segments.append([])
-        segments[-1].append(cur)
-    return [Trajectory(trajectory.entity_id, seg) for seg in segments if seg]
-
-
 def mean_sampling_period(trajectory: Trajectory) -> float:
     """The mean inter-report interval in seconds (inf for < 2 fixes)."""
     if len(trajectory) < 2:
         return math.inf
     return trajectory.duration() / (len(trajectory) - 1)
-
-
-def crop_to_bbox(trajectory: Trajectory, predicate: Callable[[PositionFix], bool]) -> Trajectory:
-    """Keep only fixes satisfying ``predicate`` (e.g. inside an area of interest)."""
-    return Trajectory(trajectory.entity_id, [f for f in trajectory if predicate(f)])
 
 
 def cross_track_error_m(actual: Sequence[PositionFix], reference: Sequence[PositionFix]) -> list[float]:

@@ -9,8 +9,8 @@ Conventions
 -----------
 - longitudes/latitudes in decimal degrees,
 - distances in metres,
-- speeds in metres per second (helpers for knots exist because both
-  AIS and ATM feeds natively report knots),
+- speeds in metres per second (:data:`KNOT_MS` converts the knots that
+  both AIS and ATM feeds natively report),
 - altitudes in metres (helpers for feet / flight levels),
 - timestamps as POSIX seconds (float).
 """
@@ -32,34 +32,14 @@ FOOT_M = 0.3048
 KNOT_MS = NAUTICAL_MILE_M / 3600.0
 
 
-def knots_to_ms(knots: float) -> float:
-    """Convert a speed in knots to metres per second."""
-    return knots * KNOT_MS
-
-
-def ms_to_knots(ms: float) -> float:
-    """Convert a speed in metres per second to knots."""
-    return ms / KNOT_MS
-
-
 def feet_to_m(feet: float) -> float:
     """Convert an altitude in feet to metres."""
     return feet * FOOT_M
 
 
-def m_to_feet(metres: float) -> float:
-    """Convert an altitude in metres to feet."""
-    return metres / FOOT_M
-
-
 def flight_level_to_m(fl: float) -> float:
     """Convert a flight level (hundreds of feet) to metres."""
     return feet_to_m(fl * 100.0)
-
-
-def fpm_to_ms(feet_per_minute: float) -> float:
-    """Convert a vertical rate in feet/minute to metres/second."""
-    return feet_to_m(feet_per_minute) / 60.0
 
 
 def deg_to_rad(deg: float) -> float:

@@ -1,17 +1,15 @@
-"""Well-Known Text (WKT) reading and writing for the geometry types.
+"""Well-Known Text (WKT) for the geometry types the knowledge graph stores.
 
 The datAcron RDF generators (Section 4.2.3) extract the WKT
 representation of geometries from shapefile-like sources and embed it
-in ``geo:asWKT`` literals; the link-discovery component parses those
-literals back. This module implements the POINT / LINESTRING / POLYGON
-/ MULTIPOLYGON subset that the surveillance, region and port sources
-need.
+in ``geo:asWKT`` literals: points for surveillance positions and ports,
+polygons for regions. The knowledge-graph store parses point literals
+back to anchor nodes in space.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
 from .geometry import GeoPoint, Polygon
 
@@ -23,10 +21,8 @@ class WKTError(ValueError):
     """Raised when a WKT string cannot be parsed."""
 
 
-def point_to_wkt(point: GeoPoint, include_alt: bool = False) -> str:
-    """Serialize a GeoPoint; 2-D by default, ``POINT Z``-style triple if asked."""
-    if include_alt:
-        return f"POINT ({point.lon:.6f} {point.lat:.6f} {point.alt:.1f})"
+def point_to_wkt(point: GeoPoint) -> str:
+    """Serialize a GeoPoint in 2-D."""
     return f"POINT ({point.lon:.6f} {point.lat:.6f})"
 
 
@@ -40,23 +36,6 @@ def parse_point(wkt: str) -> GeoPoint:
     return GeoPoint(lon, lat, alt)
 
 
-def linestring_to_wkt(points: Sequence[tuple[float, float]]) -> str:
-    """Serialize a sequence of (lon, lat) pairs as a LINESTRING."""
-    if len(points) < 2:
-        raise WKTError("a linestring needs at least 2 points")
-    coords = ", ".join(f"{lon:.6f} {lat:.6f}" for lon, lat in points)
-    return f"LINESTRING ({coords})"
-
-
-def parse_linestring(wkt: str) -> list[tuple[float, float]]:
-    """Parse a LINESTRING literal to a list of (lon, lat) pairs."""
-    body = _extract_body(wkt, "LINESTRING")
-    pts = _parse_coord_list(body)
-    if len(pts) < 2:
-        raise WKTError(f"linestring with fewer than 2 points: {wkt!r}")
-    return pts
-
-
 def polygon_to_wkt(polygon: Polygon) -> str:
     """Serialize a Polygon (outer ring plus holes), rings explicitly closed."""
     rings = [polygon.vertices] + polygon.holes
@@ -65,112 +44,3 @@ def polygon_to_wkt(polygon: Polygon) -> str:
         closed = list(ring) + [ring[0]]
         ring_strs.append("(" + ", ".join(f"{lon:.6f} {lat:.6f}" for lon, lat in closed) + ")")
     return f"POLYGON ({', '.join(ring_strs)})"
-
-
-def parse_polygon(wkt: str) -> Polygon:
-    """Parse a POLYGON literal into a Polygon (holes supported)."""
-    body = _extract_body(wkt, "POLYGON")
-    rings = _split_rings(body)
-    if not rings:
-        raise WKTError(f"polygon without rings: {wkt!r}")
-    outer = _parse_coord_list(rings[0])
-    holes = [_parse_coord_list(r) for r in rings[1:]]
-    return Polygon(outer, holes=holes)
-
-
-def multipolygon_to_wkt(polygons: Sequence[Polygon]) -> str:
-    """Serialize several polygons as a MULTIPOLYGON."""
-    if not polygons:
-        raise WKTError("an empty multipolygon is not representable")
-    parts = []
-    for poly in polygons:
-        inner = polygon_to_wkt(poly)
-        parts.append(inner[len("POLYGON ") :])
-    return f"MULTIPOLYGON ({', '.join(parts)})"
-
-
-def parse_multipolygon(wkt: str) -> list[Polygon]:
-    """Parse a MULTIPOLYGON into its component Polygons."""
-    body = _extract_body(wkt, "MULTIPOLYGON")
-    polys = []
-    for chunk in _split_parenthesized_groups(body):
-        rings = _split_rings(chunk)
-        outer = _parse_coord_list(rings[0])
-        holes = [_parse_coord_list(r) for r in rings[1:]]
-        polys.append(Polygon(outer, holes=holes))
-    if not polys:
-        raise WKTError(f"empty multipolygon: {wkt!r}")
-    return polys
-
-
-def parse_geometry(wkt: str) -> GeoPoint | list[tuple[float, float]] | Polygon | list[Polygon]:
-    """Dispatch on the WKT tag and parse accordingly."""
-    stripped = wkt.lstrip().upper()
-    if stripped.startswith("POINT"):
-        return parse_point(wkt)
-    if stripped.startswith("LINESTRING"):
-        return parse_linestring(wkt)
-    if stripped.startswith("MULTIPOLYGON"):
-        return parse_multipolygon(wkt)
-    if stripped.startswith("POLYGON"):
-        return parse_polygon(wkt)
-    raise WKTError(f"unsupported WKT geometry: {wkt[:40]!r}")
-
-
-def _extract_body(wkt: str, tag: str) -> str:
-    """Return the text between the outermost parentheses of a tagged WKT."""
-    stripped = wkt.strip()
-    if not stripped.upper().startswith(tag):
-        raise WKTError(f"expected {tag}: {wkt[:40]!r}")
-    try:
-        open_idx = stripped.index("(")
-        close_idx = stripped.rindex(")")
-    except ValueError:
-        raise WKTError(f"malformed WKT (missing parentheses): {wkt[:40]!r}") from None
-    if close_idx < open_idx:
-        raise WKTError(f"malformed WKT: {wkt[:40]!r}")
-    return stripped[open_idx + 1 : close_idx]
-
-
-def _parse_coord_list(text: str) -> list[tuple[float, float]]:
-    """Parse ``lon lat, lon lat, ...`` (trailing Z values tolerated and dropped)."""
-    pts: list[tuple[float, float]] = []
-    for token in text.split(","):
-        token = token.strip().strip("()")
-        if not token:
-            continue
-        parts = token.split()
-        if len(parts) < 2:
-            raise WKTError(f"bad coordinate pair: {token!r}")
-        pts.append((float(parts[0]), float(parts[1])))
-    return pts
-
-
-def _split_rings(body: str) -> list[str]:
-    """Split a polygon body ``(ring1), (ring2)`` into ring texts."""
-    return _split_parenthesized_groups(body)
-
-
-def _split_parenthesized_groups(text: str) -> list[str]:
-    """Split top-level parenthesized groups, returning their inner text."""
-    groups: list[str] = []
-    depth = 0
-    start = -1
-    for i, ch in enumerate(text):
-        if ch == "(":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and start >= 0:
-                groups.append(text[start:i])
-                start = -1
-            if depth < 0:
-                raise WKTError(f"unbalanced parentheses in {text[:40]!r}")
-    if depth != 0:
-        raise WKTError(f"unbalanced parentheses in {text[:40]!r}")
-    if not groups:
-        # A bare ring with no inner parentheses.
-        groups = [text]
-    return groups

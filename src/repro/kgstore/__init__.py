@@ -2,12 +2,10 @@
 
 from .encoding import Dictionary, DictionaryFullError, SERIAL_BITS, STPosition
 from .layouts import LAYOUTS, Partition, PropertyTable, TriplesTable, VerticalPartitioning
-from .parser import DEFAULT_PREFIXES, SPARQLSyntaxError, parse_star_query
 from .sparql import STConstraint, StarQuery, star
 from .store import KGStore, LoadReport, QueryMetrics
 
 __all__ = [
-    "DEFAULT_PREFIXES",
     "Dictionary",
     "DictionaryFullError",
     "KGStore",
@@ -17,12 +15,10 @@ __all__ = [
     "PropertyTable",
     "QueryMetrics",
     "SERIAL_BITS",
-    "SPARQLSyntaxError",
     "STConstraint",
     "STPosition",
     "StarQuery",
     "TriplesTable",
     "VerticalPartitioning",
-    "parse_star_query",
     "star",
 ]

@@ -15,8 +15,6 @@ from .export import (
     parse_openmetrics,
     render_openmetrics,
     sanitize_metric_name,
-    write_json_snapshot,
-    write_openmetrics,
 )
 from .harvest import (
     DEFAULT_GAUGE_RULES,
@@ -73,6 +71,4 @@ __all__ = [
     "render_openmetrics",
     "sanitize_metric_name",
     "watch_broker",
-    "write_json_snapshot",
-    "write_openmetrics",
 ]

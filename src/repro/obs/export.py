@@ -1,12 +1,12 @@
-"""Exporting metrics: OpenMetrics text, JSON snapshots, and a scrape endpoint.
+"""Exporting metrics: OpenMetrics text and a scrape endpoint.
 
 The registry's numbers are only useful operationally if standard
 tooling can read them. This module renders any
 :class:`~repro.obs.metrics.MetricsRegistry` (or a plain snapshot dict)
 as OpenMetrics/Prometheus text exposition — counters as ``_total``
 samples, gauges as gauges, log-bucket histograms as summaries with
-``quantile`` labels — writes JSON snapshots, and serves both live over
-a stdlib ``http.server`` endpoint (``/metrics`` + ``/healthz``) so
+``quantile`` labels — and serves it live, beside the health snapshot as
+JSON, over a stdlib ``http.server`` endpoint (``/metrics`` + ``/healthz``) so
 ``curl`` or a Prometheus scraper can watch a run without any dependency.
 
 A matching line-format parser (:func:`parse_openmetrics`) round-trips
@@ -193,27 +193,6 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
     return families
 
 
-# -- file writers ------------------------------------------------------------------
-
-
-def write_openmetrics(registry_or_snapshot, path: str, prefix: str = "") -> str:
-    """Write the exposition to ``path``; returns the rendered text."""
-    text = render_openmetrics(registry_or_snapshot, prefix=prefix)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-    return text
-
-
-def write_json_snapshot(registry: MetricsRegistry, path: str, extra: dict | None = None) -> dict:
-    """Persist ``registry.snapshot()`` (plus optional metadata) as JSON."""
-    payload = dict(extra or {})
-    payload["snapshot"] = registry.snapshot()
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return payload
-
-
 # -- the scrape endpoint -----------------------------------------------------------
 
 
@@ -226,9 +205,10 @@ class MetricsServer:
     (load balancers treat DEGRADED as "still serving"). Without a
     monitor, ``/healthz`` reports ``{"system": "OK"}``.
 
-    ``port=0`` binds an ephemeral port (read :attr:`port` after
-    :meth:`start`). The server runs on a daemon thread; :meth:`stop`
-    shuts it down. Usable as a context manager.
+    The constructor binds the port (``port=0``: an ephemeral one, read
+    :attr:`port`); :meth:`start` serves on a daemon thread; :meth:`stop`
+    shuts it down and releases the port, whether or not it was started.
+    Usable as a context manager.
     """
 
     def __init__(
@@ -287,11 +267,13 @@ class MetricsServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        # shutdown() waits for a serve_forever loop, so only a started
+        # server may call it; a second stop() finds nothing to do.
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._server.server_close()
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

@@ -1,29 +1,28 @@
 """RDFizers: per-source instantiations of the generic RDF generation method.
 
-One ``RDFGenerator`` pairs a data connector with a graph template. This
-module provides the concrete record adapters and templates for every
-datAcron source used downstream: trajectory synopses (semantic nodes),
-raw AIS fixes, regions, ports, weather observations, and flight plans.
-Throughput counters support the E3 experiment (Section 4.2.3 reports
-~10,500 records/s and notes geometry-heavy sources run slower).
+One ``RDFGenerator`` pairs a record stream with a graph template. This
+module provides the record adapters — each turns one source object into
+the field mapping a template binds — and the templates for every datAcron
+source used downstream: trajectory synopses (semantic nodes), raw AIS
+fixes, regions and ports. Throughput counters support the E3 experiment
+(Section 4.2.3 reports ~10,500 records/s and notes geometry-heavy sources
+run slower).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..datasources.ports import Port
 from ..datasources.regions import Region
-from ..datasources.weather import StationObservation
 from ..geo import PositionFix, point_to_wkt, polygon_to_wkt
 from ..geo.geometry import GeoPoint
 from ..synopses import CriticalPoint
 
-from .connectors import DataConnector, IterableConnector
 from .templates import GraphTemplate, TriplePattern, var
-from .terms import IRI, Literal, Triple
+from .terms import Literal, Triple
 from .vocabulary import A, VOC, entity_iri, node_iri
 
 
@@ -45,32 +44,22 @@ class GeneratorStats:
 
 
 class RDFGenerator:
-    """connector -> template -> triples, with throughput accounting."""
+    """records -> template -> triples, with throughput accounting."""
 
-    def __init__(self, connector: DataConnector, template: GraphTemplate, name: str = "rdfizer"):
-        self.connector = connector
+    def __init__(self, records: Iterable[Mapping[str, Any]], template: GraphTemplate, name: str = "rdfizer"):
+        self.records = records
         self.template = template
         self.name = name
         self.stats = GeneratorStats()
 
     def triples(self) -> Iterator[Triple]:
-        """Generate all triples of the connected source."""
+        """Generate all triples of the record stream."""
         start = time.perf_counter()
-        for record in self.connector.records():
+        for record in self.records:
             produced = self.template.instantiate(record)
             self.stats.records += 1
             self.stats.triples += len(produced)
             yield from produced
-        self.stats.wall_seconds += time.perf_counter() - start
-
-    def fragments(self) -> Iterator[list[Triple]]:
-        """Generate per-record triple fragments (what link discovery consumes)."""
-        start = time.perf_counter()
-        for record in self.connector.records():
-            produced = self.template.instantiate(record)
-            self.stats.records += 1
-            self.stats.triples += len(produced)
-            yield produced
         self.stats.wall_seconds += time.perf_counter() - start
 
 
@@ -78,7 +67,7 @@ class RDFGenerator:
 
 
 def fix_record(fix: PositionFix) -> dict[str, Any]:
-    """A raw position fix as a connector record."""
+    """A raw position fix as a template record."""
     return {
         "entity_id": fix.entity_id,
         "t": fix.t,
@@ -93,7 +82,7 @@ def fix_record(fix: PositionFix) -> dict[str, Any]:
 
 
 def critical_point_record(cp: CriticalPoint) -> dict[str, Any]:
-    """A synopsis node as a connector record."""
+    """A synopsis node as a template record."""
     rec = fix_record(cp.fix)
     rec["kind"] = cp.kind
     return rec
@@ -122,18 +111,6 @@ def port_record(port: Port) -> dict[str, Any]:
     }
 
 
-def weather_record(obs: StationObservation) -> dict[str, Any]:
-    return {
-        "station_id": obs.station_id,
-        "t": obs.t,
-        "wkt": point_to_wkt(GeoPoint(obs.lon, obs.lat)),
-        "wind_u": obs.sample.wind_u_ms,
-        "wind_v": obs.sample.wind_v_ms,
-        "visibility": obs.sample.visibility_km,
-        "wave": obs.sample.wave_height_m,
-    }
-
-
 # -- templates ----------------------------------------------------------------
 
 
@@ -149,7 +126,7 @@ def semantic_node_template() -> GraphTemplate:
             ("node", lambda env: node_iri(env["entity_id"], env["t"])),
             ("trajectory", lambda env: entity_iri("trajectory", env["entity_id"])),
             ("mover", lambda env: entity_iri("object", env["entity_id"])),
-            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"], env.get("alt") or 0.0)))),
+            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"])))),
         ],
         patterns=[
             TriplePattern(var("node"), A, VOC.SemanticNode),
@@ -172,7 +149,7 @@ def raw_position_template() -> GraphTemplate:
         generators=[
             ("node", lambda env: node_iri(env["entity_id"], env["t"])),
             ("mover", lambda env: entity_iri("object", env["entity_id"])),
-            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"], env.get("alt") or 0.0)))),
+            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"])))),
         ],
         patterns=[
             TriplePattern(var("node"), A, VOC.RawPosition),
@@ -214,48 +191,21 @@ def port_template() -> GraphTemplate:
     )
 
 
-def weather_template() -> GraphTemplate:
-    return GraphTemplate(
-        generators=[
-            ("obs", lambda env: IRI(f"{entity_iri('weather', env['station_id']).value}/{env['t']:.0f}")),
-            ("geom", lambda env: Literal.wkt(env["wkt"])),
-        ],
-        patterns=[
-            TriplePattern(var("obs"), A, VOC.WeatherCondition),
-            TriplePattern(var("obs"), VOC.timestamp, var("t")),
-            TriplePattern(var("obs"), VOC.asWKT, var("geom")),
-            TriplePattern(var("obs"), VOC.windU, var("wind_u")),
-            TriplePattern(var("obs"), VOC.windV, var("wind_v")),
-            TriplePattern(var("obs"), VOC.visibility, var("visibility")),
-            TriplePattern(var("obs"), VOC.waveHeight, var("wave")),
-        ],
-    )
-
-
 # -- ready-made generators ------------------------------------------------------
 
 
 def synopses_rdfizer(points: Iterable[CriticalPoint]) -> RDFGenerator:
     """RDF generator over a critical-point stream."""
-    connector = IterableConnector(critical_point_record(cp) for cp in points)
-    return RDFGenerator(connector, semantic_node_template(), name="synopses")
+    return RDFGenerator(map(critical_point_record, points), semantic_node_template(), name="synopses")
 
 
 def raw_fix_rdfizer(fixes: Iterable[PositionFix]) -> RDFGenerator:
-    connector = IterableConnector(fix_record(f) for f in fixes)
-    return RDFGenerator(connector, raw_position_template(), name="raw_positions")
+    return RDFGenerator(map(fix_record, fixes), raw_position_template(), name="raw_positions")
 
 
 def region_rdfizer(regions: Iterable[Region]) -> RDFGenerator:
-    connector = IterableConnector(region_record(r) for r in regions)
-    return RDFGenerator(connector, region_template(), name="regions")
+    return RDFGenerator(map(region_record, regions), region_template(), name="regions")
 
 
 def port_rdfizer(ports: Iterable[Port]) -> RDFGenerator:
-    connector = IterableConnector(port_record(p) for p in ports)
-    return RDFGenerator(connector, port_template(), name="ports")
-
-
-def weather_rdfizer(observations: Iterable[StationObservation]) -> RDFGenerator:
-    connector = IterableConnector(weather_record(o) for o in observations)
-    return RDFGenerator(connector, weather_template(), name="weather")
+    return RDFGenerator(map(port_record, ports), port_template(), name="ports")

@@ -3,8 +3,8 @@
 The datAcron RDF generation method converts source records to triples
 using two ingredients:
 
-* a **variable vector** — the named fields exposed by the data
-  connector, *plus* values generated during the conversion itself
+* a **variable vector** — the named fields of one source record,
+  *plus* values generated during the conversion itself
   (minted IRIs, parsed WKT, unit conversions) that are not explicitly
   present in the source; and
 * a **graph template** — a set of triple patterns whose subject or
@@ -20,7 +20,7 @@ stream-friendly. That is exactly the shape implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from .terms import IRI, Literal, Term, Triple, Variable
 
@@ -45,7 +45,7 @@ class TriplePattern:
 class VariableVector:
     """The binding environment for one source record.
 
-    Wraps the connector's record fields and lets *generated variables* —
+    Wraps the source record's fields and lets *generated variables* —
     values computed during generation, such as minted IRIs — be added
     on top without mutating the source record.
     """
@@ -120,11 +120,6 @@ class GraphTemplate:
                 raise TemplateError(f"subject resolved to a literal: {s}")
             triples.append(Triple(s, p, o))
         return triples
-
-    def instantiate_stream(self, records: Iterable[Mapping[str, Any]]) -> Iterator[Triple]:
-        """Instantiate over a record stream (connectors plug in here)."""
-        for record in records:
-            yield from self.instantiate(record)
 
     @staticmethod
     def _resolve(node: TemplateNode, env: Mapping[str, Any], position: str) -> Term:

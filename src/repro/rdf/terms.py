@@ -8,6 +8,7 @@ the knowledge-graph store).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,13 +56,19 @@ class Literal:
 
     @classmethod
     def of(cls, value: Union[str, float, int, bool]) -> "Literal":
-        """Build a literal with the natural datatype of a Python value."""
+        """Build a literal with the natural datatype of a Python value.
+
+        A float (numpy's included) gets its shortest round-trip form, and
+        NaN/±inf XSD's spellings ``NaN``/``INF``/``-INF``.
+        """
         if isinstance(value, bool):
             return cls("true" if value else "false", XSD_BOOLEAN)
         if isinstance(value, int):
             return cls(str(value), XSD_INTEGER)
         if isinstance(value, float):
-            return cls(repr(value), XSD_DOUBLE)
+            if math.isfinite(value):
+                return cls(repr(float(value)), XSD_DOUBLE)
+            return cls("NaN" if math.isnan(value) else ("INF" if value > 0 else "-INF"), XSD_DOUBLE)
         return cls(str(value), XSD_STRING)
 
     @classmethod

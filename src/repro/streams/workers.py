@@ -129,7 +129,7 @@ class WorkerSpec(Protocol):
 class _Replica:
     """Worker-side state, and the handler of each request tag."""
 
-    def __init__(self, spec: Any, shard: int):
+    def __init__(self, spec: WorkerSpec, shard: int):
         self.spec = spec
         self.shard = shard
         self.state: Any = None
@@ -154,7 +154,7 @@ _HANDLERS: dict[str | None, Callable[..., tuple]] = {
 def _worker_main(
     conn: multiprocessing.connection.Connection,
     parent_conn: multiprocessing.connection.Connection,
-    spec: Any,
+    spec: WorkerSpec,
     shard: int,
 ) -> None:
     """Long-lived worker loop: build the replica once, serve lockstep requests."""
@@ -216,7 +216,7 @@ class WorkerHost:
 
     def __init__(
         self,
-        spec: Any,
+        spec: WorkerSpec,
         shard: int,
         context: Any = None,
         start: bool = True,
@@ -348,7 +348,7 @@ class InlineHost:
     cannot either). ``state`` is the live replica ``setup`` returned.
     """
 
-    def __init__(self, spec: Any, shard: int):
+    def __init__(self, spec: WorkerSpec, shard: int):
         self.spec = spec
         self.shard = shard
         self.setup_s = 0.0
@@ -379,7 +379,7 @@ class InlineHost:
 
 
 def shard_hosts(
-    spec: Any,
+    spec: WorkerSpec,
     n_shards: int,
     worker_pool: bool,
     request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,

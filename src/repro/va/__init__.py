@@ -16,8 +16,6 @@ from .relevance import (
     FlaggedTrajectory,
     RelevanceClustering,
     cluster_by_relevant_parts,
-    flag_by_predicate,
-    flag_cruise_phase,
     flag_final_approach,
     relevance_distance,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "assess_quality",
     "cluster_by_relevant_parts",
     "compare_densities",
-    "flag_by_predicate",
-    "flag_cruise_phase",
     "flag_final_approach",
     "match_many",
     "match_points",

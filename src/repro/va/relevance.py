@@ -5,7 +5,7 @@ relevant for comparison, but not holding patterns nor takeoff and landing
 runway directions". The workflow: interactive filtering attaches
 *relevance flags* to trajectory elements; clustering then uses a distance
 function that **ignores irrelevant elements**. This module implements
-the flagging (by predicate), the relevance-restricted distance (mean of
+the flagging, the relevance-restricted distance (mean of
 symmetric nearest-point distances over relevant elements only), and the
 clustering (reusing the OPTICS machinery of the prediction package).
 """
@@ -13,7 +13,7 @@ clustering (reusing the OPTICS machinery of the prediction package).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import math
 
@@ -40,11 +40,6 @@ class FlaggedTrajectory:
         return sum(self.flags)
 
 
-def flag_by_predicate(trajectory: Trajectory, predicate: Callable[[PositionFix], bool]) -> FlaggedTrajectory:
-    """Attach relevance flags with a fix-level predicate."""
-    return FlaggedTrajectory(trajectory, tuple(predicate(f) for f in trajectory))
-
-
 def flag_final_approach(trajectory: Trajectory, final_km: float = 60.0) -> FlaggedTrajectory:
     """Mark only the final ~``final_km`` kilometres (arrival-flow analysis)."""
     fixes = list(trajectory)
@@ -53,11 +48,6 @@ def flag_final_approach(trajectory: Trajectory, final_km: float = 60.0) -> Flagg
     last = fixes[-1]
     flags = tuple(f.distance_to(last) <= final_km * 1000.0 for f in fixes)
     return FlaggedTrajectory(trajectory, flags)
-
-
-def flag_cruise_phase(trajectory: Trajectory, min_alt_m: float = 6000.0) -> FlaggedTrajectory:
-    """Mark only the cruise-phase samples (the paper's routing analysis)."""
-    return flag_by_predicate(trajectory, lambda f: f.alt >= min_alt_m)
 
 
 def relevance_distance(a: FlaggedTrajectory, b: FlaggedTrajectory, sample_cap: int = 60) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cep import (
     SimpleEvent,
+    Sym,
     WayebEngine,
     build_pmc_iid,
     build_pmc_markov,
@@ -22,36 +23,33 @@ from repro.cep import (
     score_forecasts,
     seq,
     star,
-    sym,
     waiting_time_distribution,
 )
-from repro.cep.events import CIH_EAST, CIH_NORTH, CIH_SOUTH, HEADING_ALPHABET, critical_points_to_events
+from repro.cep.events import CIH_EAST, CIH_NORTH, CIH_SOUTH, HEADING_ALPHABET
 from repro.cep.pattern import PatternSyntaxError
-from repro.geo import PositionFix
-from repro.synopses import CriticalPoint
 
 ABC = ("a", "b", "c")
 
 
 class TestPatternParsing:
     def test_parse_symbol(self):
-        assert parse_pattern("a") == sym("a")
+        assert parse_pattern("a") == Sym("a")
 
     def test_parse_sequence(self):
-        assert parse_pattern("a ; b ; c") == seq(sym("a"), sym("b"), sym("c"))
+        assert parse_pattern("a ; b ; c") == seq(Sym("a"), Sym("b"), Sym("c"))
 
     def test_parse_disjunction_precedence(self):
         # Sequence binds tighter than |.
         p = parse_pattern("a ; b | c")
-        assert p == disj(seq(sym("a"), sym("b")), sym("c"))
+        assert p == disj(seq(Sym("a"), Sym("b")), Sym("c"))
 
     def test_parse_star_and_parens(self):
         p = parse_pattern("a ; (b | c)* ; a")
-        assert p == seq(sym("a"), star(disj(sym("b"), sym("c"))), sym("a"))
+        assert p == seq(Sym("a"), star(disj(Sym("b"), Sym("c"))), Sym("a"))
 
     def test_parse_plus(self):
         p = parse_pattern("a+")
-        assert p == seq(sym("a"), star(sym("a")))
+        assert p == seq(Sym("a"), star(Sym("a")))
 
     def test_roundtrip_str(self):
         p = north_to_south_reversal()
@@ -290,14 +288,6 @@ class TestEventMapping:
         assert heading_quadrant(90.0) == CIH_EAST
         assert heading_quadrant(180.0) == CIH_SOUTH
         assert heading_quadrant(350.0) == CIH_NORTH
-
-    def test_critical_points_to_events(self):
-        fix_n = PositionFix("v1", 0.0, 0.0, 40.0, heading=10.0)
-        fix_s = PositionFix("v1", 60.0, 0.0, 40.0, heading=185.0)
-        points = [CriticalPoint(fix_n, "turn"), CriticalPoint(fix_s, "turn"), CriticalPoint(fix_s, "gap_end")]
-        events = list(critical_points_to_events(points))
-        assert [e.symbol for e in events] == [CIH_NORTH, CIH_SOUTH, "other"]
-        assert all(e.symbol in HEADING_ALPHABET for e in events)
 
     def test_north_to_south_reversal_detection(self):
         dfa = compile_pattern(north_to_south_reversal(), HEADING_ALPHABET)

@@ -1,12 +1,13 @@
 """Tests for the synthetic data sources."""
 
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasources import AIRPORTS, AISConfig, AISSimulator, FlightDatasetConfig, FlightPlan, WeatherField, WeatherStationNetwork, SeaStateSource, fishing_vessel_stream, generate_aircraft_registry, generate_flight_dataset, generate_ports, generate_regions, generate_vessel_registry, make_route, measure_ais, measure_weather_obs, regions_by_kind
+from repro.datasources import AIRPORTS, AISConfig, AISSimulator, FlightDatasetConfig, FlightPlan, WeatherField, WeatherStationNetwork, SeaStateSource, fishing_vessel_stream, generate_aircraft_registry, generate_flight_dataset, generate_ports, generate_regions, generate_vessel_registry, make_route, measure_ais, measure_weather_obs
 from repro.datasources.regions import DEFAULT_BBOX
 from repro.geo import group_fixes_by_entity
 
@@ -60,9 +61,8 @@ class TestRegions:
             assert big.intersects(r.bbox)
 
     def test_kind_mixture(self):
-        kinds = regions_by_kind(generate_regions(1000, seed=2))
-        assert "natura2000" in kinds and "fishing_zone" in kinds
-        assert len(kinds["natura2000"]) > len(kinds["fishing_zone"])
+        kinds = Counter(r.kind for r in generate_regions(1000, seed=2))
+        assert kinds["natura2000"] > kinds["fishing_zone"] > 0
 
     def test_clustered_not_uniform(self):
         """Coastal clustering: region centroids should be spatially concentrated."""

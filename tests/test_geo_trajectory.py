@@ -12,7 +12,6 @@ from repro.geo.trajectory import (
     cross_track_error_m,
     group_fixes_by_entity,
     mean_sampling_period,
-    split_on_gaps,
 )
 
 
@@ -112,22 +111,6 @@ class TestHelpers:
         groups = group_fixes_by_entity(fixes)
         assert set(groups) == {"a", "b"}
         assert len(groups["a"]) == 2
-
-    def test_split_on_gaps(self):
-        fixes = [fix(0, 0, 0), fix(10, 0, 0), fix(500, 0, 0), fix(510, 0, 0)]
-        segs = split_on_gaps(Trajectory("v1", fixes), max_gap_s=60.0)
-        assert [len(s) for s in segs] == [2, 2]
-
-    def test_split_on_gaps_no_gap(self):
-        segs = split_on_gaps(straight_track(n=5), max_gap_s=60.0)
-        assert len(segs) == 1
-
-    def test_split_on_gaps_empty(self):
-        assert split_on_gaps(Trajectory("v1", []), 60.0) == []
-
-    def test_split_on_gaps_invalid(self):
-        with pytest.raises(ValueError):
-            split_on_gaps(straight_track(), 0.0)
 
     def test_mean_sampling_period(self):
         assert mean_sampling_period(straight_track(n=5, dt=10.0)) == pytest.approx(10.0)

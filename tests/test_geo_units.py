@@ -9,22 +9,12 @@ from repro.geo import units
 
 
 class TestConversions:
-    def test_knots_roundtrip(self):
-        assert units.ms_to_knots(units.knots_to_ms(12.5)) == pytest.approx(12.5)
-
     def test_one_knot_is_nautical_mile_per_hour(self):
-        assert units.knots_to_ms(1.0) * 3600.0 == pytest.approx(units.NAUTICAL_MILE_M)
-
-    def test_feet_roundtrip(self):
-        assert units.m_to_feet(units.feet_to_m(35_000.0)) == pytest.approx(35_000.0)
+        assert units.KNOT_MS * 3600.0 == pytest.approx(units.NAUTICAL_MILE_M)
 
     def test_flight_level(self):
         # FL350 = 35,000 ft.
         assert units.flight_level_to_m(350) == pytest.approx(units.feet_to_m(35_000.0))
-
-    def test_fpm_to_ms(self):
-        # A 1968.5 ft/min climb is almost exactly 10 m/s.
-        assert units.fpm_to_ms(1968.5) == pytest.approx(10.0, rel=1e-4)
 
     def test_deg_rad_roundtrip(self):
         assert units.rad_to_deg(units.deg_to_rad(123.4)) == pytest.approx(123.4)

@@ -1,4 +1,4 @@
-"""Tests for WKT parsing/serialization."""
+"""Tests for WKT writing and point parsing."""
 
 import pytest
 from hypothesis import given
@@ -15,10 +15,12 @@ class TestPoint:
         assert q.lon == pytest.approx(p.lon, abs=1e-6)
         assert q.lat == pytest.approx(p.lat, abs=1e-6)
 
+    def test_writes_six_decimals_in_2d(self):
+        assert wkt.point_to_wkt(GeoPoint(2.1234567, -41.5, 3500.0)) == "POINT (2.123457 -41.500000)"
+
     def test_with_altitude(self):
-        p = GeoPoint(1.0, 2.0, 3500.0)
-        q = wkt.parse_point(wkt.point_to_wkt(p, include_alt=True))
-        assert q.alt == pytest.approx(3500.0)
+        q = wkt.parse_point("POINT (1.0 2.0 3500.0)")
+        assert (q.lon, q.lat, q.alt) == (1.0, 2.0, 3500.0)
 
     def test_case_insensitive(self):
         assert wkt.parse_point("point (1 2)").lon == 1.0
@@ -39,73 +41,20 @@ class TestPoint:
         assert q.lat == pytest.approx(lat, abs=1e-5)
 
 
-class TestLineString:
-    def test_roundtrip(self):
-        pts = [(0.0, 0.0), (1.5, 2.5), (3.0, -1.0)]
-        parsed = wkt.parse_linestring(wkt.linestring_to_wkt(pts))
-        for (alon, alat), (blon, blat) in zip(parsed, pts):
-            assert alon == pytest.approx(blon, abs=1e-6)
-            assert alat == pytest.approx(blat, abs=1e-6)
-
-    def test_too_short_raises(self):
-        with pytest.raises(wkt.WKTError):
-            wkt.linestring_to_wkt([(0.0, 0.0)])
-
-    def test_single_point_literal_rejected(self):
-        with pytest.raises(wkt.WKTError):
-            wkt.parse_linestring("LINESTRING (0 0)")
-
-
 class TestPolygon:
-    def test_roundtrip(self):
-        poly = Polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
-        parsed = wkt.parse_polygon(wkt.polygon_to_wkt(poly))
-        assert len(parsed) == 4
-        assert parsed.contains(1.0, 1.0)
-
-    def test_roundtrip_with_hole(self):
-        poly = Polygon(
-            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)],
-            holes=[[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]],
+    def test_writes_the_closed_outer_ring(self):
+        poly = Polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 2.5), (0.0, 2.0)])
+        assert wkt.polygon_to_wkt(poly) == (
+            "POLYGON ((0.000000 0.000000, 2.000000 0.000000, 2.000000 2.500000, "
+            "0.000000 2.000000, 0.000000 0.000000))"
         )
-        parsed = wkt.parse_polygon(wkt.polygon_to_wkt(poly))
-        assert not parsed.contains(2.0, 2.0)
-        assert parsed.contains(0.5, 0.5)
 
-    def test_unbalanced_raises(self):
-        with pytest.raises(wkt.WKTError):
-            wkt.parse_polygon("POLYGON ((0 0, 1 0, 1 1")
-
-
-class TestMultiPolygon:
-    def test_roundtrip(self):
-        polys = [
-            Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]),
-            Polygon([(5.0, 5.0), (6.0, 5.0), (6.0, 6.0)]),
-        ]
-        parsed = wkt.parse_multipolygon(wkt.multipolygon_to_wkt(polys))
-        assert len(parsed) == 2
-        assert parsed[1].contains(5.9, 5.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(wkt.WKTError):
-            wkt.multipolygon_to_wkt([])
-
-
-class TestDispatch:
-    def test_dispatch_point(self):
-        assert isinstance(wkt.parse_geometry("POINT (1 2)"), GeoPoint)
-
-    def test_dispatch_polygon(self):
-        assert isinstance(wkt.parse_geometry("POLYGON ((0 0, 1 0, 1 1, 0 0))"), Polygon)
-
-    def test_dispatch_linestring(self):
-        assert isinstance(wkt.parse_geometry("LINESTRING (0 0, 1 1)"), list)
-
-    def test_dispatch_multipolygon(self):
-        got = wkt.parse_geometry("MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))")
-        assert isinstance(got, list) and isinstance(got[0], Polygon)
-
-    def test_dispatch_unknown(self):
-        with pytest.raises(wkt.WKTError):
-            wkt.parse_geometry("GEOMETRYCOLLECTION ()")
+    def test_writes_each_hole_as_a_closed_ring(self):
+        poly = Polygon(
+            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)],
+            holes=[[(1.0, 1.0), (3.0, 1.0), (3.0, 2.0)]],
+        )
+        assert wkt.polygon_to_wkt(poly) == (
+            "POLYGON ((0.000000 0.000000, 4.000000 0.000000, 4.000000 4.000000, 0.000000 0.000000), "
+            "(1.000000 1.000000, 3.000000 1.000000, 3.000000 2.000000, 1.000000 1.000000))"
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasources import AISConfig, AISSimulator
-from repro.geo import BBox, EquiGrid, SpatioTemporalGrid
+from repro.geo import BBox, EquiGrid, PositionFix, SpatioTemporalGrid
 from repro.kgstore import (
     Dictionary,
     KGStore,
@@ -16,7 +16,7 @@ from repro.kgstore import (
     star,
 )
 from repro.rdf import A, IRI, Literal, VOC, var
-from repro.synopses import SynopsesGenerator
+from repro.synopses import CriticalPoint, SynopsesGenerator
 from repro.rdf.rdfizers import synopses_rdfizer
 
 BOX = BBox(0.0, 0.0, 10.0, 10.0)
@@ -138,6 +138,14 @@ class TestKGStore:
         assert report.triples > 0
         assert report.anchored_subjects > 0
         assert len(store) == report.triples
+
+    def test_a_numpy_timestamp_anchors_its_node(self):
+        point = CriticalPoint(PositionFix("v1", np.float64(600.0), lon=5.0, lat=5.0), "turn")
+        store = KGStore(BOX, t_origin=0.0, t_extent_s=3600.0, grid_cols=16, grid_rows=16, t_slots=8)
+        report = store.load(list(synopses_rdfizer([point]).triples()))
+        assert report.anchored_subjects == 1
+        query = star("node", (A, VOC.SemanticNode), st=STConstraint(BOX, 0.0, 3600.0))
+        assert len(store.execute(query)[0]) == 1
 
     def test_star_query_no_constraint(self):
         store, _, points = build_store()

@@ -3,6 +3,8 @@ export, scrape endpoint and batch-layer instrumentation."""
 
 import json
 import math
+import socket
+import threading
 import urllib.request
 from fnmatch import fnmatchcase
 
@@ -27,8 +29,6 @@ from repro.obs import (
     render_openmetrics,
     sanitize_metric_name,
     watch_broker,
-    write_json_snapshot,
-    write_openmetrics,
 )
 from repro.obs.metrics import Histogram
 from repro.streams import Broker, Record
@@ -142,17 +142,6 @@ class TestOpenMetrics:
         with pytest.raises(ValueError):
             parse_openmetrics("# TYPE x counter\nnot a sample line with too many fields\n")
 
-    def test_write_files(self, tmp_path):
-        reg = self.make_registry()
-        om = tmp_path / "snap.om"
-        js = tmp_path / "snap.json"
-        write_openmetrics(reg, om)
-        write_json_snapshot(reg, js, extra={"run": "test"})
-        assert parse_openmetrics(om.read_text())
-        payload = json.loads(js.read_text())
-        assert payload["run"] == "test"
-        assert payload["snapshot"]["counters"]["stage.raw.records"] == 12
-
 
 class TestMetricsServer:
     def test_scrape_and_healthz(self):
@@ -182,6 +171,18 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{server.url}/nope")
             assert err.value.code == 404
+
+    def test_an_unstarted_server_stops_and_releases_its_port(self):
+        server = MetricsServer(MetricsRegistry())
+        port = server.port
+        # On a thread: a stop() that waits for a loop that never ran must
+        # fail this test, not hang the suite.
+        stopper = threading.Thread(target=lambda: (server.stop(), server.stop()), daemon=True)
+        stopper.start()
+        stopper.join(timeout=1.0)
+        assert not stopper.is_alive()
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
 
 
 class TestHealthRule:

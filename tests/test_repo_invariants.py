@@ -9,11 +9,15 @@
   broad or a swallowing ``except`` carries a reason comment.
 * **Metric names** — every name a real run registers is a dotted path
   under a known root, which is what the health rules' globs bind to.
+* **Reachability** — every public top-level name in ``src/repro`` is
+  reached from ``core``, ``benchmarks/`` or ``examples/``, or is kept on
+  purpose in :data:`KEEP`: no production code exists only for tests.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import graphlib
 import io
 import re
@@ -240,4 +244,108 @@ def test_every_registered_metric_name_is_dotted_under_a_known_root(live_system):
         name
         for name in names
         if METRIC_NAME.fullmatch(name) is None or name.split(".")[0] not in METRIC_ROOTS
+    ] == []
+
+
+# -- reachability ---------------------------------------------------------------
+
+#: Public names no root reaches, each with the reason it stays. An entry
+#: must name a defined name that is unreachable without it.
+KEEP: dict[str, str] = {
+    # Terrestrial + satellite fusion: the planned late-fix reorder buffer
+    # wires it in, or it goes with these entries.
+    "CrossStreamFuser": "cross-stream fusion, pending the reorder buffer",
+    "degrade_stream": "the satellite-feed model CrossStreamFuser is tested on",
+    # The planned forecast stage puts FLP on the synopses stream.
+    "ErrorFeedbackPredictor": "online FLP with error feedback, pending the forecast stage",
+    # The operator export surface the README documents; the server
+    # reaches render_openmetrics.
+    "MetricsServer": "serves /metrics and /healthz to an outside scraper",
+    "parse_openmetrics": "reads an OpenMetrics export back",
+    "JsonlSink": "writes structured events as JSON lines",
+}
+
+#: Where a name counts as used: the integration layer, the benchmarks and
+#: the examples.
+REACH_ROOTS = (SRC / "core", ROOT / "benchmarks", ROOT / "examples")
+
+
+def _identifiers(node: ast.AST) -> set[str]:
+    """Every ``Name`` id, ``Attribute`` attr and import alias under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+    return found
+
+
+@functools.cache
+def _definitions() -> list[tuple[Path, str | None, ast.stmt]]:
+    """``(module, name, node)`` for each top-level def/class of ``src/repro``
+    outside ``__init__.py``, plus ``(module, None, stmt)`` for each other
+    module-level statement: those run on import."""
+    found = []
+    for path in _python_files(SRC):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((path, stmt.name, stmt))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                found.append((path, None, stmt))
+    return found
+
+
+@functools.cache
+def _root_identifiers() -> frozenset[str]:
+    return frozenset(
+        name
+        for path in _python_files(*REACH_ROOTS)
+        for name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def _reached(roots: set[str]) -> set[str]:
+    """The public names reached from ``roots``. A reached definition reaches
+    every identifier in it; a ``_private`` one resolves only in its module."""
+    public: dict[str, list] = {}
+    private: dict[tuple, list] = {}
+    pending = []
+    for path, name, node in _definitions():
+        if name is None:
+            pending.append((path, node))
+        elif name.startswith("_"):
+            private.setdefault((path, name), []).append(node)
+        else:
+            public.setdefault(name, []).append((path, node))
+    reached = {name for name in roots if name in public}
+    pending += [entry for name in reached for entry in public[name]]
+    seen_private = set()
+    while pending:
+        path, node = pending.pop()
+        for name in _identifiers(node):
+            if name in public and name not in reached:
+                reached.add(name)
+                pending += public[name]
+            elif (path, name) in private and (path, name) not in seen_private:
+                seen_private.add((path, name))
+                pending += [(path, sub) for sub in private[path, name]]
+    return reached
+
+
+def test_every_public_src_name_is_reached_or_kept():
+    defined = {name for _, name, _ in _definitions() if name and not name.startswith("_")}
+    reached = _reached(_root_identifiers() | set(KEEP))
+    assert sorted(defined - reached) == []
+
+
+def test_every_keep_entry_is_defined_and_needed():
+    defined = {name for _, name, _ in _definitions()}
+    assert sorted(set(KEEP) - defined) == []
+    assert [
+        name for name in KEEP if name in _reached(_root_identifiers() | (set(KEEP) - {name}))
     ] == []

@@ -9,14 +9,13 @@ from repro.synopses import CriticalPoint
 from repro.va import (
     Dashboard,
     DensityGrid,
+    FlaggedTrajectory,
     Interval,
     TimeHistogram,
     TimeMask,
     assess_quality,
     cluster_by_relevant_parts,
     compare_densities,
-    flag_by_predicate,
-    flag_cruise_phase,
     flag_final_approach,
     match_many,
     match_points,
@@ -160,16 +159,10 @@ class TestDensity:
 
 
 class TestRelevance:
-    def test_flag_by_predicate(self):
-        tr = track("v1", [1.0, 2.0, 3.0], alt=0.0)
-        flagged = flag_by_predicate(tr, lambda f: f.lon > 1.5)
-        assert flagged.flags == (False, True, True)
+    def test_relevant_fixes_follow_the_flags(self):
+        flagged = FlaggedTrajectory(track("v1", [1.0, 2.0, 3.0]), (False, True, True))
         assert flagged.n_relevant == 2
-
-    def test_flag_cruise_phase(self):
-        fixes = [fix(0, 1.0, 5.0, alt=100.0), fix(60, 1.1, 5.0, alt=9000.0)]
-        flagged = flag_cruise_phase(Trajectory("v1", fixes))
-        assert flagged.flags == (False, True)
+        assert [f.lon for f in flagged.relevant_fixes()] == [2.0, 3.0]
 
     def test_flag_final_approach(self):
         tr = track("v1", [1.0, 2.0, 3.0, 3.01])
@@ -182,21 +175,21 @@ class TestRelevance:
         a = track("a", [1.0, 2.0, 3.0, 4.0])
         b_fixes = list(track("b", [1.0, 2.0, 3.0]).fixes) + [fix(180.0, 3.0, 6.0, eid="b")]
         b = Trajectory("b", b_fixes)
-        fa = flag_by_predicate(a, lambda f: f.lon <= 3.0)
-        fb = flag_by_predicate(b, lambda f: f.lat == 5.0 and f.lon <= 3.0)
+        fa = FlaggedTrajectory(a, (True, True, True, False))
+        fb = FlaggedTrajectory(b, (True, True, True, False))
         assert relevance_distance(fa, fb) < 1.0
 
     def test_distance_inf_when_nothing_relevant(self):
-        a = flag_by_predicate(track("a", [1.0, 2.0]), lambda f: False)
-        b = flag_by_predicate(track("b", [1.0, 2.0]), lambda f: True)
+        a = FlaggedTrajectory(track("a", [1.0, 2.0]), (False, False))
+        b = FlaggedTrajectory(track("b", [1.0, 2.0]), (True, True))
         assert math.isinf(relevance_distance(a, b))
 
     def test_clustering_separates_routes(self):
         flagged = []
         for i in range(6):   # route family A: lat 3
-            flagged.append(flag_by_predicate(track(f"a{i}", [1.0, 2.0, 3.0, 4.0], lat=3.0), lambda f: True))
+            flagged.append(FlaggedTrajectory(track(f"a{i}", [1.0, 2.0, 3.0, 4.0], lat=3.0), (True,) * 4))
         for i in range(6):   # route family B: lat 7
-            flagged.append(flag_by_predicate(track(f"b{i}", [1.0, 2.0, 3.0, 4.0], lat=7.0), lambda f: True))
+            flagged.append(FlaggedTrajectory(track(f"b{i}", [1.0, 2.0, 3.0, 4.0], lat=7.0), (True,) * 4))
         clustering = cluster_by_relevant_parts(flagged, threshold_km=60.0, min_pts=3)
         assert clustering.n_clusters == 2
         labels_a = {clustering.labels[i] for i in range(6)}
@@ -204,8 +197,6 @@ class TestRelevance:
         assert labels_a.isdisjoint(labels_b)
 
     def test_flag_length_mismatch(self):
-        from repro.va import FlaggedTrajectory
-
         with pytest.raises(ValueError):
             FlaggedTrajectory(track("v1", [1.0, 2.0]), (True,))
 
