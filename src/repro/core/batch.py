@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..analytics import MobilityPatternReport, mine_mobility_patterns
 from ..geo import BBox
-from ..kgstore import KGStore, LoadReport, STConstraint, star
+from ..kgstore import KGStore, STConstraint, star
 from ..obs import MetricsRegistry, instrument_consumer
 from ..rdf import A, Graph, VOC, var
 from ..rdf.rdfizers import synopses_rdfizer
@@ -27,7 +27,12 @@ from .config import SystemConfig, TOPIC_CLEAN, TOPIC_SYNOPSES
 
 @dataclass
 class BatchReport:
-    """What one batch run produced."""
+    """What the batch layer has ingested so far.
+
+    Store-wide totals, cumulative across ingests: ``triples`` is
+    ``len(store)`` and ``anchored_subjects`` the store's anchored-subject
+    count (per-load counts are the store's :class:`LoadReport`).
+    """
 
     synopsis_points: int = 0
     triples: int = 0
@@ -86,12 +91,14 @@ class BatchLayer:
             self.report.synopsis_points += len(points)
             self._points.extend(points)
             if points:
+                # Only the triples new to the graph go to the store, in
+                # rdfizer order: each load appends its delta to the batch view.
                 with self._time("batch.rdfize_latency_s"):
-                    triples = list(synopses_rdfizer(points).triples())
-                    self.graph.add_all(triples)
-                load: LoadReport = self.store.load(list(self.graph))
-                self.report.triples = load.triples
-                self.report.anchored_subjects = load.anchored_subjects
+                    add = self.graph.add
+                    triples = [t for t in synopses_rdfizer(points).triples() if add(t)]
+                self.store.load(triples)
+                self.report.triples = len(self.store)
+                self.report.anchored_subjects = self.store.anchored_subjects
         if self.registry is not None:
             self.registry.counter("batch.synopsis_points").inc(len(points))
             self.registry.counter("batch.ingests").inc()

@@ -12,6 +12,12 @@ so that spatio-temporal range constraints can be evaluated **directly on
 the encoded id** — no dictionary lookup, no geometry parsing — which is
 what makes the pushdown query plans fast. Terms without a position get
 st_cell slot 0 (i.e. "no cell").
+
+The serial is the term's first-sight index, unique across all cells. A
+term that gains its anchor after it was minted (a node referenced before
+its own triples arrive in a later load) is *re-celled*: only its slot
+bits change, so its id is the one it would have had, had its anchor been
+known at first sight.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ import numpy as np
 from ..geo import BBox, SpatioTemporalGrid
 from ..rdf import Term
 
-#: Bits reserved for the per-cell serial number.
-SERIAL_BITS = 24
+#: Bits reserved for the serial (the term's first-sight index).
+SERIAL_BITS = 32
 _SERIAL_MASK = (1 << SERIAL_BITS) - 1
 
 
 class DictionaryFullError(RuntimeError):
-    """Raised when a cell's serial space is exhausted."""
+    """Raised when the dictionary's serial space is exhausted."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +54,6 @@ class Dictionary:
         self.st_grid = st_grid
         self._term_to_id: dict[Term, int] = {}
         self._id_to_term: dict[int, Term] = {}
-        self._next_serial: dict[int, int] = {}   # st slot -> next serial
 
     def __len__(self) -> int:
         return len(self._term_to_id)
@@ -58,18 +63,33 @@ class Dictionary:
         existing = self._term_to_id.get(term)
         if existing is not None:
             return existing
-        if position is None:
-            slot = 0
-        else:
-            slot = self.st_grid.cell_id(position.lon, position.lat, position.t) + 1
-        serial = self._next_serial.get(slot, 0)
+        serial = len(self._term_to_id)
         if serial > _SERIAL_MASK:
-            raise DictionaryFullError(f"st slot {slot} exhausted its {_SERIAL_MASK + 1} serials")
-        self._next_serial[slot] = serial + 1
-        term_id = (slot << SERIAL_BITS) | serial
+            raise DictionaryFullError(f"all {_SERIAL_MASK + 1} serials are taken")
+        term_id = (self._slot(position) << SERIAL_BITS) | serial
         self._term_to_id[term] = term_id
         self._id_to_term[term_id] = term
         return term_id
+
+    def recell(self, term: Term, position: STPosition) -> tuple[int, int] | None:
+        """Move an encoded term into its anchor's cell.
+
+        Returns ``(old_id, new_id)``, or None if the id already embeds that
+        cell. The serial is kept, so the new id is unique.
+        """
+        old = self._term_to_id[term]
+        new = (self._slot(position) << SERIAL_BITS) | (old & _SERIAL_MASK)
+        if new == old:
+            return None
+        del self._id_to_term[old]
+        self._term_to_id[term] = new
+        self._id_to_term[new] = term
+        return old, new
+
+    def _slot(self, position: STPosition | None) -> int:
+        if position is None:
+            return 0
+        return self.st_grid.cell_id(position.lon, position.lat, position.t) + 1
 
     def lookup(self, term: Term) -> int | None:
         """The id of a term if already encoded."""

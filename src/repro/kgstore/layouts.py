@@ -45,19 +45,6 @@ class TripleColumns:
         empty = np.empty(0, dtype=np.int64)
         return TripleColumns(empty, empty.copy(), empty.copy())
 
-    @staticmethod
-    def empty() -> "TripleColumns":
-        e = np.empty(0, dtype=np.int64)
-        return TripleColumns(e, e.copy(), e.copy())
-
-    def concat(self, other: "TripleColumns") -> "TripleColumns":
-        """A new column set with ``other`` appended (the growing-store path)."""
-        return TripleColumns(
-            np.concatenate([self.s, other.s]),
-            np.concatenate([self.p, other.p]),
-            np.concatenate([self.o, other.o]),
-        )
-
 
 def _as_columns(triples: "Iterable[EncodedTriple] | TripleColumns") -> TripleColumns:
     if isinstance(triples, TripleColumns):
@@ -85,6 +72,11 @@ def _to_partition(triples: list[EncodedTriple]) -> Partition:
     return Partition(empty, empty, empty)
 
 
+def _grown(part: Partition, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> Partition:
+    """``part`` with the rows (s, p, o) appended."""
+    return Partition(np.concatenate([part.s, s]), np.concatenate([part.p, p]), np.concatenate([part.o, o]))
+
+
 class TriplesTable:
     """The "one-triples-table" layout: all triples in hash partitions by subject."""
 
@@ -93,11 +85,15 @@ class TriplesTable:
     def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns", n_partitions: int = 4):
         if n_partitions < 1:
             raise ValueError("need at least one partition")
-        cols = _as_columns(triples)
-        bucket_of = cols.s % n_partitions
+        self.partitions = [_to_partition([])] * n_partitions
+        self.extend(_as_columns(triples))
+
+    def extend(self, cols: TripleColumns) -> None:
+        """Append a batch: each bucket grows by its rows, in batch order."""
+        bucket_of = cols.s % len(self.partitions)
         self.partitions = [
-            Partition(cols.s[m], cols.p[m], cols.o[m])
-            for k in range(n_partitions)
+            _grown(part, cols.s[m], cols.p[m], cols.o[m])
+            for k, part in enumerate(self.partitions)
             for m in (bucket_of == k,)
         ]
 
@@ -125,26 +121,32 @@ class VerticalPartitioning:
         if n_partitions < 1:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
-        cols = _as_columns(triples)
+        # Per predicate, one bucket per partition (empty ones included, so a
+        # later batch lands in its bucket); scans skip the empty buckets.
         self._tables: dict[int, list[Partition]] = {}
-        self._size = len(cols)
+        self._size = 0
+        self.extend(_as_columns(triples))
+
+    def extend(self, cols: TripleColumns) -> None:
+        """Append a batch: each (predicate, bucket) table grows by its rows.
+
+        Predicate tables keep first-occurrence order across batches, buckets
+        keep input row order.
+        """
+        self._size += len(cols)
         if not len(cols):
             return
-        # Predicate tables keep first-occurrence order (dict-insertion parity
-        # with the per-triple build), buckets keep input row order.
         uniq, first_idx = np.unique(cols.p, return_index=True)
         for p_id in uniq[np.argsort(first_idx)].tolist():
             p_mask = cols.p == p_id
-            s = cols.s[p_mask]
-            p = cols.p[p_mask]
-            o = cols.o[p_mask]
-            bucket_of = s % n_partitions
-            parts = []
-            for k in range(n_partitions):
-                m = bucket_of == k
-                if m.any():
-                    parts.append(Partition(s[m], p[m], o[m]))
-            self._tables[p_id] = parts
+            s, p, o = cols.s[p_mask], cols.p[p_mask], cols.o[p_mask]
+            bucket_of = s % self.n_partitions
+            parts = self._tables.get(p_id) or [_to_partition([])] * self.n_partitions
+            self._tables[p_id] = [
+                _grown(part, s[m], p[m], o[m]) if m.any() else part
+                for k, part in enumerate(parts)
+                for m in (bucket_of == k,)
+            ]
 
     def __len__(self) -> int:
         return self._size
@@ -153,12 +155,12 @@ class VerticalPartitioning:
         return set(self._tables)
 
     def scan(self) -> Iterator[Partition]:
-        for parts in self._tables.values():
-            yield from parts
+        for p_id in self._tables:
+            yield from self.scan_predicate(p_id)
 
     def scan_predicate(self, p_id: int) -> Iterator[Partition]:
         """Direct per-predicate access: VP's whole point."""
-        yield from self._tables.get(p_id, [])
+        return (part for part in self._tables.get(p_id, []) if len(part))
 
 
 class PropertyTable:
@@ -180,18 +182,28 @@ class PropertyTable:
         self._rows: dict[int, dict[int, int]] = {}
         self._overflow: list[EncodedTriple] = []
         self._size = 0
-        if isinstance(triples, TripleColumns):
-            triples = zip(triples.s.tolist(), triples.p.tolist(), triples.o.tolist())
-        for s, p, o in triples:
-            row = self._rows.setdefault(s, {})
-            if p in row:
-                self._overflow.append((s, p, row[p]))
-            row[p] = o
-            self._size += 1
         # Columnar star-scan view, built lazily: subjects in row-insertion
         # order plus one dense (present, object) column pair per predicate.
         self._subjects_arr: np.ndarray | None = None
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.extend(_as_columns(triples))
+
+    def extend(self, cols: TripleColumns) -> None:
+        """Append a batch: new subjects get rows, known ones gain properties
+        (a repeated property spills its old value to the overflow)."""
+        rows, overflow = self._rows, self._overflow
+        for s, p, o in zip(cols.s.tolist(), cols.p.tolist(), cols.o.tolist()):
+            row = rows.get(s)
+            if row is None:
+                rows[s] = {p: o}
+                continue
+            old = row.get(p)
+            if old is not None:
+                overflow.append((s, p, old))
+            row[p] = o
+        self._size += len(cols)
+        self._subjects_arr = None
+        self._columns = {}
 
     def __len__(self) -> int:
         return self._size

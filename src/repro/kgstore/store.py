@@ -17,6 +17,7 @@ constraints; the bench measures the same ratio on this engine.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -46,13 +47,14 @@ class QueryMetrics:
 class LoadReport:
     """What one :meth:`KGStore.load` call produced (batch-scoped counts).
 
-    Store-wide totals live on the store itself (``len(store)`` and the
+    Every count is per batch. Store-wide totals live on the store itself
+    (``len(store)``, ``store.anchored_subjects`` and the
     ``kg.triples_stored`` / ``kg.anchored_subjects`` gauges), not here.
     """
 
     triples: int = 0            # triples in the batch just loaded
     subjects: int = 0           # distinct subjects in the batch just loaded
-    anchored_subjects: int = 0  # batch subjects with a spatio-temporal position
+    anchored_subjects: int = 0  # subjects whose anchor this batch completed or restated
 
 
 class KGStore:
@@ -89,8 +91,13 @@ class KGStore:
         self.registry = registry
         self._layout = None
         self._positions: dict[int, STPosition] = {}   # subject id -> exact anchor
-        #: The store's triples as growing numpy columns (the columnar truth).
-        self._cols = TripleColumns.empty()
+        # Subjects with one half of their anchor so far: (lon, lat) or t,
+        # held until a later load brings the other half.
+        self._half_anchors: dict[Term, tuple[tuple[float, float] | None, float | None]] = {}
+        #: The store's triples: rows (s, p, o) of a buffer that grows with
+        #: amortised doubling; the first ``_n`` columns are live.
+        self._buf = np.empty((3, 0), dtype=np.int64)
+        self._n = 0
         # Anchors as parallel (id, lon, lat, t) arrays sorted by id, built
         # lazily for the refine step; invalidated on load.
         self._anchor_arrays_cache: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -98,71 +105,147 @@ class KGStore:
     # -- loading ---------------------------------------------------------------
 
     def load(self, triples: Iterable[Triple]) -> LoadReport:
-        """Encode and store a triple batch (rebuilds the layout)."""
+        """Encode, anchor and append a triple batch to the store.
+
+        Loads are additive: the work is O(batch), and loading one triple
+        list in any number of consecutive batches leaves the store as one
+        load of the whole list would, down to the ids, the layout and the
+        order of every query's bindings. A subject's anchor (its ``asWKT``
+        point plus its ``timestamp``) may arrive across batches; a term
+        minted before its anchor was complete is moved into its cell then.
+        """
         start = time.perf_counter()
         batch = list(triples)
-        # Pass 1: find each subject's spatio-temporal anchor (asWKT + timestamp).
-        wkt_by_subject: dict[Term, str] = {}
-        t_by_subject: dict[Term, float] = {}
-        for tr in batch:
-            if tr.p == VOC.asWKT and isinstance(tr.o, Literal) and tr.o.value.lstrip().upper().startswith("POINT"):
-                wkt_by_subject[tr.s] = tr.o.value
-            elif tr.p == VOC.timestamp and isinstance(tr.o, Literal):
-                try:
-                    t_by_subject[tr.s] = float(tr.o.value)
-                except ValueError:
-                    # A non-numeric timestamp literal simply fails to anchor
-                    # this subject; the triple itself is still stored below.
-                    pass
-        anchors: dict[Term, STPosition] = {}
-        for subject, wkt in wkt_by_subject.items():
-            t = t_by_subject.get(subject)
-            if t is None:
-                continue
-            point = parse_point(wkt)
-            anchors[subject] = STPosition(point.lon, point.lat, t)
+        anchors = self._anchors_of(batch)
+        # A re-cell rewrites stored ids: the layout is rebuilt, batch included.
+        rebuild = self._recell(anchors) or self._layout is None
 
-        # Pass 2: encode into columnar batch buffers. An id is minted at a
-        # term's first sight, so an anchored node met first as an *object*
+        # Encode into columnar batch buffers. An id is minted at a term's
+        # first sight, so an anchored node met first as an *object*
         # (``traj hasSemanticNode node`` ahead of the node's own triples)
-        # must get its spatio-temporal id there too, or pushdown prunes it.
-        report = LoadReport()
-        seen_subjects: set[int] = set()
-        anchored_subjects: set[int] = set()
+        # gets its spatio-temporal id there too, or pushdown prunes it.
+        encode, anchor_of = self.dictionary.encode, anchors.get
         s_ids: list[int] = []
         p_ids: list[int] = []
         o_ids: list[int] = []
         for tr in batch:
-            anchor = anchors.get(tr.s)
-            s_id = self.dictionary.encode(tr.s, anchor)
-            s_ids.append(s_id)
-            p_ids.append(self.dictionary.encode(tr.p))
-            o_ids.append(self.dictionary.encode(tr.o, anchors.get(tr.o)))
-            seen_subjects.add(s_id)
-            if anchor is not None:
-                anchored_subjects.add(s_id)
-                self._positions[s_id] = anchor
-        report.triples = len(batch)
-        report.subjects = len(seen_subjects)
-        report.anchored_subjects = len(anchored_subjects)
+            s_ids.append(encode(tr.s, anchor_of(tr.s)))
+            p_ids.append(encode(tr.p, anchor_of(tr.p)))
+            o_ids.append(encode(tr.o, anchor_of(tr.o)))
+        lookup = self.dictionary.lookup
+        for subject, anchor in anchors.items():
+            self._positions[lookup(subject)] = anchor
         batch_cols = TripleColumns(
             np.asarray(s_ids, dtype=np.int64),
             np.asarray(p_ids, dtype=np.int64),
             np.asarray(o_ids, dtype=np.int64),
         )
-        self._cols = self._cols.concat(batch_cols)
+        self._append(batch_cols)
         self._anchor_arrays_cache = None
-        self._layout = LAYOUTS[self.layout_name](self._cols, n_partitions=self.n_partitions)
+        if rebuild:
+            live = TripleColumns(*self._buf[:, : self._n])
+            self._layout = LAYOUTS[self.layout_name](live, n_partitions=self.n_partitions)
+        else:
+            self._layout.extend(batch_cols)
+        report = LoadReport(len(batch), len(set(s_ids)), len(anchors))
         if self.registry is not None:
             self.registry.counter("kg.triples_loaded").inc(len(batch))
             self.registry.counter("kg.loads").inc()
             self.registry.histogram("kg.load_latency_s").observe(time.perf_counter() - start)
-            self.registry.gauge("kg.triples_stored").set(len(self._cols))
-            self.registry.gauge("kg.anchored_subjects").set(len(self._positions))
+            self.registry.gauge("kg.triples_stored").set(len(self))
+            self.registry.gauge("kg.anchored_subjects").set(self.anchored_subjects)
         return report
 
+    def _anchors_of(self, batch: list[Triple]) -> dict[Term, STPosition]:
+        """The subjects whose anchor is complete once this batch is in.
+
+        Within the batch the last usable half wins; a half the batch lacks
+        comes from the subject's held anchor or half-anchor. A half that
+        does not parse — a non-numeric or non-finite ``timestamp``, an
+        ``asWKT`` POINT that fails to parse or has a non-finite coordinate —
+        simply fails to anchor its subject; the triple itself is still stored.
+        """
+        halves: dict[Term, list] = {}
+        for tr in batch:
+            if not isinstance(tr.o, Literal):
+                continue
+            if tr.p == VOC.asWKT and tr.o.value.lstrip().upper().startswith("POINT"):
+                try:
+                    point = parse_point(tr.o.value)
+                except ValueError:
+                    continue
+                if math.isfinite(point.lon) and math.isfinite(point.lat):
+                    halves.setdefault(tr.s, [None, None])[0] = (point.lon, point.lat)
+            elif tr.p == VOC.timestamp:
+                try:
+                    t = float(tr.o.value)
+                except ValueError:
+                    continue
+                if math.isfinite(t):
+                    halves.setdefault(tr.s, [None, None])[1] = t
+        anchors: dict[Term, STPosition] = {}
+        lookup = self.dictionary.lookup
+        for subject, (lonlat, t) in halves.items():
+            s_id = lookup(subject)
+            held = self._positions.get(s_id) if s_id is not None else None
+            if held is not None:
+                held_lonlat, held_t = (held.lon, held.lat), held.t
+            else:
+                held_lonlat, held_t = self._half_anchors.pop(subject, (None, None))
+            lonlat = lonlat or held_lonlat
+            t = held_t if t is None else t
+            if lonlat is None or t is None:
+                self._half_anchors[subject] = (lonlat, t)
+            else:
+                anchors[subject] = STPosition(lonlat[0], lonlat[1], t)
+        return anchors
+
+    def _recell(self, anchors: dict[Term, STPosition]) -> bool:
+        """Move already-encoded terms whose anchor cell changed; True if any moved.
+
+        Rare: it takes a term met before its anchor was complete (or an
+        anchor that changed cell). The stored columns are rewritten old id
+        -> new id and the held positions follow their subject.
+        """
+        moves = []
+        lookup = self.dictionary.lookup
+        for term, anchor in anchors.items():
+            if lookup(term) is not None:
+                moved = self.dictionary.recell(term, anchor)
+                if moved is not None:
+                    moves.append(moved)
+        if not moves:
+            return False
+        old, new = (np.asarray(side, dtype=np.int64) for side in zip(*moves))
+        order = np.argsort(old)
+        old, new = old[order], new[order]
+        live = self._buf[:, : self._n]
+        pos = np.searchsorted(old, live).clip(max=len(old) - 1)
+        live[...] = np.where(old[pos] == live, new[pos], live)
+        for o_id, n_id in zip(old.tolist(), new.tolist()):
+            if o_id in self._positions:
+                self._positions[n_id] = self._positions.pop(o_id)
+        return True
+
+    def _append(self, cols: TripleColumns) -> None:
+        """Append encoded rows to the buffer, doubling its capacity when full."""
+        n, end = self._n, self._n + len(cols)
+        if end > self._buf.shape[1]:
+            grown = np.empty((3, max(end, 2 * self._buf.shape[1], 1024)), dtype=np.int64)
+            grown[:, :n] = self._buf[:, :n]
+            self._buf = grown
+        self._buf[0, n:end] = cols.s
+        self._buf[1, n:end] = cols.p
+        self._buf[2, n:end] = cols.o
+        self._n = end
+
     def __len__(self) -> int:
-        return len(self._cols)
+        return self._n
+
+    @property
+    def anchored_subjects(self) -> int:
+        """How many subjects in the store have a spatio-temporal anchor."""
+        return len(self._positions)
 
     # -- query execution ---------------------------------------------------------
 

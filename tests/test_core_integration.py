@@ -1,5 +1,9 @@
 """Integration tests: the full Figure-2 pipeline, end to end."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -18,6 +22,7 @@ from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.kgstore import STConstraint, star
 from repro.rdf import A, VOC, var
+from repro.rdf.rdfizers import synopses_rdfizer
 from repro.synopses import SynopsesGenerator
 
 
@@ -125,11 +130,22 @@ class TestBatchViewPushdown:
         config = SystemConfig()
         extent = 24 * 3600.0
         realtime = RealtimeLayer(config)
-        batch = BatchLayer(config, realtime.broker, 0.0, extent)
+        batch = BatchLayer(config, realtime.broker, 0.0, extent, registry=realtime.metrics)
         fixes = list(islice(AISSimulator().fixes(0.0, extent), 4000))
         for k in range(4):
             realtime.run(fixes[k * 1000 : (k + 1) * 1000])
-            batch.ingest_from_broker()
+            report = batch.ingest_from_broker()
+            # Each ingest appends only the triples new to the graph, so the
+            # store's counts are the graph's, not a multiple of it.
+            stored = len(batch.graph)
+            assert len(batch.store) == report.triples == stored
+            assert realtime.metrics.gauges("kg.")["kg.triples_stored"] == stored
+            assert realtime.metrics.counters("kg.")["kg.triples_loaded"] == stored
+        # The graph mirror the offline analytics read still holds every
+        # ingest's triples: its counts are those of one rdfizer pass.
+        points = [r.value for r in realtime.broker.consumer(TOPIC_SYNOPSES, group="check").poll(10**6)]
+        one_pass = set(synopses_rdfizer(points).triples())
+        assert batch.event_type_counts() == dict(Counter(t.o.value for t in one_pass if t.p == VOC.eventType))
         query = star(
             "node",
             (A, VOC.SemanticNode),
@@ -139,6 +155,34 @@ class TestBatchViewPushdown:
         )
         post_filter, _ = batch.store.execute(query, pushdown=False)
         assert batch.nodes_in_range(config.bbox, 0.0, extent) == post_filter != []
+
+
+_HASH_SEED_RUN = """
+from repro.core import DatacronSystem, SystemConfig
+from repro.datasources import AISSimulator
+system = DatacronSystem(SystemConfig(n_regions=20, n_ports=8, seed=11))
+fixes = list(AISSimulator(n_vessels=6, seed=2).fixes(0.0, 3 * 3600.0))
+for k in range(3):
+    system.run(fixes[k * len(fixes) // 3 : (k + 1) * len(fixes) // 3])
+for binding in system.batch.nodes_in_range(system.config.bbox, 0.0, 24 * 3600.0):
+    print(binding["node"], binding["t"], binding["kind"])
+"""
+
+
+class TestBatchViewDeterminism:
+    def test_query_bindings_do_not_depend_on_the_string_hash_seed(self):
+        """The store is loaded in rdfizer order, never in ``set`` order, so
+        the bindings of a star query come back in one order under any
+        ``PYTHONHASHSEED``."""
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_RUN], env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0].count("\n") > 10
+        assert outputs[0] == outputs[1]
 
 
 class TestCEPIntegration:

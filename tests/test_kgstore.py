@@ -15,7 +15,7 @@ from repro.kgstore import (
     VerticalPartitioning,
     star,
 )
-from repro.rdf import A, IRI, Literal, VOC, var
+from repro.rdf import A, IRI, Literal, Triple, VOC, var
 from repro.synopses import CriticalPoint, SynopsesGenerator
 from repro.rdf.rdfizers import synopses_rdfizer
 
@@ -146,6 +146,25 @@ class TestKGStore:
         assert report.anchored_subjects == 1
         query = star("node", (A, VOC.SemanticNode), st=STConstraint(BOX, 0.0, 3600.0))
         assert len(store.execute(query)[0]) == 1
+
+    @pytest.mark.parametrize("half", [
+        Literal.of(float("nan")),
+        Literal.of(float("inf")),
+        Literal.of(float("-inf")),
+        Literal.wkt("POINT (nan 5)"),
+    ], ids=["NaN", "INF", "-INF", "POINT (nan 5)"])
+    def test_an_unusable_anchor_half_stores_the_triples_unanchored(self, half):
+        node = IRI("http://x/node/0")
+        predicate = VOC.asWKT if half.value.startswith("POINT") else VOC.timestamp
+        anchor = {VOC.timestamp: Literal.of(600.0), VOC.asWKT: Literal.wkt("POINT (5.0 5.0)")}
+        anchor[predicate] = half
+        triples = [Triple(node, A, VOC.SemanticNode), *(Triple(node, p, o) for p, o in anchor.items())]
+        store = KGStore(BOX, t_origin=0.0, t_extent_s=3600.0, grid_cols=16, grid_rows=16, t_slots=8)
+        report = store.load(triples)
+        assert len(store) == report.triples == 3
+        assert report.anchored_subjects == store.anchored_subjects == 0
+        query = star("node", (A, VOC.SemanticNode), st=STConstraint(BOX, 0.0, 3600.0))
+        assert store.execute(query, pushdown=True)[0] == store.execute(query, pushdown=False)[0] == []
 
     def test_star_query_no_constraint(self):
         store, _, points = build_store()

@@ -9,6 +9,8 @@ sparse extra predicates, arbitrary space-time windows, and *reference
 triples placed before the referenced node's own triples*, the order in
 which an id minted at first sight lands in the wrong cell — plus the
 cheap :class:`QueryMetrics` invariants every execution must satisfy.
+:class:`TestSplitLoads` holds a store loaded in consecutive slices of one
+triple list equal to one load of it.
 """
 
 from __future__ import annotations
@@ -183,4 +185,69 @@ class TestStarQueryOracle:
         kg.load(triples)
         query = node_query(STConstraint(BOX, 0.0, T_EXTENT))
         assert len(star_bindings(triples, query)) == 1
+        assert_matches_oracle(kg, triples, query)
+
+
+def _plan_results(kg, query):
+    """Both plans' bindings and metrics, wall time left out."""
+    results = []
+    for pushdown in (True, False):
+        bindings, metrics = kg.execute(query, pushdown=pushdown)
+        metrics.wall_seconds = 0.0
+        results.append((bindings, metrics))
+    return results
+
+
+class TestSplitLoads:
+    """Loads are additive: one triple list cut into any k >= 1 consecutive
+    batches leaves the store as one load of the whole list would."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @given(specs=subject_specs, cuts=st.lists(st.floats(0.0, 1.0), max_size=4), window=windows)
+    @settings(max_examples=40, deadline=None)
+    def test_any_split_answers_like_one_load(self, layout, specs, cuts, window):
+        """Cuts fall anywhere, so they separate a reference from the node
+        it references and the two halves of one anchor."""
+        triples = _triples(specs)
+        bounds = sorted(int(c * len(triples)) for c in cuts)
+        batches = [triples[a:b] for a, b in zip([0, *bounds], [*bounds, len(triples)])]
+        whole, split = _empty_store(layout), _empty_store(layout)
+        whole.load(triples)
+        for batch in batches:
+            split.load(batch)
+        assert len(split) == len(whole) == len(triples)
+        assert split.anchored_subjects == whole.anchored_subjects
+        fixed = star("node", (A, VOC.RawPosition), (EXTRA_PRED, Literal.of(1)))
+        for query in (node_query(window), node_query(STConstraint(BOX, 0.0, T_EXTENT)), fixed):
+            assert _plan_results(split, query) == _plan_results(whole, query)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_anchor_halves_in_different_loads_anchor_the_subject(self, layout):
+        node = IRI("http://example.org/node/0")
+        triples = [
+            Triple(node, A, VOC.RawPosition),
+            Triple(node, VOC.asWKT, Literal("POINT (5.0 5.0)")),
+            Triple(node, VOC.timestamp, Literal.of(100.0)),
+        ]
+        kg = _empty_store(layout)
+        kg.load(triples[:2])
+        assert kg.anchored_subjects == 0
+        kg.load(triples[2:])
+        assert kg.anchored_subjects == 1
+        assert_matches_oracle(kg, triples, node_query(STConstraint(BOX, 0.0, T_EXTENT)))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_node_referenced_a_load_before_its_triples_is_recelled(self, layout):
+        node = IRI("http://example.org/node/0")
+        triples = [
+            Triple(TRAJECTORY, VOC.hasSemanticNode, node),
+            Triple(node, A, VOC.RawPosition),
+            Triple(node, VOC.timestamp, Literal.of(100.0)),
+            Triple(node, VOC.asWKT, Literal("POINT (5.0 5.0)")),
+        ]
+        kg = _empty_store(layout)
+        kg.load(triples[:1])
+        kg.load(triples[1:])
+        query = node_query(STConstraint(BOX, 0.0, T_EXTENT))
+        assert len(kg.execute(query, pushdown=True)[0]) == 1
         assert_matches_oracle(kg, triples, query)
