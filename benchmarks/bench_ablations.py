@@ -17,8 +17,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from repro.cep import (
     TURN_ALPHABET,
     build_pmc_markov,

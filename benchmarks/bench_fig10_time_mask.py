@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SystemConfig
 from repro.datasources import AISConfig, AISSimulator
 from repro.geo import group_fixes_by_entity
 from repro.linkdiscovery import MovingProximityDiscoverer

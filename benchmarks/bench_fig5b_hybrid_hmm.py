@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasources import FlightDatasetConfig, generate_flight_dataset
-from repro.geo import BBox, cross_track_error_m
+from repro.geo import BBox
 from repro.prediction import (
     BlindHMMPredictor,
     HybridClusteringHMM,

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.datasources import AISConfig, AISSimulator, DEFAULT_BBOX, generate_ports, generate_regions
+from repro.datasources import DEFAULT_BBOX, generate_ports, generate_regions
 from repro.linkdiscovery import (
     DiscoveryResult,
     NEAR_TO,
@@ -22,7 +22,6 @@ from repro.linkdiscovery import (
     RegionLinkDiscoverer,
     WITHIN,
 )
-from repro.synopses import SynopsesGenerator
 
 from _tables import format_table
 

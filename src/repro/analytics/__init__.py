@@ -1,4 +1,4 @@
-"""Batch-layer trajectory analytics (Figure 2): pattern mining, risk, adherence."""
+"""Trajectory analytics (Figure 2): collision risk and flight-plan adherence."""
 
 from .adherence import AdherenceReport, FleetAdherence, assess_adherence, assess_fleet
 from .collision import (
@@ -12,8 +12,6 @@ from .collision import (
     classify_encounter,
     closest_point_of_approach,
 )
-from .mobility import MobilityPatternReport, critical_point_sequences, mine_mobility_patterns
-from .sequential import SequentialPattern, maximal_patterns, mine_sequential_patterns
 
 __all__ = [
     "AdherenceReport",
@@ -24,15 +22,9 @@ __all__ = [
     "CollisionWarning",
     "FleetAdherence",
     "HEAD_ON",
-    "MobilityPatternReport",
     "OVERTAKING",
-    "SequentialPattern",
     "assess_adherence",
     "assess_fleet",
     "classify_encounter",
     "closest_point_of_approach",
-    "critical_point_sequences",
-    "maximal_patterns",
-    "mine_mobility_patterns",
-    "mine_sequential_patterns",
 ]

@@ -33,23 +33,18 @@ class AdherenceReport:
     excursion_fraction: float        # fraction of samples beyond the threshold
     delay_s: float                   # actual vs planned arrival time
 
-    def adherent(self, max_p95_m: float = 5000.0, max_delay_s: float = 900.0) -> bool:
-        """Whether the flight counts as plan-adherent under the given limits."""
-        return self.p95_cross_track_m <= max_p95_m and abs(self.delay_s) <= max_delay_s
+    def adherent(self, max_p95_m: float = 5000.0) -> bool:
+        """Whether the flight counts as plan-adherent: p95 lateral deviation
+        within ``max_p95_m`` and at most 15 minutes early or late."""
+        return self.p95_cross_track_m <= max_p95_m and abs(self.delay_s) <= 900.0
 
 
-def assess_adherence(
-    plan: FlightPlan,
-    actual: Trajectory,
-    excursion_threshold_m: float = 5000.0,
-    plan_speed_ms: float = 220.0,
-) -> AdherenceReport:
-    """Score one flown trajectory against its filed plan."""
+def assess_adherence(plan: FlightPlan, actual: Trajectory) -> AdherenceReport:
+    """Score one flown trajectory against its filed plan, flown at 220 m/s;
+    an excursion is a cross-track error above 5 km."""
     if len(actual) < 2:
         raise ValueError("actual trajectory too short to assess")
-    if excursion_threshold_m <= 0:
-        raise ValueError("excursion threshold must be positive")
-    reference = list(plan.planned_trajectory(sample_period_s=30.0, ground_speed_ms=plan_speed_ms))
+    reference = list(plan.planned_trajectory(sample_period_s=30.0, ground_speed_ms=220.0))
     errors = cross_track_error_m(list(actual), reference)
     ordered = sorted(errors)
     p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
@@ -60,7 +55,7 @@ def assess_adherence(
         mean_cross_track_m=sum(errors) / len(errors),
         p95_cross_track_m=p95,
         max_cross_track_m=max(errors),
-        excursion_fraction=sum(1 for e in errors if e > excursion_threshold_m) / len(errors),
+        excursion_fraction=sum(1 for e in errors if e > 5000.0) / len(errors),
         delay_s=delay,
     )
 
@@ -71,10 +66,10 @@ class FleetAdherence:
 
     reports: list[AdherenceReport]
 
-    def adherent_fraction(self, max_p95_m: float = 5000.0, max_delay_s: float = 900.0) -> float:
+    def adherent_fraction(self, max_p95_m: float = 5000.0) -> float:
         if not self.reports:
             return math.nan
-        ok = sum(1 for r in self.reports if r.adherent(max_p95_m, max_delay_s))
+        ok = sum(1 for r in self.reports if r.adherent(max_p95_m))
         return ok / len(self.reports)
 
     def worst(self, n: int = 5) -> list[AdherenceReport]:
@@ -87,12 +82,6 @@ class FleetAdherence:
         return sum(r.mean_cross_track_m for r in self.reports) / len(self.reports)
 
 
-def assess_fleet(
-    flights: Sequence[tuple[FlightPlan, Trajectory]],
-    excursion_threshold_m: float = 5000.0,
-) -> FleetAdherence:
+def assess_fleet(flights: Sequence[tuple[FlightPlan, Trajectory]]) -> FleetAdherence:
     """Score a whole day of operations."""
-    return FleetAdherence([
-        assess_adherence(plan, actual, excursion_threshold_m=excursion_threshold_m)
-        for plan, actual in flights
-    ])
+    return FleetAdherence([assess_adherence(plan, actual) for plan, actual in flights])

@@ -5,7 +5,7 @@ converted to deterministic finite automata (DFA). A detection occurs
 every time the DFA reaches one of its final states."
 
 Compilation is Thompson construction followed by subset construction.
-For stream matching the pattern is *unanchored* by default — compiled as
+For stream matching the pattern is *unanchored* — compiled as
 ``Σ* R`` — so a complex event is detected whenever the pattern completes
 anywhere in the stream (the streaming semantics of the Wayeb system).
 The DFA's transition function is **total** over the declared alphabet,
@@ -98,19 +98,12 @@ class DFA:
     def is_final(self, state: int) -> bool:
         return state in self.finals
 
-    def accepts(self, symbols: Sequence[str]) -> bool:
-        """Whether the full symbol sequence ends in a final state."""
-        state = self.start
-        for s in symbols:
-            state = self.step(state, s)
-        return self.is_final(state)
 
-
-def compile_pattern(pattern: Pattern, alphabet: Sequence[str], anchored: bool = False) -> DFA:
+def compile_pattern(pattern: Pattern, alphabet: Sequence[str]) -> DFA:
     """Compile a pattern to a total DFA over ``alphabet``.
 
-    ``anchored=False`` (default, stream semantics) compiles ``Σ* R``: the
-    DFA accepts whenever the pattern just completed, whatever preceded it.
+    Stream semantics: the DFA is that of ``Σ* R``, so it is in a final
+    state whenever the pattern just completed, whatever preceded it.
     """
     missing = pattern.symbols() - set(alphabet)
     if missing:
@@ -119,13 +112,12 @@ def compile_pattern(pattern: Pattern, alphabet: Sequence[str], anchored: bool = 
         raise ValueError("alphabet contains duplicates")
     nfa = _NFA()
     start, accept = _build_nfa(pattern, nfa)
-    if not anchored:
-        # Σ* prefix: loop on every symbol at a fresh start state.
-        loop = nfa.new_state()
-        for symbol in alphabet:
-            nfa.add_edge(loop, symbol, loop)
-        nfa.add_edge(loop, _EPS, start)
-        start = loop
+    # Σ* prefix: loop on every symbol at a fresh start state.
+    loop = nfa.new_state()
+    for symbol in alphabet:
+        nfa.add_edge(loop, symbol, loop)
+    nfa.add_edge(loop, _EPS, start)
+    start = loop
 
     # Subset construction with a total transition function.
     initial = _eps_closure(nfa, frozenset({start}))

@@ -42,8 +42,8 @@ class PatternMarkovChain:
         """The PMC index of a (DFA state, context) pair, if reachable."""
         return self.index.get((dfa_state, context))
 
-    def is_stochastic(self, atol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.matrix.sum(axis=1), 1.0, atol=atol))
+    def is_stochastic(self) -> bool:
+        return bool(np.allclose(self.matrix.sum(axis=1), 1.0, atol=1e-9))
 
 
 def build_pmc_iid(dfa: DFA, symbol_probs: dict[str, float]) -> PatternMarkovChain:

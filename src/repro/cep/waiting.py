@@ -56,9 +56,6 @@ class ForecastInterval:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def covers(self, steps_ahead: int) -> bool:
-        return self.start <= steps_ahead <= self.end
-
 
 def forecast_interval(waiting: np.ndarray, threshold: float) -> ForecastInterval | None:
     """The smallest interval whose probability mass is at least ``threshold``.

@@ -4,7 +4,7 @@ Consumes what the real-time layer persisted to the broker (its own
 consumer group — the same data, independently readable), lifts the
 trajectory synopses to RDF with the datAcron ontology templates, stores
 them in the distributed-store surrogate, and exposes spatio-temporal
-star-query analytics plus the offline data-quality assessment.
+star-query analytics.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from ..analytics import MobilityPatternReport, mine_mobility_patterns
 from ..geo import BBox
 from ..kgstore import KGStore, STConstraint, star
 from ..obs import MetricsRegistry, instrument_consumer
@@ -20,9 +19,8 @@ from ..rdf import A, Graph, VOC, var
 from ..rdf.rdfizers import synopses_rdfizer
 from ..streams import Broker
 from ..synopses import CriticalPoint
-from ..va import DataQualityReport, assess_quality
 
-from .config import SystemConfig, TOPIC_CLEAN, TOPIC_SYNOPSES
+from .config import SystemConfig, TOPIC_SYNOPSES
 
 
 @dataclass
@@ -40,7 +38,7 @@ class BatchReport:
 
 
 class BatchLayer:
-    """RDF lifting, persistent storage and offline analytics."""
+    """RDF lifting, persistent storage and star-query analytics."""
 
     def __init__(
         self,
@@ -55,11 +53,9 @@ class BatchLayer:
         # Persistent consumer-group readers: repeated ingests continue from
         # the committed offsets, and their lag is observable as gauges.
         self._synopses_consumer = broker.consumer(TOPIC_SYNOPSES, group="batch")
-        self._quality_consumer = broker.consumer(TOPIC_CLEAN, group="quality")
         self.registry = registry
         if registry is not None:
             instrument_consumer(self._synopses_consumer, registry)
-            instrument_consumer(self._quality_consumer, registry)
         self.store = KGStore(
             config.bbox,
             t_origin=t_origin,
@@ -72,7 +68,6 @@ class BatchLayer:
         )
         self.graph = Graph()
         self.report = BatchReport()
-        self._points: list[CriticalPoint] = []
 
     def _time(self, name: str):
         """``registry.time(name)`` when instrumented, else a no-op block."""
@@ -89,7 +84,6 @@ class BatchLayer:
                     break
                 points.extend(r.value for r in records)
             self.report.synopsis_points += len(points)
-            self._points.extend(points)
             if points:
                 # Only the triples new to the graph go to the store, in
                 # rdfizer order: each load appends its delta to the batch view.
@@ -124,25 +118,4 @@ class BatchLayer:
             counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def mobility_patterns(self, min_support_fraction: float = 0.4, max_length: int = 4) -> MobilityPatternReport:
-        """Frequent critical-point motifs over the ingested trajectory corpus.
 
-        The "sequential pattern mining" half of the batch layer's trajectory
-        analytics (Figure 2).
-        """
-        return mine_mobility_patterns(
-            self._points,
-            min_support_fraction=min_support_fraction,
-            max_length=max_length,
-        )
-
-    def data_quality(self) -> DataQualityReport:
-        """Offline quality assessment over the cleaned surveillance history."""
-        consumer = self._quality_consumer
-        fixes = []
-        while True:
-            records = consumer.poll(max_messages=10_000)
-            if not records:
-                break
-            fixes.extend(r.value for r in records)
-        return assess_quality(fixes)

@@ -131,7 +131,6 @@ def make_route(
     departure: Airport,
     arrival: Airport,
     variant: int = 0,
-    n_waypoints: int = 6,
     cruise_fl: int = 360,
     seed: int = 0,
 ) -> tuple[Waypoint, ...]:
@@ -139,10 +138,9 @@ def make_route(
 
     Each ``variant`` applies a different systematic lateral dogleg, giving a
     small family of distinguishable routes per city pair — the route clusters
-    of Figures 5b and 11.
+    of Figures 5b and 11. The route has six en-route waypoints.
     """
-    if n_waypoints < 2:
-        raise ValueError("need at least 2 waypoints")
+    n_waypoints = 6
     rng = random.Random((seed * 31 + variant) * 7919 + 13)
     proj = LocalProjection(departure.lon, departure.lat)
     x1, y1 = 0.0, 0.0
@@ -375,7 +373,6 @@ class FlightDatasetConfig:
 
 def generate_flight_dataset(
     config: FlightDatasetConfig | None = None,
-    weather: WeatherField | None = None,
     seed: int = 23,
 ) -> list[SimulatedFlight]:
     """Generate a history of flights over a handful of route variants.
@@ -386,7 +383,7 @@ def generate_flight_dataset(
     with an airframe drawn from the registry.
     """
     cfg = config or FlightDatasetConfig()
-    wx = weather or WeatherField(seed=seed + 1)
+    wx = WeatherField(seed=seed + 1)
     rng = random.Random(seed)
     aircraft_pool = generate_aircraft_registry(max(8, cfg.n_flights // 10), seed=seed + 2)
     simulator = FlightSimulator(wx, FlightConfig(sample_period_s=cfg.sample_period_s), seed=seed + 3)

@@ -85,7 +85,6 @@ class AISSimulator:
         config: AISConfig | None = None,
         ports: list[Port] | None = None,
         vessels: list[VesselRecord] | None = None,
-        t_start: float = 0.0,
     ):
         self.bbox = bbox
         self.config = config or AISConfig()
@@ -93,8 +92,7 @@ class AISSimulator:
         self._master_rng = random.Random(seed)
         self.ports = ports if ports is not None else generate_ports(40, bbox=bbox, seed=seed + 1)
         self.vessels = vessels if vessels is not None else generate_vessel_registry(n_vessels, seed=seed + 2)
-        self.t_start = t_start
-        self._states = [self._init_state(v, t_start) for v in self.vessels]
+        self._states = [self._init_state(v, 0.0) for v in self.vessels]
 
     def _init_state(self, record: VesselRecord, t: float) -> _VesselState:
         rng = random.Random(self._master_rng.randrange(1 << 30))
@@ -245,7 +243,7 @@ class AISSimulator:
         the vessel keeps moving, so re-acquisition shows a position jump —
         exactly the signature gap-detection keys on.
         """
-        t0 = self.t_start if t_start is None else t_start
+        t0 = 0.0 if t_start is None else t_start
         if t_end <= t0:
             return
         cfg = self.config

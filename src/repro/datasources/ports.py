@@ -31,12 +31,12 @@ class Port:
 _COUNTRIES = ("ES", "FR", "IT", "GR", "HR", "MT", "TR", "TN", "MA", "EG")
 
 
-def generate_ports(n: int = 5754, bbox: BBox = DEFAULT_BBOX, seed: int = 17, coastal_bands: int = 14) -> list[Port]:
-    """Generate ``n`` ports clustered along coastal bands."""
+def generate_ports(n: int = 5754, bbox: BBox = DEFAULT_BBOX, seed: int = 17) -> list[Port]:
+    """Generate ``n`` ports clustered along 14 coastal bands."""
     if n < 0:
         raise ValueError("n must be non-negative")
     rng = random.Random(seed)
-    anchors = _coastal_anchors(rng, bbox, coastal_bands)
+    anchors = _coastal_anchors(rng, bbox, 14)
     ports: list[Port] = []
     for i in range(n):
         cx0, cy0, spread = rng.choice(anchors)

@@ -87,11 +87,9 @@ def generate_regions(
     n: int = 8599,
     bbox: BBox = DEFAULT_BBOX,
     seed: int = 42,
-    coastal_bands: int = 25,
-    coastal_fraction: float = 0.85,
     vertex_range: tuple[int, int] = (16, 64),
 ) -> list[Region]:
-    """Generate ``n`` regions, ``coastal_fraction`` of them clustered in bands.
+    """Generate ``n`` regions, 85 % of them clustered in 25 coastal bands.
 
     Region radii are log-normal: mostly sub-0.1-degree protected areas with a
     heavy tail of multi-degree fishing zones, matching the mixture visible in
@@ -99,15 +97,13 @@ def generate_regions(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if not 0.0 <= coastal_fraction <= 1.0:
-        raise ValueError("coastal_fraction must be in [0, 1]")
     rng = random.Random(seed)
-    anchors = _coastal_anchors(rng, bbox, coastal_bands)
+    anchors = _coastal_anchors(rng, bbox, 25)
     regions: list[Region] = []
     margin = 0.5
     for i in range(n):
         kind = rng.choices(REGION_KINDS, weights=_KIND_WEIGHTS)[0]
-        if rng.random() < coastal_fraction and anchors:
+        if rng.random() < 0.85 and anchors:
             cx0, cy0, spread = rng.choice(anchors)
             cx = rng.gauss(cx0, spread)
             cy = rng.gauss(cy0, spread * 0.6)

@@ -97,13 +97,9 @@ def _ais_message_json(fix) -> str:
     )
 
 
-def measure_ais(
-    n_vessels: int, minutes: float = 10.0, report_period_s: float = 10.0, seed: int = 1
-) -> SourceMeasurement:
+def measure_ais(n_vessels: int, minutes: float = 10.0, report_period_s: float = 10.0) -> SourceMeasurement:
     """Run the AIS simulator and measure its stream rate."""
-    sim = AISSimulator(
-        n_vessels=n_vessels, seed=seed, config=AISConfig(report_period_s=report_period_s)
-    )
+    sim = AISSimulator(n_vessels=n_vessels, seed=1, config=AISConfig(report_period_s=report_period_s))
     n, total_bytes = 0, 0
     for fix in sim.fixes(0.0, minutes * 60.0):
         n += 1
@@ -111,9 +107,9 @@ def measure_ais(
     return SourceMeasurement("ais", n, minutes, total_bytes)
 
 
-def measure_weather_obs(hours: float = 24.0, n_stations: int = 16, seed: int = 5) -> SourceMeasurement:
+def measure_weather_obs(hours: float = 24.0) -> SourceMeasurement:
     """Run the station network and measure its observation rate."""
-    network = WeatherStationNetwork(WeatherField(seed=seed), n_stations=n_stations)
+    network = WeatherStationNetwork(WeatherField(seed=5))
     n, total_bytes = 0, 0
     for _obs in network.observations(0.0, hours * 3600.0):
         n += 1
@@ -121,9 +117,9 @@ def measure_weather_obs(hours: float = 24.0, n_stations: int = 16, seed: int = 5
     return SourceMeasurement("weather_obs", n, hours * 60.0, total_bytes)
 
 
-def measure_sea_state(hours: float = 24.0, resolution_deg: float = 1.0, seed: int = 9) -> SourceMeasurement:
+def measure_sea_state(hours: float = 24.0) -> SourceMeasurement:
     """Run the sea-state source and measure forecast files and grid samples."""
-    source = SeaStateSource(WeatherField(seed=seed), resolution_deg=resolution_deg)
+    source = SeaStateSource(WeatherField(seed=9), resolution_deg=1.0)
     files, samples = 0, 0
     for fc in source.forecasts(0.0, hours * 3600.0):
         files += 1
@@ -131,20 +127,18 @@ def measure_sea_state(hours: float = 24.0, resolution_deg: float = 1.0, seed: in
     return SourceMeasurement("sea_state", files, hours * 60.0, samples * 16)
 
 
-def measure_contextual(n_regions: int = 500, n_ports: int = 500, n_vessels: int = 2000, seed: int = 3) -> dict[str, int]:
+def measure_contextual() -> dict[str, int]:
     """Instantiate the static contextual sources and count their entities."""
     return {
-        "regions": len(generate_regions(n_regions, seed=seed)),
-        "ports": len(generate_ports(n_ports, seed=seed + 1)),
-        "vessels": len(generate_vessel_registry(n_vessels, seed=seed + 2)),
+        "regions": len(generate_regions(500, seed=3)),
+        "ports": len(generate_ports(500, seed=4)),
+        "vessels": len(generate_vessel_registry(2000, seed=5)),
     }
 
 
-def measure_adsb(n_flights: int = 10, seed: int = 7) -> SourceMeasurement:
+def measure_adsb(n_flights: int = 10) -> SourceMeasurement:
     """Generate a batch of flights and measure the ADS-B message rate."""
-    flights = generate_flight_dataset(
-        FlightDatasetConfig(n_flights=n_flights, departure_spread_s=0.0), seed=seed
-    )
+    flights = generate_flight_dataset(FlightDatasetConfig(n_flights=n_flights, departure_spread_s=0.0), seed=7)
     n, total_bytes, span_s = 0, 0, 0.0
     for fl in flights:
         n += len(fl.trajectory)

@@ -33,28 +33,27 @@ class WeatherSample:
     wave_height_m: float
     temperature_c: float
 
-    @property
-    def wind_speed_ms(self) -> float:
-        return math.hypot(self.wind_u_ms, self.wind_v_ms)
-
 
 class WeatherField:
     """A smooth, deterministic synthetic weather field.
 
-    Each variable is a sum of ``n_modes`` travelling plane waves with
+    Each variable is a sum of six travelling plane waves with
     random (seeded) wavevectors, phases and periods. Typical horizontal
     correlation length is a few degrees and temporal correlation a few
     hours — the scales that matter for trajectory enrichment.
     """
 
-    def __init__(self, bbox: BBox = DEFAULT_BBOX, seed: int = 99, n_modes: int = 6, wind_scale_ms: float = 9.0):
+    #: The wind components' amplitude, m/s.
+    wind_scale_ms = 9.0
+
+    def __init__(self, bbox: BBox = DEFAULT_BBOX, seed: int = 99):
         self.bbox = bbox
         self.seed = seed
         rng = random.Random(seed)
         self._modes: dict[str, list[tuple[float, float, float, float, float]]] = {}
         for var in ("wind_u", "wind_v", "visibility", "wave", "temp"):
             modes = []
-            for _ in range(n_modes):
+            for _ in range(6):
                 kx = rng.uniform(0.2, 1.6)       # cycles per ~6 degrees
                 ky = rng.uniform(0.2, 1.6)
                 phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -62,7 +61,6 @@ class WeatherField:
                 amp = rng.uniform(0.4, 1.0)
                 modes.append((kx, ky, phase, period_s, amp))
             self._modes[var] = modes
-        self.wind_scale_ms = wind_scale_ms
 
     def _field(self, var: str, lon, lat, t, sin=math.sin):
         """Raw field value in [-1, 1]-ish units: on floats with ``math.sin``,
@@ -116,10 +114,8 @@ class WeatherStationNetwork:
     16 stations at one observation per hour.
     """
 
-    def __init__(self, field: WeatherField, n_stations: int = 16, seed: int = 5):
-        if n_stations < 1:
-            raise ValueError("need at least one station")
-        rng = random.Random(seed)
+    def __init__(self, field: WeatherField):
+        rng = random.Random(5)
         self.field = field
         self.stations: list[tuple[str, float, float]] = [
             (
@@ -127,18 +123,16 @@ class WeatherStationNetwork:
                 rng.uniform(field.bbox.min_lon, field.bbox.max_lon),
                 rng.uniform(field.bbox.min_lat, field.bbox.max_lat),
             )
-            for i in range(n_stations)
+            for i in range(16)
         ]
 
-    def observations(self, t_start: float, t_end: float, period_s: float = 3600.0) -> Iterator[StationObservation]:
-        """Yield one observation per station per ``period_s`` over [t_start, t_end)."""
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+    def observations(self, t_start: float, t_end: float) -> Iterator[StationObservation]:
+        """Yield one observation per station per hour over [t_start, t_end)."""
         t = t_start
         while t < t_end:
             for sid, lon, lat in self.stations:
                 yield StationObservation(sid, t, lon, lat, self.field.sample(lon, lat, t))
-            t += period_s
+            t += 3600.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +151,13 @@ class SeaStateForecast:
 class SeaStateSource:
     """Gridded sea-state forecasts at one file per ``period_s`` (Table 1: 3 h)."""
 
-    def __init__(self, field: WeatherField, resolution_deg: float = 0.5, period_s: float = 3.0 * 3600.0):
-        if resolution_deg <= 0 or period_s <= 0:
-            raise ValueError("resolution and period must be positive")
+    period_s = 3.0 * 3600.0
+
+    def __init__(self, field: WeatherField, resolution_deg: float = 0.5):
+        if resolution_deg <= 0:
+            raise ValueError("resolution must be positive")
         self.field = field
         self.resolution_deg = resolution_deg
-        self.period_s = period_s
 
     def forecast_at(self, t: float) -> SeaStateForecast:
         """Build the full-grid forecast issued at time ``t``."""

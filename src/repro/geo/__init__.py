@@ -15,8 +15,6 @@ from .geometry import (
     destination_point,
     haversine_m,
     initial_bearing_deg,
-    polygon_boundary_distance_m,
-    segments_intersect,
 )
 from .grid import Cell, EquiGrid, SpatioTemporalGrid
 from .trajectory import (
@@ -24,7 +22,6 @@ from .trajectory import (
     Trajectory,
     cross_track_error_m,
     group_fixes_by_entity,
-    mean_sampling_period,
 )
 from .units import (
     EARTH_RADIUS_M,
@@ -60,11 +57,8 @@ __all__ = [
     "heading_difference",
     "initial_bearing_deg",
     "kernels",
-    "mean_sampling_period",
     "normalize_heading",
     "parse_point",
     "point_to_wkt",
-    "polygon_boundary_distance_m",
-    "segments_intersect",
     "polygon_to_wkt",
 ]

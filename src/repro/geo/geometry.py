@@ -35,21 +35,6 @@ class GeoPoint:
         """Great-circle surface distance to ``other`` in metres."""
         return haversine_m(self.lon, self.lat, other.lon, other.lat)
 
-    def distance_3d_to(self, other: "GeoPoint") -> float:
-        """Distance including the altitude difference, in metres."""
-        d = self.distance_to(other)
-        dz = self.alt - other.alt
-        return math.hypot(d, dz)
-
-    def bearing_to(self, other: "GeoPoint") -> float:
-        """Initial great-circle bearing towards ``other``, degrees in [0, 360)."""
-        return initial_bearing_deg(self.lon, self.lat, other.lon, other.lat)
-
-    def destination(self, bearing_deg: float, distance_m: float) -> "GeoPoint":
-        """The point reached by travelling ``distance_m`` along ``bearing_deg``."""
-        lon, lat = destination_point(self.lon, self.lat, bearing_deg, distance_m)
-        return GeoPoint(lon, lat, self.alt)
-
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     """Great-circle distance between two lon/lat pairs, in metres."""
@@ -116,20 +101,6 @@ class LocalProjection:
         """Inverse projection from local metres back to lon/lat degrees."""
         return self.origin_lon + x / self._mx, self.origin_lat + y / self._my
 
-    def to_xy_batch(self, lons, lats) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`to_xy`: project coordinate arrays in one pass.
-
-        Uses the same precomputed scale factors as the scalar twin, so
-        the projected metres are bit-for-bit identical per element.
-        """
-        lon, lat = kernels.as_lonlat(lons, lats)
-        return (lon - self.origin_lon) * self._mx, (lat - self.origin_lat) * self._my
-
-    def to_lonlat_batch(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`to_lonlat`; bit-for-bit twin of the scalar inverse."""
-        x, y = kernels.as_lonlat(xs, ys)
-        return self.origin_lon + x / self._mx, self.origin_lat + y / self._my
-
 
 @dataclass(frozen=True, slots=True)
 class BBox:
@@ -183,13 +154,6 @@ class BBox:
             self.max_lat + margin_deg,
         )
 
-    def expanded_by_metres(self, margin_m: float) -> "BBox":
-        """A copy grown by ``margin_m`` metres on every side."""
-        lat = self.center[1]
-        dlat = margin_m / metres_per_degree_lat()
-        dlon = margin_m / max(1.0, metres_per_degree_lon(lat))
-        return BBox(self.min_lon - dlon, self.min_lat - dlat, self.max_lon + dlon, self.max_lat + dlat)
-
     @staticmethod
     def of_points(points: Iterable[tuple[float, float]]) -> "BBox":
         """The tight bounding box of an iterable of (lon, lat) pairs."""
@@ -212,13 +176,12 @@ class Polygon:
     """A simple (non-self-intersecting) polygon over lon/lat vertices.
 
     Supports point-in-polygon (ray casting, treating lon/lat as planar,
-    which is standard for surveillance-region work away from the poles),
-    polygon-bbox overlap, and distance from a point to the boundary.
+    which is standard for surveillance-region work away from the poles).
     """
 
-    __slots__ = ("vertices", "bbox", "_holes", "_edges_np")
+    __slots__ = ("vertices", "bbox", "_edges_np")
 
-    def __init__(self, vertices: Sequence[tuple[float, float]], holes: Sequence[Sequence[tuple[float, float]]] = ()):
+    def __init__(self, vertices: Sequence[tuple[float, float]]):
         pts = [(float(lon), float(lat)) for lon, lat in vertices]
         if len(pts) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
@@ -228,21 +191,14 @@ class Polygon:
         if len(pts) < 3:
             raise ValueError("a polygon needs at least 3 distinct vertices")
         self.vertices: list[tuple[float, float]] = pts
-        self._holes: list[list[tuple[float, float]]] = [
-            [(float(lon), float(lat)) for lon, lat in ring] for ring in holes
-        ]
         self.bbox = BBox.of_points(pts)
-        self._edges_np: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._edges_np: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __repr__(self) -> str:
         return f"Polygon({len(self.vertices)} vertices, bbox={self.bbox})"
-
-    @property
-    def holes(self) -> list[list[tuple[float, float]]]:
-        return self._holes
 
     def contains(self, lon: float, lat: float) -> bool:
         """Point-in-polygon test (even-odd rule); boundary points count as inside."""
@@ -257,14 +213,13 @@ class Polygon:
         the pruning work belongs to the blocking/mask stages, so refinement
         is the full geometric evaluation.
         """
-        if not _ring_contains(self.vertices, lon, lat):
-            return False
-        return not any(_ring_contains(ring, lon, lat) for ring in self._holes)
+        return _ring_contains(self.vertices, lon, lat)
 
-    def _edge_arrays(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Lazily built per-ring edge arrays (outer ring first) for batch PIP."""
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lazily built edge arrays ``(x1, y1, x2, y2)`` for batch PIP."""
         if self._edges_np is None:
-            self._edges_np = kernels.rings_to_arrays([self.vertices, *self._holes])
+            x1, y1 = np.asarray(self.vertices, dtype=np.float64).T
+            self._edges_np = (x1, y1, np.roll(x1, -1), np.roll(y1, -1))
         return self._edges_np
 
     def contains_batch(self, lons, lats) -> np.ndarray:
@@ -280,20 +235,9 @@ class Polygon:
         return verdict
 
     def contains_exact_batch(self, lons, lats) -> np.ndarray:
-        """Vectorized :meth:`contains_exact` (no bbox shortcut); holes excluded."""
+        """Vectorized :meth:`contains_exact` (no bbox shortcut)."""
         lon, lat = kernels.as_lonlat(lons, lats)
-        rings = self._edge_arrays()
-        inside = kernels.ring_contains_batch(rings[0], lon, lat)
-        for hole in rings[1:]:
-            inside &= ~kernels.ring_contains_batch(hole, lon, lat)
-        return inside
-
-    def area_deg2(self) -> float:
-        """Signed shoelace area in square degrees (holes subtracted), absolute value."""
-        area = abs(_ring_area(self.vertices))
-        for ring in self._holes:
-            area -= abs(_ring_area(ring))
-        return max(0.0, area)
+        return kernels.ring_contains_batch(self._edge_arrays(), lon, lat)
 
     def centroid(self) -> tuple[float, float]:
         """Vertex-average centroid (adequate for blocking/grid assignment)."""
@@ -305,50 +249,6 @@ class Polygon:
         verts = self.vertices
         for i in range(len(verts)):
             yield verts[i], verts[(i + 1) % len(verts)]
-
-    def distance_to_point_m(self, lon: float, lat: float) -> float:
-        """Distance from the point to the polygon, in metres (0 if inside)."""
-        if self.contains(lon, lat):
-            return 0.0
-        return polygon_boundary_distance_m(self, lon, lat)
-
-    def distance_to_point_m_batch(self, lons, lats) -> np.ndarray:
-        """Vectorized :meth:`distance_to_point_m` (0.0 for interior points)."""
-        lon, lat = kernels.as_lonlat(lons, lats)
-        out = np.zeros(lon.shape, dtype=np.float64)
-        outside = ~self.contains_batch(lon, lat)
-        if outside.any():
-            out[outside] = kernels.polygon_boundary_distance_m_batch(self, lon[outside], lat[outside])
-        return out
-
-    def intersects_bbox(self, box: BBox) -> bool:
-        """Whether the polygon overlaps the bbox (conservative exact test)."""
-        if not self.bbox.intersects(box):
-            return False
-        # Any polygon vertex inside the box?
-        if any(box.contains(lon, lat) for lon, lat in self.vertices):
-            return True
-        # Any box corner inside the polygon?
-        corners = (
-            (box.min_lon, box.min_lat),
-            (box.min_lon, box.max_lat),
-            (box.max_lon, box.min_lat),
-            (box.max_lon, box.max_lat),
-        )
-        if any(self.contains(lon, lat) for lon, lat in corners):
-            return True
-        # Any polygon edge crossing a box edge?
-        box_edges = (
-            (corners[0], corners[1]),
-            (corners[1], corners[3]),
-            (corners[3], corners[2]),
-            (corners[2], corners[0]),
-        )
-        return any(
-            segments_intersect(e1[0], e1[1], e2[0], e2[1])
-            for e1 in self.edges()
-            for e2 in box_edges
-        )
 
 
 def _ring_contains(ring: Sequence[tuple[float, float]], lon: float, lat: float) -> bool:
@@ -370,76 +270,3 @@ def _ring_contains(ring: Sequence[tuple[float, float]], lon: float, lat: float) 
     return inside
 
 
-def _ring_area(ring: Sequence[tuple[float, float]]) -> float:
-    """Signed shoelace area of a ring in square degrees."""
-    area = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return area / 2.0
-
-
-def polygon_boundary_distance_m(polygon: Polygon, lon: float, lat: float) -> float:
-    """Distance in metres from the point to the polygon's outer boundary.
-
-    The raw edge loop with no interior shortcut — the scalar oracle for
-    ``kernels.polygon_boundary_distance_m_batch``. Each query point gets
-    its own local ENU frame, so distances stay metre-accurate regardless
-    of where the polygon sits.
-    """
-    proj = LocalProjection(lon, lat)
-    px, py = 0.0, 0.0
-    best = math.inf
-    for (ax, ay), (bx, by) in polygon.edges():
-        x1, y1 = proj.to_xy(ax, ay)
-        x2, y2 = proj.to_xy(bx, by)
-        best = min(best, _point_segment_distance(px, py, x1, y1, x2, y2))
-    return best
-
-
-def _point_segment_distance(px: float, py: float, x1: float, y1: float, x2: float, y2: float) -> float:
-    """Euclidean distance from point (px,py) to segment (x1,y1)-(x2,y2).
-
-    The norm is spelled ``sqrt(ex*ex + ey*ey)`` rather than ``hypot`` so
-    the batch kernel (numpy has no fused hypot matching the libm one)
-    reproduces it bit-for-bit.
-    """
-    dx, dy = x2 - x1, y2 - y1
-    seg2 = dx * dx + dy * dy
-    if seg2 <= 0.0:
-        ex, ey = px - x1, py - y1
-        return math.sqrt(ex * ex + ey * ey)
-    t = ((px - x1) * dx + (py - y1) * dy) / seg2
-    t = min(1.0, max(0.0, t))
-    ex, ey = px - (x1 + t * dx), py - (y1 + t * dy)
-    return math.sqrt(ex * ex + ey * ey)
-
-
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    """Cross-product orientation of the triple (a, b, c)."""
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def segments_intersect(
-    a: tuple[float, float], b: tuple[float, float], c: tuple[float, float], d: tuple[float, float]
-) -> bool:
-    """Whether segment ab intersects segment cd (touching counts)."""
-    d1 = _orient(*c, *d, *a)
-    d2 = _orient(*c, *d, *b)
-    d3 = _orient(*a, *b, *c)
-    d4 = _orient(*a, *b, *d)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-    return (
-        (d1 == 0 and _on_segment(c, d, a))
-        or (d2 == 0 and _on_segment(c, d, b))
-        or (d3 == 0 and _on_segment(a, b, c))
-        or (d4 == 0 and _on_segment(a, b, d))
-    )
-
-
-def _on_segment(a: tuple[float, float], b: tuple[float, float], p: tuple[float, float]) -> bool:
-    """Whether collinear point p lies within segment ab's bounding box."""
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])

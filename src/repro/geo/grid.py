@@ -150,7 +150,8 @@ class EquiGrid:
 
         Used by link discovery to assign stationary regions to blocks and to
         build cell masks, and by the KG store to index region geometries.
-        Evaluates ``polygon.intersects_bbox(cell_box)`` over every cell of
+        Evaluates the per-cell overlap test of
+        ``tests/oracles/polygon_cells.py`` over every cell of
         :meth:`cells_overlapping_bbox` at once: each stage (vertex-in-box,
         corner-in-polygon, edge-crossing) mirrors the per-cell predicate's
         arithmetic exactly (pure products and comparisons), so the ids
@@ -174,7 +175,7 @@ class EquiGrid:
         vx, vy = verts[:, 0], verts[:, 1]
         pb = polygon.bbox
         # Stage 0: polygon bbox vs cell box (cells_overlapping_bbox makes
-        # this vacuously true, but intersects_bbox evaluates it, so we do).
+        # this vacuously true, but the per-cell test evaluates it, so we do).
         hit = ~(
             (pb.min_lon > box_max_lon)
             | (pb.max_lon < box_min_lon)
@@ -228,19 +229,19 @@ class EquiGrid:
     ) -> np.ndarray:
         """Whether any polygon edge intersects any edge of each box.
 
-        Vectorized twin of ``geometry.segments_intersect`` over the
+        Vectorized twin of the oracle's ``segments_intersect`` over the
         (box-edge x polygon-edge) cross product: identical orientation
         products, proper-crossing test and collinear on-segment checks.
         """
         verts = np.asarray(polygon.vertices, dtype=np.float64)
         ax, ay = verts[:, 0], verts[:, 1]
         bx, by = np.roll(ax, -1), np.roll(ay, -1)
-        # The four box edges, in intersects_bbox's corner order.
+        # The four box edges, in the per-cell test's corner order.
         cx = np.stack([min_lon, min_lon, max_lon, max_lon], axis=1).reshape(-1, 1)
         cy = np.stack([min_lat, max_lat, max_lat, min_lat], axis=1).reshape(-1, 1)
         dx = np.stack([min_lon, max_lon, max_lon, min_lon], axis=1).reshape(-1, 1)
         dy = np.stack([max_lat, max_lat, min_lat, min_lat], axis=1).reshape(-1, 1)
-        # Orientation products, matching geometry._orient operand order.
+        # Orientation products, matching the oracle's _orient operand order.
         d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
         d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
         d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -309,12 +310,6 @@ class SpatioTemporalGrid:
     def cell_id(self, lon: float, lat: float, t: float) -> int:
         """The spatio-temporal cell id of a (lon, lat, t) sample."""
         return self.t_slot(t) * len(self.grid) + self.grid.cell_id(lon, lat)
-
-    def decompose(self, st_id: int) -> tuple[int, int]:
-        """Split a spatio-temporal id into (t_slot, spatial_cell_id)."""
-        if not 0 <= st_id < len(self):
-            raise ValueError(f"st cell id {st_id} out of range")
-        return divmod(st_id, len(self.grid))
 
     def ids_for_range(self, box: BBox, t_min: float, t_max: float) -> set[int]:
         """All spatio-temporal cell ids overlapping a (bbox, time-interval) range."""

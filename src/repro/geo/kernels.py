@@ -38,7 +38,7 @@ results must match the scalar path exactly.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -56,9 +56,6 @@ __all__ = [
     "initial_bearing_deg_batch",
     "heading_difference_batch",
     "ring_contains_batch",
-    "rings_to_arrays",
-    "point_segment_distance_batch",
-    "polygon_boundary_distance_m_batch",
 ]
 
 
@@ -129,18 +126,6 @@ def heading_difference_batch(a, b) -> np.ndarray:
 # -- point-in-ring (even-odd, boundary-inclusive) ----------------------------------
 
 
-def rings_to_arrays(
-    rings: Sequence[Sequence[tuple[float, float]]],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Precompute per-ring edge arrays ``(x1, y1, x2, y2)`` for the PIP kernel."""
-    out = []
-    for ring in rings:
-        pts = np.asarray(ring, dtype=np.float64).reshape(-1, 2)
-        x1, y1 = pts[:, 0], pts[:, 1]
-        out.append((x1, y1, np.roll(x1, -1), np.roll(y1, -1)))
-    return out
-
-
 def ring_contains_batch(
     edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     lons: np.ndarray,
@@ -164,61 +149,3 @@ def ring_contains_batch(
     on_edge = (crosses & (np.abs(x_cross - lon) < 1e-15)).any(axis=1)
     parity = (crosses & (lon < x_cross)).sum(axis=1) & 1
     return on_vertex | on_edge | (parity == 1)
-
-
-# -- point-to-segment distances ----------------------------------------------------
-
-
-def point_segment_distance_batch(
-    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
-) -> np.ndarray:
-    """Min distance from the origin to each of a set of segments, per row.
-
-    Inputs are ``(P, E)`` arrays of segment endpoints *already translated
-    so the query point sits at the origin* (that is how the scalar
-    ``Polygon.distance_to_point_m`` frames it: a per-point ENU projection
-    centred on the point). Returns the ``(P,)`` minimum over the edge
-    axis. Mirrors ``geometry._point_segment_distance`` exactly, including
-    the degenerate zero-length-segment branch.
-    """
-    dx, dy = x2 - x1, y2 - y1
-    seg2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((0.0 - x1) * dx + (0.0 - y1) * dy) / seg2
-    t = np.clip(t, 0.0, 1.0)
-    ex = 0.0 - (x1 + t * dx)
-    ey = 0.0 - (y1 + t * dy)
-    d_seg = np.sqrt(ex * ex + ey * ey)
-    ax, ay = 0.0 - x1, 0.0 - y1
-    d_end = np.sqrt(ax * ax + ay * ay)
-    return np.where(seg2 <= 0.0, d_end, d_seg).min(axis=1)
-
-
-def polygon_boundary_distance_m_batch(polygon, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Distance in metres from each point to a polygon's outer boundary.
-
-    Twin of the edge-loop in ``Polygon.distance_to_point_m`` (which
-    considers the outer ring only): each point gets its own ENU frame
-    centred on itself, so the per-point metre scale matches the scalar
-    path's ``LocalProjection(lon, lat)`` exactly. Callers are expected to
-    have excluded interior points already (the scalar twin returns 0.0
-    for them before reaching the edge loop).
-    """
-    edge_fn = getattr(polygon, "_edge_arrays", None)
-    if edge_fn is not None:  # reuse Polygon's cached per-ring edge arrays
-        ax, ay, bx, by = edge_fn()[0]
-    else:
-        verts = np.asarray(polygon.vertices, dtype=np.float64)
-        ax, ay = verts[:, 0], verts[:, 1]
-        bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    # Per-point equirectangular scale, mirroring LocalProjection.__init__:
-    # mx = metres/deg lon at the point's latitude, my = metres/deg lat.
-    my = EARTH_RADIUS_M * math.pi / 180.0
-    mx = my * np.cos(lats * math.pi / 180.0)
-    lon = lons[:, None]
-    lat = lats[:, None]
-    x1 = (ax - lon) * mx[:, None]
-    y1 = (ay - lat) * my
-    x2 = (bx - lon) * mx[:, None]
-    y2 = (by - lat) * my
-    return point_segment_distance_batch(x1, y1, x2, y2)

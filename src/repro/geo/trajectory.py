@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import GeoPoint, LocalProjection, haversine_m, initial_bearing_deg
+from .geometry import GeoPoint, LocalProjection, haversine_m
 from .units import normalize_heading
 
 
@@ -107,16 +107,6 @@ class Trajectory:
         """Time span covered, seconds (0 for fewer than 2 fixes)."""
         return 0.0 if len(self.fixes) < 2 else self.end_time() - self.start_time()
 
-    def length_m(self) -> float:
-        """Total travelled surface distance, metres."""
-        return sum(self.fixes[i].distance_to(self.fixes[i + 1]) for i in range(len(self.fixes) - 1))
-
-    def slice_time(self, t_min: float, t_max: float) -> "Trajectory":
-        """The sub-trajectory with ``t_min <= t <= t_max``."""
-        lo = bisect.bisect_left(self._times, t_min)
-        hi = bisect.bisect_right(self._times, t_max)
-        return Trajectory(self.entity_id, self.fixes[lo:hi])
-
     def resampled(self, step_s: float) -> "Trajectory":
         """A linearly interpolated copy on a uniform ``step_s`` time lattice."""
         if step_s <= 0:
@@ -156,38 +146,6 @@ class Trajectory:
             source=a.source,
         )
 
-    def with_derived_motion(self) -> "Trajectory":
-        """A copy whose fixes all carry speed/heading/vrate.
-
-        Missing values are derived from consecutive displacement; present
-        values are kept (surveillance-reported kinematics win over derived).
-        """
-        if not self.fixes:
-            return Trajectory(self.entity_id, [])
-        out: list[PositionFix] = []
-        for i, f in enumerate(self.fixes):
-            prev = self.fixes[i - 1] if i > 0 else None
-            nxt = self.fixes[i + 1] if i + 1 < len(self.fixes) else None
-            ref_a, ref_b = (prev, f) if prev is not None else (f, nxt)
-            speed, heading, vrate = f.speed, f.heading, f.vrate
-            if ref_a is not None and ref_b is not None and ref_b.t > ref_a.t:
-                dt = ref_b.t - ref_a.t
-                if speed is None:
-                    speed = ref_a.distance_to(ref_b) / dt
-                if heading is None:
-                    heading = initial_bearing_deg(ref_a.lon, ref_a.lat, ref_b.lon, ref_b.lat)
-                if vrate is None:
-                    vrate = (ref_b.alt - ref_a.alt) / dt
-            out.append(
-                replace(
-                    f,
-                    speed=speed if speed is not None else 0.0,
-                    heading=normalize_heading(heading) if heading is not None else 0.0,
-                    vrate=vrate if vrate is not None else 0.0,
-                )
-            )
-        return Trajectory(self.entity_id, out)
-
     def to_xy(self, projection: LocalProjection | None = None) -> list[tuple[float, float]]:
         """Project all fixes to local metres; default origin is the first fix."""
         if not self.fixes:
@@ -216,13 +174,6 @@ def group_fixes_by_entity(fixes: Iterable[PositionFix]) -> dict[str, Trajectory]
     for f in fixes:
         buckets.setdefault(f.entity_id, []).append(f)
     return {eid: Trajectory(eid, fs) for eid, fs in buckets.items()}
-
-
-def mean_sampling_period(trajectory: Trajectory) -> float:
-    """The mean inter-report interval in seconds (inf for < 2 fixes)."""
-    if len(trajectory) < 2:
-        return math.inf
-    return trajectory.duration() / (len(trajectory) - 1)
 
 
 def cross_track_error_m(actual: Sequence[PositionFix], reference: Sequence[PositionFix]) -> list[float]:

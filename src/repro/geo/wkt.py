@@ -37,10 +37,6 @@ def parse_point(wkt: str) -> GeoPoint:
 
 
 def polygon_to_wkt(polygon: Polygon) -> str:
-    """Serialize a Polygon (outer ring plus holes), rings explicitly closed."""
-    rings = [polygon.vertices] + polygon.holes
-    ring_strs = []
-    for ring in rings:
-        closed = list(ring) + [ring[0]]
-        ring_strs.append("(" + ", ".join(f"{lon:.6f} {lat:.6f}" for lon, lat in closed) + ")")
-    return f"POLYGON ({', '.join(ring_strs)})"
+    """Serialize a Polygon, its ring explicitly closed."""
+    closed = [*polygon.vertices, polygon.vertices[0]]
+    return f"POLYGON (({', '.join(f'{lon:.6f} {lat:.6f}' for lon, lat in closed)}))"

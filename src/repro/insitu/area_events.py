@@ -35,11 +35,11 @@ _NOWHERE: frozenset[str] = frozenset()
 class RegionIndex:
     """Grid-accelerated point-in-region lookup over a static region set."""
 
-    def __init__(self, regions: Sequence[Region], cell_deg: float = 0.5, bbox: BBox | None = None):
+    def __init__(self, regions: Sequence[Region], cell_deg: float = 0.5):
         if not regions:
             raise ValueError("region index over an empty region set")
         self.regions = list(regions)
-        box = bbox or BBox.of_points(
+        box = BBox.of_points(
             [(r.bbox.min_lon, r.bbox.min_lat) for r in regions]
             + [(r.bbox.max_lon, r.bbox.max_lat) for r in regions]
         )
@@ -136,7 +136,3 @@ class AreaEventDetector:
         for fix in fixes:
             yield from self.process(fix)
 
-    def currently_inside(self, entity_id: str) -> frozenset[str]:
-        """The regions an entity is currently known to be inside."""
-        state = self._states.get(entity_id)
-        return state.inside if state else frozenset()

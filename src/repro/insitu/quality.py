@@ -62,15 +62,6 @@ class QualityConfig:
     lon_range: tuple[float, float] = (-180.0, 180.0)
     lat_range: tuple[float, float] = (-90.0, 90.0)
 
-    def for_aviation(self) -> "QualityConfig":
-        """The same checks with aviation-scale speed limits."""
-        return QualityConfig(
-            max_implied_speed_ms=350.0,
-            max_reported_speed_ms=350.0,
-            lon_range=self.lon_range,
-            lat_range=self.lat_range,
-        )
-
 
 @dataclass(slots=True)
 class QualityState:

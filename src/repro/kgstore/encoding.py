@@ -102,16 +102,6 @@ class Dictionary:
         except KeyError:
             raise KeyError(f"unknown term id {term_id}") from None
 
-    @staticmethod
-    def st_slot_of(term_id: int) -> int:
-        """The ST slot embedded in an id (0 = no spatio-temporal anchor)."""
-        return term_id >> SERIAL_BITS
-
-    def st_cell_of(self, term_id: int) -> int | None:
-        """The spatio-temporal grid cell of an id, or None if unanchored."""
-        slot = self.st_slot_of(term_id)
-        return None if slot == 0 else slot - 1
-
     def ids_for_range(self, bbox: BBox, t_min: float, t_max: float) -> set[int]:
         """The set of ST *slots* covering a query range (for id filtering)."""
         return {cell + 1 for cell in self.st_grid.ids_for_range(bbox, t_min, t_max)}

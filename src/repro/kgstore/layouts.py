@@ -64,6 +64,10 @@ class Partition:
         return len(self.s)
 
 
+#: Subject-hash buckets of the partitioned layouts (the parallel unit).
+N_PARTITIONS = 4
+
+
 def _to_partition(triples: list[EncodedTriple]) -> Partition:
     if triples:
         arr = np.asarray(triples, dtype=np.int64)
@@ -82,10 +86,8 @@ class TriplesTable:
 
     name = "triples_table"
 
-    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns", n_partitions: int = 4):
-        if n_partitions < 1:
-            raise ValueError("need at least one partition")
-        self.partitions = [_to_partition([])] * n_partitions
+    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns"):
+        self.partitions = [_to_partition([])] * N_PARTITIONS
         self.extend(_as_columns(triples))
 
     def extend(self, cols: TripleColumns) -> None:
@@ -100,10 +102,6 @@ class TriplesTable:
     def __len__(self) -> int:
         return sum(len(p) for p in self.partitions)
 
-    def scan(self) -> Iterator[Partition]:
-        """Full scan, one partition at a time (the parallel unit)."""
-        return iter(self.partitions)
-
     def scan_predicate(self, p_id: int) -> Iterator[Partition]:
         """Scan restricted to a predicate (filter applied per partition)."""
         for part in self.partitions:
@@ -117,10 +115,7 @@ class VerticalPartitioning:
 
     name = "vertical_partitioning"
 
-    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns", n_partitions: int = 4):
-        if n_partitions < 1:
-            raise ValueError("need at least one partition")
-        self.n_partitions = n_partitions
+    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns"):
         # Per predicate, one bucket per partition (empty ones included, so a
         # later batch lands in its bucket); scans skip the empty buckets.
         self._tables: dict[int, list[Partition]] = {}
@@ -140,8 +135,8 @@ class VerticalPartitioning:
         for p_id in uniq[np.argsort(first_idx)].tolist():
             p_mask = cols.p == p_id
             s, p, o = cols.s[p_mask], cols.p[p_mask], cols.o[p_mask]
-            bucket_of = s % self.n_partitions
-            parts = self._tables.get(p_id) or [_to_partition([])] * self.n_partitions
+            bucket_of = s % N_PARTITIONS
+            parts = self._tables.get(p_id) or [_to_partition([])] * N_PARTITIONS
             self._tables[p_id] = [
                 _grown(part, s[m], p[m], o[m]) if m.any() else part
                 for k, part in enumerate(parts)
@@ -150,13 +145,6 @@ class VerticalPartitioning:
 
     def __len__(self) -> int:
         return self._size
-
-    def predicates(self) -> set[int]:
-        return set(self._tables)
-
-    def scan(self) -> Iterator[Partition]:
-        for p_id in self._tables:
-            yield from self.scan_predicate(p_id)
 
     def scan_predicate(self, p_id: int) -> Iterator[Partition]:
         """Direct per-predicate access: VP's whole point."""
@@ -175,10 +163,7 @@ class PropertyTable:
 
     name = "property_table"
 
-    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns", n_partitions: int = 4):
-        if n_partitions < 1:
-            raise ValueError("need at least one partition")
-        self.n_partitions = n_partitions
+    def __init__(self, triples: "Iterable[EncodedTriple] | TripleColumns"):
         self._rows: dict[int, dict[int, int]] = {}
         self._overflow: list[EncodedTriple] = []
         self._size = 0
@@ -250,11 +235,6 @@ class PropertyTable:
         else:
             objs = np.empty((len(subjects), 0), dtype=np.int64)
         return subjects, objs
-
-    def scan(self) -> Iterator[Partition]:
-        rows: list[EncodedTriple] = [(s, p, o) for s, props in self._rows.items() for p, o in props.items()]
-        rows.extend(self._overflow)
-        yield _to_partition(rows)
 
     def scan_predicate(self, p_id: int) -> Iterator[Partition]:
         rows = [(s, p_id, props[p_id]) for s, props in self._rows.items() if p_id in props]

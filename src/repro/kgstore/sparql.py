@@ -52,18 +52,6 @@ class StarQuery:
         if not self.arms:
             raise ValueError("a star query needs at least one arm")
 
-    @property
-    def predicates(self) -> list[IRI]:
-        return [p for p, _ in self.arms]
-
-    def projected_variables(self) -> list[str]:
-        """All variables the query binds (subject first)."""
-        names = [self.subject.name]
-        for _, obj in self.arms:
-            if isinstance(obj, Variable) and obj.name not in names:
-                names.append(obj.name)
-        return names
-
 
 def star(subject: str, *arms: tuple[IRI, Union[Term, Variable]], st: STConstraint | None = None) -> StarQuery:
     """Convenience constructor: ``star("node", (VOC.speed, var("s")), st=...)``."""

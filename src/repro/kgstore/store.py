@@ -76,7 +76,6 @@ class KGStore:
         grid_cols: int = 64,
         grid_rows: int = 64,
         t_slots: int = 64,
-        n_partitions: int = 4,
         registry=None,
     ):
         if layout not in LAYOUTS:
@@ -87,7 +86,6 @@ class KGStore:
         st_grid = SpatioTemporalGrid(grid, t_origin, t_extent_s / t_slots, t_slots)
         self.dictionary = Dictionary(st_grid)
         self.layout_name = layout
-        self.n_partitions = n_partitions
         self.registry = registry
         self._layout = None
         self._positions: dict[int, STPosition] = {}   # subject id -> exact anchor
@@ -144,7 +142,7 @@ class KGStore:
         self._anchor_arrays_cache = None
         if rebuild:
             live = TripleColumns(*self._buf[:, : self._n])
-            self._layout = LAYOUTS[self.layout_name](live, n_partitions=self.n_partitions)
+            self._layout = LAYOUTS[self.layout_name](live)
         else:
             self._layout.extend(batch_cols)
         report = LoadReport(len(batch), len(set(s_ids)), len(anchors))

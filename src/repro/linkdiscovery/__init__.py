@@ -8,7 +8,6 @@ from .relations import (
     NEAR_TO,
     WITHIN,
     point_near_port,
-    point_near_region,
     point_within_region,
     points_near,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "WITHIN",
     "default_grid",
     "point_near_port",
-    "point_near_region",
     "point_within_region",
     "points_near",
 ]

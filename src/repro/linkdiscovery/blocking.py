@@ -26,28 +26,16 @@ class BlockingStats:
     lookups: int = 0
     candidates: int = 0
 
-    def mean_candidates(self) -> float:
-        return self.candidates / self.lookups if self.lookups else 0.0
-
 
 class RegionBlocks:
     """Grid assignment of regions to cells."""
 
-    def __init__(self, regions: list[Region], grid: EquiGrid, near_margin_m: float = 0.0):
+    def __init__(self, regions: list[Region], grid: EquiGrid):
         self.grid = grid
         self.regions = list(regions)
-        self.near_margin_m = near_margin_m
         self._cell_to_regions: dict[int, list[int]] = {}
         for idx, region in enumerate(self.regions):
-            poly = region.polygon
-            if near_margin_m > 0.0:
-                # For nearTo, a region is a candidate for any point within the
-                # margin of its boundary: rasterize the expanded bbox hull.
-                box = poly.bbox.expanded_by_metres(near_margin_m)
-                cells = [r * grid.cols + c for c, r in grid.cells_overlapping_bbox(box)]
-            else:
-                cells = grid.rasterize_polygon(poly)
-            for cell_id in cells:
+            for cell_id in grid.rasterize_polygon(region.polygon):
                 self._cell_to_regions.setdefault(cell_id, []).append(idx)
         self.stats = BlockingStats()
 

@@ -1,8 +1,9 @@
 """The link-discovery engine: blocking + optional masks + refinement.
 
 Reproduces the E4 experiment (Section 4.2.4): discovering
-``dul:within`` and ``geosparql:nearTo`` relations between a stream of
-critical points and a static set of regions/ports, with and without
+``dul:within`` relations to a static set of regions and
+``geosparql:nearTo`` relations to ports for a stream of critical
+points, with and without
 cell masks, measuring throughput in entities (points) per second.
 """
 
@@ -20,7 +21,7 @@ from ..geo import BBox, EquiGrid, PositionFix, kernels
 
 from .blocking import PortBlocks, RegionBlocks, default_grid
 from .masks import CellMasks
-from .relations import Link, NEAR_TO, WITHIN, point_near_port, point_near_region, point_within_region
+from .relations import Link, NEAR_TO, WITHIN, point_near_port, point_within_region
 
 
 @dataclass
@@ -75,42 +76,31 @@ def _discover(discoverer, fixes: Iterable[PositionFix]) -> tuple[list[Link], int
 
 
 class RegionLinkDiscoverer:
-    """within/nearTo discovery between moving points and stationary regions."""
+    """within discovery between moving points and stationary regions."""
 
     def __init__(
         self,
         regions: Sequence[Region],
         bbox: BBox,
         cell_deg: float = 0.25,
-        near_threshold_m: float = 0.0,
         use_masks: bool = True,
         mask_resolution: int = 8,
         registry=None,
-        metrics_name: str = "region",
     ):
         if not regions:
             raise ValueError("no regions to link against")
-        self.near_threshold_m = near_threshold_m
         self.grid: EquiGrid = default_grid(bbox, cell_deg)
-        self.blocks = RegionBlocks(list(regions), self.grid, near_margin_m=near_threshold_m)
-        self.masks = (
-            CellMasks(self.blocks, resolution=mask_resolution, near_margin_m=near_threshold_m)
-            if use_masks
-            else None
-        )
-        self._counters = _DiscoveryCounters(registry, metrics_name) if registry is not None else None
+        self.blocks = RegionBlocks(list(regions), self.grid)
+        self.masks = CellMasks(self.blocks, resolution=mask_resolution) if use_masks else None
+        self._counters = _DiscoveryCounters(registry, "region") if registry is not None else None
 
     def _refine(self, fix: PositionFix, candidates: list[int]) -> list[Link]:
-        """The per-fix predicates against each candidate region, in order."""
+        """The within predicate against each candidate region, in order."""
         links: list[Link] = []
         for idx in candidates:
             region = self.blocks.regions[idx]
             if point_within_region(fix, region):
                 links.append(Link(fix.entity_id, region.region_id, WITHIN, fix.t, 0.0))
-            elif self.near_threshold_m > 0.0:
-                near, d = point_near_region(fix, region, self.near_threshold_m)
-                if near:
-                    links.append(Link(fix.entity_id, region.region_id, NEAR_TO, fix.t, d))
         return links
 
     def links_for(self, fix: PositionFix) -> tuple[list[Link], int]:
@@ -183,7 +173,6 @@ class PortLinkDiscoverer:
         threshold_m: float,
         cell_deg: float = 0.25,
         registry=None,
-        metrics_name: str = "port",
     ):
         if not ports:
             raise ValueError("no ports to link against")
@@ -192,7 +181,7 @@ class PortLinkDiscoverer:
         self.threshold_m = threshold_m
         self.grid = default_grid(bbox, cell_deg)
         self.blocks = PortBlocks(list(ports), self.grid, threshold_m)
-        self._counters = _DiscoveryCounters(registry, metrics_name) if registry is not None else None
+        self._counters = _DiscoveryCounters(registry, "port") if registry is not None else None
 
     def _refine(self, fix: PositionFix, candidates: list[int]) -> list[Link]:
         """The per-fix predicate against each candidate port, in order."""

@@ -34,27 +34,22 @@ class MaskStats:
     tested: int = 0
     pruned: int = 0
 
-    def prune_rate(self) -> float:
-        return self.pruned / self.tested if self.tested else 0.0
-
 
 class CellMasks:
     """Per-cell coverage bitmaps over the blocked region set."""
 
-    def __init__(self, blocks: RegionBlocks, resolution: int = 16, near_margin_m: float = 0.0):
+    def __init__(self, blocks: RegionBlocks, resolution: int = 16):
         if resolution < 1:
             raise ValueError("mask resolution must be >= 1")
         self.blocks = blocks
         self.grid = blocks.grid
         self.resolution = resolution
-        self.near_margin_m = near_margin_m
         # cell_id -> bitmask of covered sub-cells (bit set = covered, NOT mask).
         self._coverage: dict[int, int] = {}
         self._build_batch()
         # Cells that have blocked candidates but no materialized coverage
-        # (possible when a region's *expanded* blocking overshoots its
-        # geometry) must still have an all-free bitmap entry: "no entry"
-        # means "no candidates" to the fast path below.
+        # must still have an all-free bitmap entry: "no entry" means "no
+        # candidates" to the fast path below.
         for cell_id in self.blocks._cell_to_regions:
             self._coverage.setdefault(cell_id, 0)
         # cell_id -> (bits, min_lon, min_lat, inv_dx, inv_dy): precomputed so
@@ -80,9 +75,9 @@ class CellMasks:
 
         Marks all regions into one boolean sub-grid canvas — the boundary
         supercover stays per-edge (it is O(vertices)), but the interior
-        scanline spans and nearTo rectangles are whole-row slice
-        assignments — then packs each grid cell's ``res x res`` block into
-        a little-endian bitmap (bit index ``(sr % res) * res + (sc % res)``).
+        scanline spans are whole-row slice assignments — then packs each
+        grid cell's ``res x res`` block into a little-endian bitmap (bit
+        index ``(sr % res) * res + (sc % res)``).
         ``tests/oracles/cell_masks.py`` marks the same sub-cells one at a
         time and must yield byte-identical bitmaps.
         """
@@ -100,41 +95,29 @@ class CellMasks:
                 canvas[sr, sc] = True
 
         for region in self.blocks.regions:
-            if self.near_margin_m > 0.0:
-                box = region.polygon.bbox.expanded_by_metres(self.near_margin_m)
-                c0 = max(0, int((box.min_lon - min_lon) * inv_dx))
-                c1 = min(sub_cols - 1, int((box.max_lon - min_lon) * inv_dx))
-                r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
-                r1 = min(sub_rows - 1, int((box.max_lat - min_lat) * inv_dy))
-                if c1 >= c0 and r1 >= r0:
-                    canvas[r0 : r1 + 1, c0 : c1 + 1] = True
-                continue
-            rings = [region.polygon.vertices] + region.polygon.holes
-            for ring in rings:
-                n = len(ring)
-                for i in range(n):
-                    ax, ay = ring[i]
-                    bx, by = ring[(i + 1) % n]
-                    _supercover(
-                        (ax - min_lon) * inv_dx,
-                        (ay - min_lat) * inv_dy,
-                        (bx - min_lon) * inv_dx,
-                        (by - min_lat) * inv_dy,
-                        mark,
-                    )
+            ring = region.polygon.vertices
+            n = len(ring)
+            for i in range(n):
+                ax, ay = ring[i]
+                bx, by = ring[(i + 1) % n]
+                _supercover(
+                    (ax - min_lon) * inv_dx,
+                    (ay - min_lat) * inv_dy,
+                    (bx - min_lon) * inv_dx,
+                    (by - min_lat) * inv_dy,
+                    mark,
+                )
             box = region.polygon.bbox
             r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
             r1 = min(sub_rows - 1, int((box.max_lat - min_lat) * inv_dy))
             for sr in range(r0, r1 + 1):
                 y = min_lat + (sr + 0.5) / inv_dy
                 crossings: list[float] = []
-                for ring in rings:
-                    n = len(ring)
-                    for i in range(n):
-                        x1, y1 = ring[i]
-                        x2, y2 = ring[(i + 1) % n]
-                        if (y1 > y) != (y2 > y):
-                            crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+                for i in range(n):
+                    x1, y1 = ring[i]
+                    x2, y2 = ring[(i + 1) % n]
+                    if (y1 > y) != (y2 > y):
+                        crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
                 crossings.sort()
                 for j in range(0, len(crossings) - 1, 2):
                     c_start = max(0, int((crossings[j] - min_lon) * inv_dx))
@@ -245,10 +228,6 @@ class CellMasks:
         """Fraction of a cell's sub-cells covered by candidate geometry."""
         bits = self._coverage.get(cell_id, 0)
         return bin(bits).count("1") / (self.resolution * self.resolution)
-
-    def masked_cells(self) -> int:
-        """Number of cells with a materialized coverage bitmap."""
-        return len(self._coverage)
 
 
 def _supercover(x0: float, y0: float, x1: float, y1: float, mark) -> None:

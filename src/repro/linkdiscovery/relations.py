@@ -49,12 +49,6 @@ def point_within_region(fix: PositionFix, region: Region) -> bool:
     return region.polygon.contains_exact(fix.lon, fix.lat)
 
 
-def point_near_region(fix: PositionFix, region: Region, threshold_m: float) -> tuple[bool, float]:
-    """The ``geosparql:nearTo`` refinement against a region boundary."""
-    d = region.polygon.distance_to_point_m(fix.lon, fix.lat)
-    return d <= threshold_m, d
-
-
 def point_near_port(fix: PositionFix, port: Port, threshold_m: float) -> tuple[bool, float]:
     """nearTo against a port: within threshold of the harbour point."""
     d = haversine_m(fix.lon, fix.lat, port.location.lon, port.location.lat)

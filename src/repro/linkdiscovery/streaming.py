@@ -42,14 +42,12 @@ class MovingProximityDiscoverer:
         space_threshold_m: float,
         time_threshold_s: float,
         cell_deg: float = 0.25,
-        self_links: bool = False,
         registry=None,
     ):
         if space_threshold_m <= 0 or time_threshold_s <= 0:
             raise ValueError("thresholds must be positive")
         self.space_threshold_m = space_threshold_m
         self.time_threshold_s = time_threshold_s
-        self.self_links = self_links
         self.grid: EquiGrid = default_grid(bbox, cell_deg)
         self._radius = self.grid.radius_to_cells(space_threshold_m)
         # cell_id -> deque of recent fixes (append order = arrival order).
@@ -80,7 +78,7 @@ class MovingProximityDiscoverer:
         neighbour cells' recent fixes, evicting those out of temporal scope
         (book-keeping) from every cell it visits."""
         cells, neighbours = self._cells, self._neighbours
-        space_m, time_s, self_links = self.space_threshold_m, self.time_threshold_s, self.self_links
+        space_m, time_s = self.space_threshold_m, self.time_threshold_s
         comparisons = evicted = 0
         found: list[list[Link]] = []
         for fix, centre in zip(fixes, centres):
@@ -100,7 +98,7 @@ class MovingProximityDiscoverer:
                     del cells[cell_id]
                     continue
                 for other in bucket:
-                    if not self_links and other.entity_id == fix.entity_id:
+                    if other.entity_id == fix.entity_id:
                         continue
                     comparisons += 1
                     near, d = points_near(fix, other, space_m, time_s)

@@ -163,36 +163,22 @@ class EventLog:
         """Total events ever emitted (including overwritten ones)."""
         return self._next_seq
 
-    def events(
-        self,
-        component: str | None = None,
-        min_severity: str = "debug",
-        kind: str | None = None,
-    ) -> list[ObsEvent]:
-        """Retained events, oldest first, filtered by component/severity/kind."""
-        rank = _SEVERITY_RANK[min_severity]
-        return [
-            e
-            for e in self._ring
-            if _SEVERITY_RANK[e.severity] >= rank
-            and (component is None or e.component == component)
-            and (kind is None or e.kind == kind)
-        ]
+    def events(self) -> list[ObsEvent]:
+        """Retained events, oldest first."""
+        return list(self._ring)
 
-    def tail(self, n: int = 20) -> list[ObsEvent]:
-        """The most recent ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self._ring)[-n:]
+    def tail(self) -> list[ObsEvent]:
+        """The 20 most recent retained events, oldest first."""
+        return list(self._ring)[-20:]
 
-    def snapshot(self, tail: int = 20) -> dict[str, Any]:
+    def snapshot(self) -> dict[str, Any]:
         """A JSON-serializable summary for ``system_metrics()``-style views."""
         return {
             "emitted": self.emitted,
             "retained": len(self._ring),
             "overwritten": self.overwritten,
             "by_severity": {s: n for s, n in self.counts.items() if n},
-            "recent": [e.to_dict() for e in self.tail(tail)],
+            "recent": [e.to_dict() for e in self.tail()],
         }
 
 

@@ -69,14 +69,8 @@ def _labels(shard: int | None, quantile: float | None = None) -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def sanitize_metric_name(name: str, prefix: str = "") -> str:
-    """Registry name -> legal OpenMetrics name (dots become underscores).
-
-    A non-empty ``prefix`` is joined with a separator, so
-    ``sanitize_metric_name("a.b", prefix="bench")`` -> ``bench_a_b``.
-    """
-    if prefix:
-        name = f"{prefix}.{name}"
+def sanitize_metric_name(name: str) -> str:
+    """Registry name -> legal OpenMetrics name (dots become underscores)."""
     out = _SANITIZE.sub("_", name)
     if not out or not _NAME_OK.match(out):
         out = "_" + out
@@ -94,15 +88,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def render_openmetrics(
-    registry_or_snapshot: MetricsRegistry | dict[str, Any],
-    prefix: str = "",
-) -> str:
+def render_openmetrics(registry_or_snapshot: MetricsRegistry | dict[str, Any]) -> str:
     """The full registry as OpenMetrics text exposition (ends with ``# EOF``).
 
     Accepts a live registry or a :meth:`MetricsRegistry.snapshot` dict,
     so archived snapshots render identically to live state.
-    ``prefix`` is prepended to every metric name before sanitization.
 
     Harvested per-shard families (``shard.<i>.<rest>`` registry names,
     see :mod:`repro.obs.harvest`) render as one shard-labeled family —
@@ -117,21 +107,21 @@ def render_openmetrics(
     lines: list[str] = []
     seen: set[str] = set()
     for family, shard, value in _family_rows(snap.get("counters", {})):
-        om = sanitize_metric_name(family, prefix)
+        om = sanitize_metric_name(family)
         if om not in seen:
             seen.add(om)
             lines.append(f"# TYPE {om} counter")
         lines.append(f"{om}_total{_labels(shard)} {_fmt(value)}")
     seen = set()
     for family, shard, value in _family_rows(snap.get("gauges", {})):
-        om = sanitize_metric_name(family, prefix)
+        om = sanitize_metric_name(family)
         if om not in seen:
             seen.add(om)
             lines.append(f"# TYPE {om} gauge")
         lines.append(f"{om}{_labels(shard)} {_fmt(value)}")
     seen = set()
     for family, shard, hist in _family_rows(snap.get("histograms", {})):
-        om = sanitize_metric_name(family, prefix)
+        om = sanitize_metric_name(family)
         if om not in seen:
             seen.add(om)
             lines.append(f"# TYPE {om} summary")

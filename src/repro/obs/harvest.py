@@ -43,15 +43,13 @@ from .tracing import Span, Tracer
 
 #: First-match gauge aggregation rules: a parallel run is as long as its
 #: slowest shard (``max`` for walls/error levels), while sizes, depths,
-#: lags and throughputs add up (``sum``). ``last`` keeps the value of
-#: the highest-numbered shard (for levels where neither fits).
+#: lags and throughputs add up (``sum``, which the last rule gives every
+#: other gauge).
 DEFAULT_GAUGE_RULES: tuple[tuple[str, str], ...] = (
     ("*.wall_s", "max"),
     ("*.error_rate", "max"),
     ("*", "sum"),
 )
-
-_GAUGE_AGGREGATORS = ("sum", "max", "last")
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,13 +180,8 @@ def harvest_obs(
     )
 
 
-def _gauge_rule(name: str, rules: tuple[tuple[str, str], ...]) -> str:
-    for pattern, rule in rules:
-        if fnmatchcase(name, pattern):
-            if rule not in _GAUGE_AGGREGATORS:
-                raise ValueError(f"unknown gauge aggregate rule {rule!r} for {pattern!r}")
-            return rule
-    return "last"
+def _gauge_rule(name: str) -> str:
+    return next(rule for pattern, rule in DEFAULT_GAUGE_RULES if fnmatchcase(name, pattern))
 
 
 def _set_gauge(registry: MetricsRegistry, name: str, value: float) -> None:
@@ -206,8 +199,6 @@ def fold_harvests(
     harvests: list[ObsHarvest],
     events: EventLog | None = None,
     tracer: Tracer | None = None,
-    gauge_rules: tuple[tuple[str, str], ...] = DEFAULT_GAUGE_RULES,
-    root_name: str = "sharded.run",
 ) -> Span | None:
     """Fold shard harvests into a parent registry (and event log / tracer).
 
@@ -215,8 +206,9 @@ def fold_harvests(
     ``shard.<i>.<name>`` and merged under the original name. Counter and
     histogram folds are *additive* (``inc``/``absorb``), so repeated
     folds of delta harvests accumulate correctly; gauge aggregates are
-    recomputed from the current batch. Returns the synthetic root span
-    the shard traces were re-parented under (``None`` without a tracer).
+    recomputed from the current batch by :data:`DEFAULT_GAUGE_RULES`.
+    Returns the synthetic ``sharded.run`` root span the shard traces were
+    re-parented under (``None`` without a tracer).
     """
     batch = sorted((h for h in harvests if h is not None), key=lambda h: h.shard)
     gauge_values: dict[str, list[float]] = {}
@@ -239,14 +231,7 @@ def fold_harvests(
         if h.setup_seconds > 0.0:
             _set_gauge(registry, f"shard.{h.shard}.setup_s", h.setup_seconds)
     for name, values in sorted(gauge_values.items()):
-        rule = _gauge_rule(name, gauge_rules)
-        if rule == "sum":
-            merged = sum(values)
-        elif rule == "max":
-            merged = max(values)
-        else:
-            merged = values[-1]
-        _set_gauge(registry, name, merged)
+        _set_gauge(registry, name, max(values) if _gauge_rule(name) == "max" else sum(values))
     if events is not None:
         tagged = [(e, h.shard) for h in batch for e in h.events]
         tagged.sort(key=lambda pair: (float(pair[0]["wall_s"]), pair[1], int(pair[0]["seq"])))
@@ -254,7 +239,7 @@ def fold_harvests(
             events.ingest(ev, shard=shard)
     root: Span | None = None
     if tracer is not None and batch:
-        root = tracer.start_trace(root_name, shards=len(batch))
+        root = tracer.start_trace("sharded.run", shards=len(batch))
         for h in batch:
             tracer.absorb(list(h.spans), parent=root, tags={"shard": h.shard})
         tracer.finish(root)

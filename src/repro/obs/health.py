@@ -8,11 +8,10 @@ consumer groups falling behind, error rates climbing. A
 registry gauges and derives a state per component plus a system-wide
 worst-of state.
 
-States only change with *hysteresis*: a component escalates after
-``escalate_after`` consecutive evaluations at a worse level and
-recovers after ``recover_after`` consecutive evaluations at a better
-one, so a single spiky poll cannot flap an alert. Every transition is
-emitted to an optional :class:`~repro.obs.events.EventLog`.
+States only change with *hysteresis*: a component escalates or
+recovers after :data:`HYSTERESIS` consecutive evaluations at a worse or
+a better level, so a single spiky poll cannot flap an alert. Every
+transition is emitted to an optional :class:`~repro.obs.events.EventLog`.
 """
 
 from __future__ import annotations
@@ -32,6 +31,9 @@ FAILING = "FAILING"
 STATES = (OK, DEGRADED, FAILING)
 
 _RANK = {s: i for i, s in enumerate(STATES)}
+
+#: Consecutive evaluations at a new level before a component's state follows.
+HYSTERESIS = 2
 
 
 def worst(states: "list[str]") -> str:
@@ -89,15 +91,9 @@ class HealthMonitor:
         self,
         registry: MetricsRegistry,
         event_log: EventLog | None = None,
-        escalate_after: int = 2,
-        recover_after: int = 2,
     ):
-        if escalate_after < 1 or recover_after < 1:
-            raise ValueError("hysteresis windows must be >= 1 evaluation")
         self.registry = registry
         self.event_log = event_log
-        self.escalate_after = escalate_after
-        self.recover_after = recover_after
         self._rules: list[HealthRule] = []
         self._components: dict[str, _ComponentState] = {}
         self.evaluations = 0
@@ -113,9 +109,6 @@ class HealthMonitor:
         self._rules.append(rule)
         self._components.setdefault(component, _ComponentState())
         return rule
-
-    def rules(self) -> list[HealthRule]:
-        return list(self._rules)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -153,10 +146,7 @@ class HealthMonitor:
             cs.streak = 1
         else:
             cs.streak += 1
-        needed = (
-            self.escalate_after if _RANK[raw_level] > _RANK[cs.state] else self.recover_after
-        )
-        if cs.streak < needed:
+        if cs.streak < HYSTERESIS:
             return
         previous, cs.state = cs.state, raw_level
         cs.streak = 0
@@ -207,13 +197,7 @@ class HealthMonitor:
         }
 
 
-def default_realtime_rules(
-    monitor: HealthMonitor,
-    lag_degraded: float = 5_000.0,
-    lag_failing: float = 50_000.0,
-    error_rate_degraded: float = 0.2,
-    error_rate_failing: float = 0.5,
-) -> HealthMonitor:
+def default_realtime_rules(monitor: HealthMonitor) -> HealthMonitor:
     """The rule set the integrated real-time layer ships with.
 
     Covers the two degradation modes the Figure-2 layer registers gauges
@@ -221,7 +205,9 @@ def default_realtime_rules(
     gauges) and the online cleaner rejecting an abnormal share of input
     (``realtime.error_rate``). The lag pattern binds to gauges lazily,
     so it matches consumers instrumented after the monitor was built.
+    A consumer is DEGRADED 5 000 records behind and FAILING at 50 000;
+    the cleaner at a 20 % and a 50 % rejection rate.
     """
-    monitor.add_rule("broker", "broker.lag.*", lag_degraded, lag_failing)
-    monitor.add_rule("clean", "realtime.error_rate", error_rate_degraded, error_rate_failing)
+    monitor.add_rule("broker", "broker.lag.*", 5_000.0, 50_000.0)
+    monitor.add_rule("clean", "realtime.error_rate", 0.2, 0.5)
     return monitor

@@ -36,17 +36,14 @@ class Span:
     def duration_s(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
 
 class Tracer:
     """Collects spans, grouped into traces (one trace = one lineage: a run, a record)."""
 
-    def __init__(self, clock: Callable[[], float] | None = None, max_spans: int = 100_000):
+    def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock or time.perf_counter
-        self.max_spans = max_spans
+        #: Spans kept at most; later ones are counted in ``dropped_spans``.
+        self.max_spans = 100_000
         self._spans: list[Span] = []
         self._next_span_id = 0
         self._next_trace_id = 0
@@ -70,9 +67,9 @@ class Tracer:
         return span
 
     @contextmanager
-    def span(self, name: str, parent: Span | None = None, **tags: Any) -> Iterator[Span]:
-        """Context-managed span: a root trace when ``parent`` is None."""
-        sp = self.start_trace(name, **tags) if parent is None else self.start_span(name, parent, **tags)
+    def span(self, name: str, **tags: Any) -> Iterator[Span]:
+        """A context-managed root span: a new trace."""
+        sp = self.start_trace(name, **tags)
         try:
             yield sp
         finally:
@@ -190,10 +187,3 @@ class Tracer:
             walk(root, 0)
         return "\n".join(lines)
 
-    def stage_durations(self) -> dict[str, list[float]]:
-        """Finished-span durations grouped by span name (for aggregation)."""
-        out: dict[str, list[float]] = {}
-        for sp in self._spans:
-            if sp.finished:
-                out.setdefault(sp.name, []).append(sp.duration_s)
-        return out

@@ -35,9 +35,11 @@ class BlindModelReport:
 class BlindHMMPredictor:
     """Grid-state Markov model over raw positions."""
 
-    def __init__(self, bbox: BBox, cols: int = 80, rows: int = 80, step_s: float = 30.0):
+    #: The resampling period of training trajectories and predicted paths.
+    step_s = 30.0
+
+    def __init__(self, bbox: BBox, cols: int = 80, rows: int = 80):
         self.grid = EquiGrid(bbox, cols, rows)
-        self.step_s = step_s
         self._transitions: dict[int, dict[int, int]] = {}
         self._cell_means: dict[int, tuple[float, float, float, int]] = {}  # sums for mean
         self.report = BlindModelReport()
@@ -75,11 +77,11 @@ class BlindHMMPredictor:
         lon_s, lat_s, alt_s, n = self._cell_means[cell]
         return lon_s / n, lat_s / n, alt_s / n
 
-    def predict_path(self, start_lon: float, start_lat: float, max_steps: int = 400) -> list[tuple[float, float, float]]:
+    def predict_path(self, start_lon: float, start_lat: float) -> list[tuple[float, float, float]]:
         """Follow maximum-likelihood transitions from the start cell.
 
-        Stops at an absorbing cell (no outgoing transitions) or when a cycle
-        is revisited.
+        Stops at an absorbing cell (no outgoing transitions), when a cycle
+        is revisited, or after 400 steps.
         """
         cell = self.grid.cell_id(start_lon, start_lat)
         if cell not in self._cell_means:
@@ -92,7 +94,7 @@ class BlindHMMPredictor:
             )
         path = [self._cell_center(cell)]
         visited = {cell}
-        for _ in range(max_steps):
+        for _ in range(400):
             row = self._transitions.get(cell)
             if not row:
                 break

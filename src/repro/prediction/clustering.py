@@ -37,10 +37,10 @@ class OpticsResult:
 def optics(
     items: Sequence[T],
     distance: Callable[[T, T], float],
-    eps: float = math.inf,
     min_pts: int = 4,
 ) -> tuple[list[int], list[float], list[list[float]]]:
-    """Core OPTICS: returns (ordering, reachability per ordered position, D).
+    """Core OPTICS with an unbounded neighbourhood radius: returns
+    (ordering, reachability per ordered position, D).
 
     ``D`` is the materialized distance matrix (reused for medoids). For the
     corpus sizes of the TP experiments (hundreds of flights) the O(n^2)
@@ -59,7 +59,7 @@ def optics(
             D[j][i] = d
 
     def core_distance(i: int) -> float:
-        neighbours = sorted(d for j, d in enumerate(D[i]) if j != i and d <= eps)
+        neighbours = sorted(d for j, d in enumerate(D[i]) if j != i)
         if len(neighbours) < min_pts - 1:
             return math.inf
         return neighbours[min_pts - 2]
@@ -75,24 +75,24 @@ def optics(
         processed[start] = True
         order.append(start)
         seeds: dict[int, float] = {}
-        _update_seeds(start, core, D, processed, reach, seeds, eps)
+        _update_seeds(start, core, D, processed, reach, seeds)
         while seeds:
             nxt = min(seeds, key=lambda j: (seeds[j], j))
             del seeds[nxt]
             processed[nxt] = True
             order.append(nxt)
-            _update_seeds(nxt, core, D, processed, reach, seeds, eps)
+            _update_seeds(nxt, core, D, processed, reach, seeds)
 
     ordered_reach = [reach[i] for i in order]
     return order, ordered_reach, D
 
 
-def _update_seeds(center, core, D, processed, reach, seeds, eps):
+def _update_seeds(center, core, D, processed, reach, seeds):
     cd = core[center]
     if math.isinf(cd):
         return
     for j in range(len(D)):
-        if processed[j] or D[center][j] > eps:
+        if processed[j]:
             continue
         new_reach = max(cd, D[center][j])
         if new_reach < reach[j]:
@@ -148,12 +148,11 @@ def semt_optics(
     items: Sequence[T],
     distance: Callable[[T, T], float],
     threshold: float,
-    eps: float = math.inf,
     min_pts: int = 4,
     min_cluster_size: int = 3,
 ) -> OpticsResult:
     """The full SemT-OPTICS pipeline: order, extract, find medoids."""
-    order, reachability, D = optics(items, distance, eps=eps, min_pts=min_pts)
+    order, reachability, D = optics(items, distance, min_pts=min_pts)
     labels = extract_clusters(order, reachability, threshold, min_cluster_size)
     medoids = {}
     for cluster_id in sorted(set(lbl for lbl in labels if lbl >= 0)):

@@ -94,6 +94,7 @@ def erp_distance(
     return prev[m]
 
 
-def flight_distance(a, b, spatial_weight: float = 1.0, semantic_weight: float = 0.05) -> float:
-    """ERP distance between two flights' enriched reference points."""
-    return erp_distance(a.points, b.points, spatial_weight, semantic_weight)
+def flight_distance(a, b) -> float:
+    """ERP distance between two flights' enriched reference points, with
+    the covariates weighted 0.05 against the kilometres."""
+    return erp_distance(a.points, b.points, 1.0, 0.05)

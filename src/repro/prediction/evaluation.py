@@ -57,9 +57,6 @@ class HorizonErrors:
     def count(self, step: int) -> int:
         return len(self.errors_m[step])
 
-    def all_errors(self) -> list[float]:
-        return [e for step in self.errors_m for e in step]
-
     def summary_rows(self, step_s: float) -> list[dict[str, float]]:
         """One row per look-ahead step: seconds ahead, mean, stdev, n."""
         return [

@@ -40,14 +40,13 @@ class GaussianHMM:
         self,
         state_sequences: Sequence[Sequence[int]],
         observation_sequences: Sequence[Sequence[Sequence[float]]],
-        smoothing: float = 1.0,
     ) -> None:
-        """Count-based fit from labelled sequences (with Laplace smoothing)."""
+        """Count-based fit from labelled sequences (with add-one Laplace smoothing)."""
         if len(state_sequences) != len(observation_sequences):
             raise ValueError("state and observation sequence counts differ")
         n = self.n_states
-        init_counts = np.full(n, smoothing)
-        trans_counts = np.full((n, n), smoothing)
+        init_counts = np.ones(n)
+        trans_counts = np.ones((n, n))
         obs_by_state: list[list[np.ndarray]] = [[] for _ in range(n)]
         for states, observations in zip(state_sequences, observation_sequences):
             if len(states) != len(observations):
@@ -96,23 +95,6 @@ class GaussianHMM:
             path.append(int(back[t][path[-1]]))
         path.reverse()
         return path
-
-    def log_likelihood(self, observations: Sequence[Sequence[float]]) -> float:
-        """Forward-algorithm log p(observations)."""
-        if not observations:
-            return 0.0
-        obs = np.asarray(observations, dtype=float)
-        alpha = self.initial * np.exp(self._log_emission(obs[0]))
-        total = 0.0
-        for t in range(len(obs)):
-            if t > 0:
-                alpha = (alpha @ self.transitions) * np.exp(self._log_emission(obs[t]))
-            norm = alpha.sum()
-            if norm <= 0:
-                return -math.inf
-            total += math.log(norm)
-            alpha = alpha / norm
-        return total
 
     def parameter_count(self) -> int:
         """Free parameters: the resource-consumption metric of the comparison."""

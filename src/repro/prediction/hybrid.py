@@ -46,27 +46,19 @@ class HybridModelReport:
 class HybridClusteringHMM:
     """The full hybrid TP model."""
 
-    def __init__(
-        self,
-        bins: DeviationBins | None = None,
-        cluster_threshold_km: float = 25.0,
-        min_pts: int = 3,
-        min_cluster_size: int = 3,
-        semantic_weight: float = 0.05,
-    ):
+    #: SemT-OPTICS settings: the reachability cut (km), the core-point
+    #: neighbourhood and the smallest cluster kept.
+    cluster_threshold_km = 25.0
+    min_pts = 3
+    min_cluster_size = 3
+
+    def __init__(self, bins: DeviationBins | None = None):
         self.bins = bins or DeviationBins(limit_m=4000.0, n_bins=17)
-        self.cluster_threshold_km = cluster_threshold_km
-        self.min_pts = min_pts
-        self.min_cluster_size = min_cluster_size
-        self.semantic_weight = semantic_weight
         self._models: dict[int, DeviationHMM] = {}
         self._medoids: dict[int, FlightFeatures] = {}
         self._fallback: DeviationHMM | None = None
         self.clustering: OpticsResult | None = None
         self.report = HybridModelReport()
-
-    def _distance(self, a: FlightFeatures, b: FlightFeatures) -> float:
-        return flight_distance(a, b, semantic_weight=self.semantic_weight)
 
     def fit(self, flights: Sequence[FlightFeatures]) -> HybridModelReport:
         """Cluster the corpus and train one deviation HMM per cluster."""
@@ -75,7 +67,7 @@ class HybridClusteringHMM:
         start = time.perf_counter()
         self.clustering = semt_optics(
             flights,
-            self._distance,
+            flight_distance,
             threshold=self.cluster_threshold_km,
             min_pts=self.min_pts,
             min_cluster_size=self.min_cluster_size,
@@ -113,7 +105,7 @@ class HybridClusteringHMM:
             return None
         best_id, best_d = None, math.inf
         for cluster_id, medoid in self._medoids.items():
-            d = self._distance(flight, medoid)
+            d = flight_distance(flight, medoid)
             if d < best_d:
                 best_id, best_d = cluster_id, d
         return best_id

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -54,7 +53,7 @@ class RMFPredictor:
 
     name = "rmf"
 
-    def __init__(self, f: int = 3, window: int = 12, registry=None):
+    def __init__(self, f: int = 3, window: int = 12):
         if f < 1:
             raise ValueError("recursion order f must be >= 1")
         if window < 2 * f:
@@ -62,14 +61,6 @@ class RMFPredictor:
         self.f = f
         self.window = window
         self._fixes: deque[PositionFix] = deque(maxlen=window)
-        #: Optional ``repro.obs.MetricsRegistry``: predictions report a
-        #: per-horizon latency histogram ``prediction.<name>.h<k>.latency_s``.
-        self.registry = registry
-
-    def _observe_latency(self, k: int, seconds: float) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"prediction.{self.name}.predictions").inc()
-            self.registry.histogram(f"prediction.{self.name}.h{k}.latency_s").observe(seconds)
 
     def observe(self, fix: PositionFix) -> None:
         """Feed the next observed position."""
@@ -100,7 +91,6 @@ class RMFPredictor:
         """Predict the next ``k`` positions."""
         if not self.ready():
             raise RuntimeError("not enough history to predict")
-        start = perf_counter()
         fixes = list(self._fixes)
         proj = LocalProjection(fixes[-1].lon, fixes[-1].lat)
         xs = np.array([proj.to_xy(p.lon, p.lat)[0] for p in fixes])
@@ -125,7 +115,6 @@ class RMFPredictor:
             t += dt
             lon, lat = proj.to_lonlat(nx, ny)
             out.append(PredictedPoint(t, lon, lat, nz))
-        self._observe_latency(k, perf_counter() - start)
         return out
 
     @staticmethod
@@ -159,29 +148,17 @@ class RMFStarPredictor:
     """
 
     name = "rmf_star"
+    #: The highest RMF order of the pattern library and the history kept.
+    f = 4
+    window = 16
+    #: Heading drift (degrees) and vertical-rate change (m/s) that enter
+    #: pattern mode.
+    turn_trigger_deg = 6.0
+    vrate_trigger_ms = 2.0
 
-    def __init__(
-        self,
-        f: int = 4,
-        window: int = 16,
-        turn_trigger_deg: float = 6.0,
-        vrate_trigger_ms: float = 2.0,
-        registry=None,
-    ):
-        if window < 2 * f:
-            raise ValueError("window must be at least 2*f")
-        self.f = f
-        self.window = window
-        self.turn_trigger_deg = turn_trigger_deg
-        self.vrate_trigger_ms = vrate_trigger_ms
-        self._fixes: deque[PositionFix] = deque(maxlen=window)
+    def __init__(self):
+        self._fixes: deque[PositionFix] = deque(maxlen=self.window)
         self.mode = "linear"
-        self.registry = registry
-
-    def _observe_latency(self, k: int, seconds: float) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"prediction.{self.name}.predictions").inc()
-            self.registry.histogram(f"prediction.{self.name}.h{k}.latency_s").observe(seconds)
 
     def observe(self, fix: PositionFix) -> None:
         self._fixes.append(fix)
@@ -213,14 +190,12 @@ class RMFStarPredictor:
     def predict(self, k: int, step_s: float | None = None) -> list[PredictedPoint]:
         if not self.ready():
             raise RuntimeError("not enough history to predict")
-        start = perf_counter()
         fixes = list(self._fixes)
         dt = step_s if step_s is not None else RMFPredictor._median_step(fixes)
         if self.mode == "linear" or len(fixes) < self.f + 2:
             out = self._linear_predict(fixes, k, dt)
         else:
             out = self._pattern_predict(fixes, k, dt)
-        self._observe_latency(k, perf_counter() - start)
         return out
 
     # -- linear primitive -------------------------------------------------------

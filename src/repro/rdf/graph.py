@@ -16,13 +16,11 @@ from .terms import IRI, PatternTerm, Term, Triple, Variable, is_ground
 class Graph:
     """A set of triples with SPO/POS/OSP hash indexes."""
 
-    def __init__(self, triples: Iterable[Triple] = ()):
+    def __init__(self):
         self._triples: set[Triple] = set()
         self._by_s: dict[Term, set[Triple]] = {}
         self._by_p: dict[IRI, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
-        for t in triples:
-            self.add(t)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -85,10 +83,6 @@ class Graph:
             if o_fixed is not None and t.o != o_fixed:
                 continue
             yield t
-
-    def subjects(self, p: IRI | None = None, o: Term | None = None) -> set[Term]:
-        """Distinct subjects of triples matching (?, p, o)."""
-        return {t.s for t in self.match(None, p, o)}
 
     def objects(self, s: Term | None = None, p: IRI | None = None) -> set[Term]:
         """Distinct objects of triples matching (s, p, ?)."""

@@ -50,9 +50,9 @@ class VariableVector:
     on top without mutating the source record.
     """
 
-    def __init__(self, record: Mapping[str, Any], generated: Mapping[str, Any] | None = None):
+    def __init__(self, record: Mapping[str, Any]):
         self._record = record
-        self._generated = dict(generated or {})
+        self._generated: dict[str, Any] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._generated or name in self._record

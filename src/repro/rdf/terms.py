@@ -22,16 +22,6 @@ class IRI:
     def __str__(self) -> str:
         return f"<{self.value}>"
 
-    @property
-    def local_name(self) -> str:
-        """The fragment / last path segment (for display)."""
-        v = self.value
-        for sep in ("#", "/"):
-            if sep in v:
-                v = v.rsplit(sep, 1)[1]
-                break
-        return v
-
 
 #: Common XSD datatypes.
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -75,10 +65,6 @@ class Literal:
     def wkt(cls, text: str) -> "Literal":
         """A GeoSPARQL WKT geometry literal."""
         return cls(text, WKT_LITERAL)
-
-    def as_float(self) -> float:
-        """The numeric value (raises for non-numeric literals)."""
-        return float(self.value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,14 +37,10 @@ class Namespace:
 
 #: The datAcron ontology namespace.
 DTC = Namespace("http://www.datacron-project.eu/datAcron#")
-#: DOLCE+DnS Ultralite (events).
-DUL = Namespace("http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#")
 #: GeoSPARQL.
 GEO = Namespace("http://www.opengis.net/ont/geosparql#")
 #: Simple Features geometry classes.
 SF = Namespace("http://www.opengis.net/ont/sf#")
-#: SSN/SOSA observations (weather).
-SOSA = Namespace("http://www.w3.org/ns/sosa/")
 #: RDF / RDFS built-ins.
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
@@ -62,35 +58,15 @@ class DatacronVocabulary:
 
     # Classes (Figure 3 of the paper).
     Trajectory = DTC.Trajectory
-    TrajectoryPart = DTC.TrajectoryPart
     SemanticNode = DTC.SemanticNode
     RawPosition = DTC.RawPosition
-    MovingObject = DTC.MovingObject
-    Vessel = DTC.Vessel
-    Aircraft = DTC.Aircraft
-    Event = DUL["Event"]
-    LowLevelEvent = DTC.LowLevelEvent
     Region = DTC.Region
     Port = DTC.Port
-    WeatherCondition = DTC.WeatherCondition
-    Geometry = SF.Geometry
-    Point = SF.Point
     Polygon = SF.Polygon
 
     # Object properties.
-    hasPart = DTC.hasPart
     ofMovingObject = DTC.ofMovingObject
     hasSemanticNode = DTC.hasSemanticNode
-    encloses = DTC.encloses
-    occurs = DTC.occurs
-    hasGeometry = GEO.hasGeometry
-    within = DUL.isLocationOf      # see note below: within/nearTo link predicates
-    hasWeather = DTC.hasWeatherCondition
-
-    # Link-discovery relation predicates (Section 4.2.4 reports dul:within
-    # and geosparql:nearTo counts).
-    dul_within = DUL.within
-    nearTo = GEO.nearTo
 
     # Datatype properties.
     asWKT = GEO.asWKT
@@ -98,16 +74,9 @@ class DatacronVocabulary:
     speed = DTC.reportedSpeed
     heading = DTC.reportedHeading
     altitude = DTC.reportedAltitude
-    verticalRate = DTC.verticalRate
     eventType = DTC.eventType
-    mmsi = DTC.hasMMSI
-    icao24 = DTC.hasICAO24
     regionKind = DTC.regionKind
     label = RDFS.label
-    windU = DTC.windU
-    windV = DTC.windV
-    waveHeight = DTC.waveHeight
-    visibility = DTC.visibility
 
 
 VOC = DatacronVocabulary

@@ -7,7 +7,7 @@ Flink role — the processing itself — is played by the Figure-2 stage
 loop in :mod:`repro.core.realtime`.
 """
 
-from .broker import Broker, Consumer, Topic, TopicMessage
+from .broker import Broker, Consumer, Topic
 from .record import Record, StreamStats, merge_by_time
 from .sharding import merge_shard_outputs, shard_index
 from .workers import (
@@ -26,7 +26,6 @@ __all__ = [
     "ShardWorkerError",
     "StreamStats",
     "Topic",
-    "TopicMessage",
     "WorkerHost",
     "merge_by_time",
     "merge_shard_outputs",

@@ -10,24 +10,16 @@ can be wired exactly like Figure 2 and tested end to end.
 Storage is columnar in spirit: a partition log is a plain list of
 records plus one base offset, so a message's offset is its position in
 the log — nothing is wrapped per record on the publish hot path, and a
-batched read is one list slice. :class:`TopicMessage` objects are
-materialized only by the offset-explicit :meth:`Topic.read` view.
+batched read is one list slice.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .record import Record, StreamStats
-
-
-class TopicMessage(NamedTuple):
-    """A record as stored in a topic partition, with its offset."""
-
-    offset: int
-    record: Record
 
 
 class Topic:
@@ -135,15 +127,6 @@ class Topic:
         """The next-to-be-assigned offset of each partition."""
         return [base + len(log) for base, log in zip(self._base_offsets, self._logs)]
 
-    def beginning_offsets(self) -> list[int]:
-        """The earliest retained offset of each partition."""
-        return list(self._base_offsets)
-
-    def read(self, partition: int, from_offset: int, max_messages: int | None = None) -> list[TopicMessage]:
-        """Read messages of a partition starting at ``from_offset``."""
-        first_offset, records = self.read_records(partition, from_offset, max_messages)
-        return [TopicMessage(first_offset + i, record) for i, record in enumerate(records)]
-
     def read_records(
         self, partition: int, from_offset: int, max_messages: int | None = None
     ) -> tuple[int, list[Record]]:
@@ -233,10 +216,6 @@ class Consumer:
         """Per-partition messages published but not yet consumed."""
         return [max(0, end - off) for end, off in zip(self.topic.end_offsets(), self._offsets)]
 
-    def seek_to_beginning(self) -> None:
-        """Rewind to the earliest retained offsets (batch-layer replay)."""
-        self._offsets = self.topic.beginning_offsets()
-
 
 class Broker:
     """The registry of topics. One per integrated system instance."""
@@ -259,38 +238,12 @@ class Broker:
         except KeyError:
             raise KeyError(f"unknown topic {name!r}; create it first") from None
 
-    def get_or_create(self, name: str, partitions: int | None = None, retention: int | None = None) -> Topic:
-        """Fetch a topic, creating it on first use.
-
-        ``partitions``/``retention`` left as ``None`` accept whatever the
-        existing topic has (and default to 1 / unbounded on creation).
-        Passing explicit values against an existing topic that differs is
-        an error — silently handing back a mismatched topic would corrupt
-        key-to-partition routing or retention expectations.
-        """
-        topic = self._topics.get(name)
-        if topic is None:
-            return self.create_topic(name, partitions=partitions if partitions is not None else 1, retention=retention)
-        if partitions is not None and topic.partitions != partitions:
-            raise ValueError(
-                f"topic {name!r} exists with {topic.partitions} partitions; requested {partitions}"
-            )
-        if retention is not None and topic.retention != retention:
-            raise ValueError(
-                f"topic {name!r} exists with retention={topic.retention}; requested {retention}"
-            )
-        return topic
-
     def consumer(self, topic_name: str, group: str) -> Consumer:
         """Open a consumer for ``group`` on the named topic."""
         return Consumer(self.topic(topic_name), group)
 
     def topics(self) -> Iterator[Topic]:
         return iter(self._topics.values())
-
-    def publish(self, topic_name: str, record: Record) -> None:
-        """Convenience: publish a record to a (pre-created) topic."""
-        self.topic(topic_name).publish(record)
 
     def publish_many(self, topic_name: str, records: Iterable[Record]) -> int:
         """Convenience: batch-publish to a (pre-created) topic; returns the count."""

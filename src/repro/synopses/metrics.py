@@ -35,20 +35,14 @@ class SynopsesRunResult:
         errs = [e.rmse_m for e in self.per_entity_errors.values()]
         return sum(errs) / len(errs) if errs else 0.0
 
-    @property
-    def max_error_m(self) -> float:
-        errs = [e.max_m for e in self.per_entity_errors.values()]
-        return max(errs) if errs else 0.0
-
 
 def run_synopses(
     fixes: Iterable[PositionFix],
     config: SynopsesConfig | None = None,
-    evaluate_reconstruction: bool = True,
 ) -> SynopsesRunResult:
     """Run the generator over a finite stream and measure everything.
 
-    The input is materialized (it must be traversed twice when evaluating
+    The input is materialized (it is traversed twice to evaluate the
     reconstruction error), so pass bounded streams.
     """
     fix_list = list(fixes)
@@ -61,17 +55,14 @@ def run_synopses(
     elapsed = time.perf_counter() - start
 
     per_entity: dict[str, ReconstructionError] = {}
-    if evaluate_reconstruction:
-        originals = group_fixes_by_entity(fix_list)
-        by_entity: dict[str, list[CriticalPoint]] = {}
-        for cp in critical:
-            by_entity.setdefault(cp.entity_id, []).append(cp)
-        for eid, original in originals.items():
-            cps = by_entity.get(eid)
-            if not cps or len(original) == 0:
-                continue
-            synopsis = synopsis_trajectory(cps, eid)
-            per_entity[eid] = reconstruction_error(original, synopsis)
+    by_entity: dict[str, list[CriticalPoint]] = {}
+    for cp in critical:
+        by_entity.setdefault(cp.entity_id, []).append(cp)
+    for eid, original in group_fixes_by_entity(fix_list).items():
+        cps = by_entity.get(eid)
+        if not cps or len(original) == 0:
+            continue
+        per_entity[eid] = reconstruction_error(original, synopsis_trajectory(cps, eid))
 
     throughput = len(fix_list) / elapsed if elapsed > 0 else 0.0
     return SynopsesRunResult(

@@ -4,14 +4,6 @@ from .dashboard import Dashboard, DashboardState
 from .density import DensityComparison, DensityGrid, compare_densities
 from .histogram import TimeBin, TimeHistogram
 from .pointmatch import MatchDistribution, PointMatchResult, match_many, match_points
-from .quality import (
-    CollectionProperties,
-    DataQualityReport,
-    MoverSetProperties,
-    SpatialProperties,
-    TemporalProperties,
-    assess_quality,
-)
 from .relevance import (
     FlaggedTrajectory,
     RelevanceClustering,
@@ -22,24 +14,18 @@ from .relevance import (
 from .timemask import Interval, TimeMask
 
 __all__ = [
-    "CollectionProperties",
     "Dashboard",
     "DashboardState",
-    "DataQualityReport",
     "DensityComparison",
     "DensityGrid",
     "FlaggedTrajectory",
     "Interval",
     "MatchDistribution",
-    "MoverSetProperties",
     "PointMatchResult",
     "RelevanceClustering",
-    "SpatialProperties",
-    "TemporalProperties",
     "TimeBin",
     "TimeHistogram",
     "TimeMask",
-    "assess_quality",
     "cluster_by_relevant_parts",
     "compare_densities",
     "flag_final_approach",

@@ -50,15 +50,12 @@ class Dashboard:
     def __init__(
         self,
         bbox: BBox,
-        cols: int = 64,
-        rows: int = 20,
-        title: str = "situation monitor",
         registry: MetricsRegistry | None = None,
         health=None,
     ):
         self.bbox = bbox
-        self.grid = EquiGrid(bbox, cols, rows)
-        self.title = title
+        #: The density map: 64 columns by 20 rows of the extent.
+        self.grid = EquiGrid(bbox, 64, 20)
         self.registry = registry
         #: Optional ``repro.obs.HealthMonitor`` surfaced in the frame header.
         self.health = health
@@ -168,7 +165,7 @@ class Dashboard:
 
     def render_frame(self, t: float | None = None) -> str:
         """One full dashboard frame as text."""
-        header = f"== {self.title} =="
+        header = "== situation monitor =="
         if t is not None:
             header += f"  t={t:.0f}s"
         counter_line = "  ".join(f"{k}={v}" for k, v in self._counter_items()) or "(no data)"

@@ -61,11 +61,9 @@ class TimeHistogram:
             for i, c in enumerate(self._counts)
         ]
 
-    def series(self, category: str | None = None) -> list[int]:
-        """The per-bin counts of one category (or the totals)."""
-        if category is None:
-            return [sum(c.values()) for c in self._counts]
-        return [c.get(category, 0) for c in self._counts]
+    def series(self) -> list[int]:
+        """The per-bin totals."""
+        return [sum(c.values()) for c in self._counts]
 
     def categories(self) -> list[str]:
         cats: set[str] = set()
@@ -73,6 +71,3 @@ class TimeHistogram:
             cats.update(c)
         return sorted(cats)
 
-    def bins_where(self, predicate) -> list[int]:
-        """Indices of bins whose TimeBin satisfies ``predicate`` (query step)."""
-        return [i for i, b in enumerate(self.bins()) if predicate(b)]

@@ -32,10 +32,6 @@ class PointMatchResult:
         return self.n_matched / self.n_points if self.n_points else math.nan
 
     @property
-    def mean_distance_m(self) -> float:
-        return sum(self.distances_m) / len(self.distances_m) if self.distances_m else math.nan
-
-    @property
     def max_distance_m(self) -> float:
         return max(self.distances_m) if self.distances_m else math.nan
 
@@ -106,10 +102,6 @@ class MatchDistribution:
             idx = min(n_bins - 1, int(p * n_bins))
             counts[idx] += 1
         return counts
-
-    def outliers(self, threshold: float = 0.5) -> list[PointMatchResult]:
-        """Pairs whose matched proportion falls below the threshold."""
-        return [r for r in self.results if r.matched_proportion < threshold]
 
     def mean_proportion(self) -> float:
         props = self.proportions()

@@ -35,10 +35,6 @@ class FlaggedTrajectory:
     def relevant_fixes(self) -> list[PositionFix]:
         return [f for f, keep in zip(self.trajectory, self.flags) if keep]
 
-    @property
-    def n_relevant(self) -> int:
-        return sum(self.flags)
-
 
 def flag_final_approach(trajectory: Trajectory, final_km: float = 60.0) -> FlaggedTrajectory:
     """Mark only the final ~``final_km`` kilometres (arrival-flow analysis)."""
@@ -50,16 +46,16 @@ def flag_final_approach(trajectory: Trajectory, final_km: float = 60.0) -> Flagg
     return FlaggedTrajectory(trajectory, flags)
 
 
-def relevance_distance(a: FlaggedTrajectory, b: FlaggedTrajectory, sample_cap: int = 60) -> float:
+def relevance_distance(a: FlaggedTrajectory, b: FlaggedTrajectory) -> float:
     """Mean symmetric nearest-point distance over the *relevant* parts, in km.
 
     Irrelevant elements contribute nothing — two flights with identical
     cruise routes but different runway directions come out identical.
-    Trajectories are subsampled to at most ``sample_cap`` relevant points
-    to bound the O(n*m) cost.
+    Trajectories are subsampled to at most 60 relevant points to bound
+    the O(n*m) cost.
     """
-    pa = _subsample(a.relevant_fixes(), sample_cap)
-    pb = _subsample(b.relevant_fixes(), sample_cap)
+    pa = _subsample(a.relevant_fixes(), 60)
+    pb = _subsample(b.relevant_fixes(), 60)
     if not pa or not pb:
         return math.inf
     proj = LocalProjection(pa[0].lon, pa[0].lat)

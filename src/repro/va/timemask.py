@@ -58,20 +58,6 @@ class TimeMask:
         i = bisect.bisect_right(self._starts, t) - 1
         return i >= 0 and self.intervals[i].contains(t)
 
-    def complement(self, t_start: float, t_end: float) -> "TimeMask":
-        """The gaps of this mask within [t_start, t_end)."""
-        gaps: list[Interval] = []
-        cursor = t_start
-        for iv in self.intervals:
-            if iv.start > cursor:
-                gaps.append(Interval(cursor, min(iv.start, t_end)))
-            cursor = max(cursor, iv.end)
-            if cursor >= t_end:
-                break
-        if cursor < t_end:
-            gaps.append(Interval(cursor, t_end))
-        return TimeMask(gaps)
-
     @classmethod
     def from_histogram(cls, histogram: TimeHistogram, predicate: Callable[[TimeBin], bool]) -> "TimeMask":
         """Build the mask of all bins satisfying a query condition."""
@@ -84,20 +70,12 @@ class TimeMask:
 
     # -- applying the mask ---------------------------------------------------------
 
-    def filter_fixes(self, fixes: Iterable[PositionFix]) -> list[PositionFix]:
-        """The fixes falling inside the mask."""
-        return [f for f in fixes if self.contains(f.t)]
-
     def split_trajectory(self, trajectory: Trajectory) -> tuple[list[PositionFix], list[PositionFix]]:
         """(inside, outside) fixes of one trajectory."""
         inside, outside = [], []
         for fix in trajectory:
             (inside if self.contains(fix.t) else outside).append(fix)
         return inside, outside
-
-    def filter_events(self, events: Iterable[tuple[float, object]]) -> list[tuple[float, object]]:
-        """Select (t, payload) events inside the mask."""
-        return [(t, payload) for t, payload in events if self.contains(t)]
 
 
 def _merge(sorted_intervals: Sequence[Interval]) -> list[Interval]:

@@ -7,8 +7,6 @@ import pytest
 from repro.cep import TURN_ALPHABET
 from repro.core import DatacronSystem, SystemConfig
 from repro.datasources import AISConfig, AISSimulator
-from repro.geo import PositionFix
-from repro.prediction import RMFPredictor
 
 #: Each composition of the real-time layer, as ``SystemConfig`` fields.
 COMPOSITIONS = {
@@ -28,10 +26,6 @@ def _run_live_system(fields: dict) -> DatacronSystem:
         system.run(fixes[:half])
         system.run(fixes[half:])
     system.batch.nodes_in_range(config.bbox, 0.0, 1800.0)
-    predictor = RMFPredictor(f=2, window=6, registry=system.metrics)
-    for i in range(6):
-        predictor.observe(PositionFix("a1", i * 10.0, lon=9.0 + i * 1e-3, lat=37.0))
-    predictor.predict(5)
     return system
 
 
@@ -43,7 +37,7 @@ def _live_systems() -> dict[str, DatacronSystem]:
 @pytest.fixture(params=list(COMPOSITIONS))
 def live_system(request, _live_systems) -> DatacronSystem:
     """A system after two chunked runs (each ingesting into the batch
-    layer), a query and an RMF prediction on its registry, with CEP
+    layer) and a query, with CEP
     trained — one per composition, built once and closed before use, so
     no shard worker outlives the build."""
     if request.param not in _live_systems:

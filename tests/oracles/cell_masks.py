@@ -6,7 +6,7 @@ into a bitmap. This is the build it replaced — a ``mark(sub_col,
 sub_row)`` per covered sub-cell, OR-ing one bit at a time — kept as the
 reference the canvas build must match byte for byte. The boundary
 supercover traversal is shared (both builds call it per edge); the
-interior fill, the nearTo rectangles and the bit packing are not.
+interior fill and the bit packing are not.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.linkdiscovery.blocking import RegionBlocks
 from repro.linkdiscovery.masks import _supercover
 
 
-def scalar_coverage(blocks: RegionBlocks, resolution: int, near_margin_m: float = 0.0) -> dict[int, int]:
+def scalar_coverage(blocks: RegionBlocks, resolution: int) -> dict[int, int]:
     """cell id -> bitmap of covered sub-cells, marked one sub-cell at a time."""
     coverage: dict[int, int] = {}
     res = resolution
@@ -34,31 +34,19 @@ def scalar_coverage(blocks: RegionBlocks, resolution: int, near_margin_m: float 
         coverage[cell_id] = coverage.get(cell_id, 0) | bit
 
     for region in blocks.regions:
-        if near_margin_m > 0.0:
-            # nearTo coverage: the expanded bounding rectangle.
-            box = region.polygon.bbox.expanded_by_metres(near_margin_m)
-            c0 = max(0, int((box.min_lon - min_lon) * inv_dx))
-            c1 = min(sub_cols - 1, int((box.max_lon - min_lon) * inv_dx))
-            r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
-            r1 = min(sub_rows - 1, int((box.max_lat - min_lat) * inv_dy))
-            for sr in range(r0, r1 + 1):
-                for sc in range(c0, c1 + 1):
-                    mark(sc, sr)
-            continue
-        rings = [region.polygon.vertices] + region.polygon.holes
+        ring = region.polygon.vertices
+        n = len(ring)
         # 1) Supercover of every boundary edge.
-        for ring in rings:
-            n = len(ring)
-            for i in range(n):
-                ax, ay = ring[i]
-                bx, by = ring[(i + 1) % n]
-                _supercover(
-                    (ax - min_lon) * inv_dx,
-                    (ay - min_lat) * inv_dy,
-                    (bx - min_lon) * inv_dx,
-                    (by - min_lat) * inv_dy,
-                    mark,
-                )
+        for i in range(n):
+            ax, ay = ring[i]
+            bx, by = ring[(i + 1) % n]
+            _supercover(
+                (ax - min_lon) * inv_dx,
+                (ay - min_lat) * inv_dy,
+                (bx - min_lon) * inv_dx,
+                (by - min_lat) * inv_dy,
+                mark,
+            )
         # 2) Even-odd interior fill along sub-row centre scanlines.
         box = region.polygon.bbox
         r0 = max(0, int((box.min_lat - min_lat) * inv_dy))
@@ -66,13 +54,11 @@ def scalar_coverage(blocks: RegionBlocks, resolution: int, near_margin_m: float 
         for sr in range(r0, r1 + 1):
             y = min_lat + (sr + 0.5) / inv_dy
             crossings: list[float] = []
-            for ring in rings:
-                n = len(ring)
-                for i in range(n):
-                    x1, y1 = ring[i]
-                    x2, y2 = ring[(i + 1) % n]
-                    if (y1 > y) != (y2 > y):
-                        crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+            for i in range(n):
+                x1, y1 = ring[i]
+                x2, y2 = ring[(i + 1) % n]
+                if (y1 > y) != (y2 > y):
+                    crossings.append(x1 + (y - y1) * (x2 - x1) / (y2 - y1))
             crossings.sort()
             for j in range(0, len(crossings) - 1, 2):
                 c_start = int((crossings[j] - min_lon) * inv_dx)

@@ -66,7 +66,11 @@ class PerFixEntityStages:
         """One poll, every record published as it appears; returns the
         critical points in stream order. ``on_point(cp, stamp)`` may
         return more link records for a point."""
-        report, publish = self.report, self.broker.publish
+        report, topic = self.report, self.broker.topic
+
+        def publish(name, record):
+            topic(name).publish(record)
+
         points = []
         stamp = None
 
@@ -150,7 +154,7 @@ class PerFixLayer:
                 merged[TOPIC_LINKS] += self._global_point(record.value, record.ingest_wall_s)
             for topic, records in merged.items():
                 for record in records:
-                    self.broker.publish(topic, record)
+                    self.broker.topic(topic).publish(record)
         else:
             points = self.replicas[0].run(fixes, on_point=self._global_point)
         turns = list(turn_event_stream(points))
@@ -159,5 +163,5 @@ class PerFixLayer:
             self.totals.cep_detections += len(found.detections)
             self.totals.cep_forecasts += len(found.forecasts)
             for det in found.detections:
-                self.broker.publish(TOPIC_EVENTS, Record(det.t, det))
+                self.broker.topic(TOPIC_EVENTS).publish(Record(det.t, det))
         return self.report

@@ -29,9 +29,10 @@ from repro.rdf import Literal, Term, Triple, VOC, Variable
 def star_bindings(triples: list[Triple], query: StarQuery) -> list[dict[str, Term]]:
     """The query's bindings, one per matching subject, in first-seen order."""
     by_subject: dict[Term, dict[Term, Term]] = {}
+    predicates = [p for p, _ in query.arms]
     for tr in triples:
         props = by_subject.setdefault(tr.s, {})
-        if props.setdefault(tr.p, tr.o) != tr.o and tr.p in query.predicates:
+        if props.setdefault(tr.p, tr.o) != tr.o and tr.p in predicates:
             raise ValueError(f"{tr.s} has two objects for {tr.p}: not a graph this oracle judges")
     bindings = []
     for subject, props in by_subject.items():

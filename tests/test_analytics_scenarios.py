@@ -18,7 +18,7 @@ from repro.analytics import (
 from repro.datasources import AIRPORTS, FlightConfig, FlightPlan, FlightSimulator, make_route
 from repro.datasources.registry import generate_aircraft_registry
 from repro.datasources.weather import WeatherField
-from repro.geo import PositionFix, destination_point
+from repro.geo import PositionFix, Trajectory, destination_point
 
 
 def vessel(eid, lon, lat, speed_ms, heading, t=0.0):
@@ -154,4 +154,4 @@ class TestAdherence:
     def test_validation(self, flight_pair):
         plan, nominal, _ = flight_pair
         with pytest.raises(ValueError):
-            assess_adherence(plan, nominal, excursion_threshold_m=0.0)
+            assess_adherence(plan, Trajectory(nominal.entity_id, list(nominal)[:1]))

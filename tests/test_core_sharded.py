@@ -269,7 +269,7 @@ class TestShardObservability:
     def test_run_events_emitted(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
         sharded.run(list(fixes))
-        kinds = [e.kind for e in sharded.events.events(component="realtime")]
+        kinds = [e.kind for e in sharded.events.events() if e.component == "realtime"]
         assert "sharded_run_started" in kinds and "sharded_run_finished" in kinds
 
 
@@ -620,7 +620,7 @@ class TestShardFrames:
         spec = _RealtimeShardSpec(self.CFG)
         replica = spec.setup(0)
         stray = fixes[0]
-        replica.layer.broker.publish(TOPIC_RAW, Record(stray.t, stray, stray.entity_id, 0.0))
+        replica.layer.broker.topic(TOPIC_RAW).publish(Record(stray.t, stray, stray.entity_id, 0.0))
         with pytest.raises(ValueError, match="raw topic yielded 101 records for a 100-fix request"):
             spec.handle(0, replica, encode_request(fixes[300:400]))
         # Drained with the refused request: the next one is expressible again.

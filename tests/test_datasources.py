@@ -66,7 +66,7 @@ class TestRegions:
 
     def test_clustered_not_uniform(self):
         """Coastal clustering: region centroids should be spatially concentrated."""
-        regions = generate_regions(800, seed=3, coastal_fraction=1.0)
+        regions = generate_regions(800, seed=3)
         cells = set()
         for r in regions:
             cx, cy = r.polygon.centroid()
@@ -110,7 +110,6 @@ class TestWeather:
         s = f.sample(10.0, 38.0, 0.0)
         assert s.visibility_km > 0
         assert s.wave_height_m >= 0
-        assert s.wind_speed_ms >= 0
 
     @given(
         points=st.lists(
@@ -133,7 +132,7 @@ class TestWeather:
             assert [v.hex() for v in values] == [getattr(s, name).hex() for s in want]
 
     def test_station_network_rate(self):
-        net = WeatherStationNetwork(WeatherField(seed=1), n_stations=16)
+        net = WeatherStationNetwork(WeatherField(seed=1))
         obs = list(net.observations(0.0, 3 * 3600.0))
         assert len(obs) == 16 * 3
 
@@ -263,7 +262,7 @@ class TestTable1Measurements:
         assert large.messages_per_min > 3 * small.messages_per_min
 
     def test_measure_weather_obs_rate(self):
-        m = measure_weather_obs(hours=4.0, n_stations=16)
+        m = measure_weather_obs(hours=4.0)
         # 16 obs/hour = 0.266/min.
         assert m.messages == 16 * 4
         assert m.messages_per_min == pytest.approx(16 / 60.0, rel=1e-6)

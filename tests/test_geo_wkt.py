@@ -49,12 +49,3 @@ class TestPolygon:
             "0.000000 2.000000, 0.000000 0.000000))"
         )
 
-    def test_writes_each_hole_as_a_closed_ring(self):
-        poly = Polygon(
-            [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)],
-            holes=[[(1.0, 1.0), (3.0, 1.0), (3.0, 2.0)]],
-        )
-        assert wkt.polygon_to_wkt(poly) == (
-            "POLYGON ((0.000000 0.000000, 4.000000 0.000000, 4.000000 4.000000, 0.000000 0.000000), "
-            "(1.000000 1.000000, 3.000000 1.000000, 3.000000 2.000000, 1.000000 1.000000))"
-        )

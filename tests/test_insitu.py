@@ -164,12 +164,6 @@ class TestAreaEventDetector:
         det.process(fix(0.0, 0.5, 0.5))
         assert det.process(fix(10.0, 0.6, 0.6)) == []
 
-    def test_currently_inside(self):
-        det = self.make_detector()
-        det.process(fix(0.0, 0.5, 0.5))
-        assert det.currently_inside("v1") == frozenset({"r1"})
-        assert det.currently_inside("other") == frozenset()
-
     def test_per_entity_state(self):
         det = self.make_detector()
         det.process(fix(0.0, 0.5, 0.5, eid="a"))
@@ -288,7 +282,7 @@ class TestQuality:
         assert report.flagged[ISSUE_REPORTED_SPEED] == 1
 
     def test_aviation_config_allows_fast(self):
-        cfg = QualityConfig().for_aviation()
+        cfg = QualityConfig(max_implied_speed_ms=350.0, max_reported_speed_ms=350.0)
         out = list(clean_stream([fix(0.0, 0.0, 40.0, speed=250.0)], config=cfg))
         assert len(out) == 1
 

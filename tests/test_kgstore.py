@@ -9,6 +9,7 @@ from repro.kgstore import (
     Dictionary,
     KGStore,
     PropertyTable,
+    SERIAL_BITS,
     STConstraint,
     STPosition,
     TriplesTable,
@@ -38,15 +39,13 @@ class TestDictionary:
     def test_unanchored_slot_zero(self):
         d = make_dictionary()
         term_id = d.encode(IRI("http://x/a"))
-        assert Dictionary.st_slot_of(term_id) == 0
-        assert d.st_cell_of(term_id) is None
+        assert term_id >> SERIAL_BITS == 0
 
     def test_anchored_embeds_cell(self):
         d = make_dictionary()
         pos = STPosition(5.5, 5.5, 7200.0)
         term_id = d.encode(IRI("http://x/n1"), pos)
-        cell = d.st_cell_of(term_id)
-        assert cell == d.st_grid.cell_id(5.5, 5.5, 7200.0)
+        assert term_id >> SERIAL_BITS == d.st_grid.cell_id(5.5, 5.5, 7200.0) + 1
 
     def test_distinct_terms_distinct_ids(self):
         d = make_dictionary()
@@ -74,20 +73,23 @@ TRIPLES = [(1, 10, 100), (1, 11, 101), (2, 10, 102), (3, 12, 103), (2, 11, 104)]
 class TestLayouts:
     @pytest.mark.parametrize("cls", [TriplesTable, VerticalPartitioning, PropertyTable])
     def test_size_preserved(self, cls):
-        layout = cls(TRIPLES, n_partitions=2)
+        layout = cls(TRIPLES)
         assert len(layout) == len(TRIPLES)
 
     @pytest.mark.parametrize("cls", [TriplesTable, VerticalPartitioning, PropertyTable])
     def test_scan_returns_everything(self, cls):
-        layout = cls(TRIPLES, n_partitions=2)
-        got = set()
-        for part in layout.scan():
-            got.update(zip(part.s.tolist(), part.p.tolist(), part.o.tolist()))
+        layout = cls(TRIPLES)
+        got = {
+            triple
+            for p_id in (10, 11, 12)
+            for part in layout.scan_predicate(p_id)
+            for triple in zip(part.s.tolist(), part.p.tolist(), part.o.tolist())
+        }
         assert got == set(TRIPLES)
 
     @pytest.mark.parametrize("cls", [TriplesTable, VerticalPartitioning, PropertyTable])
     def test_scan_predicate(self, cls):
-        layout = cls(TRIPLES, n_partitions=2)
+        layout = cls(TRIPLES)
         got = set()
         for part in layout.scan_predicate(10):
             got.update(zip(part.s.tolist(), part.p.tolist(), part.o.tolist()))
@@ -106,10 +108,6 @@ class TestLayouts:
         for part in layout.scan_predicate(10):
             got.update(zip(part.s.tolist(), part.p.tolist(), part.o.tolist()))
         assert got == {(1, 10, 100), (1, 10, 200)}
-
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            TriplesTable(TRIPLES, n_partitions=0)
 
 
 def build_store(layout="property_table"):

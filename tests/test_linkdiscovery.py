@@ -40,12 +40,6 @@ class TestRegionBlocks:
         assert [r.region_id for r in blocks.candidates(2.5, 2.5)] == ["r1"]
         assert blocks.candidates(8.0, 8.0) == []
 
-    def test_near_margin_expands_blocking(self):
-        grid = default_grid(BOX, cell_deg=0.5)
-        no_margin = RegionBlocks([square_region("r1", 2.0, 2.0)], grid)
-        margin = RegionBlocks([square_region("r1", 2.0, 2.0)], grid, near_margin_m=120_000.0)
-        assert margin.occupied_cells() > no_margin.occupied_cells()
-
 
 class TestCellMasks:
     def test_point_far_from_regions_in_mask(self):
@@ -97,9 +91,9 @@ class TestCellMasks:
 
 
 class TestRegionLinkDiscoverer:
-    def make(self, use_masks=True, near_m=0.0):
+    def make(self, use_masks=True):
         regions = [square_region("r1", 2.0, 2.0), square_region("r2", 6.0, 6.0)]
-        return RegionLinkDiscoverer(regions, BOX, cell_deg=1.0, near_threshold_m=near_m, use_masks=use_masks)
+        return RegionLinkDiscoverer(regions, BOX, cell_deg=1.0, use_masks=use_masks)
 
     def test_within_link(self):
         ld = self.make()
@@ -111,18 +105,6 @@ class TestRegionLinkDiscoverer:
         ld = self.make()
         result = ld.discover([fix(0.0, 4.5, 4.5)])
         assert result.links == []
-
-    def test_near_to_link(self):
-        ld = self.make(near_m=50_000.0)
-        # ~0.3 degrees (~33 km at equator-ish lat) east of r1's edge.
-        result = ld.discover([fix(0.0, 3.3, 2.5)])
-        assert result.count(NEAR_TO) == 1
-
-    def test_within_preferred_over_near(self):
-        ld = self.make(near_m=50_000.0)
-        result = ld.discover([fix(0.0, 2.5, 2.5)])
-        assert result.count(WITHIN) == 1
-        assert result.count(NEAR_TO) == 0
 
     def test_masks_do_not_change_results(self):
         points = [fix(float(i), 0.5 + (i % 20) * 0.5, 0.5 + (i % 17) * 0.55, eid=f"v{i%3}") for i in range(200)]

@@ -129,7 +129,7 @@ class TestGaussianHMM:
         hmm = GaussianHMM(2, 1)
         states = [[0, 0, 1, 1], [0, 1, 1, 0]]
         obs = [[[0.0], [0.1], [5.0], [5.1]], [[0.2], [4.9], [5.2], [0.3]]]
-        hmm.fit_supervised(states, obs, smoothing=0.1)
+        hmm.fit_supervised(states, obs)
         # State 0 emits ~0, state 1 emits ~5.
         assert hmm.means[0][0] < 1.0
         assert hmm.means[1][0] > 4.0
@@ -138,16 +138,9 @@ class TestGaussianHMM:
 
     def test_viterbi_decodes_emissions(self):
         hmm = GaussianHMM(2, 1)
-        hmm.fit_supervised([[0, 1, 0, 1]], [[[0.0], [5.0], [0.1], [5.1]]], smoothing=0.1)
+        hmm.fit_supervised([[0, 1, 0, 1]], [[[0.0], [5.0], [0.1], [5.1]]])
         path = hmm.viterbi([[0.05], [4.9], [0.0]])
         assert path == [0, 1, 0]
-
-    def test_log_likelihood_orders_sequences(self):
-        hmm = GaussianHMM(2, 1)
-        hmm.fit_supervised([[0, 0, 1, 1]] * 4, [[[0.0], [0.1], [5.0], [5.1]]] * 4, smoothing=0.1)
-        likely = hmm.log_likelihood([[0.0], [0.1], [5.0]])
-        unlikely = hmm.log_likelihood([[50.0], [-50.0], [100.0]])
-        assert likely > unlikely
 
     def test_mismatched_sequences(self):
         hmm = GaussianHMM(2, 1)

@@ -9,9 +9,12 @@
   broad or a swallowing ``except`` carries a reason comment.
 * **Metric names** — every name a real run registers is a dotted path
   under a known root, which is what the health rules' globs bind to.
-* **Reachability** — every public top-level name in ``src/repro`` is
-  reached from ``core``, ``benchmarks/`` or ``examples/``, or is kept on
-  purpose in :data:`KEEP`: no production code exists only for tests.
+* **Reachability** — every public top-level name in ``src/repro``, every
+  public method, property and plain class attribute of a reached class,
+  and every defaulted parameter of a reached function, method or
+  ``__init__`` is reached from ``core``, ``benchmarks/`` or ``examples/``
+  (a parameter: set by a reached call), or is kept on purpose in
+  :data:`KEEP`: no production code and no option exists only for tests.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import ast
 import functools
 import graphlib
 import io
+import math
 import re
 import tokenize
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -249,103 +254,270 @@ def test_every_registered_metric_name_is_dotted_under_a_known_root(live_system):
 
 # -- reachability ---------------------------------------------------------------
 
-#: Public names no root reaches, each with the reason it stays. An entry
-#: must name a defined name that is unreachable without it.
+#: What no root reaches or sets, each with the reason it stays. A key is a
+#: public top-level ``Name``, a ``Class.member`` or a defaulted parameter
+#: ``func(param)`` / ``Class.method(param)`` / ``Class(param)`` (of
+#: ``__init__``). A kept class keeps its members, not its options. An
+#: entry must name a defined key that fails its rule without it, and give
+#: one of the reasons :data:`KEEP_REASON` admits.
 KEEP: dict[str, str] = {
-    # Terrestrial + satellite fusion: the planned late-fix reorder buffer
-    # wires it in, or it goes with these entries.
-    "CrossStreamFuser": "cross-stream fusion, pending the reorder buffer",
-    "degrade_stream": "the satellite-feed model CrossStreamFuser is tested on",
+    # Open ROADMAP items. Terrestrial + satellite fusion: the planned
+    # late-fix reorder buffer wires it in, or it goes with these entries.
+    "CrossStreamFuser": "item 3: cross-stream fusion, pending the reorder buffer",
+    "CrossStreamFuser(dedup_window_s)": "item 3: cross-stream fusion, pending the reorder buffer",
+    "CrossStreamFuser(max_speed_ms)": "item 3: cross-stream fusion, pending the reorder buffer",
+    "degrade_stream": "item 3: the satellite-feed model CrossStreamFuser is tested on",
+    "degrade_stream(latency_s)": "item 3: the satellite-feed model CrossStreamFuser is tested on",
+    "degrade_stream(seed)": "item 3: the satellite-feed model CrossStreamFuser is tested on",
     # The planned forecast stage puts FLP on the synopses stream.
-    "ErrorFeedbackPredictor": "online FLP with error feedback, pending the forecast stage",
-    # The operator export surface the README documents; the server
-    # reaches render_openmetrics.
-    "MetricsServer": "serves /metrics and /healthz to an outside scraper",
-    "parse_openmetrics": "reads an OpenMetrics export back",
-    "JsonlSink": "writes structured events as JSON lines",
+    "ErrorFeedbackPredictor": "item 7: online FLP with error feedback, pending the forecast stage",
+    "ErrorFeedbackPredictor(alpha)": "item 7: online FLP with error feedback, pending the forecast stage",
+    "ErrorFeedbackPredictor(mode)": "item 7: online FLP with error feedback, pending the forecast stage",
+    # The export surface the README documents; the server reaches
+    # render_openmetrics.
+    "parse_openmetrics": "item 14: reads an OpenMetrics export back",
+    # The deployment surface: exports, settings and bounds.
+    "MetricsServer": "deployment: serves /metrics and /healthz to an outside scraper",
+    "JsonlSink": "deployment: writes structured events as JSON lines",
+    "MetricsServer(host)": "deployment: the interface the scrape endpoint binds",
+    "MetricsServer(port)": "deployment: the port the scrape endpoint binds",
+    "MetricsServer(health)": "deployment: the monitor /healthz reports",
+    "EventLog(sink)": "deployment: where structured events are written (a JsonlSink)",
+    "Broker.create_topic(retention)": "deployment: a topic's retention bound",
+    "shard_hosts(request_timeout_s)": "deployment: the worker request deadline",
+    # Test-fake injection points.
+    "EventLog(clock)": "test fake: a deterministic wall clock for event stamps",
+    "Tracer(clock)": "test fake: a deterministic clock for span timings",
+    "WorkerHost(context)": "test fake: the spawn-context pickling test",
+    "WorkerHost(start)": "test fake: the protocol tests start the host under a scripted peer",
+    # References for a production path.
+    "Topic.publish": "reference: the per-record publish that publish_many must equal",
 }
 
-#: Where a name counts as used: the integration layer, the benchmarks and
-#: the examples.
-REACH_ROOTS = (SRC / "core", ROOT / "benchmarks", ROOT / "examples")
+#: An open ROADMAP item that names it, a deployment setting, a test-fake
+#: injection point, or the reference a production path must equal.
+KEEP_REASON = re.compile(r"(item \d+|deployment|test fake|reference): \S")
+
+#: The roots: every top-level name of the integration layer, and every
+#: name the benchmarks and the examples read.
+CORE = SRC / "core"
+REACH_ROOTS = (ROOT / "benchmarks", ROOT / "examples")
 
 
 def _identifiers(node: ast.AST) -> set[str]:
-    """Every ``Name`` id, ``Attribute`` attr and import alias under ``node``."""
-    found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            found.update(sub.name.split("."))
-    return found
+    """Every ``Name`` id and ``Attribute`` attr read under ``node``: where a
+    name is used, not where it is imported or assigned."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+class _Def(NamedTuple):
+    """A unit of reachability. ``name`` is ``None`` for a module-level
+    statement (it runs on import); ``cls`` is the class a member belongs
+    to. A top-level class's own unit holds its header and every body
+    statement that is not a member: fields, dunders and, of a ``_private``
+    class, everything. ``scope`` is the class the nodes' ``super()`` and
+    ``cls()`` calls refer to."""
+
+    path: Path
+    cls: ast.ClassDef | None
+    name: str | None
+    nodes: tuple[ast.AST, ...]
+    scope: ast.ClassDef | None = None
+
+
+def _is_member(stmt: ast.stmt) -> str | None:
+    """The member name a class-body statement defines: a method, property
+    or plain class attribute that is not a dunder."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        name = stmt.name
+    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+        name = stmt.targets[0].id
+    else:
+        return None
+    return None if name.startswith("__") else name
 
 
 @functools.cache
-def _definitions() -> list[tuple[Path, str | None, ast.stmt]]:
-    """``(module, name, node)`` for each top-level def/class of ``src/repro``
-    outside ``__init__.py``, plus ``(module, None, stmt)`` for each other
-    module-level statement: those run on import."""
+def _definitions() -> tuple[_Def, ...]:
+    """The units of every ``src/repro`` module outside ``__init__.py``."""
     found = []
     for path in _python_files(SRC):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                found.append((path, stmt.name, stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(_Def(path, None, stmt.name, (stmt,)))
+            elif isinstance(stmt, ast.ClassDef):
+                public = not stmt.name.startswith("_")
+                members: dict[str, list[ast.stmt]] = {}
+                own: list[ast.AST] = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                for sub in stmt.body:
+                    name = _is_member(sub) if public else None
+                    if name is None:
+                        own.append(sub)
+                    else:
+                        members.setdefault(name, []).append(sub)
+                found.append(_Def(path, None, stmt.name, tuple(own), stmt))
+                found += [_Def(path, stmt, name, tuple(nodes), stmt) for name, nodes in members.items()]
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                found.append((path, None, stmt))
-    return found
+                found.append(_Def(path, None, None, (stmt,)))
+    return tuple(found)
+
+
+def _key(definition: _Def) -> str:
+    return definition.name if definition.cls is None else f"{definition.cls.name}.{definition.name}"
+
+
+def _calls(node: ast.AST, cls: ast.ClassDef | None = None):
+    """``(call, enclosing class)`` for each call under ``node``."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Call):
+            yield sub, cls
+        yield from _calls(sub, sub if isinstance(sub, ast.ClassDef) else cls)
 
 
 @functools.cache
-def _root_identifiers() -> frozenset[str]:
-    return frozenset(
-        name
-        for path in _python_files(*REACH_ROOTS)
-        for name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+def _roots() -> tuple[frozenset[str], tuple]:
+    """The names the roots use, and the calls of the root files."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _python_files(*REACH_ROOTS)]
+    core = (unit.name for unit in _definitions() if unit.cls is None and unit.path.is_relative_to(CORE))
+    return (
+        frozenset(core).union(*map(_identifiers, trees)) - {None},
+        tuple(call for tree in trees for call in _calls(tree)),
     )
 
 
-def _reached(roots: set[str]) -> set[str]:
-    """The public names reached from ``roots``. A reached definition reaches
-    every identifier in it; a ``_private`` one resolves only in its module."""
-    public: dict[str, list] = {}
-    private: dict[tuple, list] = {}
-    pending = []
-    for path, name, node in _definitions():
-        if name is None:
-            pending.append((path, node))
-        elif name.startswith("_"):
-            private.setdefault((path, name), []).append(node)
+def _reach(keep: frozenset[str]) -> tuple[set[_Def], list]:
+    """The units reached from the roots and ``keep``, and every call in
+    them. A module statement is always reached; a public top-level name
+    when reached code reads it; a ``_private`` one when reached code of
+    its own module reads it; a member when its class is reached and
+    reached code reads its name, or it or its class is kept."""
+    identifiers, calls = _roots()
+    used = set(identifiers) | {key for key in keep if "." not in key and "(" not in key}
+    used_in: dict[Path, set[str]] = {}
+    classes: set[tuple[Path, str]] = set()
+    walked: set[_Def] = set()
+    calls = list(calls)
+
+    def is_reached(unit: _Def) -> bool:
+        if unit.name is None:
+            return True
+        if unit.cls is not None:
+            return (unit.path, unit.cls.name) in classes and (
+                unit.name in used or unit.cls.name in keep or _key(unit) in keep
+            )
+        if unit.name.startswith("_"):
+            return unit.name in used_in.get(unit.path, ())
+        return unit.name in used
+
+    pending = list(_definitions())
+    while ready := [unit for unit in pending if is_reached(unit)]:
+        for unit in ready:
+            pending.remove(unit)
+            walked.add(unit)
+            if unit.cls is None and unit.scope is not None:
+                classes.add((unit.path, unit.name))
+            for node in unit.nodes:
+                names = _identifiers(node)
+                used |= names
+                used_in.setdefault(unit.path, set()).update(names)
+                calls += _calls(node, unit.scope)
+    return walked, calls
+
+
+def _parameters(unit: _Def):
+    """``(call name, key, index, name)`` for each defaulted parameter of a
+    public function, method or ``__init__`` in ``unit``; ``index`` is its
+    position in a call, ``inf`` if only a keyword sets it."""
+    if unit.name is None or unit.name.startswith("_"):
+        return
+    for node in unit.nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if unit.cls is not None:
+            static = any(_dotted(d) == "staticmethod" for d in node.decorator_list)
+            called, key, skip = node.name, _key(unit), int(not static)
+        elif node.name in (unit.name, "__init__"):
+            called, key, skip = unit.name, unit.name, int(node.name == "__init__")
         else:
-            public.setdefault(name, []).append((path, node))
-    reached = {name for name in roots if name in public}
-    pending += [entry for name in reached for entry in public[name]]
-    seen_private = set()
-    while pending:
-        path, node = pending.pop()
-        for name in _identifiers(node):
-            if name in public and name not in reached:
-                reached.add(name)
-                pending += public[name]
-            elif (path, name) in private and (path, name) not in seen_private:
-                seen_private.add((path, name))
-                pending += [(path, sub) for sub in private[path, name]]
-    return reached
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield called, f"{key}({arg.arg})", index - skip, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield called, f"{key}({arg.arg})", math.inf, arg.arg
+
+
+def _call_shapes(calls) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """By callee name: how many positional arguments each call passes
+    (``inf`` with a ``*args``) and which keywords (``None`` with a
+    ``**kwargs``). ``super().__init__`` calls the bases, ``cls()`` its
+    class."""
+    shapes: dict[str, list] = {}
+    for call, cls in calls:
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr == "__init__" and cls is not None:
+            names = [_dotted(base).split(".")[-1] for base in cls.bases]
+        elif isinstance(func, ast.Name) and func.id == "cls" and cls is not None:
+            names = [cls.name]
+        elif isinstance(func, (ast.Name, ast.Attribute)):
+            names = [func.id if isinstance(func, ast.Name) else func.attr]
+        else:
+            continue
+        positional = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+        keywords = None if any(k.arg is None for k in call.keywords) else {k.arg for k in call.keywords}
+        for name in names:
+            shapes.setdefault(name, []).append((positional, keywords))
+    return shapes
+
+
+def _findings(keep: frozenset[str]) -> list[str]:
+    """Each public name or member no root reaches, and each defaulted
+    parameter of a reached one that no reached call sets, minus ``keep``."""
+    walked, calls = _reach(keep)
+    classes = {(unit.path, unit.name) for unit in walked if unit.cls is None}
+    unreached = [
+        _key(unit)
+        for unit in _definitions()
+        if unit not in walked
+        and unit.name is not None
+        and not unit.name.startswith("_")
+        and (unit.cls is None or (unit.path, unit.cls.name) in classes)
+    ]
+    shapes = _call_shapes(calls)
+    unset = [
+        key
+        for unit in walked
+        for called, key, index, name in _parameters(unit)
+        if not any(
+            index < positional or keywords is None or name in keywords
+            for positional, keywords in shapes.get(called, ())
+        )
+    ]
+    return sorted(set(unreached + unset) - keep)
 
 
 def test_every_public_src_name_is_reached_or_kept():
-    defined = {name for _, name, _ in _definitions() if name and not name.startswith("_")}
-    reached = _reached(_root_identifiers() | set(KEEP))
-    assert sorted(defined - reached) == []
+    assert _findings(frozenset(KEEP)) == []
 
 
 def test_every_keep_entry_is_defined_and_needed():
-    defined = {name for _, name, _ in _definitions()}
+    defined = {_key(unit) for unit in _definitions() if unit.name}
+    defined |= {key for unit in _definitions() for _, key, _, _ in _parameters(unit)}
     assert sorted(set(KEEP) - defined) == []
-    assert [
-        name for name in KEEP if name in _reached(_root_identifiers() | (set(KEEP) - {name}))
-    ] == []
+    # An option's entry decides nothing about reach, so one pass judges them all.
+    names = frozenset(key for key in KEEP if "(" not in key)
+    assert sorted(set(KEEP) - names - set(_findings(names))) == []
+    assert [key for key in names if key not in _findings(frozenset(KEEP) - {key})] == []
+
+
+def test_every_keep_entry_gives_an_admitted_reason():
+    assert [key for key, why in KEEP.items() if KEEP_REASON.match(why) is None] == []
