@@ -9,7 +9,6 @@ star-query analytics.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..geo import BBox
@@ -23,13 +22,14 @@ from ..synopses import CriticalPoint
 from .config import SystemConfig, TOPIC_SYNOPSES
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchReport:
     """What the batch layer has ingested so far.
 
-    Store-wide totals, cumulative across ingests: ``triples`` is
-    ``len(store)`` and ``anchored_subjects`` the store's anchored-subject
-    count (per-load counts are the store's :class:`LoadReport`).
+    Store-wide totals, cumulative across ingests: ``synopsis_points`` is
+    the ``batch.synopsis_points`` counter, ``triples`` is ``len(store)``
+    and ``anchored_subjects`` the store's anchored-subject count
+    (per-load counts are the store's :class:`LoadReport`).
     """
 
     synopsis_points: int = 0
@@ -38,7 +38,11 @@ class BatchReport:
 
 
 class BatchLayer:
-    """RDF lifting, persistent storage and star-query analytics."""
+    """RDF lifting, persistent storage and star-query analytics.
+
+    Instrumented on ``registry``, or on a registry of its own when none
+    is given.
+    """
 
     def __init__(
         self,
@@ -53,9 +57,9 @@ class BatchLayer:
         # Persistent consumer-group readers: repeated ingests continue from
         # the committed offsets, and their lag is observable as gauges.
         self._synopses_consumer = broker.consumer(TOPIC_SYNOPSES, group="batch")
-        self.registry = registry
-        if registry is not None:
-            instrument_consumer(self._synopses_consumer, registry)
+        self.registry = registry = registry or MetricsRegistry()
+        instrument_consumer(self._synopses_consumer, registry)
+        self._synopsis_points = registry.counter("batch.synopsis_points")
         self.store = KGStore(
             config.bbox,
             t_origin=t_origin,
@@ -67,35 +71,33 @@ class BatchLayer:
             registry=registry,
         )
         self.graph = Graph()
-        self.report = BatchReport()
 
-    def _time(self, name: str):
-        """``registry.time(name)`` when instrumented, else a no-op block."""
-        return self.registry.time(name) if self.registry is not None else nullcontext()
+    @property
+    def report(self) -> BatchReport:
+        """What has been ingested so far, read from the counter and the store."""
+        store = self.store
+        return BatchReport(self._synopsis_points.value, len(store), store.anchored_subjects)
 
     def ingest_from_broker(self) -> BatchReport:
         """Drain the synopses topic (batch consumer group) into the KG store."""
         consumer = self._synopses_consumer
+        registry = self.registry
         points: list[CriticalPoint] = []
-        with self._time("batch.ingest_latency_s"):
+        with registry.time("batch.ingest_latency_s"):
             while True:
                 records = consumer.poll(max_messages=10_000)
                 if not records:
                     break
                 points.extend(r.value for r in records)
-            self.report.synopsis_points += len(points)
             if points:
                 # Only the triples new to the graph go to the store, in
                 # rdfizer order: each load appends its delta to the batch view.
-                with self._time("batch.rdfize_latency_s"):
+                with registry.time("batch.rdfize_latency_s"):
                     add = self.graph.add
                     triples = [t for t in synopses_rdfizer(points).triples() if add(t)]
                 self.store.load(triples)
-                self.report.triples = len(self.store)
-                self.report.anchored_subjects = self.store.anchored_subjects
-        if self.registry is not None:
-            self.registry.counter("batch.synopsis_points").inc(len(points))
-            self.registry.counter("batch.ingests").inc()
+        self._synopsis_points.inc(len(points))
+        registry.counter("batch.ingests").inc()
         return self.report
 
     def nodes_in_range(self, bbox: BBox, t_min: float, t_max: float) -> list[dict]:

@@ -42,8 +42,9 @@ Synopses, links and events are *derived* records (about a tenth of the
 volume): their values were built inside the worker — a critical point
 may even wrap a fix from an earlier request — so they travel by value,
 through the positional ``__reduce__`` of ``Record`` / ``PositionFix`` /
-``CriticalPoint`` / ``Link``. So do the shard's cumulative report, its
-run wall and the per-run delta harvest.
+``CriticalPoint`` / ``Link``. So does the per-run delta harvest, the one
+copy of the shard's counts and run wall that crosses the pipe: the
+parent folds it and reads every report from its own registry.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from ..geo.columns import dictionary_encode
 from ..obs import ObsHarvest
 from ..streams import Record
 from .config import TOPIC_CLEAN, TOPIC_RAW
-from .realtime import RealtimeReport
 
 #: Annotation types a batch is dictionary-encoded by value under.
 _BY_VALUE = (frozenset({str, type(None), int}), frozenset({str, type(None), bool}))
@@ -80,8 +80,6 @@ class FixBatch:
 class ShardReply:
     """Reply frame: what one shard replica produced for one request."""
 
-    report: RealtimeReport              # cumulative
-    wall_s: float                       # cumulative
     harvest: ObsHarvest                 # this run's delta
     stamps: np.ndarray                  # float64[n]: ingest_wall_s per request fix
     raw_rows: np.ndarray                # int32: request row per raw record, drained order
@@ -124,9 +122,7 @@ def decode_request(frame: bytes) -> tuple[list[PositionFix], FixColumns]:
 
 def encode_reply(
     fixes: list[PositionFix],
-    report: RealtimeReport,
     topics: dict[str, list[Record]],
-    wall_s: float,
     harvest: ObsHarvest,
 ) -> bytes:
     """Pack a replica's output for the request that carried ``fixes``.
@@ -158,7 +154,7 @@ def encode_reply(
             "clean topic is not a filter of this request's raw topic "
             "(foreign fix or ingest stamp); it cannot be replied by reference"
         )
-    reply = ShardReply(report, wall_s, harvest, stamps, raw_rows, clean_rows, by_value)
+    reply = ShardReply(harvest, stamps, raw_rows, clean_rows, by_value)
     return pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
 
 

@@ -23,7 +23,7 @@ through their own consumer groups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from time import perf_counter, time as wall_clock
 from typing import Any, Iterable
 
@@ -39,7 +39,7 @@ from ..cep import (
 from ..datasources import generate_ports, generate_regions
 from ..datasources.weather import WeatherField
 from ..geo import FixColumns, PositionFix
-from ..insitu import AreaEventDetector, QualityReport, RegionIndex, clean_batch
+from ..insitu import ALL_ISSUES, AreaEventDetector, QualityReport, RegionIndex, clean_batch
 from ..linkdiscovery import (
     MovingProximityDiscoverer,
     PortLinkDiscoverer,
@@ -80,9 +80,9 @@ _COLUMNS_MIN_ROWS = 256
 _COLUMNS_MIN_ROWS_PER_ENTITY = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealtimeReport:
-    """Counters of one real-time run."""
+    """Counters of a real-time run, as :func:`report_from` reads them."""
 
     raw_fixes: int = 0
     clean_fixes: int = 0
@@ -94,14 +94,39 @@ class RealtimeReport:
     cep_forecasts: int = 0
     quality: QualityReport = field(default_factory=QualityReport)
 
-    def __add__(self, other: "RealtimeReport") -> "RealtimeReport":
-        return RealtimeReport(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
-
     @property
     def compression_ratio(self) -> float:
         if self.clean_fixes == 0:
             return 0.0
         return 1.0 - self.critical_points / self.clean_fixes
+
+
+def report_from(metrics: MetricsRegistry, prefix: str = "") -> RealtimeReport:
+    """A run's counts as the registry holds them, each field read from one
+    counter; ``prefix`` ``shard.<i>.`` reads one shard's folded families.
+    Reading creates no counter."""
+    counts = metrics.counters(prefix)
+
+    def count(name: str) -> int:
+        return counts.get(prefix + name, 0)
+
+    proximity = count("op.proximity.records_out")
+    flagged = {issue: count(f"op.clean.flagged.{issue}") for issue in ALL_ISSUES}
+    return RealtimeReport(
+        raw_fixes=count("stage.raw.records"),
+        clean_fixes=count("op.clean.records_out"),
+        critical_points=count("op.synopses.records_out"),
+        area_events=count("op.area_events.records_out"),
+        links=count("op.link_discovery.records_out") + proximity,
+        proximity_links=proximity,
+        cep_detections=count("cep.detections"),
+        cep_forecasts=count("cep.forecasts"),
+        quality=QualityReport(
+            count("op.clean.records_in"),
+            count("op.clean.records_out"),
+            {issue: n for issue, n in flagged.items() if n},
+        ),
+    )
 
 
 class Figure2Plane:
@@ -138,8 +163,8 @@ class GlobalStages:
     can be entity-partitioned: whoever owns the whole stream shows every
     run's clean fixes to :meth:`clean_fixes` and critical points to
     :meth:`critical_points`, and closes the run with :meth:`recognise`.
-    What they find is counted into ``totals`` (``links``,
-    ``proximity_links``, ``cep_detections``, ``cep_forecasts``).
+    What they find is counted by the ``proximity`` probe and the engine's
+    ``cep.*`` counters, on the owner's registry.
     """
 
     def __init__(
@@ -147,12 +172,10 @@ class GlobalStages:
         cfg: SystemConfig,
         metrics: MetricsRegistry,
         events: EventLog,
-        totals: RealtimeReport,
         cep_training_symbols: list[str] | None = None,
     ):
         self.metrics = metrics
         self.events = events
-        self.totals = totals
         self.proximity = MovingProximityDiscoverer(
             cfg.bbox, cfg.proximity_space_m, cfg.proximity_time_s, cell_deg=cfg.grid_cell_deg,
             registry=metrics,
@@ -198,8 +221,6 @@ class GlobalStages:
         found = self.proximity.process_many([cp.fix for cp in points])
         n_links = sum(map(len, found))
         self._probes["proximity"].observe(n_links, perf_counter() - t0, n_in=len(points))
-        self.totals.links += n_links
-        self.totals.proximity_links += n_links
         if self.cep is not None:
             self._turns.extend(turn_event_stream(points))
         # Enriched now, all of them. Flush-tail points of a run that
@@ -225,8 +246,6 @@ class GlobalStages:
         self._probes["cep"].observe(
             len(run.detections) + len(run.forecasts), perf_counter() - t0, n_in=len(turns)
         )
-        self.totals.cep_detections += len(run.detections)
-        self.totals.cep_forecasts += len(run.forecasts)
         for det in run.detections:
             self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")
             self.events.emit(
@@ -252,7 +271,7 @@ class GlobalStages:
 class _Poll:
     """What the entity stages computed for one ``run()``, not yet published
     or counted: the four topics' records, the run's cleaning verdicts and
-    area-event count, and one finished span per stage that had work."""
+    one finished span per stage that had work."""
 
     raw: list[Record]
     clean: list[Record]
@@ -260,7 +279,6 @@ class _Poll:
     #: Region then port links of each critical point, in point order.
     links: list[list[Record]]
     quality: QualityReport
-    area_events: int
     stages: list[Span]
 
 
@@ -296,8 +314,11 @@ class EntityStages(Figure2Plane):
             registry=self.metrics,
         )
         self.weather = WeatherField(bbox=cfg.bbox, seed=cfg.seed + 2)
-        self._wall_s = 0.0
-        self.report = RealtimeReport()
+
+    @property
+    def report(self) -> RealtimeReport:
+        """The layer's cumulative counts, read from its registry."""
+        return report_from(self.metrics)
 
     def run(self, fixes: Iterable[PositionFix], columns: FixColumns | None = None) -> RealtimeReport:
         """Push a bounded surveillance stream through the layer.
@@ -309,13 +330,13 @@ class EntityStages(Figure2Plane):
         (a pooled worker's decoded frame), are screened instead of built;
         the poll's size decides either way whether the screens run.
         """
-        report = self.report
         self.events.emit("info", "realtime", "run_started")
         wall_start = perf_counter()
         with self.tracer.span("run") as root:
             self._commit(self._entity_stages(fixes, columns, root))
-        self._wall_s += perf_counter() - wall_start
-        self.metrics.gauge("realtime.wall_s").set(self._wall_s)
+        wall = self.metrics.gauge("realtime.wall_s")
+        wall.set(wall.value() + perf_counter() - wall_start)
+        report = self.report
         self.events.emit(
             "info", "realtime", "run_finished",
             raw=report.raw_fixes, clean=report.clean_fixes,
@@ -358,12 +379,10 @@ class EntityStages(Figure2Plane):
                 columns = columns.take(rows)
             clean_records = [raw[i] for i in rows.tolist()]
             done(span, len(clean))
-        area_events = 0
         if clean:
             # Low-level area events.
             span = tracer.start_span("area_events", root, n_in=len(clean))
-            area_events = len(self.area_detector.process_many(clean, columns))
-            done(span, area_events)
+            done(span, len(self.area_detector.process_many(clean, columns)))
         # Synopses. Trailing points surface when the stream closes, which
         # is every call — so this stage runs, and is observed, on every call.
         span = tracer.start_span("synopses", root, n_in=len(clean))
@@ -387,7 +406,7 @@ class EntityStages(Figure2Plane):
                 for region, port in zip(region_links, port_links)
             ]
             done(span, sum(map(len, links)))
-        return _Poll(raw, clean_records, synopses, links, quality, area_events, stages)
+        return _Poll(raw, clean_records, synopses, links, quality, stages)
 
     def _commit(self, poll: _Poll) -> None:
         """Make a computed poll visible. The per-entity half only publishes
@@ -396,10 +415,11 @@ class EntityStages(Figure2Plane):
 
     def _publish(self, poll: _Poll, proximity: list[list[Record]] | None = None) -> None:
         """Publish one computed poll — one ``publish_many`` per topic —
-        then count it and observe each stage's probe, once. ``proximity``
-        is each critical point's proximity links, published right behind
-        that point's region and port links."""
-        report = self.report
+        then count its raw records and cleaning verdicts and observe each
+        stage's probe, once. ``proximity`` is each critical point's
+        proximity links, published right behind that point's region and
+        port links."""
+        metrics = self.metrics
         per_point = poll.links
         if proximity is not None:
             per_point = [links + extra for links, extra in zip(poll.links, proximity)]
@@ -411,13 +431,9 @@ class EntityStages(Figure2Plane):
         ):
             if records:
                 self.broker.publish_many(topic, records)
-        report.raw_fixes += len(poll.raw)
-        self.metrics.counter("stage.raw.records").inc(len(poll.raw))
-        report.clean_fixes += len(poll.clean)
-        report.quality += poll.quality
-        report.area_events += poll.area_events
-        report.critical_points += len(poll.synopses)
-        report.links += sum(map(len, poll.links))
+        metrics.counter("stage.raw.records").inc(len(poll.raw))
+        for issue, n in poll.quality.flagged.items():
+            metrics.counter(f"op.clean.flagged.{issue}").inc(n)
         for span in poll.stages:
             self._probes[span.name].observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
 
@@ -428,7 +444,7 @@ class RealtimeLayer(EntityStages):
 
     def __init__(self, config: SystemConfig | None = None, cep_training_symbols: list[str] | None = None):
         super().__init__(config)
-        self.globals = GlobalStages(self.config, self.metrics, self.events, self.report, cep_training_symbols)
+        self.globals = GlobalStages(self.config, self.metrics, self.events, cep_training_symbols)
         self.proximity, self.cep = self.globals.proximity, self.globals.cep
         self.dashboard, self.health = self.globals.dashboard, self.globals.health
 

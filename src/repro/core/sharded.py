@@ -18,11 +18,16 @@ stream — and therefore every global stage and the merged broker topics
 — is *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard
 run is the equivalence oracle; the shard-equivalence tests drive both.
 
-Observability: each shard's counters surface as ``shard.<i>.*`` gauges
-on the layer-wide registry, next to a ``shard.count`` and a
-``shard.balance`` gauge (aggregate work over the slowest shard's — the
-routing-balance number ``benchmarks/e2e`` reports as
-``streams.shard_balance``).
+Observability: each run folds every shard's metrics delta into the
+layer-wide registry, per shard under ``shard.<i>.*`` and merged under the
+bare name, and every count the layer reports is read back from there —
+the merged :attr:`~ShardedRealtimeLayer.report` from the merged
+families, :meth:`~ShardedRealtimeLayer.shard_reports` from the
+``shard.<i>.`` ones. A replica rebuilt by a host restart starts a fresh
+registry and the folds keep adding to the same families, so no count
+rolls back. Next to them sit a ``shard.count`` and a ``shard.balance``
+gauge (aggregate work over the slowest shard's — the routing-balance
+number ``benchmarks/e2e`` reports as ``streams.shard_balance``).
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .config import (
     TOPIC_SYNOPSES,
 )
 from .frames import decode_reply, decode_request, encode_reply, encode_request
-from .realtime import EntityStages, Figure2Plane, GlobalStages, RealtimeReport
+from .realtime import EntityStages, Figure2Plane, GlobalStages, RealtimeReport, report_from
 
 
 def _drain_all(consumer: Consumer) -> list[Record]:
@@ -80,23 +85,22 @@ class _RealtimeReplica:
 
     def serve(
         self, shard: int, fixes: list[PositionFix], columns: FixColumns | None = None
-    ) -> tuple[RealtimeReport, dict[str, list[Record]], float, ObsHarvest]:
+    ) -> tuple[dict[str, list[Record]], ObsHarvest]:
         """Run one poll's fixes (and columns, if they came framed) through
-        the replica: its cumulative report, the records this run added per
-        topic, its cumulative run wall, and its cumulative harvest."""
+        the replica: the records this run added per topic, and its
+        cumulative harvest."""
         layer = self.layer
         layer.run(fixes, columns)
-        wall_s = layer.metrics.gauge("realtime.wall_s").value()
         current = harvest_obs(
             shard,
             layer.metrics,
             layer.events,
             layer.tracer,
-            wall_seconds=wall_s,
+            wall_seconds=layer.metrics.gauge("realtime.wall_s").value(),
             setup_seconds=self.setup_s,
         )
         topics = {t: _drain_all(self.consumers[t]) for t in ALL_TOPICS}
-        return layer.report, topics, wall_s, current
+        return topics, current
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,17 +112,17 @@ class _RealtimeShardSpec:
     replica and everything stateful is built by the host, once, and
     served one request per poll through :meth:`_RealtimeReplica.serve`.
 
-    A reply is ``(cumulative report, this run's new topic records,
-    cumulative run wall, this run's delta harvest)``, and it travels the
-    way its request came. Over the pipe both are the compact ``bytes``
-    frames of :mod:`repro.core.frames`: that poll's fixes as columns
-    out; back, the derived topics by value and the raw and clean topics
-    by reference to the request's rows, which ``encode_reply`` refuses
-    (``ValueError`` → ``ShardWorkerError``) unless the raw topic holds
-    exactly one record per request fix. An in-process caller hands over
-    the fixes themselves and gets the tuple itself — no codec runs,
-    which keeps the in-process layer an independent oracle for the
-    frames.
+    A reply is ``(this run's new topic records, this run's delta
+    harvest)`` — the harvest carries every count and the run wall — and
+    it travels the way its request came. Over the pipe both are the
+    compact ``bytes`` frames of :mod:`repro.core.frames`: that poll's
+    fixes as columns out; back, the derived topics by value and the raw
+    and clean topics by reference to the request's rows, which
+    ``encode_reply`` refuses (``ValueError`` → ``ShardWorkerError``)
+    unless the raw topic holds exactly one record per request fix. An
+    in-process caller hands over the fixes themselves and gets the tuple
+    itself — no codec runs, which keeps the in-process layer an
+    independent oracle for the frames.
     """
 
     config: SystemConfig
@@ -142,8 +146,8 @@ class _RealtimeShardSpec:
             t0 = perf_counter()
             fixes, columns = decode_request(request)
             replica.layer.metrics.histogram("ipc.request_decode_s").observe(perf_counter() - t0)
-        report, topics, wall_s, current = replica.serve(shard, fixes, columns)
-        reply: Any = (report, topics, wall_s, current.delta(replica.prev_harvest))
+        topics, current = replica.serve(shard, fixes, columns)
+        reply: Any = (topics, current.delta(replica.prev_harvest))
         if framed:
             reply = encode_reply(fixes, *reply)
         # Committed only once the reply exists: a refused frame's obs
@@ -158,7 +162,7 @@ class ShardedRealtimeLayer(Figure2Plane):
     Drop-in for :class:`RealtimeLayer` where it matters downstream: after
     :meth:`run`, :attr:`broker` holds the five Figure-2 topics with the
     canonically merged streams (the batch layer consumes them unchanged),
-    :attr:`report` holds layer-wide counters, and :attr:`metrics` /
+    :attr:`report` reads layer-wide counters, and :attr:`metrics` /
     :meth:`system_metrics` expose the shard-annotated observability view.
     """
 
@@ -171,19 +175,17 @@ class ShardedRealtimeLayer(Figure2Plane):
         self.n_shards = cfg.n_shards
         #: Whether the replicas live in worker processes or in this one.
         self.use_worker_pool = cfg.worker_pool
-        # Each shard's cumulative report and run wall, as of its last reply.
-        self._shard_reports = [RealtimeReport() for _ in range(self.n_shards)]
-        self._shard_walls = [0.0] * self.n_shards
         # The cross-entity stages run here, once, over the merged stream.
-        # Its totals accumulate across runs like the replicas' reports do.
-        self.globals = GlobalStages(cfg, self.metrics, self.events, RealtimeReport(), cep_training_symbols)
+        self.globals = GlobalStages(cfg, self.metrics, self.events, cep_training_symbols)
         self.proximity, self.cep = self.globals.proximity, self.globals.cep
         self.dashboard, self.health = self.globals.dashboard, self.globals.health
-        for i in range(self.n_shards):
-            self._register_shard_gauges(i)
+        # Each shard's cumulative run wall, as its replica's last harvest
+        # folded it.
+        self._walls = [self.metrics.gauge(f"shard.{i}.realtime.wall_s") for i in range(self.n_shards)]
+        for i, wall in enumerate(self._walls):
+            self.metrics.gauge(f"shard.{i}.wall_s", fn=wall.value)
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
         self.metrics.gauge("shard.balance", fn=self.balance)
-        self.report = RealtimeReport()
         # Replicas own every per-entity stage. Their hosts start last, so no
         # later step of this constructor can fail and strand a worker.
         self._hosts = shard_hosts(_RealtimeShardSpec(cfg), self.n_shards, self.use_worker_pool)
@@ -192,21 +194,20 @@ class ShardedRealtimeLayer(Figure2Plane):
             [] if self.use_worker_pool else [host.state.layer for host in self._hosts]
         )
 
-    def _register_shard_gauges(self, i: int) -> None:
-        base = f"shard.{i}"
-        self.metrics.gauge(f"{base}.raw_fixes", fn=lambda i=i: float(self.shard_reports()[i].raw_fixes))
-        self.metrics.gauge(f"{base}.clean_fixes", fn=lambda i=i: float(self.shard_reports()[i].clean_fixes))
-        self.metrics.gauge(f"{base}.critical_points", fn=lambda i=i: float(self.shard_reports()[i].critical_points))
-        self.metrics.gauge(f"{base}.links", fn=lambda i=i: float(self.shard_reports()[i].links))
-        self.metrics.gauge(f"{base}.wall_s", fn=lambda i=i: self.shard_walls()[i])
+    @property
+    def report(self) -> RealtimeReport:
+        """Layer-wide cumulative counts: the per-entity stages folded from
+        every shard, plus the global stages' own."""
+        return report_from(self.metrics)
 
     def shard_reports(self) -> list[RealtimeReport]:
-        """Per-shard cumulative reports, wherever the replicas live."""
-        return list(self._shard_reports)
+        """Per-shard cumulative reports, read from the folded
+        ``shard.<i>.*`` families, wherever the replicas live."""
+        return [report_from(self.metrics, f"shard.{i}.") for i in range(self.n_shards)]
 
     def shard_walls(self) -> list[float]:
         """Per-shard cumulative run walls (replica setup excluded)."""
-        return list(self._shard_walls)
+        return [wall.value() for wall in self._walls]
 
     def shard_setups(self) -> list[float]:
         """Per-shard replica build seconds — the one-off cost the worker
@@ -216,7 +217,8 @@ class ShardedRealtimeLayer(Figure2Plane):
     def balance(self) -> float:
         """Aggregate-over-slowest shard work ratio (ideal: ``n_shards``),
         with work measured in clean fixes routed to each shard."""
-        counts = [r.clean_fixes for r in self.shard_reports()]
+        counters = self.metrics.counters("shard.")
+        counts = [counters.get(f"shard.{i}.op.clean.records_out", 0) for i in range(self.n_shards)]
         slowest = max(counts, default=0)
         if slowest <= 0:
             return 0.0
@@ -248,8 +250,7 @@ class ShardedRealtimeLayer(Figure2Plane):
             )
         else:
             replies = scatter_gather(self._hosts, routed)
-        reports, topics, walls, deltas = zip(*replies)
-        self._shard_reports, self._shard_walls = list(reports), list(walls)
+        topics, deltas = zip(*replies)
         # Counters land under ``shard.<i>.*`` and as merged aggregate
         # families (exactly equal to the ``n_shards=1`` oracle's); shard
         # events merge into :attr:`events` by wall timestamp, shard-tagged;
@@ -273,10 +274,8 @@ class ShardedRealtimeLayer(Figure2Plane):
         for topic, records in merged.items():
             if records:
                 self.broker.publish_many(topic, records)
-        # Layer-wide cumulative counters: the per-entity stages summed
-        # across shards, plus the global stages' own totals.
-        self.report = report = sum(reports, self.globals.totals)
         self.health.evaluate()
+        report = self.report
         self.events.emit(
             "info", "realtime", "sharded_run_finished",
             shards=self.n_shards, raw=report.raw_fixes, clean=report.clean_fixes,
@@ -303,7 +302,7 @@ class ShardedRealtimeLayer(Figure2Plane):
         reply, topics = decode_reply(frame, sub_stream)
         self._observe_ipc(shard, "decode_s", perf_counter() - t0)
         self._observe_ipc(shard, "reply_bytes", len(frame))
-        return reply.report, topics, reply.wall_s, reply.harvest
+        return topics, reply.harvest
 
     def _observe_ipc(self, shard: int, leaf: str, value: float) -> None:
         self.metrics.histogram(f"shard.{shard}.ipc_{leaf}").observe(value)
@@ -314,7 +313,8 @@ class ShardedRealtimeLayer(Figure2Plane):
             host.close()
 
     def system_metrics(self) -> dict[str, Any]:
-        """The :class:`GlobalStages` view plus per-shard reports."""
+        """The :class:`GlobalStages` view plus per-shard counts, read from
+        the folded ``shard.<i>.*`` families."""
         snap = self.globals.system_metrics()
         snap["shards"] = [
             {

@@ -82,7 +82,6 @@ class AreaEventDetector:
     def __init__(self, index: RegionIndex):
         self.index = index
         self._states: dict[str, _AreaState] = {}
-        self.events_emitted = 0
 
     def process(self, fix: PositionFix) -> list[AreaEvent]:
         """Feed one fix; returns the area events it triggers."""
@@ -105,7 +104,6 @@ class AreaEventDetector:
                 events.append(AreaEvent(fix.entity_id, fix.t, rid, "entry", fix))
             state.initialized = True
         state.inside = now
-        self.events_emitted += len(events)
         return events
 
     def process_many(self, fixes: Sequence[PositionFix], columns: FixColumns | None = None) -> list[AreaEvent]:

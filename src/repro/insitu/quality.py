@@ -25,7 +25,6 @@ kernel clears passes without a call, every other goes through
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -80,10 +79,6 @@ class QualityReport:
 
     def flag(self, issue: str) -> None:
         self.flagged[issue] = self.flagged.get(issue, 0) + 1
-
-    def __add__(self, other: "QualityReport") -> "QualityReport":
-        flagged = Counter(self.flagged) + Counter(other.flagged)
-        return QualityReport(self.seen + other.seen, self.passed + other.passed, dict(flagged))
 
     @property
     def dropped(self) -> int:

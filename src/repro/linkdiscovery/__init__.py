@@ -1,6 +1,6 @@
 """Spatio-temporal link discovery (S7): blocking, cell masks, refinement."""
 
-from .blocking import BlockingStats, PortBlocks, RegionBlocks, default_grid
+from .blocking import PortBlocks, RegionBlocks, default_grid
 from .discoverer import DiscoveryResult, PortLinkDiscoverer, RegionLinkDiscoverer
 from .masks import CellMasks, MaskStats
 from .relations import (
@@ -14,7 +14,6 @@ from .relations import (
 from .streaming import MovingProximityDiscoverer, StreamingStats
 
 __all__ = [
-    "BlockingStats",
     "CellMasks",
     "DiscoveryResult",
     "Link",

@@ -12,19 +12,9 @@ book-keeping instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..datasources.ports import Port
 from ..datasources.regions import Region
 from ..geo import BBox, EquiGrid
-
-
-@dataclass
-class BlockingStats:
-    """Candidate-generation accounting (to quantify pruning)."""
-
-    lookups: int = 0
-    candidates: int = 0
 
 
 class RegionBlocks:
@@ -37,7 +27,6 @@ class RegionBlocks:
         for idx, region in enumerate(self.regions):
             for cell_id in grid.rasterize_polygon(region.polygon):
                 self._cell_to_regions.setdefault(cell_id, []).append(idx)
-        self.stats = BlockingStats()
 
     def candidates(self, lon: float, lat: float) -> list[Region]:
         """The regions blocked with the point's cell."""
@@ -45,10 +34,7 @@ class RegionBlocks:
 
     def candidate_indices(self, lon: float, lat: float) -> list[int]:
         """Indices (into the region list) of the candidates for a point."""
-        ids = self._cell_to_regions.get(self.grid.cell_id(lon, lat), [])
-        self.stats.lookups += 1
-        self.stats.candidates += len(ids)
-        return ids
+        return self._cell_to_regions.get(self.grid.cell_id(lon, lat), [])
 
     def occupied_cells(self) -> int:
         return len(self._cell_to_regions)
@@ -67,14 +53,10 @@ class PortBlocks:
             center = grid.cell_id(port.location.lon, port.location.lat)
             for cell_id in grid.neighbour_ids(center, radius=radius_cells):
                 self._cell_to_ports.setdefault(cell_id, []).append(idx)
-        self.stats = BlockingStats()
 
     def candidate_indices(self, lon: float, lat: float) -> list[int]:
         """Indices (into the port list) of the candidates for a point."""
-        ids = self._cell_to_ports.get(self.grid.cell_id(lon, lat), [])
-        self.stats.lookups += 1
-        self.stats.candidates += len(ids)
-        return ids
+        return self._cell_to_ports.get(self.grid.cell_id(lon, lat), [])
 
 
 def default_grid(bbox: BBox, cell_deg: float = 0.25) -> EquiGrid:

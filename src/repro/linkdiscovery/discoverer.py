@@ -128,8 +128,8 @@ class RegionLinkDiscoverer:
         ``in_mask_batch`` and ``cell_ids_batch`` screen the batch (both
         bit-for-bit twins of their scalar methods); every fix left with
         candidates is refined by :meth:`_refine`, so the links, their order
-        and distances, ``blocks.stats``, ``masks.stats`` and the counters
-        equal a ``links_for`` loop's.
+        and distances, ``masks.stats`` and the counters equal a
+        ``links_for`` loop's.
         """
         lons, lats = kernels.as_lonlat(lons, lats)
         n = len(fixes)
@@ -143,8 +143,6 @@ class RegionLinkDiscoverer:
                 refinements += len(candidates)
                 found[i] = links = self._refine(fixes[i], candidates)
                 n_links += len(links)
-        self.blocks.stats.lookups += len(rows)
-        self.blocks.stats.candidates += refinements
         if self._counters is not None:
             self._counters.count(n, refinements, n_links, mask_pruned=n - len(rows))
         return found, refinements
@@ -211,8 +209,8 @@ class PortLinkDiscoverer:
     def links_many(self, fixes: Sequence[PositionFix], lons, lats) -> tuple[list[list[Link]], int]:
         """:meth:`links_for` of every fix, screened as one batch: one
         ``cell_ids_batch`` call finds each fix's candidates, and
-        :meth:`_refine` refines them, so links, order, distances,
-        ``blocks.stats`` and counters equal a ``links_for`` loop's."""
+        :meth:`_refine` refines them, so links, order, distances and
+        counters equal a ``links_for`` loop's."""
         cell_map = self.blocks._cell_to_ports
         found: list[list[Link]] = [[] for _ in range(len(fixes))]
         refinements = n_links = 0
@@ -222,8 +220,6 @@ class PortLinkDiscoverer:
                 refinements += len(candidates)
                 found[i] = links = self._refine(fixes[i], candidates)
                 n_links += len(links)
-        self.blocks.stats.lookups += len(fixes)
-        self.blocks.stats.candidates += refinements
         if self._counters is not None:
             self._counters.count(len(fixes), refinements, n_links)
         return found, refinements

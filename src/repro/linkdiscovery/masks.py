@@ -31,7 +31,6 @@ from .blocking import RegionBlocks
 class MaskStats:
     """How often the mask pruned all refinement work."""
 
-    tested: int = 0
     pruned: int = 0
 
 
@@ -141,7 +140,6 @@ class CellMasks:
         A True verdict guarantees no blocked geometry can match the point,
         so the caller may skip refinement entirely.
         """
-        self.stats.tested += 1
         cell_id = self.grid.cell_id(lon, lat)
         entry = self._lookup.get(cell_id)
         if entry is None:
@@ -200,13 +198,11 @@ class CellMasks:
         Resolves every point's cell id, sub-cell and coverage bit in one
         numpy pass — bit-for-bit identical verdicts to the scalar twin
         (pure truncation arithmetic and bit tests), and the same
-        ``stats`` deltas: ``tested`` grows by the batch size, ``pruned``
-        by the number of True verdicts.
+        ``stats`` delta: ``pruned`` grows by the number of True verdicts.
         """
         lon = np.ascontiguousarray(lons, dtype=np.float64)
         lat = np.ascontiguousarray(lats, dtype=np.float64)
         n = lon.size
-        self.stats.tested += n
         ids, e_min_lon, e_min_lat, e_inv_dx, e_inv_dy, cov = self._ensure_tables()
         verdict = np.ones(n, dtype=bool)
         if ids.size:

@@ -16,7 +16,6 @@ batched read is one list slice.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Iterable, Iterator
 
 from .record import Record, StreamStats
@@ -51,7 +50,7 @@ class Topic:
     def publish(self, record: Record) -> tuple[int, int]:
         """Append a record; returns (partition, offset)."""
         part = self.partition_for(record)
-        self.stats.saw_record(record)
+        self.stats.records_in += 1
         log = self._logs[part]
         offset = self._base_offsets[part] + len(log)
         log.append(record)
@@ -68,9 +67,8 @@ class Topic:
         """Append a batch of records; returns one (partition, offset) per record.
 
         The batched fast path: each distinct key is hashed once, the stats
-        are updated once for the whole batch (keyed counts through a C-level
-        ``Counter``), appends run grouped per partition, and retention trims
-        at most once per partition. Final log contents, offsets, base
+        are updated once for the whole batch, appends run grouped per
+        partition, and retention trims at most once per partition. Final log contents, offsets, base
         offsets and drop counts are identical to calling :meth:`publish`
         per record — only ``on_drop`` coalesces (one call per trimmed
         partition with the partition's total overflow, instead of one call
@@ -81,20 +79,17 @@ class Topic:
             return []
         n_parts = self.partitions
         stats = self.stats
-        key_counts = Counter(record.key for record in batch)
-        key_counts.pop(None, None)  # keyless records don't enter by_key
-        by_key = stats.by_key
-        for key, count in key_counts.items():
-            by_key[key] = by_key.get(key, 0) + count
         counter = stats.records_in  # round-robin base for keyless records
         stats.records_in += len(batch)
-        # Single routing pass: each distinct key is hashed once per batch.
-        part_of_key = {key: _stable_hash(key) % n_parts for key in key_counts}
         if n_parts == 1:
             start = self._base_offsets[0] + len(self._logs[0])
             self._logs[0].extend(batch)
             results = [(0, offset) for offset in range(start, start + len(batch))]
         else:
+            # Single routing pass: each distinct key is hashed once per batch.
+            keys = {record.key for record in batch}
+            keys.discard(None)
+            part_of_key = {key: _stable_hash(key) % n_parts for key in keys}
             logs = self._logs
             next_offsets = [base + len(log) for base, log in zip(self._base_offsets, logs)]
             results = []

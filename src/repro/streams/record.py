@@ -46,12 +46,6 @@ class StreamStats:
 
     records_in: int = 0
     dropped: int = 0
-    by_key: dict[str, int] = field(default_factory=dict)
-
-    def saw_record(self, record: Record) -> None:
-        self.records_in += 1
-        if record.key is not None:
-            self.by_key[record.key] = self.by_key.get(record.key, 0) + 1
 
 
 def merge_by_time(*streams: Iterable[Record]) -> Iterator[Record]:

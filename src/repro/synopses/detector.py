@@ -101,8 +101,6 @@ class _EntityState:
     in_slow: bool = False
     last_emit: dict = field(default_factory=dict)  # kind -> t of last emission
     was_airborne: bool | None = None
-    noise_dropped: int = 0
-    seen: int = 0
 
 
 class SynopsesGenerator:
@@ -129,7 +127,6 @@ class SynopsesGenerator:
         """Feed one fix; returns the critical points it produces (often none)."""
         state = self._states.setdefault(fix.entity_id, _EntityState())
         self.points_in += 1
-        state.seen += 1
         out = self._step(state, fix)
         self.points_out += len(out)
         return out
@@ -187,7 +184,6 @@ class SynopsesGenerator:
         while window and window[0][0] < horizon:
             window.popleft()
         state.last_fix = last
-        state.seen += len(samples)
         self.points_in += len(samples)
 
     def _screen(self, cols: FixColumns, run_states: list[_EntityState]) -> tuple[list[int], list[bool], list[tuple]]:
@@ -312,7 +308,6 @@ class SynopsesGenerator:
         # all of them: as ``last_fix`` or in the course window, either would
         # freeze the entity or stop window eviction for good.
         if not math.isfinite(fix.t):
-            state.noise_dropped += 1
             self.noise_dropped += 1
             return out
 
@@ -321,7 +316,6 @@ class SynopsesGenerator:
         if prev is not None and fix.t > prev.t:
             implied = prev.distance_to(fix) / (fix.t - prev.t)
             if implied > cfg.max_speed_ms:
-                state.noise_dropped += 1
                 self.noise_dropped += 1
                 return out
 
@@ -335,7 +329,6 @@ class SynopsesGenerator:
         if fix.t <= prev.t:
             # Duplicate or regressing timestamp: ignore silently (the quality
             # layer flags these; here we only guard state consistency).
-            state.noise_dropped += 1
             self.noise_dropped += 1
             return out
 

@@ -18,16 +18,22 @@ the order contract each one has:
 
 Ingest stamps are not wall time here: ``0.0`` where the layer stamps a
 record, ``None`` where it does not (flush-tail points of an empty run).
+Counts are tallied here, independently of any registry, and handed over
+as a :class:`RealtimeReport` whose ``quality.flagged`` lists the issues
+in ``ALL_ISSUES`` order, as the layer's report does.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import fields
 
 from repro.cep import TURN_ALPHABET, WayebEngine, north_to_south_reversal, turn_event_stream
 from repro.core import ALL_TOPICS, TOPIC_CLEAN, TOPIC_EVENTS, TOPIC_LINKS, TOPIC_RAW, TOPIC_SYNOPSES, SystemConfig
 from repro.core.realtime import RealtimeReport
 from repro.datasources import generate_ports, generate_regions
 from repro.datasources.weather import WeatherField
-from repro.insitu import AreaEventDetector, RegionIndex, clean_stream
+from repro.insitu import ALL_ISSUES, AreaEventDetector, QualityReport, RegionIndex, clean_stream
 from repro.linkdiscovery import MovingProximityDiscoverer, PortLinkDiscoverer, RegionLinkDiscoverer
 from repro.streams import Broker, Record, merge_shard_outputs, shard_index
 from repro.synopses import SynopsesGenerator
@@ -47,7 +53,9 @@ class PerFixEntityStages:
             ports, cfg.bbox, threshold_m=cfg.near_port_threshold_m, cell_deg=cfg.grid_cell_deg
         )
         self.weather = WeatherField(bbox=cfg.bbox, seed=cfg.seed + 2)
-        self.report = RealtimeReport()
+        #: RealtimeReport field -> tally, and the cleaner's own report.
+        self.counts: Counter = Counter()
+        self.quality = QualityReport()
         self.broker = Broker()
         for topic in ALL_TOPICS:
             self.broker.create_topic(topic, partitions=2)
@@ -66,7 +74,7 @@ class PerFixEntityStages:
         """One poll, every record published as it appears; returns the
         critical points in stream order. ``on_point(cp, stamp)`` may
         return more link records for a point."""
-        report, topic = self.report, self.broker.topic
+        counts, topic = self.counts, self.broker.topic
 
         def publish(name, record):
             topic(name).publish(record)
@@ -78,12 +86,12 @@ class PerFixEntityStages:
             nonlocal stamp
             for fix in fixes:
                 stamp = 0.0
-                report.raw_fixes += 1
+                counts["raw_fixes"] += 1
                 publish(TOPIC_RAW, Record(fix.t, fix, fix.entity_id, stamp))
                 yield fix
 
         def critical_point(cp):
-            report.critical_points += 1
+            counts["critical_points"] += 1
             points.append(cp)
             publish(TOPIC_SYNOPSES, Record(cp.t, cp, cp.entity_id, stamp))
             sample = self.weather.sample(cp.fix.lon, cp.fix.lat, cp.t)
@@ -91,16 +99,16 @@ class PerFixEntityStages:
                 "wind_u_ms": sample.wind_u_ms, "wind_v_ms": sample.wind_v_ms, "wave_m": sample.wave_height_m,
             }
             links = self.region_links.links_for(cp.fix)[0] + self.port_links.links_for(cp.fix)[0]
-            report.links += len(links)
+            counts["links"] += len(links)
             for link in links:
                 publish(TOPIC_LINKS, Record(link.t, link, link.source_id, stamp))
             for record in on_point(cp, stamp) if on_point is not None else ():
                 publish(TOPIC_LINKS, record)
 
-        for fix in clean_stream(raw_stream(), config=self.cfg.quality, report=report.quality):
-            report.clean_fixes += 1
+        for fix in clean_stream(raw_stream(), config=self.cfg.quality, report=self.quality):
+            counts["clean_fixes"] += 1
             publish(TOPIC_CLEAN, Record(fix.t, fix, fix.entity_id, stamp))
-            report.area_events += len(self.area_detector.process(fix))
+            counts["area_events"] += len(self.area_detector.process(fix))
             for cp in self.synopses.process(fix):
                 critical_point(cp)
         for cp in self.synopses.flush():
@@ -122,7 +130,8 @@ class PerFixLayer:
         if cep_training_symbols:
             self.cep = WayebEngine(north_to_south_reversal(), TURN_ALPHABET, order=1, threshold=0.5, horizon=60)
             self.cep.train(cep_training_symbols)
-        self.totals = RealtimeReport()
+        #: The global stages' tallies.
+        self.totals: Counter = Counter()
         if self.sharded:
             self.broker = Broker()
             for topic in ALL_TOPICS:
@@ -132,12 +141,22 @@ class PerFixLayer:
 
     @property
     def report(self) -> RealtimeReport:
-        return sum((replica.report for replica in self.replicas), self.totals)
+        counts, flagged = Counter(self.totals), Counter()
+        for replica in self.replicas:
+            counts.update(replica.counts)
+            flagged.update(replica.quality.flagged)
+        quality = QualityReport(
+            sum(replica.quality.seen for replica in self.replicas),
+            sum(replica.quality.passed for replica in self.replicas),
+            {issue: flagged[issue] for issue in ALL_ISSUES if flagged[issue]},
+        )
+        tallies = {f.name: counts[f.name] for f in fields(RealtimeReport) if f.name != "quality"}
+        return RealtimeReport(**tallies, quality=quality)
 
     def _global_point(self, cp, stamp) -> list[Record]:
         links = self.proximity.process(cp.fix)
-        self.totals.links += len(links)
-        self.totals.proximity_links += len(links)
+        self.totals["links"] += len(links)
+        self.totals["proximity_links"] += len(links)
         return [Record(link.t, link, link.source_id, stamp) for link in links]
 
     def run(self, fixes) -> RealtimeReport:
@@ -160,8 +179,8 @@ class PerFixLayer:
         turns = list(turn_event_stream(points))
         if self.cep is not None and turns:
             found = self.cep.run(turns)
-            self.totals.cep_detections += len(found.detections)
-            self.totals.cep_forecasts += len(found.forecasts)
+            self.totals["cep_detections"] += len(found.detections)
+            self.totals["cep_forecasts"] += len(found.forecasts)
             for det in found.detections:
                 self.broker.topic(TOPIC_EVENTS).publish(Record(det.t, det))
         return self.report

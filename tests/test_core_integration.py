@@ -227,3 +227,22 @@ class TestShardedDeployment:
         system = DatacronSystem(self.config())
         assert type(system.realtime) is RealtimeLayer
         system.close()  # nothing to shut down
+
+
+class TestBatchReport:
+    def test_reads_its_own_registry_when_given_none(self):
+        """Without a registry the batch layer instruments one of its own,
+        and its report is read from that counter and the store."""
+        config = SystemConfig()
+        realtime = RealtimeLayer(config)
+        batch = BatchLayer(config, realtime.broker, 0.0, 24 * 3600.0)
+        fixes = list(AISSimulator(n_vessels=4, seed=2).fixes(0.0, 1800.0))
+        for half in (fixes[: len(fixes) // 2], fixes[len(fixes) // 2 :]):
+            realtime.run(half)
+            report = batch.ingest_from_broker()
+        points = realtime.broker.topic(TOPIC_SYNOPSES).size()
+        assert report == batch.report
+        assert report.synopsis_points == batch.registry.counters()["batch.synopsis_points"] == points > 0
+        assert report.triples == len(batch.store) == len(batch.graph)
+        assert batch.registry.histogram("batch.ingest_latency_s").count == 2
+        assert "batch.synopsis_points" not in realtime.metrics.counters()

@@ -70,7 +70,7 @@ def entity_state(stages):
     synopses, areas = stages.synopses, stages.area_detector
     return (
         repr(synopses._states), synopses.points_in, synopses.points_out, synopses.noise_dropped,
-        repr(areas._states), areas.events_emitted,
+        repr(areas._states),
     )
 
 

@@ -6,7 +6,8 @@ byte-identical merged topic streams — the canonical ``(t, key)`` merge makes
 that hold by construction, and these tests make it load-bearing.
 """
 
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import multiprocessing
 
@@ -14,7 +15,9 @@ import pytest
 
 from repro.core import (
     ALL_TOPICS,
+    DatacronSystem,
     RealtimeLayer,
+    RealtimeReport,
     ShardedRealtimeLayer,
     SystemConfig,
     TOPIC_CLEAN,
@@ -24,14 +27,17 @@ from repro.core import (
     TOPIC_SYNOPSES,
 )
 from repro.core.frames import decode_reply, encode_request
-from repro.core.realtime import EntityStages
+from repro.core.realtime import EntityStages, report_from
 from repro.core.sharded import _RealtimeShardSpec
 from repro.cep import symbol_sequence, turn_event_stream
 from repro.datasources import AISSimulator, fishing_vessel_stream
 from repro.geo import FixColumns
+from repro.insitu import ALL_ISSUES, QualityReport
+from repro.obs import MetricsRegistry, fold_harvests
 from repro.streams import Record, ShardWorkerError, WorkerHost
 from repro.streams.workers import InlineHost
 from repro.synopses import SynopsesConfig, SynopsesGenerator
+from tests.conftest import COMPOSITIONS
 
 
 ENTITY_STAGES = ("clean", "area_events", "synopses", "link_discovery")
@@ -70,6 +76,15 @@ def topic_streams(layer):
         name: [(r.t, r.key, type(r.value).__name__) for r in records]
         for name, records in topic_records(layer).items()
     }
+
+
+def summed(reports):
+    """Every field of ``reports`` added up, quality included."""
+    names = [f.name for f in fields(RealtimeReport) if f.name != "quality"]
+    counts = {name: sum(getattr(r, name) for r in reports) for name in names}
+    seen, passed = sum(r.quality.seen for r in reports), sum(r.quality.passed for r in reports)
+    flagged = sum((Counter(r.quality.flagged) for r in reports), Counter())
+    return RealtimeReport(**counts, quality=QualityReport(seen, passed, dict(flagged)))
 
 
 def assert_same_records(got, want):
@@ -237,6 +252,10 @@ class TestThreeCompositions:
         stages = EntityStages(SystemConfig())
         assert stages.run(fixes[:500]).critical_points > 0
         assert not {"dashboard", "health", "proximity", "cep"} & set(vars(stages))
+        # The report reads the global stages' counters as zero, creating none.
+        counters = stages.metrics.counters()
+        assert stages.report.proximity_links == stages.report.cep_detections == 0
+        assert stages.metrics.counters() == counters
         assert stages.broker.topic(TOPIC_EVENTS).size() == 0
 
 
@@ -246,10 +265,12 @@ class TestShardObservability:
         sharded.run(list(fixes))
         gauges = sharded.metrics.gauges("shard.")
         for i in range(3):
-            for leaf in ("raw_fixes", "clean_fixes", "critical_points", "links", "wall_s"):
-                assert f"shard.{i}.{leaf}" in gauges
+            assert gauges[f"shard.{i}.wall_s"] == gauges[f"shard.{i}.realtime.wall_s"] > 0.0
         assert gauges["shard.count"] == 3.0
-        assert sum(gauges[f"shard.{i}.raw_fixes"] for i in range(3)) == len(fixes)
+        # Per-shard counts are the folded families, not gauges of their own.
+        counters = sharded.metrics.counters("shard.")
+        assert sum(counters[f"shard.{i}.stage.raw.records"] for i in range(3)) == len(fixes)
+        assert not [name for name in gauges if name.endswith((".raw_fixes", ".clean_fixes"))]
 
     def test_balance_gauge_tracks_routing(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
@@ -265,6 +286,29 @@ class TestShardObservability:
         assert len(snap["shards"]) == 2
         assert {"health", "events", "operators"} <= snap.keys()
         assert sum(s["raw_fixes"] for s in snap["shards"]) == len(fixes)
+
+    def test_drop_reasons_are_registry_counters(self, fixes):
+        """What cleaning dropped and why is read from the registry, on every
+        composition: one ``op.clean.flagged.<issue>`` counter per issue,
+        and on the sharded ones the ``shard.<i>.`` families sum to it."""
+        stream = list(fixes[:1200])
+        for n, i in enumerate(range(0, len(stream), 50)):
+            stream[i] = replace(stream[i], t=float("nan")) if n % 2 else replace(stream[i], lat=95.0)
+        for name, knobs in COMPOSITIONS.items():
+            with DatacronSystem(SystemConfig(**knobs)) as system:
+                system.run(stream[:600])
+                system.run(stream[600:])
+                report = system.realtime.report
+                counters = system.system_metrics()["counters"]
+            flagged = {
+                issue: counters[f"op.clean.flagged.{issue}"]
+                for issue in ALL_ISSUES if f"op.clean.flagged.{issue}" in counters
+            }
+            assert flagged == report.quality.flagged, name
+            assert flagged["non_finite_time"] == 12 and flagged["coord_out_of_range"] == 12, name
+            if name != "plain":
+                for issue, n in flagged.items():
+                    assert sum(counters.get(f"shard.{i}.op.clean.flagged.{issue}", 0) for i in range(2)) == n
 
     def test_run_events_emitted(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
@@ -405,8 +449,8 @@ class TestWorkerPoolLayer:
     @pytest.mark.parametrize("worker_pool", [False, True])
     def test_report_links_equal_links_topic_after_every_run(self, fixes, worker_pool):
         """The merged report is cumulative in every field: region/port
-        links come summed from the replicas' cumulative reports, so the
-        global stages' totals must accumulate across runs too."""
+        links are the folded replica counters and proximity links the
+        global stage's own, both on the layer's registry."""
         cfg = SystemConfig(n_shards=2, proximity_space_m=500_000.0, proximity_time_s=3600.0)
         with ShardedRealtimeLayer(replace(cfg, worker_pool=worker_pool)) as layer:
             proximity_before = 0
@@ -462,6 +506,23 @@ class TestWorkerPoolLayer:
                 got = drain(pooled_new)
                 assert_same_records(got, drain(twin_new))
                 assert len(got[TOPIC_RAW]) == len(poll) and got[TOPIC_SYNOPSES]
+
+    def test_restarted_shard_keeps_the_reports_counts(self, fixes):
+        """Regression: the merged report used to be the sum of the
+        replicas' own cumulative reports, so a replica rebuilt by a host
+        restart rolled every count of its shard back. Counts live in the
+        folded registry families now, which a restart does not touch
+        (looped, not parametrised, so the test id stays stable)."""
+        half = len(fixes) // 2
+        for worker_pool in (False, True):
+            with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=worker_pool)) as layer:
+                layer.run(fixes[:half])
+                layer._hosts[0].restart()
+                layer.run(fixes[half:])
+                report, shards = layer.report, layer.shard_reports()
+            assert report.raw_fixes == layer.broker.topic(TOPIC_RAW).size() == len(fixes), worker_pool
+            assert report.critical_points == layer.broker.topic(TOPIC_SYNOPSES).size(), worker_pool
+            assert summed(shards) == report, worker_pool
 
     def test_config_knob_selects_the_pool(self, fixes):
         with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as layer:
@@ -524,11 +585,14 @@ class TestShardFrames:
         replica = spec.setup(0)
         twin = EntityStages(self.CFG)
         twin_consumers = dump_consumers(twin)
+        folded = MetricsRegistry()
         out = []
         for poll in polls:
             reply, topics = decode_reply(spec.handle(0, replica, encode_request(poll)), poll)
             twin.run(poll)
-            assert reply.report == twin.report
+            # The reply's harvest is the only copy of the replica's counts.
+            fold_harvests(folded, [reply.harvest])
+            assert report_from(folded) == report_from(folded, "shard.0.") == twin.report
             out.append((topics, drain(twin_consumers)))
         return out
 
@@ -563,7 +627,7 @@ class TestShardFrames:
         monkeypatch.setattr(dataclasses, "replace", replace_counted)
         monkeypatch.setattr(frames, "replace", replace_counted, raising=False)
         reply, _ = decode_reply(spec.handle(0, replica, frame), poll)
-        assert reply.report.raw_fixes == len(poll)
+        assert reply.harvest.metrics.counters["stage.raw.records"] == len(poll)
         assert calls == []
 
     def test_empty_request(self):
@@ -610,7 +674,7 @@ class TestShardFrames:
             poll = fixes[300:400]
             reply, topics = decode_reply(host.request(encode_request(poll)), poll)
             assert [r.value for r in topics[TOPIC_RAW]] == poll
-            assert reply.report.raw_fixes == len(poll)
+            assert reply.harvest.metrics.counters["stage.raw.records"] == len(poll)
         finally:
             host.close()
 
@@ -634,11 +698,11 @@ class TestShardFrames:
         spec, poll = _RealtimeShardSpec(self.CFG), fixes[:400]
         inline = InlineHost(spec, 0)
         inline.send(poll)
-        report, want, _, _ = inline.receive()
+        want, harvest = inline.receive()
         host = WorkerHost(spec, 0, context=multiprocessing.get_context("spawn"))
         try:
             reply, got = decode_reply(host.request(encode_request(poll)), poll)
         finally:
             host.close()
-        assert reply.report == report
+        assert reply.harvest.metrics.counters == harvest.metrics.counters
         assert_same_records(got, want)

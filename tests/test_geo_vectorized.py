@@ -294,7 +294,6 @@ class TestCellMasks:
         batch = masks.in_mask_batch(lons, lats)
         scalar = [oracle.in_mask(x, y) for x, y in zip(lons.tolist(), lats.tolist())]
         assert batch.tolist() == scalar
-        assert masks.stats.tested == oracle.stats.tested == n
         assert masks.stats.pruned == oracle.stats.pruned == sum(scalar)
 
     def test_in_mask_batch_empty_lookup_prunes_everything(self):
@@ -348,7 +347,6 @@ class TestDiscovererEquivalence:
         assert res_fast.entities_processed == res_slow.entities_processed
         assert res_fast.refinements == res_slow.refinements
         assert res_fast.mask_pruned == res_slow.mask_pruned
-        assert fast.blocks.stats == slow.blocks.stats
         if use_masks:
             assert fast.masks.stats == slow.masks.stats
         for metric in ("entities", "candidate_pairs", "links", "mask_pruned"):
@@ -373,7 +371,6 @@ class TestDiscovererEquivalence:
         # haversine's own.
         assert res_fast.links == res_slow.links
         assert res_fast.refinements == res_slow.refinements
-        assert fast.blocks.stats == slow.blocks.stats
         for metric in ("entities", "candidate_pairs", "links"):
             name = f"linkdiscovery.port.{metric}"
             assert reg_fast.counter(name).value == reg_slow.counter(name).value

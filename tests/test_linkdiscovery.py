@@ -73,7 +73,6 @@ class TestCellMasks:
         masks = CellMasks(blocks)
         masks.in_mask(9.0, 9.0)
         masks.in_mask(2.5, 2.5)
-        assert masks.stats.tested == 2
         assert masks.stats.pruned == 1
 
     def test_coverage_fraction(self):

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core import DatacronSystem, ShardedRealtimeLayer, SystemConfig
 from repro.core.config import TOPIC_CLEAN, TOPIC_LINKS, TOPIC_RAW, TOPIC_SYNOPSES
 from repro.core.frames import decode_reply, decode_request, encode_reply, encode_request
-from repro.core.realtime import RealtimeReport
 from repro.core.sharded import _RealtimeShardSpec
 from repro.datasources import AISSimulator
 from repro.geo import FixColumns, PositionFix
@@ -725,19 +724,18 @@ class TestShardFrameRoundTrip:
             ],
             TOPIC_LINKS: [Record(1.0, Link("vessel-a", "port-1", "geosparql:nearTo", 1.0, 12.5), "vessel-a")],
         }
+        harvest = data.draw(_harvests())
         frame = encode_reply(
             worker_fixes,
-            RealtimeReport(raw_fixes=n),
             {
                 TOPIC_RAW: records(raw_rows, worker_fixes),
                 TOPIC_CLEAN: records(clean_rows, worker_fixes),
                 **derived,
             },
-            wall_s=0.5,
-            harvest=data.draw(_harvests()),
+            harvest=harvest,
         )
         reply, topics = decode_reply(frame, fixes)
-        assert reply.report.raw_fixes == n and reply.wall_s == 0.5
+        assert reply.harvest == harvest
         for name, rows in ((TOPIC_RAW, raw_rows), (TOPIC_CLEAN, clean_rows)):
             assert [id(r.value) for r in topics[name]] == [id(fixes[i]) for i in rows]
             assert [r.ingest_wall_s for r in topics[name]] == [stamps[i] for i in rows]
@@ -763,7 +761,7 @@ class TestShardFrameRoundTrip:
                 TOPIC_RAW: [Record(f.t, f, f.entity_id, 5.0) for f in raw],
                 TOPIC_CLEAN: [Record(f.t, f, f.entity_id, stamp) for f, stamp in clean],
             }
-            return encode_reply(fixes, RealtimeReport(), topics, wall_s=0.0, harvest=None)
+            return encode_reply(fixes, topics, harvest=None)
 
         assert reply(fixes, [(fixes[1], 5.0)])
         for raw in (fixes[:3], [*fixes, stray], [*fixes[:3], fixes[0]], [*fixes[:3], stray]):
