@@ -16,7 +16,7 @@ The merge is canonical: per-shard topic streams are combined with the
 ``(t, key)`` stable merge (``merge_shard_outputs``), so the merged
 stream — and therefore every global stage and the merged broker topics
 — is *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard
-run is the equivalence oracle; the shard-equivalence tests drive both.
+run is the equivalence oracle; the equivalence matrix drives both.
 
 Observability: each run folds every shard's metrics delta into the
 layer-wide registry, per shard under ``shard.<i>.*`` and merged under the
@@ -91,14 +91,7 @@ class _RealtimeReplica:
         cumulative harvest."""
         layer = self.layer
         layer.run(fixes, columns)
-        current = harvest_obs(
-            shard,
-            layer.metrics,
-            layer.events,
-            layer.tracer,
-            wall_seconds=layer.metrics.gauge("realtime.wall_s").value(),
-            setup_seconds=self.setup_s,
-        )
+        current = harvest_obs(shard, layer.metrics, layer.events, layer.tracer, setup_seconds=self.setup_s)
         topics = {t: _drain_all(self.consumers[t]) for t in ALL_TOPICS}
         return topics, current
 
@@ -182,8 +175,6 @@ class ShardedRealtimeLayer(Figure2Plane):
         # Each shard's cumulative run wall, as its replica's last harvest
         # folded it.
         self._walls = [self.metrics.gauge(f"shard.{i}.realtime.wall_s") for i in range(self.n_shards)]
-        for i, wall in enumerate(self._walls):
-            self.metrics.gauge(f"shard.{i}.wall_s", fn=wall.value)
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
         self.metrics.gauge("shard.balance", fn=self.balance)
         # Replicas own every per-entity stage. Their hosts start last, so no

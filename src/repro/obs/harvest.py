@@ -186,8 +186,9 @@ def _gauge_rule(name: str) -> str:
 
 def _set_gauge(registry: MetricsRegistry, name: str, value: float) -> None:
     # A callback-backed parent gauge is the parent's own live view of the
-    # same state (e.g. ShardedRealtimeLayer's shard.<i>.wall_s); a folded
-    # snapshot value must not fight it.
+    # same state (e.g. the merged broker's broker.topic.<topic>.size, which
+    # every shard harvest also carries); a folded snapshot value must not
+    # fight it.
     g = registry.gauge(name)
     if g.callback_backed:
         return
@@ -225,7 +226,6 @@ def fold_harvests(
         for name, value in h.metrics.gauges.items():
             _set_gauge(registry, f"shard.{h.shard}.{name}", value)
             gauge_values.setdefault(name, []).append(value)
-        _set_gauge(registry, f"shard.{h.shard}.wall_s", h.wall_seconds)
         # Delta harvests carry setup only in the run that built the
         # replica; zero deltas must not clobber the recorded cost.
         if h.setup_seconds > 0.0:

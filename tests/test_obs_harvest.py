@@ -1,7 +1,10 @@
 """Tests for the cross-process observability harvest (repro.obs.harvest):
 snapshot/harvest plumbing, per-run deltas and the fold into a parent
 registry, over controlled observations. What the sharded layer folds on
-both hosts is tested in ``test_core_sharded.py::TestHarvestFold``.
+both hosts is held to the conservation laws of the equivalence matrix
+(``test_core_per_fix_oracle.py``): merged = Σ ``shard.<i>.*`` after
+every poll, each ``shard.<i>.<name>`` equal to replica *i*'s own counter,
+and the pooled registry's counters equal the in-process layer's.
 """
 
 import math
@@ -213,15 +216,21 @@ def test_fold_gauge_rules_and_shard_walls():
     gauges = registry.gauges()
     assert gauges["op.x.queue_depth"] == 5.0  # sizes sum
     assert gauges["realtime.wall_s"] == 0.9  # walls take the slowest shard
-    assert gauges["shard.0.wall_s"] == 0.5
-    assert gauges["shard.1.wall_s"] == 0.9
+    # One name per shard wall: the harvested gauge's own family.
+    assert gauges["shard.0.realtime.wall_s"] == 0.5
+    assert gauges["shard.1.realtime.wall_s"] == 0.9
+    assert "shard.0.wall_s" not in gauges
 
 
 def test_fold_does_not_clobber_callback_gauges():
+    """The merged broker's size gauge is the parent's own; every shard
+    harvest carries one of the same name, of its own broker."""
     registry = MetricsRegistry()
-    registry.gauge("shard.0.wall_s", fn=lambda: 42.0)
-    fold_harvests(registry, [make_harvest(0, wall=0.5)])
-    assert registry.gauge("shard.0.wall_s").value() == 42.0
+    name = "broker.topic.surveillance.raw.size"
+    registry.gauge(name, fn=lambda: 42.0)
+    fold_harvests(registry, [make_harvest(0, gauges=[(name, 7.0)]), make_harvest(1, gauges=[(name, 5.0)])])
+    assert registry.gauge(name).value() == 42.0
+    assert registry.gauge(f"shard.1.{name}").value() == 5.0
 
 
 def test_fold_events_merge_by_wall_time_with_shard_tags():

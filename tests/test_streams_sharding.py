@@ -1,6 +1,8 @@
 """Tests for key sharding (repro.streams.sharding): the key -> shard
 assignment and the canonical ``(t, key)`` shard merge. The executor that
-runs on them is tested where it lives, in ``test_core_sharded.py``."""
+runs on them is held by the equivalence matrix
+(``test_core_per_fix_oracle.py``): every sharded composition's merged
+topics equal the ``n_shards=1`` run's after every poll."""
 
 from repro.streams import Record, Topic, merge_shard_outputs, shard_index
 

@@ -6,9 +6,11 @@ a spec serves from long-lived worker processes (``worker_pool=True``)
 must equal what it serves inline, request for request. Here are the
 equivalence of the two hosts, the worker protocol against real
 processes, everything only a process can do (die, hang, restart, be
-closed) and the pickle round trips of what crosses the pipe; the
-executor that runs on the hosts, the sharded Figure-2 layer (the
-``n_shards=1`` oracle included), is tested in ``test_core_sharded.py``.
+closed) and the pickle round trips of what crosses the pipe. The
+executor that runs on the hosts, the sharded Figure-2 layer, is held to
+the per-fix oracle and to its in-process twin by the equivalence matrix
+(``test_core_per_fix_oracle.py``); what only it has, failures and
+restarts included, is tested in ``test_core_sharded.py``.
 """
 
 import math

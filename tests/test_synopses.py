@@ -307,7 +307,6 @@ def assert_process_many_is_process(polls, cfg, columns=True):
     return many
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestProcessMany:
     """``process_many`` is a ``process`` loop: its column screen may only
     prove that nothing happens at a fix, everything else is refined."""
