@@ -23,14 +23,14 @@ through their own consumer groups).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter, time as wall_clock
-from typing import Any, Iterable
+from time import time as wall_clock
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from ..cep import (
-    SimpleEvent,
     TURN_ALPHABET,
     WayebEngine,
     north_to_south_reversal,
@@ -129,10 +129,36 @@ def report_from(metrics: MetricsRegistry, prefix: str = "") -> RealtimeReport:
     )
 
 
+class _Trace:
+    """One poll on its owner's clock: a ``run`` root span and one finished
+    child per region the poll crossed, tagged with its records in and out."""
+
+    __slots__ = ("tracer", "root", "finished")
+
+    def __init__(self, tracer: Tracer):
+        self.tracer = tracer
+        self.root = tracer.start_trace("run")
+        self.finished: list[Span] = []
+
+    def start(self, name: str) -> Span:
+        return self.tracer.start_span(name, self.root)
+
+    def done(self, span: Span, n_in: int, n_out: int) -> None:
+        span.tags["n_in"], span.tags["n_out"] = n_in, n_out
+        self.finished.append(self.tracer.finish(span))
+
+
 class Figure2Plane:
     """What every holder of the Figure-2 topics starts from: its config, an
     obs plane of its own, the five topics on an instrumented and watched
-    broker, and a ``with`` lifetime."""
+    broker, and a ``with`` lifetime.
+
+    The tracer is the plane's only clock: each ``run()`` is one ``run``
+    root span whose children are the run's regions, and the regions in
+    ``_PROBED`` each have an ``op.<name>.*`` probe, registered here.
+    """
+
+    _PROBED: tuple[str, ...] = ()
 
     def __init__(self, config: SystemConfig | None = None):
         self.config = config or SystemConfig()
@@ -144,6 +170,32 @@ class Figure2Plane:
             self.broker.create_topic(topic, partitions=2)
         instrument_broker(self.broker, self.metrics)
         watch_broker(self.broker, self.events)
+        self._probes = {name: OperatorProbe(self.metrics, name) for name in self._PROBED}
+        self._wall = self.metrics.gauge("realtime.wall_s")
+
+    @contextmanager
+    def _poll(self) -> Iterator[_Trace]:
+        """One ``run()``'s trace. Every root's duration adds to
+        ``realtime.wall_s``; once the root is closed, each probed region
+        is observed, once, unless the poll raised."""
+        trace = _Trace(self.tracer)
+        try:
+            yield trace
+        finally:
+            self._wall.set(self._wall.value() + self.tracer.finish(trace.root).duration_s)
+        for span in trace.finished:
+            probe = self._probes.get(span.name)
+            if probe is not None:
+                probe.observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
+
+    def _publish(self, topics: dict[str, list[Record]]) -> int:
+        """One ``publish_many`` per topic; how many records went out."""
+        n = 0
+        for topic, records in topics.items():
+            if records:
+                self.broker.publish_many(topic, records)
+                n += len(records)
+        return n
 
     def close(self) -> None:
         """Nothing to release, unless a subclass hosts worker processes."""
@@ -161,11 +213,15 @@ class GlobalStages:
     Proximity pairs entities, the Wayeb engine consumes one global symbol
     sequence and the dashboard is one situational picture, so none of them
     can be entity-partitioned: whoever owns the whole stream shows every
-    run's clean fixes to :meth:`clean_fixes` and critical points to
-    :meth:`critical_points`, and closes the run with :meth:`recognise`.
-    What they find is counted by the ``proximity`` probe and the engine's
-    ``cep.*`` counters, on the owner's registry.
+    poll's clean fixes and critical points to :meth:`see` and closes the
+    poll with :meth:`evaluate`, each stage a region of the owner's trace
+    (:data:`REGIONS`). What they find is counted by the owner's
+    ``proximity`` probe and the engine's ``cep.*`` counters.
     """
+
+    #: The regions this half adds to its owner's ``run()``, in poll order;
+    #: ``health`` comes after the owner's publish.
+    REGIONS = ("dashboard", "proximity", "cep", "health")
 
     def __init__(
         self,
@@ -197,62 +253,57 @@ class GlobalStages:
         )
         self.health = default_realtime_rules(HealthMonitor(metrics, event_log=events))
         self.dashboard = Dashboard(cfg.bbox, registry=metrics, health=self.health)
-        self._probes = {name: OperatorProbe(metrics, name) for name in ("proximity", "cep")}
         # Ingest wall stamp (record provenance) to enriched output: the
         # paper's headline latency, measured by whoever owns the full chain.
         self._e2e_latency = metrics.histogram("e2e.record_latency_s")
-        self._turns: list[SimpleEvent] = []
 
-    def clean_fixes(self, clean: list[Record]) -> None:
-        """Show one run's clean fixes (its clean-topic records, in stream
-        order) to the dashboard."""
-        self.dashboard.ingest_fixes([record.value for record in clean])
-
-    def critical_points(self, synopses: list[Record]) -> list[list[Record]]:
-        """Show one run's critical points (its synopses records, in stream
-        order) to every global stage, a stage at a time; the proximity
-        links each point closes come back as records for the links topic."""
-        if not synopses:
-            return []
+    def see(
+        self, trace: _Trace, clean: list[Record], synopses: list[Record]
+    ) -> tuple[list[list[Record]], list[Record]]:
+        """Show one poll's clean-topic and synopses records to every global
+        stage, a region each: the proximity link records each point
+        closes come back, and the CEP detections as event records."""
+        span = trace.start("dashboard")
         points = [record.value for record in synopses]
+        self.dashboard.ingest_fixes([record.value for record in clean])
         for cp in points:
             self.dashboard.ingest_critical_point(cp)
-        t0 = perf_counter()
+        trace.done(span, len(clean) + len(points), 0)
+        if not points:
+            return [], []
+        span = trace.start("proximity")
         found = self.proximity.process_many([cp.fix for cp in points])
-        n_links = sum(map(len, found))
-        self._probes["proximity"].observe(n_links, perf_counter() - t0, n_in=len(points))
-        if self.cep is not None:
-            self._turns.extend(turn_event_stream(points))
         # Enriched now, all of them. Flush-tail points of a run that
         # ingested nothing carry no stamp.
         enriched = wall_clock()
         for record in synopses:
             if record.ingest_wall_s is not None:
                 self._e2e_latency.observe(enriched - record.ingest_wall_s)
-        return [
-            [Record(link.t, link, link.source_id, record.ingest_wall_s) for link in links]
-            for record, links in zip(synopses, found)
+        links = [
+            [Record(link.t, link, link.source_id, record.ingest_wall_s) for link in point_links]
+            for record, point_links in zip(synopses, found)
         ]
-
-    def recognise(self) -> list[Record]:
-        """Complex event recognition & forecasting over the turn events
-        seen since the last call; the detections come back as records for
-        the events topic."""
-        turns, self._turns = self._turns, []
-        if not turns:
-            return []
-        t0 = perf_counter()
+        trace.done(span, len(points), sum(map(len, found)))
+        if self.cep is None:
+            return links, []
+        # Complex event recognition & forecasting over the poll's turns.
+        span = trace.start("cep")
+        turns = list(turn_event_stream(points))
         run = self.cep.run(turns)
-        self._probes["cep"].observe(
-            len(run.detections) + len(run.forecasts), perf_counter() - t0, n_in=len(turns)
-        )
         for det in run.detections:
             self.dashboard.ingest_alert(det.t, "NorthToSouthReversal")
             self.events.emit(
                 "warn", "cep", "detection", "NorthToSouthReversal",
                 t=det.t, position=det.position,
             )
-        return [Record(det.t, det) for det in run.detections]
+        trace.done(span, len(turns), len(run.detections) + len(run.forecasts))
+        return links, [Record(det.t, det) for det in run.detections]
+
+    def evaluate(self, trace: _Trace) -> None:
+        """The health rules, once the owner has published the poll."""
+        span = trace.start("health")
+        self.health.evaluate()
+        trace.done(span, 0, 0)
 
     def system_metrics(self) -> dict[str, Any]:
         """The observability view: registry snapshot plus the derived
@@ -270,8 +321,7 @@ class GlobalStages:
 @dataclass(slots=True)
 class _Poll:
     """What the entity stages computed for one ``run()``, not yet published
-    or counted: the four topics' records, the run's cleaning verdicts and
-    one finished span per stage that had work."""
+    or counted: the four topics' records and the run's cleaning verdicts."""
 
     raw: list[Record]
     clean: list[Record]
@@ -279,7 +329,6 @@ class _Poll:
     #: Region then port links of each critical point, in point order.
     links: list[list[Record]]
     quality: QualityReport
-    stages: list[Span]
 
 
 class EntityStages(Figure2Plane):
@@ -289,18 +338,17 @@ class EntityStages(Figure2Plane):
     also exactly what one shard of the sharded layer runs. A poll crosses
     the stages one stage at a time — every fix through cleaning, then
     every clean fix through area events, and so on — and each stage is
-    timed, traced and observed once per run, not once per fix.
+    one region of the run's trace, observed once per run, not once per
+    fix. The closing ``publish`` region is traced but has no probe here:
+    whoever publishes a whole poll counts it (:class:`RealtimeLayer`, or
+    the sharded layer over its replicas).
     """
+
+    _PROBED = ("clean", "area_events", "synopses", "link_discovery")
 
     def __init__(self, config: SystemConfig | None = None):
         super().__init__(config)
         cfg = self.config
-        # Per-stage probes: the Figure-2 hops report under the same
-        # ``op.<name>.*`` namespace as instrumented stream operators.
-        self._probes = {
-            name: OperatorProbe(self.metrics, name)
-            for name in ("clean", "area_events", "synopses", "link_discovery")
-        }
         self.regions = generate_regions(cfg.n_regions, bbox=cfg.bbox, seed=cfg.seed)
         self.ports = generate_ports(cfg.n_ports, bbox=cfg.bbox, seed=cfg.seed + 1)
         self.synopses = SynopsesGenerator(cfg.synopses, registry=self.metrics)
@@ -331,11 +379,8 @@ class EntityStages(Figure2Plane):
         the poll's size decides either way whether the screens run.
         """
         self.events.emit("info", "realtime", "run_started")
-        wall_start = perf_counter()
-        with self.tracer.span("run") as root:
-            self._commit(self._entity_stages(fixes, columns, root))
-        wall = self.metrics.gauge("realtime.wall_s")
-        wall.set(wall.value() + perf_counter() - wall_start)
+        with self._poll() as trace:
+            self._commit(self._entity_stages(fixes, columns, trace), trace)
         report = self.report
         self.events.emit(
             "info", "realtime", "run_finished",
@@ -344,15 +389,8 @@ class EntityStages(Figure2Plane):
         )
         return report
 
-    def _entity_stages(self, fixes: Iterable[PositionFix], columns: FixColumns | None, root: Span) -> _Poll:
+    def _entity_stages(self, fixes: Iterable[PositionFix], columns: FixColumns | None, trace: _Trace) -> _Poll:
         """The poll through each per-entity stage as one batch."""
-        tracer = self.tracer
-        stages: list[Span] = []
-
-        def done(span: Span, n_out: int) -> None:
-            span.tags["n_out"] = n_out
-            stages.append(tracer.finish(span))
-
         fixes = fixes if isinstance(fixes, list) else list(fixes)
         # Record provenance: the wall-clock instant the poll was handed
         # over, one stamp for every record derived from it (None on an
@@ -367,7 +405,7 @@ class EntityStages(Figure2Plane):
             # (unless the caller has them), once, for every stage to screen
             # — or dropped if the poll is too small to pay for them; a
             # clean-topic record is the raw-topic record of a fix that passed.
-            span = tracer.start_span("clean", root, n_in=len(fixes))
+            span = trace.start("clean")
             raw = [Record(fix.t, fix, fix.entity_id, stamp) for fix in fixes]
             n = len(fixes)
             if n < _COLUMNS_MIN_ROWS or n < _COLUMNS_MIN_ROWS_PER_ENTITY * len({fix.entity_id for fix in fixes}):
@@ -378,23 +416,23 @@ class EntityStages(Figure2Plane):
             if columns is not None:
                 columns = columns.take(rows)
             clean_records = [raw[i] for i in rows.tolist()]
-            done(span, len(clean))
+            trace.done(span, n, len(clean))
         if clean:
             # Low-level area events.
-            span = tracer.start_span("area_events", root, n_in=len(clean))
-            done(span, len(self.area_detector.process_many(clean, columns)))
+            span = trace.start("area_events")
+            trace.done(span, len(clean), len(self.area_detector.process_many(clean, columns)))
         # Synopses. Trailing points surface when the stream closes, which
         # is every call — so this stage runs, and is observed, on every call.
-        span = tracer.start_span("synopses", root, n_in=len(clean))
+        span = trace.start("synopses")
         points = self.synopses.process_many(clean, columns)
         points += self.synopses.flush()
         synopses = [Record(cp.fix.t, cp, cp.fix.entity_id, stamp) for cp in points]
-        done(span, len(points))
+        trace.done(span, len(clean), len(points))
         links: list[list[Record]] = []
         if points:
             # Weather enrichment, then region and port links: one batch
             # call each over the points' coordinates.
-            span = tracer.start_span("link_discovery", root, n_in=len(points))
+            span = trace.start("link_discovery")
             point_fixes = [cp.fix for cp in points]
             lons, lats, ts = np.array([(fix.lon, fix.lat, fix.t) for fix in point_fixes], dtype=np.float64).T
             for cp, u, v, wave in zip(points, *self.weather.wind_wave_batch(lons, lats, ts)):
@@ -405,42 +443,43 @@ class EntityStages(Figure2Plane):
                 [Record(link.t, link, link.source_id, stamp) for link in region + port]
                 for region, port in zip(region_links, port_links)
             ]
-            done(span, sum(map(len, links)))
-        return _Poll(raw, clean_records, synopses, links, quality, stages)
+            trace.done(span, len(points), sum(map(len, links)))
+        return _Poll(raw, clean_records, synopses, links, quality)
 
-    def _commit(self, poll: _Poll) -> None:
-        """Make a computed poll visible. The per-entity half only publishes
-        it; :class:`RealtimeLayer` shows it to the global half first."""
-        self._publish(poll)
-
-    def _publish(self, poll: _Poll, proximity: list[list[Record]] | None = None) -> None:
-        """Publish one computed poll — one ``publish_many`` per topic —
-        then count its raw records and cleaning verdicts and observe each
-        stage's probe, once. ``proximity`` is each critical point's
-        proximity links, published right behind that point's region and
-        port links."""
-        metrics = self.metrics
+    def _commit(
+        self,
+        poll: _Poll,
+        trace: _Trace,
+        proximity: list[list[Record]] | None = None,
+        detections: list[Record] | None = None,
+    ) -> None:
+        """Make a computed poll visible, as the ``publish`` region: count its
+        raw records and cleaning verdicts, then publish it. ``proximity`` is
+        each critical point's proximity links, published right behind that
+        point's region and port links; ``detections`` go to the events
+        topic."""
+        span = trace.start("publish")
         per_point = poll.links
-        if proximity is not None:
+        if proximity:
             per_point = [links + extra for links, extra in zip(poll.links, proximity)]
-        for topic, records in (
-            (TOPIC_RAW, poll.raw),
-            (TOPIC_CLEAN, poll.clean),
-            (TOPIC_SYNOPSES, poll.synopses),
-            (TOPIC_LINKS, [record for links in per_point for record in links]),
-        ):
-            if records:
-                self.broker.publish_many(topic, records)
-        metrics.counter("stage.raw.records").inc(len(poll.raw))
-        for issue, n in poll.quality.flagged.items():
-            metrics.counter(f"op.clean.flagged.{issue}").inc(n)
-        for span in poll.stages:
-            self._probes[span.name].observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
+        self.metrics.counter("stage.raw.records").inc(len(poll.raw))
+        for flag, count in poll.quality.flagged.items():
+            self.metrics.counter(f"op.clean.flagged.{flag}").inc(count)
+        n = self._publish({
+            TOPIC_RAW: poll.raw,
+            TOPIC_CLEAN: poll.clean,
+            TOPIC_SYNOPSES: poll.synopses,
+            TOPIC_LINKS: [record for links in per_point for record in links],
+            TOPIC_EVENTS: detections or [],
+        })
+        trace.done(span, n, n)
 
 
 class RealtimeLayer(EntityStages):
     """Both halves of Figure 2 in one loop: every run the entity stages
     compute is shown to the global stages before it is published."""
+
+    _PROBED = (*EntityStages._PROBED, "publish", *GlobalStages.REGIONS)
 
     def __init__(self, config: SystemConfig | None = None, cep_training_symbols: list[str] | None = None):
         super().__init__(config)
@@ -448,14 +487,9 @@ class RealtimeLayer(EntityStages):
         self.proximity, self.cep = self.globals.proximity, self.globals.cep
         self.dashboard, self.health = self.globals.dashboard, self.globals.health
 
-    def _commit(self, poll: _Poll) -> None:
-        self.globals.clean_fixes(poll.clean)
-        self._publish(poll, self.globals.critical_points(poll.synopses))
-        detections = self.globals.recognise()
-        if detections:
-            self.broker.publish_many(TOPIC_EVENTS, detections)
-        # After every publish, so the rules read the final topic gauges.
-        self.health.evaluate()
+    def _commit(self, poll: _Poll, trace: _Trace) -> None:
+        super()._commit(poll, trace, *self.globals.see(trace, poll.clean, poll.synopses))
+        self.globals.evaluate(trace)
 
     def system_metrics(self) -> dict[str, Any]:
         """The one :meth:`GlobalStages.system_metrics` view."""

@@ -18,16 +18,21 @@ stream — and therefore every global stage and the merged broker topics
 — is *identical* for ``n_shards=1`` and ``n_shards=N``. The single-shard
 run is the equivalence oracle; the equivalence matrix drives both.
 
-Observability: each run folds every shard's metrics delta into the
-layer-wide registry, per shard under ``shard.<i>.*`` and merged under the
-bare name, and every count the layer reports is read back from there —
-the merged :attr:`~ShardedRealtimeLayer.report` from the merged
-families, :meth:`~ShardedRealtimeLayer.shard_reports` from the
-``shard.<i>.`` ones. A replica rebuilt by a host restart starts a fresh
-registry and the folds keep adding to the same families, so no count
-rolls back. Next to them sit a ``shard.count`` and a ``shard.balance``
-gauge (aggregate work over the slowest shard's — the routing-balance
-number ``benchmarks/e2e`` reports as ``streams.shard_balance``).
+Observability: each run is one trace, a ``run`` root over the regions
+``route``, ``shards`` (scatter, wait and decode — every replica's own
+``run`` trace hangs under it), ``fold``, ``merge``, the global stages'
+and ``publish``. The fold adds every shard's counters and histograms
+into the layer-wide registry, per shard under ``shard.<i>.*`` and merged
+under the bare name, and its gauges under ``shard.<i>.*`` only; every
+count the layer reports is read back from there — the merged
+:attr:`~ShardedRealtimeLayer.report` from the merged families,
+:meth:`~ShardedRealtimeLayer.shard_reports` from the ``shard.<i>.``
+ones. A replica rebuilt by a host restart starts a fresh registry and
+the folds keep adding to the same families, so no count rolls back.
+Next to them sit ``shard.count``, ``shard.<i>.setup_s`` (the host's
+build seconds) and ``shard.balance`` (aggregate work over the slowest
+shard's — the routing-balance number ``benchmarks/e2e`` reports as
+``streams.shard_balance``).
 """
 
 from __future__ import annotations
@@ -80,7 +85,6 @@ class _RealtimeReplica:
     # these are as long-lived as the layer: each run drains only what
     # the previous one has not.
     consumers: dict[str, Consumer]
-    setup_s: float
     prev_harvest: ObsHarvest | None = None
 
     def serve(
@@ -91,7 +95,7 @@ class _RealtimeReplica:
         cumulative harvest."""
         layer = self.layer
         layer.run(fixes, columns)
-        current = harvest_obs(shard, layer.metrics, layer.events, layer.tracer, setup_seconds=self.setup_s)
+        current = harvest_obs(shard, layer.metrics, layer.events, layer.tracer)
         topics = {t: _drain_all(self.consumers[t]) for t in ALL_TOPICS}
         return topics, current
 
@@ -106,7 +110,7 @@ class _RealtimeShardSpec:
     served one request per poll through :meth:`_RealtimeReplica.serve`.
 
     A reply is ``(this run's new topic records, this run's delta
-    harvest)`` — the harvest carries every count and the run wall — and
+    harvest)`` — the harvest carries every count and the run's trace — and
     it travels the way its request came. Over the pipe both are the
     compact ``bytes`` frames of :mod:`repro.core.frames`: that poll's
     fixes as columns out; back, the derived topics by value and the raw
@@ -121,14 +125,11 @@ class _RealtimeShardSpec:
     config: SystemConfig
 
     def setup(self, shard: int) -> _RealtimeReplica:
-        t0 = perf_counter()
         layer = EntityStages(self.config)
         consumers = {
             topic: layer.broker.consumer(topic, "merge") for topic in ALL_TOPICS
         }
-        return _RealtimeReplica(
-            layer=layer, consumers=consumers, setup_s=perf_counter() - t0
-        )
+        return _RealtimeReplica(layer=layer, consumers=consumers)
 
     def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> Any:
         framed = isinstance(request, bytes)
@@ -157,7 +158,11 @@ class ShardedRealtimeLayer(Figure2Plane):
     canonically merged streams (the batch layer consumes them unchanged),
     :attr:`report` reads layer-wide counters, and :attr:`metrics` /
     :meth:`system_metrics` expose the shard-annotated observability view.
+    Its ``publish`` probe counts each merged poll once; a replica's own
+    publish is a span of the replica's trace only.
     """
+
+    _PROBED = ("route", "shards", "fold", "merge", "publish", *GlobalStages.REGIONS)
 
     def __init__(self, config: SystemConfig | None = None, cep_training_symbols: list[str] | None = None):
         # Its broker is the merged one: what the batch layer reads.
@@ -176,6 +181,8 @@ class ShardedRealtimeLayer(Figure2Plane):
         # folded it.
         self._walls = [self.metrics.gauge(f"shard.{i}.realtime.wall_s") for i in range(self.n_shards)]
         self.metrics.gauge("shard.count", fn=lambda: float(self.n_shards))
+        for i in range(self.n_shards):
+            self.metrics.gauge(f"shard.{i}.setup_s", fn=lambda i=i: self._hosts[i].setup_s)
         self.metrics.gauge("shard.balance", fn=self.balance)
         # Replicas own every per-entity stage. Their hosts start last, so no
         # later step of this constructor can fail and strand a worker.
@@ -222,50 +229,56 @@ class ShardedRealtimeLayer(Figure2Plane):
     def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
         """Route, run every replica, then merge and run the global stages."""
         self.events.emit("info", "realtime", "sharded_run_started", shards=self.n_shards)
-        routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
-        shard_of: dict[str, int] = {}  # each distinct entity is hashed once per run
-        for fix in fixes:
-            entity_id = fix.entity_id
-            shard = shard_of.get(entity_id)
-            if shard is None:
-                shard = shard_of[entity_id] = self.shard_for(entity_id)
-            routed[shard].append(fix)
-        # One request per shard through the shared scatter/gather; the
-        # hosts differ only in what travels: compact frames to worker
-        # processes, the fixes themselves to in-process replicas.
-        if self.use_worker_pool:
-            replies = scatter_gather(
-                self._hosts,
-                self._request_frames(routed),
-                decode=lambda i, frame: self._decode_reply(i, frame, routed[i]),
-            )
-        else:
-            replies = scatter_gather(self._hosts, routed)
-        topics, deltas = zip(*replies)
-        # Counters land under ``shard.<i>.*`` and as merged aggregate
-        # families (exactly equal to the ``n_shards=1`` oracle's); shard
-        # events merge into :attr:`events` by wall timestamp, shard-tagged;
-        # shard traces are re-parented under one synthetic ``sharded.run``
-        # root. Replicas are long-lived, so what each run folds is the
-        # delta against the shard's previous harvest — repeated runs
-        # accumulate instead of double-counting.
-        fold_harvests(self.metrics, list(deltas), events=self.events, tracer=self.tracer)
-        # The canonical ``(t, key)`` stable merge of every shard topic.
-        merged = {
-            topic: merge_shard_outputs([shard_topics[topic] for shard_topics in topics])
-            for topic in ALL_TOPICS
-        }
-        # The global stages, fed the merged stream: e2e latency here runs
-        # from the ingest stamp the shard replica wrote (record provenance)
-        # to merged consumption.
-        self.globals.clean_fixes(merged[TOPIC_CLEAN])
-        for proximity_links in self.globals.critical_points(merged[TOPIC_SYNOPSES]):
-            merged[TOPIC_LINKS] += proximity_links
-        merged[TOPIC_EVENTS] += self.globals.recognise()
-        for topic, records in merged.items():
-            if records:
-                self.broker.publish_many(topic, records)
-        self.health.evaluate()
+        with self._poll() as trace:
+            span = trace.start("route")
+            routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
+            shard_of: dict[str, int] = {}  # each distinct entity is hashed once per run
+            for fix in fixes:
+                entity_id = fix.entity_id
+                shard = shard_of.get(entity_id)
+                if shard is None:
+                    shard = shard_of[entity_id] = self.shard_for(entity_id)
+                routed[shard].append(fix)
+            n_fixes = sum(map(len, routed))
+            trace.done(span, n_fixes, n_fixes)
+            # One request per shard through the shared scatter/gather; the
+            # hosts differ only in what travels: compact frames to worker
+            # processes, the fixes themselves to in-process replicas.
+            shards = trace.start("shards")
+            if self.use_worker_pool:
+                replies = scatter_gather(
+                    self._hosts,
+                    self._request_frames(routed),
+                    decode=lambda i, frame: self._decode_reply(i, frame, routed[i]),
+                )
+            else:
+                replies = scatter_gather(self._hosts, routed)
+            topics, deltas = zip(*replies)
+            n_records = sum(len(records) for shard_topics in topics for records in shard_topics.values())
+            trace.done(shards, n_fixes, n_records)
+            # Replicas are long-lived, so what each run folds is the delta
+            # against the shard's previous harvest; each shard's trace
+            # hangs under this poll's ``shards`` span.
+            span = trace.start("fold")
+            fold_harvests(self.metrics, list(deltas), events=self.events, tracer=self.tracer, parent=shards)
+            trace.done(span, 0, 0)
+            # The canonical ``(t, key)`` stable merge of every shard topic.
+            span = trace.start("merge")
+            merged = {
+                topic: merge_shard_outputs([shard_topics[topic] for shard_topics in topics])
+                for topic in ALL_TOPICS
+            }
+            trace.done(span, n_records, n_records)
+            # The global stages, fed the merged stream: e2e latency here
+            # runs from the ingest stamp the shard replica wrote.
+            proximity, detections = self.globals.see(trace, merged[TOPIC_CLEAN], merged[TOPIC_SYNOPSES])
+            span = trace.start("publish")
+            for links in proximity:
+                merged[TOPIC_LINKS] += links
+            merged[TOPIC_EVENTS] += detections
+            n = self._publish(merged)
+            trace.done(span, n, n)
+            self.globals.evaluate(trace)
         report = self.report
         self.events.emit(
             "info", "realtime", "sharded_run_finished",

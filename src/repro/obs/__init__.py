@@ -17,7 +17,6 @@ from .export import (
     sanitize_metric_name,
 )
 from .harvest import (
-    DEFAULT_GAUGE_RULES,
     HistogramSnapshot,
     MetricsSnapshot,
     ObsHarvest,
@@ -38,7 +37,6 @@ from .tracing import Span, Tracer
 
 __all__ = [
     "Counter",
-    "DEFAULT_GAUGE_RULES",
     "DEGRADED",
     "EventLog",
     "FAILING",

@@ -9,22 +9,25 @@ deployments (edge nodes must ship compact local summaries to a central
 analytics point): the replica side freezes its observability state into
 a small picklable :class:`ObsHarvest` (:func:`harvest_obs`, shipped as a
 per-run :meth:`ObsHarvest.delta`), and the parent folds harvests into
-one merged registry / event log / tracer (:func:`fold_harvests`).
+one parent registry / event log / tracer (:func:`fold_harvests`).
 
 Merge semantics, by metric kind:
 
-* **counters** sum — exact, so the merged registry of an N-shard run
+* **counters** sum, per shard under ``shard.<i>.<name>`` and merged
+  under the bare name — exact, so the merged registry of an N-shard run
   equals the sequential single-shard oracle's counters exactly;
-* **gauges** are levels, so each shard's value is kept under a
-  ``shard.<i>.<name>`` family and one merged aggregate is computed per
-  rule (``max`` for walls and error rates, ``sum`` for everything else,
-  lags and sizes included) — see :data:`DEFAULT_GAUGE_RULES`;
-* **histograms** add: count, sum and the log-bucket counts add, min/max
-  take the extremes (:meth:`repro.obs.metrics.Histogram.absorb`), so a
-  fold of per-run deltas is the one-shot histogram, quantiles included;
+* **gauges** are levels of one shard's own state (its broker, its
+  wall), so each is kept under ``shard.<i>.<name>`` only: a bare name
+  belongs to the parent's own gauge, and no sum or maximum of shard
+  levels is written over it;
+* **histograms** add like counters: count, sum and the log-bucket counts
+  add, min/max take the extremes
+  (:meth:`repro.obs.metrics.Histogram.absorb`), so a fold of per-run
+  deltas is the one-shot histogram, quantiles included;
 * **events** merge by wall timestamp, tagged with their origin shard;
-* **traces** are re-homed with fresh (shard-namespaced) trace ids and
-  re-parented under one synthetic ``sharded.run`` root span.
+* **traces** are re-homed with fresh span ids, each shard's ``run`` root
+  hung under the parent span the caller names (the sharded layer's
+  ``shards`` span of that poll), so a sharded poll is one trace.
 
 The streams layer never imports obs (layering: obs instruments streams
 from the outside): the shard hosts carry a harvest as an opaque part of
@@ -34,23 +37,11 @@ a reply, and only ``repro.core`` calls the two functions above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
 from typing import Any
 
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .tracing import Span, Tracer
-
-#: First-match gauge aggregation rules: a parallel run is as long as its
-#: slowest shard (``max`` for walls/error levels), while sizes, depths,
-#: lags and throughputs add up (``sum``, which the last rule gives every
-#: other gauge).
-DEFAULT_GAUGE_RULES: tuple[tuple[str, str], ...] = (
-    ("*.wall_s", "max"),
-    ("*.error_rate", "max"),
-    ("*", "sum"),
-)
-
 
 @dataclass(frozen=True, slots=True)
 class HistogramSnapshot:
@@ -107,10 +98,11 @@ class ObsHarvest:
     metrics: MetricsSnapshot
     events: tuple[dict[str, Any], ...] = ()
     spans: tuple[Span, ...] = ()
+    #: A run wall and a one-off setup cost, as the caller of
+    #: :func:`harvest_obs` passed them. The sharded layer passes neither:
+    #: a replica's wall is its ``realtime.wall_s`` gauge and its setup is
+    #: timed by its host.
     wall_seconds: float = 0.0
-    #: One-off replica construction cost (factory + instrumentation),
-    #: reported apart from ``wall_seconds`` so run walls measure
-    #: steady-state compute, not process startup.
     setup_seconds: float = 0.0
 
     def delta(self, prev: "ObsHarvest | None") -> "ObsHarvest":
@@ -180,39 +172,23 @@ def harvest_obs(
     )
 
 
-def _gauge_rule(name: str) -> str:
-    return next(rule for pattern, rule in DEFAULT_GAUGE_RULES if fnmatchcase(name, pattern))
-
-
-def _set_gauge(registry: MetricsRegistry, name: str, value: float) -> None:
-    # A callback-backed parent gauge is the parent's own live view of the
-    # same state (e.g. the merged broker's broker.topic.<topic>.size, which
-    # every shard harvest also carries); a folded snapshot value must not
-    # fight it.
-    g = registry.gauge(name)
-    if g.callback_backed:
-        return
-    g.set(value)
-
-
 def fold_harvests(
     registry: MetricsRegistry,
     harvests: list[ObsHarvest],
     events: EventLog | None = None,
     tracer: Tracer | None = None,
-) -> Span | None:
+    parent: Span | None = None,
+) -> None:
     """Fold shard harvests into a parent registry (and event log / tracer).
 
-    Every harvested family lands twice: per-shard under
-    ``shard.<i>.<name>`` and merged under the original name. Counter and
-    histogram folds are *additive* (``inc``/``absorb``), so repeated
-    folds of delta harvests accumulate correctly; gauge aggregates are
-    recomputed from the current batch by :data:`DEFAULT_GAUGE_RULES`.
-    Returns the synthetic ``sharded.run`` root span the shard traces were
-    re-parented under (``None`` without a tracer).
+    Counters and histograms land twice, per shard under
+    ``shard.<i>.<name>`` and merged under the original name, and their
+    folds are *additive* (``inc``/``absorb``), so repeated folds of delta
+    harvests accumulate correctly. Gauges land per shard only. Each
+    shard's spans hang under ``parent`` (a span of ``tracer``); without
+    one, shard roots stay roots.
     """
     batch = sorted((h for h in harvests if h is not None), key=lambda h: h.shard)
-    gauge_values: dict[str, list[float]] = {}
     for h in batch:
         for name, value in h.metrics.counters.items():
             if value:
@@ -224,23 +200,12 @@ def fold_harvests(
             registry.histogram(f"shard.{h.shard}.{name}").absorb(snap)
             registry.histogram(name).absorb(snap)
         for name, value in h.metrics.gauges.items():
-            _set_gauge(registry, f"shard.{h.shard}.{name}", value)
-            gauge_values.setdefault(name, []).append(value)
-        # Delta harvests carry setup only in the run that built the
-        # replica; zero deltas must not clobber the recorded cost.
-        if h.setup_seconds > 0.0:
-            _set_gauge(registry, f"shard.{h.shard}.setup_s", h.setup_seconds)
-    for name, values in sorted(gauge_values.items()):
-        _set_gauge(registry, name, max(values) if _gauge_rule(name) == "max" else sum(values))
+            registry.gauge(f"shard.{h.shard}.{name}").set(value)
     if events is not None:
         tagged = [(e, h.shard) for h in batch for e in h.events]
         tagged.sort(key=lambda pair: (float(pair[0]["wall_s"]), pair[1], int(pair[0]["seq"])))
         for ev, shard in tagged:
             events.ingest(ev, shard=shard)
-    root: Span | None = None
-    if tracer is not None and batch:
-        root = tracer.start_trace("sharded.run", shards=len(batch))
+    if tracer is not None:
         for h in batch:
-            tracer.absorb(list(h.spans), parent=root, tags={"shard": h.shard})
-        tracer.finish(root)
-    return root
+            tracer.absorb(list(h.spans), parent=parent, tags={"shard": h.shard})

@@ -87,15 +87,6 @@ class Gauge:
     def value(self) -> float:
         return float(self._fn()) if self._fn is not None else self._value
 
-    @property
-    def callback_backed(self) -> bool:
-        """Whether reads go through a live callback (then :meth:`set` raises).
-
-        Harvest folding checks this: a callback gauge is the parent's own
-        live view of some state, and a folded shard value must not fight it.
-        """
-        return self._fn is not None
-
 
 class Histogram:
     """A streaming distribution summary in fixed log buckets.

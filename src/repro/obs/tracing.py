@@ -5,8 +5,9 @@ The paper's Figure-2 real-time layer is a chain of components
 and its time-critical claims are about how long a surveillance record
 takes to traverse that chain. A :class:`Tracer` records that traversal
 as a tree of spans — in the real-time layer one trace per ``run()``, one
-child span per stage the poll crossed — so a poll can be followed from
-raw arrival to enriched output with per-stage wall-clock timings.
+child span per region of the run the poll crossed, a sharded poll's
+replica traces included — so a poll can be followed from raw arrival to
+enriched output with per-region wall-clock timings.
 
 Span ids are sequential integers and the clock is injectable, keeping
 traces deterministic in tests.
@@ -15,9 +16,8 @@ traces deterministic in tests.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 @dataclass(slots=True)
@@ -66,15 +66,6 @@ class Tracer:
             span.end = self._clock()
         return span
 
-    @contextmanager
-    def span(self, name: str, **tags: Any) -> Iterator[Span]:
-        """A context-managed root span: a new trace."""
-        sp = self.start_trace(name, **tags)
-        try:
-            yield sp
-        finally:
-            self.finish(sp)
-
     def _open(self, name: str, trace_id: int, parent_id: int | None, tags: dict[str, Any]) -> Span:
         span = Span(
             span_id=self._next_span_id,
@@ -99,22 +90,22 @@ class Tracer:
     ) -> list[Span]:
         """Re-home foreign spans (e.g. harvested from a shard worker).
 
-        Every absorbed span gets fresh span and trace ids from this
-        tracer's sequences — foreign ids are process-local and would
-        collide — with one new trace id per foreign trace, so shard-local
-        traces stay grouped but namespaced. Root spans (and spans whose
-        foreign parent is not in this batch) are re-parented under
-        ``parent`` when given, hanging a whole sharded run off one
-        synthetic root. ``tags`` (e.g. ``{"shard": 3}``) are merged into
-        every absorbed span. Start/end stamps are copied verbatim: they
-        are only comparable *within* one foreign trace, which is all the
-        per-stage durations need.
+        Every absorbed span gets a fresh span id from this tracer's
+        sequence — foreign ids are process-local and would collide. Under
+        ``parent`` the foreign roots (and spans whose foreign parent is
+        not in this batch) become children of ``parent`` and every
+        absorbed span joins ``parent``'s trace, so a sharded poll is one
+        trace; without ``parent`` each foreign trace gets a fresh trace
+        id and its roots stay roots. ``tags`` (e.g. ``{"shard": 3}``) are
+        merged into every absorbed span. Start/end stamps are copied
+        verbatim: they are only comparable *within* one foreign trace,
+        which is all the per-stage durations need.
         """
         id_map: dict[int, int] = {}
         trace_map: dict[int, int] = {}
         absorbed: list[Span] = []
         for sp in spans:
-            trace_id = trace_map.get(sp.trace_id)
+            trace_id = parent.trace_id if parent is not None else trace_map.get(sp.trace_id)
             if trace_id is None:
                 trace_id = trace_map[sp.trace_id] = self._next_trace_id
                 self._next_trace_id += 1
@@ -163,9 +154,8 @@ class Tracer:
         spans = self.trace(trace_id)
         if not spans:
             return f"(trace {trace_id}: no spans)"
-        # A span whose parent lives in another trace (an absorbed shard
-        # root re-parented under the synthetic run root) renders as a
-        # root of its own trace.
+        # A span whose parent is not in the trace (dropped past
+        # ``max_spans``) renders as a root.
         span_ids = {sp.span_id for sp in spans}
         children: dict[int | None, list[Span]] = {}
         for sp in spans:

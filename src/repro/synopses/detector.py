@@ -113,13 +113,9 @@ class SynopsesGenerator:
         self.points_out = 0
         self.noise_dropped = 0
         if registry is not None:
-            # Callback gauges over counts the generator already tracks: zero
-            # hot-path cost, and the paper's compression claim is readable
-            # live under the ``synopses.*`` namespace.
-            registry.gauge("synopses.fixes_in", fn=lambda: self.points_in)
-            registry.gauge("synopses.points_out", fn=lambda: self.points_out)
+            # What no counter carries: the fixes and points themselves are
+            # counted by the owner's ``op.synopses.*`` probe.
             registry.gauge("synopses.noise_dropped", fn=lambda: self.noise_dropped)
-            registry.gauge("synopses.compression_ratio", fn=self.compression_ratio)
 
     # -- public API -----------------------------------------------------------
 

@@ -188,14 +188,19 @@ class TestHarvestFold:
         assert tagged
         assert {e.tags["shard"] for e in tagged} <= {0, 1}
 
-    def test_shard_traces_rehomed_under_sharded_run_root(self, fixes):
+    def test_shard_traces_hang_under_the_polls_shards_span(self, fixes):
         sharded = ShardedRealtimeLayer(SystemConfig(n_shards=2))
-        sharded.run(list(fixes))
-        roots = [sp for sp in sharded.tracer.spans() if sp.name == "sharded.run"]
-        assert len(roots) == 1
-        sharded.run(list(fixes))
-        roots = [sp for sp in sharded.tracer.spans() if sp.name == "sharded.run"]
-        assert len(roots) == 2  # one synthetic root per run
+        sharded.run(fixes[:900])
+        sharded.run(fixes[900:])
+        spans = sharded.tracer.spans()
+        roots = [sp for sp in spans if sp.parent_id is None]
+        assert [root.name for root in roots] == ["run", "run"]  # one root per poll
+        for root in roots:
+            [shards] = [sp for sp in spans if sp.parent_id == root.span_id and sp.name == "shards"]
+            hung = [sp for sp in spans if sp.parent_id == shards.span_id]
+            assert [(sp.name, sp.tags["shard"], sp.trace_id) for sp in hung] == [
+                ("run", 0, root.trace_id), ("run", 1, root.trace_id),
+            ]
 
     def test_export_carries_shard_labels_and_e2e(self, fixes):
         from repro.obs import parse_openmetrics, render_openmetrics
@@ -273,6 +278,9 @@ class TestWorkerPoolLayer:
                 layer._hosts[0].restart()
                 layer.run(fixes[half:])
                 report, shards = layer.report, layer.shard_reports()
+                # The host timed both builds of shard 0; the gauge reads it.
+                setups = [layer.metrics.gauge(f"shard.{i}.setup_s").value() for i in range(2)]
+                assert setups == layer.shard_setups(), worker_pool
             assert report.raw_fixes == layer.broker.topic(TOPIC_RAW).size() == len(fixes), worker_pool
             assert report.critical_points == layer.broker.topic(TOPIC_SYNOPSES).size(), worker_pool
             assert summed(shards) == report, worker_pool
@@ -320,9 +328,8 @@ class TestWorkerPoolLayer:
             for layer in (oracle, pooled):
                 setups = layer.shard_setups()
                 assert len(setups) == 2 and all(s > 0.0 for s in setups)
-                # Replica construction (regions, ports, masks) dwarfs a
-                # 200-fix run: folding it into walls would be visible.
-                assert layer.metrics.gauge("shard.0.setup_s").value() > 0.0
+                # One clock per build, the host's: the gauge reads it.
+                assert [layer.metrics.gauge(f"shard.{i}.setup_s").value() for i in range(2)] == setups
 
 
 class TestShardFrames:

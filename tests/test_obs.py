@@ -43,12 +43,6 @@ class TestGauge:
         g.set(3.5)
         assert g.value() == 3.5
 
-    def test_callback_backed(self):
-        state = {"n": 0}
-        g = MetricsRegistry().gauge("live", fn=lambda: state["n"])
-        state["n"] = 7
-        assert g.value() == 7.0
-
     def test_set_on_callback_gauge_rejected(self):
         g = MetricsRegistry().gauge("live", fn=lambda: 1)
         with pytest.raises(ValueError):
@@ -232,12 +226,6 @@ class TestTracer:
         assert child.duration_s == 1.0  # one tick between open and close
         assert root.duration_s == 3.0
 
-    def test_context_manager_closes(self):
-        tracer = self.make()
-        with tracer.span("record") as root:
-            assert root.end is None
-        assert root.end is not None and root.parent_id is None
-
     def test_traces_are_grouped(self):
         tracer = self.make()
         a = tracer.start_trace("record")
@@ -249,9 +237,10 @@ class TestTracer:
 
     def test_lineage_rendering(self):
         tracer = self.make()
-        with tracer.span("record", entity_id="v9") as root:
-            tracer.finish(tracer.start_span("clean", root))
-            tracer.finish(tracer.start_span("link_discovery", root))
+        root = tracer.start_trace("record", entity_id="v9")
+        tracer.finish(tracer.start_span("clean", root))
+        tracer.finish(tracer.start_span("link_discovery", root))
+        tracer.finish(root)
         text = tracer.lineage(root.trace_id)
         lines = text.splitlines()
         assert lines[0].startswith("record ")
@@ -290,10 +279,14 @@ class TestRealtimeIntegration:
         assert metrics["operators"]["clean"]["records_s"] > 0.0
         # The batch layer drained the synopses topic: its lag gauge reads zero.
         assert metrics["consumer_lag"]["trajectories.synopses.batch"] == 0
-        # One trace per run(): a `run` root over the Figure-2 stages.
+        # One trace per run(): a `run` root over the regions of the run
+        # (no `cep` without a trained engine).
         [trace] = system.realtime.tracer.traces()
         names = [sp.name for sp in system.realtime.tracer.trace(trace)]
-        assert names == ["run", "clean", "area_events", "synopses", "link_discovery"]
+        assert names == [
+            "run", "clean", "area_events", "synopses", "link_discovery",
+            "dashboard", "proximity", "publish", "health",
+        ]
 
     def test_dashboard_renders_registry(self):
         from repro.core import DatacronSystem, SystemConfig

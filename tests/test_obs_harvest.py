@@ -121,15 +121,6 @@ def test_delta_subtracts_setup_seconds():
     assert first.delta(None).setup_seconds == 0.25
 
 
-def test_fold_sets_setup_gauge_and_zero_deltas_keep_it():
-    registry = MetricsRegistry()
-    fold_harvests(registry, [make_harvest(0, wall=1.0, setup=0.25)])
-    assert registry.gauge("shard.0.setup_s").value() == 0.25
-    # A later delta with zero setup must not clobber the recorded cost.
-    fold_harvests(registry, [make_harvest(0, wall=0.5)])
-    assert registry.gauge("shard.0.setup_s").value() == 0.25
-
-
 # Arbitrary finite observations, bounded so that no sum overflows.
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 
@@ -186,10 +177,6 @@ def test_delta_folds_across_runs_equal_one_shot_harvest(runs):
         assert (got.min, got.max) == (expected.min, expected.max), name
         assert got.quantiles() == expected.quantiles(), name
         assert got.sum == pytest.approx(expected.sum, rel=0, abs=1e-12 * scale), name
-    # Setup cost travels only in the replica-building run's delta, so the
-    # folded gauge equals the one-shot's instead of accumulating.
-    assert folded.gauge("shard.0.setup_s").value() == 0.25
-    assert cumulative.gauge("shard.0.setup_s").value() == 0.25
 
 
 # -- fold semantics ------------------------------------------------------------------
@@ -207,30 +194,25 @@ def test_fold_counters_sum_and_keep_per_shard_families():
     assert counters["shard.1.op.x.records_in"] == 5
 
 
-def test_fold_gauge_rules_and_shard_walls():
+def test_fold_keeps_gauges_per_shard_only():
+    """A gauge is a level of one shard's own state: it lands as
+    ``shard.<i>.<name>`` and nowhere else, and the parent's gauges of
+    the same names — its own wall, its own broker — keep their values."""
     registry = MetricsRegistry()
+    registry.gauge("realtime.wall_s").set(2.0)
+    size = "broker.topic.surveillance.raw.size"
+    registry.gauge(size, fn=lambda: 42.0)
+    before = registry.gauges()
     fold_harvests(registry, [
-        make_harvest(0, gauges=[("op.x.queue_depth", 2.0), ("realtime.wall_s", 0.5)], wall=0.5),
-        make_harvest(1, gauges=[("op.x.queue_depth", 3.0), ("realtime.wall_s", 0.9)], wall=0.9),
+        make_harvest(0, gauges=[("op.x.queue_depth", 2.0), ("realtime.wall_s", 0.5), (size, 7.0)], wall=0.5),
+        make_harvest(1, gauges=[("op.x.queue_depth", 3.0), ("realtime.wall_s", 0.9), (size, 5.0)], wall=0.9),
     ])
     gauges = registry.gauges()
-    assert gauges["op.x.queue_depth"] == 5.0  # sizes sum
-    assert gauges["realtime.wall_s"] == 0.9  # walls take the slowest shard
-    # One name per shard wall: the harvested gauge's own family.
-    assert gauges["shard.0.realtime.wall_s"] == 0.5
-    assert gauges["shard.1.realtime.wall_s"] == 0.9
-    assert "shard.0.wall_s" not in gauges
-
-
-def test_fold_does_not_clobber_callback_gauges():
-    """The merged broker's size gauge is the parent's own; every shard
-    harvest carries one of the same name, of its own broker."""
-    registry = MetricsRegistry()
-    name = "broker.topic.surveillance.raw.size"
-    registry.gauge(name, fn=lambda: 42.0)
-    fold_harvests(registry, [make_harvest(0, gauges=[(name, 7.0)]), make_harvest(1, gauges=[(name, 5.0)])])
-    assert registry.gauge(name).value() == 42.0
-    assert registry.gauge(f"shard.1.{name}").value() == 5.0
+    assert {name: v for name, v in gauges.items() if not name.startswith("shard.")} == before
+    assert {name: v for name, v in gauges.items() if name.startswith("shard.")} == {
+        "shard.0.op.x.queue_depth": 2.0, "shard.0.realtime.wall_s": 0.5, f"shard.0.{size}": 7.0,
+        "shard.1.op.x.queue_depth": 3.0, "shard.1.realtime.wall_s": 0.9, f"shard.1.{size}": 5.0,
+    }
 
 
 def test_fold_events_merge_by_wall_time_with_shard_tags():
@@ -252,31 +234,30 @@ def test_fold_events_merge_by_wall_time_with_shard_tags():
     assert [e.wall_s for e in out] == [10.0, 20.0, 30.0]
 
 
-def test_fold_rehomes_traces_under_synthetic_root():
+def test_fold_hangs_shard_traces_under_the_given_span():
     shard_tracer = Tracer()
-    root = shard_tracer.start_trace("shard.run")
-    child = shard_tracer.start_span("window", root)
-    shard_tracer.finish(child)
+    root = shard_tracer.start_trace("run")
+    shard_tracer.finish(shard_tracer.start_span("clean", root))
     shard_tracer.finish(root)
+    harvest = harvest_obs(1, MetricsRegistry(), tracer=shard_tracer)
     parent = Tracer()
-    registry = MetricsRegistry()
-    fold = fold_harvests(
-        registry,
-        [harvest_obs(1, MetricsRegistry(), tracer=shard_tracer)],
-        tracer=parent,
-    )
-    assert fold is not None and fold.name == "sharded.run"
-    spans = parent.spans()
-    assert len(spans) == 3
-    absorbed_root = next(sp for sp in spans if sp.name == "shard.run")
-    absorbed_child = next(sp for sp in spans if sp.name == "window")
-    # Fresh ids, re-parented under the synthetic root, shard-tagged.
-    assert absorbed_root.parent_id == fold.span_id
-    assert absorbed_root.trace_id != root.trace_id
-    assert absorbed_child.parent_id == absorbed_root.span_id
-    assert absorbed_root.tags["shard"] == 1
-    lineage = parent.lineage(absorbed_root.trace_id)
-    assert "shard.run" in lineage and "window" in lineage
+    poll = parent.start_trace("run")
+    shards = parent.finish(parent.start_span("shards", poll))
+    fold_harvests(MetricsRegistry(), [harvest], tracer=parent, parent=shards)
+    parent.finish(poll)
+    *_, absorbed_root, absorbed_child = parent.spans()
+    # Fresh ids, the shard's root under the given span, all in its trace,
+    # shard-tagged: one trace, rendered as one tree.
+    assert (absorbed_root.name, absorbed_root.parent_id) == ("run", shards.span_id)
+    assert (absorbed_child.name, absorbed_child.parent_id) == ("clean", absorbed_root.span_id)
+    assert {sp.trace_id for sp in parent.spans()} == {poll.trace_id}
+    assert absorbed_root.tags["shard"] == absorbed_child.tags["shard"] == 1
+    tree = [line.split(" [")[0] for line in parent.lineage(poll.trace_id).splitlines()]
+    assert tree == ["run", "  shards", "    run", "      clean"]
+    # Without a span to hang them under, shard roots stay roots.
+    alone = Tracer()
+    fold_harvests(MetricsRegistry(), [harvest], tracer=alone)
+    assert [(sp.name, sp.parent_id is None) for sp in alone.spans()] == [("run", True), ("clean", False)]
 
 
 # -- histogram merge ----------------------------------------------------------------

@@ -6,7 +6,10 @@ import math
 import socket
 import threading
 import urllib.request
+from collections import Counter, defaultdict
+from dataclasses import replace
 from fnmatch import fnmatchcase
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,8 @@ from repro.obs import (
 )
 from repro.obs.metrics import Histogram
 from repro.streams import Broker, Record
+from tests.conftest import COMPOSITIONS
+from tests.plants import chunks
 
 class TestEventLog:
     def test_emit_keeps_events_in_order(self):
@@ -343,18 +348,27 @@ def _run_trees(layer):
 
 class TestTracerSampling:
     """Satellite: the per-run shape of the lineage tracer — one ``run``
-    root per ``run()`` call, one child per stage that had work."""
+    root per ``run()`` call, one child per region the run reached."""
 
-    STAGES = ["clean", "area_events", "synopses", "link_discovery"]
+    #: The regions of a plain ``run()``, in poll order.
+    REGIONS = [
+        "clean", "area_events", "synopses", "link_discovery",
+        "dashboard", "proximity", "cep", "publish", "health",
+    ]
+    #: A sharded parent's regions; the replicas' hang under ``shards``.
+    SHARDED_REGIONS = [
+        "route", "shards", "fold", "merge", "dashboard", "proximity", "cep", "publish", "health",
+    ]
 
     def test_sample_every_record(self):
         """The trace does not scale with fixes: a whole stream is one root
-        and one child per stage, whose attrs are the stage's exact counts."""
+        and one child per region, whose attrs are the stage's exact counts."""
         layer, report = _run_realtime()
         [(root, children)] = _run_trees(layer)
-        assert root.name == "run" and [c.name for c in children] == self.STAGES
+        # No ``cep`` region without a trained engine.
+        assert root.name == "run" and [c.name for c in children] == [r for r in self.REGIONS if r != "cep"]
         assert all(s.end is not None for s in layer.tracer.spans())
-        attrs = {c.name: (c.tags["n_in"], c.tags["n_out"]) for c in children}
+        attrs = {c.name: (c.tags["n_in"], c.tags["n_out"]) for c in children[:4]}
         entity_links = report.links - report.proximity_links
         assert attrs == {
             "clean": (report.raw_fixes, report.clean_fixes),
@@ -408,10 +422,69 @@ class TestTracerSampling:
             assert root.name == "run" and root.end is not None
             assert all(c.end is not None and {"n_in", "n_out"} <= c.tags.keys() for c in children)
             names = [c.name for c in children]
-            assert names == [stage for stage in self.STAGES if stage in names]
+            assert names == [region for region in self.REGIONS if region in names]
             assert sum(c.duration_s for c in children) <= root.duration_s
             clean_out += sum(c.tags["n_out"] for c in children if c.name == "clean")
         assert clean_out == report.clean_fixes <= len(fixes)
+
+    @pytest.mark.parametrize("composition", COMPOSITIONS)
+    def test_every_second_of_a_run_is_in_one_region(self, composition):
+        """Over the tier-1 stream in five polls, on every composition: the
+        regions of each ``run()`` add up to its ``run`` root, the roots to
+        ``realtime.wall_s`` and that to the wall around the calls; each
+        region's probe counts the polls that reached it; a sharded poll is
+        one trace, every replica's ``run`` hung under that poll's
+        ``shards`` span and adding up the same way; and the fold writes
+        no gauge of the layer's own."""
+        from repro.core import RealtimeLayer, ShardedRealtimeLayer
+        from tests.test_core_per_fix_oracle import CFG, symbols, tier1
+
+        fields, fixes = COMPOSITIONS[composition], tier1()
+        with (ShardedRealtimeLayer if fields else RealtimeLayer)(replace(CFG, **fields), symbols()) as layer:
+            built = {name for name in layer.metrics.gauges() if not name.startswith("shard.")}
+            measured = 0.0
+            for poll in chunks(fixes, [len(fixes) * i // 5 for i in range(1, 5)]):
+                t0 = perf_counter()
+                layer.run(poll)
+                measured += perf_counter() - t0
+        children = defaultdict(list)
+        for span in layer.tracer.spans():
+            children[span.parent_id].append(span)
+
+        def covered(roots):
+            """The share of the roots' seconds their direct children hold."""
+            return sum(c.duration_s for root in roots for c in children[root.span_id]) / sum(
+                root.duration_s for root in roots
+            )
+
+        roots = children[None]
+        assert [root.name for root in roots] == ["run"] * 5 and len(layer.tracer.traces()) == 5
+        assert 0.95 <= covered(roots) <= 1.0
+        wall = layer.metrics.gauge("realtime.wall_s").value()
+        assert wall == pytest.approx(sum(root.duration_s for root in roots), rel=1e-12)
+        assert 0.95 <= wall / measured <= 1.0
+        order = self.SHARDED_REGIONS if fields else self.REGIONS
+        reached = Counter()
+        for root in roots:
+            names = [c.name for c in children[root.span_id]]
+            assert names == [region for region in order if region in names]
+            reached.update(names)
+        counters = layer.metrics.counters("op.")
+        assert {name: counters[f"op.{name}.batches"] for name in reached} == reached
+        assert reached["cep"] > 0 and reached[order[0]] == 5
+        gauges = layer.metrics.gauges()
+        assert {name for name in gauges if not name.startswith("shard.")} == built
+        assert [name for name, v in gauges.items() if name.endswith(("ratio", "rate")) and not 0.0 <= v <= 1.0] == []
+        if not fields:
+            return
+        replicas = []
+        for root in roots:
+            [shards] = [c for c in children[root.span_id] if c.name == "shards"]
+            hung = children[shards.span_id]
+            assert [(span.name, span.tags["shard"]) for span in hung] == [("run", i) for i in range(layer.n_shards)]
+            assert {span.trace_id for span in hung} == {root.trace_id}
+            replicas += hung
+        assert 0.95 <= covered(replicas) <= 1.0
 
 
 class TestBatchInstrumentation:
@@ -438,8 +511,9 @@ class TestBatchInstrumentation:
 
     def test_synopses_and_linkdiscovery_metrics(self, system):
         snap = system.metrics.snapshot()
-        assert snap["gauges"]["synopses.fixes_in"] > 0
-        assert 0.0 <= snap["gauges"]["synopses.compression_ratio"] <= 1.0
+        # The synopses counts are the probe's counters, no gauge copies them.
+        assert 0 < snap["counters"]["op.synopses.records_out"] <= snap["counters"]["op.synopses.records_in"]
+        assert not {"synopses.fixes_in", "synopses.points_out", "synopses.compression_ratio"} & snap["gauges"].keys()
         assert snap["counters"]["linkdiscovery.region.entities"] > 0
         assert snap["counters"]["linkdiscovery.port.entities"] > 0
         assert "linkdiscovery.proximity.candidate_pairs" in snap["gauges"]
