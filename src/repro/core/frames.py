@@ -20,23 +20,21 @@ by dict object, so any dict round-trips. The worker rebuilds the fixes
 in one ``map(PositionFix, ...)`` pass, each owning a copy of its
 annotations, and its entity stages screen the columns as they came.
 
-**Reply — by reference** (:class:`ShardReply`). The raw and clean topics
-of a shard replica hold ``Record(fix.t, fix, fix.entity_id, stamp)``
-around the very fixes of the request (``clean_stream`` is a drop-or-yield
-filter over the same objects), so echoing them back would ship every fix
-twice more. Instead the reply names them:
+**Reply — what the replica computed** (:class:`ShardReply`). The raw
+topic of a shard replica is ``Record(fix.t, fix, fix.entity_id, stamp)``
+around each fix of the request, in request order and with one stamp per
+poll, and its clean topic is the raw records of the rows cleaning kept
+(``clean_batch``'s rows, increasing), so echoing them back would ship
+every fix twice more. Instead the reply carries what the parent cannot
+know:
 
-* ``stamps`` — ``float64[n]``, the ``ingest_wall_s`` the worker stamped
-  on request fix ``i``;
-* ``raw_rows`` / ``clean_rows`` — the request row of each raw / clean
-  topic record, in the order the worker drained them;
+* ``ingest_wall_s`` — the one stamp of the poll (``None`` when it was
+  empty);
+* ``clean_rows`` — the request row of each clean record, as the cleaning
+  stage returned them;
 
-and the parent rebuilds those records around its *own* ``PositionFix``
-objects. The worker checks the assumptions on every request instead of
-trusting them: the raw topic must hold exactly one record per request
-fix, every clean record must wrap a request fix and carry that fix's raw
-stamp — anything else raises, which the worker protocol reports as a
-``ShardWorkerError``.
+and the parent rebuilds both topics around its *own* ``PositionFix``
+objects, in the order the replica published them.
 
 Synopses, links and events are *derived* records (about a tenth of the
 volume): their values were built inside the worker — a critical point
@@ -81,9 +79,8 @@ class ShardReply:
     """Reply frame: what one shard replica produced for one request."""
 
     harvest: ObsHarvest                 # this run's delta
-    stamps: np.ndarray                  # float64[n]: ingest_wall_s per request fix
-    raw_rows: np.ndarray                # int32: request row per raw record, drained order
-    clean_rows: np.ndarray              # int32: request row per clean record, drained order
+    ingest_wall_s: float | None         # the stamp of every raw record
+    clean_rows: np.ndarray              # int32: request row per clean record, increasing
     by_value: dict[str, list[Record]]   # the derived topics
 
 
@@ -120,41 +117,14 @@ def decode_request(frame: bytes) -> tuple[list[PositionFix], FixColumns]:
     return fixes, columns
 
 
-def encode_reply(
-    fixes: list[PositionFix],
-    topics: dict[str, list[Record]],
-    harvest: ObsHarvest,
-) -> bytes:
-    """Pack a replica's output for the request that carried ``fixes``.
-
-    ``topics`` maps every Figure-2 topic to the records the run added.
-    Raises :class:`ValueError` when the raw or clean topic cannot be
-    expressed by reference to ``fixes`` (see the module docstring).
-    """
-    n = len(fixes)
-    row_of = {id(fix): i for i, fix in enumerate(fixes)}
-
-    def request_rows(records: list[Record]) -> np.ndarray:
-        return np.array([row_of.get(id(rec.value), -1) for rec in records], dtype=np.int32)
-
+def encode_reply(topics: dict[str, list[Record]], clean_rows: np.ndarray, harvest: ObsHarvest) -> bytes:
+    """Pack what a replica's run published, per Figure-2 topic, with the
+    request rows of its clean records."""
     by_value = dict(topics)
-    raw, clean = by_value.pop(TOPIC_RAW), by_value.pop(TOPIC_CLEAN)
-    raw_rows = request_rows(raw)
-    if not np.array_equal(np.sort(raw_rows), np.arange(n)):
-        raise ValueError(
-            f"raw topic yielded {len(raw)} records for a {n}-fix request; "
-            "reply-by-reference needs exactly one per request fix"
-        )
-    stamps = np.empty(n)
-    stamps[raw_rows] = [rec.ingest_wall_s for rec in raw]
-    clean_rows = request_rows(clean)
-    clean_stamps = np.array([rec.ingest_wall_s for rec in clean], dtype=np.float64)
-    if (clean_rows < 0).any() or not np.array_equal(stamps[clean_rows], clean_stamps):
-        raise ValueError(
-            "clean topic is not a filter of this request's raw topic "
-            "(foreign fix or ingest stamp); it cannot be replied by reference"
-        )
-    reply = ShardReply(harvest, stamps, raw_rows, clean_rows, by_value)
+    raw = by_value.pop(TOPIC_RAW)
+    del by_value[TOPIC_CLEAN]
+    stamp = raw[0].ingest_wall_s if raw else None
+    reply = ShardReply(harvest, stamp, clean_rows.astype(np.int32), by_value)
     return pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
 
 
@@ -167,12 +137,12 @@ def decode_reply(
     clean ones rebuilt around the caller's own fix objects.
     """
     reply: ShardReply = pickle.loads(frame)
-    stamps = reply.stamps.tolist()
-
-    # One record per request row; a clean record is the raw record of its row.
-    raw = {i: Record(fixes[i].t, fixes[i], fixes[i].entity_id, stamps[i]) for i in reply.raw_rows.tolist()}
+    stamp = reply.ingest_wall_s
+    # One record per request fix, in order; a clean record is the raw
+    # record of its row.
+    raw = [Record(fix.t, fix, fix.entity_id, stamp) for fix in fixes]
     topics = {
-        TOPIC_RAW: list(raw.values()),
+        TOPIC_RAW: raw,
         TOPIC_CLEAN: [raw[i] for i in reply.clean_rows.tolist()],
         **reply.by_value,
     }

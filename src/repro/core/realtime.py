@@ -324,6 +324,8 @@ class _Poll:
     or counted: the four topics' records and the run's cleaning verdicts."""
 
     raw: list[Record]
+    #: The poll row of each clean record, increasing.
+    rows: np.ndarray
     clean: list[Record]
     synopses: list[Record]
     #: Region then port links of each critical point, in point order.
@@ -362,6 +364,9 @@ class EntityStages(Figure2Plane):
             registry=self.metrics,
         )
         self.weather = WeatherField(bbox=cfg.bbox, seed=cfg.seed + 2)
+        #: The last committed poll's clean rows and the records it
+        #: published per topic, in publish order: a shard replica's reply.
+        self._committed: tuple[np.ndarray, dict[str, list[Record]]] = (np.empty(0, dtype=np.intp), {})
 
     @property
     def report(self) -> RealtimeReport:
@@ -398,6 +403,7 @@ class EntityStages(Figure2Plane):
         stamp = wall_clock() if fixes else None
         quality = QualityReport()
         raw: list[Record] = []
+        rows = np.empty(0, dtype=np.intp)
         clean: list[PositionFix] = []
         clean_records: list[Record] = []
         if fixes:
@@ -444,7 +450,7 @@ class EntityStages(Figure2Plane):
                 for region, port in zip(region_links, port_links)
             ]
             trace.done(span, len(points), sum(map(len, links)))
-        return _Poll(raw, clean_records, synopses, links, quality)
+        return _Poll(raw, rows, clean_records, synopses, links, quality)
 
     def _commit(
         self,
@@ -454,7 +460,8 @@ class EntityStages(Figure2Plane):
         detections: list[Record] | None = None,
     ) -> None:
         """Make a computed poll visible, as the ``publish`` region: count its
-        raw records and cleaning verdicts, then publish it. ``proximity`` is
+        raw records and cleaning verdicts, then publish it and keep it as
+        ``_committed``. ``proximity`` is
         each critical point's proximity links, published right behind that
         point's region and port links; ``detections`` go to the events
         topic."""
@@ -465,13 +472,15 @@ class EntityStages(Figure2Plane):
         self.metrics.counter("stage.raw.records").inc(len(poll.raw))
         for flag, count in poll.quality.flagged.items():
             self.metrics.counter(f"op.clean.flagged.{flag}").inc(count)
-        n = self._publish({
+        topics = {
             TOPIC_RAW: poll.raw,
             TOPIC_CLEAN: poll.clean,
             TOPIC_SYNOPSES: poll.synopses,
             TOPIC_LINKS: [record for links in per_point for record in links],
             TOPIC_EVENTS: detections or [],
-        })
+        }
+        n = self._publish(topics)
+        self._committed = poll.rows, topics
         trace.done(span, n, n)
 
 

@@ -41,10 +41,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from ..geo import FixColumns, PositionFix
 from ..obs import ObsHarvest, fold_harvests, harvest_obs
 from ..streams import (
-    Consumer,
     Record,
     merge_shard_outputs,
     scatter_gather,
@@ -64,40 +65,24 @@ from .frames import decode_reply, decode_request, encode_reply, encode_request
 from .realtime import EntityStages, Figure2Plane, GlobalStages, RealtimeReport, report_from
 
 
-def _drain_all(consumer: Consumer) -> list[Record]:
-    """Everything a consumer group has not seen yet, in delivery order."""
-    out: list[Record] = []
-    while True:
-        batch = consumer.poll()
-        if not batch:
-            break
-        out.extend(batch)
-    return out
-
-
 @dataclass(slots=True)
 class _RealtimeReplica:
-    """One shard's live state: the replica layer, its merge consumers,
-    and the delta-harvest bookkeeping."""
+    """One shard's live state: the replica layer and the delta-harvest
+    bookkeeping."""
 
     layer: EntityStages
-    # Group offsets live on the Consumer object, not in the broker, so
-    # these are as long-lived as the layer: each run drains only what
-    # the previous one has not.
-    consumers: dict[str, Consumer]
     prev_harvest: ObsHarvest | None = None
 
     def serve(
         self, shard: int, fixes: list[PositionFix], columns: FixColumns | None = None
-    ) -> tuple[dict[str, list[Record]], ObsHarvest]:
+    ) -> tuple[dict[str, list[Record]], np.ndarray, ObsHarvest]:
         """Run one poll's fixes (and columns, if they came framed) through
-        the replica: the records this run added per topic, and its
-        cumulative harvest."""
+        the replica: the records the run published per topic, in publish
+        order, its clean rows, and its cumulative harvest."""
         layer = self.layer
         layer.run(fixes, columns)
-        current = harvest_obs(shard, layer.metrics, layer.events, layer.tracer)
-        topics = {t: _drain_all(self.consumers[t]) for t in ALL_TOPICS}
-        return topics, current
+        rows, topics = layer._committed
+        return topics, rows, harvest_obs(shard, layer.metrics, layer.events, layer.tracer)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,27 +94,21 @@ class _RealtimeShardSpec:
     replica and everything stateful is built by the host, once, and
     served one request per poll through :meth:`_RealtimeReplica.serve`.
 
-    A reply is ``(this run's new topic records, this run's delta
-    harvest)`` — the harvest carries every count and the run's trace — and
-    it travels the way its request came. Over the pipe both are the
+    A reply is ``(the records this run published, this run's delta
+    harvest)`` — the harvest carries every count and the run's trace —
+    and it travels the way its request came. Over the pipe both are the
     compact ``bytes`` frames of :mod:`repro.core.frames`: that poll's
-    fixes as columns out; back, the derived topics by value and the raw
-    and clean topics by reference to the request's rows, which
-    ``encode_reply`` refuses (``ValueError`` → ``ShardWorkerError``)
-    unless the raw topic holds exactly one record per request fix. An
-    in-process caller hands over the fixes themselves and gets the tuple
-    itself — no codec runs, which keeps the in-process layer an
-    independent oracle for the frames.
+    fixes as columns out; back, one ingest stamp, the clean rows and the
+    derived topics by value, from which the parent rebuilds the raw and
+    clean topics around its own fixes. An in-process caller hands over
+    the fixes themselves and gets the tuple itself — no codec runs, which
+    keeps the in-process layer an independent oracle for the frames.
     """
 
     config: SystemConfig
 
     def setup(self, shard: int) -> _RealtimeReplica:
-        layer = EntityStages(self.config)
-        consumers = {
-            topic: layer.broker.consumer(topic, "merge") for topic in ALL_TOPICS
-        }
-        return _RealtimeReplica(layer=layer, consumers=consumers)
+        return _RealtimeReplica(EntityStages(self.config))
 
     def handle(self, shard: int, replica: _RealtimeReplica, request: Any) -> Any:
         framed = isinstance(request, bytes)
@@ -140,12 +119,11 @@ class _RealtimeShardSpec:
             t0 = perf_counter()
             fixes, columns = decode_request(request)
             replica.layer.metrics.histogram("ipc.request_decode_s").observe(perf_counter() - t0)
-        topics, current = replica.serve(shard, fixes, columns)
-        reply: Any = (topics, current.delta(replica.prev_harvest))
-        if framed:
-            reply = encode_reply(fixes, *reply)
-        # Committed only once the reply exists: a refused frame's obs
-        # delta rides the next successful reply instead of vanishing.
+        topics, rows, current = replica.serve(shard, fixes, columns)
+        delta = current.delta(replica.prev_harvest)
+        reply: Any = encode_reply(topics, rows, delta) if framed else (topics, delta)
+        # Committed only once the reply exists: the obs delta of a reply
+        # that failed to encode rides the next one instead of vanishing.
         replica.prev_harvest = current
         return reply
 
@@ -300,8 +278,8 @@ class ShardedRealtimeLayer(Figure2Plane):
 
     def _decode_reply(self, shard: int, frame: bytes, sub_stream: list[PositionFix]):
         """A worker's reply frame as the tuple an in-process replica hands
-        over: raw and clean records come back by reference to the request
-        and are rebuilt around this process's own fixes."""
+        over: the raw and clean records are rebuilt around this process's
+        own fixes."""
         t0 = perf_counter()
         reply, topics = decode_reply(frame, sub_stream)
         self._observe_ipc(shard, "decode_s", perf_counter() - t0)

@@ -15,7 +15,6 @@ batched read is one list slice.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator
 
 from .record import Record, StreamStats
@@ -161,14 +160,9 @@ class Consumer:
         the budget. A fixed scan order would let a busy low-numbered
         partition starve the rest indefinitely under sustained load.
 
-        Batched fast path: each partition fetch is one log slice already in
-        offset order, so when every fetched run is also non-decreasing in
-        event time the runs are pre-merged with a k-way merge (or returned
-        directly when only one partition produced messages) instead of
-        re-sorting every message. Out-of-order runs fall back to the full
-        stable sort; both paths order by ``(record.t, offset)`` with ties
-        broken by partition scan order, so the delivered sequence is
-        identical either way.
+        Every batch is the stable ``(record.t, offset)`` sort of the
+        partition slices it fetched, taken in scan order, so ties go to
+        the partition scanned first.
         """
         runs: list[tuple[int, list[Record]]] = []
         budget = max_messages
@@ -185,16 +179,6 @@ class Consumer:
                     if budget <= 0:
                         self._next_partition = (part + 1) % n
                         break
-        if not runs:
-            return []
-        if all(_time_ordered(records) for _, records in runs):
-            if len(runs) == 1:
-                return runs[0][1]
-            merged = heapq.merge(
-                *(zip(range(first, first + len(records)), records) for first, records in runs),
-                key=lambda pair: (pair[1].t, pair[0]),
-            )
-            return [record for _, record in merged]
         fetched = [
             (record.t, first + i, record)
             for first, records in runs
@@ -243,11 +227,6 @@ class Broker:
     def publish_many(self, topic_name: str, records: Iterable[Record]) -> int:
         """Convenience: batch-publish to a (pre-created) topic; returns the count."""
         return len(self.topic(topic_name).publish_many(records))
-
-
-def _time_ordered(records: list[Record]) -> bool:
-    """Whether a fetched run is non-decreasing in event time."""
-    return all(records[i].t <= records[i + 1].t for i in range(len(records) - 1))
 
 
 def _stable_hash(key: str) -> int:

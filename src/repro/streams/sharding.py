@@ -11,7 +11,9 @@ one deterministic stream. The two functions here are the whole contract:
 * **merge** — :func:`merge_shard_outputs` orders the shards' outputs by
   ``(t, key)`` with each shard's per-key order preserved (stable sort),
   so the merged stream is identical for ``n_shards=1`` and
-  ``n_shards=N``: the single-shard run is the equivalence oracle.
+  ``n_shards=N``: the single-shard run is the equivalence oracle. The
+  order is total on any clock: ``±inf`` sort as numbers, and ``NaN``
+  after every number, by key.
 
 Where the replicas live and how a request reaches them is
 ``repro.streams.workers`` (the hosts and the one scatter/gather); what a
@@ -33,12 +35,19 @@ def shard_index(key: str, n_shards: int) -> int:
 
 
 def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
-    """Merge per-shard output lists into one ``(t, key)``-ordered stream.
+    """Merge per-shard output lists into one ``(t, key)``-ordered stream,
+    ``NaN`` clocks last.
 
     The sort is stable, and all records of one key come from one shard in
     that shard's emission order — so per-key subsequences are preserved
     exactly, and same-``(t, key)`` runs keep their shard-local order.
     """
     merged = [record for outputs in per_shard for record in outputs]
-    merged.sort(key=lambda r: (r.t, r.key or ""))
+    merged.sort(key=_merge_key)
     return merged
+
+
+def _merge_key(record: Record) -> tuple:
+    t = record.t
+    # NaN compares false with everything, itself included: give it a rank.
+    return (False, t, record.key or "") if t == t else (True, 0.0, record.key or "")

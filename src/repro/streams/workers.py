@@ -34,7 +34,8 @@ through one handler table keyed by the same request tags.
 Payloads (``p`` / ``response``) are opaque to the protocol — a
 :class:`WorkerSpec` owns their shape. The pooled Figure-2 layer ships
 pre-serialised ``bytes`` in both directions — columnar fix batches out,
-reply-by-reference topics back (``repro.core.frames``); the derived
+the run's stamp, clean rows and derived topics back
+(``repro.core.frames``); the derived
 records that still travel by value inside a reply (``Record`` and the
 domain values it carries) pickle positionally, not through the
 per-object ``fields()`` walk frozen+slots dataclasses default to.

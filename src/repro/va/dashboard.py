@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..geo import BBox, EquiGrid, PositionFix
-from ..obs import MetricsRegistry, consumer_lags, operator_rates
+from ..obs import HealthMonitor, MetricsRegistry, consumer_lags, operator_rates
 from ..synopses import CriticalPoint
 
 #: Density glyphs, lightest to darkest.
@@ -28,44 +28,30 @@ class DashboardState:
 
     last_position: dict[str, PositionFix] = field(default_factory=dict)
     recent_events: list[str] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
     max_recent: int = 8
-
-    def bump(self, counter: str, by: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + by
 
 
 class Dashboard:
     """Renders DashboardState frames over a fixed geographic extent.
 
-    With a :class:`~repro.obs.MetricsRegistry` attached, the information-
-    layer counters live in the registry (``dashboard.*`` counters) and
-    the frame gains an observability section — per-operator records/s
-    and broker consumer lag — rendered straight from registry contents.
-    With a :class:`~repro.obs.HealthMonitor` attached as well, the frame
-    leads with the pipeline health line (system state plus any
-    non-``OK`` components).
+    The information-layer counters live in the pipeline's
+    :class:`~repro.obs.MetricsRegistry` (``dashboard.*`` counters), and
+    the frame's observability section — per-operator records/s and broker
+    consumer lag — is rendered straight from registry contents. The frame
+    leads with the :class:`~repro.obs.HealthMonitor`'s pipeline health
+    line (system state plus any non-``OK`` components).
     """
 
-    def __init__(
-        self,
-        bbox: BBox,
-        registry: MetricsRegistry | None = None,
-        health=None,
-    ):
+    def __init__(self, bbox: BBox, registry: MetricsRegistry, health: HealthMonitor):
         self.bbox = bbox
         #: The density map: 64 columns by 20 rows of the extent.
         self.grid = EquiGrid(bbox, 64, 20)
         self.registry = registry
-        #: Optional ``repro.obs.HealthMonitor`` surfaced in the frame header.
         self.health = health
         self.state = DashboardState()
 
     def _bump(self, counter: str, by: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(f"dashboard.{counter}").inc(by)
-        else:
-            self.state.bump(counter, by)
+        self.registry.counter(f"dashboard.{counter}").inc(by)
 
     # -- stream feeding -----------------------------------------------------------
 
@@ -115,20 +101,13 @@ class Dashboard:
         return lines
 
     def _counter_items(self) -> list[tuple[str, int]]:
-        """The information-layer counters, wherever they live."""
-        if self.registry is not None:
-            prefix = "dashboard."
-            return [(n[len(prefix):], v) for n, v in self.registry.counters(prefix).items()]
-        return sorted(self.state.counters.items())
+        """The information-layer counters, by name."""
+        prefix = "dashboard."
+        return [(n[len(prefix):], v) for n, v in self.registry.counters(prefix).items()]
 
     def render_metrics(self) -> list[str]:
-        """The observability panel: per-operator rates and consumer lag.
-
-        Empty without an attached registry — the panel renders live
-        registry contents, not dashboard-local state.
-        """
-        if self.registry is None:
-            return []
+        """The observability panel: per-operator rates and consumer lag,
+        rendered from live registry contents."""
         lines: list[str] = []
         rates = operator_rates(self.registry)
         if rates:
@@ -148,12 +127,7 @@ class Dashboard:
         return lines
 
     def render_health(self) -> list[str]:
-        """The pipeline-health line: system state plus unhealthy components.
-
-        Empty without an attached health monitor.
-        """
-        if self.health is None:
-            return []
+        """The pipeline-health line: system state plus unhealthy components."""
         self.health.evaluate()
         parts = [f"health: {self.health.system_state()}"]
         parts.extend(

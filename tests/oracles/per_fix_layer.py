@@ -11,8 +11,8 @@ the order contract each one has:
 
 * plain (``n_shards=None``): global stages fed as records appear, a
   point's proximity links right behind its region and port links;
-* sharded (``n_shards=N``): one per-fix replica per shard, each run's new
-  records read back through a consumer group, the canonical ``(t, key)``
+* sharded (``n_shards=N``): one per-fix replica per shard, the records
+  each run published in publish order, the canonical ``(t, key)``
   stable merge, global stages fed the merged stream, a run's proximity
   links behind its merged region and port links.
 
@@ -59,15 +59,11 @@ class PerFixEntityStages:
         self.broker = Broker()
         for topic in ALL_TOPICS:
             self.broker.create_topic(topic, partitions=2)
-        self.consumers = {topic: self.broker.consumer(topic, "merge") for topic in ALL_TOPICS}
+        self.published: dict[str, list[Record]] = {topic: [] for topic in ALL_TOPICS}
 
     def drain(self) -> dict[str, list[Record]]:
-        """What each topic gained since the last drain, in delivery order."""
-        out = {}
-        for topic, consumer in self.consumers.items():
-            out[topic] = []
-            while batch := consumer.poll():
-                out[topic] += batch
+        """What each topic gained since the last drain, in publish order."""
+        out, self.published = self.published, {topic: [] for topic in ALL_TOPICS}
         return out
 
     def run(self, fixes, on_point=None) -> list:
@@ -78,6 +74,7 @@ class PerFixEntityStages:
 
         def publish(name, record):
             topic(name).publish(record)
+            self.published[name].append(record)
 
         points = []
         stamp = None

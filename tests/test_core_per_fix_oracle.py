@@ -25,7 +25,6 @@ the sharded ones in ``(t, key)`` order — and that exclusion lives in
 one place: the oracle's sharded branch.
 """
 
-import math
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import replace
@@ -169,20 +168,17 @@ def assert_conserves(layer):
             assert counters.get(f"shard.{i}.{name}", 0) == value, (i, name)
 
 
-def assert_cells_agree(cells, built, texts, non_finite):
+def assert_cells_agree(cells, built, texts):
     """What the cells of one draw must say of each other after the same
     polls (``built``: the operator names each registered when built;
     ``texts``: their partitions). Topics are compared
     without ingest stamps: a shard whose share of a poll is empty stamps
     none of the points it flushes, and the oracle checks where stamps
-    are. NaN stamps have no merge order, so a draw with a non-finite
-    clock compares raw topics by size only."""
+    are. The merge orders every clock, NaN included, so raw topics are
+    compared record for record on every draw."""
 
     def topics(name):
-        out = {key: [record[:3] for record in records] for key, records in texts[name].items()}
-        if non_finite:
-            out.update({key: len(records) for key, records in out.items() if key[0] == TOPIC_RAW})
-        return out
+        return {key: [record[:3] for record in records] for key, records in texts[name].items()}
 
     def own_counters(layer):
         """The counters outside the ``shard.<i>.`` families, but for the
@@ -301,7 +297,6 @@ class TestEquivalenceMatrix:
     def test_every_composition_agrees_after_every_poll(self, stream, cuts, lazy):
         cfg, fixes = (CFG, tier1()) if stream == TIER1 else (SMALL, stream.fixes())
         polls = chunks(fixes, [int(cut * len(fixes)) for cut in cuts])
-        non_finite = not all(math.isfinite(fix.t) for fix in fixes)
         shard_counts = {fields.get("n_shards") for fields in COMPOSITIONS.values()}
         oracles = {n: PerFixLayer(cfg, n, symbols()) for n in shard_counts}
         with ExitStack() as stack:
@@ -329,7 +324,7 @@ class TestEquivalenceMatrix:
                     n = fields.get("n_shards")
                     assert_reproduces(layer, got[name], oracles[n], want[n], batches[n])
                     assert_conserves(layer)
-                assert_cells_agree(cells, built, got, non_finite)
+                assert_cells_agree(cells, built, got)
             if stream == TIER1:   # not vacuous: every topic and every global stage fired
                 for layer in cells.values():
                     report = layer.report

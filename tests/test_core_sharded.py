@@ -62,6 +62,26 @@ def drain(consumers):
     return out
 
 
+def published_by(layer):
+    """A reader of what ``layer`` publishes: each call returns the records
+    each topic was handed since the previous call, in publish order."""
+    seen = {name: [] for name in ALL_TOPICS}
+    publish = layer.broker.publish_many
+
+    def recorded(name, records):
+        seen[name].extend(records)
+        return publish(name, records)
+
+    def read():
+        out = {name: list(records) for name, records in seen.items()}
+        for records in seen.values():
+            records.clear()
+        return out
+
+    layer.broker.publish_many = recorded
+    return read
+
+
 def summed(reports):
     """Every field of ``reports`` added up, quality included."""
     names = [f.name for f in fields(RealtimeReport) if f.name != "quality"]
@@ -335,16 +355,18 @@ class TestWorkerPoolLayer:
 class TestShardFrames:
     """The pooled wire format at the replica boundary: one request frame
     in, one reply frame out, decoded against the caller's own fixes — and
-    compared, record for record, with a plain replica fed the same polls."""
+    compared, record for record, with what a plain replica fed the same
+    polls published."""
 
     CFG = SystemConfig()
 
     def serve(self, polls):
-        """Per poll: (topics decoded from the reply, topics of the twin)."""
+        """Per poll: (topics decoded from the reply, what the twin's run
+        published)."""
         spec = _RealtimeShardSpec(self.CFG)
         replica = spec.setup(0)
         twin = EntityStages(self.CFG)
-        twin_consumers = dump_consumers(twin)
+        published = published_by(twin)
         folded = MetricsRegistry()
         out = []
         for poll in polls:
@@ -353,7 +375,7 @@ class TestShardFrames:
             # The reply's harvest is the only copy of the replica's counts.
             fold_harvests(folded, [reply.harvest])
             assert report_from(folded) == report_from(folded, "shard.0.") == twin.report
-            out.append((topics, drain(twin_consumers)))
+            out.append((topics, published()))
         return out
 
     def test_replies_equal_the_twin_and_reference_the_callers_fixes(self, fixes):
@@ -390,12 +412,11 @@ class TestShardFrames:
         assert reply.harvest.metrics.counters["stage.raw.records"] == len(poll)
         assert calls == []
 
-    def test_worker_rejects_a_raw_count_mismatch_and_stays_alive(self, fixes):
-        """Reply-by-reference assumes one raw record per request fix; the
-        worker checks it on every request. A request that blows up
-        mid-run cannot strand raw records in the replica's topic — a run
-        publishes nothing until every stage has its output — so the
-        request after a poisoned one is served with exactly its own rows."""
+    def test_a_request_that_raises_leaves_the_worker_serving_its_own_rows(self, fixes):
+        """A request that blows up mid-run comes back as a
+        ``ShardWorkerError`` with the worker still serving. The run
+        published nothing — a run commits only once every stage has its
+        output — so the next reply is exactly its own rows, under one stamp."""
         host = WorkerHost(_RealtimeShardSpec(self.CFG), 0)
         try:
             poison = replace(fixes[300], lon=None)
@@ -405,23 +426,28 @@ class TestShardFrames:
             poll = fixes[300:400]
             reply, topics = decode_reply(host.request(encode_request(poll)), poll)
             assert [r.value for r in topics[TOPIC_RAW]] == poll
-            assert reply.harvest.metrics.counters["stage.raw.records"] == len(poll)
+            counters = reply.harvest.metrics.counters
+            assert counters["stage.raw.records"] == counters["op.clean.records_in"] == len(poll)
+            assert len(reply.clean_rows) == counters["op.clean.records_out"] > 0
+            assert reply.ingest_wall_s is not None
+            stamps = {r.ingest_wall_s for name in (TOPIC_RAW, TOPIC_CLEAN) for r in topics[name]}
+            assert stamps == {reply.ingest_wall_s}
         finally:
             host.close()
 
-    def test_stray_raw_record_in_the_replica_topic_is_refused(self, fixes):
-        """The by-reference guard itself: a raw record the request did not
-        carry makes the reply inexpressible by row, and the replica says so."""
-        spec = _RealtimeShardSpec(self.CFG)
-        replica = spec.setup(0)
+    def test_a_stray_record_in_the_replica_broker_does_not_reach_the_reply(self, fixes):
+        """A reply is the poll its run computed, never a read of the
+        replica's own broker: a raw record the request did not carry,
+        sitting in the replica's topic, changes nothing the parent gets."""
+        spec, poll = _RealtimeShardSpec(self.CFG), fixes[400:500]
+        replica, clean = spec.setup(0), spec.setup(0)
         stray = fixes[0]
         replica.layer.broker.topic(TOPIC_RAW).publish(Record(stray.t, stray, stray.entity_id, 0.0))
-        with pytest.raises(ValueError, match="raw topic yielded 101 records for a 100-fix request"):
-            spec.handle(0, replica, encode_request(fixes[300:400]))
-        # Drained with the refused request: the next one is expressible again.
-        poll = fixes[400:500]
-        _, topics = decode_reply(spec.handle(0, replica, encode_request(poll)), poll)
-        assert [r.value for r in topics[TOPIC_RAW]] == poll
+        got_reply, got = decode_reply(spec.handle(0, replica, encode_request(poll)), poll)
+        want_reply, want = decode_reply(spec.handle(0, clean, encode_request(poll)), poll)
+        assert [r.value for r in got[TOPIC_RAW]] == poll
+        assert list(got_reply.clean_rows) == list(want_reply.clean_rows)
+        assert_same_records(got, want)
 
     def test_spawn_context_worker_replies_like_the_inline_host(self, fixes):
         """Every other test forks, which copies the spec; only ``spawn``

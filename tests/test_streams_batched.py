@@ -1,21 +1,17 @@
 """Equivalence properties of the batched broker fast paths.
 
-The batched fast path (``Topic.publish_many``, the merge-based
-``Consumer.poll``) promises *bit-identical semantics* to the per-record
-paths: same delivered records in the same order, same offsets, same
-stats counters. These hypothesis properties pin that promise against
-randomized workloads — keyed/keyless mixes, retention trims, time-ordered
-and shuffled logs.
+The batched fast path ``Topic.publish_many`` promises *bit-identical
+semantics* to per-record ``publish``: same logs, same offsets, same stats
+counters. ``Consumer.poll`` is held to a model of its scan. These
+hypothesis properties pin both against randomized workloads —
+keyed/keyless mixes, retention trims, time-ordered and shuffled logs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.streams.broker as broker_mod
 from repro.streams import Consumer, Record, Topic
 
 KEYS = [None, "a", "b", "vessel-42"]
@@ -29,10 +25,6 @@ record_lists = st.lists(
     ),
     max_size=60,
 ).map(lambda items: [Record(t, v, k) for t, v, k in items])
-
-
-def _normalize(records):
-    return [(r.t, r.value, r.key) for r in records]
 
 
 class TestPublishManyEquivalence:
@@ -72,7 +64,7 @@ def _topic_stats(topic):
     return (s.records_in, s.dropped)
 
 
-class TestPollOrderingEquivalence:
+class TestPollOrdering:
     @given(
         records=record_lists,
         partitions=st.integers(1, 4),
@@ -80,31 +72,38 @@ class TestPollOrderingEquivalence:
         time_ordered=st.booleans(),
     )
     @settings(max_examples=100)
-    def test_merge_fast_path_matches_sort_fallback(self, records, partitions, poll_size, time_ordered):
+    def test_each_batch_is_the_stable_time_offset_sort_of_its_slices(
+        self, records, partitions, poll_size, time_ordered
+    ):
+        """Against a model of the scan: each poll takes, from a start
+        partition that rotates past the one a ``max_messages`` cap ran out
+        on, what each partition has left up to the budget; the batch is
+        those slices, in scan order, stably sorted by ``(t, offset)``; and
+        every record is delivered exactly once."""
         if time_ordered:
             records = sorted(records, key=lambda r: r.t)
-        fast_topic = Topic("fast", partitions=partitions)
-        slow_topic = Topic("slow", partitions=partitions)
-        fast_topic.publish_many(records)
-        slow_topic.publish_many(records)
-        fast = Consumer(fast_topic, "g")
-        slow = Consumer(slow_topic, "g")
-        out_fast = _drain(fast, poll_size)
-        original = broker_mod._time_ordered
-        broker_mod._time_ordered = lambda records: False  # force the sort fallback
-        try:
-            out_slow = _drain(slow, poll_size)
-        finally:
-            broker_mod._time_ordered = original
-        assert out_fast == out_slow
-        assert Counter(_normalize(out_fast)) == Counter(_normalize(records))
-
-
-def _drain(consumer, poll_size):
-    out = []
-    while True:
-        batch = consumer.poll(max_messages=poll_size)
-        if not batch:
-            break
-        out.extend(batch)
-    return out
+        topic = Topic("t", partitions=partitions)
+        topic.publish_many(records)
+        consumer = Consumer(topic, "g")
+        start, delivered = 0, []
+        while True:
+            lags = consumer.partition_lags()
+            batch = consumer.poll(max_messages=poll_size)
+            slices, budget = [], poll_size
+            for i in range(partitions):
+                part = (start + i) % partitions
+                take = lags[part] if budget is None else min(lags[part], budget)
+                if take:
+                    first = topic.end_offsets()[part] - lags[part]
+                    _, fetched = topic.read_records(part, first, take)
+                    slices += [(r.t, first + k, r) for k, r in enumerate(fetched)]
+                    if budget is not None:
+                        budget -= take
+                        if budget == 0:
+                            start = (part + 1) % partitions
+                            break
+            assert [id(r) for _, _, r in sorted(slices, key=lambda s: s[:2])] == [*map(id, batch)]
+            if not batch:
+                break
+            delivered += batch
+        assert sorted(map(id, delivered)) == sorted(map(id, records))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.geo import BBox, PositionFix, Trajectory
+from repro.obs import HealthMonitor, MetricsRegistry
 from repro.synopses import CriticalPoint
 from repro.va import (
     Dashboard,
@@ -212,7 +213,12 @@ class TestPointMatch:
 
 class TestDashboard:
     def make(self):
-        return Dashboard(BOX)
+        registry = MetricsRegistry()
+        return Dashboard(BOX, registry, HealthMonitor(registry))
+
+    @staticmethod
+    def counters(dash):
+        return dash.registry.counters("dashboard.")
 
     def test_frame_renders(self):
         dash = self.make()
@@ -220,6 +226,7 @@ class TestDashboard:
         frame = dash.render_frame(t=0.0)
         assert "situation monitor" in frame
         assert "positions=1" in frame
+        assert frame.splitlines()[1] == "health: OK"
         assert frame.count("\n") > 8
 
     def test_map_shows_entities(self):
@@ -242,7 +249,7 @@ class TestDashboard:
         dash = self.make()
         cp = CriticalPoint(fix(0.0, 5.0, 5.0), "turn")
         dash.ingest_critical_point(cp)
-        assert dash.state.counters["synopses"] == 1
+        assert self.counters(dash) == {"dashboard.synopses": 1, "dashboard.events": 1}
         assert any("turn" in e for e in dash.state.recent_events)
 
     def test_positions_updated_not_duplicated(self):
@@ -250,7 +257,7 @@ class TestDashboard:
         dash.ingest_fix(fix(0.0, 5.0, 5.0, eid="a"))
         dash.ingest_fix(fix(10.0, 6.0, 6.0, eid="a"))
         assert dash.entity_count() == 1
-        assert dash.state.counters["positions"] == 2
+        assert self.counters(dash) == {"dashboard.positions": 2}
 
     def test_ingest_fixes_is_ingest_fix_in_a_loop(self):
         fixes = [fix(float(t), 5.0 + t, 5.0, eid=eid) for t, eid in enumerate("abacb")]
@@ -261,4 +268,4 @@ class TestDashboard:
         many.ingest_fixes(fixes[2:])
         many.ingest_fixes([])
         assert list(many.state.last_position.items()) == list(one.state.last_position.items())
-        assert many.state.counters == one.state.counters == {"positions": 5}
+        assert self.counters(many) == self.counters(one) == {"dashboard.positions": 5}
