@@ -26,7 +26,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import time as wall_clock
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from ..obs import (
     operator_rates,
     watch_broker,
 )
-from ..streams import Broker, Record
+from ..streams import Broker, Record, merge_shard_outputs
 from ..synopses import SynopsesGenerator
 from ..va import Dashboard
 
@@ -259,11 +259,13 @@ class GlobalStages:
 
     def see(
         self, trace: _Trace, clean: list[Record], synopses: list[Record]
-    ) -> tuple[list[list[Record]], list[Record]]:
+    ) -> tuple[list[Record], list[Record]]:
         """Show one poll's clean-topic and synopses records to every global
-        stage, a region each: the proximity link records each point
-        closes come back, and the CEP detections as event records."""
+        stage, a region each, the critical points in the shard merge's
+        ``(t, key)`` order on every composition: the proximity link records
+        come back in that order, and the CEP detections as event records."""
         span = trace.start("dashboard")
+        synopses = merge_shard_outputs([synopses])
         points = [record.value for record in synopses]
         self.dashboard.ingest_fixes([record.value for record in clean])
         for cp in points:
@@ -280,10 +282,11 @@ class GlobalStages:
             if record.ingest_wall_s is not None:
                 self._e2e_latency.observe(enriched - record.ingest_wall_s)
         links = [
-            [Record(link.t, link, link.source_id, record.ingest_wall_s) for link in point_links]
+            Record(link.t, link, link.source_id, record.ingest_wall_s)
             for record, point_links in zip(synopses, found)
+            for link in point_links
         ]
-        trace.done(span, len(points), sum(map(len, found)))
+        trace.done(span, len(points), len(links))
         if self.cep is None:
             return links, []
         # Complex event recognition & forecasting over the poll's turns.
@@ -329,7 +332,7 @@ class _Poll:
     clean: list[Record]
     synopses: list[Record]
     #: Region then port links of each critical point, in point order.
-    links: list[list[Record]]
+    links: list[Record]
     quality: QualityReport
 
 
@@ -434,7 +437,7 @@ class EntityStages(Figure2Plane):
         points += self.synopses.flush()
         synopses = [Record(cp.fix.t, cp, cp.fix.entity_id, stamp) for cp in points]
         trace.done(span, len(clean), len(points))
-        links: list[list[Record]] = []
+        links: list[Record] = []
         if points:
             # Weather enrichment, then region and port links: one batch
             # call each over the points' coordinates.
@@ -446,29 +449,21 @@ class EntityStages(Figure2Plane):
             region_links, _ = self.region_links.links_many(point_fixes, lons, lats)
             port_links, _ = self.port_links.links_many(point_fixes, lons, lats)
             links = [
-                [Record(link.t, link, link.source_id, stamp) for link in region + port]
+                Record(link.t, link, link.source_id, stamp)
                 for region, port in zip(region_links, port_links)
+                for link in region + port
             ]
-            trace.done(span, len(points), sum(map(len, links)))
+            trace.done(span, len(points), len(links))
         return _Poll(raw, rows, clean_records, synopses, links, quality)
 
     def _commit(
-        self,
-        poll: _Poll,
-        trace: _Trace,
-        proximity: list[list[Record]] | None = None,
-        detections: list[Record] | None = None,
+        self, poll: _Poll, trace: _Trace, proximity: Sequence[Record] = (), detections: Sequence[Record] = ()
     ) -> None:
         """Make a computed poll visible, as the ``publish`` region: count its
         raw records and cleaning verdicts, then publish it and keep it as
-        ``_committed``. ``proximity`` is
-        each critical point's proximity links, published right behind that
-        point's region and port links; ``detections`` go to the events
-        topic."""
+        ``_committed``. ``proximity`` links are published behind the poll's
+        region and port links, ``detections`` to the events topic."""
         span = trace.start("publish")
-        per_point = poll.links
-        if proximity:
-            per_point = [links + extra for links, extra in zip(poll.links, proximity)]
         self.metrics.counter("stage.raw.records").inc(len(poll.raw))
         for flag, count in poll.quality.flagged.items():
             self.metrics.counter(f"op.clean.flagged.{flag}").inc(count)
@@ -476,8 +471,8 @@ class EntityStages(Figure2Plane):
             TOPIC_RAW: poll.raw,
             TOPIC_CLEAN: poll.clean,
             TOPIC_SYNOPSES: poll.synopses,
-            TOPIC_LINKS: [record for links in per_point for record in links],
-            TOPIC_EVENTS: detections or [],
+            TOPIC_LINKS: [*poll.links, *proximity],
+            TOPIC_EVENTS: [*detections],
         }
         n = self._publish(topics)
         self._committed = poll.rows, topics

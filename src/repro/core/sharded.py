@@ -251,8 +251,7 @@ class ShardedRealtimeLayer(Figure2Plane):
             # runs from the ingest stamp the shard replica wrote.
             proximity, detections = self.globals.see(trace, merged[TOPIC_CLEAN], merged[TOPIC_SYNOPSES])
             span = trace.start("publish")
-            for links in proximity:
-                merged[TOPIC_LINKS] += links
+            merged[TOPIC_LINKS] += proximity
             merged[TOPIC_EVENTS] += detections
             n = self._publish(merged)
             trace.done(span, n, n)

@@ -34,7 +34,9 @@ class StreamingStats:
 
 
 class MovingProximityDiscoverer:
-    """Online nearTo discovery between moving entities in one pass."""
+    """Online nearTo discovery between moving entities in one pass, over
+    time-ordered input: each fix evicts what is out of its temporal scope,
+    so an older fix arriving later misses links it would have made."""
 
     def __init__(
         self,

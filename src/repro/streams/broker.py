@@ -15,9 +15,10 @@ batched read is one list slice.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .record import Record, StreamStats
+from .record import Record, StreamStats, clock_key
 
 
 class Topic:
@@ -160,9 +161,9 @@ class Consumer:
         the budget. A fixed scan order would let a busy low-numbered
         partition starve the rest indefinitely under sustained load.
 
-        Every batch is the stable ``(record.t, offset)`` sort of the
+        Every batch is the stable ``(clock, offset)`` sort of the
         partition slices it fetched, taken in scan order, so ties go to
-        the partition scanned first.
+        the partition scanned first; ``record.t`` is the clock, ``NaN`` last.
         """
         runs: list[tuple[int, list[Record]]] = []
         budget = max_messages
@@ -180,12 +181,12 @@ class Consumer:
                         self._next_partition = (part + 1) % n
                         break
         fetched = [
-            (record.t, first + i, record)
+            (clock_key(record.t, first + i), record)
             for first, records in runs
             for i, record in enumerate(records)
         ]
-        fetched.sort(key=lambda entry: (entry[0], entry[1]))
-        return [record for _, _, record in fetched]
+        fetched.sort(key=itemgetter(0))
+        return [record for _, record in fetched]
 
     def lag(self) -> int:
         """Messages published but not yet consumed by this group."""

@@ -9,8 +9,9 @@ arbitrary value.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, Iterator, TypeVar
+from typing import Any, Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -46,6 +47,13 @@ class StreamStats:
 
     records_in: int = 0
     dropped: int = 0
+
+
+def clock_key(t: float, then: Any) -> tuple:
+    """The key of every record order here: the clock ``t``, then ``then``.
+    Numbers sort by value, ``±inf`` included, then ``NaN``, which compares
+    false with everything. The clock leads, so the sort compares floats."""
+    return (t, False, then) if t == t else (math.inf, True, then)
 
 
 def merge_by_time(*streams: Iterable[Record]) -> Iterator[Record]:

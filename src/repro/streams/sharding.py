@@ -12,8 +12,8 @@ one deterministic stream. The two functions here are the whole contract:
   ``(t, key)`` with each shard's per-key order preserved (stable sort),
   so the merged stream is identical for ``n_shards=1`` and
   ``n_shards=N``: the single-shard run is the equivalence oracle. The
-  order is total on any clock: ``±inf`` sort as numbers, and ``NaN``
-  after every number, by key.
+  clock order is :func:`~repro.streams.record.clock_key`, total on any
+  clock.
 
 Where the replicas live and how a request reaches them is
 ``repro.streams.workers`` (the hosts and the one scatter/gather); what a
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .broker import _stable_hash
-from .record import Record
+from .record import Record, clock_key
 
 
 def shard_index(key: str, n_shards: int) -> int:
@@ -43,11 +43,5 @@ def merge_shard_outputs(per_shard: Sequence[list[Record]]) -> list[Record]:
     exactly, and same-``(t, key)`` runs keep their shard-local order.
     """
     merged = [record for outputs in per_shard for record in outputs]
-    merged.sort(key=_merge_key)
+    merged.sort(key=lambda record: clock_key(record.t, record.key or ""))
     return merged
-
-
-def _merge_key(record: Record) -> tuple:
-    t = record.t
-    # NaN compares false with everything, itself included: give it a rank.
-    return (False, t, record.key or "") if t == t else (True, 0.0, record.key or "")

@@ -6,15 +6,17 @@ goes singly through the *public per-fix* stage APIs (``clean_stream``,
 ``AreaEventDetector.process``, ``SynopsesGenerator.process`` /
 ``flush``, ``links_for``, ``MovingProximityDiscoverer.process``), and
 every record is published on its own, into the replica's own
-two-partition topics. Both compositions of the two halves are here, in
-the order contract each one has:
+two-partition topics. Both compositions of the two halves are here:
 
-* plain (``n_shards=None``): global stages fed as records appear, a
-  point's proximity links right behind its region and port links;
+* plain (``n_shards=None``): one per-fix replica, publishing into the
+  layer's own topics;
 * sharded (``n_shards=N``): one per-fix replica per shard, the records
-  each run published in publish order, the canonical ``(t, key)``
-  stable merge, global stages fed the merged stream, a run's proximity
-  links behind its merged region and port links.
+  each run published in publish order, and the canonical ``(t, key)``
+  stable merge of them into the layer's topics.
+
+Both run one global half: each poll's critical points in ``(t, key)``
+order through proximity and CEP, the poll's proximity links behind its
+region and port links.
 
 Ingest stamps are not wall time here: ``0.0`` where the layer stamps a
 record, ``None`` where it does not (flush-tail points of an empty run).
@@ -66,17 +68,14 @@ class PerFixEntityStages:
         out, self.published = self.published, {topic: [] for topic in ALL_TOPICS}
         return out
 
-    def run(self, fixes, on_point=None) -> list:
-        """One poll, every record published as it appears; returns the
-        critical points in stream order. ``on_point(cp, stamp)`` may
-        return more link records for a point."""
+    def run(self, fixes) -> None:
+        """One poll, every record published as it appears."""
         counts, topic = self.counts, self.broker.topic
 
         def publish(name, record):
             topic(name).publish(record)
             self.published[name].append(record)
 
-        points = []
         stamp = None
 
         def raw_stream():
@@ -89,7 +88,6 @@ class PerFixEntityStages:
 
         def critical_point(cp):
             counts["critical_points"] += 1
-            points.append(cp)
             publish(TOPIC_SYNOPSES, Record(cp.t, cp, cp.entity_id, stamp))
             sample = self.weather.sample(cp.fix.lon, cp.fix.lat, cp.t)
             cp.detail["weather"] = {
@@ -99,8 +97,6 @@ class PerFixEntityStages:
             counts["links"] += len(links)
             for link in links:
                 publish(TOPIC_LINKS, Record(link.t, link, link.source_id, stamp))
-            for record in on_point(cp, stamp) if on_point is not None else ():
-                publish(TOPIC_LINKS, record)
 
         for fix in clean_stream(raw_stream(), config=self.cfg.quality, report=self.quality):
             counts["clean_fixes"] += 1
@@ -110,7 +106,6 @@ class PerFixEntityStages:
                 critical_point(cp)
         for cp in self.synopses.flush():
             critical_point(cp)
-        return points
 
 
 class PerFixLayer:
@@ -150,30 +145,25 @@ class PerFixLayer:
         tallies = {f.name: counts[f.name] for f in fields(RealtimeReport) if f.name != "quality"}
         return RealtimeReport(**tallies, quality=quality)
 
-    def _global_point(self, cp, stamp) -> list[Record]:
-        links = self.proximity.process(cp.fix)
-        self.totals["links"] += len(links)
-        self.totals["proximity_links"] += len(links)
-        return [Record(link.t, link, link.source_id, stamp) for link in links]
-
     def run(self, fixes) -> RealtimeReport:
+        routed = [[] for _ in self.replicas]
+        for fix in fixes:
+            routed[shard_index(fix.entity_id, len(routed))].append(fix)
+        for replica, sub_stream in zip(self.replicas, routed):
+            replica.run(sub_stream)
+        drained = [replica.drain() for replica in self.replicas]
         if self.sharded:
-            routed = [[] for _ in self.replicas]
-            for fix in fixes:
-                routed[shard_index(fix.entity_id, len(routed))].append(fix)
-            for replica, sub_stream in zip(self.replicas, routed):
-                replica.run(sub_stream)
-            drained = [replica.drain() for replica in self.replicas]
-            merged = {topic: merge_shard_outputs([d[topic] for d in drained]) for topic in ALL_TOPICS}
-            points = [record.value for record in merged[TOPIC_SYNOPSES]]
-            for record in merged[TOPIC_SYNOPSES]:
-                merged[TOPIC_LINKS] += self._global_point(record.value, record.ingest_wall_s)
-            for topic, records in merged.items():
-                for record in records:
+            for topic in ALL_TOPICS:
+                for record in merge_shard_outputs([d[topic] for d in drained]):
                     self.broker.topic(topic).publish(record)
-        else:
-            points = self.replicas[0].run(fixes, on_point=self._global_point)
-        turns = list(turn_event_stream(points))
+        # The global half, one for both compositions.
+        synopses = merge_shard_outputs([d[TOPIC_SYNOPSES] for d in drained])
+        for record in synopses:
+            for link in self.proximity.process(record.value.fix):
+                self.totals["links"] += 1
+                self.totals["proximity_links"] += 1
+                self.broker.topic(TOPIC_LINKS).publish(Record(link.t, link, link.source_id, record.ingest_wall_s))
+        turns = list(turn_event_stream([record.value for record in synopses]))
         if self.cep is not None and turns:
             found = self.cep.run(turns)
             self.totals["cep_detections"] += len(found.detections)

@@ -17,12 +17,10 @@ After every poll, every cell must
   counts among them;
 
 and the cells must agree with each other (:func:`assert_cells_agree`)
-where the oracle cannot see: it merges shard outputs with the layer's
-own ``merge_shard_outputs``, so a broken merge would pass it. Plain and
-sharded cells differ only in what the order contract lets them — the
-plain layer feeds the global stages (proximity, CEP) in arrival order,
-the sharded ones in ``(t, key)`` order — and that exclusion lives in
-one place: the oracle's sharded branch.
+where the oracle cannot see: it merges shard outputs and orders the
+global half's input with the layer's own ``merge_shard_outputs``, so a
+broken merge would pass it. Every composition feeds the global stages
+one order, so every cell's report is plain's.
 """
 
 from collections import Counter
@@ -171,7 +169,8 @@ def assert_conserves(layer):
 def assert_cells_agree(cells, built, texts):
     """What the cells of one draw must say of each other after the same
     polls (``built``: the operator names each registered when built;
-    ``texts``: their partitions). Topics are compared
+    ``texts``: their partitions): every report is plain's, and plain's
+    counters are inline ``n_shards=1``'s. Sharded topics are compared
     without ingest stamps: a shard whose share of a poll is empty stamps
     none of the points it flushes, and the oracle checks where stamps
     are. The merge orders every clock, NaN included, so raw topics are
@@ -189,14 +188,9 @@ def assert_cells_agree(cells, built, texts):
             counters.pop(f"op.{stage}.batches", None)
         return counters
 
-    def entity_counts(layer):
-        """What the per-entity stages counted: key-local, so any order."""
-        r = layer.report
-        return r.raw_fixes, r.clean_fixes, r.critical_points, r.area_events, r.links - r.proximity_links, r.quality
-
     plain = cells["plain"]
     for layer in cells.values():
-        assert entity_counts(layer) == entity_counts(plain)
+        assert repr(layer.report) == repr(plain.report)
     sharded = {name: layer for name, layer in cells.items() if isinstance(layer, ShardedRealtimeLayer)}
     # A sharded cell's operator names are those it registered when built
     # and, as the fold registers a merged name when it first counts, those
@@ -204,6 +198,8 @@ def assert_cells_agree(cells, built, texts):
     counted = {name for name, n in plain.metrics.counters("op.").items() if n}
     inline = {layer.n_shards: name for name, layer in sharded.items() if not layer.use_worker_pool}
     single, want = own_counters(cells[inline[1]]), topics(inline[1])
+    counted_by_plain = {name: n for name, n in own_counters(plain).items() if n}
+    assert {name: single.get(name) for name in counted_by_plain} == counted_by_plain
     for name, layer in sharded.items():
         assert layer.metrics.counters("op.").keys() == built[name] | counted
         assert topics(name) == want
@@ -329,6 +325,27 @@ class TestEquivalenceMatrix:
                 for layer in cells.values():
                     report = layer.report
                     assert report.links > report.proximity_links > 0 and report.cep_detections > 0
+
+
+class TestOneGlobalOrder:
+    def test_a_flush_point_older_than_the_polls_last_point_keeps_its_links(self):
+        """``mid`` cruises 5 reports beside ``mid2``, which cruises 20 and
+        turns at its 15th, in one poll with a 60 s proximity window: taken
+        in arrival order, ``mid2``'s turn would evict ``mid2``'s start point
+        before ``mid``'s flush-tail end point, 40 s after it, could link
+        to it. Every composition orders the points by ``(t, key)`` first
+        and finds both links."""
+        reports = [("mid", "cruise", 1)] * 5 + [("mid2", "cruise", 1)] * 14 + [("mid2", "turn", 2)]
+        cfg = replace(SMALL, proximity_time_s=60.0)
+        fixes = planted_stream(reports + [("mid2", "cruise", 1)] * 5, cfg.synopses, CROWD)
+        want = PerFixLayer(cfg).run(fixes)
+        assert want.proximity_links == 2
+        with ExitStack() as stack:
+            for name, fields in COMPOSITIONS.items():
+                layer = stack.enter_context(
+                    (ShardedRealtimeLayer if fields else RealtimeLayer)(replace(cfg, **fields))
+                )
+                assert repr(layer.run(fixes)) == repr(want), name
 
 
 class TestNoPerFixObservation:

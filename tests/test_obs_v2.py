@@ -271,7 +271,7 @@ class TestHealthMonitor:
         assert metrics == {"broker.lag.*", "realtime.error_rate"}
 
 
-class TestHistogramEmptyReservoir:
+class TestEmptyHistogram:
     """An empty histogram's statistics are NaN, not a fake 0.0."""
 
     def test_quantiles_nan_when_empty(self):
@@ -346,7 +346,7 @@ def _run_trees(layer):
     return trees
 
 
-class TestTracerSampling:
+class TestRunTraceShape:
     """Satellite: the per-run shape of the lineage tracer — one ``run``
     root per ``run()`` call, one child per region the run reached."""
 
@@ -360,7 +360,7 @@ class TestTracerSampling:
         "route", "shards", "fold", "merge", "dashboard", "proximity", "cep", "publish", "health",
     ]
 
-    def test_sample_every_record(self):
+    def test_a_whole_stream_is_one_root_with_one_child_per_region(self):
         """The trace does not scale with fixes: a whole stream is one root
         and one child per region, whose attrs are the stage's exact counts."""
         layer, report = _run_realtime()
@@ -378,9 +378,9 @@ class TestTracerSampling:
         }
         assert sum(c.duration_s for c in children) <= root.duration_s
 
-    def test_sampling_disabled(self):
-        """There is no sampling knob left to turn off; what bounds the
-        trace is ``Tracer.max_spans``, and the layer runs on past it."""
+    def test_max_spans_bounds_the_trace_and_the_probes_lose_nothing(self):
+        """What bounds the trace is ``Tracer.max_spans``, and the layer
+        runs on past it."""
         from repro.core import RealtimeLayer, SystemConfig
         from repro.datasources import AISConfig, AISSimulator
 
@@ -401,7 +401,7 @@ class TestTracerSampling:
         ),
         n_polls=st.integers(min_value=1, max_value=4),
     )
-    def test_every_sampled_record_yields_one_finished_root(self, offsets, n_polls):
+    def test_every_run_yields_one_finished_root(self, offsets, n_polls):
         """Even with regressing timestamps (records the pipeline drops)
         and empty polls, every run yields exactly one finished root whose
         children are finished, in stage order, and sum to no more than it."""
@@ -434,8 +434,11 @@ class TestTracerSampling:
         ``realtime.wall_s`` and that to the wall around the calls; each
         region's probe counts the polls that reached it; a sharded poll is
         one trace, every replica's ``run`` hung under that poll's
-        ``shards`` span and adding up the same way; and the fold writes
-        no gauge of the layer's own."""
+        ``shards`` span, an in-process replica's adding up the same way;
+        and the fold writes no gauge of the layer's own. A pooled
+        replica's regions are only bounded by its root: between two of
+        them its worker process may be descheduled, which measures the
+        OS scheduler, not the code."""
         from repro.core import RealtimeLayer, ShardedRealtimeLayer
         from tests.test_core_per_fix_oracle import CFG, symbols, tier1
 
@@ -484,7 +487,9 @@ class TestTracerSampling:
             assert [(span.name, span.tags["shard"]) for span in hung] == [("run", i) for i in range(layer.n_shards)]
             assert {span.trace_id for span in hung} == {root.trace_id}
             replicas += hung
-        assert 0.95 <= covered(replicas) <= 1.0
+        assert covered(replicas) <= 1.0
+        if not fields.get("worker_pool"):
+            assert covered(replicas) >= 0.95
 
 
 class TestBatchInstrumentation:

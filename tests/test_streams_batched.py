@@ -4,12 +4,15 @@ The batched fast path ``Topic.publish_many`` promises *bit-identical
 semantics* to per-record ``publish``: same logs, same offsets, same stats
 counters. ``Consumer.poll`` is held to a model of its scan. These
 hypothesis properties pin both against randomized workloads —
-keyed/keyless mixes, retention trims, time-ordered and shuffled logs.
+keyed/keyless mixes, retention trims, time-ordered and shuffled logs,
+and the clocks a raw topic carries: NaN and ±inf among the numbers.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.streams import Consumer, Record, Topic
@@ -19,7 +22,8 @@ KEYS = [None, "a", "b", "vessel-42"]
 #: (t, value, key) triples lifted into records.
 record_lists = st.lists(
     st.tuples(
-        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+        | st.sampled_from([math.nan, math.inf, -math.inf]),
         st.integers(-1000, 1000),
         st.sampled_from(KEYS),
     ),
@@ -64,6 +68,11 @@ def _topic_stats(topic):
     return (s.records_in, s.dropped)
 
 
+def clock(t: float) -> tuple:
+    """The model's clock order: numbers by value, ±inf included, NaN last."""
+    return (1, 0.0) if math.isnan(t) else (0, t)
+
+
 class TestPollOrdering:
     @given(
         records=record_lists,
@@ -72,16 +81,21 @@ class TestPollOrdering:
         time_ordered=st.booleans(),
     )
     @settings(max_examples=100)
+    # one key on two partitions, published at t = 5, NaN, 3: delivered 3, 5, NaN
+    @example(
+        records=[Record(5.0, 0, "a"), Record(math.nan, 1, "a"), Record(3.0, 2, "a")],
+        partitions=2, poll_size=None, time_ordered=False,
+    )
     def test_each_batch_is_the_stable_time_offset_sort_of_its_slices(
         self, records, partitions, poll_size, time_ordered
     ):
         """Against a model of the scan: each poll takes, from a start
         partition that rotates past the one a ``max_messages`` cap ran out
         on, what each partition has left up to the budget; the batch is
-        those slices, in scan order, stably sorted by ``(t, offset)``; and
-        every record is delivered exactly once."""
+        those slices, in scan order, stably sorted by ``(t, offset)`` with
+        NaN clocks last; and every record is delivered exactly once."""
         if time_ordered:
-            records = sorted(records, key=lambda r: r.t)
+            records = sorted(records, key=lambda r: clock(r.t))
         topic = Topic("t", partitions=partitions)
         topic.publish_many(records)
         consumer = Consumer(topic, "g")
@@ -96,7 +110,7 @@ class TestPollOrdering:
                 if take:
                     first = topic.end_offsets()[part] - lags[part]
                     _, fetched = topic.read_records(part, first, take)
-                    slices += [(r.t, first + k, r) for k, r in enumerate(fetched)]
+                    slices += [(clock(r.t), first + k, r) for k, r in enumerate(fetched)]
                     if budget is not None:
                         budget -= take
                         if budget == 0:
