@@ -20,7 +20,7 @@ from .geometry import GeoPoint, LocalProjection, haversine_m
 from .units import normalize_heading
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PositionFix:
     """A single surveillance report for one moving entity.
 
@@ -28,6 +28,15 @@ class PositionFix:
     degrees, ``vrate`` is vertical rate in m/s (0 for vessels). Any of the
     kinematic fields may be missing from a raw feed, in which case they are
     derived from consecutive fixes by :meth:`Trajectory.with_derived_motion`.
+
+    Immutable by contract: a fix is shared by reference across topics,
+    shards and stages, so nothing assigns to it once built (derive a copy
+    with :meth:`annotated` or ``dataclasses.replace``);
+    ``tests/test_core_integration.py::test_stream_values_are_written_once``
+    holds every composition to it. Not ``frozen``: a frozen ``__init__``
+    sets each field through ``object.__setattr__``, several times the
+    cost of a plain slots one, paid on every fix of every poll. Nothing
+    hashes a fix, so it is unhashable.
     """
 
     entity_id: str
@@ -42,7 +51,8 @@ class PositionFix:
     annotations: dict = field(default_factory=dict, compare=False)
 
     def __reduce__(self):
-        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        # Positional pickle: about 2x faster than the slots default
+        # (``__getstate__``/``__setstate__`` walk the slots per object).
         return (
             type(self),
             (

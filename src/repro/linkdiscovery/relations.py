@@ -21,9 +21,17 @@ WITHIN = "dul:within"
 NEAR_TO = "geosparql:nearTo"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Link:
-    """A discovered relation between two entities at a point in time."""
+    """A discovered relation between two entities at a point in time.
+
+    Immutable by contract: a link is published once and read by every
+    consumer of the links topic, so nothing assigns to it once built;
+    ``tests/test_core_integration.py::test_stream_values_are_written_once``
+    holds every composition to it. Not ``frozen``: a frozen ``__init__``
+    costs several times a plain slots one, paid on every link of every
+    poll. Nothing hashes a link, so it is unhashable.
+    """
 
     source_id: str       # the moving entity / critical point id
     target_id: str       # the region / port / other moving entity id
@@ -32,7 +40,8 @@ class Link:
     distance_m: float = 0.0
 
     def __reduce__(self):
-        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        # Positional pickle: about 2x faster than the slots default
+        # (``__getstate__``/``__setstate__`` walk the slots per object).
         return (
             type(self),
             (self.source_id, self.target_id, self.relation, self.t, self.distance_m),

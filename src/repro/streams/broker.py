@@ -15,6 +15,7 @@ batched read is one list slice.
 
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -230,8 +231,15 @@ class Broker:
         return len(self.topic(topic_name).publish_many(records))
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _stable_hash(key: str) -> int:
-    """A deterministic string hash (Python's builtin hash is salted per process)."""
+    """A deterministic string hash (Python's builtin hash is salted per process).
+
+    Memoized: every publish and every shard route hashes the same few
+    entity ids again, and the pure-Python loop costs more than a cache
+    hit. Bounded at 65 536 keys, so an unbounded key space costs a fixed
+    amount of memory and only re-hashes what fell out.
+    """
     h = 2166136261
     for ch in key.encode("utf-8"):
         h = (h ^ ch) * 16777619 % (1 << 32)

@@ -16,7 +16,7 @@ from typing import Any, Generic, Iterable, Iterator, TypeVar
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Record(Generic[T]):
     """A keyed, event-time-stamped stream element.
 
@@ -27,6 +27,15 @@ class Record(Generic[T]):
     finally consumed — including after a cross-process shard merge. It
     does not participate in equality: two records carrying the same data
     are the same record regardless of when they were ingested.
+
+    Immutable by contract: one record object sits in several topics (a
+    clean record *is* its raw record) and in every consumer's read, so
+    nothing assigns to it once built;
+    ``tests/test_core_integration.py::test_stream_values_are_written_once``
+    holds every composition to it. Not ``frozen``: a frozen ``__init__``
+    sets each field through ``object.__setattr__``, several times the cost
+    of a plain slots one, paid on every record of every poll. Nothing
+    hashes a record, so it is unhashable.
     """
 
     t: float
@@ -35,9 +44,9 @@ class Record(Generic[T]):
     ingest_wall_s: float | None = field(default=None, compare=False)
 
     def __reduce__(self):
-        # Positional pickle: the generated __getstate__/__setstate__ of a
-        # frozen+slots dataclass walks fields() in pure Python per object,
-        # which dominated every IPC frame that ships records by value.
+        # Positional pickle: the slots default (__getstate__/__setstate__
+        # over the slots, per object) takes about 2x as long to dump and to
+        # load, and records travel by value in every pooled reply frame.
         return (type(self), (self.t, self.value, self.key, self.ingest_wall_s))
 
 

@@ -63,16 +63,25 @@ _MIN_MEAN_SPEED_MS = 0.1
 _NO_COURSE_DEG = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CriticalPoint:
-    """One synopsis node: a fix judged critical, with its type and context."""
+    """One synopsis node: a fix judged critical, with its type and context.
+
+    Immutable by contract: a point is published once and read by link
+    discovery, proximity, CEP and the dashboard, so nothing assigns to it
+    once built; ``tests/test_core_integration.py::test_stream_values_are_written_once``
+    holds every composition to it. Not ``frozen``: a frozen ``__init__``
+    costs several times a plain slots one, paid on every point of every
+    poll. Nothing hashes a point, so it is unhashable.
+    """
 
     fix: PositionFix
     kind: str
     detail: dict = field(default_factory=dict, compare=False)
 
     def __reduce__(self):
-        # Positional pickle: skips the generated __getstate__'s per-object fields() walk.
+        # Positional pickle: about 2x faster than the slots default
+        # (``__getstate__``/``__setstate__`` walk the slots per object).
         return (type(self), (self.fix, self.kind, self.detail))
 
     @property

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import pytest
@@ -19,11 +20,16 @@ from repro.core import (
     TOPIC_SYNOPSES,
 )
 from repro.datasources import AISConfig, AISSimulator, fishing_vessel_stream
-from repro.cep import symbol_sequence, turn_event_stream
+from repro.cep import TURN_ALPHABET, symbol_sequence, turn_event_stream
+from repro.geo import PositionFix
 from repro.kgstore import STConstraint, star
+from repro.linkdiscovery import Link
 from repro.rdf import A, VOC, var
 from repro.rdf.rdfizers import synopses_rdfizer
-from repro.synopses import SynopsesGenerator
+from repro.streams import Record
+from repro.synopses import CriticalPoint, SynopsesGenerator
+
+from tests.conftest import COMPOSITIONS
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +252,53 @@ class TestBatchReport:
         assert report.triples == len(batch.store) == len(batch.graph)
         assert batch.registry.histogram("batch.ingest_latency_s").count == 2
         assert "batch.synopsis_points" not in realtime.metrics.counters()
+
+
+#: The stream value types: immutable by contract, not by ``frozen``.
+STREAM_VALUES = (PositionFix, Record, CriticalPoint, Link)
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+def test_stream_values_are_written_once(composition, monkeypatch):
+    """No stage assigns to a fix, record, critical point or link it did
+    not just build. A write-once guard on their ``__setattr__`` /
+    ``__delattr__`` lets a field be set only while its slot is unset,
+    then every composition runs the tier-1 fleet (one hour, CEP trained)
+    through :class:`DatacronSystem` (which deploys ``n_shards=1`` as the
+    plain layer): three polls, then one ingest. The pooled workers fork
+    after the patch, so they run guarded too; a guarded write there
+    comes back as a ``ShardWorkerError``."""
+    built = Counter()
+
+    def guard(cls):
+        def __setattr__(self, name, value):
+            if hasattr(self, name):
+                raise FrozenInstanceError(f"cannot assign to field {name!r} of a {cls.__name__}")
+            built[cls] += 1
+            object.__setattr__(self, name, value)
+
+        def __delattr__(self, name):
+            raise FrozenInstanceError(f"cannot delete field {name!r} of a {cls.__name__}")
+
+        monkeypatch.setattr(cls, "__setattr__", __setattr__)
+        monkeypatch.setattr(cls, "__delattr__", __delattr__)
+
+    for cls in STREAM_VALUES:
+        guard(cls)
+    fix = PositionFix("vessel", 0.0, 1.0, 2.0)
+    with pytest.raises(FrozenInstanceError):
+        fix.t = 1.0
+    with pytest.raises(FrozenInstanceError):
+        del fix.annotations
+
+    config = SystemConfig(
+        n_regions=20, n_ports=8, seed=11, proximity_space_m=500_000.0, proximity_time_s=3600.0,
+        **COMPOSITIONS[composition],
+    )
+    fixes = list(AISSimulator(n_vessels=10, seed=5).fixes(0.0, 3600.0))
+    with DatacronSystem(config, cep_training_symbols=list(TURN_ALPHABET) * 5) as system:
+        for i in range(3):
+            system.realtime.run(fixes[len(fixes) * i // 3 : len(fixes) * (i + 1) // 3])
+        assert system.batch.ingest_from_broker().synopsis_points > 0
+    # Each type was built under the guard in this process.
+    assert all(built[cls] for cls in STREAM_VALUES), built
