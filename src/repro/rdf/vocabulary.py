@@ -14,7 +14,7 @@ from .terms import IRI
 
 
 class Namespace:
-    """A convenience IRI factory: ``ns.term`` and ``ns['term']``."""
+    """A convenience IRI factory: ``ns.term``."""
 
     def __init__(self, base: str):
         self._base = base
@@ -26,9 +26,6 @@ class Namespace:
     def __getattr__(self, name: str) -> IRI:
         if name.startswith("_"):
             raise AttributeError(name)
-        return IRI(self._base + name)
-
-    def __getitem__(self, name: str) -> IRI:
         return IRI(self._base + name)
 
     def __repr__(self) -> str:

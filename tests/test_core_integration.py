@@ -24,7 +24,7 @@ from repro.cep import TURN_ALPHABET, symbol_sequence, turn_event_stream
 from repro.geo import PositionFix
 from repro.kgstore import STConstraint, star
 from repro.linkdiscovery import Link
-from repro.rdf import A, VOC, var
+from repro.rdf import A, BlankNode, IRI, Literal, Triple, VOC, var
 from repro.rdf.rdfizers import synopses_rdfizer
 from repro.streams import Record
 from repro.synopses import CriticalPoint, SynopsesGenerator
@@ -254,14 +254,15 @@ class TestBatchReport:
         assert "batch.synopsis_points" not in realtime.metrics.counters()
 
 
-#: The stream value types: immutable by contract, not by ``frozen``.
+#: The stream value types and the RDF terms: immutable by contract, not by ``frozen``.
 STREAM_VALUES = (PositionFix, Record, CriticalPoint, Link)
+RDF_TERMS = (IRI, Literal, BlankNode, Triple)
 
 
 @pytest.mark.parametrize("composition", COMPOSITIONS)
 def test_stream_values_are_written_once(composition, monkeypatch):
-    """No stage assigns to a fix, record, critical point or link it did
-    not just build. A write-once guard on their ``__setattr__`` /
+    """No stage assigns to a fix, record, critical point, link, RDF term or
+    triple it did not just build. A write-once guard on their ``__setattr__`` /
     ``__delattr__`` lets a field be set only while its slot is unset,
     then every composition runs the tier-1 fleet (one hour, CEP trained)
     through :class:`DatacronSystem` (which deploys ``n_shards=1`` as the
@@ -283,13 +284,16 @@ def test_stream_values_are_written_once(composition, monkeypatch):
         monkeypatch.setattr(cls, "__setattr__", __setattr__)
         monkeypatch.setattr(cls, "__delattr__", __delattr__)
 
-    for cls in STREAM_VALUES:
+    for cls in STREAM_VALUES + RDF_TERMS:
         guard(cls)
     fix = PositionFix("vessel", 0.0, 1.0, 2.0)
     with pytest.raises(FrozenInstanceError):
         fix.t = 1.0
     with pytest.raises(FrozenInstanceError):
         del fix.annotations
+    blank = BlankNode("b1")
+    with pytest.raises(FrozenInstanceError):
+        Triple(blank, A, VOC.Trajectory).o = blank
 
     config = SystemConfig(
         n_regions=20, n_ports=8, seed=11, proximity_space_m=500_000.0, proximity_time_s=3600.0,
@@ -300,5 +304,6 @@ def test_stream_values_are_written_once(composition, monkeypatch):
         for i in range(3):
             system.realtime.run(fixes[len(fixes) * i // 3 : len(fixes) * (i + 1) // 3])
         assert system.batch.ingest_from_broker().synopsis_points > 0
-    # Each type was built under the guard in this process.
-    assert all(built[cls] for cls in STREAM_VALUES), built
+    # Each type was built under the guard in this process (the blank node
+    # only above: the ingest builds none).
+    assert all(built[cls] for cls in STREAM_VALUES + RDF_TERMS), built

@@ -4,22 +4,22 @@
 import pytest
 
 from repro.geo import BBox, EquiGrid
-from repro.rdf import GraphTemplate, IRI, Literal, TriplePattern, fn, var
+from repro.rdf import GraphTemplate, IRI, Literal, TriplePattern, var
 from repro.synopses import CriticalPoint, SynopsesGenerator
 from repro.geo import PositionFix
 
 
-class TestTemplatesFn:
-    def test_fn_coerces_return_value(self):
+class TestTemplateCallables:
+    def test_a_callable_nodes_value_is_coerced(self):
         template = GraphTemplate(patterns=[
-            TriplePattern(var("s"), IRI("http://x/p"), fn(lambda env: env["n"] * 2)),
+            TriplePattern(var("s"), IRI("http://x/p"), lambda env: env["n"] * 2),
         ])
         triples = template.instantiate({"s": IRI("http://x/a"), "n": 21})
         assert triples[0].o == Literal.of(42)
 
-    def test_fn_passes_through_terms(self):
+    def test_a_callable_node_may_return_a_term(self):
         template = GraphTemplate(patterns=[
-            TriplePattern(var("s"), IRI("http://x/p"), fn(lambda env: IRI("http://x/o"))),
+            TriplePattern(var("s"), IRI("http://x/p"), lambda env: IRI("http://x/o")),
         ])
         triples = template.instantiate({"s": IRI("http://x/a")})
         assert triples[0].o == IRI("http://x/o")

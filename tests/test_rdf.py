@@ -1,17 +1,37 @@
 """Tests for the RDF substrate: terms, graph, templates, rdfizers."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasources import generate_ports, generate_regions
 from repro.geo import PositionFix
-from repro.rdf import A, Graph, GraphTemplate, IRI, Literal, TemplateError, Triple, TriplePattern, VOC, Variable, entity_iri, port_rdfizer, region_rdfizer, synopses_rdfizer, var
-from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN
+from repro.rdf import (
+    A, BlankNode, Graph, GraphTemplate, IRI, Literal, TemplateError, Triple, TriplePattern, VOC, Variable,
+    entity_iri, port_rdfizer, region_rdfizer, synopses_rdfizer, var,
+)
+from repro.rdf.rdfizers import (
+    critical_point_record,
+    fix_record,
+    port_record,
+    port_template,
+    raw_position_template,
+    region_record,
+    region_template,
+    semantic_node_template,
+)
+from repro.rdf.terms import WKT_LITERAL, XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN, XSD_STRING
 from repro.synopses import CriticalPoint
+
+from tests.oracles import graph_template as reference
 
 
 EX = "http://example.org/"
@@ -38,12 +58,112 @@ class TestTerms:
         ]
         assert float(Literal.of(-math.inf).value) == -math.inf
 
+    def test_literal_of_numpy_scalars_is_typed_like_python(self):
+        assert Literal.of(np.int64(3)) == Literal.of(3) == Literal("3", XSD_INTEGER)
+        assert Literal.of(np.uint8(7)) == Literal("7", XSD_INTEGER)
+        assert Literal.of(np.bool_(True)) == Literal.of(True) == Literal("true", XSD_BOOLEAN)
+        assert Literal.of(np.bool_(False)) == Literal("false", XSD_BOOLEAN)
+        assert Literal.of(np.float32(0.5)) == Literal.of(0.5) == Literal("0.5", XSD_DOUBLE)
+        assert Literal.of(np.float32("-inf")) == Literal("-INF", XSD_DOUBLE)
+        assert Literal.of(np.str_("turn")) == Literal("turn", XSD_STRING)
+
     def test_triple_str(self):
         t = Triple(iri("s"), iri("p"), Literal.of("x"))
         assert str(t).endswith(" .")
 
     def test_variable_str(self):
         assert str(Variable("x")) == "?x"
+
+
+texts = st.text(max_size=8)
+iris = st.builds(IRI, texts)
+datatypes = st.sampled_from([XSD_STRING, XSD_DOUBLE, XSD_INTEGER, WKT_LITERAL]) | texts
+literals = st.builds(Literal, texts, datatypes)
+blank_nodes = st.builds(BlankNode, texts)
+ground_terms = st.one_of(iris, literals, blank_nodes)
+triples = st.builds(Triple, st.one_of(iris, blank_nodes), iris, ground_terms)
+
+
+@dataclass(frozen=True)
+class FrozenIRI:
+    value: str
+
+
+@dataclass(frozen=True)
+class FrozenLiteral:
+    value: str
+    datatype: str
+
+
+@dataclass(frozen=True)
+class FrozenBlankNode:
+    label: str
+
+
+@dataclass(frozen=True)
+class FrozenTriple:
+    s: object
+    p: object
+    o: object
+
+
+def frozen(x):
+    """The term as the frozen dataclass it used to be."""
+    if isinstance(x, Triple):
+        return FrozenTriple(frozen(x.s), frozen(x.p), frozen(x.o))
+    if isinstance(x, Literal):
+        return FrozenLiteral(x.value, x.datatype)
+    return FrozenIRI(x.value) if isinstance(x, IRI) else FrozenBlankNode(x.label)
+
+
+_UNPICKLE_UNDER_ANOTHER_SEED = """
+import pickle, sys
+from repro.rdf import IRI, BlankNode, Literal, Triple
+
+def rebuilt(x):
+    if isinstance(x, Triple):
+        return Triple(rebuilt(x.s), rebuilt(x.p), rebuilt(x.o))
+    if isinstance(x, Literal):
+        return Literal(x.value, x.datatype)
+    return IRI(x.value) if isinstance(x, IRI) else BlankNode(x.label)
+
+index, items = pickle.load(sys.stdin.buffer)
+print(hash("probe"))
+for i, item in enumerate(items):
+    fresh = rebuilt(item)
+    assert hash(item) == hash(fresh), item
+    assert index[fresh] == index[item] == i, item
+print("ok")
+"""
+
+
+class TestTermHashAndPickle:
+    """Each term and triple hashes once, at construction, to what the frozen
+    dataclass computed on every probe (so every set and dict of them
+    iterates as before), and hashes again on load in another process."""
+
+    @given(ground_terms | triples)
+    def test_hash_is_the_frozen_dataclass_hash(self, x):
+        assert hash(x) == hash(frozen(x))
+
+    @given(ground_terms | triples)
+    def test_pickle_round_trip_is_equal_and_hashes_alike(self, x):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and type(back) is type(x)
+        assert hash(back) == hash(x)
+        assert {back: 1}[x] == 1
+
+    @given(st.lists(ground_terms | triples, min_size=1, max_size=20, unique=True))
+    @settings(max_examples=4, deadline=None)
+    def test_unpickled_under_another_hash_seed_it_finds_its_dict_entry(self, items):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        index = {item: i for i, item in enumerate(items)}
+        out = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_UNDER_ANOTHER_SEED], input=pickle.dumps((index, items)),
+            env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, check=True, timeout=120,
+        ).stdout.decode().split()
+        assert out[1] == "ok"
+        assert int(out[0]) != hash("probe")   # the child hashes strings differently
 
 
 def graph_of(triples) -> Graph:
@@ -187,6 +307,93 @@ class TestTemplates:
         ])
         triples = template.instantiate({"s": iri("a"), "x": 21})
         assert triples[0].o == Literal.of(42)
+
+
+    def test_blank_node_binds_like_any_term(self):
+        template = GraphTemplate(patterns=[
+            TriplePattern(var("s"), A, IRI(EX + "T")),
+            TriplePattern(iri("x"), IRI(EX + "knows"), var("s")),
+        ])
+        b1 = BlankNode("b1")
+        assert template.instantiate({"s": b1}) == [
+            Triple(b1, A, IRI(EX + "T")), Triple(iri("x"), IRI(EX + "knows"), b1),
+        ]
+
+    def test_numpy_scalars_bind_as_typed_literals(self):
+        template = GraphTemplate(patterns=[TriplePattern(var("s"), IRI(EX + "n"), var("n"))])
+        cases = ((np.int64(3), Literal("3", XSD_INTEGER)), (np.bool_(False), Literal("false", XSD_BOOLEAN)))
+        for value, want in cases:
+            assert template.instantiate({"s": iri("a"), "n": value}) == [Triple(iri("a"), IRI(EX + "n"), want)]
+
+
+NAMES = ("a", "b", "c")
+#: Callable template nodes and generators: pure functions of the bindings.
+NODE_FUNCTIONS = (
+    lambda env: env.get("a"),
+    lambda env: env.get("b"),
+    lambda env: IRI(f"{EX}n/{len(env)}"),
+    lambda env: env["c"],
+    lambda env: Literal.of(sorted(env)[0]) if env else None,
+)
+GENERATORS = (
+    lambda env: env.get("a"),
+    lambda env: IRI(f"{EX}g/{env.get('b')}"),
+    lambda env: None,
+    lambda env: len(env),
+    lambda env: BlankNode(f"g{len(env)}"),
+)
+raw_values = st.one_of(
+    st.text(max_size=3), st.integers(-3, 3), st.floats(), st.booleans(),
+    st.builds(np.int64, st.integers(-3, 3)),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.bool_, st.booleans()),
+)
+bound_values = st.one_of(ground_terms, raw_values, st.sampled_from([None, [1], Variable("a")]))
+records = st.fixed_dictionaries({}, optional={name: bound_values for name in NAMES})
+variables = st.sampled_from(NAMES).map(var)
+nodes = st.one_of(ground_terms, variables, st.sampled_from(NODE_FUNCTIONS))
+# Mostly well-formed rows, so that many templates get past their first one.
+predicates = st.integers(0, 3).flatmap(lambda k: iris if k else nodes)
+patterns = st.builds(
+    TriplePattern, st.one_of(iris, blank_nodes, variables, nodes), predicates, nodes, st.booleans(),
+)
+templates = st.builds(
+    GraphTemplate,
+    st.lists(patterns, min_size=1, max_size=5),
+    st.lists(st.tuples(st.sampled_from(NAMES + ("g",)), st.sampled_from(GENERATORS)), max_size=3),
+)
+
+
+def outcome(instantiate, *args):
+    """The triples, or the exception's type and message."""
+    try:
+        return instantiate(*args)
+    except Exception as exc:   # both sides must fail alike
+        return type(exc), str(exc)
+
+
+class TestCompiledTemplate:
+    """``GraphTemplate.instantiate`` against the node-by-node interpreter of
+    ``tests/oracles/graph_template.py``."""
+
+    @given(templates, records)
+    @settings(max_examples=300, deadline=None)
+    def test_the_compiled_template_instantiates_like_the_interpreter(self, template, record):
+        assert outcome(template.instantiate, record) == outcome(reference.instantiate, template, record)
+
+    def test_the_rdfizer_templates_instantiate_like_the_interpreter(self):
+        fixes = [
+            PositionFix("v1", 0.0, 5.0, 40.0, speed=4.0, heading=90.0),
+            PositionFix("v2", 60.0, -5.5, 41.25, alt=np.float64(3.0), heading=None),
+            PositionFix("v3", math.nan, 5.0, 40.0, speed=np.float32(2.5)),
+        ]
+        cases = [(semantic_node_template(), critical_point_record(CriticalPoint(f, "turn"))) for f in fixes]
+        cases += [(raw_position_template(), fix_record(f)) for f in fixes]
+        cases += [(region_template(), region_record(r)) for r in generate_regions(3, seed=1)]
+        cases += [(port_template(), port_record(p)) for p in generate_ports(3, seed=2)]
+        for template, record in cases:
+            got = template.instantiate(record)
+            assert got == reference.instantiate(template, record) != []
 
 
 def make_cp(t=0.0, kind="turn", eid="v1"):
