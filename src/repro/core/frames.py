@@ -28,8 +28,8 @@ poll, and its clean topic is the raw records of the rows cleaning kept
 every fix twice more. Instead the reply carries what the parent cannot
 know:
 
-* ``ingest_wall_s`` — the one stamp of the poll (``None`` when it was
-  empty);
+* ``ingest_wall_s`` — the one stamp of the poll, which every derived
+  record carries too (``None`` when it was empty, and derived nothing);
 * ``clean_rows`` — the request row of each clean record, as the cleaning
   stage returned them;
 
@@ -37,8 +37,9 @@ and the parent rebuilds both topics around its *own* ``PositionFix``
 objects, in the order the replica published them.
 
 Synopses, links and events are *derived* records (about a tenth of the
-volume): their values were built inside the worker — a critical point
-may even wrap a fix from an earlier request — so they travel by value,
+volume): their values were built inside the worker — a ``gap_start``,
+``stop_start``, ``slow_start`` or ``takeoff`` point may even wrap a fix
+from an earlier request — so they travel by value,
 through the positional ``__reduce__`` of ``Record`` / ``PositionFix`` /
 ``CriticalPoint`` / ``Link``, about twice as fast as the slots default.
 So does the per-run delta harvest, the one copy of the shard's counts

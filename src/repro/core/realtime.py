@@ -275,12 +275,11 @@ class GlobalStages:
             return [], []
         span = trace.start("proximity")
         found = self.proximity.process_many([cp.fix for cp in points])
-        # Enriched now, all of them. Flush-tail points of a run that
-        # ingested nothing carry no stamp.
+        # Enriched now, all of them: every point is found at a fix of its
+        # own poll (an idle entity is not ended again), so all are stamped.
         enriched = wall_clock()
         for record in synopses:
-            if record.ingest_wall_s is not None:
-                self._e2e_latency.observe(enriched - record.ingest_wall_s)
+            self._e2e_latency.observe(enriched - record.ingest_wall_s)
         links = [
             Record(link.t, link, link.source_id, record.ingest_wall_s)
             for record, point_links in zip(synopses, found)
@@ -402,7 +401,7 @@ class EntityStages(Figure2Plane):
         fixes = fixes if isinstance(fixes, list) else list(fixes)
         # Record provenance: the wall-clock instant the poll was handed
         # over, one stamp for every record derived from it (None on an
-        # empty run, whose flush-tail points come from earlier polls).
+        # empty run, which derives none).
         stamp = wall_clock() if fixes else None
         quality = QualityReport()
         raw: list[Record] = []
@@ -430,8 +429,9 @@ class EntityStages(Figure2Plane):
             # Low-level area events.
             span = trace.start("area_events")
             trace.done(span, len(clean), len(self.area_detector.process_many(clean, columns)))
-        # Synopses. Trailing points surface when the stream closes, which
-        # is every call — so this stage runs, and is observed, on every call.
+        # Synopses. Every call closes the stream: each entity with a fix
+        # since its last ``end`` point gets one, so this stage runs, and is
+        # observed, on every call, and emits nothing on an idle one.
         span = trace.start("synopses")
         points = self.synopses.process_many(clean, columns)
         points += self.synopses.flush()

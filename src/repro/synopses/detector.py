@@ -110,6 +110,7 @@ class _EntityState:
     in_slow: bool = False
     last_emit: dict = field(default_factory=dict)  # kind -> t of last emission
     was_airborne: bool | None = None
+    ended: PositionFix | None = None   # the fix the last ``end`` point wraps
 
 
 class SynopsesGenerator:
@@ -288,11 +289,13 @@ class SynopsesGenerator:
             yield from self.process(fix)
 
     def flush(self) -> list[CriticalPoint]:
-        """Emit the trailing ``end`` point of every live trajectory."""
+        """Emit the trailing ``end`` point of every trajectory that has had
+        a fix since its last one: an idle entity is not ended again."""
         out: list[CriticalPoint] = []
         for state in self._states.values():
-            if state.last_fix is not None:
+            if state.last_fix is not state.ended:
                 out.append(CriticalPoint(state.last_fix, "end"))
+                state.ended = state.last_fix
         self.points_out += len(out)
         return out
 

@@ -18,8 +18,8 @@ Both run one global half: each poll's critical points in ``(t, key)``
 order through proximity and CEP, the poll's proximity links behind its
 region and port links.
 
-Ingest stamps are not wall time here: ``0.0`` where the layer stamps a
-record, ``None`` where it does not (flush-tail points of an empty run).
+Ingest stamps are not wall time here: ``0.0`` on every record, as the
+layer stamps every record a poll derives (an empty poll derives none).
 Counts are tallied here, independently of any registry, and handed over
 as a :class:`RealtimeReport` whose ``quality.flagged`` lists the issues
 in ``ALL_ISSUES`` order, as the layer's report does.
@@ -76,12 +76,10 @@ class PerFixEntityStages:
             topic(name).publish(record)
             self.published[name].append(record)
 
-        stamp = None
+        stamp = 0.0
 
         def raw_stream():
-            nonlocal stamp
             for fix in fixes:
-                stamp = 0.0
                 counts["raw_fixes"] += 1
                 publish(TOPIC_RAW, Record(fix.t, fix, fix.entity_id, stamp))
                 yield fix

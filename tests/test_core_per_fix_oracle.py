@@ -24,7 +24,7 @@ one order, so every cell's report is plain's.
 """
 
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -139,8 +139,8 @@ def assert_conserves(layer):
     assert counts == tuple(topic(name).size() for name in names)
     synopses = topic(TOPIC_SYNOPSES)
     synopses = [record for p in range(synopses.partitions) for record in synopses.read_records(p, 0)[1]]
-    stamped = sum(record.ingest_wall_s is not None for record in synopses)
-    assert layer.metrics.histogram("e2e.record_latency_s").count == stamped
+    # Every point is found at a fix of its own poll, so every one is stamped.
+    assert layer.metrics.histogram("e2e.record_latency_s").count == report.critical_points
     # The one dashboard, fed by the global half: every clean fix, every
     # critical point, every CEP detection as an alert, and as events the
     # alerts and the points of the kinds it lists.
@@ -170,14 +170,10 @@ def assert_cells_agree(cells, built, texts):
     """What the cells of one draw must say of each other after the same
     polls (``built``: the operator names each registered when built;
     ``texts``: their partitions): every report is plain's, and plain's
-    counters are inline ``n_shards=1``'s. Sharded topics are compared
-    without ingest stamps: a shard whose share of a poll is empty stamps
-    none of the points it flushes, and the oracle checks where stamps
-    are. The merge orders every clock, NaN included, so raw topics are
-    compared record for record on every draw."""
-
-    def topics(name):
-        return {key: [record[:3] for record in records] for key, records in texts[name].items()}
+    counters are inline ``n_shards=1``'s. Every point is found at a fix
+    of its own poll and carries its stamp, and the merge orders every
+    clock, NaN included, so sharded topics are compared record for record
+    on every draw."""
 
     def own_counters(layer):
         """The counters outside the ``shard.<i>.`` families, but for the
@@ -197,12 +193,12 @@ def assert_cells_agree(cells, built, texts):
     # plain has counted: entity-stage counts are key-local.
     counted = {name for name, n in plain.metrics.counters("op.").items() if n}
     inline = {layer.n_shards: name for name, layer in sharded.items() if not layer.use_worker_pool}
-    single, want = own_counters(cells[inline[1]]), topics(inline[1])
+    single, want = own_counters(cells[inline[1]]), texts[inline[1]]
     counted_by_plain = {name: n for name, n in own_counters(plain).items() if n}
     assert {name: single.get(name) for name in counted_by_plain} == counted_by_plain
     for name, layer in sharded.items():
         assert layer.metrics.counters("op.").keys() == built[name] | counted
-        assert topics(name) == want
+        assert texts[name] == want
         if layer.use_worker_pool:
             assert layer.metrics.counters() == cells[inline[layer.n_shards]].metrics.counters()
         else:
@@ -277,7 +273,7 @@ class TestEquivalenceMatrix:
     @example(stream=TIER1, cuts=(), lazy=False)
     @example(stream=TIER1, cuts=evenly(3), lazy=False)
     @example(stream=TIER1, cuts=evenly(17), lazy=False)
-    # empty polls before any fix, and after some (flush tails only)
+    # empty polls before any fix, and after some: no flush tail at all
     @example(stream=verbatim(_CRUISE), cuts=(0, 1, 1), lazy=False)
     # a poll cleaning drops whole, between two it does not
     @example(stream=verbatim(_CRUISE[:200] + [("mid", "off_range", 0)] * 50 + _CRUISE[200:]),
@@ -286,8 +282,8 @@ class TestEquivalenceMatrix:
     @example(stream=verbatim([("mid", "cruise", 1), ("mid", "turn", 2)] * 60), cuts=evenly(3), lazy=False)
     # NaN and ±inf clocks, on both sides of the column crossover
     @example(stream=Planted(2 * _COLUMNS_MIN_ROWS, _BAD_CLOCKS), cuts=evenly(2), lazy=False)
-    # an entity whose last fix came in an earlier poll: its flush-tail
-    # point travels by value in a reply that carries none of its fixes
+    # an entity whose last fix came in an earlier poll: it is not ended
+    # again, so the replies that carry none of its fixes carry no point of it
     @example(stream=verbatim(_CRUISE[:100] + [r for r in _CRUISE[100:] if r[0] != "eq"]),
              cuts=(Fraction(100, 260),), lazy=False)
     def test_every_composition_agrees_after_every_poll(self, stream, cuts, lazy):
@@ -346,6 +342,65 @@ class TestOneGlobalOrder:
                     (ShardedRealtimeLayer if fields else RealtimeLayer)(replace(cfg, **fields))
                 )
                 assert repr(layer.run(fixes)) == repr(want), name
+
+
+#: Every composition, and the per-fix oracle of both kinds.
+EVERY_LAYER = [*COMPOSITIONS, "per-fix", "per-fix n_shards=3"]
+
+
+def build(name, cfg):
+    if name.startswith("per-fix"):
+        return nullcontext(PerFixLayer(cfg, 3 if name.endswith("3") else None))
+    fields = COMPOSITIONS[name]
+    return (ShardedRealtimeLayer if fields else RealtimeLayer)(replace(cfg, **fields))
+
+
+def published(broker, name, seen):
+    """The records of topic ``name`` published since ``seen`` (partition ->
+    offset, advanced here)."""
+    topic, out = broker.topic(name), []
+    for partition in range(topic.partitions):
+        records = topic.read_records(partition, seen.get((name, partition), 0))[1]
+        seen[name, partition] = seen.get((name, partition), 0) + len(records)
+        out += records
+    return out
+
+
+class TestOneEndPerTrajectory:
+    """A poll boundary does not end a trajectory: an entity with no fix in
+    a poll gets no point in it, ``end`` included."""
+
+    @pytest.mark.parametrize("name", EVERY_LAYER)
+    def test_every_point_of_a_poll_wraps_one_of_its_clean_fixes(self, name):
+        """``eq`` goes idle after the first poll, ``mid`` and ``mid2``
+        after the second; nothing they did is published again."""
+        first = _CRUISE[:100]
+        second = [r for r in _CRUISE[100:180] if r[0] != "eq"]
+        third = [r for r in _CRUISE[180:] if r[0] in ("am", "np")]
+        fixes = verbatim(first + second + third).fixes()
+        polls = chunks(fixes, [len(first), len(first) + len(second)])
+        seen = {}
+        with build(name, SMALL) as layer:
+            for poll in polls:
+                layer.run(poll)
+                clean = {(record.key, record.t) for record in published(layer.broker, TOPIC_CLEAN, seen)}
+                points = [record.value for record in published(layer.broker, TOPIC_SYNOPSES, seen)]
+                assert {cp.entity_id for cp in points if cp.kind == "end"} == {key for key, _ in clean}
+                assert [cp for cp in points if (cp.entity_id, cp.t) not in clean] == []
+
+    @pytest.mark.parametrize("name", EVERY_LAYER)
+    def test_idle_neighbours_are_linked_in_their_own_poll_only(self, name):
+        """``mid`` and ``mid2`` cruise side by side in the first poll; the
+        later polls carry only ``eq``, thousands of kilometres away."""
+        pair = [(eid, "cruise", 1) for _ in range(10) for eid in ("mid", "mid2")]
+        far = [("eq", "cruise", 1)] * 10
+        fixes = verbatim(pair + far * 3).fixes()
+        with build(name, SMALL) as layer:
+            linked = layer.run(fixes[: len(pair)]).proximity_links
+            assert linked > 0
+            for k in range(3):
+                start = len(pair) + k * len(far)
+                assert layer.run(fixes[start : start + len(far)]).proximity_links == linked
 
 
 class TestNoPerFixObservation:

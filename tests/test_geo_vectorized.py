@@ -385,8 +385,9 @@ class TestDiscovererEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_proximity_process_many_is_the_process_loop(self, points, time_ordered, cuts):
-        # Out of order is how the plain layer feeds each run's flush-tail
-        # points; a 300-s scope over 3 000 s of fixes evicts either way.
+        # Out of order is how the layer feeds proximity across polls: each
+        # poll's points are sorted, but a poll may reach back behind the
+        # last one's; a 300-s scope over 3 000 s of fixes evicts either way.
         fixes = [PositionFix(f"e{k}", t, lon, lat) for k, t, lon, lat in points]
         if time_ordered:
             fixes.sort(key=lambda fix: fix.t)

@@ -57,6 +57,31 @@ class TestBoundaries:
         assert len(out) <= 4
         assert gen.compression_ratio() > 0.98
 
+    def test_an_entity_is_ended_once_per_fix_it_had_since_its_last_end(self):
+        """``flush`` ends only the trajectories that moved since their last
+        ``end``: an idle entity, or one whose only new fix the noise filter
+        or a non-finite clock dropped, is not ended again."""
+        gen = SynopsesGenerator()
+        a, b = straight_cruise(5, eid="a"), straight_cruise(8, eid="b", lat=41.0)
+        emitted = list(gen.process_stream(a + b[:4]))
+        ends = gen.flush()
+        assert [(cp.kind, cp.fix) for cp in ends] == [("end", a[-1]), ("end", b[3])]
+        emitted += ends
+        emitted += gen.process_stream(b[4:])
+        ends = gen.flush()
+        assert [(cp.kind, cp.fix) for cp in ends] == [("end", b[-1])]
+        emitted += ends
+        assert gen.flush() == []
+        # 1° of longitude in 10 s: far above max_speed_ms.
+        teleport = make_fix(a[-1].t + 10.0, a[-1].lon + 1.0, a[-1].lat, speed=8.0, heading=90.0, eid="a")
+        adrift = make_fix(math.nan, a[-1].lon, a[-1].lat, eid="a")
+        assert gen.process(teleport) == [] and gen.process(adrift) == []
+        assert gen.noise_dropped == 2
+        assert gen.flush() == []
+        assert gen.points_out == len(emitted) == 5
+        assert gen.points_in == len(a) + len(b) + 2
+        assert gen.compression_ratio() == 1.0 - len(emitted) / gen.points_in
+
 
 class TestStops:
     def test_stop_start_and_end(self):
