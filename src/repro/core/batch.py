@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 from ..geo import BBox
 from ..kgstore import KGStore, STConstraint, star
-from ..obs import MetricsRegistry, instrument_consumer
+from ..obs import MetricsRegistry, OperatorProbe, Tracer, instrument_consumer
 from ..rdf import A, Graph, VOC, var
 from ..rdf.rdfizers import synopses_rdfizer
 from ..streams import Broker
 from ..synopses import CriticalPoint
 
 from .config import SystemConfig, TOPIC_SYNOPSES
+from .realtime import _traced
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,13 @@ class BatchLayer:
     """RDF lifting, persistent storage and star-query analytics.
 
     Instrumented on ``registry``, or on a registry of its own when none
-    is given.
+    is given. The tracer is the ingest's only clock: each
+    :meth:`ingest_from_broker` is one ``ingest`` root span whose
+    children are its regions, each with an ``op.<name>.*`` probe, and
+    ``batch.wall_s`` is the sum of the roots.
     """
+
+    _PROBED = ("drain", "rdfize", "dedup", "load")
 
     def __init__(
         self,
@@ -58,8 +64,11 @@ class BatchLayer:
         # the committed offsets, and their lag is observable as gauges.
         self._synopses_consumer = broker.consumer(TOPIC_SYNOPSES, group="batch")
         self.registry = registry = registry or MetricsRegistry()
+        self.tracer = Tracer()
         instrument_consumer(self._synopses_consumer, registry)
         self._synopsis_points = registry.counter("batch.synopsis_points")
+        self._probes = {name: OperatorProbe(registry, name) for name in self._PROBED}
+        self._wall = registry.gauge("batch.wall_s")
         self.store = KGStore(
             config.bbox,
             t_origin=t_origin,
@@ -79,25 +88,35 @@ class BatchLayer:
         return BatchReport(self._synopsis_points.value, len(store), store.anchored_subjects)
 
     def ingest_from_broker(self) -> BatchReport:
-        """Drain the synopses topic (batch consumer group) into the KG store."""
+        """Drain the synopses topic (batch consumer group) into the KG store.
+
+        The regions run one after another: ``drain`` the topic, ``rdfize``
+        the points, ``dedup`` the triples against the graph, ``load`` the
+        new ones. With nothing to drain, only ``drain`` runs.
+        """
         consumer = self._synopses_consumer
-        registry = self.registry
         points: list[CriticalPoint] = []
-        with registry.time("batch.ingest_latency_s"):
-            while True:
-                records = consumer.poll(max_messages=10_000)
-                if not records:
-                    break
+        with _traced(self.tracer, "ingest", self._probes, self._wall) as trace:
+            span = trace.start("drain")
+            while records := consumer.poll(max_messages=10_000):
                 points.extend(r.value for r in records)
+            trace.done(span, len(points), len(points))
             if points:
                 # Only the triples new to the graph go to the store, in
                 # rdfizer order: each load appends its delta to the batch view.
-                with registry.time("batch.rdfize_latency_s"):
-                    add = self.graph.add
-                    triples = [t for t in synopses_rdfizer(points).triples() if add(t)]
+                span = trace.start("rdfize")
+                produced = list(synopses_rdfizer(points).triples())
+                trace.done(span, len(points), len(produced))
+                span = trace.start("dedup")
+                add = self.graph.add
+                triples = [t for t in produced if add(t)]
+                trace.done(span, len(produced), len(triples))
+                del produced  # the duplicates are freed before the load, not after it
+                span = trace.start("load")
                 self.store.load(triples)
+                trace.done(span, len(triples), len(triples))
         self._synopsis_points.inc(len(points))
-        registry.counter("batch.ingests").inc()
+        self.registry.counter("batch.ingests").inc()
         return self.report
 
     def nodes_in_range(self, bbox: BBox, t_min: float, t_max: float) -> list[dict]:

@@ -23,7 +23,7 @@ through their own consumer groups).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from time import time as wall_clock
 from typing import Any, Iterable, Iterator, Sequence
@@ -47,6 +47,7 @@ from ..linkdiscovery import (
 )
 from ..obs import (
     EventLog,
+    Gauge,
     HealthMonitor,
     MetricsRegistry,
     OperatorProbe,
@@ -130,14 +131,14 @@ def report_from(metrics: MetricsRegistry, prefix: str = "") -> RealtimeReport:
 
 
 class _Trace:
-    """One poll on its owner's clock: a ``run`` root span and one finished
-    child per region the poll crossed, tagged with its records in and out."""
+    """One call on its owner's clock: a root span and one finished child
+    per region the call crossed, tagged with its records in and out."""
 
     __slots__ = ("tracer", "root", "finished")
 
-    def __init__(self, tracer: Tracer):
+    def __init__(self, tracer: Tracer, name: str):
         self.tracer = tracer
-        self.root = tracer.start_trace("run")
+        self.root = tracer.start_trace(name)
         self.finished: list[Span] = []
 
     def start(self, name: str) -> Span:
@@ -146,6 +147,22 @@ class _Trace:
     def done(self, span: Span, n_in: int, n_out: int) -> None:
         span.tags["n_in"], span.tags["n_out"] = n_in, n_out
         self.finished.append(self.tracer.finish(span))
+
+
+@contextmanager
+def _traced(tracer: Tracer, name: str, probes: dict[str, OperatorProbe], wall: Gauge) -> Iterator[_Trace]:
+    """One call's trace, a ``name`` root on ``tracer``. Every root's
+    duration adds to ``wall``; once the root is closed, each region with
+    a probe in ``probes`` is observed, once, unless the call raised."""
+    trace = _Trace(tracer, name)
+    try:
+        yield trace
+    finally:
+        wall.set(wall.value() + tracer.finish(trace.root).duration_s)
+    for span in trace.finished:
+        probe = probes.get(span.name)
+        if probe is not None:
+            probe.observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
 
 
 class Figure2Plane:
@@ -173,20 +190,9 @@ class Figure2Plane:
         self._probes = {name: OperatorProbe(self.metrics, name) for name in self._PROBED}
         self._wall = self.metrics.gauge("realtime.wall_s")
 
-    @contextmanager
-    def _poll(self) -> Iterator[_Trace]:
-        """One ``run()``'s trace. Every root's duration adds to
-        ``realtime.wall_s``; once the root is closed, each probed region
-        is observed, once, unless the poll raised."""
-        trace = _Trace(self.tracer)
-        try:
-            yield trace
-        finally:
-            self._wall.set(self._wall.value() + self.tracer.finish(trace.root).duration_s)
-        for span in trace.finished:
-            probe = self._probes.get(span.name)
-            if probe is not None:
-                probe.observe(span.tags["n_out"], span.duration_s, n_in=span.tags["n_in"])
+    def _poll(self) -> AbstractContextManager[_Trace]:
+        """One ``run()``'s trace: a ``run`` root adding to ``realtime.wall_s``."""
+        return _traced(self.tracer, "run", self._probes, self._wall)
 
     def _publish(self, topics: dict[str, list[Record]]) -> int:
         """One ``publish_many`` per topic; how many records went out."""

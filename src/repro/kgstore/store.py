@@ -112,7 +112,6 @@ class KGStore:
         point plus its ``timestamp``) may arrive across batches; a term
         minted before its anchor was complete is moved into its cell then.
         """
-        start = time.perf_counter()
         batch = list(triples)
         anchors = self._anchors_of(batch)
         # A re-cell rewrites stored ids: the layout is rebuilt, batch included.
@@ -149,7 +148,6 @@ class KGStore:
         if self.registry is not None:
             self.registry.counter("kg.triples_loaded").inc(len(batch))
             self.registry.counter("kg.loads").inc()
-            self.registry.histogram("kg.load_latency_s").observe(time.perf_counter() - start)
             self.registry.gauge("kg.triples_stored").set(len(self))
             self.registry.gauge("kg.anchored_subjects").set(self.anchored_subjects)
         return report

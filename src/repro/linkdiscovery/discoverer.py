@@ -3,13 +3,13 @@
 Reproduces the E4 experiment (Section 4.2.4): discovering
 ``dul:within`` relations to a static set of regions and
 ``geosparql:nearTo`` relations to ports for a stream of critical
-points, with and without
-cell masks, measuring throughput in entities (points) per second.
+points, with and without cell masks. The bench
+(``benchmarks/bench_link_discovery.py``) times the calls and reports
+throughput in entities (points) per second.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,17 +26,13 @@ from .relations import Link, NEAR_TO, WITHIN, point_near_port, point_within_regi
 
 @dataclass
 class DiscoveryResult:
-    """Links found plus the performance counters the paper reports."""
+    """Links found, with the counts the paper reports beside them; a caller
+    that wants entities/s times :meth:`discover` itself."""
 
     links: list[Link]
     entities_processed: int
-    wall_seconds: float
     refinements: int
     mask_pruned: int = 0
-
-    @property
-    def throughput_entities_s(self) -> float:
-        return self.entities_processed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def count(self, relation: str) -> int:
         return sum(1 for link in self.links if link.relation == relation)
@@ -65,14 +61,13 @@ class _DiscoveryCounters:
         self.links.inc(links)
 
 
-def _discover(discoverer, fixes: Iterable[PositionFix]) -> tuple[list[Link], int, float, int]:
-    """``links_many`` over a bounded batch, flattened and timed:
-    (links, entities, wall seconds, refinements)."""
-    start = time.perf_counter()
+def _discover(discoverer, fixes: Iterable[PositionFix]) -> tuple[list[Link], int, int]:
+    """``links_many`` over a bounded batch, flattened: (links, entities,
+    refinements)."""
     fixes = list(fixes)
     found, refinements = discoverer.links_many(fixes, [f.lon for f in fixes], [f.lat for f in fixes])
     links = [link for links in found for link in links]
-    return links, len(fixes), time.perf_counter() - start, refinements
+    return links, len(fixes), refinements
 
 
 class RegionLinkDiscoverer:
@@ -148,17 +143,16 @@ class RegionLinkDiscoverer:
         return found, refinements
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """:meth:`links_many` over a bounded point batch, flattened, measuring
-        throughput.
+        """:meth:`links_many` over a bounded point batch, flattened.
 
         ``mask_pruned`` reports this run's prunes only: the mask stats
         are snapshotted at entry, so consecutive ``discover()`` calls on
         one discoverer no longer inflate each other's counts.
         """
         pruned_before = self.masks.stats.pruned if self.masks is not None else 0
-        links, n, elapsed, refinements = _discover(self, fixes)
+        links, n, refinements = _discover(self, fixes)
         pruned = self.masks.stats.pruned - pruned_before if self.masks is not None else 0
-        return DiscoveryResult(links, n, elapsed, refinements, mask_pruned=pruned)
+        return DiscoveryResult(links, n, refinements, mask_pruned=pruned)
 
 
 class PortLinkDiscoverer:
@@ -225,7 +219,5 @@ class PortLinkDiscoverer:
         return found, refinements
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """:meth:`links_many` over a bounded point batch, flattened,
-        measuring throughput."""
-        links, n, elapsed, refinements = _discover(self, fixes)
-        return DiscoveryResult(links, n, elapsed, refinements)
+        """:meth:`links_many` over a bounded point batch, flattened."""
+        return DiscoveryResult(*_discover(self, fixes))

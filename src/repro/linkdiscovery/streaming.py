@@ -12,7 +12,6 @@ precursor of the maritime scenario).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -114,14 +113,12 @@ class MovingProximityDiscoverer:
         return found
 
     def discover(self, fixes: Iterable[PositionFix]) -> DiscoveryResult:
-        """:meth:`process_many` over a bounded stream, flattened, measuring
-        throughput; ``refinements`` are this call's comparisons only."""
+        """:meth:`process_many` over a bounded stream, flattened;
+        ``refinements`` are this call's comparisons only."""
         comparisons_before = self.stats.comparisons
-        start = time.perf_counter()
         fixes = list(fixes)
         links = [link for found in self.process_many(fixes) for link in found]
-        elapsed = time.perf_counter() - start
-        return DiscoveryResult(links, len(fixes), elapsed, refinements=self.stats.comparisons - comparisons_before)
+        return DiscoveryResult(links, len(fixes), refinements=self.stats.comparisons - comparisons_before)
 
     def live_entries(self) -> int:
         """How many fixes are currently retained in the grid."""

@@ -20,10 +20,8 @@ so snapshots are reproducible run to run by construction.
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from .harvest import HistogramSnapshot
@@ -189,8 +187,7 @@ class MetricsRegistry:
     Get-or-create accessors keep call sites one-liners::
 
         registry.counter("stage.clean.records").inc()
-        with registry.time("op.synopses.latency_s"):
-            ...
+        registry.histogram("op.synopses.latency_s").observe(seconds)
     """
 
     def __init__(self):
@@ -226,16 +223,6 @@ class MetricsRegistry:
         if h is None:
             h = self._histograms[name] = Histogram(name)
         return h
-
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        """Time a block into the named latency histogram (seconds)."""
-        hist = self.histogram(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            hist.observe(time.perf_counter() - start)
 
     # -- introspection -----------------------------------------------------------
 

@@ -4,15 +4,14 @@ One ``RDFGenerator`` pairs a record stream with a graph template. This
 module provides the record adapters — each turns one source object into
 the field mapping a template binds — and the templates for every datAcron
 source used downstream: trajectory synopses (semantic nodes), raw AIS
-fixes, regions and ports. Throughput counters support the E3 experiment
-(Section 4.2.3 reports ~10,500 records/s and notes geometry-heavy sources
-run slower).
+fixes, regions and ports. A generator keeps no clock: E3 (Section 4.2.3
+reports ~10,500 records/s and notes geometry-heavy sources run slower)
+times ``list(generator.triples())``, which is the batch layer's
+``rdfize`` region.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..datasources.ports import Port
@@ -26,41 +25,17 @@ from .terms import Literal, Triple
 from .vocabulary import A, VOC, entity_iri, node_iri
 
 
-@dataclass
-class GeneratorStats:
-    """Throughput accounting of one RDF generator run."""
-
-    records: int = 0
-    triples: int = 0
-    wall_seconds: float = 0.0
-
-    @property
-    def records_per_second(self) -> float:
-        return self.records / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def triples_per_record(self) -> float:
-        return self.triples / self.records if self.records else 0.0
-
-
 class RDFGenerator:
-    """records -> template -> triples, with throughput accounting."""
+    """records -> template -> triples."""
 
-    def __init__(self, records: Iterable[Mapping[str, Any]], template: GraphTemplate, name: str = "rdfizer"):
+    def __init__(self, records: Iterable[Mapping[str, Any]], template: GraphTemplate):
         self.records = records
         self.template = template
-        self.name = name
-        self.stats = GeneratorStats()
 
     def triples(self) -> Iterator[Triple]:
         """Generate all triples of the record stream."""
-        start = time.perf_counter()
         for record in self.records:
-            produced = self.template.instantiate(record)
-            self.stats.records += 1
-            self.stats.triples += len(produced)
-            yield from produced
-        self.stats.wall_seconds += time.perf_counter() - start
+            yield from self.template.instantiate(record)
 
 
 # -- record adapters ----------------------------------------------------------
@@ -196,16 +171,16 @@ def port_template() -> GraphTemplate:
 
 def synopses_rdfizer(points: Iterable[CriticalPoint]) -> RDFGenerator:
     """RDF generator over a critical-point stream."""
-    return RDFGenerator(map(critical_point_record, points), semantic_node_template(), name="synopses")
+    return RDFGenerator(map(critical_point_record, points), semantic_node_template())
 
 
 def raw_fix_rdfizer(fixes: Iterable[PositionFix]) -> RDFGenerator:
-    return RDFGenerator(map(fix_record, fixes), raw_position_template(), name="raw_positions")
+    return RDFGenerator(map(fix_record, fixes), raw_position_template())
 
 
 def region_rdfizer(regions: Iterable[Region]) -> RDFGenerator:
-    return RDFGenerator(map(region_record, regions), region_template(), name="regions")
+    return RDFGenerator(map(region_record, regions), region_template())
 
 
 def port_rdfizer(ports: Iterable[Port]) -> RDFGenerator:
-    return RDFGenerator(map(port_record, ports), port_template(), name="ports")
+    return RDFGenerator(map(port_record, ports), port_template())

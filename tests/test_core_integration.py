@@ -250,8 +250,68 @@ class TestBatchReport:
         assert report == batch.report
         assert report.synopsis_points == batch.registry.counters()["batch.synopsis_points"] == points > 0
         assert report.triples == len(batch.store) == len(batch.graph)
-        assert batch.registry.histogram("batch.ingest_latency_s").count == 2
+        assert batch.registry.counters()["op.load.batches"] == 2
+        assert batch.registry.gauges()["batch.wall_s"] > 0.0
         assert "batch.synopsis_points" not in realtime.metrics.counters()
+
+
+class TestIngestTrace:
+    """Each ingest is one ``ingest`` root on the batch layer's own tracer,
+    its regions in order and probed, and ``batch.wall_s`` their sum."""
+
+    REGIONS = ["drain", "rdfize", "dedup", "load"]
+
+    @pytest.fixture(scope="class")
+    def ingests(self):
+        """Two ingests with points to drain, then one with none: per call,
+        the points it could drain and the deltas of the counters and store."""
+        system = DatacronSystem(SystemConfig(n_regions=10, n_ports=5, seed=3))
+        batch, topic = system.batch, system.realtime.broker.topic(TOPIC_SYNOPSES)
+        # Large enough that each ingest takes milliseconds, so a scheduler
+        # hiccup between two regions stays far below 5 % of its root.
+        fixes = list(AISSimulator(n_vessels=24, seed=2).fixes(0.0, 7200.0))
+        calls = []
+        for chunk in (fixes[: len(fixes) // 2], fixes[len(fixes) // 2 :], []):
+            counters, points, stored = batch.registry.counters(), topic.size(), len(batch.store)
+            system.run(chunk)
+            after = batch.registry.counters()
+            delta = {name: n - counters.get(name, 0) for name, n in after.items()}
+            calls.append((topic.size() - points, delta, len(batch.store) - stored))
+        return batch, calls
+
+    def test_each_call_is_one_root_with_its_regions_in_order(self, ingests):
+        batch, calls = ingests
+        spans = batch.tracer.spans()
+        roots = [span for span in spans if span.parent_id is None]
+        assert [root.name for root in roots] == ["ingest"] * len(calls)
+        assert [points > 0 for points, _, _ in calls] == [True, True, False]
+        for root, (points, _, _) in zip(roots, calls):
+            regions = [span.name for span in spans if span.parent_id == root.span_id]
+            assert regions == (self.REGIONS if points else ["drain"])
+
+    def test_regions_cover_each_root_and_the_roots_are_the_wall(self, ingests):
+        batch, calls = ingests
+        spans = batch.tracer.spans()
+        roots = [span for span in spans if span.parent_id is None]
+        covered = [sum(s.duration_s for s in spans if s.parent_id == root.span_id) for root in roots]
+        for root, seconds, (points, _, _) in zip(roots, covered, calls):
+            assert seconds <= root.duration_s
+            if points:
+                assert seconds >= 0.95 * root.duration_s
+        wall = batch.registry.gauge("batch.wall_s").value()
+        assert wall == pytest.approx(sum(root.duration_s for root in roots), rel=1e-12)
+
+    def test_region_counts_chain_into_the_store(self, ingests):
+        _, calls = ingests
+        for points, delta, stored in calls:
+            assert delta["op.drain.batches"] == 1 and delta["op.drain.records_out"] == points
+            if not points:
+                assert delta.get("op.rdfize.batches", 0) == delta.get("op.load.batches", 0) == 0
+                assert delta.get("kg.triples_loaded", 0) == stored == 0
+                continue
+            assert delta["op.rdfize.records_in"] == points
+            assert delta["op.rdfize.records_out"] == delta["op.dedup.records_in"] > delta["op.dedup.records_out"]
+            assert delta["op.dedup.records_out"] == delta["op.load.records_in"] == delta["kg.triples_loaded"] == stored
 
 
 #: The stream value types and the RDF terms: immutable by contract, not by ``frozen``.

@@ -327,7 +327,7 @@ def per_point_discover(discoverer, fixes) -> DiscoveryResult:
         links += found
         refinements += r
     pruned = masks.stats.pruned if masks is not None else 0
-    return DiscoveryResult(links, len(fixes), 0.0, refinements, mask_pruned=pruned)
+    return DiscoveryResult(links, len(fixes), refinements, mask_pruned=pruned)
 
 
 class TestDiscovererEquivalence:
