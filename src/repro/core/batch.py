@@ -105,7 +105,7 @@ class BatchLayer:
                 # Only the triples new to the graph go to the store, in
                 # rdfizer order: each load appends its delta to the batch view.
                 span = trace.start("rdfize")
-                produced = list(synopses_rdfizer(points).triples())
+                produced = synopses_rdfizer(points).triples()
                 trace.done(span, len(points), len(produced))
                 span = trace.start("dedup")
                 add = self.graph.add

@@ -36,7 +36,9 @@ a reply, and only ``repro.core`` calls the two functions above.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 from .events import EventLog
@@ -113,8 +115,9 @@ class ObsHarvest:
         Counters subtract exactly. Gauges are levels and stay current.
         Histograms subtract count, sum and bucket counts, keeping only the
         buckets that grew; min/max stay cumulative. Events keep only
-        sequence numbers past ``prev``'s; spans are the append-only
-        suffix; wall seconds subtract.
+        sequence numbers past ``prev``'s; spans keep only span ids past
+        ``prev``'s (the tracer may have evicted old traces since); wall
+        seconds subtract.
         """
         if prev is None:
             return self
@@ -141,13 +144,14 @@ class ObsHarvest:
                 {key: n - old.get(key, 0) for key, n in cur.buckets.items() if n > old.get(key, 0)},
             )
         last_seq = max((int(e["seq"]) for e in prev.events), default=-1)
+        last_span = prev.spans[-1].span_id if prev.spans else -1   # spans come in span-id order
         return ObsHarvest(
             shard=self.shard,
             metrics=MetricsSnapshot(
                 counters=counters, gauges=dict(self.metrics.gauges), histograms=histograms
             ),
             events=tuple(e for e in self.events if int(e["seq"]) > last_seq),
-            spans=self.spans[len(prev.spans):],
+            spans=self.spans[bisect_right(self.spans, last_span, key=attrgetter("span_id")):],
             wall_seconds=max(0.0, self.wall_seconds - prev.wall_seconds),
             setup_seconds=max(0.0, self.setup_seconds - prev.setup_seconds),
         )

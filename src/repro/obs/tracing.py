@@ -42,9 +42,11 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock or time.perf_counter
-        #: Spans kept at most; later ones are counted in ``dropped_spans``.
+        #: Spans kept at most: past it the oldest whole traces are evicted
+        #: (a trace that alone fills it keeps its first), into ``dropped_spans``.
         self.max_spans = 100_000
-        self._spans: list[Span] = []
+        self._spans: dict[int, Span] = {}          # span id -> span, in creation order
+        self._traces: dict[int, list[Span]] = {}   # trace id -> its spans, oldest trace first
         self._next_span_id = 0
         self._next_trace_id = 0
         self.dropped_spans = 0
@@ -76,18 +78,28 @@ class Tracer:
             tags=dict(tags),
         )
         self._next_span_id += 1
-        if len(self._spans) < self.max_spans:
-            self._spans.append(span)
-        else:
-            self.dropped_spans += 1
+        self._keep(span)
         return span
+
+    def _keep(self, span: Span) -> None:
+        """Store ``span``, evicting the oldest traces other than its own to make room."""
+        while len(self._spans) >= self.max_spans:
+            oldest = next((trace_id for trace_id in self._traces if trace_id != span.trace_id), None)
+            if oldest is None:   # its own trace fills the tracer: the span goes
+                self.dropped_spans += 1
+                return
+            for evicted in self._traces.pop(oldest):
+                del self._spans[evicted.span_id]
+                self.dropped_spans += 1
+        self._spans[span.span_id] = span
+        self._traces.setdefault(span.trace_id, []).append(span)
 
     def absorb(
         self,
         spans: list[Span],
         parent: Span | None = None,
         tags: dict[str, Any] | None = None,
-    ) -> list[Span]:
+    ) -> None:
         """Re-home foreign spans (e.g. harvested from a shard worker).
 
         Every absorbed span gets a fresh span id from this tracer's
@@ -103,7 +115,6 @@ class Tracer:
         """
         id_map: dict[int, int] = {}
         trace_map: dict[int, int] = {}
-        absorbed: list[Span] = []
         for sp in spans:
             trace_id = parent.trace_id if parent is not None else trace_map.get(sp.trace_id)
             if trace_id is None:
@@ -126,28 +137,20 @@ class Tracer:
             )
             id_map[sp.span_id] = new.span_id
             self._next_span_id += 1
-            if len(self._spans) < self.max_spans:
-                self._spans.append(new)
-                absorbed.append(new)
-            else:
-                self.dropped_spans += 1
-        return absorbed
+            self._keep(new)
 
     # -- querying ----------------------------------------------------------------
 
     def spans(self) -> list[Span]:
-        return list(self._spans)
+        return list(self._spans.values())
 
     def traces(self) -> list[int]:
         """Trace ids in first-seen order."""
-        seen: dict[int, None] = {}
-        for sp in self._spans:
-            seen.setdefault(sp.trace_id, None)
-        return list(seen)
+        return list(self._traces)
 
     def trace(self, trace_id: int) -> list[Span]:
         """All spans of one trace, in creation order."""
-        return [sp for sp in self._spans if sp.trace_id == trace_id]
+        return list(self._traces.get(trace_id, ()))
 
     def lineage(self, trace_id: int) -> str:
         """Render one trace as an indented stage tree with timings."""

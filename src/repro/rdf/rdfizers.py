@@ -1,18 +1,19 @@
 """RDFizers: per-source instantiations of the generic RDF generation method.
 
-One ``RDFGenerator`` pairs a record stream with a graph template. This
-module provides the record adapters — each turns one source object into
-the field mapping a template binds — and the templates for every datAcron
-source used downstream: trajectory synopses (semantic nodes), raw AIS
-fixes, regions and ports. A generator keeps no clock: E3 (Section 4.2.3
-reports ~10,500 records/s and notes geometry-heavy sources run slower)
-times ``list(generator.triples())``, which is the batch layer's
-``rdfize`` region.
+One ``RDFGenerator`` pairs a record stream with a graph template and
+instantiates the stream as one batch. This module provides the record
+adapters — each turns one source object into the field mapping a
+template binds — and the templates for every datAcron source used
+downstream: trajectory synopses (semantic nodes), raw AIS fixes, regions
+and ports; their IRIs of an entity id are minted once per entity and
+batch. A generator keeps no clock: E3 (Section 4.2.3 reports ~10,500
+records/s and notes geometry-heavy sources run slower) times
+``generator.triples()``, which is the batch layer's ``rdfize`` region.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..datasources.ports import Port
 from ..datasources.regions import Region
@@ -32,10 +33,9 @@ class RDFGenerator:
         self.records = records
         self.template = template
 
-    def triples(self) -> Iterator[Triple]:
-        """Generate all triples of the record stream."""
-        for record in self.records:
-            yield from self.template.instantiate(record)
+    def triples(self) -> list[Triple]:
+        """All triples of the record stream, instantiated as one batch."""
+        return self.template.instantiate_all(list(self.records))
 
 
 # -- record adapters ----------------------------------------------------------
@@ -98,10 +98,10 @@ def semantic_node_template() -> GraphTemplate:
     """
     return GraphTemplate(
         generators=[
-            ("node", lambda env: node_iri(env["entity_id"], env["t"])),
-            ("trajectory", lambda env: entity_iri("trajectory", env["entity_id"])),
-            ("mover", lambda env: entity_iri("object", env["entity_id"])),
-            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"])))),
+            ("node", ("entity_id", "t"), node_iri),
+            ("trajectory", ("entity_id",), lambda entity_id: entity_iri("trajectory", entity_id)),
+            ("mover", ("entity_id",), lambda entity_id: entity_iri("object", entity_id)),
+            ("wkt", ("lon", "lat"), lambda lon, lat: Literal.wkt(point_to_wkt(GeoPoint(lon, lat)))),
         ],
         patterns=[
             TriplePattern(var("node"), A, VOC.SemanticNode),
@@ -122,9 +122,9 @@ def raw_position_template() -> GraphTemplate:
     """Template for raw (uncompressed) surveillance positions."""
     return GraphTemplate(
         generators=[
-            ("node", lambda env: node_iri(env["entity_id"], env["t"])),
-            ("mover", lambda env: entity_iri("object", env["entity_id"])),
-            ("wkt", lambda env: Literal.wkt(point_to_wkt(GeoPoint(env["lon"], env["lat"])))),
+            ("node", ("entity_id", "t"), node_iri),
+            ("mover", ("entity_id",), lambda entity_id: entity_iri("object", entity_id)),
+            ("wkt", ("lon", "lat"), lambda lon, lat: Literal.wkt(point_to_wkt(GeoPoint(lon, lat)))),
         ],
         patterns=[
             TriplePattern(var("node"), A, VOC.RawPosition),
@@ -140,8 +140,8 @@ def region_template() -> GraphTemplate:
     """Template for geographical regions (geometry-heavy source)."""
     return GraphTemplate(
         generators=[
-            ("region", lambda env: entity_iri("region", env["region_id"])),
-            ("geom", lambda env: Literal.wkt(polygon_to_wkt(env["polygon"]))),
+            ("region", ("region_id",), lambda region_id: entity_iri("region", region_id)),
+            ("geom", ("polygon",), lambda polygon: Literal.wkt(polygon_to_wkt(polygon))),
         ],
         patterns=[
             TriplePattern(var("region"), A, VOC.Region),
@@ -155,8 +155,8 @@ def region_template() -> GraphTemplate:
 def port_template() -> GraphTemplate:
     return GraphTemplate(
         generators=[
-            ("port", lambda env: entity_iri("port", env["port_id"])),
-            ("geom", lambda env: Literal.wkt(env["wkt"])),
+            ("port", ("port_id",), lambda port_id: entity_iri("port", port_id)),
+            ("geom", ("wkt",), Literal.wkt),
         ],
         patterns=[
             TriplePattern(var("port"), A, VOC.Port),

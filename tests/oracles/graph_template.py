@@ -1,15 +1,17 @@
-"""Graph templates interpreted node by node: the oracle of ``GraphTemplate.instantiate``.
+"""Graph templates interpreted node by node: the oracle of ``GraphTemplate``.
 
-``repro.rdf.GraphTemplate`` compiles its patterns once, at construction,
-and binds every record into one dict that its generators extend in
-place. This module is the interpreter it replaced: a variable vector
-that layers the generated variables over the source record and hands
-every generator and callable node a fresh merged copy, and a per-node
-``isinstance`` dispatch on every instantiation (its coercion takes a
-bound blank node or numpy scalar, as the template's does). It shares no
-compiled row or binding dict with the template, only the template's own
-``patterns`` and ``generators``, so both must give the same triples in
-the same order, or fail with the same exception and message.
+``repro.rdf.GraphTemplate`` instantiates a batch of records column by
+column, building what repeats in the batch once. This module is the
+interpreter it replaced, one record at a time: a variable vector that
+layers the generated variables over the source record and hands every
+``(name, fn)`` generator and callable node a fresh merged copy (a
+``(name, fields, fn)`` generator the values of its fields, read from
+it), and a per-node ``isinstance`` dispatch on every instantiation (its
+coercion takes a bound blank node or numpy scalar, as the template's
+does). It shares no column, memo or binding with the template, only the
+template's own ``patterns`` and ``generators``, so a batch must give the
+triples this gives record by record, in the same order, or fail with the
+exception and message of the first record that fails here.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ def _resolve(node: Any, env: Mapping[str, Any], position: str) -> Term:
 def instantiate(template: GraphTemplate, record: Mapping[str, Any]) -> list[Triple]:
     """The triples of one record, pattern by pattern."""
     vector = VariableVector(record)
-    for name, generate in template.generators:
-        vector.bind(name, generate(vector.as_mapping()))
+    for name, *fields, generate in template.generators:
+        env = vector.as_mapping()
+        vector.bind(name, generate(*(env[f] for f in fields[0])) if fields else generate(env))
     env = vector.as_mapping()
     triples: list[Triple] = []
     for pattern in template.patterns:

@@ -247,6 +247,20 @@ class TestTracer:
         assert len(tracer.spans()) == 3
         assert tracer.dropped_spans == 3
 
+    def test_max_spans_evicts_the_oldest_whole_traces(self):
+        tracer = Tracer(clock=lambda: 0.0)
+        tracer.max_spans = 5
+        roots = []
+        for i in range(4):
+            roots.append(tracer.start_trace(f"t{i}"))
+            for _ in range(2):
+                tracer.finish(tracer.start_span("s", roots[-1]))
+        # Four traces of three spans: the third span of each trace evicts
+        # the one before it, whole.
+        assert tracer.traces() == [roots[3].trace_id]
+        assert [sp.name for sp in tracer.spans()] == ["t3", "s", "s"]
+        assert tracer.dropped_spans == 9
+
 
 class TestRealtimeIntegration:
     def test_system_metrics_view(self):
@@ -277,6 +291,29 @@ class TestRealtimeIntegration:
             "run", "clean", "area_events", "synopses", "link_discovery",
             "dashboard", "proximity", "publish", "health",
         ]
+
+    def test_a_long_lived_system_keeps_the_trace_of_its_last_call(self):
+        from repro.core import DatacronSystem, SystemConfig
+        from repro.datasources import AISConfig, AISSimulator
+
+        fixes = list(AISSimulator(n_vessels=3, seed=4, config=AISConfig(report_period_s=60.0)).fixes(0.0, 3600.0))
+
+        def drive(max_spans):
+            system = DatacronSystem(SystemConfig(n_regions=10, n_ports=5, seed=3), t_origin=0.0, t_extent_s=3600.0)
+            system.realtime.tracer.max_spans = system.batch.tracer.max_spans = max_spans
+            for i in range(0, len(fixes), 15):
+                system.run(fixes[i : i + 15])
+            return system.realtime.tracer, system.batch.tracer
+
+        for bounded, unbounded in zip(drive(12), drive(100_000)):
+            assert len(unbounded.traces()) > 10 and unbounded.dropped_spans == 0
+            assert len(bounded.spans()) <= 12
+            assert len(bounded.spans()) + bounded.dropped_spans == len(unbounded.spans())
+            last, want = bounded.trace(bounded.traces()[-1]), unbounded.trace(unbounded.traces()[-1])
+            assert [(sp.name, sp.tags) for sp in last] == [(sp.name, sp.tags) for sp in want]
+            assert [line.split(" [")[0] for line in bounded.lineage(last[0].trace_id).splitlines()] == (
+                [want[0].name, *(f"  {sp.name}" for sp in want[1:])]
+            )
 
     def test_dashboard_renders_registry(self):
         from repro.core import DatacronSystem, SystemConfig

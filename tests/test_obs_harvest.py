@@ -260,6 +260,27 @@ def test_fold_hangs_shard_traces_under_the_given_span():
     assert [(sp.name, sp.parent_id is None) for sp in alone.spans()] == [("run", True), ("clean", False)]
 
 
+def test_a_replica_that_evicts_traces_still_ships_its_last_poll():
+    """A harvest delta is what the replica traced since the last harvest,
+    however many old traces its tracer has evicted in between."""
+    from repro.core import ShardedRealtimeLayer, SystemConfig
+    from repro.datasources import AISConfig, AISSimulator
+
+    fixes = list(AISSimulator(n_vessels=4, seed=4, config=AISConfig(report_period_s=60.0)).fixes(0.0, 3600.0))
+
+    def last_poll(max_spans):
+        layer = ShardedRealtimeLayer(SystemConfig(n_regions=10, n_ports=5, seed=3, n_shards=2))
+        for replica in layer.shards:
+            replica.tracer.max_spans = max_spans
+        for i in range(0, len(fixes), 20):
+            layer.run(fixes[i : i + 20])
+        assert all(replica.tracer.dropped_spans > 0 for replica in layer.shards) == (max_spans < 100)
+        return [(sp.name, sp.tags.get("shard")) for sp in layer.tracer.trace(layer.tracer.traces()[-1])]
+
+    shipped = last_poll(12)
+    assert shipped == last_poll(100_000) and ("clean", 1) in shipped
+
+
 # -- histogram merge ----------------------------------------------------------------
 
 

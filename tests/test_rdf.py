@@ -291,6 +291,14 @@ class TestTemplates:
         ])
         assert template.instantiate({"s": iri("x"), "speed": None}) == []
 
+    def test_a_skipped_optional_row_calls_no_later_node(self):
+        template = GraphTemplate(patterns=[
+            TriplePattern(var("s"), IRI(EX + "p"), lambda env: env["missing"], optional=True),
+        ])
+        assert template.instantiate({}) == []   # ?s is unbound: the object is never called
+        with pytest.raises(KeyError):
+            template.instantiate({"s": iri("x")})
+
     def test_literal_subject_rejected(self):
         template = GraphTemplate(patterns=[TriplePattern(var("s"), A, IRI(EX + "T"))])
         with pytest.raises(TemplateError):
@@ -394,6 +402,115 @@ class TestCompiledTemplate:
         for template, record in cases:
             got = template.instantiate(record)
             assert got == reference.instantiate(template, record) != []
+
+
+def one_record_at_a_time(template, records):
+    """The interpreter over a batch: each record's triples, in record order."""
+    return [t for record in records for t in reference.instantiate(template, record)]
+
+
+#: Generators of declared inputs: pure functions of the input values, one
+#: of which fails on a non-string input.
+KEYED_FUNCTIONS = (
+    lambda *v: IRI(EX + "k/" + "/".join(map(repr, v))),
+    lambda *v: IRI(EX + v[-1]),
+    lambda *v: v[0],
+    lambda *v: BlankNode(f"b{len(v)}{v[0]!r}"),
+)
+ENTITY_FIELDS = ("id", "kind")
+keyed_generators = st.tuples(
+    st.sampled_from(("g", "h", "g", "h", *NAMES)),
+    st.lists(st.sampled_from(ENTITY_FIELDS + NAMES), min_size=1, max_size=2).map(tuple),
+    st.sampled_from(KEYED_FUNCTIONS),
+)
+# Few entities, so that ids repeat within a batch while the other fields
+# differ; and at most one hostile record, anywhere in the batch.
+entity_records = st.fixed_dictionaries({
+    "id": st.sampled_from(["v1", "v2", "v3"]), "kind": st.sampled_from(["turn", "stop"]),
+    **{name: raw_values for name in NAMES},
+})
+batch_records = st.tuples(st.lists(entity_records, min_size=1, max_size=8), st.none() | records, st.integers(0, 8)).map(
+    lambda drawn: drawn[0] if drawn[1] is None else [*drawn[0][: drawn[2]], drawn[1], *drawn[0][drawn[2]:]]
+)
+generated = st.sampled_from(["g", "h"]).map(var)
+batch_nodes = st.one_of(ground_terms, st.sampled_from(NAMES + ENTITY_FIELDS).map(var), generated,
+                        st.sampled_from(NODE_FUNCTIONS))
+batch_templates = st.builds(
+    GraphTemplate,
+    st.lists(
+        st.builds(
+            TriplePattern, st.integers(0, 9).flatmap(lambda k: generated | iris if k else batch_nodes),
+            st.integers(0, 9).flatmap(lambda k: iris if k else batch_nodes), batch_nodes, st.booleans(),
+        ),
+        min_size=1, max_size=5,
+    ),
+    st.lists(keyed_generators | st.tuples(st.sampled_from((*NAMES, "g")), st.sampled_from(GENERATORS)),
+             min_size=1, max_size=3),
+)
+position_fixes = st.builds(
+    PositionFix, st.sampled_from(["v1", "v2", "v3"]), st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
+    st.floats(-180, 180), st.floats(-90, 90), st.none() | st.floats() | st.builds(np.float64, st.floats()),
+    st.none() | st.floats(), st.none() | st.floats(allow_nan=False),
+)
+critical_points = st.builds(CriticalPoint, position_fixes, st.sampled_from(["turn", "stop_start", "gap_end"]))
+
+
+class TestBatchTemplate:
+    """``GraphTemplate.instantiate_all`` against the interpreter applied one
+    record at a time: what it builds once per batch must not show."""
+
+    @given(batch_templates, batch_records)
+    @settings(max_examples=300, deadline=None)
+    def test_a_batch_instantiates_like_one_record_at_a_time(self, template, records):
+        assert outcome(template.instantiate_all, records) == outcome(one_record_at_a_time, template, records)
+
+    @given(st.lists(critical_points, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_the_synopses_rdfizer_emits_like_one_point_at_a_time(self, points):
+        want = one_record_at_a_time(semantic_node_template(), [critical_point_record(cp) for cp in points])
+        assert list(synopses_rdfizer(points).triples()) == want
+
+    def test_the_first_failing_record_raises(self):
+        template = GraphTemplate(
+            generators=[("s", ("id",), lambda i: IRI(EX + i))],
+            patterns=[TriplePattern(var("s"), IRI(EX + "p"), var("x"))],
+        )
+        good = {"id": "v1", "x": 1}
+        # The last record fails first in column order: its id is no string.
+        for at in range(3):
+            batch = [good] * 3
+            batch[at] = {"id": "v2", "x": None}
+            with pytest.raises(TemplateError, match=r"null value for \?x in object"):
+                template.instantiate_all([*batch, {"id": 7, "x": 1}])
+
+    def test_a_row_of_once_per_input_values_is_keyed_on_their_own_inputs(self):
+        template = GraphTemplate(
+            generators=[
+                ("e", ("id",), lambda i: IRI(EX + i)),
+                ("k", ("id", "kind"), lambda i, k: IRI(f"{EX}{i}/{k}")),
+            ],
+            patterns=[TriplePattern(var("e"), A, IRI(EX + "E")), TriplePattern(var("k"), A, IRI(EX + "K"))],
+        )
+        records = [{"id": "v1", "kind": "turn"}, {"id": "v1", "kind": "stop"}, {"id": "v2", "kind": "turn"}]
+        assert template.instantiate_all(records) == one_record_at_a_time(template, records)
+
+    def test_an_entity_row_is_one_triple_per_entity(self):
+        triples = list(synopses_rdfizer([make_cp(0.0), make_cp(60.0), make_cp(0.0, eid="v2")]).triples())
+        typed = [t for t in triples if t.o == VOC.Trajectory]
+        assert len(typed) == 3 and typed[0] is typed[1] and typed[0] == typed[1] != typed[2]
+
+    def test_a_generator_runs_once_per_distinct_input_and_call(self):
+        calls = []
+        template = GraphTemplate(
+            generators=[("e", ("id",), lambda i: calls.append(i) or IRI(EX + i))],
+            patterns=[TriplePattern(var("e"), A, IRI(EX + "E"))],
+        )
+        records = [{"id": "v1"}, {"id": "v2"}, {"id": "v1"}]
+        want = one_record_at_a_time(template, records)
+        for _ in range(2):   # nothing is remembered past a call
+            calls.clear()
+            assert template.instantiate_all(records) == want
+            assert sorted(calls) == ["v1", "v2"]
 
 
 def make_cp(t=0.0, kind="turn", eid="v1"):

@@ -269,6 +269,8 @@ KEEP: dict[str, str] = {
     "degrade_stream": "item 3: the satellite-feed model CrossStreamFuser is tested on",
     "degrade_stream(latency_s)": "item 3: the satellite-feed model CrossStreamFuser is tested on",
     "degrade_stream(seed)": "item 3: the satellite-feed model CrossStreamFuser is tested on",
+    # The batch view in columns moves the one-record form beside the interpreter.
+    "GraphTemplate.instantiate": "item 21: the one-record form the template properties drive",
     # The planned forecast stage puts FLP on the synopses stream.
     "ErrorFeedbackPredictor": "item 7: online FLP with error feedback, pending the forecast stage",
     "ErrorFeedbackPredictor(alpha)": "item 7: online FLP with error feedback, pending the forecast stage",
