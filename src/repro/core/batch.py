@@ -121,6 +121,8 @@ class BatchLayer:
 
     def nodes_in_range(self, bbox: BBox, t_min: float, t_max: float) -> list[dict]:
         """Star-query: semantic nodes (with time/kind) inside a space-time range."""
+        if not len(self.store):   # nothing ingested yet: no node is in any range
+            return []
         query = star(
             "node",
             (A, VOC.SemanticNode),

@@ -78,11 +78,13 @@ class _RealtimeReplica:
     ) -> tuple[dict[str, list[Record]], np.ndarray, ObsHarvest]:
         """Run one poll's fixes (and columns, if they came framed) through
         the replica: the records the run published per topic, in publish
-        order, its clean rows, and its cumulative harvest."""
+        order, its clean rows, and its harvest since the last committed one
+        (cumulative counts, only the events and spans recorded since)."""
         layer = self.layer
         layer.run(fixes, columns)
         rows, topics = layer._committed
-        return topics, rows, harvest_obs(shard, layer.metrics, layer.events, layer.tracer)
+        harvest = harvest_obs(shard, layer.metrics, layer.events, layer.tracer, since=self.prev_harvest)
+        return topics, rows, harvest
 
 
 @dataclass(frozen=True, slots=True)

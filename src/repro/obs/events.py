@@ -20,6 +20,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import IO, TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # typing only: streams must stay importable without obs
@@ -163,9 +164,12 @@ class EventLog:
         """Total events ever emitted (including overwritten ones)."""
         return self._next_seq
 
-    def events(self) -> list[ObsEvent]:
-        """Retained events, oldest first."""
-        return list(self._ring)
+    def events(self, after: int = -1) -> list[ObsEvent]:
+        """Retained events, oldest first: those with a ``seq`` past ``after``,
+        read newest first, so the cost is what is returned."""
+        newest = list(takewhile(lambda e: e.seq > after, reversed(self._ring)))
+        newest.reverse()
+        return newest
 
     def tail(self) -> list[ObsEvent]:
         """The 20 most recent retained events, oldest first."""

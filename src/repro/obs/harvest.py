@@ -9,7 +9,9 @@ deployments (edge nodes must ship compact local summaries to a central
 analytics point): the replica side freezes its observability state into
 a small picklable :class:`ObsHarvest` (:func:`harvest_obs`, shipped as a
 per-run :meth:`ObsHarvest.delta`), and the parent folds harvests into
-one parent registry / event log / tracer (:func:`fold_harvests`).
+one parent registry / event log / tracer (:func:`fold_harvests`). A
+long-lived replica harvests ``since`` its previous harvest, so a poll
+copies only the events and spans recorded after it, not its history.
 
 Merge semantics, by metric kind:
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from .events import EventLog
@@ -106,6 +108,12 @@ class ObsHarvest:
     #: timed by its host.
     wall_seconds: float = 0.0
     setup_seconds: float = 0.0
+    #: How far this harvest read the event log (a ``seq``) and the tracer
+    #: (a span id): a harvest ``since`` this one, and a :meth:`delta`
+    #: against it, start after them. A harvest that read nothing new
+    #: keeps the cursor it started from.
+    last_seq: int = -1
+    last_span_id: int = -1
 
     def delta(self, prev: "ObsHarvest | None") -> "ObsHarvest":
         """What happened since ``prev`` (replicas are long-lived and
@@ -114,10 +122,9 @@ class ObsHarvest:
 
         Counters subtract exactly. Gauges are levels and stay current.
         Histograms subtract count, sum and bucket counts, keeping only the
-        buckets that grew; min/max stay cumulative. Events keep only
-        sequence numbers past ``prev``'s; spans keep only span ids past
-        ``prev``'s (the tracer may have evicted old traces since); wall
-        seconds subtract.
+        buckets that grew; min/max stay cumulative. Events and spans keep
+        only those past ``prev``'s cursor (the tracer may have evicted old
+        traces since); wall seconds subtract.
         """
         if prev is None:
             return self
@@ -143,17 +150,18 @@ class ObsHarvest:
                 cur.max,
                 {key: n - old.get(key, 0) for key, n in cur.buckets.items() if n > old.get(key, 0)},
             )
-        last_seq = max((int(e["seq"]) for e in prev.events), default=-1)
-        last_span = prev.spans[-1].span_id if prev.spans else -1   # spans come in span-id order
         return ObsHarvest(
             shard=self.shard,
             metrics=MetricsSnapshot(
                 counters=counters, gauges=dict(self.metrics.gauges), histograms=histograms
             ),
-            events=tuple(e for e in self.events if int(e["seq"]) > last_seq),
-            spans=self.spans[bisect_right(self.spans, last_span, key=attrgetter("span_id")):],
+            # Both come in cursor order.
+            events=self.events[bisect_right(self.events, prev.last_seq, key=itemgetter("seq")):],
+            spans=self.spans[bisect_right(self.spans, prev.last_span_id, key=attrgetter("span_id")):],
             wall_seconds=max(0.0, self.wall_seconds - prev.wall_seconds),
             setup_seconds=max(0.0, self.setup_seconds - prev.setup_seconds),
+            last_seq=self.last_seq,
+            last_span_id=self.last_span_id,
         )
 
 
@@ -164,15 +172,26 @@ def harvest_obs(
     tracer: Tracer | None = None,
     wall_seconds: float = 0.0,
     setup_seconds: float = 0.0,
+    since: ObsHarvest | None = None,
 ) -> ObsHarvest:
-    """Package one shard's live observability objects into a harvest."""
+    """Package one shard's live observability objects into a harvest.
+
+    The metrics are cumulative. The events and spans are those recorded
+    after ``since`` (the same shard's previous harvest), or all that are
+    kept without it.
+    """
+    last_seq, last_span_id = (since.last_seq, since.last_span_id) if since is not None else (-1, -1)
+    new_events = events.events(after=last_seq) if events is not None else []
+    new_spans = tracer.spans(after=last_span_id) if tracer is not None else []
     return ObsHarvest(
         shard=shard,
         metrics=snapshot_registry(registry),
-        events=tuple(e.to_dict() for e in events.events()) if events is not None else (),
-        spans=tuple(tracer.spans()) if tracer is not None else (),
+        events=tuple(e.to_dict() for e in new_events),
+        spans=tuple(new_spans),
         wall_seconds=float(wall_seconds),
         setup_seconds=float(setup_seconds),
+        last_seq=new_events[-1].seq if new_events else last_seq,
+        last_span_id=new_spans[-1].span_id if new_spans else last_span_id,
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Callable
 
 
@@ -141,8 +142,12 @@ class Tracer:
 
     # -- querying ----------------------------------------------------------------
 
-    def spans(self) -> list[Span]:
-        return list(self._spans.values())
+    def spans(self, after: int = -1) -> list[Span]:
+        """Kept spans in creation order: those with a span id past ``after``,
+        read newest first, so the cost is what is returned."""
+        newest = list(takewhile(lambda sp: sp.span_id > after, reversed(self._spans.values())))
+        newest.reverse()
+        return newest
 
     def traces(self) -> list[int]:
         """Trace ids in first-seen order."""

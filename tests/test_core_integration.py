@@ -148,6 +148,13 @@ class TestBatchViewPushdown:
         post_filter, _ = batch.store.execute(query, pushdown=False)
         assert batch.nodes_in_range(config.bbox, 0.0, extent) == post_filter != []
 
+    def test_a_range_query_on_an_empty_batch_view_returns_no_rows(self):
+        system = DatacronSystem(SystemConfig())
+        batch = system.batch
+        assert batch.nodes_in_range(system.config.bbox, 0.0, 10.0) == []
+        assert batch.ingest_from_broker().triples == 0
+        assert batch.nodes_in_range(system.config.bbox, 0.0, 10.0) == []
+
 
 _HASH_SEED_RUN = """
 from repro.core import DatacronSystem, SystemConfig

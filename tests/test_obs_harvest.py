@@ -281,6 +281,48 @@ def test_a_replica_that_evicts_traces_still_ships_its_last_poll():
     assert shipped == last_poll(100_000) and ("clean", 1) in shipped
 
 
+def test_a_long_lived_replica_copies_only_what_its_poll_recorded():
+    """A replica holding a full tracer and a full event ring harvests
+    since its previous harvest: a poll copies its own trace and events,
+    not the history kept beside them."""
+    from repro.core import SystemConfig
+    from repro.core.sharded import _RealtimeShardSpec
+    from repro.datasources import AISSimulator
+
+    fixes = list(AISSimulator(n_vessels=4, seed=4).fixes(0.0, 3600.0))
+    spec = _RealtimeShardSpec(SystemConfig(n_regions=10, n_ports=5, seed=3))
+    replica = spec.setup(0)
+    tracer, events = replica.layer.tracer, replica.layer.events
+    for _ in range(tracer.max_spans):
+        tracer.finish(tracer.start_trace("old"))
+    for _ in range(events.capacity):
+        events.emit("info", "test", "old")
+    spec.handle(0, replica, fixes[:60])
+    held = replica.prev_harvest
+    _, delta = spec.handle(0, replica, fixes[60:120])
+    copied = replica.prev_harvest
+    assert len(tracer.spans()) == tracer.max_spans and len(events) == events.capacity
+    poll = tuple(tracer.trace(tracer.traces()[-1]))
+    assert copied.spans == delta.spans == poll and poll[0].name == "run"
+    emitted = list(range(held.last_seq + 1, events.emitted))
+    assert [e["seq"] for e in copied.events] == [e["seq"] for e in delta.events] == emitted
+
+
+def test_a_harvest_that_read_nothing_new_keeps_its_cursor():
+    registry, events, tracer = MetricsRegistry(), EventLog(), Tracer()
+    events.emit("info", "a", "first")
+    tracer.finish(tracer.start_trace("first"))
+    first = harvest_obs(0, registry, events, tracer)
+    idle = harvest_obs(0, registry, events, tracer, since=first)
+    assert (idle.events, idle.spans) == ((), ())
+    assert (idle.last_seq, idle.last_span_id) == (first.last_seq, first.last_span_id) == (0, 0)
+    events.emit("info", "a", "second")
+    tracer.finish(tracer.start_trace("second"))
+    busy = harvest_obs(0, registry, events, tracer, since=idle)
+    assert [e["kind"] for e in busy.events] == ["second"] and [sp.name for sp in busy.spans] == ["second"]
+    assert busy.delta(idle).events == busy.events and busy.delta(idle).spans == busy.spans
+
+
 # -- histogram merge ----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.rdf.terms import WKT_LITERAL, XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN, X
 from repro.synopses import CriticalPoint
 
 from tests.oracles import graph_template as reference
+from tests.oracles.graph import EagerGraph
 
 
 EX = "http://example.org/"
@@ -252,6 +254,52 @@ class TestGraph:
             (Variable("b"), iri("q"), Variable("c")),
         ])
         assert len(sols) == 1 and sols[0]["c"] == iri("z")
+
+
+# Few terms, so that triples repeat, share index keys and collide in
+# their index sets, which iterate colliding triples in insertion order.
+graph_subjects = st.sampled_from([iri("a"), iri("b"), iri("c"), BlankNode("n")])
+graph_predicates = st.sampled_from([iri("p"), iri("q"), A])
+graph_objects = graph_subjects | st.builds(Literal.of, st.integers(0, 3))
+graph_triples = st.builds(Triple, graph_subjects, graph_predicates, graph_objects)
+
+
+def slot(terms):
+    """A pattern position: a wildcard, a variable or a ground term."""
+    return st.none() | st.sampled_from([Variable("x"), Variable("y")]) | terms
+
+
+graph_patterns = st.tuples(slot(graph_subjects), slot(graph_predicates), slot(graph_objects))
+graph_calls = st.one_of(
+    st.tuples(st.just("add"), graph_triples),
+    st.tuples(st.just("add_all"), st.lists(graph_triples, max_size=24)),
+    st.tuples(st.just("discard"), graph_triples),
+    graph_patterns.map(lambda pattern: ("match", *pattern)),
+    st.tuples(st.just("objects"), st.none() | graph_subjects, st.none() | graph_predicates),
+    st.tuples(st.just("value"), graph_subjects, graph_predicates),
+    st.tuples(st.just("query_bgp"), st.lists(graph_patterns, min_size=1, max_size=3)),
+)
+
+
+def answer(graph, call):
+    """What one call returns, as a list where it is iterable (so that its
+    order counts too), or the exception's type and message."""
+    name, *args = call
+    got = outcome(getattr(graph, name), *args)
+    return list(got) if isinstance(got, (set, Iterator)) else got
+
+
+class TestLazyIndexes:
+    """``Graph`` indexes on read; ``tests/oracles/graph.py`` indexes on write."""
+
+    @given(st.lists(graph_triples, min_size=8, max_size=40), st.lists(graph_calls, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_every_answer_and_order_equals_the_index_on_write_graph(self, first, calls):
+        lazy, eager = Graph(), EagerGraph()
+        # A first batch large enough that its triples share index keys.
+        for call in [("add_all", first), *calls]:
+            assert answer(lazy, call) == answer(eager, call), call
+            assert list(lazy) == list(eager) and len(lazy) == len(eager)
 
 
 class TestTemplates:
