@@ -4,7 +4,8 @@ Simulates a small vessel fleet, pushes it through the full real-time
 layer (cleaning -> in-situ -> synopses -> link discovery -> CEP) and
 the batch layer (RDF lifting -> spatio-temporal knowledge-graph store),
 then asks the store a star query, prints the live dashboard and the
-observability view (metrics snapshot, health states, recent events).
+observability view (metrics snapshot, health states, recent events,
+and where each call's time went).
 
 Run:  python examples/quickstart.py
 """
@@ -64,6 +65,13 @@ def main() -> None:
     print(f"structured events   : {events['emitted']} emitted; last:")
     for event in events["recent"][-3:]:
         print(f"  [{event['severity']:<5}] {event['component']}/{event['kind']} {event.get('message', '')}")
+
+    # 8. Where each call's time went: every region's seconds and share of
+    # its root's wall, from the same registry.
+    for root, call in metrics["operators"].items():
+        print(f"{root + ' wall':<20}: {call['seconds'] * 1e3:8.2f} ms")
+        for region, row in call["regions"].items():
+            print(f"  {region:<18}: {row['seconds'] * 1e3:8.2f} ms {row['share']:6.1%}")
 
 
 if __name__ == "__main__":

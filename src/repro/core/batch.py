@@ -45,7 +45,8 @@ class BatchLayer:
     is given. The tracer is the ingest's only clock: each
     :meth:`ingest_from_broker` is one ``ingest`` root span whose
     children are its regions, each with an ``op.<name>.*`` probe, and
-    ``batch.wall_s`` is the sum of the roots.
+    ``batch.wall_s`` is the sum of the roots: the ``ingest`` root of the
+    registry's attribution table (``MetricsRegistry.roots``).
     """
 
     _PROBED = ("drain", "rdfize", "dedup", "load")
@@ -69,6 +70,7 @@ class BatchLayer:
         self._synopsis_points = registry.counter("batch.synopsis_points")
         self._probes = {name: OperatorProbe(registry, name) for name in self._PROBED}
         self._wall = registry.gauge("batch.wall_s")
+        registry.roots["ingest"] = ("batch.wall_s", self._PROBED)
         self.store = KGStore(
             config.bbox,
             t_origin=t_origin,

@@ -171,8 +171,9 @@ class Figure2Plane:
     broker, and a ``with`` lifetime.
 
     The tracer is the plane's only clock: each ``run()`` is one ``run``
-    root span whose children are the run's regions, and the regions in
-    ``_PROBED`` each have an ``op.<name>.*`` probe, registered here.
+    root span whose children are the run's regions; the regions in
+    ``_PROBED`` each have an ``op.<name>.*`` probe, and split the ``run``
+    root of the registry's attribution table (``MetricsRegistry.roots``).
     """
 
     _PROBED: tuple[str, ...] = ()
@@ -189,6 +190,7 @@ class Figure2Plane:
         watch_broker(self.broker, self.events)
         self._probes = {name: OperatorProbe(self.metrics, name) for name in self._PROBED}
         self._wall = self.metrics.gauge("realtime.wall_s")
+        self.metrics.roots["run"] = ("realtime.wall_s", self._PROBED)
 
     def _poll(self) -> AbstractContextManager[_Trace]:
         """One ``run()``'s trace: a ``run`` root adding to ``realtime.wall_s``."""
@@ -249,14 +251,11 @@ class GlobalStages:
                 registry=metrics,
             )
             self.cep.train(cep_training_symbols)
-        # Online-cleaning rejection rate, the error-rate signal the health
-        # monitor's default rules watch: raw minus clean over raw, from the
-        # entity stages' own counters (folded ones on the sharded layer).
-        raw, clean = metrics.counter("stage.raw.records"), metrics.counter("op.clean.records_out")
-        metrics.gauge(
-            "realtime.error_rate",
-            fn=lambda: (raw.value - clean.value) / raw.value if raw.value else 0.0,
-        )
+        # Online-cleaning rejection rate, the signal the default health rules
+        # watch: raw minus clean over raw, from the two topics' published
+        # counts, which the owner's one publish advances before ``health``.
+        raw, clean = (metrics.gauge(f"broker.topic.{topic}.published") for topic in (TOPIC_RAW, TOPIC_CLEAN))
+        metrics.gauge("realtime.error_rate", fn=lambda: (raw.value() - clean.value()) / (raw.value() or 1.0))
         self.health = default_realtime_rules(HealthMonitor(metrics, event_log=events))
         self.dashboard = Dashboard(cfg.bbox, registry=metrics, health=self.health)
         # Ingest wall stamp (record provenance) to enriched output: the
@@ -314,10 +313,10 @@ class GlobalStages:
         trace.done(span, 0, 0)
 
     def system_metrics(self) -> dict[str, Any]:
-        """The observability view: registry snapshot plus the derived
-        per-operator rates, consumer lags, health states and recent
-        structured events the dashboard shows."""
-        self.health.evaluate()
+        """The observability view the dashboard shows: registry snapshot, the
+        attribution table (``operators``, :func:`~repro.obs.operator_rates`),
+        consumer lags, recent structured events and the health states the
+        last poll evaluated (reading them evaluates nothing)."""
         snap = self.metrics.snapshot()
         snap["operators"] = operator_rates(self.metrics)
         snap["consumer_lag"] = consumer_lags(self.metrics)
@@ -391,20 +390,14 @@ class EntityStages(Figure2Plane):
         (a pooled worker's decoded frame), are screened instead of built;
         the poll's size decides either way whether the screens run.
         """
-        self.events.emit("info", "realtime", "run_started")
+        # Drawn before the clock starts: producing a lazy stream is the caller's time.
+        fixes = fixes if isinstance(fixes, list) else list(fixes)
         with self._poll() as trace:
             self._commit(self._entity_stages(fixes, columns, trace), trace)
-        report = self.report
-        self.events.emit(
-            "info", "realtime", "run_finished",
-            raw=report.raw_fixes, clean=report.clean_fixes,
-            critical_points=report.critical_points,
-        )
-        return report
+        return self.report
 
-    def _entity_stages(self, fixes: Iterable[PositionFix], columns: FixColumns | None, trace: _Trace) -> _Poll:
+    def _entity_stages(self, fixes: list[PositionFix], columns: FixColumns | None, trace: _Trace) -> _Poll:
         """The poll through each per-entity stage as one batch."""
-        fixes = fixes if isinstance(fixes, list) else list(fixes)
         # Record provenance: the wall-clock instant the poll was handed
         # over, one stamp for every record derived from it (None on an
         # empty run, which derives none).

@@ -208,7 +208,7 @@ class ShardedRealtimeLayer(Figure2Plane):
 
     def run(self, fixes: Iterable[PositionFix]) -> RealtimeReport:
         """Route, run every replica, then merge and run the global stages."""
-        self.events.emit("info", "realtime", "sharded_run_started", shards=self.n_shards)
+        fixes = fixes if isinstance(fixes, list) else list(fixes)  # the caller's time, as in EntityStages.run
         with self._poll() as trace:
             span = trace.start("route")
             routed: list[list[PositionFix]] = [[] for _ in range(self.n_shards)]
@@ -258,13 +258,7 @@ class ShardedRealtimeLayer(Figure2Plane):
             n = self._publish(merged)
             trace.done(span, n, n)
             self.globals.evaluate(trace)
-        report = self.report
-        self.events.emit(
-            "info", "realtime", "sharded_run_finished",
-            shards=self.n_shards, raw=report.raw_fixes, clean=report.clean_fixes,
-            critical_points=report.critical_points,
-        )
-        return report
+        return self.report
 
     def _request_frames(self, routed: list[list[PositionFix]]) -> Iterator[bytes]:
         """Each shard's request as a :mod:`repro.core.frames` frame, built

@@ -73,7 +73,7 @@ class DatacronSystem:
         return self.realtime.metrics
 
     def system_metrics(self) -> dict:
-        """Registry snapshot plus derived operator rates and consumer lags."""
+        """The real-time layer's view, whose attribution table splits the ``run`` and ``ingest`` walls."""
         return self.realtime.system_metrics()
 
     def dashboard_frame(self, t: float | None = None) -> str:

@@ -190,8 +190,9 @@ class MetricsServer:
     """A stdlib HTTP endpoint serving ``/metrics`` and ``/healthz``.
 
     ``/metrics`` renders the live registry as OpenMetrics text;
-    ``/healthz`` returns the health monitor's snapshot as JSON with
-    status 200 while the system is OK or DEGRADED and 503 once FAILING
+    ``/healthz`` returns the health monitor's snapshot as JSON — the
+    states its owner's last evaluation left, as a scrape evaluates
+    nothing — with status 200 while the system is OK or DEGRADED and 503 once FAILING
     (load balancers treat DEGRADED as "still serving"). Without a
     monitor, ``/healthz`` reports ``{"system": "OK"}``.
 
@@ -219,7 +220,6 @@ class MetricsServer:
                     self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
                 elif self.path.split("?", 1)[0] == "/healthz":
                     if outer.health is not None:
-                        outer.health.evaluate()
                         snap = outer.health.snapshot()
                     else:
                         snap = {"system": "OK", "components": {}}

@@ -18,11 +18,15 @@ Naming conventions (what the dashboard and benches parse):
 * ``op.<name>.latency_s`` — histogram of per-batch processing seconds
 * ``broker.topic.<topic>.{size,published,dropped}`` — topic gauges
 * ``broker.lag.<topic>.<group>`` — consumer-group lag gauges
+
+:func:`operator_rates` reads the probes back as one attribution table:
+each traced call's wall split over its regions, as the call's owner
+declares them in ``MetricsRegistry.roots``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .metrics import MetricsRegistry
 
@@ -78,29 +82,44 @@ def instrument_consumer(consumer: "Consumer", registry: MetricsRegistry) -> "Con
 # -- registry views (what the dashboard renders) ----------------------------------
 
 
-def operator_rates(registry: MetricsRegistry) -> dict[str, dict[str, float]]:
-    """Per-operator throughput/latency summary parsed from the registry.
+def operator_rates(registry: MetricsRegistry) -> dict[str, dict[str, Any]]:
+    """The attribution table: where each traced call's time went.
 
-    Returns ``{operator: {records_in, records_out, records_s, p50_ms,
-    p95_ms, p99_ms}}`` for every ``op.<name>.*`` family present.
+    An ``op.<name>.*`` family is a row: ``records_in``/``records_out``,
+    ``records_s``, ``p50_ms``/``p95_ms``/``p99_ms`` and ``seconds`` (its
+    latency sum). A root of ``registry.roots`` is ``{"seconds": its wall,
+    "regions": {region: row with its "share" of the wall, "unattributed":
+    the rest}}``. Under a ``shards`` region (a sharded parent) sit, as that
+    row's ``regions``, the replicas' folded families, which no root claims,
+    and the root carries ``serial_share``: 1 - (shards - IPC encode and
+    decode) / wall. Elsewhere an unclaimed family is a row of the table.
     """
-    out: dict[str, dict[str, float]] = {}
+    rows: dict[str, dict[str, Any]] = {}
     for metric, value in registry.counters("op.").items():
         name, _, field = metric[len("op."):].rpartition(".")
         if field in ("records_in", "records_out") and name:
-            out.setdefault(name, {"records_in": 0, "records_out": 0})[field] = value
-    for name, row in out.items():
+            rows.setdefault(name, {"records_in": 0, "records_out": 0})[field] = value
+    for name, row in rows.items():
         hist = registry._histograms.get(f"op.{name}.latency_s")
-        if hist is not None and hist.sum > 0.0:
-            row["records_s"] = row["records_in"] / hist.sum
-            q = hist.quantiles()
-            row["p50_ms"] = q["p50"] * 1e3
-            row["p95_ms"] = q["p95"] * 1e3
-            row["p99_ms"] = q["p99"] * 1e3
-        else:
-            row["records_s"] = 0.0
-            row["p50_ms"] = row["p95_ms"] = row["p99_ms"] = 0.0
-    return dict(sorted(out.items()))
+        row["seconds"] = seconds = hist.sum if hist is not None else 0.0
+        q = hist.quantiles() if seconds > 0.0 else {}
+        row["records_s"] = row["records_in"] / seconds if seconds > 0.0 else 0.0
+        row.update({f"{p}_ms": q.get(p, 0.0) * 1e3 for p in ("p50", "p95", "p99")})
+    table: dict[str, dict[str, Any]] = {
+        root: {"seconds": registry.gauge(wall).value(), "regions": {name: rows.pop(name) for name in regions}}
+        for root, (wall, regions) in registry.roots.items()
+    }
+    for root in table.values():
+        wall, regions = root["seconds"], root["regions"]
+        regions["unattributed"] = {"seconds": wall - sum(row["seconds"] for row in regions.values())}
+        for row in regions.values():
+            row["share"] = row["seconds"] / wall if wall else 0.0
+        if "shards" in regions:
+            regions["shards"]["regions"], rows = rows, {}
+            codec = (".ipc_encode_s", ".ipc_decode_s")
+            ipc = sum(hist.sum for name, hist in registry._histograms.items() if name.endswith(codec))
+            root["serial_share"] = 1.0 - (regions["shards"]["seconds"] - ipc) / wall if wall else 0.0
+    return {**table, **rows}
 
 
 def consumer_lags(registry: MetricsRegistry) -> dict[str, int]:

@@ -194,6 +194,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: ``{root: (wall gauge, regions)}`` per traced call, as its owner declares it.
+        self.roots: dict[str, tuple[str, tuple[str, ...]]] = {}
 
     # -- accessors ---------------------------------------------------------------
 

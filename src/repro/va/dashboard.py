@@ -12,7 +12,7 @@ the same streams the rest of the system exchanges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..geo import BBox, EquiGrid, PositionFix
 from ..obs import HealthMonitor, MetricsRegistry, consumer_lags, operator_rates
@@ -36,10 +36,10 @@ class Dashboard:
 
     The information-layer counters live in the pipeline's
     :class:`~repro.obs.MetricsRegistry` (``dashboard.*`` counters), and
-    the frame's observability section — per-operator records/s and broker
+    the frame's observability section — the attribution table and broker
     consumer lag — is rendered straight from registry contents. The frame
     leads with the :class:`~repro.obs.HealthMonitor`'s pipeline health
-    line (system state plus any non-``OK`` components).
+    line (system state plus any non-``OK`` components), as read.
     """
 
     def __init__(self, bbox: BBox, registry: MetricsRegistry, health: HealthMonitor):
@@ -106,19 +106,13 @@ class Dashboard:
         return [(n[len(prefix):], v) for n, v in self.registry.counters(prefix).items()]
 
     def render_metrics(self) -> list[str]:
-        """The observability panel: per-operator rates and consumer lag,
+        """The observability panel: the attribution table and consumer lag,
         rendered from live registry contents."""
         lines: list[str] = []
-        rates = operator_rates(self.registry)
-        if rates:
-            lines.append("operators (records/s | p50/p95 ms):")
-            width = max(len(n) for n in rates)
-            for name, row in rates.items():
-                lines.append(
-                    f"  {name:<{width}}  {row['records_s']:>12,.0f} rec/s"
-                    f"  in={row['records_in']:,.0f} out={row['records_out']:,.0f}"
-                    f"  p50={row['p50_ms']:.3f} p95={row['p95_ms']:.3f}"
-                )
+        table = operator_rates(self.registry)
+        if table:
+            lines.append("operators (records/s | p50/p95 ms | ms, share of the call):")
+            lines.extend(_table_lines(table, "  "))
         lags = consumer_lags(self.registry)
         if lags:
             lines.append("consumer lag:")
@@ -127,8 +121,8 @@ class Dashboard:
         return lines
 
     def render_health(self) -> list[str]:
-        """The pipeline-health line: system state plus unhealthy components."""
-        self.health.evaluate()
+        """The pipeline-health line: system state plus unhealthy components,
+        as the last evaluation left them."""
         parts = [f"health: {self.health.system_state()}"]
         parts.extend(
             f"{component}={state}"
@@ -160,3 +154,17 @@ class Dashboard:
 
     def entity_count(self) -> int:
         return len(self.state.last_position)
+
+
+def _table_lines(rows: dict, indent: str) -> Iterator[str]:
+    """An attribution table's rows, one line each, a row's regions below it."""
+    width = max(map(len, rows), default=0)
+    for name, row in rows.items():
+        share = f"{row['share']:.1%}" if "share" in row else ""
+        share = f"s={row['serial_share']:.3f}" if "serial_share" in row else share
+        rates = "" if "records_s" not in row else (
+            f"{row['records_s']:>12,.0f} rec/s  in={row['records_in']:,} out={row['records_out']:,}"
+            f"  p50={row['p50_ms']:.3f} p95={row['p95_ms']:.3f}"
+        )
+        yield f"{indent}{name:<{width}}  {row['seconds'] * 1e3:>9.3f} ms {share:>7}  {rates}".rstrip()
+        yield from _table_lines(row.get("regions", {}), indent + "  ")

@@ -169,6 +169,42 @@ class TestOperatorInstrumentation:
         assert rates["stage"]["records_out"] == 3
         assert rates["stage"]["records_s"] == pytest.approx(2.0)
         assert rates["stage"]["p95_ms"] == pytest.approx(500.0)
+        assert rates["stage"]["seconds"] == pytest.approx(1.0)
+
+    def test_a_declared_root_splits_its_wall_over_its_regions(self):
+        """A root's regions carry their share of its wall, the rest is
+        unattributed, and a family no root claims stays a row of its own."""
+        reg = MetricsRegistry()
+        reg.roots["call"] = ("call.wall_s", ("a", "b"))
+        reg.gauge("call.wall_s").set(4.0)
+        OperatorProbe(reg, "a").observe(1, 1.0)
+        OperatorProbe(reg, "b").observe(1, 2.0)
+        OperatorProbe(reg, "other").observe(1, 8.0)
+        table = operator_rates(reg)
+        assert list(table) == ["call", "other"] and "share" not in table["other"]
+        call = table["call"]
+        assert call["seconds"] == 4.0 and "serial_share" not in call
+        assert {name: (row["seconds"], row["share"]) for name, row in call["regions"].items()} == {
+            "a": (1.0, 0.25), "b": (2.0, 0.5), "unattributed": (1.0, 0.25),
+        }
+
+    def test_a_sharded_parent_lists_the_replicas_inside_shards(self):
+        """The families no root claims are shard time inside ``shards``;
+        the root carries the pool's serial share."""
+        reg = MetricsRegistry()
+        reg.roots["run"] = ("realtime.wall_s", ("shards", "merge"))
+        reg.gauge("realtime.wall_s").set(10.0)
+        OperatorProbe(reg, "shards").observe(1, 8.0)
+        OperatorProbe(reg, "merge").observe(1, 1.0)
+        OperatorProbe(reg, "clean").observe(1, 6.0)   # folded from the replicas
+        reg.histogram("shard.0.ipc_encode_s").observe(0.5)
+        reg.histogram("shard.1.ipc_decode_s").observe(0.5)
+        table = operator_rates(reg)
+        assert list(table) == ["run"]
+        run = table["run"]
+        assert list(run["regions"]["shards"]["regions"]) == ["clean"]
+        assert run["regions"]["unattributed"]["share"] == pytest.approx(0.1)
+        assert run["serial_share"] == pytest.approx(1.0 - (8.0 - 1.0) / 10.0)
 
 
 class TestBrokerInstrumentation:
@@ -280,7 +316,7 @@ class TestRealtimeIntegration:
         # observation per critical point (there is no per-fix histogram).
         assert metrics["histograms"]["e2e.record_latency_s"]["count"] == run.realtime.critical_points
         assert "realtime.fix_latency_s" not in metrics["histograms"]
-        assert metrics["operators"]["clean"]["records_s"] > 0.0
+        assert metrics["operators"]["run"]["regions"]["clean"]["records_s"] > 0.0
         # The batch layer drained the synopses topic: its lag gauge reads zero.
         assert metrics["consumer_lag"]["trajectories.synopses.batch"] == 0
         # One trace per run(): a `run` root over the regions of the run

@@ -5,6 +5,7 @@ import json
 import math
 import socket
 import threading
+import time
 import urllib.request
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -28,6 +29,7 @@ from repro.obs import (
     MetricsServer,
     default_realtime_rules,
     format_snapshot,
+    operator_rates,
     parse_openmetrics,
     render_openmetrics,
     sanitize_metric_name,
@@ -166,8 +168,10 @@ class TestMetricsServer:
             assert resp.status == 200 and body["system"] == OK
 
             # Drive the gauge over the failing threshold: /healthz turns 503
-            # on the second evaluation in a row (the hysteresis).
+            # on the second evaluation in a row (the hysteresis). A scrape
+            # only reads: both evaluations are the owner's.
             reg.gauge("lag").set(500.0)
+            monitor.evaluate()
             monitor.evaluate()
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"{server.url}/healthz")
@@ -430,8 +434,9 @@ class TestRunTraceShape:
     @pytest.mark.parametrize("composition", COMPOSITIONS)
     def test_every_second_of_a_run_is_in_one_region(self, composition):
         """Over the tier-1 stream in five polls, on every composition: the
-        regions of each ``run()`` add up to its ``run`` root, the roots to
-        ``realtime.wall_s`` and that to the wall around the calls; each
+        regions of each ``run()`` add up to its ``run`` root, as the
+        attribution table's shares do, the roots to ``realtime.wall_s``
+        and that to the wall around the calls; each
         region's probe counts the polls that reached it; a sharded poll is
         one trace, every replica's ``run`` hung under that poll's
         ``shards`` span, an in-process replica's adding up the same way;
@@ -440,6 +445,7 @@ class TestRunTraceShape:
         them its worker process may be descheduled, which measures the
         OS scheduler, not the code."""
         from repro.core import RealtimeLayer, ShardedRealtimeLayer
+        from repro.core.realtime import EntityStages
         from tests.test_core_per_fix_oracle import CFG, symbols, tier1
 
         fields, fixes = COMPOSITIONS[composition], tier1()
@@ -462,8 +468,13 @@ class TestRunTraceShape:
 
         roots = children[None]
         assert [root.name for root in roots] == ["run"] * 5 and len(layer.tracer.traces()) == 5
-        assert 0.95 <= covered(roots) <= 1.0
+        # The attribution table holds the same split, read from the registry.
+        table = operator_rates(layer.metrics)["run"]
+        shares = sum(row["share"] for name, row in table["regions"].items() if name != "unattributed")
+        assert 0.95 <= shares <= 1.0
+        assert shares == pytest.approx(covered(roots), rel=1e-9)
         wall = layer.metrics.gauge("realtime.wall_s").value()
+        assert table["seconds"] == wall
         assert wall == pytest.approx(sum(root.duration_s for root in roots), rel=1e-12)
         assert 0.95 <= wall / measured <= 1.0
         order = self.SHARDED_REGIONS if fields else self.REGIONS
@@ -479,7 +490,11 @@ class TestRunTraceShape:
         assert {name for name in gauges if not name.startswith("shard.")} == built
         assert [name for name, v in gauges.items() if name.endswith(("ratio", "rate")) and not 0.0 <= v <= 1.0] == []
         if not fields:
+            assert "serial_share" not in table
             return
+        # A replica's regions are shard time inside the parent's ``shards``.
+        assert list(table["regions"]["shards"]["regions"]) == sorted(EntityStages._PROBED)
+        assert 0.0 < table["serial_share"] < 1.0
         replicas = []
         for root in roots:
             [shards] = [c for c in children[root.span_id] if c.name == "shards"]
@@ -490,6 +505,27 @@ class TestRunTraceShape:
         assert covered(replicas) <= 1.0
         if not fields.get("worker_pool"):
             assert covered(replicas) >= 0.95
+
+
+    @pytest.mark.parametrize("composition", COMPOSITIONS)
+    def test_a_lazy_stream_is_drawn_before_the_clock_starts(self, composition):
+        """Producing a lazy input is the caller's time: it is in no region
+        and not in ``realtime.wall_s`` either, on every composition."""
+        from repro.core import RealtimeLayer, ShardedRealtimeLayer, SystemConfig
+        from repro.datasources import AISSimulator
+
+        fixes = list(AISSimulator(n_vessels=3, seed=4).fixes(0.0, 600.0))
+
+        def slow_source():
+            time.sleep(0.25)
+            yield from fixes
+
+        fields = COMPOSITIONS[composition]
+        config = SystemConfig(n_regions=10, n_ports=5, **fields)
+        with (ShardedRealtimeLayer if fields else RealtimeLayer)(config) as layer:
+            layer.run(slow_source())
+        assert layer.report.raw_fixes == len(fixes)
+        assert layer.metrics.gauge("realtime.wall_s").value() < 0.25
 
 
 class TestBatchInstrumentation:
@@ -528,8 +564,8 @@ class TestBatchInstrumentation:
         snap = system.system_metrics()
         assert snap["health"]["system"] in (OK, DEGRADED, FAILING)
         assert set(snap["health"]["components"]) == {"broker", "clean"}
-        kinds = [e["kind"] for e in snap["events"]["recent"]]
-        assert "run_started" in kinds and "run_finished" in kinds
+        # The run's trace and report carry its lifecycle: no event repeats them.
+        assert [e for e in snap["events"]["recent"] if e["component"] == "realtime"] == []
 
     def test_every_default_rule_watches_a_live_gauge(self, live_system):
         """A rule whose glob matches no gauge of a real run can never fire,
@@ -561,3 +597,86 @@ class TestBatchInstrumentation:
         assert snap["counters"]["cep.events"] == 5
         assert snap["counters"]["cep.automaton.transitions"] == 5
         assert snap["histograms"]["cep.match_latency_s"]["count"] == 5
+
+
+class TestHealthOverPolls:
+    """Each poll evaluates health once, from counts its publish committed;
+    views only read it, and the event ring keeps what the polls emitted."""
+
+    def test_views_read_health_and_only_the_poll_evaluates_it(self):
+        """One poll with 50 of 60 fixes out of range argues for FAILING and
+        the hysteresis holds it back; reading the views between polls
+        evaluates nothing, so only the next poll turns ``clean`` FAILING."""
+        from repro.core import DatacronSystem, SystemConfig
+        from repro.datasources import AISSimulator
+
+        fixes = list(AISSimulator(n_vessels=3, seed=4).fixes(0.0, 3600.0))[:60]
+        poll = [fix if i % 6 == 0 else replace(fix, lat=95.0) for i, fix in enumerate(fixes)]
+        system = DatacronSystem(SystemConfig(n_regions=10, n_ports=5, seed=3))
+        system.run(poll)
+        health = system.realtime.health
+        assert (health.states(), health.evaluations) == ({"broker": OK, "clean": OK}, 1)
+        with MetricsServer(system.metrics, health=health) as server:
+            for _ in range(2):
+                system.system_metrics()
+                system.dashboard_frame()
+                with urllib.request.urlopen(f"{server.url}/healthz") as resp:
+                    assert json.loads(resp.read().decode())["system"] == OK
+        assert (health.states(), health.evaluations) == ({"broker": OK, "clean": OK}, 1)
+        system.run(poll)
+        assert (health.states()["clean"], health.evaluations) == (FAILING, 2)
+
+    def test_a_clean_stream_reads_no_error_on_any_composition(self):
+        """``realtime.error_rate`` reads the raw and clean topics' published
+        counts, which one publish advances together: on a stream with no
+        dirty fix every composition's health reads the same after every
+        poll, and nothing transitions."""
+        from contextlib import ExitStack
+
+        from repro.core import RealtimeLayer, ShardedRealtimeLayer, SystemConfig
+        from repro.datasources import AISConfig, AISSimulator
+
+        sim = AISSimulator(n_vessels=8, seed=1, config=AISConfig(outlier_probability=0.0))
+        fixes = list(sim.fixes(0.0, 6 * 3600.0))[:1600]
+        with ExitStack() as stack:
+            layers = {
+                name: stack.enter_context(
+                    (ShardedRealtimeLayer if fields else RealtimeLayer)(
+                        SystemConfig(n_regions=10, n_ports=5, seed=3, **fields)
+                    )
+                )
+                for name, fields in COMPOSITIONS.items()
+            }
+            for poll in chunks(fixes, range(64, len(fixes), 64)):
+                snapshots = []
+                for layer in layers.values():
+                    layer.run(poll)
+                    snapshots.append(layer.health.snapshot())
+                assert all(snapshot == snapshots[0] for snapshot in snapshots)
+        for name, layer in layers.items():
+            assert layer.report.clean_fixes == len(fixes), name
+            assert [e for e in layer.events.events() if e.component == "health"] == [], name
+
+    def test_a_long_lived_pooled_system_keeps_every_transition_and_detection(self):
+        """Over 236 polls of a pooled system at the default ring capacity,
+        with a dirty first poll (the ``clean`` component degrades, then
+        recovers) and CEP trained: every health transition and CEP
+        detection emitted is still in the ring, and no run lifecycle
+        event spends it."""
+        from repro.core import DatacronSystem
+        from tests.test_core_per_fix_oracle import CFG, symbols, tier1
+
+        polls = list(chunks(tier1(), range(16, len(tier1()), 16)))
+        polls[0] = [fix if i % 4 == 0 else replace(fix, lat=95.0) for i, fix in enumerate(polls[0])]
+        assert len(polls) >= 200
+        config = replace(CFG, n_shards=2, worker_pool=True)
+        with DatacronSystem(config, cep_training_symbols=symbols()) as system:
+            for poll in polls:
+                system.run(poll)
+        events, health = system.realtime.events, system.realtime.health.snapshot()
+        assert events.capacity == 1024 and events.overwritten == 0
+        kinds = Counter((e.component, e.kind) for e in events.events())
+        transitions = sum(component["transitions"] for component in health["components"].values())
+        assert kinds[("health", "transition")] == transitions > 0
+        assert kinds[("cep", "detection")] == system.realtime.report.cep_detections > 0
+        assert [kind for kind in kinds if kind[0] == "realtime"] == []
